@@ -2,9 +2,9 @@
 oracle harness.  JSON config in, CSV + JSON-manifest out.
 
 Exit codes: 0 success, 1 usage/config error, 2 numeric or oracle failure,
-3 I/O error.  Identical configuration (including the seed and job count)
-produces byte-identical output files; sweep rows are computed indexably and
-sorted before writing so worker concurrency never changes bytes.
+3 I/O error.  Identical configuration produces byte-identical output files;
+sweep rows are sorted before writing.  The ``jobs`` field (``--jobs``) is
+validated and recorded but has no effect: sweeps run serially in one thread.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import copy
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -484,22 +483,10 @@ def _walk_nm_over_sweep(cfg: dict, out_dir: Path):
             dvals[n] = 0.5 * float(np.sum(np.abs(eig)))
         return nm_measure(dvals, threshold).measure
 
-    tasks = [(a, v) for a in cfg["a_values"] for v in values]
-    results = [0.0] * len(tasks)
-    jobs = int(cfg["jobs"])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for idx, res in enumerate(pool.map(lambda t: measure_at(*t), tasks)):
-                results[idx] = res
-    else:
-        for idx, task in enumerate(tasks):
-            results[idx] = measure_at(*task)
-
     rows = []
-    for (a, value), n10 in zip(tasks, results):
-        rows.append((float(a), float(value), float(n10), "filter"))
     for a in cfg["a_values"]:
         for value in values:
+            rows.append((float(a), float(value), float(measure_at(a, value)), "filter"))
             rows.append((float(a), float(value), float(strong_value), "strong_limit"))
     rows.sort(key=lambda r: (r[3], r[0], r[1]))
     derived = {
@@ -691,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
         sp.add_argument("--out", default=None, help="output directory (default: out_dir field or '.')")
         sp.add_argument("--engine", choices=["series", "quadrature", "strong-limit"], default=None)
-        sp.add_argument("--jobs", type=int, default=None, help="sweep worker threads")
+        sp.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; has no effect")
         sp.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override a config field (dotted keys allowed, value parsed as JSON)",

@@ -288,9 +288,7 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float:
         for k in range(3):
             if d[i, k] != 0.0:
                 diff = diff + 0.25 * d[i, k] * np.kron(PAULI[i], PAULI[k].T)
-    vals, off, norm = kernels.jacobi_eigvals(diff)
-    if norm > 0.0 and off > kernels.JACOBI_TOL * norm:
-        raise NumericError("eigensolver failed to converge on the Choi difference")
+    vals = kernels.hermitian_eigvals(diff)
     return 0.5 * float(np.sum(np.abs(vals)))
 
 

@@ -1,17 +1,9 @@
-"""Hot numeric kernels: numba-compiled loops with pure-numpy fallbacks.
-
-The compiled path is used when numba imports cleanly and the environment
-variable ``MEMORYFLOW_DISABLE_NUMBA`` is not set to a truthy value; the
-vectorized numpy path is used otherwise.  Both implementations of every
-kernel stay importable (``*_numba`` / ``*_numpy``) so the benchmark and the
-cross-checking tests can compare them in a single process.  The two backends
-agree to solver tolerance but are not bit-for-bit identical; each backend is
-individually deterministic.
+"""Hot numeric kernels, in numpy with LAPACK for the eigensolver.
 
 Kernels:
 
-- ``jacobi_eigvals``           eigenvalues of a complex Hermitian matrix by
-                               cyclic Jacobi rotations (no eigenvectors)
+- ``hermitian_eigvals``        ascending eigenvalues of a complex Hermitian
+                               matrix (LAPACK through ``np.linalg.eigvalsh``)
 - ``transfer_power_average``   sum_i w_i * M(theta_i)^m for the 3x3 single-step
                                Bloch transfer matrix M
 - ``series_convolve``          product of matrix-valued trigonometric
@@ -22,237 +14,30 @@ Kernels:
 
 from __future__ import annotations
 
-import os
-from functools import lru_cache
-
 import numpy as np
 
-_DISABLE = os.environ.get("MEMORYFLOW_DISABLE_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
+from .errors import NumericError
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+# Kept because run manifests and the oracle report record it as "backend".
+BACKEND = "numpy"
+# Kept because benchmark machine records read it; there is no numba backend.
+HAVE_NUMBA = False
 
 
-NUMBA_ENABLED = HAVE_NUMBA and not _DISABLE
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 64
-
-
-# ---------------------------------------------------------------------------
-# cyclic Jacobi eigenvalues, complex Hermitian
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _jacobi_loop(A, tol, max_sweeps):
-    """Row-cyclic Jacobi on a complex Hermitian matrix, in place on a copy.
-
-    Returns (unsorted diagonal, final off-diagonal Frobenius norm, norm of H).
-    """
-    n = A.shape[0]
-    norm = 0.0
-    for i in range(n):
-        for j in range(n):
-            norm += abs(A[i, j]) ** 2
-    norm = np.sqrt(norm)
-    off = 0.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * abs(A[p, q]) ** 2
-        off = np.sqrt(off)
-        if off <= tol * norm or norm == 0.0:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(A[p, q])
-                if r == 0.0:
-                    continue
-                phase = A[p, q] / r
-                theta = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # theta^2 would overflow
-                    t = 0.5 / theta
-                elif theta > 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                sph = s * phase
-                sphc = s * np.conj(phase)
-                for i in range(n):
-                    ap = A[i, p]
-                    aq = A[i, q]
-                    A[i, p] = c * ap - sphc * aq
-                    A[i, q] = sph * ap + c * aq
-                for i in range(n):
-                    ap = A[p, i]
-                    aq = A[q, i]
-                    A[p, i] = c * ap - sph * aq
-                    A[q, i] = sphc * ap + c * aq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = complex(A[p, p].real, 0.0)
-                A[q, q] = complex(A[q, q].real, 0.0)
-    diag = np.empty(n)
-    for i in range(n):
-        diag[i] = A[i, i].real
-    return diag, off, norm
+def hermitian_eigvals(H) -> np.ndarray:
+    """Ascending eigenvalues of a complex Hermitian matrix; only the lower
+    triangle is read.  A LAPACK convergence failure raises ``NumericError``."""
+    try:
+        return np.linalg.eigvalsh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
 
 
-def jacobi_eigvals_numba(H, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
-    A = np.array(H, dtype=np.complex128, order="C")
-    if A.shape[0] == 1:
-        return np.array([A[0, 0].real]), 0.0, abs(A[0, 0])
-    diag, off, norm = _jacobi_loop(A, tol, max_sweeps)
-    return np.sort(diag), off, norm
+# Kept because benchmark tracing looks the eigensolver layer up by this name.
+jacobi_eigvals = hermitian_eigvals
 
 
-@lru_cache(maxsize=None)
-def _round_robin_rounds(n):
-    """Round-robin pivot schedule: each round holds disjoint (p, q) pairs."""
-    m = n + (n % 2)
-    arr = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            a, b = arr[i], arr[m - 1 - i]
-            if a < n and b < n:
-                pairs.append((min(a, b), max(a, b)))
-        ps = np.array([p for p, _ in pairs], dtype=np.intp)
-        qs = np.array([q for _, q in pairs], dtype=np.intp)
-        rounds.append((ps, qs))
-        arr = [arr[0], arr[-1]] + arr[1:-1]
-    return tuple(rounds)
-
-
-def jacobi_eigvals_numpy(H, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
-    """Tournament-ordered Jacobi; disjoint pivots per round are applied as one
-    vectorized similarity transform (rotations on disjoint index pairs
-    commute exactly)."""
-    A = np.array(H, dtype=np.complex128, order="C")
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0].real]), 0.0, abs(A[0, 0])
-    norm = float(np.sqrt(np.sum(np.abs(A) ** 2)))
-    rounds = _round_robin_rounds(n)
-    off = 0.0
-    for _ in range(max_sweeps):
-        offmat = A.copy()
-        np.fill_diagonal(offmat, 0.0)
-        off = float(np.sqrt(np.sum(np.abs(offmat) ** 2)))
-        if off <= tol * norm or norm == 0.0:
-            break
-        for ps, qs in rounds:
-            bpq = A[ps, qs]
-            r = np.abs(bpq)
-            live = r > 0.0
-            if not live.any():
-                continue
-            p, q, b, r = ps[live], qs[live], bpq[live], r[live]
-            phase = b / r
-            theta = (np.real(A[q, q]) - np.real(A[p, p])) / (2.0 * r)
-            abs_theta = np.abs(theta)
-            # masked lanes still evaluate: guard theta^2 overflow and 1/0
-            small = np.where(abs_theta < 1e150, theta, 0.0)
-            nonzero = np.where(theta == 0.0, 1.0, theta)
-            t = np.where(
-                theta == 0.0,
-                1.0,
-                np.where(
-                    abs_theta < 1e150,
-                    np.sign(theta) / (abs_theta + np.sqrt(1.0 + small * small)),
-                    0.5 / nonzero,
-                ),
-            )
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            colp = A[:, p].copy()
-            colq = A[:, q].copy()
-            A[:, p] = c * colp - (s * np.conj(phase)) * colq
-            A[:, q] = (s * phase) * colp + c * colq
-            rowp = A[p, :].copy()
-            rowq = A[q, :].copy()
-            A[p, :] = c[:, None] * rowp - (s * phase)[:, None] * rowq
-            A[q, :] = (s * np.conj(phase))[:, None] * rowp + c[:, None] * rowq
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            A[p, p] = np.real(A[p, p])
-            A[q, q] = np.real(A[q, q])
-    return np.sort(np.diag(A).real), off, norm
-
-
-# ---------------------------------------------------------------------------
-# spectrum-weighted averages of transfer-matrix powers
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _power_average_loop(thetas, weights, alpha, beta, m):
-    out = np.zeros((3, 3))
-    M = np.empty((3, 3))
-    P = np.empty((3, 3))
-    T = np.empty((3, 3))
-    for i in range(thetas.shape[0]):
-        c = np.cos(thetas[i])
-        s = np.sin(thetas[i])
-        M[0, 0] = -beta * c
-        M[0, 1] = -s
-        M[0, 2] = alpha * c
-        M[1, 0] = beta * s
-        M[1, 1] = -c
-        M[1, 2] = -alpha * s
-        M[2, 0] = alpha
-        M[2, 1] = 0.0
-        M[2, 2] = beta
-        for a in range(3):
-            for b in range(3):
-                P[a, b] = 1.0 if a == b else 0.0
-        for _ in range(m):
-            for a in range(3):
-                for b in range(3):
-                    acc = 0.0
-                    for k in range(3):
-                        acc += P[a, k] * M[k, b]
-                    T[a, b] = acc
-            for a in range(3):
-                for b in range(3):
-                    P[a, b] = T[a, b]
-        w = weights[i]
-        for a in range(3):
-            for b in range(3):
-                out[a, b] += w * P[a, b]
-    return out
-
-
-def transfer_power_average_numba(thetas, weights, alpha, beta, m):
-    return _power_average_loop(
-        np.ascontiguousarray(thetas, dtype=np.float64),
-        np.ascontiguousarray(weights, dtype=np.float64),
-        float(alpha), float(beta), int(m),
-    )
-
-
-def transfer_power_average_numpy(thetas, weights, alpha, beta, m):
+def transfer_power_average(thetas, weights, alpha, beta, m):
     thetas = np.asarray(thetas, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     c = np.cos(thetas)
@@ -274,77 +59,20 @@ def transfer_power_average_numpy(thetas, weights, alpha, beta, m):
     return np.einsum("n,nij->ij", weights, P)
 
 
-# ---------------------------------------------------------------------------
-# convolution of matrix-valued trigonometric polynomials
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _convolve_loop(a, b):
-    na = a.shape[0]
-    nb = b.shape[0]
-    out = np.zeros((na + nb - 1, 3, 3), dtype=np.complex128)
-    for i in range(na):
-        for j in range(nb):
-            for r in range(3):
-                for cc in range(3):
-                    acc = 0.0 + 0.0j
-                    for k in range(3):
-                        acc += a[i, r, k] * b[j, k, cc]
-                    out[i + j, r, cc] += acc
-    return out
-
-
-def series_convolve_numba(a, b):
-    return _convolve_loop(
-        np.ascontiguousarray(a, dtype=np.complex128),
-        np.ascontiguousarray(b, dtype=np.complex128),
-    )
-
-
-def series_convolve_numpy(a, b):
+def series_convolve(a, b):
+    """Coefficients of the product of two (n, 3, 3) coefficient stacks: one
+    (3 na, 3) x (3, 3) matrix product per coefficient of ``b``."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     na, nb = a.shape[0], b.shape[0]
+    rows = a.reshape(3 * na, 3)
     out = np.zeros((na + nb - 1, 3, 3), dtype=np.complex128)
     for j in range(nb):
-        out[j:j + na] += a @ b[j]
+        out[j:j + na] += (rows @ b[j]).reshape(na, 3, 3)
     return out
 
 
-# ---------------------------------------------------------------------------
-# coined-walk recursion from the origin
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _walk_loop(c_l0, c_r0, m):
-    P = 2 * m + 1
-    cl = np.zeros(P, dtype=np.complex128)
-    cr = np.zeros(P, dtype=np.complex128)
-    tl = np.empty(P, dtype=np.complex128)
-    tr = np.empty(P, dtype=np.complex128)
-    cl[m] = c_l0
-    cr[m] = c_r0
-    h = 1.0 / np.sqrt(2.0)
-    for _ in range(m):
-        for i in range(P):
-            a = cl[i]
-            b = cr[i]
-            tl[i] = h * (a + b)
-            tr[i] = h * (a - b)
-        for i in range(P - 1):
-            cl[i] = tl[i + 1]
-        cl[P - 1] = 0.0
-        for i in range(P - 1, 0, -1):
-            cr[i] = tr[i - 1]
-        cr[0] = 0.0
-    return cl, cr
-
-
-def walk_run_numba(c_l0, c_r0, m):
-    return _walk_loop(complex(c_l0), complex(c_r0), int(m))
-
-
-def walk_run_numpy(c_l0, c_r0, m):
+def walk_run(c_l0, c_r0, m):
     m = int(m)
     P = 2 * m + 1
     cl = np.zeros(P, dtype=np.complex128)
@@ -360,15 +88,3 @@ def walk_run_numpy(c_l0, c_r0, m):
         cr = np.roll(tr, 1)
         cr[0] = 0.0
     return cl, cr
-
-
-if NUMBA_ENABLED:
-    jacobi_eigvals = jacobi_eigvals_numba
-    transfer_power_average = transfer_power_average_numba
-    series_convolve = series_convolve_numba
-    walk_run = walk_run_numba
-else:
-    jacobi_eigvals = jacobi_eigvals_numpy
-    transfer_power_average = transfer_power_average_numpy
-    series_convolve = series_convolve_numpy
-    walk_run = walk_run_numpy

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function
 from .walk import WalkState, walk_evolve
 
@@ -281,21 +281,20 @@ def strong_dephasing_blocks(c_left: complex, c_right: complex, m: int) -> WalkDe
 # ---------------------------------------------------------------------------
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Sorted eigenvalues of a complex Hermitian matrix via cyclic Jacobi
-    rotations (dimension capped at 256)."""
+    """Sorted eigenvalues of a finite complex Hermitian matrix by LAPACK
+    (dimension capped at 256)."""
     H = np.asarray(matrix, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DomainError("matrix must be square")
     dim = H.shape[0]
     if dim > MAX_EIG_DIM:
         raise ResourceLimitError(f"eigensolver capped at dimension {MAX_EIG_DIM}")
+    if not np.all(np.isfinite(H)):
+        raise DomainError("matrix has non-finite entries")
     scale = float(np.max(np.abs(H))) if dim else 0.0
     if np.max(np.abs(H - H.conj().T)) > HERMITICITY_TOL * max(scale, 1.0):
         raise DomainError("matrix is not Hermitian")
-    vals, off, norm = kernels.jacobi_eigvals(H)
-    if norm > 0.0 and off > kernels.JACOBI_TOL * norm:
-        raise NumericError(f"Jacobi sweep stalled at off-diagonal norm {off:.3e}")
-    return vals
+    return kernels.hermitian_eigvals(H)
 
 
 def eigvals_2x2_hermitian(a, b, c):
@@ -324,7 +323,7 @@ def trace_distance_walk(rho1: WalkDensity, rho2: WalkDensity) -> float:
     """Half the trace norm of the difference, on the union support.
 
     Block-diagonal pairs use the per-site 2x2 closed form; general pairs go
-    through the Jacobi eigensolver.
+    through the LAPACK eigensolver.
     """
     steps = max(rho1.steps, rho2.steps)
     m1 = _pad_to_steps(rho1, steps)

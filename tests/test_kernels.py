@@ -1,56 +1,26 @@
-"""Cross-checks between the numba and numpy kernel backends."""
+"""Checks of the numeric kernels, and of how an eigensolver failure reaches
+its callers."""
 
 import numpy as np
 import pytest
 
 from memoryflow import kernels
+from memoryflow.errors import NumericError
+from memoryflow.harmonic import channel_distance
+from memoryflow.openwalk import hermitian_eigenvalues
+from memoryflow.qubit import bloch_transfer_matrix
 
 
-def random_hermitian(rng, n):
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (x + x.conj().T) / 2.0
+class TestHermitianEigvals:
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-
-BACKENDS = [("numpy", kernels.jacobi_eigvals_numpy)]
-if kernels.HAVE_NUMBA:
-    BACKENDS.append(("numba", kernels.jacobi_eigvals_numba))
-
-
-class TestJacobi:
-    @pytest.mark.parametrize("name,solver", BACKENDS)
-    def test_identities_random_sizes(self, name, solver):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            n = int(rng.integers(1, 40))
-            h = random_hermitian(rng, n)
-            vals, off, norm = solver(h)
-            assert off <= 1e-12 * max(norm, 1e-300)
-            assert float(np.sum(vals)) == pytest.approx(float(np.trace(h).real), abs=1e-9)
-            assert float(np.sum(vals ** 2)) == pytest.approx(
-                float(np.sum(np.abs(h) ** 2)), rel=1e-10, abs=1e-9
-            )
-
-    @pytest.mark.parametrize("name,solver", BACKENDS)
-    def test_against_lapack(self, name, solver):
-        rng = np.random.default_rng(13)
-        for n in (2, 3, 17, 40):
-            h = random_hermitian(rng, n)
-            vals, _, _ = solver(h)
-            assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-10
-
-    @pytest.mark.parametrize("name,solver", BACKENDS)
-    def test_zero_matrix(self, name, solver):
-        vals, off, norm = solver(np.zeros((4, 4), dtype=complex))
-        assert np.all(vals == 0.0)
-
-    def test_backends_agree(self):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(14)
-        h = random_hermitian(rng, 24)
-        a, _, _ = kernels.jacobi_eigvals_numba(h)
-        b, _, _ = kernels.jacobi_eigvals_numpy(h)
-        assert np.max(np.abs(a - b)) < 1e-11
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericError, match="did not converge"):
+            hermitian_eigenvalues(np.eye(3, dtype=complex))
+        with pytest.raises(NumericError, match="did not converge"):
+            channel_distance(bloch_transfer_matrix(0.3, 0.4), bloch_transfer_matrix(0.8, -1.1))
 
 
 class TestTransferPowerAverage:
@@ -75,14 +45,9 @@ class TestTransferPowerAverage:
 
         want = direct()
         assert np.allclose(
-            kernels.transfer_power_average_numpy(thetas, weights, alpha, beta, m),
+            kernels.transfer_power_average(thetas, weights, alpha, beta, m),
             want, atol=1e-12,
         )
-        if kernels.HAVE_NUMBA:
-            assert np.allclose(
-                kernels.transfer_power_average_numba(thetas, weights, alpha, beta, m),
-                want, atol=1e-12,
-            )
 
     def test_power_zero_sums_weights(self):
         thetas = np.array([0.1, 0.2])
@@ -102,16 +67,10 @@ class TestSeriesConvolve:
             for j in range(3):
                 want[i + j] += a[i] @ b[j]
 
-        assert np.allclose(kernels.series_convolve_numpy(a, b), want, atol=1e-13)
-        if kernels.HAVE_NUMBA:
-            assert np.allclose(kernels.series_convolve_numba(a, b), want, atol=1e-13)
+        assert np.allclose(kernels.series_convolve(a, b), want, atol=1e-13)
 
 
 class TestWalkRun:
     def test_backends_agree(self):
-        cl, cr = kernels.walk_run_numpy(0.6, 0.8j, 9)
-        if kernels.HAVE_NUMBA:
-            cl2, cr2 = kernels.walk_run_numba(0.6, 0.8j, 9)
-            assert np.allclose(cl, cl2, atol=1e-14)
-            assert np.allclose(cr, cr2, atol=1e-14)
+        cl, cr = kernels.walk_run(0.6, 0.8j, 9)
         assert abs(np.sum(np.abs(cl) ** 2 + np.abs(cr) ** 2) - 1.0) < 1e-12

@@ -199,6 +199,11 @@ class TestHermitianEigenvalues:
         with pytest.raises(ResourceLimitError):
             hermitian_eigenvalues(np.eye(300))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            hermitian_eigenvalues(np.array([[1.0, bad], [bad, 2.0]]))
+
     def test_block_accessor_bounds(self):
         rho = strong_dephasing_blocks(1.0, 0.0, 2)
         with pytest.raises(DomainError):
