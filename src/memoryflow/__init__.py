@@ -18,6 +18,7 @@ from .errors import (
 from .harmonic import (
     TrigMatrixSeries,
     approximation_error,
+    approximation_errors,
     catalan,
     catalan_coeffs,
     channel_distance,
@@ -25,6 +26,7 @@ from .harmonic import (
     quadrature_map,
     series_from_transfer,
     series_power,
+    series_powers,
     strong_limit_closed_form,
     strong_limit_map,
 )
@@ -38,6 +40,7 @@ from .nonmarkov import (
     orthogonal_pair_scan,
     qubit_pair_runner,
     walk_pair_runner,
+    walk_trace_distances,
 )
 from .openwalk import (
     DephasingFilter,
@@ -87,10 +90,10 @@ __all__ = [
     "coin_operator", "pure_dephasing_map", "bloch_transfer_matrix",
     "evolve_qubit", "special_map_eta0", "special_map_eta1",
     "trace_distance_qubit",
-    "TrigMatrixSeries", "series_from_transfer", "series_power",
+    "TrigMatrixSeries", "series_from_transfer", "series_power", "series_powers",
     "integrate_series_against_spectrum", "quadrature_map",
     "strong_limit_map", "strong_limit_closed_form", "catalan",
-    "catalan_coeffs", "channel_distance", "approximation_error",
+    "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve",
     "dispersion_nu", "walk_amplitudes_integral", "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle",
@@ -98,5 +101,5 @@ __all__ = [
     "trace_distance_walk",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",
     "nm_qubit", "nm_walk", "orthogonal_pair_scan", "qubit_pair_runner",
-    "walk_pair_runner",
+    "walk_pair_runner", "walk_trace_distances",
 ]

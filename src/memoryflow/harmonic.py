@@ -79,6 +79,13 @@ class TrigMatrixSeries:
         flipped = np.conj(self.coeffs[::-1])
         return float(np.max(np.abs(self.coeffs - flipped)))
 
+    def period_average(self) -> np.ndarray:
+        """Average over one full period: the zeroth coefficient, which must be real."""
+        c0 = self.coefficient(0)
+        if np.max(np.abs(c0.imag)) > REALITY_TOL:
+            raise NumericError("period average has a non-real residue")
+        return c0.real
+
 
 def identity_series() -> TrigMatrixSeries:
     return TrigMatrixSeries(0, np.eye(3, dtype=complex)[None, :, :].copy())
@@ -112,14 +119,23 @@ def series_multiply(a: TrigMatrixSeries, b: TrigMatrixSeries) -> TrigMatrixSerie
     return TrigMatrixSeries(degree, kernels.series_convolve(a.coeffs, b.coeffs))
 
 
+def series_powers(series: TrigMatrixSeries, steps: int):
+    """Yield the powers series^0 (the identity), series^1, ..., series^steps,
+    one product per power."""
+    if steps < 0:
+        raise DomainError("power must be non-negative")
+    power = identity_series()
+    yield power
+    for _ in range(steps):
+        power = series_multiply(power, series)
+        yield power
+
+
 def series_power(series: TrigMatrixSeries, m: int) -> TrigMatrixSeries:
     """m-fold product of the series with itself (m = 0 gives the identity)."""
-    if m < 0:
-        raise DomainError("power must be non-negative")
-    out = identity_series()
-    for _ in range(m):
-        out = series_multiply(out, series)
-    return out
+    for power in series_powers(series, m):
+        pass
+    return power
 
 
 def integrate_series_against_spectrum(
@@ -193,13 +209,7 @@ def quadrature_map(
 def strong_limit_map(eta: float, m: int) -> np.ndarray:
     """Average of M(theta)^m over one full period: the zeroth Fourier
     coefficient of the series power.  Exact, spectrum-free."""
-    if m < 0:
-        raise DomainError("m must be non-negative")
-    power = series_power(series_from_transfer(eta), m)
-    c0 = power.coefficient(0)
-    if np.max(np.abs(c0.imag)) > REALITY_TOL:
-        raise NumericError("period average has a non-real residue")
-    return c0.real
+    return series_power(series_from_transfer(eta), m).period_average()
 
 
 def catalan(k: int) -> int:
@@ -268,44 +278,42 @@ def strong_limit_closed_form(m: int, infinite: bool = False) -> np.ndarray:
     return np.array([[a2, 0.0, a2], [0.0, b2, 0.0], [a3, 0.0, a2]])
 
 
+#: sigma_i (x) sigma_k^T for i, k over x, y, z
+_CHOI_BASIS = np.array([[np.kron(p, q.T) for q in PAULI] for p in PAULI])
+
+
 def channel_choi(transfer: np.ndarray) -> np.ndarray:
     """Choi matrix of the unital qubit channel with Bloch transfer matrix T:
     (1/4)(I (x) I + sum_ik T_ik sigma_i (x) sigma_k^T)."""
-    out = 0.25 * np.eye(4, dtype=complex)
-    for i in range(3):
-        for k in range(3):
-            if transfer[i, k] != 0.0:
-                out = out + 0.25 * transfer[i, k] * np.kron(PAULI[i], PAULI[k].T)
-    return out
+    return 0.25 * np.eye(4, dtype=complex) + np.tensordot(0.25 * np.asarray(transfer), _CHOI_BASIS, 2)
 
 
 def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float:
     """Half the trace norm of the Choi-matrix difference: a metric on unital
     qubit channels, zero iff the transfer matrices coincide."""
-    diff = np.zeros((4, 4), dtype=complex)
     d = np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float)
-    for i in range(3):
-        for k in range(3):
-            if d[i, k] != 0.0:
-                diff = diff + 0.25 * d[i, k] * np.kron(PAULI[i], PAULI[k].T)
-    vals = kernels.hermitian_eigvals(diff)
+    vals = kernels.hermitian_eigvals(np.tensordot(0.25 * d, _CHOI_BASIS, 2))
     return 0.5 * float(np.sum(np.abs(vals)))
 
 
-def approximation_error(
-    eta: float,
-    m: int,
-    spectrum: SpectrumParams,
-    config: DephasingConfig,
-    engine: str = "series",
-) -> float:
-    """Channel distance between the exact spectrum-averaged m-step map and the
-    single-period-average map."""
-    if engine == "series":
-        power = series_power(series_from_transfer(eta), m)
-        exact = integrate_series_against_spectrum(power, spectrum, config)
-    elif engine == "quadrature":
-        exact = quadrature_map(eta, m, spectrum, config)
-    else:
+def approximation_errors(eta: float, steps: int, spectrum: SpectrumParams,
+                         config: DephasingConfig, engine: str = "series") -> np.ndarray:
+    """Channel distances between the exact spectrum-averaged m-step map and the
+    single-period-average map, for m = 0..steps.  One walk of the series power
+    gives both maps: the strong limit is each power's zeroth coefficient."""
+    if engine not in ("series", "quadrature"):
         raise DomainError(f"unknown engine {engine!r}")
-    return channel_distance(exact, strong_limit_map(eta, m))
+    errors = []
+    for m, power in enumerate(series_powers(series_from_transfer(eta), steps)):
+        if engine == "series":
+            exact = integrate_series_against_spectrum(power, spectrum, config)
+        else:
+            exact = quadrature_map(eta, m, spectrum, config)
+        errors.append(channel_distance(exact, power.period_average()))
+    return np.array(errors)
+
+
+def approximation_error(eta: float, m: int, spectrum: SpectrumParams,
+                        config: DephasingConfig, engine: str = "series") -> float:
+    """The m-th entry of ``approximation_errors``."""
+    return float(approximation_errors(eta, m, spectrum, config, engine)[-1])

@@ -15,9 +15,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .openwalk import open_walk_evolve, strong_dephasing_blocks, trace_distance_walk
+from .openwalk import (
+    DephasingFilter,
+    hermitian_eigenvalues,
+    pure_walk_density,
+    strong_dephasing_blocks,
+    trace_distance_walk,
+)
 from .qubit import evolve_qubit, trace_distance_bloch
 from .spectra import DephasingConfig, SpectrumParams
+from .walk import walk_evolve
 
 #: increments below this threshold are treated as rounding noise
 POSITIVE_INCREMENT_THRESHOLD = 1e-12
@@ -46,10 +53,12 @@ class TraceDistanceSeries:
 
 @dataclass
 class NMReport:
-    """Increments, the steps with positive increments, and their sum."""
+    """Increments, the steps with positive increments, their running sum
+    through each step, and their total."""
 
     increments: np.ndarray
     positive_steps: np.ndarray
+    cumulative: np.ndarray
     measure: float
     threshold: float
 
@@ -67,11 +76,15 @@ def increments(series) -> np.ndarray:
 def nm_measure(series, threshold: float = POSITIVE_INCREMENT_THRESHOLD) -> NMReport:
     """Sum of the strictly positive trace-distance increments above threshold."""
     inc = increments(series)
-    positive = np.nonzero(inc > threshold)[0]
-    total = 0.0
-    for idx in positive:  # fixed left-to-right order keeps reruns bit-identical
-        total += float(inc[idx])
-    return NMReport(inc, positive, float(total), threshold)
+    positive = inc > threshold
+    # a left-to-right running sum keeps reruns bit-identical
+    cumulative = np.cumsum(np.where(positive, inc, 0.0))
+    return NMReport(inc, np.nonzero(positive)[0], cumulative, float(cumulative[-1]), threshold)
+
+
+def bloch_trace_distances(traj1, traj2) -> np.ndarray:
+    """Step-by-step trace distances of two Bloch trajectories."""
+    return np.array([trace_distance_bloch(a, b) for a, b in zip(traj1, traj2)])
 
 
 def nm_qubit(
@@ -91,9 +104,7 @@ def nm_qubit(
         r2 = -np.asarray(r1, dtype=float)
     traj1 = evolve_qubit(spectrum, config, eta, r1, n_steps, engine=engine)
     traj2 = evolve_qubit(spectrum, config, eta, r2, n_steps, engine=engine)
-    values = np.array([
-        trace_distance_bloch(a, b) for a, b in zip(traj1, traj2)
-    ])
+    values = bloch_trace_distances(traj1, traj2)
     series = TraceDistanceSeries(values, metadata={
         "model": "qubit",
         "eta": float(eta),
@@ -101,6 +112,22 @@ def nm_qubit(
         "pair": (np.asarray(r1, float).tolist(), np.asarray(r2, float).tolist()),
     })
     return series, nm_measure(series, threshold)
+
+
+def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
+    """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
+    ``DephasingFilter``.  A filter multiplies both densities entrywise, so each
+    step's pure-state difference is built once and shared by every filter."""
+    if n_steps < 0:
+        raise DomainError("step count must be non-negative")
+    out = np.empty((len(filters), n_steps + 1))
+    for n in range(n_steps + 1):
+        diff = (pure_walk_density(walk_evolve(*coins[0], n)).matrix
+                - pure_walk_density(walk_evolve(*coins[1], n)).matrix)
+        for row, flt in enumerate(filters):
+            filtered = diff * np.kron(flt.gram(n), np.ones((2, 2)))
+            out[row, n] = 0.5 * float(np.sum(np.abs(hermitian_eigenvalues(filtered))))
+    return out
 
 
 def nm_walk(
@@ -127,15 +154,13 @@ def nm_walk(
         raise DomainError(f"unknown walk mode {mode!r}")
     if mode == "filter" and (spectrum is None or config is None):
         raise DomainError("filter mode requires spectrum and dephasing parameters")
-    values = np.empty(n_steps + 1)
-    for n in range(n_steps + 1):
-        if mode == "filter":
-            rho1 = open_walk_evolve(coin1[0], coin1[1], n, spectrum, config)
-            rho2 = open_walk_evolve(coin2[0], coin2[1], n, spectrum, config)
-        else:
-            rho1 = strong_dephasing_blocks(coin1[0], coin1[1], n)
-            rho2 = strong_dephasing_blocks(coin2[0], coin2[1], n)
-        values[n] = trace_distance_walk(rho1, rho2)
+    if mode == "filter":
+        values = walk_trace_distances([DephasingFilter(spectrum, config)], n_steps, (coin1, coin2))[0]
+    else:
+        values = np.array([
+            trace_distance_walk(strong_dephasing_blocks(*coin1, n), strong_dephasing_blocks(*coin2, n))
+            for n in range(n_steps + 1)
+        ])
     series = TraceDistanceSeries(values, metadata={
         "model": "walk",
         "mode": mode,

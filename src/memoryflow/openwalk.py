@@ -291,10 +291,32 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
         raise ResourceLimitError(f"eigensolver capped at dimension {MAX_EIG_DIM}")
     if not np.all(np.isfinite(H)):
         raise DomainError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(H))) if dim else 0.0
+    if dim == 0:
+        return np.empty(0)
+    scale = float(np.max(np.abs(H)))
     if np.max(np.abs(H - H.conj().T)) > HERMITICITY_TOL * max(scale, 1.0):
         raise DomainError("matrix is not Hermitian")
     return kernels.hermitian_eigvals(H)
+
+
+def eigensolver_identity_deviation(seed: int, trials: int = 20) -> tuple[float, str]:
+    """Largest deviation from sum(lambda) = tr H and sum(lambda^2) = ||H||_F^2 over
+    seeded random Hermitian matrices of dimension 2 to 32, and where it occurred."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    where = ""
+    for trial in range(trials):
+        dim = int(rng.integers(2, 33))
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (x + x.conj().T) / 2.0
+        vals = hermitian_eigenvalues(h)
+        dev = max(
+            abs(float(np.sum(vals)) - float(np.trace(h).real)),
+            abs(float(np.sum(vals ** 2)) - float(np.sum(np.abs(h) ** 2))),
+        )
+        if dev > worst:
+            worst, where = dev, f"trial={trial}, dim={dim}"
+    return worst, where
 
 
 def eigvals_2x2_hermitian(a, b, c):

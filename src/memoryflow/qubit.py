@@ -128,20 +128,20 @@ def evolve_qubit(
     out[0] = r0
     if steps == 0:
         return out
-    if engine == "series":
-        series = harmonic.series_from_transfer(eta)
-        power = harmonic.identity_series()
-        for n in range(1, steps + 1):
-            power = harmonic.series_multiply(power, series)
-            out[n] = harmonic.integrate_series_against_spectrum(power, spectrum, config) @ r0
-    elif engine == "quadrature":
+    if engine == "quadrature":
         for n in range(1, steps + 1):
             out[n] = harmonic.quadrature_map(eta, n, spectrum, config) @ r0
-    elif engine == "strong-limit":
-        for n in range(1, steps + 1):
-            out[n] = harmonic.strong_limit_map(eta, n) @ r0
-    else:
+        return out
+    if engine not in ("series", "strong-limit"):
         raise DomainError(f"unknown engine {engine!r}")
+    powers = harmonic.series_powers(harmonic.series_from_transfer(eta), steps)
+    next(powers)  # the identity: r(0) is already in place
+    for n, power in enumerate(powers, start=1):
+        if engine == "series":
+            transfer = harmonic.integrate_series_against_spectrum(power, spectrum, config)
+        else:
+            transfer = power.period_average()
+        out[n] = transfer @ r0
     return out
 
 

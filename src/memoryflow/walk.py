@@ -171,3 +171,22 @@ def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:
             f"grid-refinement deviation {dev:.3e}"
         )
     return fine
+
+
+def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
+    """Largest deviation of the quasi-momentum amplitudes from the position
+    recursion over m <= steps, every site and every initial coin pair in
+    ``coins``, with the (m, x) where it occurred."""
+    worst = 0.0
+    where = ""
+    for m in range(steps + 1):
+        states = [walk_evolve(c_left, c_right, m) for c_left, c_right in coins]
+        for x in range(-m, m + 1, 2):  # -m always has the right parity
+            amps = walk_amplitudes_integral(m, x)
+            for (c_left, c_right), state in zip(coins, states):
+                want_l, want_r = state.coin_pair_at(x)
+                dev = max(abs(c_left * amps.a_left + c_right * amps.a_right - want_l),
+                          abs(c_left * amps.b_left + c_right * amps.b_right - want_r))
+                if dev > worst:
+                    worst, where = dev, f"m={m}, x={x}"
+    return worst, where

@@ -42,9 +42,21 @@ class TestConfigResolution:
     def test_wrong_preset_command(self):
         assert run_cli("walk", "--preset", "fig1") == 1
 
-    def test_invalid_field_named_in_error(self, capsys):
-        assert run_cli("controlled-qubit", "--set", "sigma=-1") == 1
-        assert "sigma" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,field", [
+        pytest.param(["controlled-qubit", "--set", "sigma=-1"], "sigma", id="sigma"),
+        pytest.param(["controlled-qubit", "--set", 'eta_values=["a"]'], "eta_values",
+                     id="eta_values-string"),
+        pytest.param(["open-walk-nm", "--set", 'sweep.count="x"'], "sweep.count",
+                     id="sweep.count-string"),
+        pytest.param(["dephasing", "--set", "t_grid.points_per_revival=0"],
+                     "t_grid.points_per_revival", id="points_per_revival-zero"),
+        pytest.param(["walk", "--set", 'initial_coin_1=[["a", 0], [0, 0]]'], "initial_coin_1",
+                     id="initial_coin_1-string"),
+        pytest.param(["controlled-qubit", "--set", "steps=true"], "steps", id="steps-bool"),
+    ])
+    def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        assert f"'{field}'" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("dephasing", "--bogus") == 1
@@ -215,6 +227,20 @@ class TestOracleCommand:
         assert report["all_pass"] is True
         for check in report["checks"]:
             assert set(check) >= {"name", "max_dev", "tol", "pass", "location"}
+
+    @pytest.mark.parametrize("setting", ["oracle.n_freqs=[100]", "oracle.max_steps=8"])
+    def test_check_cut_short_is_not_a_pass(self, tmp_path, capsys, setting):
+        assert run_cli(
+            "oracle", "--out", str(tmp_path), "--set", "oracle.n_freqs=[8]",
+            "--set", "oracle.walk_steps=2", "--set", "oracle.engine_max_power=2",
+            "--set", "oracle.position_check_steps=3", "--set", setting,
+        ) == 2
+        assert "did not run" in capsys.readouterr().err
+        report = json.loads((tmp_path / "oracle_report.json").read_text())
+        assert report["all_pass"] is False
+        cut = [c for c in report["checks"] if "skipped" in c]
+        assert cut and all(c["pass"] is False for c in cut)
+        assert all(c["pass"] for c in report["checks"] if "skipped" not in c)
 
     def test_perturbed_filter_reports_failure(self, tmp_path):
         assert run_cli(

@@ -8,6 +8,7 @@ from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
     CATALAN_LIMIT_B,
     approximation_error,
+    approximation_errors,
     catalan,
     catalan_coeffs,
     channel_distance,
@@ -17,6 +18,7 @@ from memoryflow.harmonic import (
     series_from_transfer,
     series_multiply,
     series_power,
+    series_powers,
     strong_limit_closed_form,
     strong_limit_map,
 )
@@ -49,6 +51,15 @@ class TestSeries:
                 bloch_transfer_matrix(eta, 0.0),
                 atol=1e-14,
             )
+
+    def test_powers_walk_matches_each_power(self):
+        s = series_from_transfer(0.3)
+        powers = list(series_powers(s, 6))
+        assert [p.degree for p in powers] == list(range(7))
+        for m, power in enumerate(powers):
+            assert np.array_equal(power.coeffs, series_power(s, m).coeffs)
+        with pytest.raises(DomainError):
+            next(series_powers(s, -1))
 
     def test_reality_symmetry(self):
         s = series_from_transfer(0.7)
@@ -260,6 +271,26 @@ class TestClosedForm:
 
 
 class TestApproximationError:
+    @pytest.mark.parametrize("engine", ["series", "quadrature"])
+    @pytest.mark.parametrize("eta", [0.25, 0.5])
+    def test_errors_match_per_step_route(self, engine, eta):
+        sp, cfg = spectrum(1.0), dephasing(0.35)
+        errors = approximation_errors(eta, 8, sp, cfg, engine)
+        assert errors.shape == (9,)
+        for m in range(9):
+            if engine == "series":
+                exact = integrate_series_against_spectrum(
+                    series_power(series_from_transfer(eta), m), sp, cfg)
+            else:
+                exact = quadrature_map(eta, m, sp, cfg)
+            want = channel_distance(exact, strong_limit_map(eta, m))
+            assert abs(errors[m] - want) <= 1e-14
+        assert approximation_error(eta, 8, sp, cfg, engine) == errors[-1]
+
+    def test_unknown_engine(self):
+        with pytest.raises(DomainError):
+            approximation_errors(0.5, 3, spectrum(), dephasing(0.35), "strong-limit")
+
     def test_zero_steps(self):
         assert approximation_error(0.5, 0, spectrum(0.0), dephasing(0.02)) == pytest.approx(0.0, abs=1e-13)
 

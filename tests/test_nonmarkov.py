@@ -14,7 +14,9 @@ from memoryflow.nonmarkov import (
     orthogonal_pair_scan,
     qubit_pair_runner,
     walk_pair_runner,
+    walk_trace_distances,
 )
+from memoryflow.openwalk import DephasingFilter, open_walk_evolve, trace_distance_walk
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -35,6 +37,11 @@ class TestIncrements:
     def test_simple_arithmetic(self):
         out = increments([1.0, 0.5, 0.8])
         assert np.allclose(out, [0.0, -0.5, 0.3])
+        report = nm_measure([1.0, 0.5, 0.8, 0.3, 0.9, 0.95])
+        assert report.cumulative[0] == 0.0
+        assert np.all(np.diff(report.cumulative) >= 0.0)
+        assert report.cumulative[-1] == report.measure
+        assert np.allclose(report.cumulative, [0.0, 0.0, 0.3, 0.3, 0.9, 0.95])
 
     def test_monotone_series_has_no_positive(self):
         out = increments([1.0, 0.8, 0.5, 0.1])
@@ -142,6 +149,27 @@ class TestWalkMeasure:
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             nm_walk(spectrum(), dephasing(), mode="bogus")
+
+
+class TestWalkTraceDistances:
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_rows_match_filtered_densities(self, a):
+        coins = ((0.6, 0.8j), (0.8, -0.6j))
+        configs = [dephasing(0.35), dephasing(1.3)]
+        filters = [DephasingFilter(spectrum(a), cfg) for cfg in configs]
+        got = walk_trace_distances(filters, 6, coins)
+        assert got.shape == (2, 7)
+        for row, cfg in zip(got, configs):
+            want = [
+                trace_distance_walk(open_walk_evolve(*coins[0], n, spectrum(a), cfg),
+                                    open_walk_evolve(*coins[1], n, spectrum(a), cfg))
+                for n in range(7)
+            ]
+            assert np.max(np.abs(row - want)) < 1e-12
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(DomainError):
+            walk_trace_distances([DephasingFilter(spectrum(), dephasing())], -1)
 
 
 class TestPairScan:

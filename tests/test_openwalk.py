@@ -195,6 +195,10 @@ class TestHermitianEigenvalues:
         with pytest.raises(DomainError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_empty_matrix(self):
+        vals = hermitian_eigenvalues(np.zeros((0, 0)))
+        assert vals.shape == (0,) and vals.dtype == float
+
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
             hermitian_eigenvalues(np.eye(300))
