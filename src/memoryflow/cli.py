@@ -222,13 +222,13 @@ def validate_config(command: str, cfg: dict) -> None:
     if command == "dephasing":
         grid = _require_object(cfg, "t_grid")
         _check_number("t_grid.max_revivals", grid.get("max_revivals"), low=0.0)
-        _check_number("t_grid.points_per_revival", grid.get("points_per_revival"), low=1, integer=True)
+        _check_number("t_grid.points_per_revival", grid.get("points_per_revival"), low=0.0, strict_low=True)
         grid = _require_object(cfg, "omega_grid")
         _check_number("omega_grid.pad_sigmas", grid.get("pad_sigmas"))
-        _check_number("omega_grid.count", grid.get("count"), low=1, integer=True)
+        _check_number("omega_grid.count", grid.get("count"), low=1)
     if command == "open-walk-nm":
         sweep = _require_object(cfg, "sweep")
-        _check_number("sweep.count", sweep.get("count"), low=1, integer=True)
+        _check_number("sweep.count", sweep.get("count"), low=1)
         low = _check_number("sweep.min", sweep.get("min"))
         if not low <= _check_number("sweep.max", sweep.get("max")):
             raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
@@ -240,7 +240,7 @@ def validate_config(command: str, cfg: dict) -> None:
         )
         if not ok:
             raise ConfigError("field 'initial_coin_1' must be [[reL, imL], [reR, imR]]")
-        _require_number(cfg, "integral_check_cap", low=0, integer=True)
+        _require_number(cfg, "integral_check_cap", low=0)
     _require_number(cfg, "jobs", low=1, integer=True)
 
 

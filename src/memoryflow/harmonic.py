@@ -296,24 +296,28 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(vals)))
 
 
+def _approximation_error_at(eta: float, m: int, power: TrigMatrixSeries, spectrum: SpectrumParams,
+                            config: DephasingConfig, engine: str) -> float:
+    """The m-th error; the strong-limit map is the power's zeroth coefficient."""
+    if engine == "series":
+        exact = integrate_series_against_spectrum(power, spectrum, config)
+    elif engine == "quadrature":
+        exact = quadrature_map(eta, m, spectrum, config)
+    else:
+        raise DomainError(f"unknown engine {engine!r}")
+    return channel_distance(exact, power.period_average())
+
+
 def approximation_errors(eta: float, steps: int, spectrum: SpectrumParams,
                          config: DephasingConfig, engine: str = "series") -> np.ndarray:
-    """Channel distances between the exact spectrum-averaged m-step map and the
-    single-period-average map, for m = 0..steps.  One walk of the series power
-    gives both maps: the strong limit is each power's zeroth coefficient."""
-    if engine not in ("series", "quadrature"):
-        raise DomainError(f"unknown engine {engine!r}")
-    errors = []
-    for m, power in enumerate(series_powers(series_from_transfer(eta), steps)):
-        if engine == "series":
-            exact = integrate_series_against_spectrum(power, spectrum, config)
-        else:
-            exact = quadrature_map(eta, m, spectrum, config)
-        errors.append(channel_distance(exact, power.period_average()))
-    return np.array(errors)
+    """``approximation_error`` for m = 0..steps from one walk of the series power."""
+    powers = enumerate(series_powers(series_from_transfer(eta), steps))
+    return np.array([_approximation_error_at(eta, m, p, spectrum, config, engine) for m, p in powers])
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,
                         config: DephasingConfig, engine: str = "series") -> float:
-    """The m-th entry of ``approximation_errors``."""
-    return float(approximation_errors(eta, m, spectrum, config, engine)[-1])
+    """Channel distance between the exact spectrum-averaged m-step map and the
+    single-period-average map."""
+    power = series_power(series_from_transfer(eta), m)
+    return _approximation_error_at(eta, m, power, spectrum, config, engine)

@@ -299,13 +299,13 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     return kernels.hermitian_eigvals(H)
 
 
-def eigensolver_identity_deviation(seed: int, trials: int = 20) -> tuple[float, str]:
+def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
     """Largest deviation from sum(lambda) = tr H and sum(lambda^2) = ||H||_F^2 over
     seeded random Hermitian matrices of dimension 2 to 32, and where it occurred."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     where = ""
-    for trial in range(trials):
+    for trial in range(20):
         dim = int(rng.integers(2, 33))
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (x + x.conj().T) / 2.0

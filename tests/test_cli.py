@@ -58,6 +58,16 @@ class TestConfigResolution:
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["open-walk-nm", "--set", "sweep.count=2.0", "--set", "steps=2"], id="sweep.count"),
+        pytest.param(["dephasing", "--set", "t_grid.points_per_revival=7.5",
+                      "--set", "omega_grid.count=41.0"], id="dephasing-grids"),
+        pytest.param(["walk", "--set", "steps=3", "--set", "integral_check_cap=2.0",
+                      "--check-integrals"], id="integral_check_cap"),
+    ])
+    def test_numeric_fields_accept_floats(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("dephasing", "--bogus") == 1
 
