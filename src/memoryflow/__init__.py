@@ -60,6 +60,7 @@ from .qubit import (
     special_map_eta0,
     special_map_eta1,
     trace_distance_qubit,
+    transfer_maps,
 )
 from .spectra import (
     DephasingConfig,
@@ -77,6 +78,7 @@ from .walk import (
     position_distribution,
     walk_amplitudes_integral,
     walk_evolve,
+    walk_states,
     walk_step,
 )
 
@@ -88,13 +90,13 @@ __all__ = [
     "decoherence_function", "decoherence_by_quadrature", "theta3",
     "flatness_factor",
     "coin_operator", "pure_dephasing_map", "bloch_transfer_matrix",
-    "evolve_qubit", "special_map_eta0", "special_map_eta1",
+    "evolve_qubit", "transfer_maps", "special_map_eta0", "special_map_eta1",
     "trace_distance_qubit",
     "TrigMatrixSeries", "series_from_transfer", "series_power", "series_powers",
     "integrate_series_against_spectrum", "quadrature_map",
     "strong_limit_map", "strong_limit_closed_form", "catalan",
     "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
-    "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve",
+    "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",
     "dispersion_nu", "walk_amplitudes_integral", "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle",
     "discretize_spectrum", "strong_dephasing_blocks", "hermitian_eigenvalues",

@@ -30,7 +30,7 @@ from .openwalk import (
     pure_walk_density,
 )
 from .presets import PRESETS, preset
-from .qubit import evolve_qubit
+from .qubit import STATE_TOL, transfer_maps
 from .spectra import (
     DephasingConfig,
     SpectrumParams,
@@ -38,7 +38,7 @@ from .spectra import (
     dimensionless_interaction_time,
     spectral_density,
 )
-from .walk import INTEGRAL_RECURSION_TOL, integral_recursion_deviation, walk_evolve
+from .walk import INTEGRAL_RECURSION_TOL, integral_recursion_deviation, walk_evolve, walk_states
 
 COMMANDS = (
     "dephasing",
@@ -232,6 +232,22 @@ def validate_config(command: str, cfg: dict) -> None:
         low = _check_number("sweep.min", sweep.get("min"))
         if not low <= _check_number("sweep.max", sweep.get("max")):
             raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
+    if command == "controlled-qubit":
+        for field in ("initial_bloch_1", "initial_bloch_2"):
+            r = cfg.get(field)
+            if not (isinstance(r, list) and len(r) == 3 and all(map(_is_number, r))
+                    and math.hypot(*r) <= 1.0 + STATE_TOL):
+                raise ConfigError(f"field {field!r} must be three finite numbers with norm <= 1")
+    if command == "oracle":
+        opts = _require_object(cfg, "oracle")
+        n_freqs = opts.get("n_freqs")
+        if not isinstance(n_freqs, list) or not n_freqs:
+            raise ConfigError("field 'oracle.n_freqs' must be a non-empty list of integers >= 1")
+        for n in n_freqs:
+            _check_number("oracle.n_freqs", n, low=1, integer=True)
+        for key in ("max_steps", "walk_steps", "position_check_steps", "engine_max_power"):
+            _check_number(f"oracle.{key}", opts.get(key), low=0, integer=True)
+        _check_number("oracle.perturbation", opts.get("perturbation"))
     if command == "walk":
         coin = cfg.get("initial_coin_1")
         ok = (
@@ -364,8 +380,9 @@ def cmd_controlled_qubit(cfg: dict, out_dir: Path) -> int:
     r2 = np.asarray(cfg["initial_bloch_2"], dtype=float)
     rows = []
     for eta in cfg["eta_values"]:
-        traj1 = evolve_qubit(spectrum, dephasing, eta, r1, cfg["steps"], engine=cfg["engine"])
-        traj2 = evolve_qubit(spectrum, dephasing, eta, r2, cfg["steps"], engine=cfg["engine"])
+        maps = transfer_maps(spectrum, dephasing, eta, cfg["steps"], cfg["engine"])
+        traj1 = maps @ r1
+        traj2 = maps @ r2
         ds = bloch_trace_distances(traj1, traj2)
         report = nm_measure(ds, cfg["threshold"])
         columns = zip(traj1, traj2, ds, report.increments, report.cumulative)
@@ -418,8 +435,7 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
     c_right /= math.sqrt(norm)
     rows = []
     norms = []
-    for m in range(cfg["steps"] + 1):
-        state = walk_evolve(c_left, c_right, m)
+    for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
         norms.append(state.norm())
         for x in state.positions():
             if (m + x) % 2 != 0:

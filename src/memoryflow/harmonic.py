@@ -178,13 +178,7 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
         raise ResourceLimitError(
             f"quadrature budget exceeded: {panels} panels x order {order}"
         )
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return kernels.composite_gauss_legendre(lo, hi, panels, order)
 
 
 def quadrature_map(

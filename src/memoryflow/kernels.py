@@ -4,6 +4,9 @@ Kernels:
 
 - ``hermitian_eigvals``        ascending eigenvalues of a complex Hermitian
                                matrix (LAPACK through ``np.linalg.eigvalsh``)
+- ``composite_gauss_legendre`` nodes and weights of an order-n Gauss-Legendre
+                               rule on each of equal panels over [lo, hi]; the
+                               reference rule is built once per order
 - ``transfer_power_average``   sum_i w_i * M(theta_i)^m for the 3x3 single-step
                                Bloch transfer matrix M
 - ``series_convolve``          product of matrix-valued trigonometric
@@ -13,6 +16,8 @@ Kernels:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -35,6 +40,28 @@ def hermitian_eigvals(H) -> np.ndarray:
 
 # Kept because benchmark tracing looks the eigensolver layer up by this name.
 jacobi_eigvals = hermitian_eigvals
+
+
+@functools.lru_cache(maxsize=128)
+def gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the order-n Gauss-Legendre rule on [-1, 1],
+    built once per order and shared by every caller."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def composite_gauss_legendre(lo, hi, panels, order):
+    """Nodes and weights of the order-n Gauss-Legendre rule applied to each of
+    ``panels`` equal panels over [lo, hi], flattened panel by panel."""
+    x, w = gauss_legendre_rule(int(order))
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def transfer_power_average(thetas, weights, alpha, beta, m):

@@ -22,7 +22,7 @@ from .openwalk import (
     strong_dephasing_blocks,
     trace_distance_walk,
 )
-from .qubit import evolve_qubit, trace_distance_bloch
+from .qubit import as_bloch_vector, trace_distance_bloch, transfer_maps
 from .spectra import DephasingConfig, SpectrumParams
 from .walk import walk_evolve
 
@@ -102,8 +102,9 @@ def nm_qubit(
         r1 = DEFAULT_QUBIT_DIRECTION.copy()
     if r2 is None:
         r2 = -np.asarray(r1, dtype=float)
-    traj1 = evolve_qubit(spectrum, config, eta, r1, n_steps, engine=engine)
-    traj2 = evolve_qubit(spectrum, config, eta, r2, n_steps, engine=engine)
+    maps = transfer_maps(spectrum, config, eta, n_steps, engine)
+    traj1 = maps @ as_bloch_vector(r1)
+    traj2 = maps @ as_bloch_vector(r2)
     values = bloch_trace_distances(traj1, traj2)
     series = TraceDistanceSeries(values, metadata={
         "model": "qubit",

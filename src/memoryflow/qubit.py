@@ -102,16 +102,23 @@ def bloch_transfer_matrix(eta: float, theta: float) -> np.ndarray:
     ])
 
 
-def evolve_qubit(
+def as_bloch_vector(r) -> np.ndarray:
+    """``r`` as a float array of shape (3,); any other shape is a ``DomainError``."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3,):
+        raise DomainError("Bloch vector must have three components")
+    return r
+
+
+def transfer_maps(
     spectrum: SpectrumParams,
     config: DephasingConfig,
     eta: float,
-    r0,
     steps: int,
     engine: str = "series",
 ) -> np.ndarray:
-    """Bloch trajectory [r(0), r(1), ..., r(steps)] of the controlled dephasing
-    dynamics, spectrum-averaged exactly.
+    """Spectrum-averaged m-step Bloch transfer matrices for m = 0..steps,
+    shape (steps + 1, 3, 3); the m = 0 map is the identity.
 
     engine: "series" (exact Fourier-coefficient evaluation, default),
     "quadrature" (per-period oscillatory quadrature cross-check), or
@@ -121,28 +128,44 @@ def evolve_qubit(
 
     if steps < 0:
         raise DomainError("steps must be non-negative")
-    r0 = np.asarray(r0, dtype=float)
-    if r0.shape != (3,):
-        raise DomainError("Bloch vector must have three components")
-    out = np.empty((steps + 1, 3))
-    out[0] = r0
-    if steps == 0:
-        return out
     if engine == "quadrature":
+        maps = np.empty((steps + 1, 3, 3))
+        maps[0] = np.eye(3)
         for n in range(1, steps + 1):
-            out[n] = harmonic.quadrature_map(eta, n, spectrum, config) @ r0
-        return out
+            maps[n] = harmonic.quadrature_map(eta, n, spectrum, config)
+        return maps
     if engine not in ("series", "strong-limit"):
         raise DomainError(f"unknown engine {engine!r}")
+    # The series maps are the real part of a complex stack, a strided view.
+    # ``maps @ r0`` then takes numpy's non-BLAS loop, the loop that each
+    # average's own ``.real`` view takes, so a trajectory has the same bits
+    # whether its maps are stacked or applied one by one.
+    maps = np.empty((steps + 1, 3, 3), dtype=complex)
+    maps[0] = np.eye(3)
     powers = harmonic.series_powers(harmonic.series_from_transfer(eta), steps)
-    next(powers)  # the identity: r(0) is already in place
+    next(powers)  # the identity is already in place
     for n, power in enumerate(powers, start=1):
         if engine == "series":
-            transfer = harmonic.integrate_series_against_spectrum(power, spectrum, config)
+            maps[n] = harmonic.integrate_series_against_spectrum(power, spectrum, config)
         else:
-            transfer = power.period_average()
-        out[n] = transfer @ r0
-    return out
+            maps[n] = power.period_average()
+    return maps.real
+
+
+def evolve_qubit(
+    spectrum: SpectrumParams,
+    config: DephasingConfig,
+    eta: float,
+    r0,
+    steps: int,
+    engine: str = "series",
+) -> np.ndarray:
+    """Bloch trajectory [r(0), r(1), ..., r(steps)] of the controlled dephasing
+    dynamics, spectrum-averaged exactly: ``transfer_maps`` applied to r0."""
+    if steps < 0:
+        raise DomainError("steps must be non-negative")
+    r0 = as_bloch_vector(r0)
+    return transfer_maps(spectrum, config, eta, steps, engine) @ r0
 
 
 def special_map_eta1(m: int, spectrum: SpectrumParams, config: DephasingConfig, rho) -> np.ndarray:

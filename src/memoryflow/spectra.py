@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainError, NumericError, UnsupportedCaseError
 
 #: relative agreement demanded between the closed-form decoherence function
@@ -166,12 +167,7 @@ def decoherence_by_quadrature(params: SpectrumParams, delta_n: float, tau: float
         raise NumericError(
             f"decoherence quadrature needs {n_panels} panels; tau out of supported range"
         )
-    x, w = np.polynomial.legendre.leggauss(24)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes, weights = kernels.composite_gauss_legendre(lo, hi, n_panels, 24)
     vals = spectral_density(params, nodes) * np.exp(1j * delta_n * nodes * tau)
     return complex(np.sum(weights * vals))
 

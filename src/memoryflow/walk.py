@@ -89,6 +89,18 @@ def walk_evolve(c_left: complex, c_right: complex, m: int) -> WalkState:
     return WalkState(m, cl, cr)
 
 
+def walk_states(c_left: complex, c_right: complex, steps: int):
+    """Yield the states after 0, 1, ..., steps steps from the origin, one
+    ``walk_step`` per state."""
+    if steps < 0:
+        raise DomainError("step count must be non-negative")
+    state = initial_state(c_left, c_right)
+    yield state
+    for _ in range(steps):
+        state = walk_step(state)
+        yield state
+
+
 def position_distribution(state: WalkState) -> dict[int, float]:
     """p(x) = |c_L(x)|^2 + |c_R(x)|^2 over the state's support."""
     probs = np.abs(state.amp_left) ** 2 + np.abs(state.amp_right) ** 2
@@ -115,12 +127,8 @@ class WalkAmplitudes(NamedTuple):
 def _base_integrals(m: int, x: int, panels: int, order: int):
     """alpha, beta, gamma quasi-momentum integrals with weights
     {1, cos k, sin k}/sqrt(1 + cos^2 k) against e^(i(kx - m nu(k)))."""
-    nodes_x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(-math.pi, math.pi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    k = (mid[:, None] + half[:, None] * nodes_x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel() / (2.0 * math.pi)
+    k, weights = kernels.composite_gauss_legendre(-math.pi, math.pi, panels, order)
+    weights = weights / (2.0 * math.pi)
     phase = np.exp(1j * (k * x - m * dispersion_nu(k)))
     root = np.sqrt(1.0 + np.cos(k) ** 2)
     alpha = np.sum(weights * phase)
@@ -179,8 +187,8 @@ def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
     ``coins``, with the (m, x) where it occurred."""
     worst = 0.0
     where = ""
-    for m in range(steps + 1):
-        states = [walk_evolve(c_left, c_right, m) for c_left, c_right in coins]
+    walks = [walk_states(c_left, c_right, steps) for c_left, c_right in coins]
+    for m, states in enumerate(zip(*walks)):
         for x in range(-m, m + 1, 2):  # -m always has the right parity
             amps = walk_amplitudes_integral(m, x)
             for (c_left, c_right), state in zip(coins, states):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memoryflow import cli, harmonic, kernels, walk
 from memoryflow.cli import main, resolve_config
 from memoryflow.presets import PRESETS
 
@@ -53,6 +54,14 @@ class TestConfigResolution:
         pytest.param(["walk", "--set", 'initial_coin_1=[["a", 0], [0, 0]]'], "initial_coin_1",
                      id="initial_coin_1-string"),
         pytest.param(["controlled-qubit", "--set", "steps=true"], "steps", id="steps-bool"),
+        pytest.param(["oracle", "--set", 'oracle.n_freqs="x"'], "oracle.n_freqs",
+                     id="oracle.n_freqs-string"),
+        pytest.param(["oracle", "--set", 'oracle.max_steps="x"'], "oracle.max_steps",
+                     id="oracle.max_steps-string"),
+        pytest.param(["controlled-qubit", "--set", 'initial_bloch_1=["a", 0, 0]'],
+                     "initial_bloch_1", id="initial_bloch_1-string"),
+        pytest.param(["controlled-qubit", "--set", "initial_bloch_1=[2, 0, 0]"],
+                     "initial_bloch_1", id="initial_bloch_1-outside-ball"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
@@ -138,6 +147,20 @@ class TestControlledQubitCommand:
             for a, b in zip(rs[2:], rq[2:]):
                 assert float(a) == pytest.approx(float(b), abs=1e-8)
 
+    def test_quadrature_maps_shared_by_both_states(self, tmp_path, monkeypatch):
+        calls = []
+        quadrature_map = harmonic.quadrature_map
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quadrature_map(*args, **kwargs)
+
+        monkeypatch.setattr(harmonic, "quadrature_map", counted)
+        assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
+                       "--out", str(tmp_path)) == 0
+        fig3 = PRESETS["fig3"]
+        assert len(calls) == len(fig3["eta_values"]) * fig3["steps"] == 90
+
     def test_sigma_x_rows_recover_at_even_steps(self, tmp_path):
         assert run_cli(
             "controlled-qubit", "--preset", "fig2", "--out", str(tmp_path),
@@ -192,6 +215,23 @@ class TestWalkCommand:
             totals[step] = totals.get(step, 0.0) + p
         for step, total in totals.items():
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_step_evolved_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((walk, "walk_evolve"), (cli, "walk_evolve"), (kernels, "walk_run")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        counts = {}
+        for steps in (20, 40):
+            calls.clear()
+            assert run_cli("walk", "--out", str(tmp_path), "--set", f"steps={steps}") == 0
+            counts[steps] = len(calls)
+        assert counts[40] == counts[20]
 
     def test_integral_cross_check(self, tmp_path):
         assert run_cli(

@@ -74,3 +74,47 @@ class TestWalkRun:
     def test_backends_agree(self):
         cl, cr = kernels.walk_run(0.6, 0.8j, 9)
         assert abs(np.sum(np.abs(cl) ** 2 + np.abs(cr) ** 2) - 1.0) < 1e-12
+
+
+def _inline_composite_rule(lo, hi, panels, order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+class TestCompositeGaussLegendre:
+    @pytest.mark.parametrize("order", [16, 24, 64, 80])
+    @pytest.mark.parametrize("panels", [1, 3, 11, 58])
+    def test_matches_inline_construction(self, order, panels):
+        for lo, hi in ((-np.pi, np.pi), (7.0, 41.0), (-0.3, 0.2)):
+            got = kernels.composite_gauss_legendre(lo, hi, panels, order)
+            want = _inline_composite_rule(lo, hi, panels, order)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_cached_rule_is_read_only(self):
+        x, w = kernels.gauss_legendre_rule(16)
+        assert kernels.gauss_legendre_rule(16)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        nodes, weights = kernels.composite_gauss_legendre(-1.0, 1.0, 1, 16)
+        nodes[0] = weights[0] = 0.0  # results are fresh arrays
+        assert np.array_equal(kernels.gauss_legendre_rule(16)[0],
+                              np.polynomial.legendre.leggauss(16)[0])
+
+    @pytest.mark.parametrize("order", [16, 24, 64, 80])
+    def test_integrates_top_degree_polynomial_exactly(self, order):
+        lo, hi = -1.5, 2.25
+        rng = np.random.default_rng(order)
+        degree = 2 * order - 1
+        poly = np.polynomial.Legendre(rng.normal(size=degree + 1), domain=[lo, hi])
+        nodes, weights = kernels.composite_gauss_legendre(lo, hi, 3, order)
+        antiderivative = poly.integ()
+        want = antiderivative(hi) - antiderivative(lo)
+        assert abs(np.sum(weights * poly(nodes)) - want) < 1e-13

@@ -17,6 +17,7 @@ from memoryflow.nonmarkov import (
     walk_trace_distances,
 )
 from memoryflow.openwalk import DephasingFilter, open_walk_evolve, trace_distance_walk
+from memoryflow.qubit import evolve_qubit
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -109,6 +110,17 @@ class TestQubitMeasure:
         series, report = nm_qubit(0.7, spectrum(0.8), cfg, n_steps=12)
         assert np.max(np.abs(series.values - series.values[0])) < 1e-12
         assert report.measure == 0.0
+
+    @pytest.mark.parametrize("engine", ["series", "quadrature", "strong-limit"])
+    def test_shared_maps_match_separate_trajectories(self, engine):
+        sp, cfg = spectrum(0.6), dephasing(1.3)
+        r1 = np.array([0.3, -0.5, 0.7])
+        r2 = np.array([-0.6, 0.1, 0.2])
+        series, _ = nm_qubit(0.3, sp, cfg, r1=r1, r2=r2, n_steps=8, engine=engine)
+        traj1 = evolve_qubit(sp, cfg, 0.3, r1, 8, engine=engine)
+        traj2 = evolve_qubit(sp, cfg, 0.3, r2, 8, engine=engine)
+        want = 0.5 * np.linalg.norm(traj1 - traj2, axis=1)
+        assert np.max(np.abs(series.values - want)) <= 1e-15
 
     def test_pure_dephasing_noise_floor(self):
         # uncontrolled dephasing with a flat spectrum: D(n) = |kappa(n dt)|,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from memoryflow import harmonic
 from memoryflow.errors import DomainError
 from memoryflow.qubit import (
     bloch_to_density,
@@ -15,6 +16,7 @@ from memoryflow.qubit import (
     special_map_eta0,
     special_map_eta1,
     trace_distance_qubit,
+    transfer_maps,
 )
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 
@@ -175,6 +177,38 @@ class TestEvolveQubit:
         a = evolve_qubit(sp, cfg, 0.3, r0, 6, engine="series")
         b = evolve_qubit(sp, cfg, 0.3, r0, 6, engine="quadrature")
         assert np.allclose(a, b, atol=1e-8)
+
+
+class TestTransferMaps:
+    @pytest.mark.parametrize("engine", ["series", "quadrature", "strong-limit"])
+    def test_maps_are_each_engines_m_step_map(self, engine):
+        sp, cfg = spectrum(0.4), dephasing(1.7)
+        maps = transfer_maps(sp, cfg, 0.3, 5, engine)
+        assert maps.shape == (6, 3, 3)
+        assert np.array_equal(maps[0], np.eye(3))
+        for m, power in enumerate(harmonic.series_powers(harmonic.series_from_transfer(0.3), 5)):
+            if engine == "series":
+                want = harmonic.integrate_series_against_spectrum(power, sp, cfg)
+            elif engine == "quadrature":
+                want = harmonic.quadrature_map(0.3, m, sp, cfg)
+            else:
+                want = power.period_average()
+            assert np.max(np.abs(maps[m] - want)) <= 1e-15
+
+    def test_trajectory_is_maps_applied_to_r0(self):
+        sp, cfg = spectrum(0.4), dephasing(1.7)
+        r0 = np.array([0.1, -0.4, 0.6])
+        for engine in ("series", "quadrature", "strong-limit"):
+            want = transfer_maps(sp, cfg, 0.8, 7, engine) @ r0
+            assert np.array_equal(evolve_qubit(sp, cfg, 0.8, r0, 7, engine=engine), want)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            transfer_maps(spectrum(), dephasing(), 0.5, -1)
+        with pytest.raises(DomainError, match="unknown engine"):
+            transfer_maps(spectrum(), dephasing(), 0.5, 3, "bogus")
+        with pytest.raises(DomainError, match="three components"):
+            evolve_qubit(spectrum(), dephasing(), 0.5, [1.0, 0.0], 3)
 
 
 class TestSpecialMaps:

@@ -10,6 +10,7 @@ from memoryflow.walk import (
     position_distribution,
     walk_amplitudes_integral,
     walk_evolve,
+    walk_states,
     walk_step,
 )
 
@@ -94,6 +95,22 @@ class TestWalkEvolve:
             walk_evolve(1.0, 0.0, -1)
         with pytest.raises(DomainError):
             walk_evolve(1.0, 1.0, 3)  # unnormalized
+
+
+class TestWalkStates:
+    def test_each_state_is_walk_evolve_bit_for_bit(self):
+        states = list(walk_states(0.6, 0.8j, 120))
+        assert [s.steps for s in states] == list(range(121))
+        for m in (0, 1, 2, 7, 64, 120):
+            want = walk_evolve(0.6, 0.8j, m)
+            assert np.array_equal(states[m].amp_left, want.amp_left)
+            assert np.array_equal(states[m].amp_right, want.amp_right)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            next(walk_states(1.0, 0.0, -1))
+        with pytest.raises(DomainError):
+            next(walk_states(1.0, 1.0, 3))  # unnormalized
 
 
 class TestDispersion:
