@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 usage/config error, 2 numeric or oracle failure,
 3 I/O error.  Identical configuration produces byte-identical output files;
 sweep rows are sorted before writing.  The ``jobs`` field (``--jobs``) is
 validated and recorded but has no effect: sweeps run serially in one thread.
+Every config field is one row of ``FIELDS``; a key a command does not know, or
+a value that does not fit its row, exits 1 and names the field.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .openwalk import (
     open_walk_evolve_discrete,
     pure_walk_density,
 )
-from .presets import PRESETS, preset
+from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL, transfer_maps
 from .spectra import (
     DephasingConfig,
@@ -49,61 +51,56 @@ COMMANDS = (
     "oracle",
 )
 
-_COMMON_DEFAULTS = {
-    "A": 0.0,
-    "sigma": 1.0,
-    "mu1": 15.0,
-    "delta_omega": 9.0,
-    "delta_n": 0.009,
-    "delta_t": None,
-    "delta_t_factor": None,
-    "engine": "series",
-    "jobs": 1,
-    "seed": 0,
-    "threshold": 1e-12,
-    "out_dir": ".",
-}
+#: reference preset each figure command starts from, so that every reference
+#: value is written once, in presets.py; walk and oracle start from ENVIRONMENT
+BASE_PRESETS = {"dephasing": "fig1", "controlled-qubit": "fig2",
+                "strong-limit-error": "fig5", "open-walk-nm": "fig4"}
 
-_COMMAND_DEFAULTS: dict[str, dict] = {
-    "dephasing": {
-        "a_values": [0.0, 1.0],
-        "t_grid": {"max_revivals": 3.2, "points_per_revival": 8},
-        "omega_grid": {"pad_sigmas": 5.0, "count": 241},
-    },
-    "controlled-qubit": {
-        "delta_t_factor": 0.014,
-        "eta_values": [0.0, 0.5, 1.0],
-        "steps": 30,
-        "initial_bloch_1": [1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0)],
-        "initial_bloch_2": [-1.0 / math.sqrt(2.0), 0.0, -1.0 / math.sqrt(2.0)],
-    },
-    "strong-limit-error": {
-        "delta_t_factors": [0.02, 1.03],
-        "eta_values": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "steps": 15,
-    },
-    "walk": {
-        "steps": 10,
-        "initial_coin_1": [[1.0, 0.0], [0.0, 0.0]],
-        "amplitudes": False,
-        "check_integrals": False,
-        "integral_check_cap": 12,
-    },
-    "open-walk-nm": {
-        "a_values": [0.0, 0.5, 1.0],
-        "steps": 10,
-        "sweep": {"parameter": "dt_omega_dn", "min": 0.025, "max": 4.0, "count": 160},
-    },
-    "oracle": {
-        "oracle": {
-            "max_steps": 4,
-            "n_freqs": [8, 16, 32],
-            "walk_steps": 8,
-            "position_check_steps": 12,
-            "engine_max_power": 10,
-            "perturbation": 0.0,
-        },
-    },
+#: float64 bytes one grid may ask for (time or frequency samples, or the sweep's
+#: trace-distance table); a larger grid is refused before anything is allocated
+MAX_GRID_BYTES = 1 << 28
+
+#: dotted name -> (kind, bounds, commands that know the field[, default]).  Bounds
+#: are an interval or a set of strings; a field without a default here takes it
+#: from the command's base preset or from ENVIRONMENT.
+FIELDS = {
+    "A": ("number", "[0, 1]", COMMANDS, 0.0),
+    "sigma": ("number", "(0, inf)", COMMANDS),
+    "mu1": ("number", None, COMMANDS),
+    "delta_omega": ("number", "[0, inf)", COMMANDS),
+    "delta_n": ("number", None, COMMANDS),
+    "delta_t": ("number or null", "(0, inf)", COMMANDS, None),
+    "delta_t_factor": ("number or null", "(0, inf)", COMMANDS, None),
+    "engine": ("string", "{series, quadrature, strong-limit}", COMMANDS, "series"),
+    "jobs": ("integer", "[1, inf)", COMMANDS, 1),
+    "seed": ("integer", "[0, inf)", COMMANDS, 0),
+    "threshold": ("number", None, COMMANDS, 1e-12),
+    "out_dir": ("string", None, COMMANDS, "."),
+    "steps": ("integer", "[0, inf)",  # the default is walk's; the presets set the others'
+              ("controlled-qubit", "strong-limit-error", "walk", "open-walk-nm"), 10),
+    "a_values": ("numbers", "[0, 1]", ("dephasing", "open-walk-nm")),
+    "eta_values": ("numbers", "[0, 1]", ("controlled-qubit", "strong-limit-error")),
+    "t_grid.max_revivals": ("number", "[0, inf)", ("dephasing",)),
+    "t_grid.points_per_revival": ("count", "(0, inf)", ("dephasing",)),
+    "omega_grid.pad_sigmas": ("number", None, ("dephasing",)),
+    "omega_grid.count": ("count", "[1, inf)", ("dephasing",)),
+    "initial_bloch_1": ("bloch", None, ("controlled-qubit",)),
+    "initial_bloch_2": ("bloch", None, ("controlled-qubit",)),
+    "delta_t_factors": ("numbers", "(0, inf)", ("strong-limit-error",)),
+    "initial_coin_1": ("coin", None, ("walk",), [[1.0, 0.0], [0.0, 0.0]]),
+    "amplitudes": ("boolean", None, ("walk",), False),
+    "check_integrals": ("boolean", None, ("walk",), False),
+    "integral_check_cap": ("count", "[0, inf)", ("walk",), 12),
+    "sweep.parameter": ("string", "{dt_omega_dn}", ("open-walk-nm",)),
+    "sweep.min": ("number", None, ("open-walk-nm",)),
+    "sweep.max": ("number", None, ("open-walk-nm",)),
+    "sweep.count": ("count", "[1, inf)", ("open-walk-nm",)),
+    "oracle.max_steps": ("integer", "[0, inf)", ("oracle",), 4),
+    "oracle.n_freqs": ("integers", "[1, inf)", ("oracle",), [8, 16, 32]),
+    "oracle.walk_steps": ("integer", "[0, inf)", ("oracle",), 8),
+    "oracle.position_check_steps": ("integer", "[0, inf)", ("oracle",), 12),
+    "oracle.engine_max_power": ("integer", "[0, inf)", ("oracle",), 10),
+    "oracle.perturbation": ("number", None, ("oracle",), 0.0),
 }
 
 
@@ -136,9 +133,14 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 
 def resolve_config(command: str, preset_name=None, config_path=None,
                    overrides=None, flat_overrides=None) -> dict:
-    """defaults < preset < config file < --set overrides < dedicated flags."""
-    cfg = copy.deepcopy(_COMMON_DEFAULTS)
-    _deep_update(cfg, copy.deepcopy(_COMMAND_DEFAULTS.get(command, {})))
+    """table defaults < reference preset < preset < config file < --set overrides
+    < dedicated flags."""
+    cfg: dict = {}
+    for name, (_, _, commands, *default) in FIELDS.items():
+        if command in commands and default:
+            _set_dotted(cfg, name, copy.deepcopy(default[0]))
+    base = PRESETS[BASE_PRESETS[command]] if command in BASE_PRESETS else ENVIRONMENT
+    _deep_update(cfg, {k: v for k, v in base.items() if k != "command"})
     if preset_name is not None:
         try:
             p = preset(preset_name)
@@ -168,96 +170,83 @@ def resolve_config(command: str, preset_name=None, config_path=None,
     return cfg
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _real(value) -> bool:
+    """A JSON number (not true/false) that casts to a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _check_number(field, value, low=None, high=None, strict_low=False, integer=False):
-    if integer:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"field {field!r} must be an integer")
-    elif not _is_number(value):
-        raise ConfigError(f"field {field!r} must be a finite number")
-    if low is not None and (value <= low if strict_low else value < low):
-        raise ConfigError(f"field {field!r} must be {'>' if strict_low else '>='} {low}")
-    if high is not None and value > high:
-        raise ConfigError(f"field {field!r} must be <= {high}")
-    return value if integer else float(value)
+#: kind -> (test of a value, what the value must be); a count is a number that
+#: the command casts to a size, so integral floats such as 2.0 are accepted
+_KINDS = {
+    "number": (_real, "a finite number"),
+    "count": (_real, "a finite number"),
+    "integer": (lambda v: type(v) is int, "an integer"),
+    "number or null": (lambda v: v is None or _real(v), "null or a finite number"),
+    "numbers": (lambda v: isinstance(v, list) and v != [] and all(map(_real, v)),
+                "a non-empty list of finite numbers"),
+    "integers": (lambda v: isinstance(v, list) and v != [] and all(type(n) is int for n in v),
+                 "a non-empty list of integers"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "bloch": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_real, v))
+              and math.hypot(*v) <= 1.0 + STATE_TOL, "three finite numbers with norm <= 1"),
+    "coin": (lambda v: isinstance(v, list) and len(v) == 2 and all(
+        isinstance(c, list) and len(c) == 2 and all(map(_real, c)) for c in v),
+        "[[reL, imL], [reR, imR]] of finite numbers"),
+}
 
 
-def _require_number(cfg, field, **bounds):
-    return _check_number(field, cfg.get(field), **bounds)
-
-
-def _require_object(cfg, field) -> dict:
-    value = cfg.get(field)
-    if not isinstance(value, dict):
-        raise ConfigError(f"field {field!r} must be an object")
-    return value
+def _valid(kind: str, bounds, value) -> bool:
+    """Whether ``value`` is of ``kind`` and, number by number, within ``bounds``."""
+    if not _KINDS[kind][0](value):
+        return False
+    if bounds is None or value is None:
+        return True
+    if bounds[0] == "{":
+        return value in bounds[1:-1].split(", ")
+    low, high = (float(b) for b in bounds[1:-1].split(","))
+    return all((low < v if bounds[0] == "(" else low <= v) and v <= high
+               for v in (value if isinstance(value, list) else [value]))
 
 
 def validate_config(command: str, cfg: dict) -> None:
-    _require_number(cfg, "sigma", low=0.0, strict_low=True)
-    _require_number(cfg, "mu1")
-    _require_number(cfg, "delta_omega", low=0.0)
-    _require_number(cfg, "delta_n")
-    _require_number(cfg, "A", low=0.0, high=1.0)
-    _require_number(cfg, "threshold")
-    if cfg.get("delta_t") is not None and cfg.get("delta_t_factor") is not None:
-        raise ConfigError("give delta_t or delta_t_factor, not both")
-    if cfg.get("delta_t_factor") is not None:
-        _require_number(cfg, "delta_t_factor")
-    for field in ("eta_values", "a_values", "delta_t_factors"):
-        values = cfg.get(field)
-        if values is not None and (
-            not isinstance(values, list) or not values or not all(map(_is_number, values))
-        ):
-            raise ConfigError(f"field {field!r} must be a non-empty list of finite numbers")
-    if "eta_values" in cfg and cfg.get("eta_values"):
-        for v in cfg["eta_values"]:
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError("field 'eta_values' entries must lie in [0, 1]")
-    if "steps" in cfg:
-        _require_number(cfg, "steps", low=0, integer=True)
+    """Refuse an unknown field, a value that does not fit its row of FIELDS, and
+    a config that breaks a rule across fields; each error names the field."""
+    known = {name: row for name, row in FIELDS.items() if command in row[2]}
+    tables = {name.split(".")[0] for name in known if "." in name}
+    given = {}
+    for key, value in cfg.items():
+        if key in tables:
+            if not isinstance(value, dict):
+                raise ConfigError(f"field '{key}' must be an object")
+            given.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            given[key] = value
+    unknown = sorted(given.keys() - known.keys())
+    if unknown:
+        raise ConfigError(f"unknown field(s) for {command}: {', '.join(repr(n) for n in unknown)}")
+    for name, (kind, bounds, *_) in known.items():
+        if name not in given or not _valid(kind, bounds, given[name]):
+            must = _KINDS[kind][1] + (f" in {bounds}" if bounds else "")
+            raise ConfigError(f"field '{name}' must be {must}")
+    if cfg["delta_t"] is not None and cfg["delta_t_factor"] is not None:
+        raise ConfigError("give field 'delta_t' or 'delta_t_factor', not both")
+    if command == "open-walk-nm" and cfg["sweep"]["min"] > cfg["sweep"]["max"]:
+        raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
+    grids = {}  # float64 values per grid, keyed by the fields that size it
     if command == "dephasing":
-        grid = _require_object(cfg, "t_grid")
-        _check_number("t_grid.max_revivals", grid.get("max_revivals"), low=0.0)
-        _check_number("t_grid.points_per_revival", grid.get("points_per_revival"), low=0.0, strict_low=True)
-        grid = _require_object(cfg, "omega_grid")
-        _check_number("omega_grid.pad_sigmas", grid.get("pad_sigmas"))
-        _check_number("omega_grid.count", grid.get("count"), low=1)
+        t_grid = cfg["t_grid"]
+        grids = {"'t_grid.max_revivals' x 't_grid.points_per_revival'":
+                 t_grid["max_revivals"] * t_grid["points_per_revival"] + 1,
+                 "'omega_grid.count'": cfg["omega_grid"]["count"]}
     if command == "open-walk-nm":
-        sweep = _require_object(cfg, "sweep")
-        _check_number("sweep.count", sweep.get("count"), low=1)
-        low = _check_number("sweep.min", sweep.get("min"))
-        if not low <= _check_number("sweep.max", sweep.get("max")):
-            raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
-    if command == "controlled-qubit":
-        for field in ("initial_bloch_1", "initial_bloch_2"):
-            r = cfg.get(field)
-            if not (isinstance(r, list) and len(r) == 3 and all(map(_is_number, r))
-                    and math.hypot(*r) <= 1.0 + STATE_TOL):
-                raise ConfigError(f"field {field!r} must be three finite numbers with norm <= 1")
-    if command == "oracle":
-        opts = _require_object(cfg, "oracle")
-        n_freqs = opts.get("n_freqs")
-        if not isinstance(n_freqs, list) or not n_freqs:
-            raise ConfigError("field 'oracle.n_freqs' must be a non-empty list of integers >= 1")
-        for n in n_freqs:
-            _check_number("oracle.n_freqs", n, low=1, integer=True)
-        for key in ("max_steps", "walk_steps", "position_check_steps", "engine_max_power"):
-            _check_number(f"oracle.{key}", opts.get(key), low=0, integer=True)
-        _check_number("oracle.perturbation", opts.get("perturbation"))
-    if command == "walk":
-        coin = cfg.get("initial_coin_1")
-        ok = (
-            isinstance(coin, list) and len(coin) == 2
-            and all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in coin)
-        )
-        if not ok:
-            raise ConfigError("field 'initial_coin_1' must be [[reL, imL], [reR, imR]]")
-        _require_number(cfg, "integral_check_cap", low=0)
-    _require_number(cfg, "jobs", low=1, integer=True)
+        grids = {"'sweep.count' x 'a_values' x 'steps'":
+                 int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1)}
+    for fields, points in grids.items():
+        if 8 * points > MAX_GRID_BYTES:
+            raise ResourceLimitError(
+                f"the float64 grid set by {fields} would exceed MAX_GRID_BYTES = {MAX_GRID_BYTES}")
 
 
 def build_spectrum(cfg: dict, a_value=None) -> SpectrumParams:
@@ -281,7 +270,7 @@ def revival_time(cfg: dict) -> float:
 
 def resolve_delta_t(cfg: dict) -> float:
     if cfg.get("delta_t") is not None:
-        return _require_number(cfg, "delta_t", low=0.0, strict_low=True)
+        return float(cfg["delta_t"])
     factor = cfg.get("delta_t_factor")
     if factor is None:
         raise ConfigError("one of delta_t or delta_t_factor is required")
@@ -426,13 +415,11 @@ def cmd_strong_limit_error(cfg: dict, out_dir: Path) -> int:
 
 def cmd_walk(cfg: dict, out_dir: Path) -> int:
     (re_l, im_l), (re_r, im_r) = cfg["initial_coin_1"]
-    c_left = complex(re_l, im_l)
-    c_right = complex(re_r, im_r)
-    norm = abs(c_left) ** 2 + abs(c_right) ** 2
+    norm = math.hypot(re_l, im_l, re_r, im_r)
     if norm == 0.0:
-        raise ConfigError("initial_coin_1 must be non-zero")
-    c_left /= math.sqrt(norm)
-    c_right /= math.sqrt(norm)
+        raise ConfigError("field 'initial_coin_1' must be non-zero")
+    c_left = complex(re_l, im_l) / norm
+    c_right = complex(re_r, im_r) / norm
     rows = []
     norms = []
     for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
@@ -474,6 +461,8 @@ def _walk_nm_over_sweep(cfg: dict):
     if dn == 0.0:
         values = [0.0]
         durations = [cfg.get("delta_t") or 1.0]
+    elif cfg["delta_omega"] == 0.0:
+        raise ConfigError("field 'delta_omega' must be non-zero to sweep dt_omega_dn")
     else:
         sweep = cfg["sweep"]
         values = np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["count"])).tolist()
@@ -686,7 +675,7 @@ def run(argv=None) -> int:
         overrides=_parse_overrides(args.set),
         flat_overrides=flat,
     )
-    out_dir = Path(args.out if args.out is not None else cfg.get("out_dir", "."))
+    out_dir = Path(args.out if args.out is not None else cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return _DISPATCH[args.command](cfg, out_dir)
 

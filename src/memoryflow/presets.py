@@ -12,7 +12,8 @@ import math
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_ENVIRONMENT = {
+#: shared by every preset; walk and oracle, which have no reference preset, start from it
+ENVIRONMENT = {
     "sigma": 1.0,
     "mu1": 15.0,
     "delta_omega": 9.0,
@@ -23,7 +24,7 @@ PRESETS: dict[str, dict] = {
     # two-peak revival structure of the bare dephasing model
     "fig1": {
         "command": "dephasing",
-        **_ENVIRONMENT,
+        **ENVIRONMENT,
         "a_values": [0.0, 1.0],
         # coarse trajectory grid: revival maxima sit slightly below multiples
         # of the revival time, so peak localization needs >= 1/8 revival steps
@@ -33,7 +34,7 @@ PRESETS: dict[str, dict] = {
     # controlled qubit, weak per-step dephasing
     "fig2": {
         "command": "controlled-qubit",
-        **_ENVIRONMENT,
+        **ENVIRONMENT,
         "A": 0.0,
         "delta_t_factor": 0.014,
         "eta_values": [0.0, 0.5, 1.0],
@@ -44,7 +45,7 @@ PRESETS: dict[str, dict] = {
     # controlled qubit, intermediate per-step dephasing
     "fig3": {
         "command": "controlled-qubit",
-        **_ENVIRONMENT,
+        **ENVIRONMENT,
         "A": 0.0,
         "delta_t_factor": 2.0,
         "eta_values": [0.0, 0.5, 1.0],
@@ -55,7 +56,7 @@ PRESETS: dict[str, dict] = {
     # open-walk memory measure vs dimensionless interaction time
     "fig4": {
         "command": "open-walk-nm",
-        **_ENVIRONMENT,
+        **ENVIRONMENT,
         "a_values": [0.0, 0.5, 1.0],
         "steps": 10,
         # step 0.025 exactly, so integer interaction times are grid points
@@ -64,7 +65,7 @@ PRESETS: dict[str, dict] = {
     # error of the single-period-average approximation
     "fig5": {
         "command": "strong-limit-error",
-        **_ENVIRONMENT,
+        **ENVIRONMENT,
         "A": 0.0,
         "delta_t_factors": [0.02, 1.03],
         "eta_values": [0.0, 0.25, 0.5, 0.75, 1.0],

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memoryflow import cli, harmonic, kernels, walk
 from memoryflow.cli import main, resolve_config
+from memoryflow.errors import ConfigError, ResourceLimitError
 from memoryflow.presets import PRESETS
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -62,6 +64,20 @@ class TestConfigResolution:
                      "initial_bloch_1", id="initial_bloch_1-string"),
         pytest.param(["controlled-qubit", "--set", "initial_bloch_1=[2, 0, 0]"],
                      "initial_bloch_1", id="initial_bloch_1-outside-ball"),
+        pytest.param(["walk", "--set", 'amplitudes="no"'], "amplitudes", id="amplitudes-string"),
+        pytest.param(["walk", "--set", 'check_integrals="no"'], "check_integrals",
+                     id="check_integrals-string"),
+        pytest.param(["oracle", "--set", 'seed="x"'], "seed", id="seed-string"),
+        pytest.param(["dephasing", "--set", "delta_t=-1"], "delta_t", id="delta_t-negative"),
+        pytest.param(["controlled-qubit", "--set", 'engine="bogus"'], "engine", id="engine-unknown"),
+        pytest.param(["open-walk-nm", "--set", 'sweep.parameter="bogus"'], "sweep.parameter",
+                     id="sweep.parameter-unknown"),
+        pytest.param(["controlled-qubit", "--set", "stepz=3"], "stepz", id="unknown-stepz"),
+        pytest.param(["open-walk-nm", "--set", "sweep.cuont=2"], "sweep.cuont",
+                     id="unknown-sweep.cuont"),
+        pytest.param(["oracle", "--set", "oracle.bogus=1"], "oracle.bogus", id="unknown-oracle.bogus"),
+        pytest.param(["open-walk-nm", "--set", "delta_omega=0"], "delta_omega",
+                     id="delta_omega-zero-sweep"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
@@ -77,6 +93,48 @@ class TestConfigResolution:
     def test_numeric_fields_accept_floats(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
+    @pytest.mark.parametrize("argv,field", [
+        pytest.param(["dephasing", "--set", "t_grid.max_revivals=1e300"], "t_grid.max_revivals",
+                     id="t_grid.max_revivals"),
+        pytest.param(["dephasing", "--set", "t_grid.points_per_revival=1e12"],
+                     "t_grid.points_per_revival", id="t_grid.points_per_revival"),
+        pytest.param(["dephasing", "--set", "omega_grid.count=1e12"], "omega_grid.count",
+                     id="omega_grid.count"),
+        pytest.param(["open-walk-nm", "--set", "sweep.count=1e12"], "sweep.count", id="sweep.count"),
+        pytest.param(["open-walk-nm", "--set", "steps=1000000000000"], "steps", id="sweep-steps"),
+    ])
+    def test_grid_refused_before_allocation(self, capsys, tmp_path, argv, field):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()  # refused while resolving, before the command ran
+
+    @pytest.mark.parametrize("command,reference", [
+        ("dephasing", "fig1"),
+        ("controlled-qubit", "fig2"),
+        ("strong-limit-error", "fig5"),
+        ("open-walk-nm", "fig4"),
+    ])
+    def test_figure_commands_default_to_reference_preset(self, command, reference):
+        assert resolve_config(command) == resolve_config(command, preset_name=reference)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_resolved_config_shares_no_containers(self, command):
+        def clear(value):
+            if isinstance(value, (dict, list)):
+                for item in list(value.values() if isinstance(value, dict) else value):
+                    clear(item)
+                value.clear()
+
+        expected = resolve_config(command)
+        clear(resolve_config(command))
+        assert resolve_config(command) == expected
+
+    def test_readme_lists_every_field_with_its_kind_and_bounds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        for name, (kind, bounds, *_) in cli.FIELDS.items():
+            assert f"| `{name}` | {kind}{f' in {bounds}' if bounds else ''} |" in readme, name
+
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("dephasing", "--bogus") == 1
 
@@ -89,6 +147,81 @@ class TestConfigResolution:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("", encoding="utf-8")
         assert run_cli("dephasing", "--preset", "fig1", "--out", str(blocker)) == 3
+
+
+#: arbitrary JSON: null, booleans, huge integers, nan and infinities, strings, lists, objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, 10**400, -10**400])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+#: values of each kind, bounds aside, drawn beside arbitrary JSON so that every
+#: field also meets values it accepts
+OF_KIND = {
+    "number": st.floats(-2.0, 2.0) | st.integers(-2, 40),
+    "count": st.floats(-1.0, 50.0) | st.integers(-1, 50),
+    "integer": st.integers(-1, 40),
+    "number or null": st.none() | st.floats(-1.0, 2.0),
+    "numbers": st.lists(st.floats(-0.5, 1.5), max_size=3),
+    "integers": st.lists(st.integers(-1, 40), max_size=3),
+    "boolean": st.booleans(),
+    "string": st.sampled_from(["series", "quadrature", "strong-limit", "dt_omega_dn", "out", ""]),
+    "bloch": st.lists(st.floats(-0.7, 0.7), min_size=3, max_size=3),
+    "coin": st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2), min_size=2, max_size=2),
+}
+
+
+def _finite(value) -> bool:
+    return not isinstance(value, bool) and math.isfinite(float(value))
+
+
+def _field(cfg: dict, dotted: str):
+    for part in dotted.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+#: what the commands do with an accepted value of each kind; raises or is false if they cannot
+USABLE = {
+    "number": _finite,
+    "count": lambda v: _finite(v) and int(v) >= 0,
+    "integer": lambda v: type(v) is int,
+    "number or null": lambda v: v is None or _finite(v),
+    "numbers": lambda v: len(v) > 0 and all(map(_finite, v)),
+    "integers": lambda v: len(v) > 0 and all(type(n) is int for n in v),
+    "boolean": lambda v: type(v) is bool,
+    "string": lambda v: type(v) is str,
+    "bloch": lambda v: np.asarray(v, dtype=float).shape == (3,) and np.isfinite(v).all(),
+    "coin": lambda v: all(math.isfinite(abs(complex(re, im))) for re, im in v) and len(v) == 2,
+}
+
+
+class TestConfigFuzz:
+    """Every field of every command, set to arbitrary JSON: resolve_config either
+    accepts a value the commands can use or refuses it naming the field."""
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_defaults_usable(self, command):
+        cfg = resolve_config(command)
+        for name, (kind, _, commands, *_) in cli.FIELDS.items():
+            if command in commands:
+                assert USABLE[kind](_field(cfg, name)), name
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_value_usable_or_field_named(self, command, data):
+        for name, (kind, _, commands, *_) in cli.FIELDS.items():
+            if command not in commands:
+                continue
+            value = data.draw(JSON_VALUES | OF_KIND[kind], label=name)
+            try:
+                cfg = resolve_config(command, overrides=[(name, value)])
+            except (ConfigError, ResourceLimitError) as exc:
+                assert f"'{name}'" in str(exc)
+                continue
+            assert USABLE[kind](_field(cfg, name))
 
 
 class TestDephasingCommand:
@@ -232,6 +365,14 @@ class TestWalkCommand:
             assert run_cli("walk", "--out", str(tmp_path), "--set", f"steps={steps}") == 0
             counts[steps] = len(calls)
         assert counts[40] == counts[20]
+
+    def test_huge_coin_is_normalised(self, tmp_path):
+        assert run_cli("walk", "--out", str(tmp_path / "huge"), "--set", "steps=3",
+                       "--set", "initial_coin_1=[[1e308, 1e308], [0, 0]]") == 0
+        assert run_cli("walk", "--out", str(tmp_path / "unit"), "--set", "steps=3") == 0
+        _, huge = read_csv(tmp_path / "huge" / "walk_distribution.csv")
+        _, unit = read_csv(tmp_path / "unit" / "walk_distribution.csv")
+        assert [float(r[2]) for r in huge] == pytest.approx([float(r[2]) for r in unit], abs=1e-15)
 
     def test_integral_cross_check(self, tmp_path):
         assert run_cli(
