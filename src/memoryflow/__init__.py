@@ -24,6 +24,7 @@ from .harmonic import (
     channel_distance,
     integrate_series_against_spectrum,
     quadrature_map,
+    quadrature_maps,
     series_from_transfer,
     series_power,
     series_powers,
@@ -93,7 +94,7 @@ __all__ = [
     "evolve_qubit", "transfer_maps", "special_map_eta0", "special_map_eta1",
     "trace_distance_qubit",
     "TrigMatrixSeries", "series_from_transfer", "series_power", "series_powers",
-    "integrate_series_against_spectrum", "quadrature_map",
+    "integrate_series_against_spectrum", "quadrature_map", "quadrature_maps",
     "strong_limit_map", "strong_limit_closed_form", "catalan",
     "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",

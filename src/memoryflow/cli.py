@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -560,14 +561,16 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     # series engine vs oscillatory quadrature
     worst = 0.0
     where = ""
+    spectra_a = {a: build_spectrum(cfg, a) for a in (0.0, 1.0)}
+    max_power = opts["engine_max_power"]
     for eta in (0.0, 0.5, 1.0):
-        powers = harmonic.series_powers(harmonic.series_from_transfer(eta), opts["engine_max_power"])
+        quad = {a: harmonic.quadrature_maps(eta, max_power, spec_a, dephasing)
+                for a, spec_a in spectra_a.items()}
+        powers = harmonic.series_powers(harmonic.series_from_transfer(eta), max_power)
         for m, power in enumerate(powers):
-            for a in (0.0, 1.0):
-                spec_a = build_spectrum(cfg, a)
+            for a, spec_a in spectra_a.items():
                 t1 = harmonic.integrate_series_against_spectrum(power, spec_a, dephasing)
-                t2 = harmonic.quadrature_map(eta, m, spec_a, dephasing)
-                dev = float(np.max(np.abs(t1 - t2)))
+                dev = float(np.max(np.abs(t1 - quad[a][m])))
                 if dev > worst:
                     worst, where = dev, f"eta={eta}, m={m}, A={a}"
     checks.append(_check("series_vs_quadrature", worst, harmonic.ENGINE_AGREEMENT_TOL, where))
@@ -624,7 +627,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="memoryflow", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

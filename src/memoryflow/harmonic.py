@@ -7,7 +7,9 @@ Three routes to the m-step dynamical map are provided and cross-checked:
   the spectrum then reduces to evaluating the closed-form decoherence
   function at integer multiples of the step duration.
 - quadrature engine: direct per-period composite Gauss-Legendre integration
-  of the highly oscillatory integrand.
+  of the highly oscillatory integrand; ``quadrature_maps`` walks
+  P <- P M(theta) once over the nodes of the largest order a run needs and
+  averages every power on the way.
 - strong-dephasing limit: the zeroth Fourier coefficient, i.e. the average of
   M(theta)^m over a single period.  For the balanced control (eta = 1/2) this
   has a closed form built from Catalan-number partial sums.
@@ -164,40 +166,55 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
     The support [mu1 - 8 sigma, mu2 + 8 sigma] is cut into one interval per
     period of the transfer matrix (the integrand oscillates with up to m full
     cycles per period), and any interval longer than two sigma is subdivided
-    so the Gaussian factor is always well resolved.
+    so the Gaussian factor is always well resolved.  The panel counts stay
+    floats until the node cap has passed them: an extreme spectrum makes
+    them infinite or too large for an int.
     """
     lo = spectrum.mu1 - 8.0 * spectrum.sigma
     hi = spectrum.mu2 + 8.0 * spectrum.sigma
     period = config.period_omega
     width = hi - lo
-    n_periods = max(1, int(math.ceil(width / period))) if math.isfinite(period) else 1
+    n_periods = max(1.0, float(np.ceil(width / period))) if math.isfinite(period) else 1.0
     per_len = width / n_periods
-    sub = max(1, int(math.ceil(per_len / (2.0 * spectrum.sigma))))
+    sub = max(1.0, float(np.ceil(per_len / (2.0 * spectrum.sigma))))
     panels = n_periods * sub
-    if panels * order > QUADRATURE_NODE_CAP:
+    if not panels * order <= QUADRATURE_NODE_CAP:
         raise ResourceLimitError(
-            f"quadrature budget exceeded: {panels} panels x order {order}"
+            f"quadrature budget exceeded: {panels:.6g} panels x order {order}"
         )
-    return kernels.composite_gauss_legendre(lo, hi, panels, order)
+    return kernels.composite_gauss_legendre(lo, hi, int(panels), order)
+
+
+def quadrature_maps(
+    eta: float, steps: int, spectrum: SpectrumParams, config: DephasingConfig
+) -> np.ndarray:
+    """Maps for m = 0..steps by direct oscillatory quadrature of the spectral
+    average, shape (steps + 1, 3, 3): the quadrature counterpart of
+    ``series_powers``.
+
+    Gauss-Legendre order max(16, 2 steps + 8) per panel: the integrand of the
+    m-th map carries harmonics up to degree m per period, and an n-point rule
+    resolves them superexponentially once n exceeds about pi m / 2.  The
+    order the largest power needs serves every power, and one walk
+    P <- P M over its nodes yields them all.  The m = 0 entry is the
+    quadrature of the spectral density alone, 1 up to the rule's error.
+    """
+    if steps < 0:
+        raise DomainError("steps must be non-negative")
+    alpha, beta = control_alpha_beta(eta)
+    order = max(16, 2 * steps + 8)
+    nodes, weights = _quadrature_nodes(spectrum, config, order)
+    thetas = config.index_contrast * config.step_duration * nodes
+    weights = weights * spectral_density(spectrum, nodes)
+    return kernels.transfer_power_average(thetas, weights, alpha, beta, steps)
 
 
 def quadrature_map(
     eta: float, m: int, spectrum: SpectrumParams, config: DephasingConfig
 ) -> np.ndarray:
-    """m-step map by direct oscillatory quadrature of the spectral average.
-
-    Gauss-Legendre order max(16, 2m + 8) per panel: the integrand carries
-    harmonics up to degree m per period, and an n-point rule resolves them
-    superexponentially once n exceeds about pi m / 2.
-    """
-    if m < 0:
-        raise DomainError("m must be non-negative")
-    alpha, beta = control_alpha_beta(eta)
-    order = max(16, 2 * m + 8)
-    nodes, weights = _quadrature_nodes(spectrum, config, order)
-    thetas = config.index_contrast * config.step_duration * nodes
-    weights = weights * spectral_density(spectrum, nodes)
-    return kernels.transfer_power_average(thetas, weights, alpha, beta, m)
+    """m-step map by direct oscillatory quadrature: the last of
+    ``quadrature_maps(eta, m, ...)``, at order max(16, 2m + 8)."""
+    return quadrature_maps(eta, m, spectrum, config)[m]
 
 
 def strong_limit_map(eta: float, m: int) -> np.ndarray:
@@ -290,28 +307,31 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(vals)))
 
 
-def _approximation_error_at(eta: float, m: int, power: TrigMatrixSeries, spectrum: SpectrumParams,
-                            config: DephasingConfig, engine: str) -> float:
-    """The m-th error; the strong-limit map is the power's zeroth coefficient."""
+def _exact_maps(engine: str, eta: float, steps: int, spectrum: SpectrumParams,
+                config: DephasingConfig):
+    """The engine's exact spectrum-averaged map of a power m <= steps, as a
+    function of (m, power); the quadrature engine walks its powers once here."""
     if engine == "series":
-        exact = integrate_series_against_spectrum(power, spectrum, config)
-    elif engine == "quadrature":
-        exact = quadrature_map(eta, m, spectrum, config)
-    else:
-        raise DomainError(f"unknown engine {engine!r}")
-    return channel_distance(exact, power.period_average())
+        return lambda m, power: integrate_series_against_spectrum(power, spectrum, config)
+    if engine == "quadrature":
+        quad = quadrature_maps(eta, steps, spectrum, config)
+        return lambda m, power: quad[m]
+    raise DomainError(f"unknown engine {engine!r}")
 
 
 def approximation_errors(eta: float, steps: int, spectrum: SpectrumParams,
                          config: DephasingConfig, engine: str = "series") -> np.ndarray:
-    """``approximation_error`` for m = 0..steps from one walk of the series power."""
+    """``approximation_error`` for m = 0..steps from one walk of the series
+    power (and one quadrature walk for the quadrature engine)."""
+    exact = _exact_maps(engine, eta, steps, spectrum, config)
     powers = enumerate(series_powers(series_from_transfer(eta), steps))
-    return np.array([_approximation_error_at(eta, m, p, spectrum, config, engine) for m, p in powers])
+    return np.array([channel_distance(exact(m, p), p.period_average()) for m, p in powers])
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,
                         config: DephasingConfig, engine: str = "series") -> float:
     """Channel distance between the exact spectrum-averaged m-step map and the
-    single-period-average map."""
+    single-period-average map, the power's zeroth coefficient."""
     power = series_power(series_from_transfer(eta), m)
-    return _approximation_error_at(eta, m, power, spectrum, config, engine)
+    exact = _exact_maps(engine, eta, m, spectrum, config)
+    return channel_distance(exact(m, power), power.period_average())

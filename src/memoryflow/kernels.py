@@ -7,8 +7,9 @@ Kernels:
 - ``composite_gauss_legendre`` nodes and weights of an order-n Gauss-Legendre
                                rule on each of equal panels over [lo, hi]; the
                                reference rule is built once per order
-- ``transfer_power_average``   sum_i w_i * M(theta_i)^m for the 3x3 single-step
-                               Bloch transfer matrix M
+- ``transfer_power_average``   sum_i w_i * M(theta_i)^k for k = 0..m and the
+                               3x3 single-step Bloch transfer matrix M, from
+                               one walk P <- P M
 - ``series_convolve``          product of matrix-valued trigonometric
                                polynomials (coefficient convolution)
 - ``walk_run``                 m steps of the coined walk recursion from the
@@ -65,6 +66,9 @@ def composite_gauss_legendre(lo, hi, panels, order):
 
 
 def transfer_power_average(thetas, weights, alpha, beta, m):
+    """Weighted averages sum_i w_i M(theta_i)^k for every power k = 0..m, as an
+    (m + 1, 3, 3) stack.  One walk P <- P M over the nodes serves every power,
+    so the k-th average does not depend on m."""
     thetas = np.asarray(thetas, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     c = np.cos(thetas)
@@ -81,9 +85,12 @@ def transfer_power_average(thetas, weights, alpha, beta, m):
     M[:, 2, 1] = 0.0
     M[:, 2, 2] = beta
     P = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-    for _ in range(int(m)):
+    out = np.empty((int(m) + 1, 3, 3))
+    out[0] = np.einsum("n,nij->ij", weights, P)
+    for k in range(1, len(out)):
         P = P @ M
-    return np.einsum("n,nij->ij", weights, P)
+        out[k] = np.einsum("n,nij->ij", weights, P)
+    return out
 
 
 def series_convolve(a, b):

@@ -129,10 +129,8 @@ def transfer_maps(
     if steps < 0:
         raise DomainError("steps must be non-negative")
     if engine == "quadrature":
-        maps = np.empty((steps + 1, 3, 3))
-        maps[0] = np.eye(3)
-        for n in range(1, steps + 1):
-            maps[n] = harmonic.quadrature_map(eta, n, spectrum, config)
+        maps = harmonic.quadrature_maps(eta, steps, spectrum, config)
+        maps[0] = np.eye(3)  # exact, not the quadrature of the density
         return maps
     if engine not in ("series", "strong-limit"):
         raise DomainError(f"unknown engine {engine!r}")

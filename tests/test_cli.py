@@ -109,6 +109,17 @@ class TestConfigResolution:
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()  # refused while resolving, before the command ran
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["oracle", "--set", "sigma=1e308"], id="oracle-huge-sigma"),
+        pytest.param(["oracle", "--set", "sigma=1e-320"], id="oracle-subnormal-sigma"),
+        pytest.param(["controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
+                      "--set", "sigma=1e308"], id="quadrature-huge-sigma"),
+    ])
+    def test_extreme_sigma_exceeds_quadrature_budget(self, capsys, tmp_path, argv):
+        # the quadrature panel count overflows to infinity: a resource limit, not a traceback
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        assert "quadrature budget exceeded" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,reference", [
         ("dephasing", "fig1"),
         ("controlled-qubit", "fig2"),
@@ -281,18 +292,26 @@ class TestControlledQubitCommand:
                 assert float(a) == pytest.approx(float(b), abs=1e-8)
 
     def test_quadrature_maps_shared_by_both_states(self, tmp_path, monkeypatch):
-        calls = []
-        quadrature_map = harmonic.quadrature_map
+        # one quadrature walk per eta serves every step and both initial states
+        calls = {"quadrature_maps": 0, "quadrature_map": 0}
+        for name in calls:
+            original = getattr(harmonic, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return quadrature_map(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(harmonic, "quadrature_map", counted)
+            monkeypatch.setattr(harmonic, name, counted)
         assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
                        "--out", str(tmp_path)) == 0
-        fig3 = PRESETS["fig3"]
-        assert len(calls) == len(fig3["eta_values"]) * fig3["steps"] == 90
+        assert calls == {"quadrature_maps": len(PRESETS["fig3"]["eta_values"]), "quadrature_map": 0}
+
+    def test_quadrature_rule_built_once_per_run(self, tmp_path):
+        # every power of every eta shares the rule of the largest order
+        kernels.gauss_legendre_rule.cache_clear()
+        assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
+                       "--set", "steps=130", "--out", str(tmp_path)) == 0
+        assert kernels.gauss_legendre_rule.cache_info().misses == 1
 
     def test_sigma_x_rows_recover_at_even_steps(self, tmp_path):
         assert run_cli(
@@ -459,6 +478,23 @@ class TestDeterminism:
         for f1 in sorted(out1.iterdir()):
             f2 = out2 / f1.name
             assert f1.read_bytes() == f2.read_bytes()
+
+    def test_parser_reuse_leaks_nothing(self, tmp_path):
+        # one parser serves every call in a process: a run after a run with other
+        # --engine and --set values writes what the same run writes alone
+        argv = ["controlled-qubit", "--preset", "fig3", "--set", "eta_values=[1.0]"]
+        cli.build_parser.cache_clear()
+        assert run_cli(*argv, "--out", str(tmp_path / "alone")) == 0
+        cli.build_parser.cache_clear()
+        assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
+                       "--set", "steps=4", "--set", "eta_values=[0.5]",
+                       "--out", str(tmp_path / "first")) == 0
+        assert run_cli(*argv, "--out", str(tmp_path / "second")) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        alone = sorted((tmp_path / "alone").iterdir())
+        assert [f.name for f in alone] == sorted(f.name for f in (tmp_path / "second").iterdir())
+        for f in alone:
+            assert f.read_bytes() == (tmp_path / "second" / f.name).read_bytes()
 
     def test_sweep_parallelism_does_not_change_bytes(self, tmp_path):
         args = [

@@ -7,6 +7,8 @@ from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
     CATALAN_LIMIT_B,
+    ENGINE_AGREEMENT_TOL,
+    SERIES_DEGREE_CAP,
     approximation_error,
     approximation_errors,
     catalan,
@@ -15,6 +17,7 @@ from memoryflow.harmonic import (
     identity_series,
     integrate_series_against_spectrum,
     quadrature_map,
+    quadrature_maps,
     series_from_transfer,
     series_multiply,
     series_power,
@@ -87,11 +90,15 @@ class TestSeries:
         assert np.allclose(p2.coefficient(0), expected, atol=1e-15)
 
     def test_degree_cap(self):
-        s = series_from_transfer(0.5)
-        big = identity_series()
+        # repeated squaring reaches the cap in 12 products; both sides are pinned
+        big = series_from_transfer(0.5)
+        while big.degree < SERIES_DEGREE_CAP:
+            big = series_multiply(big, big)
+        assert big.degree == SERIES_DEGREE_CAP
         with pytest.raises(ResourceLimitError):
-            for _ in range(5000):
-                big = series_multiply(big, s)
+            series_multiply(big, series_from_transfer(0.5))
+        with pytest.raises(ResourceLimitError):
+            series_multiply(big, big)
 
 
 class TestIntegrateSeries:
@@ -166,6 +173,27 @@ class TestQuadratureMap:
             exact = integrate_series_against_spectrum(power, sp, cfg)
             quad = quadrature_map(eta, m, sp, cfg)
             assert np.max(np.abs(exact - quad)) < 1e-8
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+    def test_last_of_stack_is_single_map(self, eta):
+        sp, cfg = spectrum(1.0), dephasing(0.35)
+        for m in (0, 1, 7, 30):
+            assert np.array_equal(quadrature_map(eta, m, sp, cfg), quadrature_maps(eta, m, sp, cfg)[m])
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    @pytest.mark.parametrize("steps", [0, 1, 30])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+    def test_stack_agrees_with_series_engine(self, eta, steps, a):
+        sp, cfg = spectrum(a), dephasing(0.35)
+        maps = quadrature_maps(eta, steps, sp, cfg)
+        assert maps.shape == (steps + 1, 3, 3)
+        for m, power in enumerate(series_powers(series_from_transfer(eta), steps)):
+            exact = integrate_series_against_spectrum(power, sp, cfg)
+            assert np.max(np.abs(maps[m] - exact)) < ENGINE_AGREEMENT_TOL
+
+    def test_negative_steps(self):
+        with pytest.raises(DomainError):
+            quadrature_maps(0.5, -1, spectrum(), dephasing(0.35))
 
     def test_node_budget(self):
         # duration so long that the support spans tens of thousands of periods

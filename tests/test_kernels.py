@@ -31,7 +31,7 @@ class TestTransferPowerAverage:
         alpha, beta = 0.8, 0.6
         m = 7
 
-        def direct():
+        def direct(k):
             acc = np.zeros((3, 3))
             for th, w in zip(thetas, weights):
                 c, s = np.cos(th), np.sin(th)
@@ -40,20 +40,41 @@ class TestTransferPowerAverage:
                     [beta * s, -c, -alpha * s],
                     [alpha, 0.0, beta],
                 ])
-                acc += w * np.linalg.matrix_power(mat, m)
+                acc += w * np.linalg.matrix_power(mat, k)
             return acc
 
-        want = direct()
-        assert np.allclose(
-            kernels.transfer_power_average(thetas, weights, alpha, beta, m),
-            want, atol=1e-12,
-        )
+        out = kernels.transfer_power_average(thetas, weights, alpha, beta, m)
+        assert out.shape == (m + 1, 3, 3)
+        for k in range(m + 1):
+            assert np.allclose(out[k], direct(k), atol=1e-12)
 
     def test_power_zero_sums_weights(self):
         thetas = np.array([0.1, 0.2])
         weights = np.array([0.3, 0.4])
         out = kernels.transfer_power_average(thetas, weights, 1.0, 0.0, 0)
-        assert np.allclose(out, 0.7 * np.eye(3), atol=1e-15)
+        assert out.shape == (1, 3, 3)
+        assert np.allclose(out[0], 0.7 * np.eye(3), atol=1e-15)
+
+    def test_each_power_is_the_single_power_loop(self):
+        # bit for bit the loop that averaged one power: m products P <- P M, then
+        # one weighted sum; so no power depends on how many follow it
+        rng = np.random.default_rng(17)
+        thetas = rng.uniform(-3.0, 3.0, 30)
+        weights = rng.uniform(0.0, 1.0, 30)
+        alpha, beta = 0.6, 0.8
+        c, s = np.cos(thetas), np.sin(thetas)
+        M = np.zeros((30, 3, 3))
+        M[:, 0] = np.stack([-beta * c, -s, alpha * c], axis=1)
+        M[:, 1] = np.stack([beta * s, -c, -alpha * s], axis=1)
+        M[:, 2] = (alpha, 0.0, beta)
+        full = kernels.transfer_power_average(thetas, weights, alpha, beta, 9)
+        for m in (0, 1, 4, 9):
+            P = np.broadcast_to(np.eye(3), (30, 3, 3)).copy()
+            for _ in range(m):
+                P = P @ M
+            assert np.array_equal(full[m], np.einsum("n,nij->ij", weights, P))
+            assert np.array_equal(kernels.transfer_power_average(thetas, weights, alpha, beta, m),
+                                  full[:m + 1])
 
 
 class TestSeriesConvolve:
