@@ -492,6 +492,12 @@ def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+def _exceeds(dev: float, worst: float) -> bool:
+    """Whether ``dev`` replaces ``worst`` as a check's largest deviation.  The
+    first NaN replaces any number and is kept, so that its check fails."""
+    return dev > worst or (math.isnan(dev) and not math.isnan(worst))
+
+
 def _check(name, max_dev, tol, location=""):
     return {
         "name": name,
@@ -533,7 +539,7 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
                 flt.matrix[target, 0] += np.conj(opts["perturbation"])
             dev = np.abs(dil.matrix - flt.matrix)
             local = float(dev.max())
-            if local > worst:
+            if _exceeds(local, worst):
                 worst = local
                 ij = np.unravel_index(int(dev.argmax()), dev.shape)
                 where = f"n={n}, entry=({int(ij[0])},{int(ij[1])})"
@@ -554,7 +560,7 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         p2 = pure.position_distribution()
         for x in p1:
             dev = abs(p1[x] - p2[x])
-            if dev > worst:
+            if _exceeds(dev, worst):
                 worst, where = dev, f"n={n}, x={x}"
     checks.append(_check("position_distribution_invariance", worst, 1e-12, where))
 
@@ -571,7 +577,7 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
             for a, spec_a in spectra_a.items():
                 t1 = harmonic.integrate_series_against_spectrum(power, spec_a, dephasing)
                 dev = float(np.max(np.abs(t1 - quad[a][m])))
-                if dev > worst:
+                if _exceeds(dev, worst):
                     worst, where = dev, f"eta={eta}, m={m}, A={a}"
     checks.append(_check("series_vs_quadrature", worst, harmonic.ENGINE_AGREEMENT_TOL, where))
 
@@ -580,7 +586,7 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     where = ""
     for m, power in enumerate(harmonic.series_powers(harmonic.series_from_transfer(0.5), 40)):
         dev = float(np.max(np.abs(power.period_average() - harmonic.strong_limit_closed_form(m))))
-        if dev > worst:
+        if _exceeds(dev, worst):
             worst, where = dev, f"m={m}"
     checks.append(_check("catalan_closed_form", worst, 1e-12, where))
 

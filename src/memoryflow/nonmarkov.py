@@ -14,17 +14,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .openwalk import (
+    MAX_EIG_DIM,
     DephasingFilter,
+    eigvals_2x2_hermitian,
     hermitian_eigenvalues,
-    pure_walk_density,
-    strong_dephasing_blocks,
-    trace_distance_walk,
+    state_vector,
 )
 from .qubit import as_bloch_vector, trace_distance_bloch, transfer_maps
 from .spectra import DephasingConfig, SpectrumParams
-from .walk import walk_evolve
+from .walk import walk_states
 
 #: increments below this threshold are treated as rounding noise
 POSITIVE_INCREMENT_THRESHOLD = 1e-12
@@ -34,6 +34,10 @@ DEFAULT_QUBIT_DIRECTION = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
 
 #: fixed walk pair: |L, 0> vs |R, 0>
 DEFAULT_WALK_COINS = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
+
+#: bytes one stacked array of filtered walk matrices may take; the filters of a
+#: step are solved in as many chunks as this needs
+STACK_BYTES = 1 << 24
 
 
 @dataclass
@@ -117,18 +121,50 @@ def nm_qubit(
 
 def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
     """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
-    ``DephasingFilter``.  A filter multiplies both densities entrywise, so each
-    step's pure-state difference is built once and shared by every filter."""
+    ``DephasingFilter``.
+
+    Both coins are stepped once.  After n steps only the n + 1 sites with the
+    parity of n are occupied, so the difference of the two pure densities is
+    kept on those sites alone: d = 2(n + 1).  A filter multiplies the (x, y)
+    block by f(y - x), and every separation is one of the 2 n_steps + 1 even
+    ones, so each filter is evaluated once and each step's filtered matrices
+    are gathered from that table and solved as one stack, in chunks of at most
+    ``STACK_BYTES``.  The last step needs d = 2(n_steps + 1) <= ``MAX_EIG_DIM``,
+    which is checked before any work."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
+    if 2 * (n_steps + 1) > MAX_EIG_DIM:
+        raise ResourceLimitError(
+            f"eigensolver capped at dimension {MAX_EIG_DIM}: "
+            f"{n_steps} walk steps need {2 * (n_steps + 1)}")
     out = np.empty((len(filters), n_steps + 1))
-    for n in range(n_steps + 1):
-        diff = (pure_walk_density(walk_evolve(*coins[0], n)).matrix
-                - pure_walk_density(walk_evolve(*coins[1], n)).matrix)
-        for row, flt in enumerate(filters):
-            filtered = diff * np.kron(flt.gram(n), np.ones((2, 2)))
-            out[row, n] = 0.5 * float(np.sum(np.abs(hermitian_eigenvalues(filtered))))
+    if not filters:
+        return out
+    # column n_steps + j holds f(2 j), j = -n_steps..n_steps
+    table = np.array([flt(2 * np.arange(-n_steps, n_steps + 1)) for flt in filters])
+    for n, states in enumerate(zip(*(walk_states(*coin, n_steps) for coin in coins))):
+        # position-major amplitudes on the occupied sites -n, -n + 2, ..., n
+        v1, v2 = (state_vector(state).reshape(-1, 2)[0::2].ravel() for state in states)
+        diff = np.outer(v1, v1.conj()) - np.outer(v2, v2.conj())
+        site = np.arange(2 * (n + 1)) // 2
+        columns = n_steps + site[None, :] - site[:, None]
+        chunk = max(1, STACK_BYTES // diff.nbytes)
+        for start in range(0, len(filters), chunk):
+            stack = table[start:start + chunk, columns] * diff
+            vals = hermitian_eigenvalues(stack)
+            out[start:start + chunk, n] = 0.5 * np.sum(np.abs(vals), axis=-1)
     return out
+
+
+def _strong_limit_distance(state1, state2) -> float:
+    """Trace distance of the diagonal site blocks of two pure walk states, by
+    the per-site 2x2 closed form."""
+    a = np.real(state1.amp_left * state1.amp_left.conj() - state2.amp_left * state2.amp_left.conj())
+    c = np.real(state1.amp_right * state1.amp_right.conj()
+                - state2.amp_right * state2.amp_right.conj())
+    b = state1.amp_left * state1.amp_right.conj() - state2.amp_left * state2.amp_right.conj()
+    lo, hi = eigvals_2x2_hermitian(a, b, c)
+    return 0.5 * float(np.sum(np.abs(lo)) + np.sum(np.abs(hi)))
 
 
 def nm_walk(
@@ -142,9 +178,9 @@ def nm_walk(
 ) -> tuple[TraceDistanceSeries, NMReport]:
     """Trace-distance trajectory and measure for a fixed walk pair.
 
-    mode "filter" evolves with the spectral coherence filter (full-matrix
-    eigenvalues); mode "strong_limit" keeps only diagonal site blocks and
-    needs no spectrum at all.
+    mode "filter" evolves with the spectral coherence filter (the one-filter
+    call of ``walk_trace_distances``); mode "strong_limit" keeps only diagonal
+    site blocks, steps both coins once and needs no spectrum at all.
     """
     if coin1 is None:
         coin1 = DEFAULT_WALK_COINS[0]
@@ -158,10 +194,8 @@ def nm_walk(
     if mode == "filter":
         values = walk_trace_distances([DephasingFilter(spectrum, config)], n_steps, (coin1, coin2))[0]
     else:
-        values = np.array([
-            trace_distance_walk(strong_dephasing_blocks(*coin1, n), strong_dephasing_blocks(*coin2, n))
-            for n in range(n_steps + 1)
-        ])
+        values = np.array([_strong_limit_distance(s1, s2) for s1, s2 in
+                           zip(walk_states(*coin1, n_steps), walk_states(*coin2, n_steps))])
     series = TraceDistanceSeries(values, metadata={
         "model": "walk",
         "mode": mode,

@@ -136,7 +136,8 @@ def decoherence_function(params: SpectrumParams, delta_n: float, tau):
         raise DomainError("delta_n and tau must be finite")
     a = params.amplitude_ratio
     phase_arg = delta_n * tau
-    envelope = np.exp(-0.5 * (params.sigma * phase_arg) ** 2)
+    with np.errstate(over="ignore"):  # an overflowing exponent only means a zero envelope
+        envelope = np.exp(-0.5 * (params.sigma * phase_arg) ** 2)
     out = envelope * (
         np.exp(1j * params.mu1 * phase_arg) + a * np.exp(1j * params.mu2 * phase_arg)
     ) / (1.0 + a)

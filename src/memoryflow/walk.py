@@ -65,14 +65,11 @@ def initial_state(c_left: complex, c_right: complex) -> WalkState:
 def walk_step(state: WalkState) -> WalkState:
     """One coin-and-shift step; support grows by one site on each side."""
     h = 1.0 / math.sqrt(2.0)
-    cl = np.concatenate([[0.0], state.amp_left, [0.0]])
-    cr = np.concatenate([[0.0], state.amp_right, [0.0]])
-    tl = h * (cl + cr)
-    tr = h * (cl - cr)
-    new_l = np.roll(tl, -1)
-    new_l[-1] = 0.0
-    new_r = np.roll(tr, 1)
-    new_r[0] = 0.0
+    new_l = np.zeros(2 * state.steps + 3, dtype=complex)
+    new_r = np.zeros(2 * state.steps + 3, dtype=complex)
+    # the coined pair at site x sends its L part to x - 1 and its R part to x + 1
+    new_l[:-2] = h * (state.amp_left + state.amp_right)
+    new_r[2:] = h * (state.amp_left - state.amp_right)
     return WalkState(state.steps + 1, new_l, new_r)
 
 

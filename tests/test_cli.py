@@ -1,15 +1,17 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memoryflow import cli, harmonic, kernels, walk
+from memoryflow import cli, harmonic, kernels, nonmarkov, openwalk, spectra, walk
 from memoryflow.cli import main, resolve_config
 from memoryflow.errors import ConfigError, ResourceLimitError
 from memoryflow.presets import PRESETS
+from memoryflow.spectra import DephasingConfig
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
 
@@ -23,6 +25,23 @@ def read_csv(path: Path):
 
 def run_cli(*args) -> int:
     return main(list(args))
+
+
+def record_calls(monkeypatch, *functions) -> dict:
+    """Wrap each function under every name a memoryflow module holds it by;
+    returns the argument tuples of its calls, keyed by function name."""
+    calls = {fn.__name__: [] for fn in functions}
+    for name, module in list(sys.modules.items()):
+        if name != "memoryflow" and not name.startswith("memoryflow."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in functions):
+                def recorded(*args, _fn=value, **kwargs):
+                    calls[_fn.__name__].append(args)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, recorded)
+    return calls
 
 
 class TestConfigResolution:
@@ -115,6 +134,7 @@ class TestConfigResolution:
         pytest.param(["controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
                       "--set", "sigma=1e308"], id="quadrature-huge-sigma"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_sigma_exceeds_quadrature_budget(self, capsys, tmp_path, argv):
         # the quadrature panel count overflows to infinity: a resource limit, not a traceback
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
@@ -425,8 +445,97 @@ class TestOpenWalkNMCommand:
             assert float(r[1]) == 0.0
             assert float(r[2]) == 0.0
 
+    @staticmethod
+    def fig4_filter_measure(tmp_path, steps):
+        assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path),
+                       "--set", f"steps={steps}", "--set", "sweep.count=1",
+                       "--set", "a_values=[0.0]") == 0
+        _, rows = read_csv(tmp_path / "open_walk_nm.csv")
+        (row,) = [r for r in rows if r[3] == "filter"]
+        return float(row[2])
+
+    def test_parity_compression_lifts_step_cap(self, tmp_path):
+        # 64 steps need dimension 2 (2 * 64 + 1) = 258 > MAX_EIG_DIM uncompressed
+        steps = 64
+        got = self.fig4_filter_measure(tmp_path, steps)
+        cfg = resolve_config("open-walk-nm")
+        dt = cfg["sweep"]["min"] * 2.0 * math.pi / (cfg["delta_omega"] * cfg["delta_n"])
+        flt = openwalk.DephasingFilter(cli.build_spectrum(cfg, 0.0),
+                                       DephasingConfig(cfg["delta_n"], dt))
+        distances = []
+        for n in range(steps + 1):
+            diff = (openwalk.pure_walk_density(walk.walk_evolve(1.0, 0.0, n)).matrix
+                    - openwalk.pure_walk_density(walk.walk_evolve(0.0, 1.0, n)).matrix)
+            full = diff * np.kron(flt.gram(n), np.ones((2, 2)))
+            distances.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(full))))
+        want = nonmarkov.nm_measure(np.array(distances), cfg["threshold"]).measure
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_largest_step_count_under_cap(self, tmp_path):
+        assert math.isfinite(self.fig4_filter_measure(tmp_path, 127))
+
+    def test_step_cap_named(self, tmp_path, capsys):
+        assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path),
+                       "--set", "steps=128", "--set", "sweep.count=1",
+                       "--set", "a_values=[0.0]") == 2
+        assert "eigensolver capped at dimension 256" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrices", [0, 1, 3])
+    def test_chunked_stacks_match_one_chunk(self, tmp_path, monkeypatch, matrices):
+        argv = ["open-walk-nm", "--preset", "fig4", "--set", "sweep.count=5", "--set", "steps=6"]
+        assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
+        # budget for this many matrices of the last step, d = 14 (0: one filter per chunk)
+        budget = matrices * 14 * 14 * 16
+        monkeypatch.setattr(nonmarkov, "STACK_BYTES", budget)
+        stacks = []
+        original = nonmarkov.hermitian_eigenvalues
+
+        def recorded(stack):
+            stacks.append(np.shape(stack))
+            return original(stack)
+
+        monkeypatch.setattr(nonmarkov, "hermitian_eigenvalues", recorded)
+        assert run_cli(*argv, "--out", str(tmp_path / "chunked")) == 0
+        assert len(stacks) > 7  # several chunks per step
+        assert all(16 * np.prod(shape) <= max(budget, 16 * np.prod(shape[1:]))
+                   for shape in stacks)
+        assert ((tmp_path / "chunked" / "open_walk_nm.csv").read_bytes()
+                == (tmp_path / "one" / "open_walk_nm.csv").read_bytes())
+
+    def test_fig4_work_pattern(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, openwalk.hermitian_eigenvalues, walk.walk_evolve,
+                             kernels.walk_run, spectra.decoherence_function)
+        assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path)) == 0
+        fig4 = PRESETS["fig4"]
+        filters = len(fig4["a_values"]) * fig4["sweep"]["count"]
+        # one stacked eigensolve per step, all filters in one chunk
+        assert len(calls["hermitian_eigenvalues"]) == fig4["steps"] + 1
+        assert [np.shape(args[0])[0] for args in calls["hermitian_eigenvalues"]] \
+            == [filters] * (fig4["steps"] + 1)
+        assert len(calls["walk_evolve"]) == 0 and len(calls["walk_run"]) == 0
+        assert 0 < len(calls["decoherence_function"]) <= filters
+
 
 class TestOracleCommand:
+    def test_nan_deviation_fails_its_check(self, tmp_path, monkeypatch):
+        original = cli.dilation_oracle
+
+        def poisoned(*args):
+            rho, omegas, weights = original(*args)
+            if rho.steps == 1:
+                rho.matrix[0, 0] = np.nan
+            return rho, omegas, weights
+
+        monkeypatch.setattr(cli, "dilation_oracle", poisoned)
+        assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.max_steps=2",
+                       "--set", "oracle.n_freqs=[8]", "--set", "oracle.walk_steps=2",
+                       "--set", "oracle.engine_max_power=2") == 2
+        report = json.loads((tmp_path / "oracle_report.json").read_text())
+        (check,) = [c for c in report["checks"] if c["name"] == "dilation_vs_filter_K8"]
+        assert check["pass"] is False and math.isnan(check["max_dev"])
+        assert check["location"] == "n=1, entry=(0,0)"
+        assert all(c["pass"] for c in report["checks"] if c is not check)
+
     def test_default_checks_pass(self, tmp_path):
         assert run_cli(
             "oracle", "--out", str(tmp_path),

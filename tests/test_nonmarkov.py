@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memoryflow.errors import DomainError
 from memoryflow.nonmarkov import (
@@ -16,7 +17,12 @@ from memoryflow.nonmarkov import (
     walk_pair_runner,
     walk_trace_distances,
 )
-from memoryflow.openwalk import DephasingFilter, open_walk_evolve, trace_distance_walk
+from memoryflow.openwalk import (
+    DephasingFilter,
+    open_walk_evolve,
+    strong_dephasing_blocks,
+    trace_distance_walk,
+)
 from memoryflow.qubit import evolve_qubit
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 
@@ -182,6 +188,45 @@ class TestWalkTraceDistances:
     def test_negative_steps_rejected(self):
         with pytest.raises(DomainError):
             walk_trace_distances([DephasingFilter(spectrum(), dephasing())], -1)
+
+    def test_no_filters(self):
+        assert walk_trace_distances([], 4).shape == (0, 5)
+
+
+_parts = st.floats(-1.0, 1.0, allow_nan=False)
+_coins = st.tuples(_parts, _parts, _parts, _parts).filter(
+    lambda p: sum(x * x for x in p) > 1e-3
+).map(lambda p: tuple(np.array([complex(p[0], p[1]), complex(p[2], p[3])])
+                      / math.sqrt(sum(x * x for x in p))))
+
+
+class TestWalkRoutesAgree:
+    """The stepped, parity-compressed, stacked routes of ``nonmarkov`` against
+    the full-matrix densities of ``openwalk``, which evolve each step from the
+    origin and solve the 2(2n + 1)-dimensional difference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(coin1=_coins, coin2=_coins, a=st.floats(0.0, 1.0),
+           dt_factor=st.floats(0.01, 3.0), n_steps=st.integers(0, 8))
+    def test_filter_rows_match_full_matrices(self, coin1, coin2, a, dt_factor, n_steps):
+        configs = [dephasing(dt_factor), dephasing(dt_factor / 3.0)]
+        got = walk_trace_distances([DephasingFilter(spectrum(a), c) for c in configs],
+                                   n_steps, (coin1, coin2))
+        for row, cfg in zip(got, configs):
+            want = [trace_distance_walk(open_walk_evolve(*coin1, n, spectrum(a), cfg),
+                                        open_walk_evolve(*coin2, n, spectrum(a), cfg))
+                    for n in range(n_steps + 1)]
+            assert np.max(np.abs(row - want)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(coin1=_coins, coin2=_coins, n_steps=st.integers(0, 8))
+    def test_strong_limit_matches_site_blocks(self, coin1, coin2, n_steps):
+        series, _ = nm_walk(None, None, n_steps=n_steps, mode="strong_limit",
+                            coin1=coin1, coin2=coin2)
+        want = [trace_distance_walk(strong_dephasing_blocks(*coin1, n),
+                                    strong_dephasing_blocks(*coin2, n))
+                for n in range(n_steps + 1)]
+        assert np.max(np.abs(series.values - want)) < 1e-12
 
 
 class TestPairScan:

@@ -208,6 +208,38 @@ class TestHermitianEigenvalues:
         with pytest.raises(DomainError, match="non-finite"):
             hermitian_eigenvalues(np.array([[1.0, bad], [bad, 2.0]]))
 
+    @staticmethod
+    def random_stack(seed, count=3, dim=12):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        return (x + np.swapaxes(x, -2, -1).conj()) / 2.0
+
+    def test_stack_matches_each_matrix(self):
+        stack = self.random_stack(7)
+        vals = hermitian_eigenvalues(stack)
+        assert vals.shape == (3, 12)
+        for got, h in zip(vals, stack):
+            assert np.max(np.abs(got - hermitian_eigenvalues(h))) < 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stack_rejects_one_non_finite_member(self, bad):
+        stack = self.random_stack(8)
+        stack[1, 2, 3] = stack[1, 3, 2] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            hermitian_eigenvalues(stack)
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        stack = self.random_stack(9)
+        # a defect far below the largest member's scale but above this member's own
+        stack *= np.array([1e6, 1.0, 1.0])[:, None, None]
+        stack[2, 0, 5] += 1e-6
+        with pytest.raises(DomainError, match="not Hermitian"):
+            hermitian_eigenvalues(stack)
+
+    def test_stack_dimension_cap(self):
+        with pytest.raises(ResourceLimitError):
+            hermitian_eigenvalues(np.zeros((2, 258, 258)))
+
     def test_block_accessor_bounds(self):
         rho = strong_dephasing_blocks(1.0, 0.0, 2)
         with pytest.raises(DomainError):
