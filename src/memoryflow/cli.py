@@ -97,11 +97,10 @@ FIELDS = {
     "sweep.max": ("number", None, ("open-walk-nm",)),
     "sweep.count": ("count", "[1, inf)", ("open-walk-nm",)),
     "oracle.max_steps": ("integer", "[0, inf)", ("oracle",), 4),
-    "oracle.n_freqs": ("integers", "[1, inf)", ("oracle",), [8, 16, 32]),
+    "oracle.n_freqs": ("integers", "[2, inf)", ("oracle",), [8, 16, 32]),
     "oracle.walk_steps": ("integer", "[0, inf)", ("oracle",), 8),
     "oracle.position_check_steps": ("integer", "[0, inf)", ("oracle",), 12),
     "oracle.engine_max_power": ("integer", "[0, inf)", ("oracle",), 10),
-    "oracle.perturbation": ("number", None, ("oracle",), 0.0),
 }
 
 
@@ -533,10 +532,6 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
                 skip = str(exc)
                 break
             flt = open_walk_evolve_discrete(coin[0], coin[1], n, omegas, weights, dephasing)
-            if opts["perturbation"]:
-                target = min(4, flt.matrix.shape[0] - 1)
-                flt.matrix[0, target] += opts["perturbation"]
-                flt.matrix[target, 0] += np.conj(opts["perturbation"])
             dev = np.abs(dil.matrix - flt.matrix)
             local = float(dev.max())
             if _exceeds(local, worst):

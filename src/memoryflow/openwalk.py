@@ -17,8 +17,9 @@ spectral average multiplies the (x, y) block by kappa((y - x) delta_t / 2).
 are always even, so the filter only ever samples kappa at whole multiples of
 the step duration.
 
-Trace distances.  ``trace_distance_walk`` compares two full densities of
-dimension 2(2n + 1).  The memory measure takes a faster route
+Trace distances.  ``trace_distance_walk`` is the dense reference: it takes two
+densities after equal step counts and solves their full 2(2n + 1)-dimensional
+difference in one eigensolve.  The memory measure takes a faster route
 (``nonmarkov.walk_trace_distances``): only the n + 1 sites of the parity of n
 are occupied after n steps, so it keeps the difference on those sites
 (d = 2(n + 1)) and hands the filtered matrices of every filter to
@@ -52,7 +53,6 @@ class WalkDensity:
 
     steps: int
     matrix: np.ndarray
-    block_diagonal: bool = False
 
     def __post_init__(self):
         dim = 2 * (2 * self.steps + 1)
@@ -113,14 +113,21 @@ class DephasingFilter:
     def gram(self, steps: int) -> np.ndarray:
         """Matrix [f(y - x)] over the support of an n-step state; positive
         semidefinite because f is a characteristic function."""
-        xs = np.arange(-steps, steps + 1, dtype=float)
-        sep = xs[None, :] - xs[:, None]
-        return np.atleast_2d(self(sep))
+        return np.atleast_2d(self(_separations(steps)))
 
 
-def _apply_site_filter(density: WalkDensity, gram: np.ndarray) -> WalkDensity:
-    full = np.kron(gram, np.ones((2, 2)))
-    return WalkDensity(density.steps, density.matrix * full)
+def _separations(steps: int) -> np.ndarray:
+    """Matrix [y - x] of site separations over the support of an n-step state."""
+    xs = np.arange(-steps, steps + 1, dtype=float)
+    return xs[None, :] - xs[:, None]
+
+
+def _filtered_density(c_left: complex, c_right: complex, n: int, kappa) -> WalkDensity:
+    """The unitary n-step density with its (x, y) coin block multiplied by
+    kappa(y - x)."""
+    pure = pure_walk_density(walk_evolve(c_left, c_right, n)).matrix
+    gram = np.atleast_2d(kappa(_separations(n)))
+    return WalkDensity(n, pure * np.kron(gram, np.ones((2, 2))))
 
 
 def open_walk_evolve(
@@ -136,11 +143,7 @@ def open_walk_evolve(
     coherence block by f(y - x) and leaves diagonal blocks (and hence the
     position distribution) untouched.
     """
-    if n < 0:
-        raise DomainError("step count must be non-negative")
-    pure = pure_walk_density(walk_evolve(c_left, c_right, n))
-    gram = DephasingFilter(spectrum, config).gram(n)
-    return _apply_site_filter(pure, gram)
+    return _filtered_density(c_left, c_right, n, DephasingFilter(spectrum, config))
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +221,8 @@ def open_walk_evolve_discrete(
 ) -> WalkDensity:
     """Filter-route evolution with the discrete decoherence function of the
     given frequency nodes (the quantity the dilation oracle must reproduce)."""
-    pure = pure_walk_density(walk_evolve(c_left, c_right, n))
-    xs = np.arange(-n, n + 1, dtype=float)
-    sep = xs[None, :] - xs[:, None]
-    gram = np.atleast_2d(
-        discrete_decoherence(omegas, weights, config.index_contrast, sep * config.step_duration / 2.0)
-    )
-    return _apply_site_filter(pure, gram)
+    return _filtered_density(c_left, c_right, n, lambda d: discrete_decoherence(
+        omegas, weights, config.index_contrast, d * config.step_duration / 2.0))
 
 
 def dilation_oracle(
@@ -282,11 +280,7 @@ def dilation_oracle(
 def strong_dephasing_blocks(c_left: complex, c_right: complex, m: int) -> WalkDensity:
     """Diagonal site blocks of the unitary walk density: the f(d) -> delta_d0
     limit of the coin-dephased walk."""
-    pure = pure_walk_density(walk_evolve(c_left, c_right, m))
-    gram = np.eye(2 * m + 1)
-    out = _apply_site_filter(pure, gram)
-    out.block_diagonal = True
-    return out
+    return _filtered_density(c_left, c_right, m, lambda d: d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,33 +338,10 @@ def eigvals_2x2_hermitian(a, b, c):
     return half_sum - half_disc, half_sum + half_disc
 
 
-def _pad_to_steps(density: WalkDensity, steps: int) -> np.ndarray:
-    if density.steps == steps:
-        return density.matrix
-    dim = 2 * (2 * steps + 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    off = 2 * (steps - density.steps)
-    size = density.matrix.shape[0]
-    out[off:off + size, off:off + size] = density.matrix
-    return out
-
-
 def trace_distance_walk(rho1: WalkDensity, rho2: WalkDensity) -> float:
-    """Half the trace norm of the difference, on the union support.
-
-    Block-diagonal pairs use the per-site 2x2 closed form; general pairs go
-    through the LAPACK eigensolver.
-    """
-    steps = max(rho1.steps, rho2.steps)
-    m1 = _pad_to_steps(rho1, steps)
-    m2 = _pad_to_steps(rho2, steps)
-    diff = m1 - m2
-    if rho1.block_diagonal and rho2.block_diagonal:
-        idx = 2 * np.arange(2 * steps + 1)
-        a = np.real(diff[idx, idx])
-        c = np.real(diff[idx + 1, idx + 1])
-        b = diff[idx, idx + 1]
-        lo, hi = eigvals_2x2_hermitian(a, b, c)
-        return 0.5 * float(np.sum(np.abs(lo)) + np.sum(np.abs(hi)))
-    vals = hermitian_eigenvalues(diff)
+    """Half the trace norm of the difference of two densities after the same
+    number of steps, from one full LAPACK eigensolve."""
+    if rho1.steps != rho2.steps:
+        raise DomainError("trace distance needs densities after equal step counts")
+    vals = hermitian_eigenvalues(rho1.matrix - rho2.matrix)
     return 0.5 * float(np.sum(np.abs(vals)))

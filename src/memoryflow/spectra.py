@@ -117,8 +117,9 @@ def spectral_density(params: SpectrumParams, omega):
     if not np.all(np.isfinite(omega)):
         raise DomainError("omega must be finite")
     norm = 1.0 / (params.sigma * math.sqrt(2.0 * math.pi))
-    g1 = np.exp(-0.5 * ((omega - params.mu1) / params.sigma) ** 2)
-    g2 = np.exp(-0.5 * ((omega - params.mu2) / params.sigma) ** 2)
+    with np.errstate(over="ignore"):  # an overflowing square only means a zero Gaussian
+        g1 = np.exp(-0.5 * ((omega - params.mu1) / params.sigma) ** 2)
+        g2 = np.exp(-0.5 * ((omega - params.mu2) / params.sigma) ** 2)
     out = norm * (g1 + params.amplitude_ratio * g2) / (1.0 + params.amplitude_ratio)
     if out.ndim == 0:
         return float(out)

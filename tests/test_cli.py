@@ -77,6 +77,8 @@ class TestConfigResolution:
         pytest.param(["controlled-qubit", "--set", "steps=true"], "steps", id="steps-bool"),
         pytest.param(["oracle", "--set", 'oracle.n_freqs="x"'], "oracle.n_freqs",
                      id="oracle.n_freqs-string"),
+        pytest.param(["oracle", "--set", "oracle.n_freqs=[1]"], "oracle.n_freqs",
+                     id="oracle.n_freqs-one-peak"),
         pytest.param(["oracle", "--set", 'oracle.max_steps="x"'], "oracle.max_steps",
                      id="oracle.max_steps-string"),
         pytest.param(["controlled-qubit", "--set", 'initial_bloch_1=["a", 0, 0]'],
@@ -285,6 +287,13 @@ class TestDephasingCommand:
             m = round(ts[i] / T_REVIVAL)
             assert m >= 1
             assert abs(ts[i] - m * T_REVIVAL) <= step * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("setting", ["sigma=1e-300", "delta_omega=1e300"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gaussian_is_silent(self, capsys, tmp_path, setting):
+        # the spectrum's Gaussians underflow to exact zeros without a warning
+        assert run_cli("dephasing", "--set", setting, "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestControlledQubitCommand:
@@ -561,11 +570,21 @@ class TestOracleCommand:
         assert cut and all(c["pass"] is False for c in cut)
         assert all(c["pass"] for c in report["checks"] if "skipped" not in c)
 
-    def test_perturbed_filter_reports_failure(self, tmp_path):
+    def test_perturbed_filter_reports_failure(self, tmp_path, monkeypatch):
+        original = cli.open_walk_evolve_discrete
+
+        def perturbed(*args):
+            rho = original(*args)
+            target = min(4, rho.matrix.shape[0] - 1)
+            rho.matrix[0, target] += 1e-4
+            rho.matrix[target, 0] += 1e-4
+            return rho
+
+        monkeypatch.setattr(cli, "open_walk_evolve_discrete", perturbed)
         assert run_cli(
             "oracle", "--out", str(tmp_path),
             "--set", "oracle.max_steps=2", "--set", "oracle.n_freqs=[8]",
-            "--set", "oracle.walk_steps=2", "--set", "oracle.perturbation=1e-4",
+            "--set", "oracle.walk_steps=2",
         ) == 2
         report = json.loads((tmp_path / "oracle_report.json").read_text())
         assert report["all_pass"] is False

@@ -203,7 +203,8 @@ _coins = st.tuples(_parts, _parts, _parts, _parts).filter(
 class TestWalkRoutesAgree:
     """The stepped, parity-compressed, stacked routes of ``nonmarkov`` against
     the full-matrix densities of ``openwalk``, which evolve each step from the
-    origin and solve the 2(2n + 1)-dimensional difference."""
+    origin and solve the 2(2n + 1)-dimensional difference with LAPACK.  The
+    strong-limit check thus pits the per-site 2x2 closed form against LAPACK."""
 
     @settings(max_examples=60, deadline=None)
     @given(coin1=_coins, coin2=_coins, a=st.floats(0.0, 1.0),
