@@ -348,13 +348,13 @@ def cmd_dephasing(cfg: dict, out_dir: Path) -> int:
     for a in cfg["a_values"]:
         spectrum = build_spectrum(cfg, a)
         kap = np.abs(decoherence_function(spectrum, cfg["delta_n"], ts))
-        name = f"dephasing_kappa_{_a_label(a)}.csv"
-        write_csv(out_dir / name, ["t", "abs_kappa"], zip(ts.tolist(), kap.tolist()))
-        outputs.append(name)
         lo = spectrum.mu1 - float(og["pad_sigmas"]) * spectrum.sigma
         hi = spectrum.mu2 + float(og["pad_sigmas"]) * spectrum.sigma
         omegas = np.linspace(lo, hi, int(og["count"]))
         dens = spectral_density(spectrum, omegas)
+        name = f"dephasing_kappa_{_a_label(a)}.csv"
+        write_csv(out_dir / name, ["t", "abs_kappa"], zip(ts.tolist(), kap.tolist()))
+        outputs.append(name)
         name = f"dephasing_spectrum_{_a_label(a)}.csv"
         write_csv(out_dir / name, ["omega", "density"], zip(omegas.tolist(), dens.tolist()))
         outputs.append(name)
@@ -565,13 +565,14 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     spectra_a = {a: build_spectrum(cfg, a) for a in (0.0, 1.0)}
     max_power = opts["engine_max_power"]
     for eta in (0.0, 0.5, 1.0):
-        quad = {a: harmonic.quadrature_maps(eta, max_power, spec_a, dephasing)
-                for a, spec_a in spectra_a.items()}
-        powers = harmonic.series_powers(harmonic.series_from_transfer(eta), max_power)
-        for m, power in enumerate(powers):
-            for a, spec_a in spectra_a.items():
-                t1 = harmonic.integrate_series_against_spectrum(power, spec_a, dephasing)
-                dev = float(np.max(np.abs(t1 - quad[a][m])))
+        devs = {}
+        for a, spec_a in spectra_a.items():
+            series = harmonic.series_maps(eta, max_power, spec_a, dephasing)[0]
+            quad = harmonic.quadrature_maps(eta, max_power, spec_a, dephasing)
+            devs[a] = np.max(np.abs(series - quad), axis=(1, 2))
+        for m in range(max_power + 1):
+            for a in spectra_a:
+                dev = float(devs[a][m])
                 if _exceeds(dev, worst):
                     worst, where = dev, f"eta={eta}, m={m}, A={a}"
     checks.append(_check("series_vs_quadrature", worst, harmonic.ENGINE_AGREEMENT_TOL, where))
@@ -579,8 +580,8 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     # closed-form period-average maps vs the series oracle
     worst = 0.0
     where = ""
-    for m, power in enumerate(harmonic.series_powers(harmonic.series_from_transfer(0.5), 40)):
-        dev = float(np.max(np.abs(power.period_average() - harmonic.strong_limit_closed_form(m))))
+    for m, average in enumerate(harmonic.series_maps(0.5, 40)[1]):
+        dev = float(np.max(np.abs(average - harmonic.strong_limit_closed_form(m))))
         if _exceeds(dev, worst):
             worst, where = dev, f"m={m}"
     checks.append(_check("catalan_closed_form", worst, 1e-12, where))

@@ -5,7 +5,9 @@ Three routes to the m-step dynamical map are provided and cross-checked:
 - series engine: M(theta)^m is represented exactly as a matrix-valued
   trigonometric polynomial (coefficients by convolution); averaging against
   the spectrum then reduces to evaluating the closed-form decoherence
-  function at integer multiples of the step duration.
+  function at integer multiples of the step duration.  ``series_maps``
+  evaluates it once per eta and streams the powers 0..steps against that
+  table.
 - quadrature engine: direct per-period composite Gauss-Legendre integration
   of the highly oscillatory integrand; ``quadrature_maps`` walks
   P <- P M(theta) once over the nodes of the largest order a run needs and
@@ -17,6 +19,7 @@ Three routes to the m-step dynamical map are provided and cross-checked:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,9 +76,7 @@ class TrigMatrixSeries:
         ls = np.arange(-self.degree, self.degree + 1)
         phases = np.exp(1j * ls * theta)
         val = np.einsum("l,lij->ij", phases, self.coeffs)
-        if np.max(np.abs(val.imag)) > REALITY_TOL:
-            raise NumericError("series evaluation produced a non-real matrix")
-        return val.real
+        return _real(val, "series evaluation")
 
     def reality_defect(self) -> float:
         flipped = np.conj(self.coeffs[::-1])
@@ -83,10 +84,16 @@ class TrigMatrixSeries:
 
     def period_average(self) -> np.ndarray:
         """Average over one full period: the zeroth coefficient, which must be real."""
-        c0 = self.coefficient(0)
-        if np.max(np.abs(c0.imag)) > REALITY_TOL:
-            raise NumericError("period average has a non-real residue")
-        return c0.real
+        return _real(self.coefficient(0), "period average")
+
+
+def _real(values: np.ndarray, what: str) -> np.ndarray:
+    """The real part of ``values``, once every imaginary residue is within
+    ``REALITY_TOL``."""
+    residue = float(np.max(np.abs(values.imag)))
+    if residue > REALITY_TOL:
+        raise NumericError(f"{what} has imaginary residue {residue:.3e}")
+    return values.real
 
 
 def identity_series() -> TrigMatrixSeries:
@@ -121,16 +128,25 @@ def series_multiply(a: TrigMatrixSeries, b: TrigMatrixSeries) -> TrigMatrixSerie
     return TrigMatrixSeries(degree, kernels.series_convolve(a.coeffs, b.coeffs))
 
 
+def _power_bands(factor: np.ndarray, steps: int):
+    """Iterator over the coefficient bands of factor^0 (the identity),
+    factor^1, ..., factor^steps, one convolution per power.  Only the current
+    band is kept, so memory stays linear in ``steps``; the arguments are
+    checked before any power is formed."""
+    if steps < 0:
+        raise DomainError("power must be non-negative")
+    degree = steps * ((len(factor) - 1) // 2)
+    if degree > SERIES_DEGREE_CAP:
+        raise ResourceLimitError(f"series degree {degree} exceeds cap {SERIES_DEGREE_CAP}")
+    return itertools.accumulate(itertools.repeat(factor, steps), kernels.series_convolve,
+                                initial=identity_series().coeffs)
+
+
 def series_powers(series: TrigMatrixSeries, steps: int):
     """Yield the powers series^0 (the identity), series^1, ..., series^steps,
     one product per power."""
-    if steps < 0:
-        raise DomainError("power must be non-negative")
-    power = identity_series()
-    yield power
-    for _ in range(steps):
-        power = series_multiply(power, series)
-        yield power
+    for band in _power_bands(series.coeffs, steps):
+        yield TrigMatrixSeries((len(band) - 1) // 2, band)
 
 
 def series_power(series: TrigMatrixSeries, m: int) -> TrigMatrixSeries:
@@ -138,6 +154,21 @@ def series_power(series: TrigMatrixSeries, m: int) -> TrigMatrixSeries:
     for power in series_powers(series, m):
         pass
     return power
+
+
+def _kappa_table(spectrum: SpectrumParams, config: DephasingConfig, degree: int) -> np.ndarray:
+    """kappa(l delta_t) for l = -degree..degree: the spectral average of
+    e^(i l theta) for theta(omega) = delta_n delta_t omega."""
+    ls = np.arange(-degree, degree + 1)
+    return np.atleast_1d(
+        decoherence_function(spectrum, config.index_contrast, ls * config.step_duration))
+
+
+def _spectral_average(kappas: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """sum_l c_l kappa(l delta_t) for a coefficient band of at most the
+    table's degree, both centred on l = 0; complex, residue unchecked."""
+    half = (len(kappas) - len(band)) // 2
+    return np.einsum("l,lij->ij", kappas[half:len(kappas) - half], band)
 
 
 def integrate_series_against_spectrum(
@@ -149,15 +180,40 @@ def integrate_series_against_spectrum(
     e^(i l theta) is the decoherence function at l * delta_t, so the result is
     sum_l c_l kappa(l delta_t).  The imaginary residue must vanish.
     """
-    ls = np.arange(-series.degree, series.degree + 1)
-    kappas = decoherence_function(spectrum, config.index_contrast, ls * config.step_duration)
-    kappas = np.atleast_1d(kappas)
-    acc = np.einsum("l,lij->ij", kappas, series.coeffs)
-    if np.max(np.abs(acc.imag)) > REALITY_TOL:
-        raise NumericError(
-            f"spectral average has imaginary residue {np.max(np.abs(acc.imag)):.3e}"
-        )
-    return acc.real
+    kappas = _kappa_table(spectrum, config, series.degree)
+    return _real(_spectral_average(kappas, series.coeffs), "spectral average")
+
+
+def series_maps(eta: float, steps: int, spectrum: SpectrumParams | None = None,
+                config: DephasingConfig | None = None):
+    """Exact spectrum-averaged maps and single-period averages for
+    m = 0..steps, as two (steps + 1, 3, 3) stacks: the series counterpart of
+    ``quadrature_maps``.
+
+    The decoherence function is evaluated once, on l delta_t for
+    l = -steps..steps, and the powers of the transfer series are streamed
+    against it one band at a time; the m-th map contracts the m-th band with
+    the table's central 2m + 1 entries.  Without a spectrum (the strong-limit
+    engine is spectrum-free) only the period averages are formed and the
+    exact stack is None.  Both stacks are the real parts of complex stacks,
+    strided views: ``maps @ r0`` then takes numpy's non-BLAS loop, the loop
+    that a single map's own ``.real`` view takes, so a trajectory has the same
+    bits whether its maps are stacked or applied one by one.
+    """
+    if (spectrum is None) != (config is None):
+        raise DomainError("series_maps needs both a spectrum and a dephasing step, or neither")
+    bands = _power_bands(series_from_transfer(eta).coeffs, steps)
+    kappas = None if spectrum is None else _kappa_table(spectrum, config, steps)
+    exact = np.empty((steps + 1, 3, 3), dtype=complex)
+    averages = np.empty((steps + 1, 3, 3), dtype=complex)
+    for m, band in enumerate(bands):
+        averages[m] = band[m]
+        if kappas is not None:
+            exact[m] = _spectral_average(kappas, band)
+    averages = _real(averages, "period average")
+    if kappas is None:
+        return None, averages
+    return _real(exact, "spectral average"), averages
 
 
 def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int):
@@ -220,7 +276,7 @@ def quadrature_map(
 def strong_limit_map(eta: float, m: int) -> np.ndarray:
     """Average of M(theta)^m over one full period: the zeroth Fourier
     coefficient of the series power.  Exact, spectrum-free."""
-    return series_power(series_from_transfer(eta), m).period_average()
+    return series_maps(eta, m)[1][m]
 
 
 def catalan(k: int) -> int:
@@ -299,39 +355,34 @@ def channel_choi(transfer: np.ndarray) -> np.ndarray:
     return 0.25 * np.eye(4, dtype=complex) + np.tensordot(0.25 * np.asarray(transfer), _CHOI_BASIS, 2)
 
 
-def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float:
+def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of the Choi-matrix difference: a metric on unital
-    qubit channels, zero iff the transfer matrices coincide."""
+    qubit channels, zero iff the transfer matrices coincide.  Stacks of
+    transfer matrices, shape (..., 3, 3), are solved in one eigensolve and
+    give an array of distances; one pair gives a float."""
     d = np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float)
     vals = kernels.hermitian_eigvals(np.tensordot(0.25 * d, _CHOI_BASIS, 2))
-    return 0.5 * float(np.sum(np.abs(vals)))
-
-
-def _exact_maps(engine: str, eta: float, steps: int, spectrum: SpectrumParams,
-                config: DephasingConfig):
-    """The engine's exact spectrum-averaged map of a power m <= steps, as a
-    function of (m, power); the quadrature engine walks its powers once here."""
-    if engine == "series":
-        return lambda m, power: integrate_series_against_spectrum(power, spectrum, config)
-    if engine == "quadrature":
-        quad = quadrature_maps(eta, steps, spectrum, config)
-        return lambda m, power: quad[m]
-    raise DomainError(f"unknown engine {engine!r}")
+    distances = 0.5 * np.sum(np.abs(vals), axis=-1)
+    return float(distances) if distances.ndim == 0 else distances
 
 
 def approximation_errors(eta: float, steps: int, spectrum: SpectrumParams,
                          config: DephasingConfig, engine: str = "series") -> np.ndarray:
-    """``approximation_error`` for m = 0..steps from one walk of the series
-    power (and one quadrature walk for the quadrature engine)."""
-    exact = _exact_maps(engine, eta, steps, spectrum, config)
-    powers = enumerate(series_powers(series_from_transfer(eta), steps))
-    return np.array([channel_distance(exact(m, p), p.period_average()) for m, p in powers])
+    """``approximation_error`` for m = 0..steps from one ``series_maps`` call
+    (plus one quadrature walk for the quadrature engine) and one stacked
+    channel distance."""
+    if engine == "series":
+        exact, averages = series_maps(eta, steps, spectrum, config)
+    elif engine == "quadrature":
+        exact = quadrature_maps(eta, steps, spectrum, config)
+        averages = series_maps(eta, steps)[1]
+    else:
+        raise DomainError(f"unknown engine {engine!r}")
+    return channel_distance(exact, averages)
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,
                         config: DephasingConfig, engine: str = "series") -> float:
     """Channel distance between the exact spectrum-averaged m-step map and the
     single-period-average map, the power's zeroth coefficient."""
-    power = series_power(series_from_transfer(eta), m)
-    exact = _exact_maps(engine, eta, m, spectrum, config)
-    return channel_distance(exact(m, power), power.period_average())
+    return float(approximation_errors(eta, m, spectrum, config, engine)[m])

@@ -132,22 +132,11 @@ def transfer_maps(
         maps = harmonic.quadrature_maps(eta, steps, spectrum, config)
         maps[0] = np.eye(3)  # exact, not the quadrature of the density
         return maps
-    if engine not in ("series", "strong-limit"):
-        raise DomainError(f"unknown engine {engine!r}")
-    # The series maps are the real part of a complex stack, a strided view.
-    # ``maps @ r0`` then takes numpy's non-BLAS loop, the loop that each
-    # average's own ``.real`` view takes, so a trajectory has the same bits
-    # whether its maps are stacked or applied one by one.
-    maps = np.empty((steps + 1, 3, 3), dtype=complex)
-    maps[0] = np.eye(3)
-    powers = harmonic.series_powers(harmonic.series_from_transfer(eta), steps)
-    next(powers)  # the identity is already in place
-    for n, power in enumerate(powers, start=1):
-        if engine == "series":
-            maps[n] = harmonic.integrate_series_against_spectrum(power, spectrum, config)
-        else:
-            maps[n] = power.period_average()
-    return maps.real
+    if engine == "series":
+        return harmonic.series_maps(eta, steps, spectrum, config)[0]
+    if engine == "strong-limit":
+        return harmonic.series_maps(eta, steps)[1]
+    raise DomainError(f"unknown engine {engine!r}")
 
 
 def evolve_qubit(

@@ -65,6 +65,8 @@ class SpectrumParams:
             raise DomainError("sigma must be positive")
         if self.delta_omega < 0.0:
             raise DomainError("delta_omega must be non-negative")
+        if not math.isfinite(self.mu2):
+            raise DomainError("mu2 = mu1 + delta_omega must be finite")
 
     @property
     def mu2(self) -> float:
@@ -117,6 +119,10 @@ def spectral_density(params: SpectrumParams, omega):
     if not np.all(np.isfinite(omega)):
         raise DomainError("omega must be finite")
     norm = 1.0 / (params.sigma * math.sqrt(2.0 * math.pi))
+    if not math.isfinite(norm):
+        raise DomainError(
+            f"sigma = {params.sigma!r} is so small that the density's peak "
+            "1/(sigma sqrt(2 pi)) overflows")
     with np.errstate(over="ignore"):  # an overflowing square only means a zero Gaussian
         g1 = np.exp(-0.5 * ((omega - params.mu1) / params.sigma) ** 2)
         g2 = np.exp(-0.5 * ((omega - params.mu2) / params.sigma) ** 2)
@@ -137,11 +143,18 @@ def decoherence_function(params: SpectrumParams, delta_n: float, tau):
         raise DomainError("delta_n and tau must be finite")
     a = params.amplitude_ratio
     phase_arg = delta_n * tau
-    with np.errstate(over="ignore"):  # an overflowing exponent only means a zero envelope
+    # an overflowing exponent only means a zero envelope; an overflowing
+    # phase would make exp(1j * phase) NaN, so it is refused
+    with np.errstate(over="ignore"):
         envelope = np.exp(-0.5 * (params.sigma * phase_arg) ** 2)
-    out = envelope * (
-        np.exp(1j * params.mu1 * phase_arg) + a * np.exp(1j * params.mu2 * phase_arg)
-    ) / (1.0 + a)
+        phase1 = params.mu1 * phase_arg
+        phase2 = params.mu2 * phase_arg
+    if not (np.all(np.isfinite(phase1)) and np.all(np.isfinite(phase2))):
+        raise DomainError(
+            "the decoherence phase mu1 * delta_n * tau or mu2 * delta_n * tau overflows "
+            f"(mu1 = {params.mu1!r}, mu2 = {params.mu2!r}, delta_n = {delta_n!r}, "
+            f"max |tau| = {float(np.max(np.abs(tau))):g})")
+    out = envelope * (np.exp(1j * phase1) + a * np.exp(1j * phase2)) / (1.0 + a)
     if out.ndim == 0:
         return complex(out)
     return out

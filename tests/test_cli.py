@@ -295,6 +295,15 @@ class TestDephasingCommand:
         assert run_cli("dephasing", "--set", setting, "--out", str(tmp_path)) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("setting,field", [("sigma=1e-320", "sigma"), ("mu1=1e308", "mu1")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_value_is_refused(self, capsys, tmp_path, setting, field):
+        # an infinite density peak or decoherence phase would write inf and NaN
+        assert run_cli("dephasing", "--set", setting, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "overflows" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestControlledQubitCommand:
     def test_fig2_manifest_ratio(self, tmp_path):
@@ -334,6 +343,18 @@ class TestControlledQubitCommand:
         assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
                        "--out", str(tmp_path)) == 0
         assert calls == {"quadrature_maps": len(PRESETS["fig3"]["eta_values"]), "quadrature_map": 0}
+
+    def test_fig2_work_pattern(self, tmp_path, monkeypatch):
+        # one kappa table per eta; the powers stream through no per-power product
+        calls = record_calls(monkeypatch, spectra.decoherence_function, harmonic.series_multiply,
+                             harmonic.integrate_series_against_spectrum)
+        assert run_cli("controlled-qubit", "--preset", "fig2", "--out", str(tmp_path)) == 0
+        fig2 = PRESETS["fig2"]
+        assert len(calls["decoherence_function"]) == len(fig2["eta_values"])
+        assert [np.size(args[2]) for args in calls["decoherence_function"]] \
+            == [2 * fig2["steps"] + 1] * len(fig2["eta_values"])
+        assert len(calls["series_multiply"]) == 0
+        assert len(calls["integrate_series_against_spectrum"]) == 0
 
     def test_quadrature_rule_built_once_per_run(self, tmp_path):
         # every power of every eta shares the rule of the largest order
@@ -375,6 +396,15 @@ class TestStrongLimitErrorCommand:
 
     def test_strong_limit_engine_rejected(self):
         assert run_cli("strong-limit-error", "--engine", "strong-limit") == 1
+
+    def test_fig5_work_pattern(self, tmp_path, monkeypatch):
+        # one stacked Choi eigensolve per (delta_t factor, eta)
+        calls = record_calls(monkeypatch, kernels.hermitian_eigvals)
+        assert run_cli("strong-limit-error", "--preset", "fig5", "--out", str(tmp_path)) == 0
+        fig5 = PRESETS["fig5"]
+        pairs = len(fig5["delta_t_factors"]) * len(fig5["eta_values"])
+        assert [np.shape(args[0]) for args in calls["hermitian_eigvals"]] \
+            == [(fig5["steps"] + 1, 4, 4)] * pairs
 
 
 class TestWalkCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from memoryflow.harmonic import (
     quadrature_map,
     quadrature_maps,
     series_from_transfer,
+    series_maps,
     series_multiply,
     series_power,
     series_powers,
@@ -126,6 +128,52 @@ class TestIntegrateSeries:
             svals = np.linalg.svd(sub, compute_uv=False)
             assert svals[0] == pytest.approx(abs(kappa), abs=1e-12)
             assert out[2, 2] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSeriesMaps:
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 1.0])
+    def test_bit_identical_to_per_power_route(self, eta, a):
+        # one product and one kappa table per power, as before the streamed maps
+        sp, cfg = spectrum(a), dephasing(0.35)
+        exact, averages = series_maps(eta, 40, sp, cfg)
+        assert exact.shape == averages.shape == (41, 3, 3)
+        step = series_from_transfer(eta)
+        power = identity_series()
+        for m in range(41):
+            assert np.array_equal(exact[m], integrate_series_against_spectrum(power, sp, cfg))
+            assert np.array_equal(averages[m], power.period_average())
+            power = series_multiply(power, step)
+
+    def test_spectrum_free_averages(self):
+        exact, averages = series_maps(0.3, 12)
+        assert exact is None
+        assert np.array_equal(averages, series_maps(0.3, 12, spectrum(1.0), dephasing(0.5))[1])
+        for m, power in enumerate(series_powers(series_from_transfer(0.3), 12)):
+            assert np.array_equal(averages[m], power.period_average())
+
+    def test_arguments_checked_before_any_power(self):
+        with pytest.raises(DomainError):
+            series_maps(0.5, -1, spectrum(), dephasing(0.35))
+        with pytest.raises(DomainError):
+            series_maps(0.5, 3, spectrum())
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            series_maps(0.5, SERIES_DEGREE_CAP + 1, spectrum(), dephasing(0.35))
+
+    def test_large_steps_keep_memory_linear(self):
+        # a (steps + 1, 2 steps + 1, 3, 3) stack of every band would be 1.15 GB;
+        # the streamed maps hold one band (0.58 MB) and a few of its size
+        steps = 2000
+        band_bytes = (2 * steps + 1) * 9 * 16
+        tracemalloc.start()
+        try:
+            exact, averages = series_maps(0.5, steps, spectrum(1.0), dephasing(0.35))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * band_bytes
+        assert np.all(np.isfinite(exact)) and np.all(np.isfinite(averages))
+        assert np.max(np.abs(averages[steps] - strong_limit_closed_form(steps))) < 1e-12
 
 
 class TestQuadratureMap:
@@ -332,6 +380,18 @@ class TestApproximationError:
         weak, inter = dephasing(0.02), dephasing(1.03)
         for m in (1, 4, 9):
             assert approximation_error(0.5, m, sp, inter) < approximation_error(0.5, m, sp, weak)
+
+    def test_stacked_distances_equal_per_pair_calls(self):
+        rng = np.random.default_rng(11)
+        t1 = np.array([bloch_transfer_matrix(eta, th) for eta, th in rng.uniform(0, 1, (12, 2))])
+        t2 = rng.normal(size=(12, 3, 3))
+        stacked = channel_distance(t1, t2)
+        assert stacked.shape == (12,)
+        pairs = [channel_distance(a, b) for a, b in zip(t1, t2)]
+        assert all(type(d) is float for d in pairs)
+        assert np.array_equal(stacked, pairs)
+        grid = channel_distance(t1.reshape(3, 4, 3, 3), t2.reshape(3, 4, 3, 3))
+        assert np.array_equal(grid, stacked.reshape(3, 4))
 
     def test_metric_symmetry_and_identity(self):
         t1 = bloch_transfer_matrix(0.3, 0.4)

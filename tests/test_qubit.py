@@ -202,6 +202,16 @@ class TestTransferMaps:
             want = transfer_maps(sp, cfg, 0.8, 7, engine) @ r0
             assert np.array_equal(evolve_qubit(sp, cfg, 0.8, r0, 7, engine=engine), want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_strong_limit_reads_no_spectrum(self):
+        # a spectrum whose decoherence phase overflows stops the series engine,
+        # not the spectrum-free single-period average
+        sp, cfg = SpectrumParams(0.0, 1.0, 1e308, 0.0), dephasing(1.7)
+        with pytest.raises(DomainError, match="overflows"):
+            transfer_maps(sp, cfg, 0.3, 5, "series")
+        assert np.array_equal(transfer_maps(sp, cfg, 0.3, 5, "strong-limit"),
+                              transfer_maps(spectrum(), cfg, 0.3, 5, "strong-limit"))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             transfer_maps(spectrum(), dephasing(), 0.5, -1)

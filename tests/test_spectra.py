@@ -63,6 +63,18 @@ class TestSpectralDensity:
             SpectrumParams(0.5, 1.0, 0.0, -1.0)
 
 
+    def test_rejects_infinite_second_peak(self):
+        with pytest.raises(DomainError, match="mu2"):
+            SpectrumParams(0.5, 1.0, 1e308, 1e308)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_normalisation(self):
+        # 1/(sigma sqrt(2 pi)) is inf for a subnormal sigma; inf x 0 would be NaN
+        sp = two_peak(sigma=1e-320)
+        with pytest.raises(DomainError, match="sigma"):
+            spectral_density(sp, np.linspace(14.0, 25.0, 5))
+
+
 class TestDecoherenceFunction:
     def test_at_zero(self):
         assert decoherence_function(two_peak(), DN, 0.0) == pytest.approx(1.0 + 0.0j)
@@ -92,6 +104,16 @@ class TestDecoherenceFunction:
             assert decoherence_function(sp, DN, -tau) == pytest.approx(
                 np.conj(decoherence_function(sp, DN, tau)), abs=1e-15
             )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_phase(self):
+        # mu1 * delta_n * tau overflows to inf, and exp(1j * inf) would be NaN
+        sp = two_peak(mu1=1e308, sep=0.0)
+        assert np.all(np.isfinite(decoherence_function(sp, DN, [0.0, 1e-3])))
+        with pytest.raises(DomainError, match="mu1"):
+            decoherence_function(sp, DN, np.array([0.0, 250.0]))
+        with pytest.raises(DomainError, match="mu2"):
+            decoherence_function(two_peak(mu1=1.0, sep=1e308), DN, 250.0)
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_closed_form_matches_quadrature_on_grid(self, a):
