@@ -79,6 +79,7 @@ from .walk import (
     dispersion_nu,
     position_distribution,
     walk_amplitudes_integral,
+    walk_amplitudes_row,
     walk_evolve,
     walk_states,
     walk_step,
@@ -99,7 +100,7 @@ __all__ = [
     "strong_limit_map", "strong_limit_closed_form", "catalan",
     "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",
-    "dispersion_nu", "walk_amplitudes_integral", "position_distribution",
+    "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle",
     "discretize_spectrum", "strong_dephasing_blocks", "hermitian_eigenvalues",
     "trace_distance_walk",

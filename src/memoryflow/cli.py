@@ -291,24 +291,38 @@ def build_dephasing(cfg: dict, delta_t=None) -> DephasingConfig:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if v == 0.0:
-            v = 0.0  # normalize -0.0
-        return repr(v)
-    return str(value)
+def _fmt_bool(value) -> str:
+    return "true" if value else "false"
+
+
+def _fmt_int(value) -> str:
+    return str(int(value))
+
+
+def _fmt_float(value) -> str:
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
+    return repr(float(value) + 0.0)
+
+
+@functools.cache
+def _formatter(kind: type):
+    """The CSV formatter of one value type, resolved once per type."""
+    if issubclass(kind, bool):
+        return _fmt_bool
+    if kind is int:
+        return str
+    if issubclass(kind, (int, np.integer)):
+        return _fmt_int
+    if issubclass(kind, (float, np.floating)):
+        return _fmt_float
+    return str
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join([_formatter(type(v))(v) for v in row]) + "\n")
 
 
 def write_manifest(path: Path, command: str, cfg: dict, derived: dict, outputs: list[str]) -> None:
@@ -424,17 +438,16 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
     norms = []
     for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
         norms.append(state.norm())
-        for x in state.positions():
-            if (m + x) % 2 != 0:
-                continue
-            i = x + m
-            row = [m, int(x), abs(state.amp_left[i]) ** 2 + abs(state.amp_right[i]) ** 2]
-            if cfg["amplitudes"]:
-                row += [
-                    state.amp_left[i].real, state.amp_left[i].imag,
-                    state.amp_right[i].real, state.amp_right[i].imag,
-                ]
-            rows.append(tuple(row))
+        # the occupied sites x = -m, -m + 2, ..., m sit at every other index;
+        # p is summed per site in Python: numpy's vectorised abs and square
+        # of an array can differ from the scalar ones in the last bit
+        left, right = state.amp_left[::2], state.amp_right[::2]
+        p = [abs(cl) ** 2 + abs(cr) ** 2 for cl, cr in zip(left.tolist(), right.tolist())]
+        columns = [[m] * (m + 1), range(-m, m + 1, 2), p]
+        if cfg["amplitudes"]:
+            columns += [left.real.tolist(), left.imag.tolist(),
+                        right.real.tolist(), right.imag.tolist()]
+        rows.extend(zip(*columns))
     header = ["step", "x", "p"]
     if cfg["amplitudes"]:
         header += ["cl_re", "cl_im", "cr_re", "cr_im"]

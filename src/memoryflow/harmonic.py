@@ -224,7 +224,9 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
     cycles per period), and any interval longer than two sigma is subdivided
     so the Gaussian factor is always well resolved.  The panel counts stay
     floats until the node cap has passed them: an extreme spectrum makes
-    them infinite or too large for an int.
+    them infinite or too large for an int.  A support within the budget whose
+    panel midpoints (the sum of two edges) or phases delta_n delta_t omega
+    overflow is refused by name.
     """
     lo = spectrum.mu1 - 8.0 * spectrum.sigma
     hi = spectrum.mu2 + 8.0 * spectrum.sigma
@@ -238,6 +240,13 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
         raise ResourceLimitError(
             f"quadrature budget exceeded: {panels:.6g} panels x order {order}"
         )
+    scale = config.index_contrast * config.step_duration
+    if not all(math.isfinite(v) for v in (lo + lo, hi + hi, scale * lo, scale * hi)):
+        raise DomainError(
+            "the quadrature support [mu1 - 8 sigma, mu2 + 8 sigma] or its phase "
+            f"delta_n * delta_t * omega overflows (mu1 = {spectrum.mu1!r}, "
+            f"mu2 = {spectrum.mu2!r}, sigma = {spectrum.sigma!r}, "
+            f"delta_n = {config.index_contrast!r}, delta_t = {config.step_duration!r})")
     return kernels.composite_gauss_legendre(lo, hi, int(panels), order)
 
 
@@ -254,10 +263,13 @@ def quadrature_maps(
     order the largest power needs serves every power, and one walk
     P <- P M over its nodes yields them all.  The m = 0 entry is the
     quadrature of the spectral density alone, 1 up to the rule's error.
+    A spectrum whose decoherence phase overflows over the run is refused
+    before any node is built, by the same error as on the series engine.
     """
     if steps < 0:
         raise DomainError("steps must be non-negative")
     alpha, beta = control_alpha_beta(eta)
+    decoherence_function(spectrum, config.index_contrast, steps * config.step_duration)
     order = max(16, 2 * steps + 8)
     nodes, weights = _quadrature_nodes(spectrum, config, order)
     thetas = config.index_contrast * config.step_duration * nodes

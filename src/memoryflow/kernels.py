@@ -9,7 +9,7 @@ Kernels:
                                reference rule is built once per order
 - ``transfer_power_average``   sum_i w_i * M(theta_i)^k for k = 0..m and the
                                3x3 single-step Bloch transfer matrix M, from
-                               one walk P <- P M
+                               one walk P <- P M with the nodes last
 - ``series_convolve``          product of matrix-valued trigonometric
                                polynomials (coefficient convolution)
 - ``walk_run``                 m steps of the coined walk recursion from the
@@ -68,28 +68,30 @@ def composite_gauss_legendre(lo, hi, panels, order):
 def transfer_power_average(thetas, weights, alpha, beta, m):
     """Weighted averages sum_i w_i M(theta_i)^k for every power k = 0..m, as an
     (m + 1, 3, 3) stack.  One walk P <- P M over the nodes serves every power,
-    so the k-th average does not depend on m."""
+    so the k-th average does not depend on m.  M and P are stored node-last,
+    (3, 3, nodes), so each product is 27 vector operations over the nodes and
+    each average one matrix-vector product with the weights."""
     thetas = np.asarray(thetas, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     c = np.cos(thetas)
     s = np.sin(thetas)
-    n = thetas.shape[0]
-    M = np.empty((n, 3, 3))
-    M[:, 0, 0] = -beta * c
-    M[:, 0, 1] = -s
-    M[:, 0, 2] = alpha * c
-    M[:, 1, 0] = beta * s
-    M[:, 1, 1] = -c
-    M[:, 1, 2] = -alpha * s
-    M[:, 2, 0] = alpha
-    M[:, 2, 1] = 0.0
-    M[:, 2, 2] = beta
-    P = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
+    M = np.empty((3, 3, thetas.shape[0]))
+    M[0, 0] = -beta * c
+    M[0, 1] = -s
+    M[0, 2] = alpha * c
+    M[1, 0] = beta * s
+    M[1, 1] = -c
+    M[1, 2] = -alpha * s
+    M[2, 0] = alpha
+    M[2, 1] = 0.0
+    M[2, 2] = beta
+    P = np.zeros_like(M)
+    P[0, 0] = P[1, 1] = P[2, 2] = 1.0
     out = np.empty((int(m) + 1, 3, 3))
-    out[0] = np.einsum("n,nij->ij", weights, P)
+    out[0] = P @ weights
     for k in range(1, len(out)):
-        P = P @ M
-        out[k] = np.einsum("n,nij->ij", weights, P)
+        P = np.einsum("iln,ljn->ijn", P, M)
+        out[k] = P @ weights
     return out
 
 

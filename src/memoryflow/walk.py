@@ -3,7 +3,7 @@
 A step applies the balanced coin to each site's (L, R) amplitude pair and
 then shifts L-amplitudes one site left and R-amplitudes one site right.
 Position-space evolution is the ground truth; the quasi-momentum integral
-representation is assembled to match it (see ``walk_amplitudes_integral``).
+representation is assembled to match it (see ``walk_amplitudes_row``).
 """
 
 from __future__ import annotations
@@ -121,61 +121,71 @@ class WalkAmplitudes(NamedTuple):
     b_right: complex   # R -> R
 
 
-def _base_integrals(m: int, x: int, panels: int, order: int):
-    """alpha, beta, gamma quasi-momentum integrals with weights
-    {1, cos k, sin k}/sqrt(1 + cos^2 k) against e^(i(kx - m nu(k)))."""
+def _amplitude_row(m: int, panels: int, order: int) -> np.ndarray:
+    """Amplitudes a_left, a_right, b_left, b_right of every site
+    x = -m, -m + 2, ..., m on one composite grid, as a (4, m + 1) array.
+
+    The alpha, beta, gamma quasi-momentum integrals have weights
+    {1, cos k, sin k}/sqrt(1 + cos^2 k) against e^(i(kx - m nu(k))); every
+    site shares the nodes, so the three are one (3, nodes) x (nodes, sites)
+    product."""
     k, weights = kernels.composite_gauss_legendre(-math.pi, math.pi, panels, order)
     weights = weights / (2.0 * math.pi)
-    phase = np.exp(1j * (k * x - m * dispersion_nu(k)))
     root = np.sqrt(1.0 + np.cos(k) ** 2)
-    alpha = np.sum(weights * phase)
-    beta = np.sum(weights * phase * np.cos(k) / root)
-    gamma = np.sum(weights * phase * np.sin(k) / root)
-    return alpha, beta, gamma
-
-
-def _assemble(m: int, x: int, panels: int, order: int) -> WalkAmplitudes:
-    alpha, beta, gamma = _base_integrals(m, x, panels, order)
+    base = np.stack([weights, weights * np.cos(k) / root, weights * np.sin(k) / root])
+    sites = np.arange(-m, m + 1, 2)
+    phase = np.exp(1j * (k[:, None] * sites[None, :] - (m * dispersion_nu(k))[:, None]))
+    alpha, beta, gamma = base @ phase
     sign = -1.0 if m % 2 else 1.0
-    return WalkAmplitudes(
-        a_left=complex(sign * (alpha - beta)),
-        a_right=complex(-sign * (beta + 1j * gamma)),
-        b_left=complex(-sign * (beta - 1j * gamma)),
-        b_right=complex(sign * (alpha + beta)),
-    )
+    return np.stack([
+        sign * (alpha - beta),
+        -sign * (beta + 1j * gamma),
+        -sign * (beta - 1j * gamma),
+        sign * (alpha + beta),
+    ])
 
 
-def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:
-    """Transition amplitudes by quasi-momentum quadrature.
+def walk_amplitudes_row(m: int) -> np.ndarray:
+    """Transition amplitudes a_left, a_right, b_left, b_right of every site
+    x = -m, -m + 2, ..., m after m steps, by quasi-momentum quadrature, as a
+    (4, m + 1) array (column j is site x = 2j - m).
 
     The two eigenvalue branches e^{i nu} and -e^{-i nu} of the step operator
     fold into a single set of three base integrals: the branch split by
     projector weights (1 +/- cos k / sqrt(1+cos^2 k))/2 combines, after the
     half-Brillouin-zone shift k -> k + pi, into the parity prefactor
-    (1 + (-1)^(m+x))/2 and the bracket assembly below, which is validated
-    against the position-space recursion.
+    (1 + (-1)^(m+x))/2 and the bracket assembly of ``_amplitude_row``, which
+    is validated against the position-space recursion.
 
-    Composite Gauss-Legendre with 64 (m+1) total nodes; a refined grid is
-    evaluated as a convergence guard.
+    One pair of composite Gauss-Legendre grids per m serves every site: the
+    coarse one (m + 1 panels of order 64) is the convergence guard of the
+    fine one (m + 2 panels of order 80), site by site.
     """
+    if m < 0:
+        raise DomainError("m must be non-negative")
+    coarse = _amplitude_row(m, panels=m + 1, order=64)
+    fine = _amplitude_row(m, panels=m + 2, order=80)
+    dev = np.max(np.abs(coarse - fine), axis=0)
+    bad = np.flatnonzero(~(dev <= 1e-8))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericError(
+            f"amplitude quadrature did not converge at m={m}, x={2 * j - m}: "
+            f"grid-refinement deviation {dev[j]:.3e}"
+        )
+    return fine
+
+
+def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:
+    """Transition amplitudes to site x after m steps by quasi-momentum
+    quadrature: column (x + m) / 2 of ``walk_amplitudes_row(m)``, whose one
+    grid pair per m is shared by all sites.  Sites of the wrong parity or
+    outside |x| <= m are exactly zero."""
     if m < 0:
         raise DomainError("m must be non-negative")
     if (m + x) % 2 != 0 or abs(x) > m:
         return WalkAmplitudes(0.0j, 0.0j, 0.0j, 0.0j)
-    coarse = _assemble(m, x, panels=m + 1, order=64)
-    fine = _assemble(m, x, panels=m + 2, order=80)
-    dev = max(
-        abs(coarse.a_left - fine.a_left),
-        abs(coarse.a_right - fine.a_right),
-        abs(coarse.b_left - fine.b_left),
-        abs(coarse.b_right - fine.b_right),
-    )
-    if dev > 1e-8:
-        raise NumericError(
-            f"amplitude quadrature did not converge at m={m}, x={x}: "
-            f"grid-refinement deviation {dev:.3e}"
-        )
-    return fine
+    return WalkAmplitudes(*(complex(v) for v in walk_amplitudes_row(m)[:, (x + m) // 2]))
 
 
 def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
@@ -186,12 +196,12 @@ def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
     where = ""
     walks = [walk_states(c_left, c_right, steps) for c_left, c_right in coins]
     for m, states in enumerate(zip(*walks)):
-        for x in range(-m, m + 1, 2):  # -m always has the right parity
-            amps = walk_amplitudes_integral(m, x)
-            for (c_left, c_right), state in zip(coins, states):
-                want_l, want_r = state.coin_pair_at(x)
-                dev = max(abs(c_left * amps.a_left + c_right * amps.a_right - want_l),
-                          abs(c_left * amps.b_left + c_right * amps.b_right - want_r))
-                if dev > worst:
-                    worst, where = dev, f"m={m}, x={x}"
+        a_left, a_right, b_left, b_right = walk_amplitudes_row(m)
+        for (c_left, c_right), state in zip(coins, states):
+            # the occupied sites x = -m, -m + 2, ..., m sit at every other index
+            dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left[::2]),
+                             abs(c_left * b_left + c_right * b_right - state.amp_right[::2]))
+            j = int(np.argmax(dev))
+            if dev[j] > worst:
+                worst, where = float(dev[j]), f"m={m}, x={2 * j - m}"
     return worst, where

@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +309,22 @@ class TestDephasingCommand:
 
 
 class TestControlledQubitCommand:
+    @pytest.mark.parametrize("extra", [[], ["--set", "steps=0"]], ids=["fig3", "no-steps"])
+    def test_quadrature_refuses_overflowing_mu1(self, capsys, tmp_path, extra):
+        # refused by name before any node is built: for fig3 the decoherence
+        # phase overflows; at steps=0 it does not, but the panel midpoints would
+        argv = ["controlled-qubit", "--preset", "fig3", "--set", "mu1=1e308", *extra]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv, "--engine", "quadrature", "--out", str(tmp_path / "q"))
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mu1 = 1e+308" in err and "overflows" in err
+        if not extra:  # the series engine refuses fig3 with the same error
+            assert run_cli(*argv, "--engine", "series", "--out", str(tmp_path / "s")) == 1
+            assert capsys.readouterr().err == err
+
     def test_fig2_manifest_ratio(self, tmp_path):
         assert run_cli("controlled-qubit", "--preset", "fig2", "--out", str(tmp_path)) == 0
         manifest = json.loads((tmp_path / "controlled_qubit_manifest.json").read_text())
@@ -621,6 +640,37 @@ class TestOracleCommand:
         failing = [c for c in report["checks"] if not c["pass"]]
         assert failing and failing[0]["name"].startswith("dilation_vs_filter")
         assert failing[0]["location"]
+
+
+class TestCsvFormat:
+    def test_row_mix_bytes(self, tmp_path):
+        # ints and bools as words, floats by repr with -0.0 written 0.0,
+        # numpy scalars as the Python values they hold, strings as they are
+        rows = [
+            (0, np.int64(-3), 0.1, np.float64(0.1), -0.0, np.float64(-0.0), True, False, "filter"),
+            (12, np.int64(0), 1e-320, np.float64(2.5e300), 1 / 3, np.float64(-1 / 3),
+             False, True, "strong_limit"),
+            (-7, np.int64(9007199254740993), 0.0, np.float64(0.0), 1e16, np.float64(123456789.0),
+             True, True, ""),
+        ]
+        cli.write_csv(tmp_path / "mix.csv", list("abcdefghi"), rows)
+        assert (tmp_path / "mix.csv").read_bytes() == (
+            b"a,b,c,d,e,f,g,h,i\n"
+            b"0,-3,0.1,0.1,0.0,0.0,true,false,filter\n"
+            b"12,0,1e-320,2.5e+300,0.3333333333333333,-0.3333333333333333,false,true,strong_limit\n"
+            b"-7,9007199254740993,0.0,0.0,1e+16,123456789.0,true,true,\n"
+        )
+
+
+def test_cli_import_loads_no_undeclared_dependency():
+    # scipy is installed but not declared, and numba is not used: importing the
+    # CLI must load neither (each would also add to every run's start-up time)
+    code = ("import sys, memoryflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numba')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestDeterminism:

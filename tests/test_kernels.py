@@ -56,23 +56,29 @@ class TestTransferPowerAverage:
         assert np.allclose(out[0], 0.7 * np.eye(3), atol=1e-15)
 
     def test_each_power_is_the_single_power_loop(self):
-        # bit for bit the loop that averaged one power: m products P <- P M, then
-        # one weighted sum; so no power depends on how many follow it
+        # bit for bit the loop that averages one power in the node-last layout:
+        # m products P <- P M, then one weighted sum; so no power depends on how
+        # many follow it.  The (nodes, 3, 3) loop of P @ M products, which the
+        # kernel used before, stays as a reference to rounding.
         rng = np.random.default_rng(17)
         thetas = rng.uniform(-3.0, 3.0, 30)
         weights = rng.uniform(0.0, 1.0, 30)
         alpha, beta = 0.6, 0.8
         c, s = np.cos(thetas), np.sin(thetas)
-        M = np.zeros((30, 3, 3))
-        M[:, 0] = np.stack([-beta * c, -s, alpha * c], axis=1)
-        M[:, 1] = np.stack([beta * s, -c, -alpha * s], axis=1)
-        M[:, 2] = (alpha, 0.0, beta)
+        M = np.zeros((3, 3, 30))
+        M[0] = [-beta * c, -s, alpha * c]
+        M[1] = [beta * s, -c, -alpha * s]
+        M[2, 0], M[2, 2] = alpha, beta
         full = kernels.transfer_power_average(thetas, weights, alpha, beta, 9)
         for m in (0, 1, 4, 9):
-            P = np.broadcast_to(np.eye(3), (30, 3, 3)).copy()
+            P = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, 30)).copy()
+            stacked = np.broadcast_to(np.eye(3), (30, 3, 3)).copy()
             for _ in range(m):
-                P = P @ M
-            assert np.array_equal(full[m], np.einsum("n,nij->ij", weights, P))
+                P = np.einsum("iln,ljn->ijn", P, M)
+                stacked = stacked @ M.transpose(2, 0, 1)
+            assert np.array_equal(full[m], P @ weights)
+            old = np.einsum("n,nij->ij", weights, stacked)
+            assert np.max(np.abs(full[m] - old)) <= 1e-13 * np.max(np.abs(old))
             assert np.array_equal(kernels.transfer_power_average(thetas, weights, alpha, beta, m),
                                   full[:m + 1])
 

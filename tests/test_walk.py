@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from memoryflow.errors import DomainError
+from memoryflow import kernels, walk
+from memoryflow.errors import DomainError, NumericError
 from memoryflow.walk import (
+    WalkAmplitudes,
     dispersion_nu,
     initial_state,
+    integral_recursion_deviation,
     position_distribution,
     walk_amplitudes_integral,
+    walk_amplitudes_row,
     walk_evolve,
     walk_states,
     walk_step,
@@ -161,6 +165,76 @@ class TestAmplitudeIntegrals:
             assert abs(amps.b_left - bl) < 1e-6
             assert abs(amps.a_right - ar) < 1e-6
             assert abs(amps.b_right - br) < 1e-6
+
+
+def _base_integrals(m, x, panels, order):
+    """alpha, beta, gamma quasi-momentum integrals of one site, each a sum over
+    the nodes: the per-site reference for the batched rows."""
+    k, weights = kernels.composite_gauss_legendre(-math.pi, math.pi, panels, order)
+    weights = weights / (2.0 * math.pi)
+    phase = np.exp(1j * (k * x - m * dispersion_nu(k)))
+    root = np.sqrt(1.0 + np.cos(k) ** 2)
+    alpha = np.sum(weights * phase)
+    beta = np.sum(weights * phase * np.cos(k) / root)
+    gamma = np.sum(weights * phase * np.sin(k) / root)
+    return alpha, beta, gamma
+
+
+def _assemble(m, x, panels, order):
+    alpha, beta, gamma = _base_integrals(m, x, panels, order)
+    sign = -1.0 if m % 2 else 1.0
+    return WalkAmplitudes(
+        a_left=complex(sign * (alpha - beta)),
+        a_right=complex(-sign * (beta + 1j * gamma)),
+        b_left=complex(-sign * (beta - 1j * gamma)),
+        b_right=complex(sign * (alpha + beta)),
+    )
+
+
+class TestAmplitudeRows:
+    @pytest.mark.parametrize("m", range(13))
+    def test_row_matches_per_site_reference(self, m):
+        row = walk_amplitudes_row(m)
+        assert row.shape == (4, m + 1)
+        for j, x in enumerate(range(-m, m + 1, 2)):
+            want = _assemble(m, x, panels=m + 2, order=80)
+            assert np.max(np.abs(row[:, j] - np.array(want))) <= 1e-14
+            assert walk_amplitudes_integral(m, x) == tuple(complex(v) for v in row[:, j])
+
+    def test_refinement_guard_names_the_site(self, monkeypatch):
+        # spoil the coarse grid at one site only: the guard is checked per site
+        exact = walk._amplitude_row
+
+        def spoiled(m, panels, order):
+            row = exact(m, panels, order)
+            if (m, order) == (5, 64):
+                row[1, 3] += 1e-7
+            return row
+
+        monkeypatch.setattr(walk, "_amplitude_row", spoiled)
+        with pytest.raises(NumericError, match=r"m=5, x=1: grid-refinement deviation 1\.000e-07"):
+            walk_amplitudes_row(5)
+        with pytest.raises(NumericError, match="m=5, x=1"):
+            integral_recursion_deviation(5, [(1.0, 0.0)])
+
+    def test_coarse_order_too_low_is_refused(self, monkeypatch):
+        exact = walk._amplitude_row
+        monkeypatch.setattr(walk, "_amplitude_row",
+                            lambda m, panels, order: exact(m, panels, 4 if order == 64 else order))
+        with pytest.raises(NumericError, match=r"did not converge at m=12, x=-12:"):
+            walk_amplitudes_row(12)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            walk_amplitudes_row(-1)
+        with pytest.raises(DomainError):
+            walk_amplitudes_integral(-1, 0)
+
+    def test_deviation_names_its_site(self):
+        worst, where = integral_recursion_deviation(6, [(1.0, 0.0), (0.0, 1.0)])
+        assert 0.0 < worst < 1e-12
+        m, x = (int(part.split("=")[1]) for part in where.split(", "))
+        assert 0 <= m <= 6 and (m + x) % 2 == 0 and abs(x) <= m
 
 
 class TestPositionDistribution:
