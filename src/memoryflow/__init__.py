@@ -30,6 +30,7 @@ from .harmonic import (
     series_power,
     series_powers,
     strong_limit_closed_form,
+    strong_limit_closed_forms,
     strong_limit_map,
 )
 from .nonmarkov import (
@@ -47,6 +48,7 @@ from .nonmarkov import (
 from .openwalk import (
     DephasingFilter,
     WalkDensity,
+    dilation_densities,
     dilation_oracle,
     discretize_spectrum,
     hermitian_eigenvalues,
@@ -97,11 +99,11 @@ __all__ = [
     "trace_distance_qubit",
     "TrigMatrixSeries", "series_from_transfer", "series_power", "series_powers",
     "integrate_series_against_spectrum", "series_maps", "quadrature_map", "quadrature_maps",
-    "strong_limit_map", "strong_limit_closed_form", "catalan",
+    "strong_limit_map", "strong_limit_closed_form", "strong_limit_closed_forms", "catalan",
     "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",
     "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "position_distribution",
-    "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle",
+    "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle", "dilation_densities",
     "discretize_spectrum", "strong_dephasing_blocks", "hermitian_eigenvalues",
     "trace_distance_walk",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",

@@ -22,14 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harmonic, kernels
-from .errors import ConfigError, DomainError, NumericError, ResourceLimitError
+from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, exceeds
 from .nonmarkov import bloch_trace_distances, nm_measure, nm_walk, walk_trace_distances
 from .openwalk import (
+    DILATION_MAX_STEPS,
     DephasingFilter,
-    dilation_oracle,
+    dilation_densities,
+    discrete_filter,
     eigensolver_identity_deviation,
-    open_walk_evolve,
-    open_walk_evolve_discrete,
+    filtered_density,
     pure_walk_density,
 )
 from .presets import ENVIRONMENT, PRESETS, preset
@@ -41,7 +42,7 @@ from .spectra import (
     dimensionless_interaction_time,
     spectral_density,
 )
-from .walk import INTEGRAL_RECURSION_TOL, integral_recursion_deviation, walk_evolve, walk_states
+from .walk import INTEGRAL_RECURSION_TOL, integral_recursion_deviation, walk_states
 
 COMMANDS = (
     "dephasing",
@@ -461,7 +462,8 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
         derived["integral_max_deviation"] = worst
         derived["integral_check_steps"] = cap
     write_manifest(out_dir / "walk_manifest.json", "walk", cfg, derived, [name])
-    if cfg["check_integrals"] and worst > INTEGRAL_RECURSION_TOL:
+    # a NaN deviation fails the check too
+    if cfg["check_integrals"] and not worst <= INTEGRAL_RECURSION_TOL:
         raise NumericError(f"integral amplitudes deviate from recursion by {worst:.3e}")
     return 0
 
@@ -504,12 +506,6 @@ def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _exceeds(dev: float, worst: float) -> bool:
-    """Whether ``dev`` replaces ``worst`` as a check's largest deviation.  The
-    first NaN replaces any number and is kept, so that its check fails."""
-    return dev > worst or (math.isnan(dev) and not math.isnan(worst))
-
-
 def _check(name, max_dev, tol, location=""):
     return {
         "name": name,
@@ -531,26 +527,28 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 
-    # traced dilation vs coherence filter, per environment size
+    # the walk is stepped once; each check filters the states it needs
+    states = list(walk_states(coin[0], coin[1], max(
+        min(opts["max_steps"], DILATION_MAX_STEPS), opts["position_check_steps"])))
+
+    # traced dilation vs coherence filter, per environment size: each
+    # environment is discretized and stepped once
     for n_freqs in opts["n_freqs"]:
         worst = 0.0
         where = ""
         skip = None
-        for n in range(opts["max_steps"] + 1):
-            try:
-                dil, omegas, weights = dilation_oracle(
-                    coin[0], coin[1], n, spectrum, dephasing, n_freqs
-                )
-            except ResourceLimitError as exc:
-                skip = str(exc)
-                break
-            flt = open_walk_evolve_discrete(coin[0], coin[1], n, omegas, weights, dephasing)
-            dev = np.abs(dil.matrix - flt.matrix)
-            local = float(dev.max())
-            if _exceeds(local, worst):
-                worst = local
-                ij = np.unravel_index(int(dev.argmax()), dev.shape)
-                where = f"n={n}, entry=({int(ij[0])},{int(ij[1])})"
+        try:
+            run = dilation_densities(coin[0], coin[1], opts["max_steps"], spectrum, dephasing, n_freqs)
+            for n, (dil, omegas, weights) in enumerate(run):
+                flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
+                dev = np.abs(dil.matrix - flt.matrix)
+                local = float(dev.max())
+                if exceeds(local, worst):
+                    worst = local
+                    ij = np.unravel_index(int(dev.argmax()), dev.shape)
+                    where = f"n={n}, entry=({int(ij[0])},{int(ij[1])})"
+        except ResourceLimitError as exc:
+            skip = str(exc)
         check = _check(f"dilation_vs_filter_K{n_freqs}", worst, 1e-10, where)
         if skip:
             # a check cut short did not run as asked: it cannot pass
@@ -561,14 +559,13 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     # dephasing must not touch the position distribution
     worst = 0.0
     where = ""
+    position_filter = DephasingFilter(spectrum, dephasing)
     for n in range(0, opts["position_check_steps"] + 1, 3):
-        open_rho = open_walk_evolve(coin[0], coin[1], n, spectrum, dephasing)
-        pure = pure_walk_density(walk_evolve(coin[0], coin[1], n))
-        p1 = open_rho.position_distribution()
-        p2 = pure.position_distribution()
+        p1 = filtered_density(states[n], position_filter).position_distribution()
+        p2 = pure_walk_density(states[n]).position_distribution()
         for x in p1:
             dev = abs(p1[x] - p2[x])
-            if _exceeds(dev, worst):
+            if exceeds(dev, worst):
                 worst, where = dev, f"n={n}, x={x}"
     checks.append(_check("position_distribution_invariance", worst, 1e-12, where))
 
@@ -586,16 +583,17 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         for m in range(max_power + 1):
             for a in spectra_a:
                 dev = float(devs[a][m])
-                if _exceeds(dev, worst):
+                if exceeds(dev, worst):
                     worst, where = dev, f"eta={eta}, m={m}, A={a}"
     checks.append(_check("series_vs_quadrature", worst, harmonic.ENGINE_AGREEMENT_TOL, where))
 
     # closed-form period-average maps vs the series oracle
     worst = 0.0
     where = ""
-    for m, average in enumerate(harmonic.series_maps(0.5, 40)[1]):
-        dev = float(np.max(np.abs(average - harmonic.strong_limit_closed_form(m))))
-        if _exceeds(dev, worst):
+    averages = harmonic.series_maps(0.5, 40)[1]
+    closed_forms = harmonic.strong_limit_closed_forms(40)
+    for m, dev in enumerate(np.max(np.abs(averages - closed_forms), axis=(1, 2)).tolist()):
+        if exceeds(dev, worst):
             worst, where = dev, f"m={m}"
     checks.append(_check("catalan_closed_form", worst, 1e-12, where))
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule by which a check
+keeps its largest deviation."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -19,3 +22,9 @@ class NumericError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
+
+
+def exceeds(dev: float, worst: float) -> bool:
+    """Whether ``dev`` replaces ``worst`` as a check's largest deviation.  The
+    first NaN replaces any number and is kept, so that its check fails."""
+    return dev > worst or (math.isnan(dev) and not math.isnan(worst))

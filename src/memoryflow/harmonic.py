@@ -307,15 +307,11 @@ class CatalanCoeffs:
     b: float
 
 
-def catalan_coeffs(k: int) -> CatalanCoeffs:
-    """a_k = 1/2 sum_{i<=k} (2i+1) C(i)/(-4)^i, b_k = 1/2 sum_{i<=k} C(i)/(-4)^i.
-
-    By convention a_k = b_k = 0 for k < 0.  These are the unique coefficients
-    consistent with the period-average oracle ``strong_limit_map``; computed
-    with a stable term recurrence (C(i+1)/4^(i+1) = C(i)/4^i * (2i+1)/(2i+4)).
-    """
-    if k < 0:
-        return CatalanCoeffs(k, 0.0, 0.0)
+def _catalan_sums(k: int) -> tuple[list[float], list[float]]:
+    """a_i and b_i for i = 0..k from one running pass (empty for k < 0), with
+    a stable term recurrence (C(i+1)/4^(i+1) = C(i)/4^i * (2i+1)/(2i+4))."""
+    a_sums = []
+    b_sums = []
     a = 0.0
     b = 0.0
     term = 1.0  # C(i)/4^i with alternating sign folded in below
@@ -323,13 +319,58 @@ def catalan_coeffs(k: int) -> CatalanCoeffs:
     for i in range(k + 1):
         a += 0.5 * sign * (2 * i + 1) * term
         b += 0.5 * sign * term
+        a_sums.append(a)
+        b_sums.append(b)
         term *= (2.0 * i + 1.0) / (2.0 * i + 4.0)
         sign = -sign
-    return CatalanCoeffs(k, a, b)
+    return a_sums, b_sums
+
+
+def catalan_coeffs(k: int) -> CatalanCoeffs:
+    """a_k = 1/2 sum_{i<=k} (2i+1) C(i)/(-4)^i, b_k = 1/2 sum_{i<=k} C(i)/(-4)^i.
+
+    By convention a_k = b_k = 0 for k < 0.  These are the unique coefficients
+    consistent with the period-average oracle ``strong_limit_map``; they are
+    the last partial sums of ``_catalan_sums(k)``.
+    """
+    if k < 0:
+        return CatalanCoeffs(k, 0.0, 0.0)
+    a_sums, b_sums = _catalan_sums(k)
+    return CatalanCoeffs(k, a_sums[-1], b_sums[-1])
+
+
+def strong_limit_closed_forms(steps: int) -> np.ndarray:
+    """Closed forms of the period-average maps for the balanced control
+    (eta = 1/2) at every m = 0..steps, as a (steps + 1, 3, 3) stack, from one
+    pass of Catalan partial sums.
+
+    With j = ceil(m / 2), an even m >= 2 gives [[a_{j-2}, 0, a_{j-1}],
+    [0, b_{j-1}, 0], [a_{j-2}, 0, a_{j-2}]] and an odd m >= 3 gives
+    [[a_{j-2}, 0, a_{j-2}], [0, b_{j-2}, 0], [a_{j-3}, 0, a_{j-2}]].
+    """
+    if steps < 0:
+        raise DomainError("m must be non-negative")
+    a_sums, b_sums = _catalan_sums(steps // 2 - 1)
+    # three leading zeros: a_k = b_k = 0 for k = -3, -2, -1
+    a = np.array([0.0, 0.0, 0.0, *a_sums])
+    b = np.array([0.0, 0.0, 0.0, *b_sums])
+    m = np.arange(steps + 1)
+    j = (m + 1) // 2 + 3  # ceil(m / 2), offset past the leading zeros
+    odd = m % 2
+    out = np.zeros((steps + 1, 3, 3))
+    out[:, 0, 0] = out[:, 2, 2] = a[j - 2]
+    out[:, 0, 2] = a[j - 1 - odd]
+    out[:, 1, 1] = b[j - 1 - odd]
+    out[:, 2, 0] = a[j - 2 - odd]
+    out[0] = np.eye(3)
+    if steps >= 1:
+        out[1] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    return out
 
 
 def strong_limit_closed_form(m: int, infinite: bool = False) -> np.ndarray:
-    """Closed form of the period-average map for the balanced control (eta = 1/2).
+    """Closed form of the period-average map for the balanced control (eta = 1/2):
+    the last of ``strong_limit_closed_forms(m)``.
 
     ``infinite=True`` returns the limiting map, whose entries are the analytic
     limits of the coefficient sequences.
@@ -338,23 +379,7 @@ def strong_limit_closed_form(m: int, infinite: bool = False) -> np.ndarray:
         a = CATALAN_LIMIT_A
         b = CATALAN_LIMIT_B
         return np.array([[a, 0.0, a], [0.0, b, 0.0], [a, 0.0, a]])
-    if m < 0:
-        raise DomainError("m must be non-negative")
-    if m == 0:
-        return np.eye(3)
-    if m == 1:
-        return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    if m % 2 == 0:
-        j = m // 2
-        a2 = catalan_coeffs(j - 2).a
-        a1 = catalan_coeffs(j - 1).a
-        b1 = catalan_coeffs(j - 1).b
-        return np.array([[a2, 0.0, a1], [0.0, b1, 0.0], [a2, 0.0, a2]])
-    j = (m + 1) // 2
-    a2 = catalan_coeffs(j - 2).a
-    a3 = catalan_coeffs(j - 3).a
-    b2 = catalan_coeffs(j - 2).b
-    return np.array([[a2, 0.0, a2], [0.0, b2, 0.0], [a3, 0.0, a2]])
+    return strong_limit_closed_forms(m)[m]
 
 
 #: sigma_i (x) sigma_k^T for i, k over x, y, z

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, exceeds
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function
 from .walk import WalkState, walk_evolve
 
@@ -122,10 +122,11 @@ def _separations(steps: int) -> np.ndarray:
     return xs[None, :] - xs[:, None]
 
 
-def _filtered_density(c_left: complex, c_right: complex, n: int, kappa) -> WalkDensity:
-    """The unitary n-step density with its (x, y) coin block multiplied by
-    kappa(y - x)."""
-    pure = pure_walk_density(walk_evolve(c_left, c_right, n)).matrix
+def filtered_density(state: WalkState, kappa) -> WalkDensity:
+    """The pure density of a walk state with its (x, y) coin block multiplied
+    by kappa(y - x)."""
+    n = state.steps
+    pure = pure_walk_density(state).matrix
     gram = np.atleast_2d(kappa(_separations(n)))
     return WalkDensity(n, pure * np.kron(gram, np.ones((2, 2))))
 
@@ -137,13 +138,13 @@ def open_walk_evolve(
     spectrum: SpectrumParams,
     config: DephasingConfig,
 ) -> WalkDensity:
-    """n coin-dephased walk steps from the origin.
+    """n coin-dephased walk steps from the origin: the dense per-n reference.
 
     The unitary walk is evolved first; dephasing then multiplies the (x, y)
     coherence block by f(y - x) and leaves diagonal blocks (and hence the
     position distribution) untouched.
     """
-    return _filtered_density(c_left, c_right, n, DephasingFilter(spectrum, config))
+    return filtered_density(walk_evolve(c_left, c_right, n), DephasingFilter(spectrum, config))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,13 @@ def discrete_decoherence(omegas, weights, delta_n: float, tau):
     return out
 
 
+def discrete_filter(omegas, weights, config: DephasingConfig):
+    """The coherence filter f(d) of the discrete spectrum with the given
+    frequency nodes, in the normalization of ``DephasingFilter``."""
+    return lambda d: discrete_decoherence(
+        omegas, weights, config.index_contrast, d * config.step_duration / 2.0)
+
+
 def open_walk_evolve_discrete(
     c_left: complex,
     c_right: complex,
@@ -221,8 +229,67 @@ def open_walk_evolve_discrete(
 ) -> WalkDensity:
     """Filter-route evolution with the discrete decoherence function of the
     given frequency nodes (the quantity the dilation oracle must reproduce)."""
-    return _filtered_density(c_left, c_right, n, lambda d: discrete_decoherence(
-        omegas, weights, config.index_contrast, d * config.step_duration / 2.0))
+    return filtered_density(walk_evolve(c_left, c_right, n), discrete_filter(omegas, weights, config))
+
+
+def dilation_densities(
+    c_left: complex,
+    c_right: complex,
+    steps: int,
+    spectrum: SpectrumParams,
+    config: DephasingConfig,
+    n_freqs: int,
+):
+    """Brute-force evolution on the full coin (x) position (x) environment space.
+
+    The environment is a discrete superposition sqrt(w_j)|omega_j> of the
+    ``n_freqs`` nodes of ``discretize_spectrum``; each step applies the walk
+    unitary and then the frequency-diagonal dephasing phases.  Tracing out the
+    environment must reproduce the filter route computed with the same
+    discrete spectrum, entrywise.
+
+    The spectrum is discretized once and one (2, 2 steps + 1, K) buffer is
+    stepped once: yields (WalkDensity, omegas, weights) after n = 0, 1, ...,
+    steps steps, each density traced from the central 2n + 1 sites.  The caps
+    are checked where a run reaches them: K before the first density, and n
+    before each density, so a run past ``DILATION_MAX_STEPS`` yields every
+    density up to the cap before it raises ``ResourceLimitError``.
+    """
+    if steps < 0:
+        raise DomainError("step count must be non-negative")
+    cap = ResourceLimitError(
+        f"dilation oracle capped at n <= {DILATION_MAX_STEPS}, K <= {DILATION_MAX_FREQS}")
+    if n_freqs > DILATION_MAX_FREQS:
+        raise cap
+    total = abs(c_left) ** 2 + abs(c_right) ** 2
+    if abs(total - 1.0) > 1e-12:
+        raise DomainError("initial coin amplitudes must be normalized")
+    omegas, weights = discretize_spectrum(spectrum, n_freqs)
+    last = min(steps, DILATION_MAX_STEPS)
+    psi = np.zeros((2, 2 * last + 1, n_freqs), dtype=complex)
+    amp = np.sqrt(weights)
+    psi[0, last, :] = c_left * amp
+    psi[1, last, :] = c_right * amp
+    h = 1.0 / math.sqrt(2.0)
+    # refraction indices (delta_n, 0): only the contrast matters after tracing
+    phase_left = np.exp(1j * config.index_contrast * omegas * config.step_duration)
+    for n in range(steps + 1):
+        if n > DILATION_MAX_STEPS:
+            raise cap
+        if n:
+            tl = h * (psi[0] + psi[1])
+            tr = h * (psi[0] - psi[1])
+            psi[0] = np.roll(tl, -1, axis=0)
+            psi[0][-1, :] = 0.0
+            psi[1] = np.roll(tr, 1, axis=0)
+            psi[1][0, :] = 0.0
+            psi[0] *= phase_left[None, :]
+        # position-major system vector per environment branch
+        support = slice(last - n, last + n + 1)
+        v = np.empty((2 * (2 * n + 1), n_freqs), dtype=complex)
+        v[0::2] = psi[0, support]
+        v[1::2] = psi[1, support]
+        yield WalkDensity(n, v @ v.conj().T), omegas, weights
 
 
 def dilation_oracle(
@@ -233,54 +300,20 @@ def dilation_oracle(
     config: DephasingConfig,
     n_freqs: int,
 ):
-    """Brute-force evolution on the full coin (x) position (x) environment space.
-
-    The environment is a discrete superposition sqrt(w_j)|omega_j>; each step
-    applies the walk unitary and then the frequency-diagonal dephasing phases.
-    Tracing out the environment must reproduce the filter route computed with
-    the same discrete spectrum, entrywise.
+    """The traced dilation after n steps: the last entry of
+    ``dilation_densities(c_left, c_right, n, ...)``, the dense per-n reference.
 
     Returns (WalkDensity, omegas, weights).
     """
-    if n < 0:
-        raise DomainError("step count must be non-negative")
-    if n > DILATION_MAX_STEPS or n_freqs > DILATION_MAX_FREQS:
-        raise ResourceLimitError(
-            f"dilation oracle capped at n <= {DILATION_MAX_STEPS}, "
-            f"K <= {DILATION_MAX_FREQS}"
-        )
-    total = abs(c_left) ** 2 + abs(c_right) ** 2
-    if abs(total - 1.0) > 1e-12:
-        raise DomainError("initial coin amplitudes must be normalized")
-    omegas, weights = discretize_spectrum(spectrum, n_freqs)
-    n_sites = 2 * n + 1
-    psi = np.zeros((2, n_sites, n_freqs), dtype=complex)
-    amp = np.sqrt(weights)
-    psi[0, n, :] = c_left * amp
-    psi[1, n, :] = c_right * amp
-    h = 1.0 / math.sqrt(2.0)
-    # refraction indices (delta_n, 0): only the contrast matters after tracing
-    phase_left = np.exp(1j * config.index_contrast * omegas * config.step_duration)
-    for _ in range(n):
-        tl = h * (psi[0] + psi[1])
-        tr = h * (psi[0] - psi[1])
-        psi[0] = np.roll(tl, -1, axis=0)
-        psi[0][-1, :] = 0.0
-        psi[1] = np.roll(tr, 1, axis=0)
-        psi[1][0, :] = 0.0
-        psi[0] *= phase_left[None, :]
-    # position-major system vector per environment branch
-    v = np.empty((2 * n_sites, n_freqs), dtype=complex)
-    v[0::2] = psi[0]
-    v[1::2] = psi[1]
-    rho = v @ v.conj().T
-    return WalkDensity(n, rho), omegas, weights
+    for entry in dilation_densities(c_left, c_right, n, spectrum, config, n_freqs):
+        pass
+    return entry
 
 
 def strong_dephasing_blocks(c_left: complex, c_right: complex, m: int) -> WalkDensity:
     """Diagonal site blocks of the unitary walk density: the f(d) -> delta_d0
     limit of the coin-dephased walk."""
-    return _filtered_density(c_left, c_right, m, lambda d: d == 0)
+    return filtered_density(walk_evolve(c_left, c_right, m), lambda d: d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +342,8 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 
 def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
     """Largest deviation from sum(lambda) = tr H and sum(lambda^2) = ||H||_F^2 over
-    seeded random Hermitian matrices of dimension 2 to 32, and where it occurred."""
+    seeded random Hermitian matrices of dimension 2 to 32, and where it
+    occurred; a NaN deviation is kept as the worst (``errors.exceeds``)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     where = ""
@@ -318,11 +352,11 @@ def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (x + x.conj().T) / 2.0
         vals = hermitian_eigenvalues(h)
-        dev = max(
+        dev = float(np.max([
             abs(float(np.sum(vals)) - float(np.trace(h).real)),
             abs(float(np.sum(vals ** 2)) - float(np.sum(np.abs(h) ** 2))),
-        )
-        if dev > worst:
+        ]))
+        if exceeds(dev, worst):
             worst, where = dev, f"trial={trial}, dim={dim}"
     return worst, where
 

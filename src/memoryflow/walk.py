@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, exceeds
 
 NORM_TOL = 1e-12
 INTEGRAL_RECURSION_TOL = 1e-6
@@ -191,7 +191,8 @@ def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:
 def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
     """Largest deviation of the quasi-momentum amplitudes from the position
     recursion over m <= steps, every site and every initial coin pair in
-    ``coins``, with the (m, x) where it occurred."""
+    ``coins``, with the (m, x) where it occurred; the first NaN deviation is
+    kept as the worst (``errors.exceeds``)."""
     worst = 0.0
     where = ""
     walks = [walk_states(c_left, c_right, steps) for c_left, c_right in coins]
@@ -202,6 +203,6 @@ def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
             dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left[::2]),
                              abs(c_left * b_left + c_right * b_right - state.amp_right[::2]))
             j = int(np.argmax(dev))
-            if dev[j] > worst:
+            if exceeds(float(dev[j]), worst):
                 worst, where = float(dev[j]), f"m={m}, x={2 * j - m}"
     return worst, where

@@ -412,6 +412,23 @@ def test_criterion_10_determinism_presets(tmp_path, preset_name, command):
     assert identical
 
 
+@pytest.mark.parametrize("label,argv", [
+    ("oracle", ["oracle"]),
+    ("walk integral check", ["walk", "--check-integrals"]),
+])
+def test_criterion_10_determinism_checks(tmp_path, label, argv):
+    out1 = tmp_path / "run1"
+    out2 = tmp_path / "run2"
+    for out in (out1, out2):
+        assert cli_main([*argv, "--out", str(out)]) == 0
+    names = sorted(f.name for f in out1.iterdir())
+    identical = names == sorted(f.name for f in out2.iterdir()) and all(
+        (out2 / name).read_bytes() == (out1 / name).read_bytes() for name in names
+    )
+    report(10, f"determinism ({label})", identical, "")
+    assert identical
+
+
 def test_criterion_10_determinism_sweep_parallelism(tmp_path):
     outs = []
     for label, jobs in (("serial1", "1"), ("serial2", "1"), ("threads", "4")):

@@ -448,7 +448,9 @@ class TestWalkCommand:
 
     def test_each_step_evolved_once(self, tmp_path, monkeypatch):
         calls = []
-        for module, name in ((walk, "walk_evolve"), (cli, "walk_evolve"), (kernels, "walk_run")):
+        # the CLI holds no alias of walk_evolve that could evade the count
+        assert not hasattr(cli, "walk_evolve")
+        for module, name in ((walk, "walk_evolve"), (kernels, "walk_run")):
             original = getattr(module, name)
 
             def counted(*args, _original=original, **kwargs):
@@ -470,6 +472,27 @@ class TestWalkCommand:
         _, huge = read_csv(tmp_path / "huge" / "walk_distribution.csv")
         _, unit = read_csv(tmp_path / "unit" / "walk_distribution.csv")
         assert [float(r[2]) for r in huge] == pytest.approx([float(r[2]) for r in unit], abs=1e-15)
+
+    @pytest.mark.parametrize("where", ["deviation", "route"])
+    def test_nan_integral_deviation_fails(self, tmp_path, monkeypatch, capsys, where):
+        if where == "deviation":
+            monkeypatch.setattr(cli, "integral_recursion_deviation",
+                                lambda steps, coins: (math.nan, "m=0, x=0"))
+        else:
+            original = walk.walk_amplitudes_row
+
+            def poisoned(m):
+                row = original(m)
+                if m == 1:
+                    row[0, 0] = np.nan
+                return row
+
+            monkeypatch.setattr(walk, "walk_amplitudes_row", poisoned)
+        assert run_cli("walk", "--out", str(tmp_path), "--set", "steps=3",
+                       "--check-integrals") == 2
+        assert "deviate from recursion by nan" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "walk_manifest.json").read_text())
+        assert math.isnan(manifest["derived"]["integral_max_deviation"])
 
     def test_integral_cross_check(self, tmp_path):
         assert run_cli(
@@ -575,16 +598,31 @@ class TestOpenWalkNMCommand:
 
 
 class TestOracleCommand:
+    def test_oracle_work_pattern(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, openwalk.discretize_spectrum, openwalk.dilation_oracle,
+                             openwalk.open_walk_evolve, openwalk.open_walk_evolve_discrete,
+                             walk.walk_evolve, kernels.walk_run, walk.walk_step)
+        assert run_cli("oracle", "--out", str(tmp_path)) == 0
+        opts = resolve_config("oracle")["oracle"]
+        # each environment is discretized and stepped once, and the walk once
+        # (plus one walk per coin of the integral check)
+        assert [args[1] for args in calls["discretize_spectrum"]] == opts["n_freqs"]
+        assert len(calls["walk_step"]) == max(opts["max_steps"], opts["position_check_steps"]) \
+            + 2 * opts["walk_steps"]
+        for name in ("dilation_oracle", "open_walk_evolve", "open_walk_evolve_discrete",
+                     "walk_evolve", "walk_run"):
+            assert calls[name] == [], name
+
     def test_nan_deviation_fails_its_check(self, tmp_path, monkeypatch):
-        original = cli.dilation_oracle
+        original = cli.dilation_densities
 
         def poisoned(*args):
-            rho, omegas, weights = original(*args)
-            if rho.steps == 1:
-                rho.matrix[0, 0] = np.nan
-            return rho, omegas, weights
+            for rho, omegas, weights in original(*args):
+                if rho.steps == 1:
+                    rho.matrix[0, 0] = np.nan
+                yield rho, omegas, weights
 
-        monkeypatch.setattr(cli, "dilation_oracle", poisoned)
+        monkeypatch.setattr(cli, "dilation_densities", poisoned)
         assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.max_steps=2",
                        "--set", "oracle.n_freqs=[8]", "--set", "oracle.walk_steps=2",
                        "--set", "oracle.engine_max_power=2") == 2
@@ -620,7 +658,7 @@ class TestOracleCommand:
         assert all(c["pass"] for c in report["checks"] if "skipped" not in c)
 
     def test_perturbed_filter_reports_failure(self, tmp_path, monkeypatch):
-        original = cli.open_walk_evolve_discrete
+        original = cli.filtered_density
 
         def perturbed(*args):
             rho = original(*args)
@@ -629,7 +667,7 @@ class TestOracleCommand:
             rho.matrix[target, 0] += 1e-4
             return rho
 
-        monkeypatch.setattr(cli, "open_walk_evolve_discrete", perturbed)
+        monkeypatch.setattr(cli, "filtered_density", perturbed)
         assert run_cli(
             "oracle", "--out", str(tmp_path),
             "--set", "oracle.max_steps=2", "--set", "oracle.n_freqs=[8]",

@@ -24,7 +24,9 @@ from memoryflow.harmonic import (
     series_multiply,
     series_power,
     series_powers,
+    _catalan_sums,
     strong_limit_closed_form,
+    strong_limit_closed_forms,
     strong_limit_map,
 )
 from memoryflow.qubit import bloch_transfer_matrix
@@ -319,6 +321,71 @@ class TestCatalan:
             assert b_lo <= CATALAN_LIMIT_B <= b_hi
             a_lo, a_hi = sorted((catalan_coeffs(k).a, catalan_coeffs(k + 1).a))
             assert a_lo <= CATALAN_LIMIT_A <= a_hi
+
+
+def catalan_coeffs_per_k(k):
+    """a_k and b_k summed from i = 0 for this k alone: the per-k reference."""
+    a = b = 0.0
+    term = 1.0
+    sign = 1.0
+    for i in range(k + 1):
+        a += 0.5 * sign * (2 * i + 1) * term
+        b += 0.5 * sign * term
+        term *= (2.0 * i + 1.0) / (2.0 * i + 4.0)
+        sign = -sign
+    return a, b
+
+
+def closed_form_per_m(m):
+    """The closed-form period-average map built entry by entry from per-k sums."""
+    def a(k):
+        return catalan_coeffs_per_k(k)[0] if k >= 0 else 0.0
+
+    def b(k):
+        return catalan_coeffs_per_k(k)[1] if k >= 0 else 0.0
+
+    if m == 0:
+        return np.eye(3)
+    if m == 1:
+        return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    j = (m + 1) // 2
+    if m % 2 == 0:
+        return np.array([[a(j - 2), 0.0, a(j - 1)], [0.0, b(j - 1), 0.0],
+                         [a(j - 2), 0.0, a(j - 2)]])
+    return np.array([[a(j - 2), 0.0, a(j - 2)], [0.0, b(j - 2), 0.0],
+                     [a(j - 3), 0.0, a(j - 2)]])
+
+
+class TestCatalanPass:
+    """One running pass of partial sums serves every k and every closed form,
+    bit for bit."""
+
+    def test_running_pass_is_each_per_k_sum(self):
+        a_sums, b_sums = _catalan_sums(60)
+        assert len(a_sums) == len(b_sums) == 61
+        for k in range(61):
+            assert (a_sums[k], b_sums[k]) == catalan_coeffs_per_k(k)
+            cc = catalan_coeffs(k)
+            assert (cc.a, cc.b) == (a_sums[k], b_sums[k])
+
+    def test_empty_below_zero(self):
+        assert _catalan_sums(-1) == ([], [])
+
+    def test_stack_is_each_per_m_closed_form(self):
+        stack = strong_limit_closed_forms(41)
+        assert stack.shape == (42, 3, 3)
+        for m in range(42):
+            assert np.array_equal(stack[m], closed_form_per_m(m))
+            assert np.array_equal(strong_limit_closed_form(m), stack[m])
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    def test_short_stacks(self, steps):
+        stack = strong_limit_closed_forms(steps)
+        assert all(np.array_equal(stack[m], closed_form_per_m(m)) for m in range(steps + 1))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            strong_limit_closed_forms(-1)
 
 
 class TestClosedForm:

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from memoryflow.errors import DomainError, ResourceLimitError
+from memoryflow import openwalk
 from memoryflow.openwalk import (
+    DILATION_MAX_STEPS,
     DephasingFilter,
+    dilation_densities,
     dilation_oracle,
     discrete_decoherence,
+    discrete_filter,
     discretize_spectrum,
+    eigensolver_identity_deviation,
     eigvals_2x2_hermitian,
+    filtered_density,
     hermitian_eigenvalues,
     open_walk_evolve,
     open_walk_evolve_discrete,
@@ -18,7 +24,7 @@ from memoryflow.openwalk import (
     trace_distance_walk,
 )
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
-from memoryflow.walk import walk_evolve
+from memoryflow.walk import walk_evolve, walk_states
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
 COIN = (0.6, 0.8j)
@@ -142,6 +148,78 @@ class TestDilationOracle:
         assert errs[1] < errs[0]
 
 
+def dilation_from_origin(c_left, c_right, n, omegas, weights, config):
+    """The traced dilation after n steps on a buffer of exactly 2n + 1 sites,
+    stepped from the origin: an independent per-n reference."""
+    psi = np.zeros((2, 2 * n + 1, len(omegas)), dtype=complex)
+    psi[0, n] = c_left * np.sqrt(weights)
+    psi[1, n] = c_right * np.sqrt(weights)
+    h = 1.0 / math.sqrt(2.0)
+    phase_left = np.exp(1j * config.index_contrast * omegas * config.step_duration)
+    for _ in range(n):
+        tl = h * (psi[0] + psi[1])
+        tr = h * (psi[0] - psi[1])
+        psi[0] = np.roll(tl, -1, axis=0)
+        psi[0][-1, :] = 0.0
+        psi[1] = np.roll(tr, 1, axis=0)
+        psi[1][0, :] = 0.0
+        psi[0] *= phase_left[None, :]
+    v = np.empty((2 * (2 * n + 1), len(omegas)), dtype=complex)
+    v[0::2] = psi[0]
+    v[1::2] = psi[1]
+    return v @ v.conj().T
+
+
+class TestStreamedRoutes:
+    """The oracle steps each environment and the walk once; every streamed
+    density is bit-for-bit the per-n one."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("n_freqs", [2, 8, 16, 32, 64])
+    def test_dilation_densities_are_the_per_n_ones(self, a, n_freqs):
+        sp, cfg = spectrum(a), dephasing(0.4)
+        run = list(dilation_densities(*COIN, DILATION_MAX_STEPS, sp, cfg, n_freqs))
+        assert [rho.steps for rho, _, _ in run] == list(range(DILATION_MAX_STEPS + 1))
+        for n, (rho, omegas, weights) in enumerate(run):
+            want, want_omegas, want_weights = dilation_oracle(*COIN, n, sp, cfg, n_freqs)
+            assert np.array_equal(omegas, want_omegas) and np.array_equal(weights, want_weights)
+            assert np.array_equal(rho.matrix, want.matrix)
+            assert np.array_equal(
+                rho.matrix, dilation_from_origin(*COIN, n, omegas, weights, cfg))
+
+    @pytest.mark.parametrize("a", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("n_freqs", [2, 8, 16, 32, 64])
+    def test_filtered_states_are_the_per_n_densities(self, a, n_freqs):
+        sp, cfg = spectrum(a), dephasing(0.4)
+        omegas, weights = discretize_spectrum(sp, n_freqs)
+        discrete, exact = discrete_filter(omegas, weights, cfg), DephasingFilter(sp, cfg)
+        for n, state in enumerate(walk_states(*COIN, DILATION_MAX_STEPS)):
+            assert np.array_equal(
+                filtered_density(state, discrete).matrix,
+                open_walk_evolve_discrete(*COIN, n, omegas, weights, cfg).matrix)
+            assert np.array_equal(filtered_density(state, exact).matrix,
+                                  open_walk_evolve(*COIN, n, sp, cfg).matrix)
+
+    def test_run_past_the_step_cap_yields_up_to_the_cap(self):
+        run = dilation_densities(*COIN, DILATION_MAX_STEPS + 2, spectrum(), dephasing(), 8)
+        seen = []
+        with pytest.raises(ResourceLimitError, match="capped at n <= 6, K <= 64"):
+            for rho, _, _ in run:
+                seen.append(rho.steps)
+        assert seen == list(range(DILATION_MAX_STEPS + 1))
+
+    def test_environment_cap_refused_before_discretizing(self, monkeypatch):
+        monkeypatch.setattr(openwalk, "discretize_spectrum", None)
+        with pytest.raises(ResourceLimitError, match="capped at n <= 6, K <= 64"):
+            next(dilation_densities(*COIN, 0, spectrum(), dephasing(), 65))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            next(dilation_densities(*COIN, -1, spectrum(), dephasing(), 8))
+        with pytest.raises(DomainError):
+            next(dilation_densities(1.0, 1.0, 2, spectrum(), dephasing(), 8))
+
+
 class TestStrongDephasingBlocks:
     def test_one_step_blocks(self):
         rho = strong_dephasing_blocks(1.0, 0.0, 1)
@@ -234,6 +312,22 @@ class TestHermitianEigenvalues:
         stack[2, 0, 5] += 1e-6
         with pytest.raises(DomainError, match="not Hermitian"):
             hermitian_eigenvalues(stack)
+
+    def test_nan_eigenvalue_fails_the_identity_check(self, monkeypatch):
+        # the first NaN deviation is kept as the worst, with its trial
+        dims = []
+
+        def poisoned(h):
+            vals = hermitian_eigenvalues(h)
+            dims.append(len(vals))
+            if len(dims) == 4:
+                vals[0] = np.nan
+            return vals
+
+        monkeypatch.setattr(openwalk, "hermitian_eigenvalues", poisoned)
+        worst, where = eigensolver_identity_deviation(0)
+        assert math.isnan(worst)
+        assert where == f"trial=3, dim={dims[3]}"
 
     def test_stack_dimension_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -236,6 +236,21 @@ class TestAmplitudeRows:
         m, x = (int(part.split("=")[1]) for part in where.split(", "))
         assert 0 <= m <= 6 and (m + x) % 2 == 0 and abs(x) <= m
 
+    def test_nan_recursion_state_is_the_worst_deviation(self, monkeypatch):
+        # the first NaN deviation is kept as the worst, with its site
+        original = walk.walk_states
+
+        def poisoned(c_left, c_right, steps):
+            for state in original(c_left, c_right, steps):
+                if state.steps == 2 and c_left == 1.0:
+                    state.amp_left[2] = np.nan  # site x = 0
+                yield state
+
+        monkeypatch.setattr(walk, "walk_states", poisoned)
+        worst, where = integral_recursion_deviation(4, [(1.0, 0.0), (0.0, 1.0)])
+        assert math.isnan(worst)
+        assert where == "m=2, x=0"
+
 
 class TestPositionDistribution:
     def test_origin(self):
