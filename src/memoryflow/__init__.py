@@ -80,6 +80,7 @@ from .walk import (
     WalkState,
     dispersion_nu,
     position_distribution,
+    walk_amplitude_rows,
     walk_amplitudes_integral,
     walk_amplitudes_row,
     walk_evolve,
@@ -102,7 +103,8 @@ __all__ = [
     "strong_limit_map", "strong_limit_closed_form", "strong_limit_closed_forms", "catalan",
     "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",
-    "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "position_distribution",
+    "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "walk_amplitude_rows",
+    "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle", "dilation_densities",
     "discretize_spectrum", "strong_dephasing_blocks", "hermitian_eigenvalues",
     "trace_distance_walk",

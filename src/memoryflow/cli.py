@@ -326,17 +326,34 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join([_formatter(type(v))(v) for v in row]) + "\n")
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None: JSON has no
+    token for NaN or the infinities, and writes None as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Strict JSON, keys sorted: a NaN or infinite value is written as null."""
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text + "\n")
+
+
 def write_manifest(path: Path, command: str, cfg: dict, derived: dict, outputs: list[str]) -> None:
-    doc = {
+    write_json(path, {
         "artifact_version": __version__,
         "backend": kernels.BACKEND,
         "command": command,
         "config": cfg,
         "derived": derived,
         "outputs": sorted(outputs),
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _a_label(a: float) -> str:
@@ -610,8 +627,7 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }
-    with open(out_dir / "oracle_report.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "oracle_report.json", report)
     if not report["all_pass"]:
         failed = ", ".join(
             c["name"] + (f" (did not run: {c['skipped']})" if "skipped" in c else "")

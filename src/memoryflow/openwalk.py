@@ -151,24 +151,6 @@ def open_walk_evolve(
 # explicit dilation oracle
 # ---------------------------------------------------------------------------
 
-def _normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by Newton iteration on math.erf."""
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile argument must lie in (0, 1)")
-    # Crude logistic start, then Newton with the exact density.
-    z = math.copysign(math.sqrt(max(-2.0 * math.log(min(p, 1.0 - p)), 1e-12)), p - 0.5)
-    for _ in range(60):
-        cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:
-            break
-        step = (cdf - p) / pdf
-        z -= step
-        if abs(step) < 1e-14:
-            break
-    return z
-
-
 def discretize_spectrum(spectrum: SpectrumParams, n_freqs: int):
     """Equal-probability-weight frequency nodes per Gaussian peak.
 
@@ -188,12 +170,17 @@ def discretize_spectrum(spectrum: SpectrumParams, n_freqs: int):
             (spectrum.mu1, 1.0 / (1.0 + a), k1),
             (spectrum.mu2, a / (1.0 + a), n_freqs - k1),
         ]
+    # imported here, not with the module: statistics loads decimal and
+    # fractions, about 4 ms of start-up that only the oracle would use
+    from statistics import NormalDist
+
+    standard = NormalDist()
     omegas = []
     weights = []
     for center, weight, count in split:
         for j in range(count):
             q = (j + 0.5) / count
-            omegas.append(center + spectrum.sigma * _normal_quantile(q))
+            omegas.append(center + spectrum.sigma * standard.inv_cdf(q))
             weights.append(weight / count)
     if not all(map(math.isfinite, omegas)):
         raise ResourceLimitError(

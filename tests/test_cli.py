@@ -30,6 +30,16 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def read_strict_json(path: Path):
+    """Parse a written JSON file, refusing the NaN and Infinity tokens that
+    Python's json module would otherwise accept."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+
+
 def record_calls(monkeypatch, *functions) -> dict:
     """Wrap each function under every name a memoryflow module holds it by;
     returns the argument tuples of its calls, keyed by function name."""
@@ -479,20 +489,27 @@ class TestWalkCommand:
             monkeypatch.setattr(cli, "integral_recursion_deviation",
                                 lambda steps, coins: (math.nan, "m=0, x=0"))
         else:
-            original = walk.walk_amplitudes_row
+            original = walk.walk_amplitude_rows
 
-            def poisoned(m):
-                row = original(m)
-                if m == 1:
-                    row[0, 0] = np.nan
-                return row
+            def poisoned(steps):
+                for m, row in enumerate(original(steps)):
+                    if m == 1:
+                        row[0, 0] = np.nan
+                    yield row
 
-            monkeypatch.setattr(walk, "walk_amplitudes_row", poisoned)
+            monkeypatch.setattr(walk, "walk_amplitude_rows", poisoned)
         assert run_cli("walk", "--out", str(tmp_path), "--set", "steps=3",
                        "--check-integrals") == 2
         assert "deviate from recursion by nan" in capsys.readouterr().err
-        manifest = json.loads((tmp_path / "walk_manifest.json").read_text())
-        assert math.isnan(manifest["derived"]["integral_max_deviation"])
+        manifest = read_strict_json(tmp_path / "walk_manifest.json")
+        assert manifest["derived"]["integral_max_deviation"] is None
+
+    @pytest.mark.parametrize("steps", [5, 12])
+    def test_integral_check_builds_one_grid_pair(self, tmp_path, monkeypatch, steps):
+        calls = record_calls(monkeypatch, kernels.composite_gauss_legendre)
+        assert run_cli("walk", "--out", str(tmp_path), "--set", f"steps={steps}",
+                       "--check-integrals") == 0
+        assert len(calls["composite_gauss_legendre"]) == 2
 
     def test_integral_cross_check(self, tmp_path):
         assert run_cli(
@@ -613,6 +630,22 @@ class TestOracleCommand:
                      "walk_evolve", "walk_run"):
             assert calls[name] == [], name
 
+    def test_walk_check_builds_one_grid_pair(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, kernels.composite_gauss_legendre)
+        grids = calls["composite_gauss_legendre"]
+        checked = cli.integral_recursion_deviation
+        during = []
+
+        def counted(steps, coins):
+            before = len(grids)
+            result = checked(steps, coins)
+            during.append(len(grids) - before)
+            return result
+
+        monkeypatch.setattr(cli, "integral_recursion_deviation", counted)
+        assert run_cli("oracle", "--out", str(tmp_path)) == 0
+        assert during == [2]
+
     def test_nan_deviation_fails_its_check(self, tmp_path, monkeypatch):
         original = cli.dilation_densities
 
@@ -626,9 +659,9 @@ class TestOracleCommand:
         assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.max_steps=2",
                        "--set", "oracle.n_freqs=[8]", "--set", "oracle.walk_steps=2",
                        "--set", "oracle.engine_max_power=2") == 2
-        report = json.loads((tmp_path / "oracle_report.json").read_text())
+        report = read_strict_json(tmp_path / "oracle_report.json")
         (check,) = [c for c in report["checks"] if c["name"] == "dilation_vs_filter_K8"]
-        assert check["pass"] is False and math.isnan(check["max_dev"])
+        assert check["pass"] is False and check["max_dev"] is None
         assert check["location"] == "n=1, entry=(0,0)"
         assert all(c["pass"] for c in report["checks"] if c is not check)
 
@@ -678,6 +711,30 @@ class TestOracleCommand:
         failing = [c for c in report["checks"] if not c["pass"]]
         assert failing and failing[0]["name"].startswith("dilation_vs_filter")
         assert failing[0]["location"]
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ["dephasing", "--preset", "fig1"],
+        ["controlled-qubit", "--preset", "fig2", "--set", "steps=6"],
+        ["controlled-qubit", "--preset", "fig3", "--engine", "quadrature", "--set", "steps=4"],
+        ["strong-limit-error", "--preset", "fig5", "--set", "steps=6"],
+        ["walk", "--set", "steps=4", "--check-integrals"],
+        ["open-walk-nm", "--preset", "fig4", "--set", "steps=3", "--set", "sweep.count=2"],
+        ["oracle", "--set", "oracle.max_steps=2", "--set", "oracle.n_freqs=[8]"],
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_every_written_json_parses_strictly(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        written = sorted(tmp_path.glob("*.json"))
+        assert written
+        for path in written:
+            assert isinstance(read_strict_json(path), dict), path.name
+
+    def test_non_finite_values_are_null(self, tmp_path):
+        derived = {"nan": math.nan, "inf": [1.0, -math.inf], "pair": (np.float64(math.nan), 0.5)}
+        cli.write_manifest(tmp_path / "m.json", "walk", {"steps": 2}, derived, [])
+        doc = read_strict_json(tmp_path / "m.json")
+        assert doc["derived"] == {"nan": None, "inf": [1.0, None], "pair": [None, 0.5]}
 
 
 class TestCsvFormat:

@@ -11,6 +11,7 @@ from memoryflow.walk import (
     initial_state,
     integral_recursion_deviation,
     position_distribution,
+    walk_amplitude_rows,
     walk_amplitudes_integral,
     walk_amplitudes_row,
     walk_evolve,
@@ -203,26 +204,67 @@ class TestAmplitudeRows:
 
     def test_refinement_guard_names_the_site(self, monkeypatch):
         # spoil the coarse grid at one site only: the guard is checked per site
-        exact = walk._amplitude_row
+        exact = walk._amplitude_rows
 
-        def spoiled(m, panels, order):
-            row = exact(m, panels, order)
-            if (m, order) == (5, 64):
-                row[1, 3] += 1e-7
-            return row
+        def spoiled(panels, order, first, last):
+            rows = exact(panels, order, first, last)
+            if order == 64 and 5 in rows:
+                rows[5][1, 3] += 1e-7
+            return rows
 
-        monkeypatch.setattr(walk, "_amplitude_row", spoiled)
+        monkeypatch.setattr(walk, "_amplitude_rows", spoiled)
         with pytest.raises(NumericError, match=r"m=5, x=1: grid-refinement deviation 1\.000e-07"):
             walk_amplitudes_row(5)
         with pytest.raises(NumericError, match="m=5, x=1"):
             integral_recursion_deviation(5, [(1.0, 0.0)])
 
     def test_coarse_order_too_low_is_refused(self, monkeypatch):
-        exact = walk._amplitude_row
-        monkeypatch.setattr(walk, "_amplitude_row",
-                            lambda m, panels, order: exact(m, panels, 4 if order == 64 else order))
+        exact = walk._amplitude_rows
+        monkeypatch.setattr(walk, "_amplitude_rows",
+                            lambda panels, order, *ms: exact(panels, 4 if order == 64 else order, *ms))
         with pytest.raises(NumericError, match=r"did not converge at m=12, x=-12:"):
             walk_amplitudes_row(12)
+
+    @pytest.mark.parametrize("steps", [0, 1, 12, 40])
+    def test_shared_grid_rows_match_single_rows(self, steps):
+        rows = list(walk_amplitude_rows(steps))
+        assert len(rows) == steps + 1
+        for m, row in enumerate(rows):
+            assert row.shape == (4, m + 1)
+            assert np.max(np.abs(row - walk_amplitudes_row(m))) <= 1e-14
+            for j, x in enumerate(range(-m, m + 1, 2)):
+                want = _assemble(m, x, panels=steps + 2, order=80)
+                assert np.max(np.abs(row[:, j] - np.array(want))) <= 1e-14
+
+    @pytest.mark.parametrize("order", [(64,), (80,), (64, 80)], ids=["coarse", "fine", "both"])
+    def test_nan_in_one_shared_row_fails_the_check(self, monkeypatch, order):
+        # a NaN on either grid, or on both, is a refinement deviation that fails
+        exact = walk._amplitude_rows
+
+        def poisoned(panels, grid_order, first, last):
+            rows = exact(panels, grid_order, first, last)
+            if grid_order in order and 3 in rows:
+                rows[3][2, 1] = np.nan
+            return rows
+
+        monkeypatch.setattr(walk, "_amplitude_rows", poisoned)
+        with pytest.raises(NumericError, match=r"m=3, x=-1: grid-refinement deviation nan"):
+            integral_recursion_deviation(6, [(1.0, 0.0), (0.0, 1.0)])
+
+    def test_one_grid_pair_per_check(self, monkeypatch):
+        grids = []
+        exact = kernels.composite_gauss_legendre
+
+        def counted(*args):
+            grids.append(args[2:])
+            return exact(*args)
+
+        monkeypatch.setattr(kernels, "composite_gauss_legendre", counted)
+        for steps in (0, 5, 12):
+            grids.clear()
+            integral_recursion_deviation(steps, [(1.0, 0.0), (0.0, 1.0)])
+            # (panels, order): the grids of row m = steps
+            assert grids == [(steps + 1, 64), (steps + 2, 80)]
 
     def test_domain(self):
         with pytest.raises(DomainError):
