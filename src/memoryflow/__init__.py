@@ -18,6 +18,7 @@ from .errors import (
 from .harmonic import (
     TrigMatrixSeries,
     approximation_error,
+    approximation_error_stack,
     approximation_errors,
     catalan,
     catalan_coeffs,
@@ -26,6 +27,7 @@ from .harmonic import (
     quadrature_map,
     quadrature_maps,
     series_from_transfer,
+    series_map_stacks,
     series_maps,
     series_power,
     series_powers,
@@ -64,6 +66,7 @@ from .qubit import (
     special_map_eta0,
     special_map_eta1,
     trace_distance_qubit,
+    transfer_map_stack,
     transfer_maps,
 )
 from .spectra import (
@@ -96,12 +99,14 @@ __all__ = [
     "decoherence_function", "decoherence_by_quadrature", "theta3",
     "flatness_factor",
     "coin_operator", "pure_dephasing_map", "bloch_transfer_matrix",
-    "evolve_qubit", "transfer_maps", "special_map_eta0", "special_map_eta1",
+    "evolve_qubit", "transfer_maps", "transfer_map_stack", "special_map_eta0", "special_map_eta1",
     "trace_distance_qubit",
     "TrigMatrixSeries", "series_from_transfer", "series_power", "series_powers",
-    "integrate_series_against_spectrum", "series_maps", "quadrature_map", "quadrature_maps",
+    "integrate_series_against_spectrum", "series_maps", "series_map_stacks", "quadrature_map",
+    "quadrature_maps",
     "strong_limit_map", "strong_limit_closed_form", "strong_limit_closed_forms", "catalan",
     "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
+    "approximation_error_stack",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",
     "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "walk_amplitude_rows",
     "position_distribution",

@@ -34,7 +34,7 @@ from .openwalk import (
     pure_walk_density,
 )
 from .presets import ENVIRONMENT, PRESETS, preset
-from .qubit import STATE_TOL, transfer_maps
+from .qubit import STATE_TOL, transfer_map_stack
 from .spectra import (
     DephasingConfig,
     SpectrumParams,
@@ -42,7 +42,12 @@ from .spectra import (
     dimensionless_interaction_time,
     spectral_density,
 )
-from .walk import INTEGRAL_RECURSION_TOL, integral_recursion_deviation, walk_states
+from .walk import (
+    INTEGRAL_RECURSION_TOL,
+    integral_check_bytes,
+    integral_recursion_deviation,
+    walk_states,
+)
 
 COMMANDS = (
     "dephasing",
@@ -58,8 +63,9 @@ COMMANDS = (
 BASE_PRESETS = {"dephasing": "fig1", "controlled-qubit": "fig2",
                 "strong-limit-error": "fig5", "open-walk-nm": "fig4"}
 
-#: float64 bytes one grid may ask for (time or frequency samples, or the sweep's
-#: trace-distance table); a larger grid is refused before anything is allocated
+#: bytes one grid may ask for (time or frequency samples, the sweep's
+#: trace-distance table, or the integral check's largest quasi-momentum table);
+#: a larger grid is refused before anything is allocated
 MAX_GRID_BYTES = 1 << 28
 
 #: dotted name -> (kind, bounds, commands that know the field[, default]).  Bounds
@@ -235,19 +241,24 @@ def validate_config(command: str, cfg: dict) -> None:
         raise ConfigError("give field 'delta_t' or 'delta_t_factor', not both")
     if command == "open-walk-nm" and cfg["sweep"]["min"] > cfg["sweep"]["max"]:
         raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
-    grids = {}  # float64 values per grid, keyed by the fields that size it
+    grids = {}  # bytes per grid, keyed by the fields that size it
     if command == "dephasing":
         t_grid = cfg["t_grid"]
         grids = {"'t_grid.max_revivals' x 't_grid.points_per_revival'":
-                 t_grid["max_revivals"] * t_grid["points_per_revival"] + 1,
-                 "'omega_grid.count'": cfg["omega_grid"]["count"]}
+                 8 * (t_grid["max_revivals"] * t_grid["points_per_revival"] + 1),
+                 "'omega_grid.count'": 8 * cfg["omega_grid"]["count"]}
     if command == "open-walk-nm":
         grids = {"'sweep.count' x 'a_values' x 'steps'":
-                 int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1)}
-    for fields, points in grids.items():
-        if 8 * points > MAX_GRID_BYTES:
+                 8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1)}
+    if command == "walk" and cfg["check_integrals"]:
+        grids = {"'integral_check_cap' (at most 'steps')":
+                 integral_check_bytes(min(cfg["steps"], int(cfg["integral_check_cap"])))}
+    if command == "oracle":
+        grids = {"'oracle.walk_steps'": integral_check_bytes(cfg["oracle"]["walk_steps"])}
+    for fields, size in grids.items():
+        if size > MAX_GRID_BYTES:
             raise ResourceLimitError(
-                f"the float64 grid set by {fields} would exceed MAX_GRID_BYTES = {MAX_GRID_BYTES}")
+                f"the grid set by {fields} would exceed MAX_GRID_BYTES = {MAX_GRID_BYTES} bytes")
 
 
 def build_spectrum(cfg: dict, a_value=None) -> SpectrumParams:
@@ -400,8 +411,8 @@ def cmd_controlled_qubit(cfg: dict, out_dir: Path) -> int:
     r1 = np.asarray(cfg["initial_bloch_1"], dtype=float)
     r2 = np.asarray(cfg["initial_bloch_2"], dtype=float)
     rows = []
-    for eta in cfg["eta_values"]:
-        maps = transfer_maps(spectrum, dephasing, eta, cfg["steps"], cfg["engine"])
+    stack = transfer_map_stack(spectrum, dephasing, cfg["eta_values"], cfg["steps"], cfg["engine"])
+    for eta, maps in zip(cfg["eta_values"], stack):
         traj1 = maps @ r1
         traj2 = maps @ r2
         ds = bloch_trace_distances(traj1, traj2)
@@ -429,14 +440,17 @@ def cmd_strong_limit_error(cfg: dict, out_dir: Path) -> int:
     if cfg["engine"] == "strong-limit":
         raise ConfigError("the error command compares against the strong limit; use series or quadrature")
     spectrum = build_spectrum(cfg)
-    rows = []
-    period_over_sigma = {}
-    for factor in cfg["delta_t_factors"]:
-        dephasing = build_dephasing(cfg, delta_t=float(factor) * revival_time(cfg))
-        period_over_sigma[f"{factor:g}"] = dephasing.period_omega / spectrum.sigma
-        for eta in cfg["eta_values"]:
-            errors = harmonic.approximation_errors(eta, cfg["steps"], spectrum, dephasing, cfg["engine"])
-            rows.extend((float(factor), float(eta), m, err) for m, err in enumerate(errors))
+    factors = cfg["delta_t_factors"]
+    dephasings = [build_dephasing(cfg, delta_t=float(factor) * revival_time(cfg))
+                  for factor in factors]
+    period_over_sigma = {f"{factor:g}": dephasing.period_omega / spectrum.sigma
+                         for factor, dephasing in zip(factors, dephasings)}
+    errors = harmonic.approximation_error_stack(cfg["eta_values"], cfg["steps"], spectrum,
+                                                dephasings, cfg["engine"])
+    rows = [(float(factor), float(eta), m, err)
+            for factor, by_eta in zip(factors, errors.tolist())
+            for eta, by_step in zip(cfg["eta_values"], by_eta)
+            for m, err in enumerate(by_step)]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     name = "strong_limit_error.csv"
     write_csv(out_dir / name, ["dt_factor", "eta", "step", "error"], rows)
@@ -591,12 +605,14 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     where = ""
     spectra_a = {a: build_spectrum(cfg, a) for a in (0.0, 1.0)}
     max_power = opts["engine_max_power"]
-    for eta in (0.0, 0.5, 1.0):
+    etas = (0.0, 0.5, 1.0)
+    series = harmonic.series_map_stacks(
+        etas, max_power, [(spec_a, dephasing) for spec_a in spectra_a.values()])[0]
+    for e, eta in enumerate(etas):
         devs = {}
-        for a, spec_a in spectra_a.items():
-            series = harmonic.series_maps(eta, max_power, spec_a, dephasing)[0]
+        for t, (a, spec_a) in enumerate(spectra_a.items()):
             quad = harmonic.quadrature_maps(eta, max_power, spec_a, dephasing)
-            devs[a] = np.max(np.abs(series - quad), axis=(1, 2))
+            devs[a] = np.max(np.abs(series[t, e] - quad), axis=(1, 2))
         for m in range(max_power + 1):
             for a in spectra_a:
                 dev = float(devs[a][m])

@@ -5,9 +5,9 @@ Three routes to the m-step dynamical map are provided and cross-checked:
 - series engine: M(theta)^m is represented exactly as a matrix-valued
   trigonometric polynomial (coefficients by convolution); averaging against
   the spectrum then reduces to evaluating the closed-form decoherence
-  function at integer multiples of the step duration.  ``series_maps``
-  evaluates it once per eta and streams the powers 0..steps against that
-  table.
+  function at integer multiples of the step duration.
+  ``series_map_stacks`` evaluates it once per (spectrum, step) pair and
+  advances the powers 0..steps of every eta together against those tables.
 - quadrature engine: direct per-period composite Gauss-Legendre integration
   of the highly oscillatory integrand; ``quadrature_maps`` walks
   P <- P M(theta) once over the nodes of the largest order a run needs and
@@ -19,7 +19,6 @@ Three routes to the m-step dynamical map are provided and cross-checked:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +37,11 @@ QUADRATURE_NODE_CAP = 2_000_000
 
 #: required agreement between the series and quadrature engines
 ENGINE_AGREEMENT_TOL = 1e-8
+
+#: most powers of the transfer series held at once, in a ring of full-width
+#: bands, so that their spectral averages are contracted in one call; a ring
+#: holds as many as fit in ``kernels.CACHE_BYTES``, and at least two
+RING_POWERS = 8
 
 #: residual imaginary part allowed when a series average is cast to real
 REALITY_TOL = 1e-10
@@ -90,7 +94,7 @@ class TrigMatrixSeries:
 def _real(values: np.ndarray, what: str) -> np.ndarray:
     """The real part of ``values``, once every imaginary residue is within
     ``REALITY_TOL``."""
-    residue = float(np.max(np.abs(values.imag)))
+    residue = float(abs(values.imag).max())
     if residue > REALITY_TOL:
         raise NumericError(f"{what} has imaginary residue {residue:.3e}")
     return values.real
@@ -101,22 +105,28 @@ def identity_series() -> TrigMatrixSeries:
 
 
 def series_from_transfer(eta: float) -> TrigMatrixSeries:
-    """Degree-1 series of the single-step transfer matrix.
+    """Degree-1 series of the single-step transfer matrix."""
+    return TrigMatrixSeries(1, _transfer_coeffs(eta))
+
+
+def _transfer_coeffs(eta: float) -> np.ndarray:
+    """Coefficients c_-1, c_0, c_1 of the single-step transfer matrix, (3, 3, 3).
 
     The theta-independent entries (alpha, 0, beta bottom row) sit in the
     zeroth coefficient; the cos/sin entries split evenly between l = +/-1.
     """
     alpha, beta = control_alpha_beta(eta)
-    c0 = np.zeros((3, 3), dtype=complex)
-    c0[2] = (alpha, 0.0, beta)
     # cos -> (e^{i t} + e^{-i t})/2,  -sin -> (i/2)(e^{i t} - e^{-i t})
     c1 = np.array([
         [-beta / 2.0, 0.5j, alpha / 2.0],
         [-0.5j * beta, -0.5, 0.5j * alpha],
         [0.0, 0.0, 0.0],
     ], dtype=complex)
-    coeffs = np.stack([np.conj(c1), c0, c1])
-    return TrigMatrixSeries(1, coeffs)
+    coeffs = np.zeros((3, 3, 3), dtype=complex)
+    coeffs[0] = c1.conj()
+    coeffs[1, 2] = (alpha, 0.0, beta)
+    coeffs[2] = c1
+    return coeffs
 
 
 def series_multiply(a: TrigMatrixSeries, b: TrigMatrixSeries) -> TrigMatrixSeries:
@@ -128,32 +138,54 @@ def series_multiply(a: TrigMatrixSeries, b: TrigMatrixSeries) -> TrigMatrixSerie
     return TrigMatrixSeries(degree, kernels.series_convolve(a.coeffs, b.coeffs))
 
 
-def _power_bands(factor: np.ndarray, steps: int):
-    """Iterator over the coefficient bands of factor^0 (the identity),
-    factor^1, ..., factor^steps, one convolution per power.  Only the current
-    band is kept, so memory stays linear in ``steps``; the arguments are
-    checked before any power is formed."""
+def _check_powers(steps: int, degree: int) -> None:
+    """Refuse a negative power count, or powers of a degree-``degree`` series
+    that would pass ``SERIES_DEGREE_CAP``."""
     if steps < 0:
         raise DomainError("power must be non-negative")
-    degree = steps * ((len(factor) - 1) // 2)
-    if degree > SERIES_DEGREE_CAP:
-        raise ResourceLimitError(f"series degree {degree} exceeds cap {SERIES_DEGREE_CAP}")
-    return itertools.accumulate(itertools.repeat(factor, steps), kernels.series_convolve,
-                                initial=identity_series().coeffs)
+    if steps * degree > SERIES_DEGREE_CAP:
+        raise ResourceLimitError(f"series degree {steps * degree} exceeds cap {SERIES_DEGREE_CAP}")
+
+
+def _power_rings(factors: np.ndarray, steps: int, size: int = 2):
+    """Yield (m0, ring) for the powers factors^0 (the identity), ...,
+    factors^steps of a stack of coefficient blocks (stack, 2 d + 1, 3, 3),
+    one batched convolution per power.  ``ring[i]`` holds the powers m0 + i as
+    full-width (stack, 2 steps d + 1, 3, 3) bands centred on l = 0 and zero
+    outside their degree; each ring holds ``size`` consecutive powers (the
+    last one the rest) and is overwritten once iteration resumes, so memory
+    stays linear in ``steps``.  The arguments are checked before any power is
+    formed."""
+    d = (factors.shape[-3] - 1) // 2
+    _check_powers(steps, d)
+    degree = steps * d
+    width = 2 * degree + 1
+    ring = np.zeros((size, len(factors), width, 3, 3), dtype=complex)
+    band = ring[0, :, degree:degree + 1]
+    band[...] = np.eye(3)
+    for m in range(1, steps + 1):
+        slot = m % size
+        if slot == 0:
+            yield m - size, ring
+        lo = degree - m * d
+        band = kernels.series_convolve(band, factors, out=ring[slot, :, lo:width - lo])
+    yield steps - steps % size, ring[:steps % size + 1]
 
 
 def series_powers(series: TrigMatrixSeries, steps: int):
     """Yield the powers series^0 (the identity), series^1, ..., series^steps,
     one product per power."""
-    for band in _power_bands(series.coeffs, steps):
-        yield TrigMatrixSeries((len(band) - 1) // 2, band)
+    d = series.degree
+    for m0, ring in _power_rings(series.coeffs[None], steps):
+        for m, band in enumerate(ring[:, 0], start=m0):
+            yield TrigMatrixSeries(m * d, band[(steps - m) * d:(steps + m) * d + 1].copy())
 
 
 def series_power(series: TrigMatrixSeries, m: int) -> TrigMatrixSeries:
     """m-fold product of the series with itself (m = 0 gives the identity)."""
-    for power in series_powers(series, m):
+    for _, ring in _power_rings(series.coeffs[None], m):
         pass
-    return power
+    return TrigMatrixSeries(m * series.degree, ring[-1, 0].copy())
 
 
 def _kappa_table(spectrum: SpectrumParams, config: DephasingConfig, degree: int) -> np.ndarray:
@@ -162,13 +194,6 @@ def _kappa_table(spectrum: SpectrumParams, config: DephasingConfig, degree: int)
     ls = np.arange(-degree, degree + 1)
     return np.atleast_1d(
         decoherence_function(spectrum, config.index_contrast, ls * config.step_duration))
-
-
-def _spectral_average(kappas: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """sum_l c_l kappa(l delta_t) for a coefficient band of at most the
-    table's degree, both centred on l = 0; complex, residue unchecked."""
-    half = (len(kappas) - len(band)) // 2
-    return np.einsum("l,lij->ij", kappas[half:len(kappas) - half], band)
 
 
 def integrate_series_against_spectrum(
@@ -181,39 +206,70 @@ def integrate_series_against_spectrum(
     sum_l c_l kappa(l delta_t).  The imaginary residue must vanish.
     """
     kappas = _kappa_table(spectrum, config, series.degree)
-    return _real(_spectral_average(kappas, series.coeffs), "spectral average")
+    return _real(np.einsum("l,lij->ij", kappas, series.coeffs), "spectral average")
+
+
+def series_map_stacks(etas, steps: int, tables=()):
+    """Exact spectrum-averaged maps and single-period averages for every
+    control in ``etas`` and m = 0..steps: the maps of every (spectrum, step)
+    pair in ``tables`` as one (tables, etas, steps + 1, 3, 3) stack, or None
+    without tables (the strong limit is spectrum-free), and the period
+    averages as one (etas, steps + 1, 3, 3) stack.
+
+    The decoherence function is evaluated once per table, on l delta_t for
+    l = -steps..steps.  The powers of every eta's transfer series advance
+    together, one batched convolution per power, and each ring of up to
+    ``RING_POWERS`` powers is contracted with every table in one call, over
+    the central entries the ring's highest power needs.  The lower powers
+    add only exact zeros beyond their degree, and a sum that starts from +0
+    is unchanged by them, so every map has the bits of its own per-power
+    contraction.  The eta axis is split in chunks so that a ring of two
+    powers stays within ``kernels.CACHE_BYTES`` where one eta allows it:
+    batching saves call overhead on short bands, and a long band is worked
+    on alone, as the per-eta route did.  Both stacks are the real parts of
+    complex stacks, strided views: ``maps @ r0`` then takes numpy's non-BLAS
+    loop, the loop that a single map's own ``.real`` view takes, so a
+    trajectory has the same bits whether its maps are stacked or applied one
+    by one.
+    """
+    factors = np.array([_transfer_coeffs(eta) for eta in etas]).reshape(-1, 3, 3, 3)
+    if len(factors) == 0:
+        raise DomainError("series_map_stacks needs at least one eta")
+    _check_powers(steps, 1)
+    tables = list(tables)
+    kappas = np.array([_kappa_table(spectrum, config, steps) for spectrum, config in tables])
+    exact = np.empty((len(kappas), len(factors), steps + 1, 3, 3), dtype=complex)
+    averages = np.empty((len(factors), steps + 1, 3, 3), dtype=complex)
+    band_bytes = (2 * steps + 1) * 9 * 16
+    chunk = max(1, kernels.CACHE_BYTES // (2 * band_bytes))
+    for lo in range(0, len(factors), chunk):
+        part = factors[lo:lo + chunk]
+        size = min(RING_POWERS, max(2, kernels.CACHE_BYTES // (len(part) * band_bytes)))
+        for m0, ring in _power_rings(part, steps, size):
+            top = m0 + len(ring)
+            averages[lo:lo + chunk, m0:top] = ring[:, :, steps].swapaxes(0, 1)
+            if tables:
+                central = slice(steps + 1 - top, steps + top)
+                np.einsum("cl,kelij->cekij", kappas[:, central], ring[:, :, central],
+                          out=exact[:, lo:lo + chunk, m0:top])
+    averages = _real(averages, "period average")
+    if not tables:
+        return None, averages
+    return _real(exact, "spectral average"), averages
 
 
 def series_maps(eta: float, steps: int, spectrum: SpectrumParams | None = None,
                 config: DephasingConfig | None = None):
     """Exact spectrum-averaged maps and single-period averages for
     m = 0..steps, as two (steps + 1, 3, 3) stacks: the series counterpart of
-    ``quadrature_maps``.
-
-    The decoherence function is evaluated once, on l delta_t for
-    l = -steps..steps, and the powers of the transfer series are streamed
-    against it one band at a time; the m-th map contracts the m-th band with
-    the table's central 2m + 1 entries.  Without a spectrum (the strong-limit
-    engine is spectrum-free) only the period averages are formed and the
-    exact stack is None.  Both stacks are the real parts of complex stacks,
-    strided views: ``maps @ r0`` then takes numpy's non-BLAS loop, the loop
-    that a single map's own ``.real`` view takes, so a trajectory has the same
-    bits whether its maps are stacked or applied one by one.
-    """
+    ``quadrature_maps`` and the one-eta entry of ``series_map_stacks``.
+    Without a spectrum only the period averages are formed and the exact
+    stack is None."""
     if (spectrum is None) != (config is None):
         raise DomainError("series_maps needs both a spectrum and a dephasing step, or neither")
-    bands = _power_bands(series_from_transfer(eta).coeffs, steps)
-    kappas = None if spectrum is None else _kappa_table(spectrum, config, steps)
-    exact = np.empty((steps + 1, 3, 3), dtype=complex)
-    averages = np.empty((steps + 1, 3, 3), dtype=complex)
-    for m, band in enumerate(bands):
-        averages[m] = band[m]
-        if kappas is not None:
-            exact[m] = _spectral_average(kappas, band)
-    averages = _real(averages, "period average")
-    if kappas is None:
-        return None, averages
-    return _real(exact, "spectral average"), averages
+    tables = () if spectrum is None else ((spectrum, config),)
+    exact, averages = series_map_stacks((eta,), steps, tables)
+    return (None if exact is None else exact[0, 0]), averages[0]
 
 
 def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int):
@@ -403,19 +459,28 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     return float(distances) if distances.ndim == 0 else distances
 
 
-def approximation_errors(eta: float, steps: int, spectrum: SpectrumParams,
-                         config: DephasingConfig, engine: str = "series") -> np.ndarray:
-    """``approximation_error`` for m = 0..steps from one ``series_maps`` call
-    (plus one quadrature walk for the quadrature engine) and one stacked
-    channel distance."""
+def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, configs,
+                              engine: str = "series") -> np.ndarray:
+    """``approximation_errors`` for every dephasing step in ``configs`` and
+    control in ``etas``, shape (configs, etas, steps + 1), from one
+    ``series_map_stacks`` call (plus one quadrature walk per pair for the
+    quadrature engine) and one stacked channel distance."""
     if engine == "series":
-        exact, averages = series_maps(eta, steps, spectrum, config)
+        exact, averages = series_map_stacks(etas, steps, [(spectrum, config) for config in configs])
     elif engine == "quadrature":
-        exact = quadrature_maps(eta, steps, spectrum, config)
-        averages = series_maps(eta, steps)[1]
+        exact = np.array([[quadrature_maps(eta, steps, spectrum, config) for eta in etas]
+                          for config in configs])
+        averages = series_map_stacks(etas, steps)[1]
     else:
         raise DomainError(f"unknown engine {engine!r}")
     return channel_distance(exact, averages)
+
+
+def approximation_errors(eta: float, steps: int, spectrum: SpectrumParams,
+                         config: DephasingConfig, engine: str = "series") -> np.ndarray:
+    """``approximation_error`` for m = 0..steps: the one-eta, one-step entry
+    of ``approximation_error_stack``."""
+    return approximation_error_stack((eta,), steps, spectrum, (config,), engine)[0, 0]
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,

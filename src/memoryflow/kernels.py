@@ -11,7 +11,8 @@ Kernels:
                                3x3 single-step Bloch transfer matrix M, from
                                one walk P <- P M with the nodes last
 - ``series_convolve``          product of matrix-valued trigonometric
-                               polynomials (coefficient convolution)
+                               polynomials (coefficient convolution), over
+                               any leading batch axes
 - ``walk_run``                 m steps of the coined walk recursion from the
                                origin
 """
@@ -28,6 +29,12 @@ from .errors import NumericError
 BACKEND = "numpy"
 # Kept because benchmark machine records read it; there is no numba backend.
 HAVE_NUMBA = False
+
+#: bytes of working data that stay in cache between numpy calls: the matrix
+#: products ``series_convolve`` forms in one call, a ring of series-power bands.
+#: Several coefficients or powers per call save call overhead on short bands,
+#: and a cache-sized block keeps long ones from streaming through memory
+CACHE_BYTES = 1 << 20
 
 
 def hermitian_eigvals(H) -> np.ndarray:
@@ -95,16 +102,27 @@ def transfer_power_average(thetas, weights, alpha, beta, m):
     return out
 
 
-def series_convolve(a, b):
-    """Coefficients of the product of two (n, 3, 3) coefficient stacks: one
-    (3 na, 3) x (3, 3) matrix product per coefficient of ``b``."""
+def series_convolve(a, b, out=None):
+    """Coefficients of the product of two coefficient stacks (..., na, 3, 3)
+    and (..., nb, 3, 3) whose leading batch axes broadcast: a (3 na, 3) x (3, 3)
+    matrix product per coefficient of ``b``, formed for as many coefficients
+    at once as fit in ``CACHE_BYTES`` and added in coefficient order.  The
+    result, (..., na + nb - 1, 3, 3), is written into ``out`` when it is given."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    na, nb = a.shape[0], b.shape[0]
-    rows = a.reshape(3 * na, 3)
-    out = np.zeros((na + nb - 1, 3, 3), dtype=np.complex128)
-    for j in range(nb):
-        out[j:j + na] += (rows @ b[j]).reshape(na, 3, 3)
+    na, nb = a.shape[-3], b.shape[-3]
+    if out is None:
+        batch = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+        out = np.zeros(batch + (na + nb - 1, 3, 3), dtype=np.complex128)
+    else:
+        out.fill(0.0)
+    rows = a.reshape(a.shape[:-3] + (1, 3 * na, 3))
+    chunk = max(1, CACHE_BYTES // (out.nbytes // out.shape[-3] * na))
+    for lo in range(0, nb, chunk):
+        products = rows @ (b if chunk >= nb else b[..., lo:lo + chunk, :, :])
+        products = products.reshape(products.shape[:-2] + (na, 3, 3))
+        for j in range(products.shape[-4]):
+            out[..., lo + j:lo + j + na, :, :] += products[..., j, :, :, :]
     return out
 
 

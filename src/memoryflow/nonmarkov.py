@@ -22,7 +22,7 @@ from .openwalk import (
     hermitian_eigenvalues,
     state_vector,
 )
-from .qubit import as_bloch_vector, trace_distance_bloch, transfer_maps
+from .qubit import as_bloch_vector, transfer_maps
 from .spectra import DephasingConfig, SpectrumParams
 from .walk import walk_states
 
@@ -87,8 +87,12 @@ def nm_measure(series, threshold: float = POSITIVE_INCREMENT_THRESHOLD) -> NMRep
 
 
 def bloch_trace_distances(traj1, traj2) -> np.ndarray:
-    """Step-by-step trace distances of two Bloch trajectories."""
-    return np.array([trace_distance_bloch(a, b) for a, b in zip(traj1, traj2)])
+    """Step-by-step trace distances of two (steps, 3) Bloch trajectories, half
+    the Euclidean norm of each row's difference.  The squared norms are one
+    batched (1, 3) x (3, 1) product, which has the bits of the per-row
+    ``trace_distance_bloch``."""
+    d = np.asarray(traj1, dtype=float) - np.asarray(traj2, dtype=float)
+    return 0.5 * np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def nm_qubit(

@@ -110,6 +110,39 @@ def as_bloch_vector(r) -> np.ndarray:
     return r
 
 
+def transfer_map_stack(
+    spectrum: SpectrumParams,
+    config: DephasingConfig,
+    etas,
+    steps: int,
+    engine: str = "series",
+) -> np.ndarray:
+    """Spectrum-averaged m-step Bloch transfer matrices for every control in
+    ``etas`` and m = 0..steps, shape (etas, steps + 1, 3, 3); the m = 0 maps
+    are the identity.
+
+    engine: "series" (exact Fourier-coefficient evaluation, default),
+    "quadrature" (per-period oscillatory quadrature cross-check), or
+    "strong-limit" (single-period average, no spectrum dependence).  The
+    series and strong-limit engines advance every eta in one
+    ``harmonic.series_map_stacks`` call; the quadrature engine walks the
+    nodes once per eta.
+    """
+    from . import harmonic  # deferred to avoid an import cycle
+
+    if steps < 0:
+        raise DomainError("steps must be non-negative")
+    if engine == "quadrature":
+        maps = np.array([harmonic.quadrature_maps(eta, steps, spectrum, config) for eta in etas])
+        maps[:, 0] = np.eye(3)  # exact, not the quadrature of the density
+        return maps
+    if engine == "series":
+        return harmonic.series_map_stacks(etas, steps, ((spectrum, config),))[0][0]
+    if engine == "strong-limit":
+        return harmonic.series_map_stacks(etas, steps)[1]
+    raise DomainError(f"unknown engine {engine!r}")
+
+
 def transfer_maps(
     spectrum: SpectrumParams,
     config: DephasingConfig,
@@ -118,25 +151,8 @@ def transfer_maps(
     engine: str = "series",
 ) -> np.ndarray:
     """Spectrum-averaged m-step Bloch transfer matrices for m = 0..steps,
-    shape (steps + 1, 3, 3); the m = 0 map is the identity.
-
-    engine: "series" (exact Fourier-coefficient evaluation, default),
-    "quadrature" (per-period oscillatory quadrature cross-check), or
-    "strong-limit" (single-period average, no spectrum dependence).
-    """
-    from . import harmonic  # deferred to avoid an import cycle
-
-    if steps < 0:
-        raise DomainError("steps must be non-negative")
-    if engine == "quadrature":
-        maps = harmonic.quadrature_maps(eta, steps, spectrum, config)
-        maps[0] = np.eye(3)  # exact, not the quadrature of the density
-        return maps
-    if engine == "series":
-        return harmonic.series_maps(eta, steps, spectrum, config)[0]
-    if engine == "strong-limit":
-        return harmonic.series_maps(eta, steps)[1]
-    raise DomainError(f"unknown engine {engine!r}")
+    shape (steps + 1, 3, 3): the one-eta entry of ``transfer_map_stack``."""
+    return transfer_map_stack(spectrum, config, (eta,), steps, engine)[0]
 
 
 def evolve_qubit(

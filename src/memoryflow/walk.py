@@ -226,6 +226,15 @@ def walk_amplitudes_row(m: int) -> np.ndarray:
     return _refined(m, coarse, fine)
 
 
+def integral_check_bytes(steps: int) -> int:
+    """Bytes of the largest table ``walk_amplitude_rows(steps)`` builds: on the
+    fine grid of (steps + 2) * 80 nodes, the parity block of ``steps`` holds
+    its (3 counts, nodes) weight table and its (steps + 1, nodes) site-phase
+    table at once, both complex."""
+    counts = steps // 2 + 1  # step counts m <= steps with the parity of steps
+    return 16 * (steps + 2) * 80 * (3 * counts + steps + 1)
+
+
 def walk_amplitude_rows(steps: int):
     """Yield the amplitude rows of m = 0, 1, ..., steps, each laid out as
     ``walk_amplitudes_row(m)`` lays it out, all from the one grid pair that

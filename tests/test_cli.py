@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -142,6 +143,40 @@ class TestConfigResolution:
         assert run_cli(*argv, "--out", str(out)) == 2
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()  # refused while resolving, before the command ran
+
+    @pytest.mark.parametrize("argv,field", [
+        pytest.param(["walk", "--check-integrals", "--set", "steps=1000000",
+                      "--set", "integral_check_cap=1e300"], "integral_check_cap", id="walk"),
+        pytest.param(["walk", "--check-integrals", "--set", "steps=300",
+                      "--set", "integral_check_cap=300"], "integral_check_cap", id="walk-300"),
+        pytest.param(["oracle", "--set", "oracle.walk_steps=1000000000000"], "oracle.walk_steps",
+                     id="oracle"),
+    ])
+    def test_integral_check_refused_before_allocation(self, capsys, tmp_path, monkeypatch,
+                                                      argv, field):
+        # the largest quasi-momentum table grows as steps^2: a check over
+        # MAX_GRID_BYTES is refused by name before any grid or state exists
+        calls = record_calls(monkeypatch, kernels.composite_gauss_legendre, walk.walk_step)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "--out", str(out)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == {"composite_gauss_legendre": [], "walk_step": []}
+        assert peak < 1 << 20
+
+    def test_integral_check_within_budget_runs(self, tmp_path):
+        cap = max(m for m in range(400) if walk.integral_check_bytes(m) <= cli.MAX_GRID_BYTES)
+        assert walk.integral_check_bytes(cap + 1) > cli.MAX_GRID_BYTES
+        assert resolve_config("walk", overrides=[("check_integrals", True), ("steps", cap),
+                                                 ("integral_check_cap", cap)])
+        assert resolve_config("oracle", overrides=[("oracle.walk_steps", cap)])
+        # without the check, the cap sizes nothing
+        assert resolve_config("walk", overrides=[("steps", 10 ** 6), ("integral_check_cap", 10 ** 6)])
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["oracle", "--set", "sigma=1e308"], id="oracle-huge-sigma"),
@@ -374,14 +409,14 @@ class TestControlledQubitCommand:
         assert calls == {"quadrature_maps": len(PRESETS["fig3"]["eta_values"]), "quadrature_map": 0}
 
     def test_fig2_work_pattern(self, tmp_path, monkeypatch):
-        # one kappa table per eta; the powers stream through no per-power product
+        # one kappa table per command, shared by every eta; the powers stream
+        # through no per-power product
         calls = record_calls(monkeypatch, spectra.decoherence_function, harmonic.series_multiply,
                              harmonic.integrate_series_against_spectrum)
         assert run_cli("controlled-qubit", "--preset", "fig2", "--out", str(tmp_path)) == 0
         fig2 = PRESETS["fig2"]
-        assert len(calls["decoherence_function"]) == len(fig2["eta_values"])
         assert [np.size(args[2]) for args in calls["decoherence_function"]] \
-            == [2 * fig2["steps"] + 1] * len(fig2["eta_values"])
+            == [2 * fig2["steps"] + 1]
         assert len(calls["series_multiply"]) == 0
         assert len(calls["integrate_series_against_spectrum"]) == 0
 
@@ -427,13 +462,16 @@ class TestStrongLimitErrorCommand:
         assert run_cli("strong-limit-error", "--engine", "strong-limit") == 1
 
     def test_fig5_work_pattern(self, tmp_path, monkeypatch):
-        # one stacked Choi eigensolve per (delta_t factor, eta)
-        calls = record_calls(monkeypatch, kernels.hermitian_eigvals)
+        # one kappa table per delta_t factor and one stacked Choi eigensolve
+        # for every (delta_t factor, eta, step)
+        calls = record_calls(monkeypatch, kernels.hermitian_eigvals, spectra.decoherence_function)
         assert run_cli("strong-limit-error", "--preset", "fig5", "--out", str(tmp_path)) == 0
         fig5 = PRESETS["fig5"]
-        pairs = len(fig5["delta_t_factors"]) * len(fig5["eta_values"])
+        factors, etas = len(fig5["delta_t_factors"]), len(fig5["eta_values"])
+        assert [np.size(args[2]) for args in calls["decoherence_function"]] \
+            == [2 * fig5["steps"] + 1] * factors
         assert [np.shape(args[0]) for args in calls["hermitian_eigvals"]] \
-            == [(fig5["steps"] + 1, 4, 4)] * pairs
+            == [(factors, etas, fig5["steps"] + 1, 4, 4)]
 
 
 class TestWalkCommand:
@@ -629,6 +667,18 @@ class TestOracleCommand:
         for name in ("dilation_oracle", "open_walk_evolve", "open_walk_evolve_discrete",
                      "walk_evolve", "walk_run"):
             assert calls[name] == [], name
+
+    def test_series_vs_quadrature_makes_one_series_stack_call(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, harmonic.series_map_stacks, harmonic.quadrature_maps)
+        assert run_cli("oracle", "--out", str(tmp_path)) == 0
+        power = resolve_config("oracle")["oracle"]["engine_max_power"]
+        with_tables = [args for args in calls["series_map_stacks"] if len(args) > 2 and args[2]]
+        assert len(with_tables) == 1
+        etas, steps, tables = with_tables[0]
+        assert list(etas) == [0.0, 0.5, 1.0] and steps == power
+        assert [spectrum.amplitude_ratio for spectrum, _ in tables] == [0.0, 1.0]
+        # the quadrature engine keeps one walk per (eta, A)
+        assert len(calls["quadrature_maps"]) == 6
 
     def test_walk_check_builds_one_grid_pair(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, kernels.composite_gauss_legendre)

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from memoryflow import kernels
 from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
@@ -11,6 +13,7 @@ from memoryflow.harmonic import (
     ENGINE_AGREEMENT_TOL,
     SERIES_DEGREE_CAP,
     approximation_error,
+    approximation_error_stack,
     approximation_errors,
     catalan,
     catalan_coeffs,
@@ -20,6 +23,7 @@ from memoryflow.harmonic import (
     quadrature_map,
     quadrature_maps,
     series_from_transfer,
+    series_map_stacks,
     series_maps,
     series_multiply,
     series_power,
@@ -176,6 +180,90 @@ class TestSeriesMaps:
         assert peak < 16 * band_bytes
         assert np.all(np.isfinite(exact)) and np.all(np.isfinite(averages))
         assert np.max(np.abs(averages[steps] - strong_limit_closed_form(steps))) < 1e-12
+
+
+def assert_per_power_route(etas, steps, tables, exact, averages):
+    """Every [t, e] slice of the stacks has the bits of one product, one kappa
+    table and one contraction per power."""
+    assert averages.shape == (len(etas), steps + 1, 3, 3)
+    if tables:
+        assert exact.shape == (len(tables), len(etas), steps + 1, 3, 3)
+    else:
+        assert exact is None
+    for e, eta in enumerate(etas):
+        step = series_from_transfer(eta)
+        power = identity_series()
+        for m in range(steps + 1):
+            assert np.array_equal(averages[e, m], power.period_average())
+            for t, (sp, cfg) in enumerate(tables):
+                assert np.array_equal(exact[t, e, m], integrate_series_against_spectrum(power, sp, cfg))
+            power = series_multiply(power, step)
+
+
+class TestSeriesMapStacks:
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(etas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=1, max_size=7),
+           steps=st.integers(0, 40),
+           tables=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 3.0)),
+                           max_size=3))
+    def test_every_slice_matches_per_power_route(self, etas, steps, tables):
+        # an empty table list is the spectrum-free case
+        tables = [(spectrum(a), dephasing(f)) for a, f in tables]
+        exact, averages = series_map_stacks(etas, steps, tables)
+        assert_per_power_route(etas, steps, tables, exact, averages)
+
+    def test_duplicate_and_single_eta(self):
+        tables = [(spectrum(1.0), dephasing(0.35))]
+        exact, averages = series_map_stacks([0.3, 0.3, 0.7, 0.3], 17, tables)
+        assert np.array_equal(exact[0, 0], exact[0, 1]) and np.array_equal(exact[0, 0], exact[0, 3])
+        single = series_maps(0.3, 17, *tables[0])
+        assert np.array_equal(exact[0, 0], single[0]) and np.array_equal(averages[0], single[1])
+
+    def test_eta_chunks_match_one_chunk(self, monkeypatch):
+        # a budget of two etas per two-power ring splits three etas into two chunks
+        etas, steps = [0.0, 0.4, 1.0], 20
+        tables = [(spectrum(0.0), dephasing(0.35)), (spectrum(1.0), dephasing(2.0))]
+        whole = series_map_stacks(etas, steps, tables)
+        calls = []
+        original = kernels.series_convolve
+
+        def counted(a, b, out=None):
+            calls.append(np.shape(b)[0])
+            return original(a, b, out)
+
+        monkeypatch.setattr(kernels, "series_convolve", counted)
+        monkeypatch.setattr(kernels, "CACHE_BYTES", 2 * 2 * (2 * steps + 1) * 9 * 16)
+        exact, averages = series_map_stacks(etas, steps, tables)
+        assert calls == [2] * steps + [1] * steps
+        assert exact.tobytes() == whole[0].tobytes() and averages.tobytes() == whole[1].tobytes()
+        assert_per_power_route(etas, steps, tables, exact, averages)
+
+    def test_arguments_checked_before_any_table(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a kappa table was built")
+
+        monkeypatch.setattr("memoryflow.harmonic.decoherence_function", refused)
+        tables = [(spectrum(), dephasing(0.35))]
+        with pytest.raises(DomainError):
+            series_map_stacks([0.5], -1, tables)
+        with pytest.raises(DomainError):
+            series_map_stacks([], 3, tables)
+        with pytest.raises(DomainError):
+            series_map_stacks([0.5, 1.5], 3, tables)
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            series_map_stacks([0.5], 10 ** 12, tables)
+
+    def test_error_stack_entries_match_per_pair_calls(self):
+        sp, etas = spectrum(0.5), [0.0, 0.5, 0.8]
+        configs = [dephasing(0.02), dephasing(1.03)]
+        for engine in ("series", "quadrature"):
+            errors = approximation_error_stack(etas, 9, sp, configs, engine)
+            assert errors.shape == (2, 3, 10)
+            for c, config in enumerate(configs):
+                for e, eta in enumerate(etas):
+                    assert np.allclose(errors[c, e], approximation_errors(eta, 9, sp, config, engine),
+                                       rtol=0, atol=1e-14)
 
 
 class TestQuadratureMap:

@@ -96,6 +96,24 @@ class TestSeriesConvolve:
 
         assert np.allclose(kernels.series_convolve(a, b), want, atol=1e-13)
 
+    def test_batch_axes_and_chunks_keep_bits(self, monkeypatch):
+        # each batch entry, and a product formed a few coefficients at a
+        # time, has the bits of one unbatched product
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(2, 3, 6, 3, 3)) + 1j * rng.normal(size=(2, 3, 6, 3, 3))
+        b = rng.normal(size=(3, 5, 3, 3)) + 1j * rng.normal(size=(3, 5, 3, 3))
+        batched = kernels.series_convolve(a, b)
+        assert batched.shape == (2, 3, 10, 3, 3)
+        out = np.full((2, 3, 10, 3, 3), np.nan, dtype=complex)
+        assert kernels.series_convolve(a, b, out=out) is out
+        monkeypatch.setattr(kernels, "CACHE_BYTES", 2 * 6 * 144)
+        chunked = kernels.series_convolve(a[1, 2], b[2])
+        for i in range(2):
+            for k in range(3):
+                one = kernels.series_convolve(a[i, k], b[k])
+                assert one.tobytes() == batched[i, k].tobytes() == out[i, k].tobytes()
+        assert chunked.tobytes() == batched[1, 2].tobytes()
+
 
 class TestWalkRun:
     def test_backends_agree(self):

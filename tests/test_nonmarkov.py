@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from memoryflow.errors import DomainError
 from memoryflow.nonmarkov import (
     TraceDistanceSeries,
+    bloch_trace_distances,
     coin_from_direction,
     increments,
     nm_measure,
@@ -23,7 +24,7 @@ from memoryflow.openwalk import (
     strong_dephasing_blocks,
     trace_distance_walk,
 )
-from memoryflow.qubit import evolve_qubit
+from memoryflow.qubit import evolve_qubit, trace_distance_bloch, transfer_maps
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -87,6 +88,25 @@ class TestMeasure:
     def test_series_type_accepted(self):
         series = TraceDistanceSeries(np.array([1.0, 0.2, 0.6]))
         assert nm_measure(series).measure == pytest.approx(0.4)
+
+
+class TestBlochTraceDistances:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(0, 60))
+    def test_bits_of_per_row_route(self, seed, steps):
+        # trajectories as the engines form them: stacked strided maps times r0
+        rng = np.random.default_rng(seed)
+        maps = (rng.normal(size=(steps + 1, 3, 3)) + 1j * rng.normal(size=(steps + 1, 3, 3))).real
+        traj1 = maps @ rng.uniform(-1.0, 1.0, 3)
+        traj2 = maps @ rng.uniform(-1.0, 1.0, 3)
+        want = np.array([trace_distance_bloch(a, b) for a, b in zip(traj1, traj2)])
+        assert np.array_equal(bloch_trace_distances(traj1, traj2), want)
+
+    def test_engine_trajectories(self):
+        maps = transfer_maps(spectrum(0.5), dephasing(), 0.3, 30)
+        traj1, traj2 = maps @ np.array([0.6, 0.0, 0.8]), maps @ np.array([-0.6, 0.0, -0.8])
+        want = np.array([trace_distance_bloch(a, b) for a, b in zip(traj1, traj2)])
+        assert np.array_equal(bloch_trace_distances(traj1, traj2), want)
 
 
 class TestQubitMeasure:

@@ -16,6 +16,7 @@ from memoryflow.qubit import (
     special_map_eta0,
     special_map_eta1,
     trace_distance_qubit,
+    transfer_map_stack,
     transfer_maps,
 )
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
@@ -194,6 +195,20 @@ class TestTransferMaps:
             else:
                 want = power.period_average()
             assert np.max(np.abs(maps[m] - want)) <= 1e-15
+
+    @pytest.mark.parametrize("engine", ["series", "quadrature", "strong-limit"])
+    def test_stack_rows_are_each_etas_maps(self, engine):
+        # every eta of one stacked call has the bits of its own call, and of
+        # its own trajectory
+        sp, cfg = spectrum(0.4), dephasing(1.7)
+        etas = [0.0, 0.3, 0.3, 1.0]
+        stack = transfer_map_stack(sp, cfg, etas, 6, engine)
+        assert stack.shape == (4, 7, 3, 3)
+        r0 = np.array([0.1, -0.4, 0.6])
+        for eta, maps in zip(etas, stack):
+            alone = transfer_maps(sp, cfg, eta, 6, engine)
+            assert maps.tobytes() == alone.tobytes()
+            assert (maps @ r0).tobytes() == (alone @ r0).tobytes()
 
     def test_trajectory_is_maps_applied_to_r0(self):
         sp, cfg = spectrum(0.4), dephasing(1.7)
