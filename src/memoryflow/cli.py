@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harmonic, kernels
-from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, exceeds
+from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, largest_deviation
 from .nonmarkov import bloch_trace_distances, nm_measure, nm_walk, walk_trace_distances
 from .openwalk import (
     DILATION_MAX_STEPS,
@@ -274,10 +274,10 @@ def build_spectrum(cfg: dict, a_value=None) -> SpectrumParams:
 
 
 def revival_time(cfg: dict) -> float:
-    dn = abs(cfg["delta_n"])
-    if dn == 0.0 or cfg["delta_omega"] == 0.0:
-        raise ConfigError("revival-scaled durations need delta_n != 0 and delta_omega != 0")
-    return 2.0 * math.pi / (cfg["delta_omega"] * dn)
+    for name in ("delta_n", "delta_omega"):
+        if cfg[name] == 0.0:
+            raise ConfigError(f"field '{name}' must be non-zero for revival-scaled durations")
+    return 2.0 * math.pi / (cfg["delta_omega"] * abs(cfg["delta_n"]))
 
 
 def resolve_delta_t(cfg: dict) -> float:
@@ -285,7 +285,7 @@ def resolve_delta_t(cfg: dict) -> float:
         return float(cfg["delta_t"])
     factor = cfg.get("delta_t_factor")
     if factor is None:
-        raise ConfigError("one of delta_t or delta_t_factor is required")
+        raise ConfigError("field 'delta_t_factor' is required when 'delta_t' is not given")
     return float(factor) * revival_time(cfg)
 
 
@@ -537,7 +537,9 @@ def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _check(name, max_dev, tol, location=""):
+def _check(name, deviation, tol):
+    """The report entry of a check from its (largest deviation, location) pair."""
+    max_dev, location = deviation
     return {
         "name": name,
         "max_dev": float(max_dev),
@@ -565,22 +567,18 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     # traced dilation vs coherence filter, per environment size: each
     # environment is discretized and stepped once
     for n_freqs in opts["n_freqs"]:
-        worst = 0.0
-        where = ""
+        deviations = []
         skip = None
         try:
             run = dilation_densities(coin[0], coin[1], opts["max_steps"], spectrum, dephasing, n_freqs)
             for n, (dil, omegas, weights) in enumerate(run):
                 flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
                 dev = np.abs(dil.matrix - flt.matrix)
-                local = float(dev.max())
-                if exceeds(local, worst):
-                    worst = local
-                    ij = np.unravel_index(int(dev.argmax()), dev.shape)
-                    where = f"n={n}, entry=({int(ij[0])},{int(ij[1])})"
+                i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+                deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
         except ResourceLimitError as exc:
             skip = str(exc)
-        check = _check(f"dilation_vs_filter_K{n_freqs}", worst, 1e-10, where)
+        check = _check(f"dilation_vs_filter_K{n_freqs}", largest_deviation(deviations), 1e-10)
         if skip:
             # a check cut short did not run as asked: it cannot pass
             check["pass"] = False
@@ -588,54 +586,42 @@ def cmd_oracle(cfg: dict, out_dir: Path) -> int:
         checks.append(check)
 
     # dephasing must not touch the position distribution
-    worst = 0.0
-    where = ""
     position_filter = DephasingFilter(spectrum, dephasing)
+    deviations = []
     for n in range(0, opts["position_check_steps"] + 1, 3):
         p1 = filtered_density(states[n], position_filter).position_distribution()
         p2 = pure_walk_density(states[n]).position_distribution()
-        for x in p1:
-            dev = abs(p1[x] - p2[x])
-            if exceeds(dev, worst):
-                worst, where = dev, f"n={n}, x={x}"
-    checks.append(_check("position_distribution_invariance", worst, 1e-12, where))
+        deviations += [(abs(p1[x] - p2[x]), f"n={n}, x={x}") for x in p1]
+    checks.append(_check("position_distribution_invariance", largest_deviation(deviations), 1e-12))
 
     # series engine vs oscillatory quadrature
-    worst = 0.0
-    where = ""
     spectra_a = {a: build_spectrum(cfg, a) for a in (0.0, 1.0)}
     max_power = opts["engine_max_power"]
     etas = (0.0, 0.5, 1.0)
     series = harmonic.series_map_stacks(
         etas, max_power, [(spec_a, dephasing) for spec_a in spectra_a.values()])[0]
+    deviations = []
     for e, eta in enumerate(etas):
-        devs = {}
-        for t, (a, spec_a) in enumerate(spectra_a.items()):
-            quad = harmonic.quadrature_maps(eta, max_power, spec_a, dephasing)
-            devs[a] = np.max(np.abs(series[t, e] - quad), axis=(1, 2))
-        for m in range(max_power + 1):
-            for a in spectra_a:
-                dev = float(devs[a][m])
-                if exceeds(dev, worst):
-                    worst, where = dev, f"eta={eta}, m={m}, A={a}"
-    checks.append(_check("series_vs_quadrature", worst, harmonic.ENGINE_AGREEMENT_TOL, where))
+        devs = {a: np.max(np.abs(series[t, e] - harmonic.quadrature_maps(
+            eta, max_power, spec_a, dephasing)), axis=(1, 2)).tolist()
+            for t, (a, spec_a) in enumerate(spectra_a.items())}
+        deviations += [(devs[a][m], f"eta={eta}, m={m}, A={a}")
+                       for m in range(max_power + 1) for a in spectra_a]
+    checks.append(_check("series_vs_quadrature", largest_deviation(deviations),
+                         harmonic.ENGINE_AGREEMENT_TOL))
 
     # closed-form period-average maps vs the series oracle
-    worst = 0.0
-    where = ""
     averages = harmonic.series_maps(0.5, 40)[1]
     closed_forms = harmonic.strong_limit_closed_forms(40)
-    for m, dev in enumerate(np.max(np.abs(averages - closed_forms), axis=(1, 2)).tolist()):
-        if exceeds(dev, worst):
-            worst, where = dev, f"m={m}"
-    checks.append(_check("catalan_closed_form", worst, 1e-12, where))
+    checks.append(_check("catalan_closed_form", largest_deviation(
+        (dev, f"m={m}") for m, dev in enumerate(
+            np.max(np.abs(averages - closed_forms), axis=(1, 2)).tolist())), 1e-12))
 
     # quasi-momentum amplitudes vs the position recursion
-    worst, where = integral_recursion_deviation(opts["walk_steps"], [(1.0, 0.0), (0.0, 1.0)])
-    checks.append(_check("walk_integral_vs_recursion", worst, INTEGRAL_RECURSION_TOL, where))
+    checks.append(_check("walk_integral_vs_recursion", integral_recursion_deviation(
+        opts["walk_steps"], [(1.0, 0.0), (0.0, 1.0)]), INTEGRAL_RECURSION_TOL))
 
-    worst, where = eigensolver_identity_deviation(cfg["seed"])
-    checks.append(_check("eigensolver_identities", worst, 1e-10, where))
+    checks.append(_check("eigensolver_identities", eigensolver_identity_deviation(cfg["seed"]), 1e-10))
 
     report = {
         "artifact_version": __version__,

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the rule by which a check
-keeps its largest deviation."""
+keeps its largest deviation and where it occurred."""
 
 import math
 
@@ -24,7 +24,13 @@ class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
-def exceeds(dev: float, worst: float) -> bool:
-    """Whether ``dev`` replaces ``worst`` as a check's largest deviation.  The
-    first NaN replaces any number and is kept, so that its check fails."""
-    return dev > worst or (math.isnan(dev) and not math.isnan(worst))
+def largest_deviation(pairs) -> tuple[float, str]:
+    """The largest deviation of an iterable of (deviation, location) pairs,
+    with its location; (0.0, "") when there are none or none is positive.
+    The first NaN replaces any number and is kept, so that its check fails;
+    of equal deviations the first is kept."""
+    worst, where = 0.0, ""
+    for dev, location in pairs:
+        if dev > worst or (math.isnan(dev) and not math.isnan(worst)):
+            worst, where = dev, location
+    return worst, where

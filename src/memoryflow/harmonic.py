@@ -442,12 +442,6 @@ def strong_limit_closed_form(m: int, infinite: bool = False) -> np.ndarray:
 _CHOI_BASIS = np.array([[np.kron(p, q.T) for q in PAULI] for p in PAULI])
 
 
-def channel_choi(transfer: np.ndarray) -> np.ndarray:
-    """Choi matrix of the unital qubit channel with Bloch transfer matrix T:
-    (1/4)(I (x) I + sum_ik T_ik sigma_i (x) sigma_k^T)."""
-    return 0.25 * np.eye(4, dtype=complex) + np.tensordot(0.25 * np.asarray(transfer), _CHOI_BASIS, 2)
-
-
 def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of the Choi-matrix difference: a metric on unital
     qubit channels, zero iff the transfer matrices coincide.  Stacks of

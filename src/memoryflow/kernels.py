@@ -13,13 +13,16 @@ Kernels:
 - ``series_convolve``          product of matrix-valued trigonometric
                                polynomials (coefficient convolution), over
                                any leading batch axes
-- ``walk_run``                 m steps of the coined walk recursion from the
-                               origin
+- ``coin_shift``               one coin-and-shift step of the Hadamard walk,
+                               over sites with any trailing axes; the one walk
+                               step that every walk route takes
+- ``walk_run``                 m ``coin_shift`` steps from the origin
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -126,19 +129,25 @@ def series_convolve(a, b, out=None):
     return out
 
 
+def coin_shift(left, right):
+    """One coin-and-shift step of the amplitudes (left, right) over sites
+    -n..n, axis 0, with any trailing axes: the balanced coin mixes each site's
+    pair, and the coined pair at site x sends its L part to x - 1 and its R
+    part to x + 1.  Returns the new pair over sites -n - 1..n + 1."""
+    h = 1.0 / math.sqrt(2.0)
+    shape = (left.shape[0] + 2,) + left.shape[1:]
+    new_l = np.zeros(shape, dtype=np.complex128)
+    new_r = np.zeros(shape, dtype=np.complex128)
+    new_l[:-2] = h * (left + right)
+    new_r[2:] = h * (left - right)
+    return new_l, new_r
+
+
 def walk_run(c_l0, c_r0, m):
-    m = int(m)
-    P = 2 * m + 1
-    cl = np.zeros(P, dtype=np.complex128)
-    cr = np.zeros(P, dtype=np.complex128)
-    cl[m] = c_l0
-    cr[m] = c_r0
-    h = 1.0 / np.sqrt(2.0)
-    for _ in range(m):
-        tl = h * (cl + cr)
-        tr = h * (cl - cr)
-        cl = np.roll(tl, -1)
-        cl[-1] = 0.0
-        cr = np.roll(tr, 1)
-        cr[0] = 0.0
+    """Amplitudes (left, right) over sites -m..m after m ``coin_shift`` steps
+    from the coin pair (c_l0, c_r0) at the origin."""
+    cl = np.array([c_l0], dtype=np.complex128)
+    cr = np.array([c_r0], dtype=np.complex128)
+    for _ in range(int(m)):
+        cl, cr = coin_shift(cl, cr)
     return cl, cr

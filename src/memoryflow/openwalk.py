@@ -6,6 +6,14 @@ Density matrices are stored dense in a position-major layout: the row index
 of (site x, coin sigma) is 2 (x + n) + sigma, so the 2x2 coin block for the
 site pair (x, y) is the contiguous submatrix at (2(x+n), 2(y+n)).
 
+One step.  Every walk route takes the same coin-and-shift step,
+``kernels.coin_shift``: the unitary walk (``walk.walk_states``, and
+``walk_evolve`` as its last state) steps one (2n + 1)-site pair, and the
+dilation oracle steps a (2n + 1, K) pair, one column per environment branch,
+and then multiplies each branch's L amplitudes by its dephasing phase.  The
+checks built on these routes report their largest deviation and its location
+by one rule, ``errors.largest_deviation``.
+
 Filter normalization.  After any number of steps, the environment phase
 attached at frequency omega to a branch sitting at site x is
 exp(-i omega delta_t delta_n x / 2) times a site-independent factor: a path
@@ -37,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, ResourceLimitError, exceeds
+from .errors import DomainError, ResourceLimitError, largest_deviation
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function
-from .walk import WalkState, walk_evolve
+from .walk import WalkState, initial_state, walk_evolve
 
 HERMITICITY_TOL = 1e-10
 MAX_EIG_DIM = 256
@@ -86,9 +94,15 @@ class WalkDensity:
 
 def state_vector(state: WalkState) -> np.ndarray:
     """Position-major pure-state vector of a walk state."""
-    v = np.empty(2 * (2 * state.steps + 1), dtype=complex)
-    v[0::2] = state.amp_left
-    v[1::2] = state.amp_right
+    return _position_major(state.amp_left, state.amp_right)
+
+
+def _position_major(left, right) -> np.ndarray:
+    """Coin amplitudes over sites (axis 0, with any trailing axes) interleaved
+    into the position-major rows 2 (x + n) + sigma."""
+    v = np.empty((2 * left.shape[0],) + left.shape[1:], dtype=complex)
+    v[0::2] = left
+    v[1::2] = right
     return v
 
 
@@ -235,12 +249,13 @@ def dilation_densities(
     environment must reproduce the filter route computed with the same
     discrete spectrum, entrywise.
 
-    The spectrum is discretized once and one (2, 2 steps + 1, K) buffer is
-    stepped once: yields (WalkDensity, omegas, weights) after n = 0, 1, ...,
-    steps steps, each density traced from the central 2n + 1 sites.  The caps
-    are checked where a run reaches them: K before the first density, and n
-    before each density, so a run past ``DILATION_MAX_STEPS`` yields every
-    density up to the cap before it raises ``ResourceLimitError``.
+    The spectrum is discretized once and the coin (x) position amplitudes of
+    every environment branch, a (2n + 1, K) pair, take one
+    ``kernels.coin_shift`` per step: yields (WalkDensity, omegas, weights)
+    after n = 0, 1, ..., steps steps.  The caps are checked where a run
+    reaches them: K before the first density, and n before each density, so
+    a run past ``DILATION_MAX_STEPS`` yields every density up to the cap
+    before it raises ``ResourceLimitError``.
     """
     if steps < 0:
         raise DomainError("step count must be non-negative")
@@ -248,34 +263,20 @@ def dilation_densities(
         f"dilation oracle capped at n <= {DILATION_MAX_STEPS}, K <= {DILATION_MAX_FREQS}")
     if n_freqs > DILATION_MAX_FREQS:
         raise cap
-    total = abs(c_left) ** 2 + abs(c_right) ** 2
-    if abs(total - 1.0) > 1e-12:
-        raise DomainError("initial coin amplitudes must be normalized")
+    origin = initial_state(c_left, c_right)
     omegas, weights = discretize_spectrum(spectrum, n_freqs)
-    last = min(steps, DILATION_MAX_STEPS)
-    psi = np.zeros((2, 2 * last + 1, n_freqs), dtype=complex)
     amp = np.sqrt(weights)
-    psi[0, last, :] = c_left * amp
-    psi[1, last, :] = c_right * amp
-    h = 1.0 / math.sqrt(2.0)
+    left = origin.amp_left[:, None] * amp
+    right = origin.amp_right[:, None] * amp
     # refraction indices (delta_n, 0): only the contrast matters after tracing
     phase_left = np.exp(1j * config.index_contrast * omegas * config.step_duration)
     for n in range(steps + 1):
         if n > DILATION_MAX_STEPS:
             raise cap
         if n:
-            tl = h * (psi[0] + psi[1])
-            tr = h * (psi[0] - psi[1])
-            psi[0] = np.roll(tl, -1, axis=0)
-            psi[0][-1, :] = 0.0
-            psi[1] = np.roll(tr, 1, axis=0)
-            psi[1][0, :] = 0.0
-            psi[0] *= phase_left[None, :]
-        # position-major system vector per environment branch
-        support = slice(last - n, last + n + 1)
-        v = np.empty((2 * (2 * n + 1), n_freqs), dtype=complex)
-        v[0::2] = psi[0, support]
-        v[1::2] = psi[1, support]
+            left, right = kernels.coin_shift(left, right)
+            left *= phase_left
+        v = _position_major(left, right)
         yield WalkDensity(n, v @ v.conj().T), omegas, weights
 
 
@@ -330,22 +331,21 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
     """Largest deviation from sum(lambda) = tr H and sum(lambda^2) = ||H||_F^2 over
     seeded random Hermitian matrices of dimension 2 to 32, and where it
-    occurred; a NaN deviation is kept as the worst (``errors.exceeds``)."""
+    occurred, by ``errors.largest_deviation``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    where = ""
-    for trial in range(20):
-        dim = int(rng.integers(2, 33))
-        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (x + x.conj().T) / 2.0
-        vals = hermitian_eigenvalues(h)
-        dev = float(np.max([
-            abs(float(np.sum(vals)) - float(np.trace(h).real)),
-            abs(float(np.sum(vals ** 2)) - float(np.sum(np.abs(h) ** 2))),
-        ]))
-        if exceeds(dev, worst):
-            worst, where = dev, f"trial={trial}, dim={dim}"
-    return worst, where
+
+    def deviations():
+        for trial in range(20):
+            dim = int(rng.integers(2, 33))
+            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = (x + x.conj().T) / 2.0
+            vals = hermitian_eigenvalues(h)
+            yield float(np.max([
+                abs(float(np.sum(vals)) - float(np.trace(h).real)),
+                abs(float(np.sum(vals ** 2)) - float(np.sum(np.abs(h) ** 2))),
+            ])), f"trial={trial}, dim={dim}"
+
+    return largest_deviation(deviations())
 
 
 def eigvals_2x2_hermitian(a, b, c):

@@ -165,7 +165,9 @@ def decoherence_by_quadrature(params: SpectrumParams, delta_n: float, tau: float
 
     Independent oracle for ``decoherence_function``: composite Gauss-Legendre
     panels sized so that each panel spans at most one sigma and at most half
-    an oscillation of the phase factor.
+    an oscillation of the phase factor.  The panel count stays a float until
+    the 200 000 cap has passed it: an extreme delta_n tau makes it infinite
+    or too large for an int.
     """
     if not (math.isfinite(delta_n) and math.isfinite(tau)):
         raise DomainError("delta_n and tau must be finite")
@@ -173,16 +175,12 @@ def decoherence_by_quadrature(params: SpectrumParams, delta_n: float, tau: float
     hi = params.mu2 + 10.0 * params.sigma
     width = hi - lo
     rate = abs(delta_n * tau)
-    n_panels = max(
-        int(math.ceil(width / params.sigma)),
-        int(math.ceil(width * rate / math.pi)),
-        1,
-    )
-    if n_panels > 200_000:
+    n_panels = max(float(np.ceil(width / params.sigma)), float(np.ceil(width * rate / math.pi)), 1.0)
+    if not n_panels <= 200_000:
         raise NumericError(
-            f"decoherence quadrature needs {n_panels} panels; tau out of supported range"
+            f"decoherence quadrature needs {n_panels:.6g} panels; tau out of supported range"
         )
-    nodes, weights = kernels.composite_gauss_legendre(lo, hi, n_panels, 24)
+    nodes, weights = kernels.composite_gauss_legendre(lo, hi, int(n_panels), 24)
     vals = spectral_density(params, nodes) * np.exp(1j * delta_n * nodes * tau)
     return complex(np.sum(weights * vals))
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericError, exceeds
+from .errors import DomainError, NumericError, largest_deviation
 
 NORM_TOL = 1e-12
 INTEGRAL_RECURSION_TOL = 1e-6
@@ -63,27 +63,9 @@ def initial_state(c_left: complex, c_right: complex) -> WalkState:
 
 
 def walk_step(state: WalkState) -> WalkState:
-    """One coin-and-shift step; support grows by one site on each side."""
-    h = 1.0 / math.sqrt(2.0)
-    new_l = np.zeros(2 * state.steps + 3, dtype=complex)
-    new_r = np.zeros(2 * state.steps + 3, dtype=complex)
-    # the coined pair at site x sends its L part to x - 1 and its R part to x + 1
-    new_l[:-2] = h * (state.amp_left + state.amp_right)
-    new_r[2:] = h * (state.amp_left - state.amp_right)
-    return WalkState(state.steps + 1, new_l, new_r)
-
-
-def walk_evolve(c_left: complex, c_right: complex, m: int) -> WalkState:
-    """m-fold step from the origin state with the given coin amplitudes."""
-    if m < 0:
-        raise DomainError("step count must be non-negative")
-    total = abs(c_left) ** 2 + abs(c_right) ** 2
-    if abs(total - 1.0) > NORM_TOL:
-        raise DomainError("initial coin amplitudes must be normalized")
-    if m == 0:
-        return initial_state(c_left, c_right)
-    cl, cr = kernels.walk_run(c_left, c_right, m)
-    return WalkState(m, cl, cr)
+    """One coin-and-shift step (``kernels.coin_shift``); support grows by one
+    site on each side."""
+    return WalkState(state.steps + 1, *kernels.coin_shift(state.amp_left, state.amp_right))
 
 
 def walk_states(c_left: complex, c_right: complex, steps: int):
@@ -96,6 +78,14 @@ def walk_states(c_left: complex, c_right: complex, steps: int):
     for _ in range(steps):
         state = walk_step(state)
         yield state
+
+
+def walk_evolve(c_left: complex, c_right: complex, m: int) -> WalkState:
+    """m-fold step from the origin state with the given coin amplitudes: the
+    last of ``walk_states(c_left, c_right, m)``."""
+    for state in walk_states(c_left, c_right, m):
+        pass
+    return state
 
 
 def position_distribution(state: WalkState) -> dict[int, float]:
@@ -264,19 +254,19 @@ def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:
 def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
     """Largest deviation of the quasi-momentum amplitudes from the position
     recursion over m <= steps, every site and every initial coin pair in
-    ``coins``, with the (m, x) where it occurred; the first NaN deviation is
-    kept as the worst (``errors.exceeds``).  The rows come from
-    ``walk_amplitude_rows``, one grid pair for the whole check."""
-    worst = 0.0
-    where = ""
+    ``coins``, with the (m, x) where it occurred, by
+    ``errors.largest_deviation``.  The rows come from ``walk_amplitude_rows``,
+    one grid pair for the whole check."""
     walks = [walk_states(c_left, c_right, steps) for c_left, c_right in coins]
-    for m, (states, row) in enumerate(zip(zip(*walks), walk_amplitude_rows(steps))):
-        a_left, a_right, b_left, b_right = row
-        for (c_left, c_right), state in zip(coins, states):
-            # the occupied sites x = -m, -m + 2, ..., m sit at every other index
-            dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left[::2]),
-                             abs(c_left * b_left + c_right * b_right - state.amp_right[::2]))
-            j = int(np.argmax(dev))
-            if exceeds(float(dev[j]), worst):
-                worst, where = float(dev[j]), f"m={m}, x={2 * j - m}"
-    return worst, where
+
+    def deviations():
+        for m, (states, row) in enumerate(zip(zip(*walks), walk_amplitude_rows(steps))):
+            a_left, a_right, b_left, b_right = row
+            for (c_left, c_right), state in zip(coins, states):
+                # the occupied sites x = -m, -m + 2, ..., m sit at every other index
+                dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left[::2]),
+                                 abs(c_left * b_left + c_right * b_right - state.amp_right[::2]))
+                j = int(np.argmax(dev))
+                yield float(dev[j]), f"m={m}, x={2 * j - m}"
+
+    return largest_deviation(deviations())

@@ -113,6 +113,17 @@ class TestConfigResolution:
         pytest.param(["oracle", "--set", "oracle.bogus=1"], "oracle.bogus", id="unknown-oracle.bogus"),
         pytest.param(["open-walk-nm", "--set", "delta_omega=0"], "delta_omega",
                      id="delta_omega-zero-sweep"),
+        pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "delta_n=0"], "delta_n",
+                     id="delta_n-zero-revival"),
+        pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "delta_omega=0"],
+                     "delta_omega", id="delta_omega-zero-revival"),
+        pytest.param(["strong-limit-error", "--set", "delta_n=0"], "delta_n",
+                     id="delta_n-zero-strong-limit"),
+        pytest.param(["dephasing", "--set", "delta_omega=0"], "delta_omega",
+                     id="delta_omega-zero-dephasing"),
+        pytest.param(["oracle", "--set", "delta_n=0"], "delta_n", id="delta_n-zero-oracle"),
+        pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "delta_t_factor=null"],
+                     "delta_t_factor", id="delta_t_factor-null"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from memoryflow.errors import DomainError, UnsupportedCaseError
+from memoryflow.errors import DomainError, NumericError, UnsupportedCaseError
 from memoryflow.spectra import (
     DephasingConfig,
     SpectrumParams,
@@ -123,6 +123,11 @@ class TestDecoherenceFunction:
             closed = decoherence_function(sp, DN, tau)
             direct = decoherence_by_quadrature(sp, DN, tau)
             assert abs(closed - direct) < 1e-9
+
+    @pytest.mark.parametrize("delta_n,tau", [(1.0, 1e307), (1e200, 1e200)])
+    def test_quadrature_refuses_an_overflowing_panel_count(self, delta_n, tau):
+        with pytest.raises(NumericError, match="inf panels"):
+            decoherence_by_quadrature(SpectrumParams(0.5, 1.0, 15.0, 9.0), delta_n, tau)
 
 
 class TestTheta3:

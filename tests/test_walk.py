@@ -108,8 +108,23 @@ class TestWalkStates:
         assert [s.steps for s in states] == list(range(121))
         for m in (0, 1, 2, 7, 64, 120):
             want = walk_evolve(0.6, 0.8j, m)
-            assert np.array_equal(states[m].amp_left, want.amp_left)
-            assert np.array_equal(states[m].amp_right, want.amp_right)
+            run_left, run_right = kernels.walk_run(0.6, 0.8j, m)
+            for got in (states[m].amp_left, run_left):
+                assert got.tobytes() == want.amp_left.tobytes()
+            for got in (states[m].amp_right, run_right):
+                assert got.tobytes() == want.amp_right.tobytes()
+
+    def test_array_step_is_one_step_per_column(self):
+        # a (sites, K) step, as the dilation oracle takes it, is K site steps
+        rng = np.random.default_rng(5)
+        left = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        right = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        new_left, new_right = kernels.coin_shift(left, right)
+        assert new_left.shape == new_right.shape == (11, 4)
+        for k in range(4):
+            one_left, one_right = kernels.coin_shift(left[:, k], right[:, k])
+            assert one_left.tobytes() == np.ascontiguousarray(new_left[:, k]).tobytes()
+            assert one_right.tobytes() == np.ascontiguousarray(new_right[:, k]).tobytes()
 
     def test_domain(self):
         with pytest.raises(DomainError):
