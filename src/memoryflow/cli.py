@@ -3,7 +3,7 @@ oracle harness.  JSON config in, CSV + JSON-manifest out.
 
 Exit codes: 0 success, 1 usage/config error, 2 numeric or oracle failure,
 3 I/O error.  Identical configuration produces byte-identical output files;
-sweep rows are sorted before writing.  The ``jobs`` field (``--jobs``) is
+sweep rows are put in key order by one stable lexsort.  The ``jobs`` field (``--jobs``) is
 validated and recorded but has no effect: sweeps run serially in one thread.
 Every config field is one row of ``FIELDS``; a key a command does not know, or
 a value that does not fit its row, exits 1 and names the field.
@@ -243,6 +243,9 @@ def validate_config(command: str, cfg: dict) -> None:
         raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
     grids = {}  # bytes per grid, keyed by the fields that size it
     if command == "dephasing":
+        labels = [_a_label(a) for a in cfg["a_values"]]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"field 'a_values' must give each file a distinct label, got {labels}")
         t_grid = cfg["t_grid"]
         grids = {"'t_grid.max_revivals' x 't_grid.points_per_revival'":
                  8 * (t_grid["max_revivals"] * t_grid["points_per_revival"] + 1),
@@ -303,38 +306,37 @@ def build_dephasing(cfg: dict, delta_t=None) -> DephasingConfig:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt_bool(value) -> str:
-    return "true" if value else "false"
+def _column_text(column):
+    """The CSV text of one column, value by value, by one rule per dtype: floats
+    by repr (adding 0.0 turns -0.0 into 0.0 and leaves every other float as
+    it is), booleans as true/false, ints as digits, strings as they are."""
+    values = np.asarray(column)
+    kind = values.dtype.kind
+    if kind == "f":
+        return map(repr, (values + 0.0).tolist())
+    if kind == "b":
+        return map(("false", "true").__getitem__, values.tolist())
+    # strings from the column itself: a numpy string array drops trailing NULs
+    return map(str, values.tolist() if kind in "iu" else column)
 
 
-def _fmt_int(value) -> str:
-    return str(int(value))
-
-
-def _fmt_float(value) -> str:
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
-    return repr(float(value) + 0.0)
-
-
-@functools.cache
-def _formatter(kind: type):
-    """The CSV formatter of one value type, resolved once per type."""
-    if issubclass(kind, bool):
-        return _fmt_bool
-    if kind is int:
-        return str
-    if issubclass(kind, (int, np.integer)):
-        return _fmt_int
-    if issubclass(kind, (float, np.floating)):
-        return _fmt_float
-    return str
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """One header line, then one row per index of the equal-length ``columns``;
+    each value becomes text only as its row is joined."""
+    rows = map(",".join, zip(*map(_column_text, columns), strict=True))
+    text = "\n".join([",".join(header), *rows]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([_formatter(type(v))(v) for v in row]) + "\n")
+        fh.write(text)
+
+
+def _keyed_columns(keys, table) -> list:
+    """The key columns of the grid ``keys[0] x keys[1] x ...`` (row-major, as
+    ``table``'s rows run), then ``table``'s columns, ordered by the keys with
+    one stable lexsort: a key given twice keeps its input order."""
+    index = np.indices([len(key) for key in keys]).reshape(len(keys), -1)
+    grid = [key[i] for key, i in zip(keys, index)]
+    order = np.lexsort(grid[::-1])
+    return [key[order] for key in grid] + list(table[order].T)
 
 
 def _finite_or_null(value):
@@ -396,10 +398,10 @@ def cmd_dephasing(cfg: dict, out_dir: Path) -> int:
         omegas = np.linspace(lo, hi, int(og["count"]))
         dens = spectral_density(spectrum, omegas)
         name = f"dephasing_kappa_{_a_label(a)}.csv"
-        write_csv(out_dir / name, ["t", "abs_kappa"], zip(ts.tolist(), kap.tolist()))
+        write_csv(out_dir / name, ["t", "abs_kappa"], [ts, kap])
         outputs.append(name)
         name = f"dephasing_spectrum_{_a_label(a)}.csv"
-        write_csv(out_dir / name, ["omega", "density"], zip(omegas.tolist(), dens.tolist()))
+        write_csv(out_dir / name, ["omega", "density"], [omegas, dens])
         outputs.append(name)
     write_manifest(out_dir / "dephasing_manifest.json", "dephasing", cfg, derived, outputs)
     return 0
@@ -410,21 +412,20 @@ def cmd_controlled_qubit(cfg: dict, out_dir: Path) -> int:
     dephasing = build_dephasing(cfg)
     r1 = np.asarray(cfg["initial_bloch_1"], dtype=float)
     r2 = np.asarray(cfg["initial_bloch_2"], dtype=float)
-    rows = []
     stack = transfer_map_stack(spectrum, dephasing, cfg["eta_values"], cfg["steps"], cfg["engine"])
-    for eta, maps in zip(cfg["eta_values"], stack):
+    blocks = []
+    for maps in stack:
         traj1 = maps @ r1
         traj2 = maps @ r2
         ds = bloch_trace_distances(traj1, traj2)
         report = nm_measure(ds, cfg["threshold"])
-        columns = zip(traj1, traj2, ds, report.increments, report.cumulative)
-        rows += [(float(eta), n, *p1, *p2, *rest) for n, (p1, p2, *rest) in enumerate(columns)]
-    rows.sort(key=lambda r: (r[0], r[1]))
+        blocks.append(np.column_stack([traj1, traj2, ds, report.increments, report.cumulative]))
     name = "controlled_qubit.csv"
     write_csv(
         out_dir / name,
         ["eta", "step", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "D", "increment", "N_cum"],
-        rows,
+        _keyed_columns([np.asarray(cfg["eta_values"], dtype=float), np.arange(cfg["steps"] + 1)],
+                       np.concatenate(blocks)),
     )
     derived = {
         "delta_t": dephasing.step_duration,
@@ -447,13 +448,11 @@ def cmd_strong_limit_error(cfg: dict, out_dir: Path) -> int:
                          for factor, dephasing in zip(factors, dephasings)}
     errors = harmonic.approximation_error_stack(cfg["eta_values"], cfg["steps"], spectrum,
                                                 dephasings, cfg["engine"])
-    rows = [(float(factor), float(eta), m, err)
-            for factor, by_eta in zip(factors, errors.tolist())
-            for eta, by_step in zip(cfg["eta_values"], by_eta)
-            for m, err in enumerate(by_step)]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    keys = [np.asarray(factors, dtype=float), np.asarray(cfg["eta_values"], dtype=float),
+            np.arange(cfg["steps"] + 1)]
     name = "strong_limit_error.csv"
-    write_csv(out_dir / name, ["dt_factor", "eta", "step", "error"], rows)
+    write_csv(out_dir / name, ["dt_factor", "eta", "step", "error"],
+              _keyed_columns(keys, errors.reshape(-1, 1)))
     derived = {"period_over_sigma": period_over_sigma}
     write_manifest(out_dir / "strong_limit_error_manifest.json", "strong-limit-error", cfg, derived, [name])
     return 0
@@ -466,25 +465,24 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("field 'initial_coin_1' must be non-zero")
     c_left = complex(re_l, im_l) / norm
     c_right = complex(re_r, im_r) / norm
-    rows = []
-    norms = []
+    norms, keys, p, amplitudes = [], [], [], []
     for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
         norms.append(state.norm())
         # the occupied sites x = -m, -m + 2, ..., m sit at every other index;
         # p is summed per site in Python: numpy's vectorised abs and square
         # of an array can differ from the scalar ones in the last bit
         left, right = state.amp_left[::2], state.amp_right[::2]
-        p = [abs(cl) ** 2 + abs(cr) ** 2 for cl, cr in zip(left.tolist(), right.tolist())]
-        columns = [[m] * (m + 1), range(-m, m + 1, 2), p]
-        if cfg["amplitudes"]:
-            columns += [left.real.tolist(), left.imag.tolist(),
-                        right.real.tolist(), right.imag.tolist()]
-        rows.extend(zip(*columns))
+        p += [abs(cl) ** 2 + abs(cr) ** 2 for cl, cr in zip(left.tolist(), right.tolist())]
+        keys.append(np.column_stack([np.full(m + 1, m), np.arange(-m, m + 1, 2)]))
+        amplitudes.append(np.stack([left, right]))
     header = ["step", "x", "p"]
+    columns = [*np.concatenate(keys).T, p]
     if cfg["amplitudes"]:
         header += ["cl_re", "cl_im", "cr_re", "cr_im"]
+        left, right = np.concatenate(amplitudes, axis=1)
+        columns += [left.real, left.imag, right.real, right.imag]
     name = "walk_distribution.csv"
-    write_csv(out_dir / name, header, rows)
+    write_csv(out_dir / name, header, columns)
     derived: dict = {"norm_by_step": norms}
     worst = 0.0
     if cfg["check_integrals"]:
@@ -500,7 +498,7 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
 
 
 def _walk_nm_over_sweep(cfg: dict):
-    """(rows, derived) for the interaction-time sweep of the walk measure."""
+    """(columns, derived) for the interaction-time sweep of the walk measure."""
     steps = cfg["steps"]
     strong_value = nm_walk(None, None, n_steps=steps, mode="strong_limit")[1].measure
     dn = cfg["delta_n"]
@@ -513,26 +511,26 @@ def _walk_nm_over_sweep(cfg: dict):
         sweep = cfg["sweep"]
         values = np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["count"])).tolist()
         durations = [value * 2.0 * math.pi / (cfg["delta_omega"] * dn) for value in values]
-    points = [(a, value, dt) for a in cfg["a_values"] for value, dt in zip(values, durations)]
-    filters = [DephasingFilter(build_spectrum(cfg, a), DephasingConfig(dn, dt)) for a, _, dt in points]
-    rows = []
-    for (a, value, _), dvals in zip(points, walk_trace_distances(filters, steps)):
-        measure = nm_measure(dvals, cfg["threshold"]).measure
-        rows.append((float(a), float(value), measure, "filter"))
-        rows.append((float(a), float(value), strong_value, "strong_limit"))
-    rows.sort(key=lambda r: (r[3], r[0], r[1]))
+    filters = [DephasingFilter(build_spectrum(cfg, a), DephasingConfig(dn, dt))
+               for a in cfg["a_values"] for dt in durations]
+    measures = [nm_measure(dvals, cfg["threshold"]).measure
+                for dvals in walk_trace_distances(filters, steps)]
+    mode, a, value, measure = _keyed_columns(
+        [np.array(["filter", "strong_limit"]), np.asarray(cfg["a_values"], dtype=float),
+         np.asarray(values, dtype=float)],
+        np.array(measures + [strong_value] * len(measures))[:, None])
     derived = {
         "strong_limit_measure": strong_value,
         "sweep_values": [float(v) for v in values],
         "steps": steps,
     }
-    return rows, derived
+    return [a, value, measure, mode], derived
 
 
 def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
-    rows, derived = _walk_nm_over_sweep(cfg)
+    columns, derived = _walk_nm_over_sweep(cfg)
     name = "open_walk_nm.csv"
-    write_csv(out_dir / name, ["A", "dt_omega_dn", "N10", "mode"], rows)
+    write_csv(out_dir / name, ["A", "dt_omega_dn", "N10", "mode"], columns)
     write_manifest(out_dir / "open_walk_nm_manifest.json", "open-walk-nm", cfg, derived, [name])
     return 0
 

@@ -15,6 +15,7 @@ from memoryflow import cli, harmonic, kernels, nonmarkov, openwalk, spectra, wal
 from memoryflow.cli import main, resolve_config
 from memoryflow.errors import ConfigError, ResourceLimitError
 from memoryflow.presets import PRESETS
+from memoryflow.qubit import transfer_map_stack
 from memoryflow.spectra import DephasingConfig
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -124,6 +125,10 @@ class TestConfigResolution:
         pytest.param(["oracle", "--set", "delta_n=0"], "delta_n", id="delta_n-zero-oracle"),
         pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "delta_t_factor=null"],
                      "delta_t_factor", id="delta_t_factor-null"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "a_values=[0.1234561,0.1234562]"],
+                     "a_values", id="a_values-same-label"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "a_values=[0.5,0.5]"],
+                     "a_values", id="a_values-repeated"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
@@ -798,24 +803,117 @@ class TestStrictJson:
         assert doc["derived"] == {"nan": None, "inf": [1.0, None], "pair": [None, 0.5]}
 
 
+def reference_csv(header, columns) -> bytes:
+    """The CSV bytes of ``columns`` formatted value by value, row by row."""
+    def text(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value) + 0.0)
+        return value
+
+    lines = [",".join(header)] + [",".join(map(text, row)) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+#: a CSV column's values by dtype; the floats add -0.0, the smallest subnormal
+#: and the neighbours of 1e16, where repr switches to exponent form
+CSV_VALUES = {
+    "float64": st.one_of(st.floats(), st.sampled_from(
+        [-0.0, 5e-324, -2.2250738585072014e-308, 9999999999999998.0, 1e16, math.nan, -math.inf])),
+    "int64": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "bool": st.booleans(),
+    "str": st.text(st.characters(codec="utf-8"), max_size=6),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    count = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_VALUES)), min_size=1, max_size=6))
+    columns = [draw(st.lists(CSV_VALUES[kind], min_size=count, max_size=count)) for kind in kinds]
+    return [values if kind == "str" else np.array(values, dtype=kind)
+            for kind, values in zip(kinds, columns)]
+
+
 class TestCsvFormat:
     def test_row_mix_bytes(self, tmp_path):
         # ints and bools as words, floats by repr with -0.0 written 0.0,
-        # numpy scalars as the Python values they hold, strings as they are
-        rows = [
-            (0, np.int64(-3), 0.1, np.float64(0.1), -0.0, np.float64(-0.0), True, False, "filter"),
-            (12, np.int64(0), 1e-320, np.float64(2.5e300), 1 / 3, np.float64(-1 / 3),
-             False, True, "strong_limit"),
-            (-7, np.int64(9007199254740993), 0.0, np.float64(0.0), 1e16, np.float64(123456789.0),
-             True, True, ""),
+        # numpy arrays as the Python values they hold, strings as they are
+        columns = [
+            [0, 12, -7],
+            np.array([-3, 0, 9007199254740993], dtype=np.int64),
+            [0.1, 1e-320, 0.0],
+            np.array([0.1, 2.5e300, 0.0]),
+            [-0.0, 1 / 3, 1e16],
+            np.array([-0.0, -1 / 3, 123456789.0]),
+            [True, False, True],
+            np.array([False, True, True]),
+            ["filter", "strong_limit", ""],
         ]
-        cli.write_csv(tmp_path / "mix.csv", list("abcdefghi"), rows)
+        cli.write_csv(tmp_path / "mix.csv", list("abcdefghi"), columns)
         assert (tmp_path / "mix.csv").read_bytes() == (
             b"a,b,c,d,e,f,g,h,i\n"
             b"0,-3,0.1,0.1,0.0,0.0,true,false,filter\n"
             b"12,0,1e-320,2.5e+300,0.3333333333333333,-0.3333333333333333,false,true,strong_limit\n"
             b"-7,9007199254740993,0.0,0.0,1e+16,123456789.0,true,true,\n"
         )
+
+    @given(columns=csv_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_row_by_row_reference(self, tmp_path_factory, columns):
+        path = tmp_path_factory.getbasetemp() / "any.csv"  # rewritten by each example
+        header = [f"c{i}" for i in range(len(columns))]
+        cli.write_csv(path, header, columns)
+        assert path.read_bytes() == reference_csv(header, columns)
+
+    def test_unequal_columns_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [1.0]])
+
+
+def csv_table(path: Path):
+    """(header, rows of floats) of a written numeric CSV."""
+    header, rows = read_csv(path)
+    return header, [[float(v) for v in row] for row in rows]
+
+
+class TestCsvRowOrder:
+    def test_controlled_qubit_rows_by_eta_then_step(self, tmp_path):
+        # two equal etas: their rows interleave step by step, as a stable
+        # sort on (eta, step) of the input order leaves them
+        argv = ["controlled-qubit", "--preset", "fig2", "--set", "eta_values=[1.0,0.0,0.5,0.5]"]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        cfg = resolve_config("controlled-qubit", "fig2", overrides=[("eta_values", [1.0, 0.0, 0.5, 0.5])])
+        etas, steps = cfg["eta_values"], cfg["steps"]
+        header, rows = csv_table(tmp_path / "controlled_qubit.csv")
+        keys = [(row[0], row[1]) for row in rows]
+        assert keys == sorted((eta, n) for eta in etas for n in range(steps + 1))
+        stack = transfer_map_stack(cli.build_spectrum(cfg), cli.build_dephasing(cfg), etas, steps)
+        r1, r2 = np.array(cfg["initial_bloch_1"]), np.array(cfg["initial_bloch_2"])
+        for row in rows:
+            maps = stack[etas.index(row[0]), int(row[1])]
+            p1, p2 = maps @ r1, maps @ r2
+            assert row[2:8] == [*p1.tolist(), *p2.tolist()]
+            assert row[header.index("D")] == nonmarkov.bloch_trace_distances([p1], [p2])[0]
+
+    def test_strong_limit_error_rows_by_factor_eta_step(self, tmp_path):
+        factors, etas = [1.03, 0.02], [1.0, 0.0, 0.25]
+        argv = ["strong-limit-error", "--preset", "fig5", "--set", "delta_t_factors=[1.03,0.02]",
+                "--set", "eta_values=[1.0,0.0,0.25]"]
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        cfg = resolve_config("strong-limit-error", "fig5",
+                             overrides=[("delta_t_factors", factors), ("eta_values", etas)])
+        steps = cfg["steps"]
+        _, rows = csv_table(tmp_path / "strong_limit_error.csv")
+        keys = [tuple(row[:3]) for row in rows]
+        assert keys == sorted((f, eta, m) for f in factors for eta in etas for m in range(steps + 1))
+        dephasings = [cli.build_dephasing(cfg, delta_t=f * cli.revival_time(cfg)) for f in factors]
+        errors = harmonic.approximation_error_stack(etas, steps, cli.build_spectrum(cfg), dephasings)
+        for f, eta, m, err in rows:
+            assert err == errors[factors.index(f), etas.index(eta), int(m)]
 
 
 def test_cli_import_loads_no_undeclared_dependency():
