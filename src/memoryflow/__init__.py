@@ -55,6 +55,7 @@ from .openwalk import (
     discretize_spectrum,
     hermitian_eigenvalues,
     open_walk_evolve,
+    oracle_checks,
     strong_dephasing_blocks,
     trace_distance_walk,
 )
@@ -112,7 +113,7 @@ __all__ = [
     "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle", "dilation_densities",
     "discretize_spectrum", "strong_dephasing_blocks", "hermitian_eigenvalues",
-    "trace_distance_walk",
+    "trace_distance_walk", "oracle_checks",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",
     "nm_qubit", "nm_walk", "orthogonal_pair_scan", "qubit_pair_runner",
     "walk_pair_runner", "walk_trace_distances",

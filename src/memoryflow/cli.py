@@ -1,5 +1,6 @@
 """Reproducibility surface: one subcommand per reference figure plus the
-oracle harness.  JSON config in, CSV + JSON-manifest out.
+oracle harness.  JSON config in, CSV + JSON-manifest out.  The CLI builds
+inputs and writes files only; every number and oracle check comes from the library.
 
 Exit codes: 0 success, 1 usage/config error, 2 numeric or oracle failure,
 3 I/O error.  Identical configuration produces byte-identical output files;
@@ -22,17 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harmonic, kernels
-from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, largest_deviation
+from .errors import ConfigError, DomainError, NumericError, ResourceLimitError
 from .nonmarkov import bloch_trace_distances, nm_measure, nm_walk, walk_trace_distances
-from .openwalk import (
-    DILATION_MAX_STEPS,
-    DephasingFilter,
-    dilation_densities,
-    discrete_filter,
-    eigensolver_identity_deviation,
-    filtered_density,
-    pure_walk_density,
-)
+from .openwalk import DephasingFilter, oracle_checks
 from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL, transfer_map_stack
 from .spectra import (
@@ -42,12 +35,7 @@ from .spectra import (
     dimensionless_interaction_time,
     spectral_density,
 )
-from .walk import (
-    INTEGRAL_RECURSION_TOL,
-    integral_check_bytes,
-    integral_recursion_deviation,
-    walk_states,
-)
+from .walk import INTEGRAL_RECURSION_TOL, integral_check_bytes, integral_recursion_deviation, walk_states
 
 COMMANDS = (
     "dephasing",
@@ -239,8 +227,17 @@ def validate_config(command: str, cfg: dict) -> None:
             raise ConfigError(f"field '{name}' must be {must}")
     if cfg["delta_t"] is not None and cfg["delta_t_factor"] is not None:
         raise ConfigError("give field 'delta_t' or 'delta_t_factor', not both")
+    if not _real(cfg["mu1"] + cfg["delta_omega"]):
+        raise ConfigError("fields 'mu1' + 'delta_omega' must sum to a finite number")
     if command == "open-walk-nm" and cfg["sweep"]["min"] > cfg["sweep"]["max"]:
         raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
+    # a revival-scaled step duration must be finite, and the manifest's factor labels distinct
+    name = "delta_t_factors" if command == "strong-limit-error" else "delta_t_factor"
+    if command in ("controlled-qubit", "strong-limit-error", "oracle") and cfg[name] is not None \
+            and not _real(float(np.max(cfg[name])) * revival_time(cfg)):
+        raise ConfigError(f"field '{name}' times the revival time must be finite")
+    if command == "strong-limit-error" and len(set(cfg[name])) > len({f"{f:g}" for f in cfg[name]}):
+        raise ConfigError(f"field '{name}' must give distinct factors distinct labels, got {cfg[name]}")
     grids = {}  # bytes per grid, keyed by the fields that size it
     if command == "dephasing":
         labels = [_a_label(a) for a in cfg["a_values"]]
@@ -265,15 +262,12 @@ def validate_config(command: str, cfg: dict) -> None:
 
 
 def build_spectrum(cfg: dict, a_value=None) -> SpectrumParams:
-    try:
-        return SpectrumParams(
-            amplitude_ratio=cfg["A"] if a_value is None else float(a_value),
-            sigma=cfg["sigma"],
-            mu1=cfg["mu1"],
-            delta_omega=cfg["delta_omega"],
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    return SpectrumParams(
+        amplitude_ratio=cfg["A"] if a_value is None else float(a_value),
+        sigma=cfg["sigma"],
+        mu1=cfg["mu1"],
+        delta_omega=cfg["delta_omega"],
+    )
 
 
 def revival_time(cfg: dict) -> float:
@@ -293,13 +287,10 @@ def resolve_delta_t(cfg: dict) -> float:
 
 
 def build_dephasing(cfg: dict, delta_t=None) -> DephasingConfig:
-    try:
-        return DephasingConfig(
-            index_contrast=cfg["delta_n"],
-            step_duration=resolve_delta_t(cfg) if delta_t is None else float(delta_t),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    return DephasingConfig(
+        index_contrast=cfg["delta_n"],
+        step_duration=resolve_delta_t(cfg) if delta_t is None else float(delta_t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,92 +526,12 @@ def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _check(name, deviation, tol):
-    """The report entry of a check from its (largest deviation, location) pair."""
-    max_dev, location = deviation
-    return {
-        "name": name,
-        "max_dev": float(max_dev),
-        "tol": float(tol),
-        "pass": bool(max_dev <= tol),
-        "location": location,
-    }
-
-
 def cmd_oracle(cfg: dict, out_dir: Path) -> int:
-    opts = cfg["oracle"]
     spectrum = build_spectrum(cfg, 0.7 if cfg["A"] == 0.0 else cfg["A"])
-    if cfg.get("delta_t") is not None or cfg.get("delta_t_factor") is not None:
-        dephasing = build_dephasing(cfg)
-    else:
-        # default probe point: strong enough to matter, far from the revivals
-        dephasing = build_dephasing(cfg, delta_t=0.35 * revival_time(cfg))
-    coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
-    checks = []
-
-    # the walk is stepped once; each check filters the states it needs
-    states = list(walk_states(coin[0], coin[1], max(
-        min(opts["max_steps"], DILATION_MAX_STEPS), opts["position_check_steps"])))
-
-    # traced dilation vs coherence filter, per environment size: each
-    # environment is discretized and stepped once
-    for n_freqs in opts["n_freqs"]:
-        deviations = []
-        skip = None
-        try:
-            run = dilation_densities(coin[0], coin[1], opts["max_steps"], spectrum, dephasing, n_freqs)
-            for n, (dil, omegas, weights) in enumerate(run):
-                flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
-                dev = np.abs(dil.matrix - flt.matrix)
-                i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-                deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
-        except ResourceLimitError as exc:
-            skip = str(exc)
-        check = _check(f"dilation_vs_filter_K{n_freqs}", largest_deviation(deviations), 1e-10)
-        if skip:
-            # a check cut short did not run as asked: it cannot pass
-            check["pass"] = False
-            check["skipped"] = skip
-        checks.append(check)
-
-    # dephasing must not touch the position distribution
-    position_filter = DephasingFilter(spectrum, dephasing)
-    deviations = []
-    for n in range(0, opts["position_check_steps"] + 1, 3):
-        p1 = filtered_density(states[n], position_filter).position_distribution()
-        p2 = pure_walk_density(states[n]).position_distribution()
-        deviations += [(abs(p1[x] - p2[x]), f"n={n}, x={x}") for x in p1]
-    checks.append(_check("position_distribution_invariance", largest_deviation(deviations), 1e-12))
-
-    # series engine vs oscillatory quadrature
-    spectra_a = {a: build_spectrum(cfg, a) for a in (0.0, 1.0)}
-    max_power = opts["engine_max_power"]
-    etas = (0.0, 0.5, 1.0)
-    series = harmonic.series_map_stacks(
-        etas, max_power, [(spec_a, dephasing) for spec_a in spectra_a.values()])[0]
-    deviations = []
-    for e, eta in enumerate(etas):
-        devs = {a: np.max(np.abs(series[t, e] - harmonic.quadrature_maps(
-            eta, max_power, spec_a, dephasing)), axis=(1, 2)).tolist()
-            for t, (a, spec_a) in enumerate(spectra_a.items())}
-        deviations += [(devs[a][m], f"eta={eta}, m={m}, A={a}")
-                       for m in range(max_power + 1) for a in spectra_a]
-    checks.append(_check("series_vs_quadrature", largest_deviation(deviations),
-                         harmonic.ENGINE_AGREEMENT_TOL))
-
-    # closed-form period-average maps vs the series oracle
-    averages = harmonic.series_maps(0.5, 40)[1]
-    closed_forms = harmonic.strong_limit_closed_forms(40)
-    checks.append(_check("catalan_closed_form", largest_deviation(
-        (dev, f"m={m}") for m, dev in enumerate(
-            np.max(np.abs(averages - closed_forms), axis=(1, 2)).tolist())), 1e-12))
-
-    # quasi-momentum amplitudes vs the position recursion
-    checks.append(_check("walk_integral_vs_recursion", integral_recursion_deviation(
-        opts["walk_steps"], [(1.0, 0.0), (0.0, 1.0)]), INTEGRAL_RECURSION_TOL))
-
-    checks.append(_check("eigensolver_identities", eigensolver_identity_deviation(cfg["seed"]), 1e-10))
-
+    # default probe point: strong enough to matter, far from the revivals
+    probe = cfg["delta_t"] is None and cfg["delta_t_factor"] is None
+    dephasing = build_dephasing(cfg, delta_t=0.35 * revival_time(cfg) if probe else None)
+    checks = oracle_checks(spectrum, dephasing, seed=cfg["seed"], **cfg["oracle"])
     report = {
         "artifact_version": __version__,
         "backend": kernels.BACKEND,

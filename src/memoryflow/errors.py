@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the rule by which a check
-keeps its largest deviation and where it occurred."""
+"""Exception types shared across the package, and the rules by which a check
+keeps its largest deviation and where it occurred, and becomes a report entry."""
 
 import math
 
@@ -34,3 +34,16 @@ def largest_deviation(pairs) -> tuple[float, str]:
         if dev > worst or (math.isnan(dev) and not math.isnan(worst)):
             worst, where = dev, location
     return worst, where
+
+
+def check(name: str, deviation: tuple[float, str], tol: float) -> dict:
+    """The report entry of a check from its (largest deviation, location)
+    pair: it passes when the deviation is at most ``tol``, so a NaN fails."""
+    max_dev, location = deviation
+    return {
+        "name": name,
+        "max_dev": float(max_dev),
+        "tol": float(tol),
+        "pass": bool(max_dev <= tol),
+        "location": location,
+    }

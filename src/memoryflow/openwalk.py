@@ -10,9 +10,10 @@ One step.  Every walk route takes the same coin-and-shift step,
 ``kernels.coin_shift``: the unitary walk (``walk.walk_states``, and
 ``walk_evolve`` as its last state) steps one (2n + 1)-site pair, and the
 dilation oracle steps a (2n + 1, K) pair, one column per environment branch,
-and then multiplies each branch's L amplitudes by its dephasing phase.  The
-checks built on these routes report their largest deviation and its location
-by one rule, ``errors.largest_deviation``.
+and then multiplies each branch's L amplitudes by its dephasing phase.
+``oracle_checks`` builds every check of the oracle on these routes; each
+reports its largest deviation and its location by one rule,
+``errors.largest_deviation``, in one entry, ``errors.check``.
 
 Filter normalization.  After any number of steps, the environment phase
 attached at frequency omega to a branch sitting at site x is
@@ -40,14 +41,15 @@ steps on the compressed route, 63 on the full one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
-from .errors import DomainError, ResourceLimitError, largest_deviation
+from . import harmonic, kernels
+from .errors import DomainError, ResourceLimitError, check, largest_deviation
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function
-from .walk import WalkState, initial_state, walk_evolve
+from .walk import (INTEGRAL_RECURSION_TOL, WalkState, initial_state, integral_recursion_deviation,
+                   walk_evolve, walk_states)
 
 HERMITICITY_TOL = 1e-10
 MAX_EIG_DIM = 256
@@ -298,6 +300,78 @@ def dilation_oracle(
     return entry
 
 
+def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_steps: int,
+                  n_freqs: list[int], walk_steps: int, position_check_steps: int,
+                  engine_max_power: int, seed: int) -> list[dict]:
+    """Every check of the oracle at one probe point, as ``errors.check``
+    entries in report order: the traced dilation against the coherence filter
+    for each environment size K in ``n_freqs``, the position distribution under
+    dephasing, the series engine against quadrature at A = 0 and 1, the
+    Catalan closed forms, the quasi-momentum amplitudes against the recursion,
+    and the eigensolver identities.  A dilation check cut short by a cap did
+    not run as asked: it is marked ``skipped`` and cannot pass."""
+    coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
+    checks = []
+
+    # the walk is stepped once; each check filters the states it needs
+    states = list(walk_states(coin[0], coin[1], max(
+        min(max_steps, DILATION_MAX_STEPS), position_check_steps)))
+
+    # traced dilation vs coherence filter, per environment size: each
+    # environment is discretized and stepped once
+    for k in n_freqs:
+        deviations, skipped = [], {}
+        try:
+            for n, (dil, omegas, weights) in enumerate(
+                    dilation_densities(coin[0], coin[1], max_steps, spectrum, dephasing, k)):
+                flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
+                dev = np.abs(dil.matrix - flt.matrix)
+                i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+                deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
+        except ResourceLimitError as exc:
+            skipped = {"pass": False, "skipped": str(exc)}
+        checks.append(check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
+                      | skipped)
+
+    # dephasing must not touch the position distribution
+    position_filter = DephasingFilter(spectrum, dephasing)
+    deviations = []
+    for n in range(0, position_check_steps + 1, 3):
+        p1 = filtered_density(states[n], position_filter).position_distribution()
+        p2 = pure_walk_density(states[n]).position_distribution()
+        deviations += [(abs(p1[x] - p2[x]), f"n={n}, x={x}") for x in p1]
+    checks.append(check("position_distribution_invariance", largest_deviation(deviations), 1e-12))
+
+    # series engine vs oscillatory quadrature
+    spectra_a = {a: replace(spectrum, amplitude_ratio=a) for a in (0.0, 1.0)}
+    etas = (0.0, 0.5, 1.0)
+    series = harmonic.series_map_stacks(
+        etas, engine_max_power, [(spec_a, dephasing) for spec_a in spectra_a.values()])[0]
+    deviations = []
+    for e, eta in enumerate(etas):
+        devs = {a: np.max(np.abs(series[t, e] - harmonic.quadrature_maps(
+            eta, engine_max_power, spec_a, dephasing)), axis=(1, 2)).tolist()
+            for t, (a, spec_a) in enumerate(spectra_a.items())}
+        deviations += [(devs[a][m], f"eta={eta}, m={m}, A={a}")
+                       for m in range(engine_max_power + 1) for a in spectra_a]
+    checks.append(check("series_vs_quadrature", largest_deviation(deviations),
+                        harmonic.ENGINE_AGREEMENT_TOL))
+
+    # closed-form period-average maps vs the series oracle
+    averages = harmonic.series_maps(0.5, 40)[1]
+    closed_forms = harmonic.strong_limit_closed_forms(40)
+    checks.append(check("catalan_closed_form", largest_deviation(
+        (dev, f"m={m}") for m, dev in enumerate(
+            np.max(np.abs(averages - closed_forms), axis=(1, 2)).tolist())), 1e-12))
+
+    # quasi-momentum amplitudes vs the position recursion
+    checks.append(check("walk_integral_vs_recursion", integral_recursion_deviation(
+        walk_steps, [(1.0, 0.0), (0.0, 1.0)]), INTEGRAL_RECURSION_TOL))
+
+    checks.append(check("eigensolver_identities", eigensolver_identity_deviation(seed), 1e-10))
+    return checks
+
+
 def strong_dephasing_blocks(c_left: complex, c_right: complex, m: int) -> WalkDensity:
     """Diagonal site blocks of the unitary walk density: the f(d) -> delta_d0
     limit of the coin-dephased walk."""
@@ -366,3 +440,4 @@ def trace_distance_walk(rho1: WalkDensity, rho2: WalkDensity) -> float:
         raise DomainError("trace distance needs densities after equal step counts")
     vals = hermitian_eigenvalues(rho1.matrix - rho2.matrix)
     return 0.5 * float(np.sum(np.abs(vals)))
+

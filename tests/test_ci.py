@@ -1,7 +1,10 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, under a
-time limit, read as plain text (CI installs no YAML parser)."""
+time limit, read as plain text (CI installs no YAML parser); and under the
+project's warning filters a failing test leaves the later tests running."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -19,3 +22,37 @@ def test_workflow_runs_roadmap_tier1_command():
 def test_workflow_job_has_time_limit():
     assert re.search(r"^    timeout-minutes: \d+$", WORKFLOW.read_text(encoding="utf-8"),
                      flags=re.MULTILINE)
+
+
+FAILING_THEN_PASSING = """
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_other_deprecation_is_an_error():
+    warnings.warn("deprecated", DeprecationWarning)
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
+    # explaining a failing example imports libcst, which warns through
+    # mypy_extensions.TypedDict; the filters must not turn that into an abort
+    (tmp_path / "test_pair.py").write_text(FAILING_THEN_PASSING, encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "2 failed, 1 passed" in done.stdout
+    assert done.returncode == 1

@@ -129,6 +129,21 @@ class TestConfigResolution:
                      "a_values", id="a_values-same-label"),
         pytest.param(["dephasing", "--preset", "fig1", "--set", "a_values=[0.5,0.5]"],
                      "a_values", id="a_values-repeated"),
+        pytest.param(["strong-limit-error", "--preset", "fig5",
+                      "--set", "delta_t_factors=[1.0000001,1.0000002]"],
+                     "delta_t_factors", id="delta_t_factors-same-label"),
+        pytest.param(["strong-limit-error", "--preset", "fig5",
+                      "--set", "delta_t_factors=[1,0.02,1.0,1.0000001]"],
+                     "delta_t_factors", id="delta_t_factors-same-label-among-repeats"),
+        pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "mu1=1e308",
+                      "--set", "delta_omega=1e308"], "mu1", id="mu2-overflow"),
+        pytest.param(["oracle", "--set", "delta_t_factor=1e308", "--set", "delta_omega=1e-300"],
+                     "delta_t_factor", id="delta_t-overflow-oracle"),
+        pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "delta_t_factor=1e308",
+                      "--set", "delta_omega=1e-300"], "delta_t_factor", id="delta_t-overflow"),
+        pytest.param(["strong-limit-error", "--preset", "fig5", "--set", "delta_t_factors=[1,1e308]",
+                      "--set", "delta_omega=1e-300"], "delta_t_factors",
+                     id="delta_t-overflow-strong-limit"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
@@ -699,7 +714,7 @@ class TestOracleCommand:
     def test_walk_check_builds_one_grid_pair(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, kernels.composite_gauss_legendre)
         grids = calls["composite_gauss_legendre"]
-        checked = cli.integral_recursion_deviation
+        checked = openwalk.integral_recursion_deviation
         during = []
 
         def counted(steps, coins):
@@ -708,12 +723,12 @@ class TestOracleCommand:
             during.append(len(grids) - before)
             return result
 
-        monkeypatch.setattr(cli, "integral_recursion_deviation", counted)
+        monkeypatch.setattr(openwalk, "integral_recursion_deviation", counted)
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         assert during == [2]
 
     def test_nan_deviation_fails_its_check(self, tmp_path, monkeypatch):
-        original = cli.dilation_densities
+        original = openwalk.dilation_densities
 
         def poisoned(*args):
             for rho, omegas, weights in original(*args):
@@ -721,7 +736,7 @@ class TestOracleCommand:
                     rho.matrix[0, 0] = np.nan
                 yield rho, omegas, weights
 
-        monkeypatch.setattr(cli, "dilation_densities", poisoned)
+        monkeypatch.setattr(openwalk, "dilation_densities", poisoned)
         assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.max_steps=2",
                        "--set", "oracle.n_freqs=[8]", "--set", "oracle.walk_steps=2",
                        "--set", "oracle.engine_max_power=2") == 2
@@ -757,7 +772,7 @@ class TestOracleCommand:
         assert all(c["pass"] for c in report["checks"] if "skipped" not in c)
 
     def test_perturbed_filter_reports_failure(self, tmp_path, monkeypatch):
-        original = cli.filtered_density
+        original = openwalk.filtered_density
 
         def perturbed(*args):
             rho = original(*args)
@@ -766,7 +781,7 @@ class TestOracleCommand:
             rho.matrix[target, 0] += 1e-4
             return rho
 
-        monkeypatch.setattr(cli, "filtered_density", perturbed)
+        monkeypatch.setattr(openwalk, "filtered_density", perturbed)
         assert run_cli(
             "oracle", "--out", str(tmp_path),
             "--set", "oracle.max_steps=2", "--set", "oracle.n_freqs=[8]",

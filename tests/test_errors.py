@@ -1,8 +1,9 @@
-"""The rule by which every check keeps its largest deviation and its location."""
+"""The rule by which every check keeps its largest deviation and its location,
+and the report entry of a check."""
 
 import math
 
-from memoryflow.errors import largest_deviation
+from memoryflow.errors import check, largest_deviation
 
 NAN = float("nan")
 
@@ -26,3 +27,16 @@ class TestLargestDeviation:
 
     def test_accepts_a_generator(self):
         assert largest_deviation((float(m), f"m={m}") for m in range(4)) == (3.0, "m=3")
+
+
+class TestCheck:
+    def test_entry_fields(self):
+        assert check("c", (1e-13, "m=2"), 1e-12) == {
+            "name": "c", "max_dev": 1e-13, "tol": 1e-12, "pass": True, "location": "m=2"}
+
+    def test_deviation_at_the_tolerance_passes(self):
+        assert check("c", (1e-12, "m=0"), 1e-12)["pass"] is True
+
+    def test_nan_deviation_fails(self):
+        entry = check("c", (NAN, "m=1"), 1e-12)
+        assert entry["pass"] is False and math.isnan(entry["max_dev"])

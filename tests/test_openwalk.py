@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from memoryflow.cli import _finite_or_null, main, resolve_config
 from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow import openwalk
 from memoryflow.openwalk import (
@@ -19,6 +21,7 @@ from memoryflow.openwalk import (
     hermitian_eigenvalues,
     open_walk_evolve,
     open_walk_evolve_discrete,
+    oracle_checks,
     pure_walk_density,
     strong_dephasing_blocks,
     trace_distance_walk,
@@ -218,6 +221,19 @@ class TestStreamedRoutes:
             next(dilation_densities(*COIN, -1, spectrum(), dephasing(), 8))
         with pytest.raises(DomainError):
             next(dilation_densities(1.0, 1.0, 2, spectrum(), dephasing(), 8))
+
+
+class TestOracleChecks:
+    def test_default_checks_are_the_cli_report(self, tmp_path):
+        cfg = resolve_config("oracle")
+        # the CLI's default probe point: A = 0.7 at 0.35 revival times
+        checks = oracle_checks(spectrum(), dephasing(), seed=cfg["seed"], **cfg["oracle"])
+        assert main(["oracle", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "oracle_report.json").read_text(encoding="utf-8"))
+        assert _finite_or_null(checks) == report["checks"]
+        assert [c["name"] for c in checks][-4:] == [
+            "series_vs_quadrature", "catalan_closed_form", "walk_integral_vs_recursion",
+            "eigensolver_identities"]
 
 
 class TestStrongDephasingBlocks:
