@@ -231,13 +231,29 @@ def validate_config(command: str, cfg: dict) -> None:
         raise ConfigError("fields 'mu1' + 'delta_omega' must sum to a finite number")
     if command == "open-walk-nm" and cfg["sweep"]["min"] > cfg["sweep"]["max"]:
         raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
-    # a revival-scaled step duration must be finite, and the manifest's factor labels distinct
-    name = "delta_t_factors" if command == "strong-limit-error" else "delta_t_factor"
-    if command in ("controlled-qubit", "strong-limit-error", "oracle") and cfg[name] is not None \
-            and not _real(float(np.max(cfg[name])) * revival_time(cfg)):
-        raise ConfigError(f"field '{name}' times the revival time must be finite")
-    if command == "strong-limit-error" and len(set(cfg[name])) > len({f"{f:g}" for f in cfg[name]}):
-        raise ConfigError(f"field '{name}' must give distinct factors distinct labels, got {cfg[name]}")
+    # every time scaled by the revival time must be finite, refused by the field that scales it
+    scaled = {}
+    if command in ("controlled-qubit", "oracle") and cfg["delta_t_factor"] is not None:
+        scaled["delta_t_factor"] = cfg["delta_t_factor"]
+    if command == "strong-limit-error":
+        scaled["delta_t_factors"] = max(cfg["delta_t_factors"])
+    if command == "dephasing":
+        scaled["t_grid.max_revivals"] = cfg["t_grid"]["max_revivals"]
+    if command == "open-walk-nm" and cfg["delta_n"] != 0.0:
+        # a sweep value v gives the step duration v 2 pi / (delta_omega delta_n)
+        for end in ("min", "max"):
+            if not cfg["sweep"][end] * cfg["delta_n"] > 0.0:
+                raise ConfigError(f"field 'sweep.{end}' must be non-zero with the sign of "
+                                  "'delta_n', for a positive step duration")
+            scaled[f"sweep.{end}"] = abs(cfg["sweep"][end])
+    for name, factor in scaled.items():
+        if not _real(float(factor) * revival_time(cfg)):
+            raise ConfigError(f"field '{name}' times the revival time must be finite")
+    # the manifest keys strong-limit-error's factors by label
+    if command == "strong-limit-error" and len(set(cfg["delta_t_factors"])) \
+            > len({f"{f:g}" for f in cfg["delta_t_factors"]}):
+        raise ConfigError("field 'delta_t_factors' must give distinct factors distinct labels, "
+                          f"got {cfg['delta_t_factors']}")
     grids = {}  # bytes per grid, keyed by the fields that size it
     if command == "dephasing":
         labels = [_a_label(a) for a in cfg["a_values"]]
@@ -271,10 +287,16 @@ def build_spectrum(cfg: dict, a_value=None) -> SpectrumParams:
 
 
 def revival_time(cfg: dict) -> float:
+    """2 pi / (delta_omega |delta_n|), refused by name when it is not a finite time."""
     for name in ("delta_n", "delta_omega"):
         if cfg[name] == 0.0:
             raise ConfigError(f"field '{name}' must be non-zero for revival-scaled durations")
-    return 2.0 * math.pi / (cfg["delta_omega"] * abs(cfg["delta_n"]))
+    product = cfg["delta_omega"] * abs(cfg["delta_n"])
+    t_rev = 2.0 * math.pi / product if product else math.inf
+    if not _real(t_rev):
+        raise ConfigError("fields 'delta_omega' x 'delta_n' are too small for a finite revival "
+                          "time 2 pi / (delta_omega |delta_n|)")
+    return t_rev
 
 
 def resolve_delta_t(cfg: dict) -> float:
@@ -491,13 +513,10 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
 def _walk_nm_over_sweep(cfg: dict):
     """(columns, derived) for the interaction-time sweep of the walk measure."""
     steps = cfg["steps"]
-    strong_value = nm_walk(None, None, n_steps=steps, mode="strong_limit")[1].measure
     dn = cfg["delta_n"]
     if dn == 0.0:
         values = [0.0]
         durations = [cfg.get("delta_t") or 1.0]
-    elif cfg["delta_omega"] == 0.0:
-        raise ConfigError("field 'delta_omega' must be non-zero to sweep dt_omega_dn")
     else:
         sweep = cfg["sweep"]
         values = np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["count"])).tolist()
@@ -506,6 +525,7 @@ def _walk_nm_over_sweep(cfg: dict):
                for a in cfg["a_values"] for dt in durations]
     measures = [nm_measure(dvals, cfg["threshold"]).measure
                 for dvals in walk_trace_distances(filters, steps)]
+    strong_value = nm_walk(None, None, n_steps=steps, mode="strong_limit")[1].measure
     mode, a, value, measure = _keyed_columns(
         [np.array(["filter", "strong_limit"]), np.asarray(cfg["a_values"], dtype=float),
          np.asarray(values, dtype=float)],

@@ -14,14 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainError, ResourceLimitError
-from .openwalk import (
-    MAX_EIG_DIM,
-    DephasingFilter,
-    eigvals_2x2_hermitian,
-    hermitian_eigenvalues,
-    state_vector,
-)
+from .openwalk import HERMITICITY_TOL, DephasingFilter, eigvals_2x2_hermitian, state_vector
 from .qubit import as_bloch_vector, transfer_maps
 from .spectra import DephasingConfig, SpectrumParams
 from .walk import walk_states
@@ -36,8 +31,14 @@ DEFAULT_QUBIT_DIRECTION = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
 DEFAULT_WALK_COINS = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
 
 #: bytes one stacked array of filtered walk matrices may take; the filters of a
-#: step are solved in as many chunks as this needs
+#: step are solved in as many chunks as this needs, and a step whose one
+#: complex matrix would exceed it is refused
 STACK_BYTES = 1 << 24
+
+#: imaginary residue, relative to a filter's largest value, below which a
+#: gauged filter table counts as real; rounding leaves about 2e-15 on the fig4
+#: filters that are real, and the others keep 1e-7 or more
+GAUGE_TOL = 1e-13
 
 
 @dataclass
@@ -123,6 +124,26 @@ def nm_qubit(
     return series, nm_measure(series, threshold)
 
 
+def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of a walk filter table are real up to a phase ramp, and
+    those rows made real.  Column n + j of a row holds f(2 j), j = -n..n.
+
+    A spectrum symmetric about a centre gives f(2 j) = e^(icj) r(j) with r
+    real.  The phase c is read from the first f(2 k), k >= 1, above
+    ``GAUGE_TOL`` of the row's largest value: c = arg f(2 k) / k, so f(4) / 2
+    stands in where f(2) is negligible.  A row is real when e^(-icj) f(2 j)
+    keeps no imaginary part above ``GAUGE_TOL`` of that largest value.  Returns
+    (mask of the real rows, real parts of every gauged row)."""
+    n = table.shape[1] // 2
+    scale = np.max(np.abs(table), axis=1)
+    phase = np.zeros(len(table))
+    if n:
+        k = 1 + np.argmax(np.abs(table[:, n + 1:]) > GAUGE_TOL * scale[:, None], axis=1)
+        phase = np.angle(table[np.arange(len(table)), n + k]) / k
+    gauged = table * np.exp(-1j * np.outer(phase, np.arange(-n, n + 1)))
+    return np.all(np.abs(gauged.imag) <= GAUGE_TOL * scale[:, None], axis=1), gauged.real
+
+
 def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
     """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
     ``DephasingFilter``.
@@ -131,32 +152,63 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     parity of n are occupied, so the difference of the two pure densities is
     kept on those sites alone: d = 2(n + 1).  A filter multiplies the (x, y)
     block by f(y - x), and every separation is one of the 2 n_steps + 1 even
-    ones, so each filter is evaluated once and each step's filtered matrices
-    are gathered from that table and solved as one stack, in chunks of at most
-    ``STACK_BYTES``.  The last step needs d = 2(n_steps + 1) <= ``MAX_EIG_DIM``,
-    which is checked before any work."""
+    ones, so each filter is evaluated once into a table, from which each
+    step's filtered matrices are gathered.
+
+    The inputs are checked, not the gathered matrices: each table must be
+    finite and Hermitian Toeplitz, f(-d) = conj f(d) within ``HERMITICITY_TOL``
+    of its largest value, and each step's coin amplitudes finite.  Every
+    filtered matrix, a Hermitian Toeplitz table times the Hermitian v1 v1† -
+    v2 v2† entry by entry, is then Hermitian by construction.
+
+    With real coins the walk amplitudes, and so the differences, are real, and
+    a table that ``filter_table_gauge`` finds real, f(2 j) = e^(icj) r(j),
+    makes the filtered matrix unitarily similar to the real symmetric
+    r((y - x)/2) times the difference, by the site phases e^(icx/2).  Those
+    filters are solved in float64, the others in complex128: per step, one
+    stack per route, in chunks of at most ``STACK_BYTES``.  A run whose last step needs one
+    complex matrix over ``STACK_BYTES`` is refused before any work."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
-    if 2 * (n_steps + 1) > MAX_EIG_DIM:
+    dim = 2 * (n_steps + 1)
+    if dim * dim * np.dtype(complex).itemsize > STACK_BYTES:
         raise ResourceLimitError(
-            f"eigensolver capped at dimension {MAX_EIG_DIM}: "
-            f"{n_steps} walk steps need {2 * (n_steps + 1)}")
+            f"'steps' = {n_steps} needs a {dim} x {dim} complex matrix per filter at the last "
+            f"step, over STACK_BYTES = {STACK_BYTES} bytes")
     out = np.empty((len(filters), n_steps + 1))
     if not filters:
         return out
     # column n_steps + j holds f(2 j), j = -n_steps..n_steps
     table = np.array([flt(2 * np.arange(-n_steps, n_steps + 1)) for flt in filters])
+    if not np.all(np.isfinite(table)):
+        raise DomainError("filter values must be finite")
+    scale = np.max(np.abs(table), axis=1)
+    defect = np.max(np.abs(table[:, ::-1] - table.conj()), axis=1)
+    if np.any(defect > HERMITICITY_TOL * np.maximum(scale, 1.0)):
+        raise DomainError("filter must be Hermitian Toeplitz: f(-d) = conj f(d)")
+    real_coins = not np.any(np.imag(coins))
+    real, gauged = filter_table_gauge(table)
+    real &= real_coins
+    routes = [(np.flatnonzero(rows), tab[rows]) for rows, tab in
+              ((real, gauged), (~real, table)) if np.any(rows)]
+    # table column of each entry of the last step's matrix; step n takes its
+    # leading 2(n + 1) rows and columns
+    site = np.arange(dim) // 2
+    columns = n_steps + site[None, :] - site[:, None]
     for n, states in enumerate(zip(*(walk_states(*coin, n_steps) for coin in coins))):
         # position-major amplitudes on the occupied sites -n, -n + 2, ..., n
         v1, v2 = (state_vector(state).reshape(-1, 2)[0::2].ravel() for state in states)
+        if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+            raise DomainError("walk coin amplitudes must be finite")
+        if real_coins:
+            v1, v2 = v1.real, v2.real
         diff = np.outer(v1, v1.conj()) - np.outer(v2, v2.conj())
-        site = np.arange(2 * (n + 1)) // 2
-        columns = n_steps + site[None, :] - site[:, None]
-        chunk = max(1, STACK_BYTES // diff.nbytes)
-        for start in range(0, len(filters), chunk):
-            stack = table[start:start + chunk, columns] * diff
-            vals = hermitian_eigenvalues(stack)
-            out[start:start + chunk, n] = 0.5 * np.sum(np.abs(vals), axis=-1)
+        step_columns = columns[:len(diff), :len(diff)]
+        for rows, tab in routes:
+            chunk = STACK_BYTES // (diff.size * tab.itemsize)
+            for start in range(0, len(rows), chunk):
+                vals = kernels.hermitian_eigvals(tab[start:start + chunk, step_columns] * diff)
+                out[rows[start:start + chunk], n] = 0.5 * np.abs(vals).sum(axis=-1)
     return out
 
 

@@ -28,14 +28,20 @@ the step duration.
 
 Trace distances.  ``trace_distance_walk`` is the dense reference: it takes two
 densities after equal step counts and solves their full 2(2n + 1)-dimensional
-difference in one eigensolve.  The memory measure takes a faster route
-(``nonmarkov.walk_trace_distances``): only the n + 1 sites of the parity of n
-are occupied after n steps, so it keeps the difference on those sites
-(d = 2(n + 1)) and hands the filtered matrices of every filter to
-``hermitian_eigenvalues`` as one (filters, d, d) stack per step.  The
-eigensolver checks each matrix of a stack for finiteness and for Hermiticity
-against its own largest entry, and caps d at ``MAX_EIG_DIM`` = 256: 127 walk
-steps on the compressed route, 63 on the full one.
+difference in one eigensolve, through ``hermitian_eigenvalues``, which checks
+each matrix for finiteness and Hermiticity and caps d at ``MAX_EIG_DIM``.  The
+memory measure takes a faster route (``nonmarkov.walk_trace_distances``): only
+the n + 1 sites of the parity of n are occupied after n steps, so it keeps the
+difference on those sites (d = 2(n + 1)).  It checks its inputs instead of
+each matrix: every filter table must be finite and Hermitian Toeplitz, and
+each step's coin amplitudes finite, so every filtered matrix is Hermitian by
+construction.  A filter whose table is real up to a phase ramp,
+f(2 j) = e^(icj) r(j), as a spectrum symmetric about a centre gives, turns each
+filtered difference of real coins into a real symmetric matrix with the same
+eigenvalues; those are solved in float64, the rest in complex128, one stack
+per route and step, each in chunks of at most ``nonmarkov.STACK_BYTES``.  A
+run whose last step needs one complex matrix over ``STACK_BYTES`` (512 steps
+or more) is refused before any work.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 time limit, read as plain text (CI installs no YAML parser); and under the
 project's warning filters a failing test leaves the later tests running."""
 
+import json
 import re
 import subprocess
 import sys
@@ -22,6 +23,16 @@ def test_workflow_runs_roadmap_tier1_command():
 def test_workflow_job_has_time_limit():
     assert re.search(r"^    timeout-minutes: \d+$", WORKFLOW.read_text(encoding="utf-8"),
                      flags=re.MULTILINE)
+
+
+def test_workflow_checks_every_benchmark_workload():
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    loop = re.search(r"^ +for workload in ([\w ]+); do$", workflow, flags=re.MULTILINE)
+    assert loop, "the workflow runs no benchmark loop"
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert loop[1].split() == workloads
+    assert 'perfbench/run.py --workload "$workload" --seconds 2 --trace 0' in workflow
+    assert '["correct"] is not True' in workflow
 
 
 FAILING_THEN_PASSING = """

@@ -144,6 +144,20 @@ class TestConfigResolution:
         pytest.param(["strong-limit-error", "--preset", "fig5", "--set", "delta_t_factors=[1,1e308]",
                       "--set", "delta_omega=1e-300"], "delta_t_factors",
                      id="delta_t-overflow-strong-limit"),
+        pytest.param(["oracle", "--set", "delta_n=1e-300", "--set", "delta_omega=1e-300"],
+                     "delta_omega", id="revival-time-underflow-oracle"),
+        pytest.param(["oracle", "--set", "delta_n=1e-8", "--set", "delta_omega=1e-300"],
+                     "delta_omega", id="revival-time-overflow-oracle-probe"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "delta_omega=1e-300",
+                      "--set", "delta_n=1e-10"], "delta_omega", id="revival-time-overflow-fig1"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "delta_omega=1e-300",
+                      "--set", "delta_n=1e-7"], "t_grid.max_revivals", id="t_grid-overflow-fig1"),
+        pytest.param(["open-walk-nm", "--set", "delta_omega=1e-300", "--set", "delta_n=1e-7",
+                      "--set", "sweep.max=10"], "sweep.max", id="sweep-duration-overflow"),
+        pytest.param(["open-walk-nm", "--set", "delta_n=-0.009"], "sweep.min",
+                     id="sweep-duration-negative"),
+        pytest.param(["open-walk-nm", "--set", "sweep.min=0"], "sweep.min",
+                     id="sweep-duration-zero"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         assert run_cli(*argv, "--out", str(tmp_path)) == 1
@@ -641,44 +655,48 @@ class TestOpenWalkNMCommand:
     def test_largest_step_count_under_cap(self, tmp_path):
         assert math.isfinite(self.fig4_filter_measure(tmp_path, 127))
 
-    def test_step_cap_named(self, tmp_path, capsys):
+    def test_step_cap_named(self, tmp_path, capsys, monkeypatch):
+        # 512 steps need one 1026 x 1026 complex matrix per filter at the last
+        # step, over STACK_BYTES: refused by name before any walk or eigensolve
+        calls = record_calls(monkeypatch, walk.walk_step, kernels.hermitian_eigvals)
         assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path),
-                       "--set", "steps=128", "--set", "sweep.count=1",
+                       "--set", "steps=512", "--set", "sweep.count=1",
                        "--set", "a_values=[0.0]") == 2
-        assert "eigensolver capped at dimension 256" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'steps' = 512" in err and "STACK_BYTES" in err
+        assert calls == {"walk_step": [], "hermitian_eigvals": []}
 
     @pytest.mark.parametrize("matrices", [0, 1, 3])
     def test_chunked_stacks_match_one_chunk(self, tmp_path, monkeypatch, matrices):
         argv = ["open-walk-nm", "--preset", "fig4", "--set", "sweep.count=5", "--set", "steps=6"]
+        stacks = record_calls(monkeypatch, kernels.hermitian_eigvals)["hermitian_eigvals"]
         assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
-        # budget for this many matrices of the last step, d = 14 (0: one filter per chunk)
-        budget = matrices * 14 * 14 * 16
+        unchunked = len(stacks)
+        # room for one complex matrix of the last step, d = 14 (the least the
+        # step cap allows: one complex or two real matrices per chunk), plus
+        # this many real ones
+        budget = 14 * 14 * 16 + matrices * 14 * 14 * 8
         monkeypatch.setattr(nonmarkov, "STACK_BYTES", budget)
-        stacks = []
-        original = nonmarkov.hermitian_eigenvalues
-
-        def recorded(stack):
-            stacks.append(np.shape(stack))
-            return original(stack)
-
-        monkeypatch.setattr(nonmarkov, "hermitian_eigenvalues", recorded)
+        stacks.clear()
         assert run_cli(*argv, "--out", str(tmp_path / "chunked")) == 0
-        assert len(stacks) > 7  # several chunks per step
-        assert all(16 * np.prod(shape) <= max(budget, 16 * np.prod(shape[1:]))
-                   for shape in stacks)
+        assert len(stacks) > unchunked  # several chunks per step
+        assert {stack.dtype for stack, in stacks} == {np.dtype(float), np.dtype(complex)}
+        assert all(stack.nbytes <= budget for stack, in stacks)
         assert ((tmp_path / "chunked" / "open_walk_nm.csv").read_bytes()
                 == (tmp_path / "one" / "open_walk_nm.csv").read_bytes())
 
     def test_fig4_work_pattern(self, tmp_path, monkeypatch):
-        calls = record_calls(monkeypatch, openwalk.hermitian_eigenvalues, walk.walk_evolve,
+        calls = record_calls(monkeypatch, kernels.hermitian_eigvals, walk.walk_evolve,
                              kernels.walk_run, spectra.decoherence_function)
         assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path)) == 0
         fig4 = PRESETS["fig4"]
         filters = len(fig4["a_values"]) * fig4["sweep"]["count"]
-        # one stacked eigensolve per step, all filters in one chunk
-        assert len(calls["hermitian_eigenvalues"]) == fig4["steps"] + 1
-        assert [np.shape(args[0])[0] for args in calls["hermitian_eigenvalues"]] \
-            == [filters] * (fig4["steps"] + 1)
+        # per step at most one stack per route, real and complex, each in one
+        # chunk, and every filter solved once
+        for n in range(fig4["steps"] + 1):
+            step = [stack for stack, in calls["hermitian_eigvals"] if stack.shape[-1] == 2 * (n + 1)]
+            assert len({stack.dtype for stack in step}) == len(step) <= 2
+            assert sum(len(stack) for stack in step) == filters
         assert len(calls["walk_evolve"]) == 0 and len(calls["walk_run"]) == 0
         assert 0 < len(calls["decoherence_function"]) <= filters
 

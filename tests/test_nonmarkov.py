@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memoryflow.errors import DomainError
+from memoryflow import kernels, nonmarkov
+from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow.nonmarkov import (
     TraceDistanceSeries,
     bloch_trace_distances,
@@ -36,6 +37,13 @@ def spectrum(a=0.0):
 
 def dephasing(dt_factor=0.35):
     return DephasingConfig(0.009, dt_factor * T_REVIVAL)
+
+
+def dense_distances(coins, flt, n_steps):
+    """Trace distances of the dense per-n reference densities of ``openwalk``."""
+    return [trace_distance_walk(open_walk_evolve(*coins[0], n, flt.spectrum, flt.config),
+                                open_walk_evolve(*coins[1], n, flt.spectrum, flt.config))
+            for n in range(n_steps + 1)]
 
 
 class TestIncrements:
@@ -197,13 +205,8 @@ class TestWalkTraceDistances:
         filters = [DephasingFilter(spectrum(a), cfg) for cfg in configs]
         got = walk_trace_distances(filters, 6, coins)
         assert got.shape == (2, 7)
-        for row, cfg in zip(got, configs):
-            want = [
-                trace_distance_walk(open_walk_evolve(*coins[0], n, spectrum(a), cfg),
-                                    open_walk_evolve(*coins[1], n, spectrum(a), cfg))
-                for n in range(7)
-            ]
-            assert np.max(np.abs(row - want)) < 1e-12
+        for row, flt in zip(got, filters):
+            assert np.max(np.abs(row - dense_distances(coins, flt, 6))) < 1e-12
 
     def test_negative_steps_rejected(self):
         with pytest.raises(DomainError):
@@ -212,12 +215,94 @@ class TestWalkTraceDistances:
     def test_no_filters(self):
         assert walk_trace_distances([], 4).shape == (0, 5)
 
+    @staticmethod
+    def solved_stacks(monkeypatch) -> list:
+        """(dtype, shape) of every stack handed to the eigensolver."""
+        stacks = []
+        original = kernels.hermitian_eigvals
+
+        def recorded(stack):
+            stacks.append((stack.dtype, stack.shape))
+            return original(stack)
+
+        monkeypatch.setattr(kernels, "hermitian_eigvals", recorded)
+        return stacks
+
+    def test_walk_sweep_filters_take_the_real_route(self, monkeypatch):
+        # A = 0 and 1 are symmetric spectra; A = 0.5 is real at these times
+        # because delta_omega delta_n delta_t is a multiple of pi there
+        filters = [DephasingFilter(spectrum(a), dephasing(t))
+                   for a in (0.0, 0.5, 1.0) for t in (0.5, 1.0, 1.5, 2.0)]
+        stacks = self.solved_stacks(monkeypatch)
+        got = walk_trace_distances(filters, 10)
+        assert [dtype for dtype, _ in stacks] == [np.float64] * 11
+        assert all(shape[0] == 12 for _, shape in stacks)
+        coins = nonmarkov.DEFAULT_WALK_COINS
+        for row, flt in zip(got, filters):
+            assert np.max(np.abs(row - dense_distances(coins, flt, 10))) < 1e-12
+
+    @pytest.mark.parametrize("a,t,coins", [
+        pytest.param(0.5, 0.3, nonmarkov.DEFAULT_WALK_COINS, id="asymmetric-spectrum"),
+        pytest.param(0.0, 0.3, ((1 / math.sqrt(2), 1j / math.sqrt(2)),
+                                (1 / math.sqrt(2), -1j / math.sqrt(2))), id="complex-coins"),
+    ])
+    def test_complex_route_matches_reference(self, monkeypatch, a, t, coins):
+        flt = DephasingFilter(spectrum(a), dephasing(t))
+        stacks = self.solved_stacks(monkeypatch)
+        got = walk_trace_distances([flt], 8, coins)[0]
+        assert [dtype for dtype, _ in stacks] == [np.complex128] * 9
+        assert np.max(np.abs(got - dense_distances(coins, flt, 8))) < 1e-12
+
+    def test_gauge_reads_phase_past_a_vanishing_f2(self):
+        # A = 1 at interaction time 1/2: f(2) = 0, so the phase comes from f(4)
+        flt = DephasingFilter(spectrum(1.0), dephasing(0.5))
+        table = flt(2 * np.arange(-6, 7))[None, :]
+        assert abs(table[0, 7]) < 1e-15
+        real, gauged = nonmarkov.filter_table_gauge(table)
+        assert real.tolist() == [True]
+        assert np.max(np.abs(np.abs(gauged) - np.abs(table))) < 1e-15
+
+    @pytest.mark.parametrize("flt", [
+        pytest.param(lambda d: np.exp(-np.square(d)) * (1.0 + 0.5j), id="non-hermitian"),
+        pytest.param(lambda d: np.where(d == 2, np.nan, 1.0), id="non-finite"),
+    ])
+    def test_bad_filter_table_refused_before_eigensolve(self, monkeypatch, flt):
+        stacks = self.solved_stacks(monkeypatch)
+        with pytest.raises(DomainError):
+            walk_trace_distances([DephasingFilter(spectrum(), dephasing()), flt], 4)
+        assert stacks == []
+
+    def test_non_finite_coin_refused_before_eigensolve(self, monkeypatch):
+        stacks = self.solved_stacks(monkeypatch)
+        with pytest.raises(DomainError):
+            walk_trace_distances([DephasingFilter(spectrum(), dephasing())], 4,
+                                 ((math.nan, 0.0), (0.0, 1.0)))
+        assert stacks == []
+
+    def test_step_cap_is_one_complex_matrix_in_stack_bytes(self, monkeypatch):
+        # room for one 14 x 14 complex matrix: 6 steps run, 7 are refused
+        monkeypatch.setattr(nonmarkov, "STACK_BYTES", 14 * 14 * 16)
+        filters = [DephasingFilter(spectrum(0.5), dephasing()),
+                   DephasingFilter(spectrum(0.0), dephasing())]
+        stacks = self.solved_stacks(monkeypatch)
+        assert walk_trace_distances(filters, 6).shape == (2, 7)
+        assert all(np.dtype(dtype).itemsize * np.prod(shape) <= 14 * 14 * 16
+                   for dtype, shape in stacks)
+        stacks.clear()
+        with pytest.raises(ResourceLimitError, match="'steps' = 7"):
+            walk_trace_distances(filters, 7)
+        assert stacks == []
+
 
 _parts = st.floats(-1.0, 1.0, allow_nan=False)
 _coins = st.tuples(_parts, _parts, _parts, _parts).filter(
     lambda p: sum(x * x for x in p) > 1e-3
 ).map(lambda p: tuple(np.array([complex(p[0], p[1]), complex(p[2], p[3])])
                       / math.sqrt(sum(x * x for x in p))))
+
+
+_real_coins = st.tuples(_parts, _parts).filter(lambda p: p[0] ** 2 + p[1] ** 2 > 1e-3).map(
+    lambda p: tuple(np.array(p, dtype=complex) / math.hypot(*p)))
 
 
 class TestWalkRoutesAgree:
@@ -230,14 +315,23 @@ class TestWalkRoutesAgree:
     @given(coin1=_coins, coin2=_coins, a=st.floats(0.0, 1.0),
            dt_factor=st.floats(0.01, 3.0), n_steps=st.integers(0, 8))
     def test_filter_rows_match_full_matrices(self, coin1, coin2, a, dt_factor, n_steps):
-        configs = [dephasing(dt_factor), dephasing(dt_factor / 3.0)]
-        got = walk_trace_distances([DephasingFilter(spectrum(a), c) for c in configs],
-                                   n_steps, (coin1, coin2))
-        for row, cfg in zip(got, configs):
-            want = [trace_distance_walk(open_walk_evolve(*coin1, n, spectrum(a), cfg),
-                                        open_walk_evolve(*coin2, n, spectrum(a), cfg))
-                    for n in range(n_steps + 1)]
-            assert np.max(np.abs(row - want)) < 1e-12
+        self.check_filter_rows(coin1, coin2, a, dt_factor, n_steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coin1=_real_coins, coin2=_real_coins, a=st.sampled_from([0.0, 0.5, 1.0]),
+           dt_factor=st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.01, 3.0)),
+           n_steps=st.integers(0, 8))
+    def test_real_coin_rows_match_full_matrices(self, coin1, coin2, a, dt_factor, n_steps):
+        # real coins with a symmetric spectrum, or A = 0.5 at half-integer
+        # interaction times, take the real route; the rest the complex one
+        self.check_filter_rows(coin1, coin2, a, dt_factor, n_steps)
+
+    @staticmethod
+    def check_filter_rows(coin1, coin2, a, dt_factor, n_steps):
+        filters = [DephasingFilter(spectrum(a), dephasing(f)) for f in (dt_factor, dt_factor / 3.0)]
+        got = walk_trace_distances(filters, n_steps, (coin1, coin2))
+        for row, flt in zip(got, filters):
+            assert np.max(np.abs(row - dense_distances((coin1, coin2), flt, n_steps))) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(coin1=_coins, coin2=_coins, n_steps=st.integers(0, 8))
