@@ -19,7 +19,6 @@ from .harmonic import (
     TrigMatrixSeries,
     approximation_error,
     approximation_error_stack,
-    approximation_errors,
     catalan,
     catalan_coeffs,
     channel_distance,
@@ -28,7 +27,6 @@ from .harmonic import (
     quadrature_maps,
     series_from_transfer,
     series_map_stacks,
-    series_maps,
     series_power,
     series_powers,
     strong_limit_closed_form,
@@ -56,7 +54,7 @@ from .openwalk import (
     hermitian_eigenvalues,
     open_walk_evolve,
     oracle_checks,
-    strong_dephasing_blocks,
+    strong_limit_filter,
     trace_distance_walk,
 )
 from .qubit import (
@@ -68,7 +66,6 @@ from .qubit import (
     special_map_eta1,
     trace_distance_qubit,
     transfer_map_stack,
-    transfer_maps,
 )
 from .spectra import (
     DephasingConfig,
@@ -100,19 +97,17 @@ __all__ = [
     "decoherence_function", "decoherence_by_quadrature", "theta3",
     "flatness_factor",
     "coin_operator", "pure_dephasing_map", "bloch_transfer_matrix",
-    "evolve_qubit", "transfer_maps", "transfer_map_stack", "special_map_eta0", "special_map_eta1",
+    "evolve_qubit", "transfer_map_stack", "special_map_eta0", "special_map_eta1",
     "trace_distance_qubit",
     "TrigMatrixSeries", "series_from_transfer", "series_power", "series_powers",
-    "integrate_series_against_spectrum", "series_maps", "series_map_stacks", "quadrature_map",
-    "quadrature_maps",
+    "integrate_series_against_spectrum", "series_map_stacks", "quadrature_map", "quadrature_maps",
     "strong_limit_map", "strong_limit_closed_form", "strong_limit_closed_forms", "catalan",
-    "catalan_coeffs", "channel_distance", "approximation_error", "approximation_errors",
-    "approximation_error_stack",
+    "catalan_coeffs", "channel_distance", "approximation_error", "approximation_error_stack",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",
     "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "walk_amplitude_rows",
     "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle", "dilation_densities",
-    "discretize_spectrum", "strong_dephasing_blocks", "hermitian_eigenvalues",
+    "discretize_spectrum", "strong_limit_filter", "hermitian_eigenvalues",
     "trace_distance_walk", "oracle_checks",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",
     "nm_qubit", "nm_walk", "orthogonal_pair_scan", "qubit_pair_runner",

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, harmonic, kernels
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError
-from .nonmarkov import bloch_trace_distances, nm_measure, nm_walk, walk_trace_distances
-from .openwalk import DephasingFilter, oracle_checks
+from .nonmarkov import bloch_trace_distances, nm_measure, walk_trace_distances
+from .openwalk import DephasingFilter, oracle_checks, strong_limit_filter
 from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL, transfer_map_stack
 from .spectra import (
@@ -227,6 +227,14 @@ def validate_config(command: str, cfg: dict) -> None:
             raise ConfigError(f"field '{name}' must be {must}")
     if cfg["delta_t"] is not None and cfg["delta_t_factor"] is not None:
         raise ConfigError("give field 'delta_t' or 'delta_t_factor', not both")
+    if command == "controlled-qubit" and cfg["delta_t"] is None and cfg["delta_t_factor"] is None:
+        raise ConfigError("field 'delta_t_factor' is required when 'delta_t' is not given")
+    if command == "strong-limit-error" and cfg["engine"] == "strong-limit":
+        raise ConfigError("field 'engine' must be series or quadrature for strong-limit-error, "
+                          "which compares the exact maps against the strong limit")
+    if command == "walk" and not 0.0 < math.hypot(*cfg["initial_coin_1"][0],
+                                                  *cfg["initial_coin_1"][1]) < math.inf:
+        raise ConfigError("field 'initial_coin_1' must be non-zero, with a finite norm")
     if not _real(cfg["mu1"] + cfg["delta_omega"]):
         raise ConfigError("fields 'mu1' + 'delta_omega' must sum to a finite number")
     if command == "open-walk-nm" and cfg["sweep"]["min"] > cfg["sweep"]["max"]:
@@ -249,6 +257,9 @@ def validate_config(command: str, cfg: dict) -> None:
     for name, factor in scaled.items():
         if not _real(float(factor) * revival_time(cfg)):
             raise ConfigError(f"field '{name}' times the revival time must be finite")
+    # without a step, the oracle probes at 0.35 revival times
+    if command == "oracle" and cfg["delta_t"] is None and cfg["delta_t_factor"] is None:
+        revival_time(cfg)
     # the manifest keys strong-limit-error's factors by label
     if command == "strong-limit-error" and len(set(cfg["delta_t_factors"])) \
             > len({f"{f:g}" for f in cfg["delta_t_factors"]}):
@@ -300,12 +311,11 @@ def revival_time(cfg: dict) -> float:
 
 
 def resolve_delta_t(cfg: dict) -> float:
-    if cfg.get("delta_t") is not None:
+    """``delta_t``, or ``delta_t_factor`` revival times; ``validate_config``
+    requires one of them wherever a command resolves it."""
+    if cfg["delta_t"] is not None:
         return float(cfg["delta_t"])
-    factor = cfg.get("delta_t_factor")
-    if factor is None:
-        raise ConfigError("field 'delta_t_factor' is required when 'delta_t' is not given")
-    return float(factor) * revival_time(cfg)
+    return float(cfg["delta_t_factor"]) * revival_time(cfg)
 
 
 def build_dephasing(cfg: dict, delta_t=None) -> DephasingConfig:
@@ -451,8 +461,6 @@ def cmd_controlled_qubit(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_strong_limit_error(cfg: dict, out_dir: Path) -> int:
-    if cfg["engine"] == "strong-limit":
-        raise ConfigError("the error command compares against the strong limit; use series or quadrature")
     spectrum = build_spectrum(cfg)
     factors = cfg["delta_t_factors"]
     dephasings = [build_dephasing(cfg, delta_t=float(factor) * revival_time(cfg))
@@ -474,8 +482,6 @@ def cmd_strong_limit_error(cfg: dict, out_dir: Path) -> int:
 def cmd_walk(cfg: dict, out_dir: Path) -> int:
     (re_l, im_l), (re_r, im_r) = cfg["initial_coin_1"]
     norm = math.hypot(re_l, im_l, re_r, im_r)
-    if norm == 0.0:
-        raise ConfigError("field 'initial_coin_1' must be non-zero")
     c_left = complex(re_l, im_l) / norm
     c_right = complex(re_r, im_r) / norm
     norms, keys, p, amplitudes = [], [], [], []
@@ -523,9 +529,10 @@ def _walk_nm_over_sweep(cfg: dict):
         durations = [value * 2.0 * math.pi / (cfg["delta_omega"] * dn) for value in values]
     filters = [DephasingFilter(build_spectrum(cfg, a), DephasingConfig(dn, dt))
                for a in cfg["a_values"] for dt in durations]
+    # the strong limit is one more filter of the same call, its row the last
     measures = [nm_measure(dvals, cfg["threshold"]).measure
-                for dvals in walk_trace_distances(filters, steps)]
-    strong_value = nm_walk(None, None, n_steps=steps, mode="strong_limit")[1].measure
+                for dvals in walk_trace_distances(filters + [strong_limit_filter], steps)]
+    strong_value = measures.pop()
     mode, a, value, measure = _keyed_columns(
         [np.array(["filter", "strong_limit"]), np.asarray(cfg["a_values"], dtype=float),
          np.asarray(values, dtype=float)],

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericError, ResourceLimitError
-from .qubit import PAULI, control_alpha_beta
+from .qubit import PAULI, control_alpha_beta, transfer_map_stack
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function, spectral_density
 
 #: maximum trigonometric degree a series power may reach
@@ -258,20 +258,6 @@ def series_map_stacks(etas, steps: int, tables=()):
     return _real(exact, "spectral average"), averages
 
 
-def series_maps(eta: float, steps: int, spectrum: SpectrumParams | None = None,
-                config: DephasingConfig | None = None):
-    """Exact spectrum-averaged maps and single-period averages for
-    m = 0..steps, as two (steps + 1, 3, 3) stacks: the series counterpart of
-    ``quadrature_maps`` and the one-eta entry of ``series_map_stacks``.
-    Without a spectrum only the period averages are formed and the exact
-    stack is None."""
-    if (spectrum is None) != (config is None):
-        raise DomainError("series_maps needs both a spectrum and a dephasing step, or neither")
-    tables = () if spectrum is None else ((spectrum, config),)
-    exact, averages = series_map_stacks((eta,), steps, tables)
-    return (None if exact is None else exact[0, 0]), averages[0]
-
-
 def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int):
     """Composite Gauss-Legendre grid over the spectral support.
 
@@ -344,7 +330,7 @@ def quadrature_map(
 def strong_limit_map(eta: float, m: int) -> np.ndarray:
     """Average of M(theta)^m over one full period: the zeroth Fourier
     coefficient of the series power.  Exact, spectrum-free."""
-    return series_maps(eta, m)[1][m]
+    return series_map_stacks((eta,), m)[1][0, m]
 
 
 def catalan(k: int) -> int:
@@ -455,14 +441,16 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
 
 def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, configs,
                               engine: str = "series") -> np.ndarray:
-    """``approximation_errors`` for every dephasing step in ``configs`` and
-    control in ``etas``, shape (configs, etas, steps + 1), from one
-    ``series_map_stacks`` call (plus one quadrature walk per pair for the
-    quadrature engine) and one stacked channel distance."""
+    """``approximation_error`` for every dephasing step in ``configs``, control
+    in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1), from one
+    ``series_map_stacks`` call and one stacked channel distance.  The
+    quadrature engine takes its exact maps from one ``transfer_map_stack``
+    call per step, so its m = 0 maps are the identity, as on the series
+    engine."""
     if engine == "series":
         exact, averages = series_map_stacks(etas, steps, [(spectrum, config) for config in configs])
     elif engine == "quadrature":
-        exact = np.array([[quadrature_maps(eta, steps, spectrum, config) for eta in etas]
+        exact = np.array([transfer_map_stack(spectrum, config, etas, steps, engine)
                           for config in configs])
         averages = series_map_stacks(etas, steps)[1]
     else:
@@ -470,15 +458,8 @@ def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, config
     return channel_distance(exact, averages)
 
 
-def approximation_errors(eta: float, steps: int, spectrum: SpectrumParams,
-                         config: DephasingConfig, engine: str = "series") -> np.ndarray:
-    """``approximation_error`` for m = 0..steps: the one-eta, one-step entry
-    of ``approximation_error_stack``."""
-    return approximation_error_stack((eta,), steps, spectrum, (config,), engine)[0, 0]
-
-
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,
                         config: DephasingConfig, engine: str = "series") -> float:
     """Channel distance between the exact spectrum-averaged m-step map and the
     single-period-average map, the power's zeroth coefficient."""
-    return float(approximation_errors(eta, m, spectrum, config, engine)[m])
+    return float(approximation_error_stack((eta,), m, spectrum, (config,), engine)[0, 0, m])

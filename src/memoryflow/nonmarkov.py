@@ -1,6 +1,10 @@
 """Trace-distance trajectories, their increments, and the accumulated
 positive-increment measure of memory effects, for both models.
 
+Each trajectory has one route: the qubit's from one ``transfer_map_stack``
+call, the walk's from ``walk_trace_distances``, one row per coherence filter,
+the strong-dephasing limit (``openwalk.strong_limit_filter``) included.
+
 The measure is evaluated for a fixed initial pair (the default pairs match
 the reference parameter sets); ``orthogonal_pair_scan`` optionally searches a
 family of antipodal pairs and reports a lower bound on the full supremum.
@@ -9,15 +13,15 @@ family of antipodal pairs and reports a lower bound on the full supremum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError, ResourceLimitError
-from .openwalk import HERMITICITY_TOL, DephasingFilter, eigvals_2x2_hermitian, state_vector
-from .qubit import as_bloch_vector, transfer_maps
+from .openwalk import HERMITICITY_TOL, DephasingFilter, state_vector, strong_limit_filter
+from .qubit import as_bloch_vector, transfer_map_stack
 from .spectra import DephasingConfig, SpectrumParams
 from .walk import walk_states
 
@@ -43,10 +47,9 @@ GAUGE_TOL = 1e-13
 
 @dataclass
 class TraceDistanceSeries:
-    """Distinguishability trajectory D(0..N) plus run metadata."""
+    """Distinguishability trajectory D(0..N)."""
 
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -111,16 +114,9 @@ def nm_qubit(
         r1 = DEFAULT_QUBIT_DIRECTION.copy()
     if r2 is None:
         r2 = -np.asarray(r1, dtype=float)
-    maps = transfer_maps(spectrum, config, eta, n_steps, engine)
-    traj1 = maps @ as_bloch_vector(r1)
-    traj2 = maps @ as_bloch_vector(r2)
-    values = bloch_trace_distances(traj1, traj2)
-    series = TraceDistanceSeries(values, metadata={
-        "model": "qubit",
-        "eta": float(eta),
-        "engine": engine,
-        "pair": (np.asarray(r1, float).tolist(), np.asarray(r2, float).tolist()),
-    })
+    maps = transfer_map_stack(spectrum, config, (eta,), n_steps, engine)[0]
+    series = TraceDistanceSeries(bloch_trace_distances(maps @ as_bloch_vector(r1),
+                                                       maps @ as_bloch_vector(r2)))
     return series, nm_measure(series, threshold)
 
 
@@ -212,17 +208,6 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     return out
 
 
-def _strong_limit_distance(state1, state2) -> float:
-    """Trace distance of the diagonal site blocks of two pure walk states, by
-    the per-site 2x2 closed form."""
-    a = np.real(state1.amp_left * state1.amp_left.conj() - state2.amp_left * state2.amp_left.conj())
-    c = np.real(state1.amp_right * state1.amp_right.conj()
-                - state2.amp_right * state2.amp_right.conj())
-    b = state1.amp_left * state1.amp_right.conj() - state2.amp_left * state2.amp_right.conj()
-    lo, hi = eigvals_2x2_hermitian(a, b, c)
-    return 0.5 * float(np.sum(np.abs(lo)) + np.sum(np.abs(hi)))
-
-
 def nm_walk(
     spectrum: SpectrumParams | None,
     config: DephasingConfig | None,
@@ -234,9 +219,10 @@ def nm_walk(
 ) -> tuple[TraceDistanceSeries, NMReport]:
     """Trace-distance trajectory and measure for a fixed walk pair.
 
-    mode "filter" evolves with the spectral coherence filter (the one-filter
-    call of ``walk_trace_distances``); mode "strong_limit" keeps only diagonal
-    site blocks, steps both coins once and needs no spectrum at all.
+    Both modes are the one-filter call of ``walk_trace_distances``: mode
+    "filter" with the spectral coherence filter, and mode "strong_limit" with
+    ``strong_limit_filter``, which keeps only the diagonal site blocks and
+    needs no spectrum at all.
     """
     if coin1 is None:
         coin1 = DEFAULT_WALK_COINS[0]
@@ -247,21 +233,8 @@ def nm_walk(
         raise DomainError(f"unknown walk mode {mode!r}")
     if mode == "filter" and (spectrum is None or config is None):
         raise DomainError("filter mode requires spectrum and dephasing parameters")
-    if mode == "filter":
-        values = walk_trace_distances([DephasingFilter(spectrum, config)], n_steps, (coin1, coin2))[0]
-    else:
-        values = np.array([_strong_limit_distance(s1, s2) for s1, s2 in
-                           zip(walk_states(*coin1, n_steps), walk_states(*coin2, n_steps))])
-    series = TraceDistanceSeries(values, metadata={
-        "model": "walk",
-        "mode": mode,
-        "pair": (
-            [complex(coin1[0]).real, complex(coin1[0]).imag,
-             complex(coin1[1]).real, complex(coin1[1]).imag],
-            [complex(coin2[0]).real, complex(coin2[0]).imag,
-             complex(coin2[1]).real, complex(coin2[1]).imag],
-        ),
-    })
+    flt = DephasingFilter(spectrum, config) if mode == "filter" else strong_limit_filter
+    series = TraceDistanceSeries(walk_trace_distances([flt], n_steps, (coin1, coin2))[0])
     return series, nm_measure(series, threshold)
 
 

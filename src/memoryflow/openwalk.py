@@ -1,6 +1,7 @@
 """Open quantum walk: coin dephasing as a positional coherence filter, the
-explicit system-environment dilation oracle, the strong-dephasing block form,
-and the Hermitian eigenvalue machinery used for trace distances.
+strong-dephasing limit as one such filter, the explicit system-environment
+dilation oracle, and the Hermitian eigenvalue machinery used for trace
+distances.
 
 Density matrices are stored dense in a position-major layout: the row index
 of (site x, coin sigma) is 2 (x + n) + sigma, so the 2x2 coin block for the
@@ -24,7 +25,9 @@ x and y therefore picks up exp(i omega delta_t delta_n (y - x)/2), and the
 spectral average multiplies the (x, y) block by kappa((y - x) delta_t / 2).
 ``dilation_oracle`` pins this normalization exactly; walk support separations
 are always even, so the filter only ever samples kappa at whole multiples of
-the step duration.
+the step duration.  In the strong-dephasing limit every coherence between
+distinct sites is lost: the filter is ``strong_limit_filter``, f(d) = 1 at
+d = 0 and 0 elsewhere, and it takes every route a spectral filter takes.
 
 Trace distances.  ``trace_distance_walk`` is the dense reference: it takes two
 densities after equal step counts and solves their full 2(2n + 1)-dimensional
@@ -142,6 +145,12 @@ def _separations(steps: int) -> np.ndarray:
     """Matrix [y - x] of site separations over the support of an n-step state."""
     xs = np.arange(-steps, steps + 1, dtype=float)
     return xs[None, :] - xs[:, None]
+
+
+def strong_limit_filter(d):
+    """The coherence filter of the strong-dephasing limit: f(d) = 1 at d = 0
+    and 0 elsewhere, so only the diagonal site blocks survive."""
+    return np.where(np.asarray(d, dtype=float) == 0.0, 1.0, 0.0)
 
 
 def filtered_density(state: WalkState, kappa) -> WalkDensity:
@@ -364,7 +373,7 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
                         harmonic.ENGINE_AGREEMENT_TOL))
 
     # closed-form period-average maps vs the series oracle
-    averages = harmonic.series_maps(0.5, 40)[1]
+    averages = harmonic.series_map_stacks((0.5,), 40)[1][0]
     closed_forms = harmonic.strong_limit_closed_forms(40)
     checks.append(check("catalan_closed_form", largest_deviation(
         (dev, f"m={m}") for m, dev in enumerate(
@@ -376,12 +385,6 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
 
     checks.append(check("eigensolver_identities", eigensolver_identity_deviation(seed), 1e-10))
     return checks
-
-
-def strong_dephasing_blocks(c_left: complex, c_right: complex, m: int) -> WalkDensity:
-    """Diagonal site blocks of the unitary walk density: the f(d) -> delta_d0
-    limit of the coin-dephased walk."""
-    return filtered_density(walk_evolve(c_left, c_right, m), lambda d: d == 0)
 
 
 # ---------------------------------------------------------------------------

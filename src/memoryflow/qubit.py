@@ -143,18 +143,6 @@ def transfer_map_stack(
     raise DomainError(f"unknown engine {engine!r}")
 
 
-def transfer_maps(
-    spectrum: SpectrumParams,
-    config: DephasingConfig,
-    eta: float,
-    steps: int,
-    engine: str = "series",
-) -> np.ndarray:
-    """Spectrum-averaged m-step Bloch transfer matrices for m = 0..steps,
-    shape (steps + 1, 3, 3): the one-eta entry of ``transfer_map_stack``."""
-    return transfer_map_stack(spectrum, config, (eta,), steps, engine)[0]
-
-
 def evolve_qubit(
     spectrum: SpectrumParams,
     config: DephasingConfig,
@@ -164,11 +152,12 @@ def evolve_qubit(
     engine: str = "series",
 ) -> np.ndarray:
     """Bloch trajectory [r(0), r(1), ..., r(steps)] of the controlled dephasing
-    dynamics, spectrum-averaged exactly: ``transfer_maps`` applied to r0."""
+    dynamics, spectrum-averaged exactly: the one-eta ``transfer_map_stack``
+    applied to r0."""
     if steps < 0:
         raise DomainError("steps must be non-negative")
     r0 = as_bloch_vector(r0)
-    return transfer_maps(spectrum, config, eta, steps, engine) @ r0
+    return transfer_map_stack(spectrum, config, (eta,), steps, engine)[0] @ r0
 
 
 def special_map_eta1(m: int, spectrum: SpectrumParams, config: DephasingConfig, rho) -> np.ndarray:

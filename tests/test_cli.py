@@ -125,6 +125,12 @@ class TestConfigResolution:
         pytest.param(["oracle", "--set", "delta_n=0"], "delta_n", id="delta_n-zero-oracle"),
         pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "delta_t_factor=null"],
                      "delta_t_factor", id="delta_t_factor-null"),
+        pytest.param(["strong-limit-error", "--engine", "strong-limit"], "engine",
+                     id="strong-limit-error-engine"),
+        pytest.param(["walk", "--set", "initial_coin_1=[[0, 0], [0, -0.0]]"], "initial_coin_1",
+                     id="initial_coin_1-zero"),
+        pytest.param(["walk", "--set", "initial_coin_1=[[1.5e308, 0], [0, 1.5e308]]"],
+                     "initial_coin_1", id="initial_coin_1-norm-overflow"),
         pytest.param(["dephasing", "--preset", "fig1", "--set", "a_values=[0.1234561,0.1234562]"],
                      "a_values", id="a_values-same-label"),
         pytest.param(["dephasing", "--preset", "fig1", "--set", "a_values=[0.5,0.5]"],
@@ -160,8 +166,10 @@ class TestConfigResolution:
                      id="sweep-duration-zero"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
-        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 1
         assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()  # refused while resolving, before the command ran
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["open-walk-nm", "--set", "sweep.count=2.0", "--set", "steps=2"], id="sweep.count"),
@@ -506,6 +514,17 @@ class TestStrongLimitErrorCommand:
     def test_strong_limit_engine_rejected(self):
         assert run_cli("strong-limit-error", "--engine", "strong-limit") == 1
 
+    @pytest.mark.parametrize("engine", ["series", "quadrature"])
+    def test_step_zero_errors_are_exact(self, tmp_path, engine):
+        # on both engines the m = 0 map is the identity, as is its strong limit
+        assert run_cli("strong-limit-error", "--preset", "fig5", "--engine", engine,
+                       "--out", str(tmp_path)) == 0
+        header, rows = read_csv(tmp_path / "strong_limit_error.csv")
+        step, error = header.index("step"), header.index("error")
+        errors = [row[error] for row in rows if row[step] == "0"]
+        fig5 = PRESETS["fig5"]
+        assert errors == ["0.0"] * len(fig5["delta_t_factors"]) * len(fig5["eta_values"])
+
     def test_fig5_work_pattern(self, tmp_path, monkeypatch):
         # one kappa table per delta_t factor and one stacked Choi eigensolve
         # for every (delta_t factor, eta, step)
@@ -614,6 +633,21 @@ class TestOpenWalkNMCommand:
         values = {float(r[2]) for r in strong}
         assert len(values) == 1  # constant across A and sweep value
 
+    @pytest.mark.parametrize("threshold", [None, 0.05])
+    def test_strong_limit_rows_are_nm_walk(self, tmp_path, threshold):
+        # the strong-limit rows take the config's threshold, as the filter rows do
+        argv = [] if threshold is None else ["--set", f"threshold={threshold}"]
+        assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path), *argv) == 0
+        _, rows = read_csv(tmp_path / "open_walk_nm.csv")
+        fig4 = PRESETS["fig4"]
+        kwargs = {} if threshold is None else {"threshold": threshold}
+        want = nonmarkov.nm_walk(None, None, n_steps=fig4["steps"], mode="strong_limit",
+                                 **kwargs)[1].measure
+        strong = [r[2] for r in rows if r[3] == "strong_limit"]
+        assert strong == [repr(want)] * len(fig4["a_values"]) * fig4["sweep"]["count"]
+        manifest = json.loads((tmp_path / "open_walk_nm_manifest.json").read_text())
+        assert manifest["derived"]["strong_limit_measure"] == want
+
     def test_zero_contrast_yields_zero_measure(self, tmp_path):
         assert run_cli(
             "open-walk-nm", "--out", str(tmp_path),
@@ -692,11 +726,11 @@ class TestOpenWalkNMCommand:
         fig4 = PRESETS["fig4"]
         filters = len(fig4["a_values"]) * fig4["sweep"]["count"]
         # per step at most one stack per route, real and complex, each in one
-        # chunk, and every filter solved once
+        # chunk, and every filter and the strong limit solved once
         for n in range(fig4["steps"] + 1):
             step = [stack for stack, in calls["hermitian_eigvals"] if stack.shape[-1] == 2 * (n + 1)]
             assert len({stack.dtype for stack in step}) == len(step) <= 2
-            assert sum(len(stack) for stack in step) == filters
+            assert sum(len(stack) for stack in step) == filters + 1
         assert len(calls["walk_evolve"]) == 0 and len(calls["walk_run"]) == 0
         assert 0 < len(calls["decoherence_function"]) <= filters
 

@@ -14,7 +14,6 @@ from memoryflow.harmonic import (
     SERIES_DEGREE_CAP,
     approximation_error,
     approximation_error_stack,
-    approximation_errors,
     catalan,
     catalan_coeffs,
     channel_distance,
@@ -24,7 +23,6 @@ from memoryflow.harmonic import (
     quadrature_maps,
     series_from_transfer,
     series_map_stacks,
-    series_maps,
     series_multiply,
     series_power,
     series_powers,
@@ -141,30 +139,24 @@ class TestSeriesMaps:
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 1.0])
     def test_bit_identical_to_per_power_route(self, eta, a):
         # one product and one kappa table per power, as before the streamed maps
-        sp, cfg = spectrum(a), dephasing(0.35)
-        exact, averages = series_maps(eta, 40, sp, cfg)
-        assert exact.shape == averages.shape == (41, 3, 3)
-        step = series_from_transfer(eta)
-        power = identity_series()
-        for m in range(41):
-            assert np.array_equal(exact[m], integrate_series_against_spectrum(power, sp, cfg))
-            assert np.array_equal(averages[m], power.period_average())
-            power = series_multiply(power, step)
+        tables = [(spectrum(a), dephasing(0.35))]
+        exact, averages = series_map_stacks((eta,), 40, tables)
+        assert_per_power_route((eta,), 40, tables, exact, averages)
 
     def test_spectrum_free_averages(self):
-        exact, averages = series_maps(0.3, 12)
+        exact, averages = series_map_stacks((0.3,), 12)
         assert exact is None
-        assert np.array_equal(averages, series_maps(0.3, 12, spectrum(1.0), dephasing(0.5))[1])
+        with_table = series_map_stacks((0.3,), 12, [(spectrum(1.0), dephasing(0.5))])[1]
+        assert np.array_equal(averages, with_table)
         for m, power in enumerate(series_powers(series_from_transfer(0.3), 12)):
-            assert np.array_equal(averages[m], power.period_average())
+            assert np.array_equal(averages[0, m], power.period_average())
 
     def test_arguments_checked_before_any_power(self):
+        tables = [(spectrum(), dephasing(0.35))]
         with pytest.raises(DomainError):
-            series_maps(0.5, -1, spectrum(), dephasing(0.35))
-        with pytest.raises(DomainError):
-            series_maps(0.5, 3, spectrum())
+            series_map_stacks((0.5,), -1, tables)
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
-            series_maps(0.5, SERIES_DEGREE_CAP + 1, spectrum(), dephasing(0.35))
+            series_map_stacks((0.5,), SERIES_DEGREE_CAP + 1, tables)
 
     def test_large_steps_keep_memory_linear(self):
         # a (steps + 1, 2 steps + 1, 3, 3) stack of every band would be 1.15 GB;
@@ -173,13 +165,13 @@ class TestSeriesMaps:
         band_bytes = (2 * steps + 1) * 9 * 16
         tracemalloc.start()
         try:
-            exact, averages = series_maps(0.5, steps, spectrum(1.0), dephasing(0.35))
+            exact, averages = series_map_stacks((0.5,), steps, [(spectrum(1.0), dephasing(0.35))])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * band_bytes
         assert np.all(np.isfinite(exact)) and np.all(np.isfinite(averages))
-        assert np.max(np.abs(averages[steps] - strong_limit_closed_form(steps))) < 1e-12
+        assert np.max(np.abs(averages[0, steps] - strong_limit_closed_form(steps))) < 1e-12
 
 
 def assert_per_power_route(etas, steps, tables, exact, averages):
@@ -217,8 +209,9 @@ class TestSeriesMapStacks:
         tables = [(spectrum(1.0), dephasing(0.35))]
         exact, averages = series_map_stacks([0.3, 0.3, 0.7, 0.3], 17, tables)
         assert np.array_equal(exact[0, 0], exact[0, 1]) and np.array_equal(exact[0, 0], exact[0, 3])
-        single = series_maps(0.3, 17, *tables[0])
-        assert np.array_equal(exact[0, 0], single[0]) and np.array_equal(averages[0], single[1])
+        single = series_map_stacks((0.3,), 17, tables)
+        assert np.array_equal(exact[0, 0], single[0][0, 0])
+        assert np.array_equal(averages[0], single[1][0])
 
     def test_eta_chunks_match_one_chunk(self, monkeypatch):
         # a budget of two etas per two-power ring splits three etas into two chunks
@@ -262,8 +255,8 @@ class TestSeriesMapStacks:
             assert errors.shape == (2, 3, 10)
             for c, config in enumerate(configs):
                 for e, eta in enumerate(etas):
-                    assert np.allclose(errors[c, e], approximation_errors(eta, 9, sp, config, engine),
-                                       rtol=0, atol=1e-14)
+                    alone = approximation_error_stack((eta,), 9, sp, (config,), engine)[0, 0]
+                    assert np.allclose(errors[c, e], alone, rtol=0, atol=1e-14)
 
 
 class TestQuadratureMap:
@@ -506,7 +499,7 @@ class TestApproximationError:
     @pytest.mark.parametrize("eta", [0.25, 0.5])
     def test_errors_match_per_step_route(self, engine, eta):
         sp, cfg = spectrum(1.0), dephasing(0.35)
-        errors = approximation_errors(eta, 8, sp, cfg, engine)
+        errors = approximation_error_stack((eta,), 8, sp, (cfg,), engine)[0, 0]
         assert errors.shape == (9,)
         for m in range(9):
             if engine == "series":
@@ -520,7 +513,7 @@ class TestApproximationError:
 
     def test_unknown_engine(self):
         with pytest.raises(DomainError):
-            approximation_errors(0.5, 3, spectrum(), dephasing(0.35), "strong-limit")
+            approximation_error_stack((0.5,), 3, spectrum(), (dephasing(0.35),), "strong-limit")
 
     def test_zero_steps(self):
         assert approximation_error(0.5, 0, spectrum(0.0), dephasing(0.02)) == pytest.approx(0.0, abs=1e-13)

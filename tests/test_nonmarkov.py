@@ -21,12 +21,13 @@ from memoryflow.nonmarkov import (
 )
 from memoryflow.openwalk import (
     DephasingFilter,
-    open_walk_evolve,
-    strong_dephasing_blocks,
+    filtered_density,
+    strong_limit_filter,
     trace_distance_walk,
 )
-from memoryflow.qubit import evolve_qubit, trace_distance_bloch, transfer_maps
+from memoryflow.qubit import evolve_qubit, trace_distance_bloch, transfer_map_stack
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
+from memoryflow.walk import walk_evolve
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
 
@@ -40,9 +41,10 @@ def dephasing(dt_factor=0.35):
 
 
 def dense_distances(coins, flt, n_steps):
-    """Trace distances of the dense per-n reference densities of ``openwalk``."""
-    return [trace_distance_walk(open_walk_evolve(*coins[0], n, flt.spectrum, flt.config),
-                                open_walk_evolve(*coins[1], n, flt.spectrum, flt.config))
+    """Trace distances of the dense per-n reference densities of ``openwalk``,
+    each walked from the origin and filtered by ``flt``."""
+    return [trace_distance_walk(filtered_density(walk_evolve(*coins[0], n), flt),
+                                filtered_density(walk_evolve(*coins[1], n), flt))
             for n in range(n_steps + 1)]
 
 
@@ -111,7 +113,7 @@ class TestBlochTraceDistances:
         assert np.array_equal(bloch_trace_distances(traj1, traj2), want)
 
     def test_engine_trajectories(self):
-        maps = transfer_maps(spectrum(0.5), dephasing(), 0.3, 30)
+        maps = transfer_map_stack(spectrum(0.5), dephasing(), (0.3,), 30)[0]
         traj1, traj2 = maps @ np.array([0.6, 0.0, 0.8]), maps @ np.array([-0.6, 0.0, -0.8])
         want = np.array([trace_distance_bloch(a, b) for a, b in zip(traj1, traj2)])
         assert np.array_equal(bloch_trace_distances(traj1, traj2), want)
@@ -309,7 +311,7 @@ class TestWalkRoutesAgree:
     """The stepped, parity-compressed, stacked routes of ``nonmarkov`` against
     the full-matrix densities of ``openwalk``, which evolve each step from the
     origin and solve the 2(2n + 1)-dimensional difference with LAPACK.  The
-    strong-limit check thus pits the per-site 2x2 closed form against LAPACK."""
+    strong limit is one more filter, ``strong_limit_filter``, on both sides."""
 
     @settings(max_examples=60, deadline=None)
     @given(coin1=_coins, coin2=_coins, a=st.floats(0.0, 1.0),
@@ -334,13 +336,13 @@ class TestWalkRoutesAgree:
             assert np.max(np.abs(row - dense_distances((coin1, coin2), flt, n_steps))) < 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(coin1=_coins, coin2=_coins, n_steps=st.integers(0, 8))
-    def test_strong_limit_matches_site_blocks(self, coin1, coin2, n_steps):
+    @given(coins=st.tuples(_coins, _coins) | st.tuples(_real_coins, _real_coins),
+           n_steps=st.integers(0, 8))
+    def test_strong_limit_matches_site_blocks(self, coins, n_steps):
+        # real coin pairs take the float64 route, the others the complex one
         series, _ = nm_walk(None, None, n_steps=n_steps, mode="strong_limit",
-                            coin1=coin1, coin2=coin2)
-        want = [trace_distance_walk(strong_dephasing_blocks(*coin1, n),
-                                    strong_dephasing_blocks(*coin2, n))
-                for n in range(n_steps + 1)]
+                            coin1=coins[0], coin2=coins[1])
+        want = dense_distances(coins, strong_limit_filter, n_steps)
         assert np.max(np.abs(series.values - want)) < 1e-12
 
 

@@ -23,7 +23,7 @@ from memoryflow.openwalk import (
     open_walk_evolve_discrete,
     oracle_checks,
     pure_walk_density,
-    strong_dephasing_blocks,
+    strong_limit_filter,
     trace_distance_walk,
 )
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
@@ -31,6 +31,11 @@ from memoryflow.walk import walk_evolve, walk_states
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
 COIN = (0.6, 0.8j)
+
+
+def strong_blocks(c_left, c_right, m):
+    """The diagonal site blocks of the unitary walk density after m steps."""
+    return filtered_density(walk_evolve(c_left, c_right, m), strong_limit_filter)
 
 
 def spectrum(a=0.7):
@@ -237,8 +242,14 @@ class TestOracleChecks:
 
 
 class TestStrongDephasingBlocks:
+    def test_filter_keeps_only_zero_separation(self):
+        d = np.array([[-4.0, -2.0, 0.0], [2.0, 4.0, -0.0]])
+        assert np.array_equal(strong_limit_filter(d), [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert strong_limit_filter(d).dtype == float
+        assert strong_limit_filter(0) == 1.0 and strong_limit_filter(2) == 0.0
+
     def test_one_step_blocks(self):
-        rho = strong_dephasing_blocks(1.0, 0.0, 1)
+        rho = strong_blocks(1.0, 0.0, 1)
         left = rho.block(-1, -1)
         right = rho.block(1, 1)
         assert np.allclose(left, [[0.5, 0.0], [0.0, 0.0]], atol=1e-14)
@@ -246,14 +257,14 @@ class TestStrongDephasingBlocks:
         assert np.allclose(rho.block(-1, 1), np.zeros((2, 2)), atol=1e-15)
 
     def test_unit_trace(self):
-        rho = strong_dephasing_blocks(*COIN, 8)
+        rho = strong_blocks(*COIN, 8)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_limit_of_filtered_walk(self):
         # strong per-step dephasing: |kappa(delta_t)| ~ 1e-11 already at d=2
         cfg = dephasing(10.0)
         for n in (2, 5):
-            strong = strong_dephasing_blocks(*COIN, n)
+            strong = strong_blocks(*COIN, n)
             filtered = open_walk_evolve(*COIN, n, spectrum(0.0), cfg)
             assert np.max(np.abs(strong.matrix - filtered.matrix)) < 1e-8
 
@@ -350,7 +361,7 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.zeros((2, 258, 258)))
 
     def test_block_accessor_bounds(self):
-        rho = strong_dephasing_blocks(1.0, 0.0, 2)
+        rho = strong_blocks(1.0, 0.0, 2)
         with pytest.raises(DomainError):
             rho.block(3, 0)
 

@@ -17,12 +17,16 @@ from memoryflow.qubit import (
     special_map_eta1,
     trace_distance_qubit,
     transfer_map_stack,
-    transfer_maps,
 )
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def one_eta_maps(sp, cfg, eta, steps, engine="series"):
+    """The maps of one control: the one-eta entry of ``transfer_map_stack``."""
+    return transfer_map_stack(sp, cfg, (eta,), steps, engine)[0]
 
 
 def spectrum(a=0.0):
@@ -184,7 +188,7 @@ class TestTransferMaps:
     @pytest.mark.parametrize("engine", ["series", "quadrature", "strong-limit"])
     def test_maps_are_each_engines_m_step_map(self, engine):
         sp, cfg = spectrum(0.4), dephasing(1.7)
-        maps = transfer_maps(sp, cfg, 0.3, 5, engine)
+        maps = one_eta_maps(sp, cfg, 0.3, 5, engine)
         assert maps.shape == (6, 3, 3)
         assert np.array_equal(maps[0], np.eye(3))
         for m, power in enumerate(harmonic.series_powers(harmonic.series_from_transfer(0.3), 5)):
@@ -206,7 +210,7 @@ class TestTransferMaps:
         assert stack.shape == (4, 7, 3, 3)
         r0 = np.array([0.1, -0.4, 0.6])
         for eta, maps in zip(etas, stack):
-            alone = transfer_maps(sp, cfg, eta, 6, engine)
+            alone = one_eta_maps(sp, cfg, eta, 6, engine)
             assert maps.tobytes() == alone.tobytes()
             assert (maps @ r0).tobytes() == (alone @ r0).tobytes()
 
@@ -214,7 +218,7 @@ class TestTransferMaps:
         sp, cfg = spectrum(0.4), dephasing(1.7)
         r0 = np.array([0.1, -0.4, 0.6])
         for engine in ("series", "quadrature", "strong-limit"):
-            want = transfer_maps(sp, cfg, 0.8, 7, engine) @ r0
+            want = one_eta_maps(sp, cfg, 0.8, 7, engine) @ r0
             assert np.array_equal(evolve_qubit(sp, cfg, 0.8, r0, 7, engine=engine), want)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -223,15 +227,15 @@ class TestTransferMaps:
         # not the spectrum-free single-period average
         sp, cfg = SpectrumParams(0.0, 1.0, 1e308, 0.0), dephasing(1.7)
         with pytest.raises(DomainError, match="overflows"):
-            transfer_maps(sp, cfg, 0.3, 5, "series")
-        assert np.array_equal(transfer_maps(sp, cfg, 0.3, 5, "strong-limit"),
-                              transfer_maps(spectrum(), cfg, 0.3, 5, "strong-limit"))
+            one_eta_maps(sp, cfg, 0.3, 5, "series")
+        assert np.array_equal(one_eta_maps(sp, cfg, 0.3, 5, "strong-limit"),
+                              one_eta_maps(spectrum(), cfg, 0.3, 5, "strong-limit"))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            transfer_maps(spectrum(), dephasing(), 0.5, -1)
+            one_eta_maps(spectrum(), dephasing(), 0.5, -1)
         with pytest.raises(DomainError, match="unknown engine"):
-            transfer_maps(spectrum(), dephasing(), 0.5, 3, "bogus")
+            one_eta_maps(spectrum(), dephasing(), 0.5, 3, "bogus")
         with pytest.raises(DomainError, match="three components"):
             evolve_qubit(spectrum(), dephasing(), 0.5, [1.0, 0.0], 3)
 
