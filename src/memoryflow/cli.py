@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 usage/config error, 2 numeric or oracle failure,
 3 I/O error.  Identical configuration produces byte-identical output files;
 sweep rows are put in key order by one stable lexsort.  The ``jobs`` field (``--jobs``) is
 validated and recorded but has no effect: sweeps run serially in one thread.
-Every config field is one row of ``FIELDS``; a key a command does not know, or
-a value that does not fit its row, exits 1 and names the field.
+Every config field is one row of ``FIELDS``, which lists the commands that read
+it; a key a command does not read, or a value that does not fit its row, exits 1
+and names the field.  A dedicated flag (``--engine``, ``--jobs``, ``--amplitudes``,
+``--check-integrals``) exists on a command exactly when its field's row lists it.
 """
 
 from __future__ import annotations
@@ -46,31 +48,37 @@ COMMANDS = (
     "oracle",
 )
 
-#: reference preset each figure command starts from, so that every reference
-#: value is written once, in presets.py; walk and oracle start from ENVIRONMENT
-BASE_PRESETS = {"dephasing": "fig1", "controlled-qubit": "fig2",
-                "strong-limit-error": "fig5", "open-walk-nm": "fig4"}
+#: the config each command starts from, so that every reference value is
+#: written once, in presets.py; walk starts from the table defaults alone
+BASE_CONFIGS = {"dephasing": PRESETS["fig1"], "controlled-qubit": PRESETS["fig2"],
+                "strong-limit-error": PRESETS["fig5"], "open-walk-nm": PRESETS["fig4"],
+                "oracle": ENVIRONMENT}
 
 #: bytes one grid may ask for (time or frequency samples, the sweep's
 #: trace-distance table, or the integral check's largest quasi-momentum table);
 #: a larger grid is refused before anything is allocated
 MAX_GRID_BYTES = 1 << 28
 
-#: dotted name -> (kind, bounds, commands that know the field[, default]).  Bounds
+#: the commands that read the environment, the four fields of ENVIRONMENT
+_ENVIRONMENT_COMMANDS = ("dephasing", "controlled-qubit", "strong-limit-error", "open-walk-nm", "oracle")
+
+#: dotted name -> (kind, bounds, commands that read the field[, default]).  Bounds
 #: are an interval or a set of strings; a field without a default here takes it
-#: from the command's base preset or from ENVIRONMENT.
+#: from the command's base config.
 FIELDS = {
-    "A": ("number", "[0, 1]", COMMANDS, 0.0),
-    "sigma": ("number", "(0, inf)", COMMANDS),
-    "mu1": ("number", None, COMMANDS),
-    "delta_omega": ("number", "[0, inf)", COMMANDS),
-    "delta_n": ("number", None, COMMANDS),
-    "delta_t": ("number or null", "(0, inf)", COMMANDS, None),
-    "delta_t_factor": ("number or null", "(0, inf)", COMMANDS, None),
-    "engine": ("string", "{series, quadrature, strong-limit}", COMMANDS, "series"),
+    "A": ("number", "[0, 1]",  # the default is the oracle's; the presets set the others'
+          ("controlled-qubit", "strong-limit-error", "oracle"), 0.7),
+    "sigma": ("number", "(0, inf)", _ENVIRONMENT_COMMANDS),
+    "mu1": ("number", None, _ENVIRONMENT_COMMANDS),
+    "delta_omega": ("number", "[0, inf)", _ENVIRONMENT_COMMANDS),
+    "delta_n": ("number", None, _ENVIRONMENT_COMMANDS),
+    "delta_t": ("number or null", "(0, inf)", ("controlled-qubit", "oracle"), None),
+    "delta_t_factor": ("number or null", "(0, inf)", ("controlled-qubit", "oracle"), None),
+    "engine": ("string", "{series, quadrature, strong-limit}",
+               ("controlled-qubit", "strong-limit-error"), "series"),
     "jobs": ("integer", "[1, inf)", COMMANDS, 1),
-    "seed": ("integer", "[0, inf)", COMMANDS, 0),
-    "threshold": ("number", None, COMMANDS, 1e-12),
+    "seed": ("integer", "[0, inf)", ("oracle",), 0),
+    "threshold": ("number", None, ("controlled-qubit", "open-walk-nm"), 1e-12),
     "out_dir": ("string", None, COMMANDS, "."),
     "steps": ("integer", "[0, inf)",  # the default is walk's; the presets set the others'
               ("controlled-qubit", "strong-limit-error", "walk", "open-walk-nm"), 10),
@@ -87,7 +95,6 @@ FIELDS = {
     "amplitudes": ("boolean", None, ("walk",), False),
     "check_integrals": ("boolean", None, ("walk",), False),
     "integral_check_cap": ("count", "[0, inf)", ("walk",), 12),
-    "sweep.parameter": ("string", "{dt_omega_dn}", ("open-walk-nm",)),
     "sweep.min": ("number", None, ("open-walk-nm",)),
     "sweep.max": ("number", None, ("open-walk-nm",)),
     "sweep.count": ("count", "[1, inf)", ("open-walk-nm",)),
@@ -128,14 +135,13 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 
 def resolve_config(command: str, preset_name=None, config_path=None,
                    overrides=None, flat_overrides=None) -> dict:
-    """table defaults < reference preset < preset < config file < --set overrides
+    """table defaults < base config < preset < config file < --set overrides
     < dedicated flags."""
     cfg: dict = {}
     for name, (_, _, commands, *default) in FIELDS.items():
         if command in commands and default:
             _set_dotted(cfg, name, copy.deepcopy(default[0]))
-    base = PRESETS[BASE_PRESETS[command]] if command in BASE_PRESETS else ENVIRONMENT
-    _deep_update(cfg, {k: v for k, v in base.items() if k != "command"})
+    _deep_update(cfg, {k: v for k, v in BASE_CONFIGS.get(command, {}).items() if k != "command"})
     if preset_name is not None:
         try:
             p = preset(preset_name)
@@ -225,7 +231,7 @@ def validate_config(command: str, cfg: dict) -> None:
         if name not in given or not _valid(kind, bounds, given[name]):
             must = _KINDS[kind][1] + (f" in {bounds}" if bounds else "")
             raise ConfigError(f"field '{name}' must be {must}")
-    if cfg["delta_t"] is not None and cfg["delta_t_factor"] is not None:
+    if cfg.get("delta_t") is not None and cfg.get("delta_t_factor") is not None:
         raise ConfigError("give field 'delta_t' or 'delta_t_factor', not both")
     if command == "controlled-qubit" and cfg["delta_t"] is None and cfg["delta_t_factor"] is None:
         raise ConfigError("field 'delta_t_factor' is required when 'delta_t' is not given")
@@ -235,7 +241,7 @@ def validate_config(command: str, cfg: dict) -> None:
     if command == "walk" and not 0.0 < math.hypot(*cfg["initial_coin_1"][0],
                                                   *cfg["initial_coin_1"][1]) < math.inf:
         raise ConfigError("field 'initial_coin_1' must be non-zero, with a finite norm")
-    if not _real(cfg["mu1"] + cfg["delta_omega"]):
+    if "mu1" in cfg and not _real(cfg["mu1"] + cfg["delta_omega"]):
         raise ConfigError("fields 'mu1' + 'delta_omega' must sum to a finite number")
     if command == "open-walk-nm" and cfg["sweep"]["min"] > cfg["sweep"]["max"]:
         raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
@@ -310,19 +316,15 @@ def revival_time(cfg: dict) -> float:
     return t_rev
 
 
-def resolve_delta_t(cfg: dict) -> float:
-    """``delta_t``, or ``delta_t_factor`` revival times; ``validate_config``
-    requires one of them wherever a command resolves it."""
-    if cfg["delta_t"] is not None:
-        return float(cfg["delta_t"])
-    return float(cfg["delta_t_factor"]) * revival_time(cfg)
-
-
 def build_dephasing(cfg: dict, delta_t=None) -> DephasingConfig:
-    return DephasingConfig(
-        index_contrast=cfg["delta_n"],
-        step_duration=resolve_delta_t(cfg) if delta_t is None else float(delta_t),
-    )
+    """Steps of ``delta_t`` if given, else of the config's ``delta_t`` or
+    ``delta_t_factor`` revival times; ``validate_config`` requires one of them
+    wherever a command reads them."""
+    if delta_t is None:
+        delta_t = cfg["delta_t"]
+    if delta_t is None:
+        delta_t = float(cfg["delta_t_factor"]) * revival_time(cfg)
+    return DephasingConfig(index_contrast=cfg["delta_n"], step_duration=float(delta_t))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +524,7 @@ def _walk_nm_over_sweep(cfg: dict):
     dn = cfg["delta_n"]
     if dn == 0.0:
         values = [0.0]
-        durations = [cfg.get("delta_t") or 1.0]
+        durations = [1.0]  # every filter is identically 1 without an index contrast
     else:
         sweep = cfg["sweep"]
         values = np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["count"])).tolist()
@@ -554,7 +556,7 @@ def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_oracle(cfg: dict, out_dir: Path) -> int:
-    spectrum = build_spectrum(cfg, 0.7 if cfg["A"] == 0.0 else cfg["A"])
+    spectrum = build_spectrum(cfg)
     # default probe point: strong enough to matter, far from the revivals
     probe = cfg["delta_t"] is None and cfg["delta_t_factor"] is None
     dephasing = build_dephasing(cfg, delta_t=0.35 * revival_time(cfg) if probe else None)
@@ -600,22 +602,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="memoryflow", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {"engine": {"choices": FIELDS["engine"][1][1:-1].split(", ")},
+             "jobs": {"type": int, "help": "accepted for compatibility; has no effect"},
+             "amplitudes": {"action": "store_true", "help": "emit per-site amplitudes as well"},
+             "check_integrals": {"action": "store_true", "help": "cross-check quasi-momentum "
+                                 "amplitudes against the recursion"}}
     for command in COMMANDS:
         sp = sub.add_parser(command)
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
         sp.add_argument("--out", default=None, help="output directory (default: out_dir field or '.')")
-        sp.add_argument("--engine", choices=["series", "quadrature", "strong-limit"], default=None)
-        sp.add_argument("--jobs", type=int, default=None, help="accepted for compatibility; has no effect")
         sp.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override a config field (dotted keys allowed, value parsed as JSON)",
         )
-        if command == "walk":
-            sp.add_argument("--amplitudes", action="store_true", default=None,
-                            help="emit per-site amplitudes as well")
-            sp.add_argument("--check-integrals", action="store_true", default=None,
-                            help="cross-check quasi-momentum amplitudes against the recursion")
+        for name, spec in flags.items():
+            if command in FIELDS[name][2]:
+                sp.add_argument("--" + name.replace("_", "-"), default=None, **spec)
     return parser
 
 
@@ -635,17 +638,12 @@ def _parse_overrides(pairs):
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    flat = {"engine": args.engine, "jobs": args.jobs}
-    if getattr(args, "amplitudes", None) is not None:
-        flat["amplitudes"] = args.amplitudes
-    if getattr(args, "check_integrals", None) is not None:
-        flat["check_integrals"] = args.check_integrals
     cfg = resolve_config(
         args.command,
         preset_name=args.preset,
         config_path=args.config,
         overrides=_parse_overrides(args.set),
-        flat_overrides=flat,
+        flat_overrides={key: value for key, value in vars(args).items() if key in FIELDS},
     )
     out_dir = Path(args.out if args.out is not None else cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -447,6 +447,8 @@ def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, config
     quadrature engine takes its exact maps from one ``transfer_map_stack``
     call per step, so its m = 0 maps are the identity, as on the series
     engine."""
+    if len(configs) == 0:
+        raise DomainError("approximation_error_stack needs at least one dephasing step")
     if engine == "series":
         exact, averages = series_map_stacks(etas, steps, [(spectrum, config) for config in configs])
     elif engine == "quadrature":

@@ -12,7 +12,7 @@ import math
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-#: shared by every preset; walk and oracle, which have no reference preset, start from it
+#: shared by every preset; the oracle, which has no reference preset, starts from it
 ENVIRONMENT = {
     "sigma": 1.0,
     "mu1": 15.0,
@@ -60,7 +60,7 @@ PRESETS: dict[str, dict] = {
         "a_values": [0.0, 0.5, 1.0],
         "steps": 10,
         # step 0.025 exactly, so integer interaction times are grid points
-        "sweep": {"parameter": "dt_omega_dn", "min": 0.025, "max": 4.0, "count": 160},
+        "sweep": {"min": 0.025, "max": 4.0, "count": 160},
     },
     # error of the single-period-average approximation
     "fig5": {

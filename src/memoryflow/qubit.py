@@ -130,8 +130,8 @@ def transfer_map_stack(
     """
     from . import harmonic  # deferred to avoid an import cycle
 
-    if steps < 0:
-        raise DomainError("steps must be non-negative")
+    if steps < 0 or len(etas) == 0:
+        raise DomainError("transfer_map_stack needs non-negative steps and at least one eta")
     if engine == "quadrature":
         maps = np.array([harmonic.quadrature_maps(eta, steps, spectrum, config) for eta in etas])
         maps[:, 0] = np.eye(3)  # exact, not the quadrature of the density

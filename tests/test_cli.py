@@ -104,7 +104,7 @@ class TestConfigResolution:
         pytest.param(["walk", "--set", 'check_integrals="no"'], "check_integrals",
                      id="check_integrals-string"),
         pytest.param(["oracle", "--set", 'seed="x"'], "seed", id="seed-string"),
-        pytest.param(["dephasing", "--set", "delta_t=-1"], "delta_t", id="delta_t-negative"),
+        pytest.param(["controlled-qubit", "--set", "delta_t=-1"], "delta_t", id="delta_t-negative"),
         pytest.param(["controlled-qubit", "--set", 'engine="bogus"'], "engine", id="engine-unknown"),
         pytest.param(["open-walk-nm", "--set", 'sweep.parameter="bogus"'], "sweep.parameter",
                      id="sweep.parameter-unknown"),
@@ -265,9 +265,18 @@ class TestConfigResolution:
         assert resolve_config(command) == expected
 
     def test_readme_lists_every_field_with_its_kind_and_bounds(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        for name, (kind, bounds, *_) in cli.FIELDS.items():
-            assert f"| `{name}` | {kind}{f' in {bounds}' if bounds else ''} |" in readme, name
+        lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| field | kind and bounds | commands | default |") + 2
+        table = lines[start:lines.index("", start)]
+        rows = {cells[0].strip("` "): cells[1:] for cells in
+                ([cell.strip() for cell in line.strip("|").split("|")] for line in table)}
+        assert list(rows) == list(cli.FIELDS)
+        for name, (kind, bounds, commands, *_) in cli.FIELDS.items():
+            kinds, listed = rows[name][:2]
+            assert kinds == f"{kind}{f' in {bounds}' if bounds else ''}", name
+            # "all" stands for every command; otherwise each command is named
+            assert (list(cli.COMMANDS) if listed == "all"
+                    else [c.strip("` ") for c in listed.split(",")]) == list(commands), name
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("dephasing", "--bogus") == 1
@@ -356,6 +365,130 @@ class TestConfigFuzz:
                 assert f"'{name}'" in str(exc)
                 continue
             assert USABLE[kind](_field(cfg, name))
+
+
+#: per command, a small run whose output each field of the command can change
+SMALL_RUN = {
+    "dephasing": ["--set", "t_grid.max_revivals=1.5", "--set", "t_grid.points_per_revival=2",
+                  "--set", "omega_grid.count=5"],
+    "controlled-qubit": ["--set", "steps=4", "--set", "eta_values=[0.0,0.5]"],
+    "strong-limit-error": ["--set", "steps=2", "--set", "eta_values=[0.5]"],
+    "walk": ["--set", "steps=4", "--set", "check_integrals=true"],
+    "open-walk-nm": ["--set", "steps=4", "--set", "sweep.count=2", "--set", "a_values=[0.5]"],
+    "oracle": ["--set", "oracle.max_steps=2", "--set", "oracle.n_freqs=[8]",
+               "--set", "oracle.walk_steps=2", "--set", "oracle.engine_max_power=2",
+               "--set", "oracle.position_check_steps=2"],
+}
+#: field -> (a second in-bounds value, the fields it needs set beside it)
+SECOND_VALUE = {
+    "A": (0.5, {}),
+    "sigma": (1.5, {}),
+    "mu1": (14.0, {}),
+    "delta_omega": (8.0, {}),
+    "delta_n": (0.01, {}),
+    "delta_t": (5.0, {"delta_t_factor": None}),
+    "delta_t_factor": (0.5, {}),
+    "engine": ("quadrature", {}),
+    "seed": (1, {}),
+    "threshold": (0.01, {}),
+    "steps": (3, {}),
+    "a_values": ([0.25], {}),
+    "eta_values": ([0.25], {}),
+    "t_grid.max_revivals": (1.0, {}),
+    "t_grid.points_per_revival": (3, {}),
+    "omega_grid.pad_sigmas": (2.0, {}),
+    "omega_grid.count": (7, {}),
+    "initial_bloch_1": ([0.0, 0.0, 1.0], {}),
+    "initial_bloch_2": ([0.0, 0.0, -1.0], {}),
+    "delta_t_factors": ([0.5], {}),
+    "initial_coin_1": ([[0.0, 0.0], [1.0, 0.0]], {}),
+    "amplitudes": (True, {}),
+    "check_integrals": (False, {}),
+    "integral_check_cap": (2, {"check_integrals": True}),
+    "sweep.min": (0.5, {}),
+    "sweep.max": (2.0, {}),
+    "sweep.count": (1, {}),
+    "oracle.max_steps": (6, {}),  # up to 4 steps, the worst deviation stays at n = 1
+    "oracle.n_freqs": ([8, 16], {}),
+    "oracle.walk_steps": (3, {}),
+    "oracle.engine_max_power": (3, {}),
+}
+#: fields that no output byte can show, and why
+UNSHOWN = {
+    "jobs": "validated and recorded, but sweeps run serially; kept so that --jobs 4 runs",
+    "out_dir": "names the directory the files go to, not what they hold",
+    "oracle.position_check_steps": "its check passes with deviation exactly 0.0 at any step count",
+}
+
+
+def outputs_outside_config(out: Path) -> dict:
+    """Every file's bytes, with each manifest's config block left out."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        doc = json.loads(path.read_text(encoding="utf-8")) if path.suffix == ".json" else None
+        if doc is not None and "config" in doc:
+            del doc["config"]
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+class TestEveryFieldIsRead:
+    """A command reads every field that FIELDS lists for it: a second value
+    changes its output.  Any other field, or the dedicated flag of one, exits 1
+    before --out is made."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self, tmp_path_factory):
+        runs = {}
+
+        def run(command):
+            if command not in runs:
+                out = tmp_path_factory.mktemp("baseline")
+                assert run_cli(command, *SMALL_RUN[command], "--out", str(out)) == 0
+                runs[command] = outputs_outside_config(out)
+            return runs[command]
+
+        return run
+
+    @pytest.mark.parametrize("command,field", [
+        (command, name) for name, (_, _, commands, *_) in cli.FIELDS.items()
+        for command in commands if name not in UNSHOWN
+    ])
+    def test_second_value_changes_output(self, tmp_path, baseline, command, field):
+        value, needs = SECOND_VALUE[field]
+        settings = [f"{name}={json.dumps(v)}" for name, v in {**needs, field: value}.items()]
+        argv = [arg for setting in settings for arg in ("--set", setting)]
+        assert run_cli(command, *SMALL_RUN[command], *argv, "--out", str(tmp_path)) == 0
+        assert outputs_outside_config(tmp_path) != baseline(command)
+
+    @pytest.mark.parametrize("command,field", [
+        (command, name) for name in cli.FIELDS for command in cli.COMMANDS
+        if command not in cli.FIELDS[name][2]
+    ])
+    def test_unread_field_refused_by_name(self, capsys, tmp_path, command, field):
+        value = SECOND_VALUE[field][0] if field in SECOND_VALUE else 1
+        out = tmp_path / "out"
+        assert run_cli(command, "--set", f"{field}={json.dumps(value)}", "--out", str(out)) == 1
+        # a table the command lacks altogether is named by its own name
+        table = field.split(".")[0]
+        named = field if table in resolve_config(command) else table
+        assert f"'{named}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("field,flag", [
+        ("engine", ["--engine", "quadrature"]), ("jobs", ["--jobs", "2"]),
+        ("amplitudes", ["--amplitudes"]), ("check_integrals", ["--check-integrals"]),
+    ])
+    def test_dedicated_flag_only_where_field_read(self, tmp_path, command, field, flag):
+        out = tmp_path / "out"
+        if command in cli.FIELDS[field][2]:
+            assert vars(cli.build_parser().parse_args([command, *flag]))[field] is not None
+        else:
+            assert run_cli(command, *flag, "--out", str(out)) == 1
+            assert not out.exists()
 
 
 class TestDephasingCommand:
@@ -651,7 +784,7 @@ class TestOpenWalkNMCommand:
     def test_zero_contrast_yields_zero_measure(self, tmp_path):
         assert run_cli(
             "open-walk-nm", "--out", str(tmp_path),
-            "--set", "delta_n=0", "--set", "delta_t=5.0", "--set", "steps=4",
+            "--set", "delta_n=0", "--set", "steps=4",
         ) == 0
         _, rows = read_csv(tmp_path / "open_walk_nm.csv")
         filt = [r for r in rows if r[3] == "filter"]
@@ -798,16 +931,22 @@ class TestOracleCommand:
         assert check["location"] == "n=1, entry=(0,0)"
         assert all(c["pass"] for c in report["checks"] if c is not check)
 
-    def test_default_checks_pass(self, tmp_path):
-        assert run_cli(
-            "oracle", "--out", str(tmp_path),
-            "--set", "oracle.max_steps=3", "--set", "oracle.n_freqs=[8,16]",
-            "--set", "oracle.walk_steps=6",
-        ) == 0
-        report = json.loads((tmp_path / "oracle_report.json").read_text())
-        assert report["all_pass"] is True
-        for check in report["checks"]:
-            assert set(check) >= {"name", "max_dev", "tol", "pass", "location"}
+    def test_default_checks_pass(self, tmp_path, monkeypatch):
+        calls = record_calls(monkeypatch, openwalk.oracle_checks)
+        # the probe spectrum is the one the config asks for: A = 0.7 by
+        # default, and the one-peak spectrum at A = 0
+        for argv, amplitude_ratio in [([], 0.7), (["--set", "A=0"], 0.0)]:
+            out = tmp_path / f"A{amplitude_ratio}"
+            assert run_cli(
+                "oracle", "--out", str(out),
+                "--set", "oracle.max_steps=3", "--set", "oracle.n_freqs=[8,16]",
+                "--set", "oracle.walk_steps=6", *argv,
+            ) == 0
+            assert calls["oracle_checks"].pop()[0].amplitude_ratio == amplitude_ratio
+            report = json.loads((out / "oracle_report.json").read_text())
+            assert report["all_pass"] is True
+            for check in report["checks"]:
+                assert set(check) >= {"name", "max_dev", "tol", "pass", "location"}
 
     @pytest.mark.parametrize("setting", ["oracle.n_freqs=[100]", "oracle.max_steps=8"])
     def test_check_cut_short_is_not_a_pass(self, tmp_path, capsys, setting):
@@ -1007,6 +1146,27 @@ class TestDeterminism:
         for f1 in sorted(out1.iterdir()):
             f2 = out2 / f1.name
             assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["dephasing", "--preset", "fig1"], id="fig1"),
+        pytest.param(["controlled-qubit", "--preset", "fig2"], id="fig2"),
+        pytest.param(["strong-limit-error", "--preset", "fig5"], id="fig5"),
+        pytest.param(["open-walk-nm", "--preset", "fig4", "--set", "sweep.count=3"], id="fig4"),
+        pytest.param(["walk", "--amplitudes", "--check-integrals", "--set", "steps=6"], id="walk"),
+    ])
+    def test_manifest_config_reproduces_run(self, tmp_path, argv):
+        # the manifest records the fully resolved configuration: fed back
+        # through --config alone, it writes every file again, byte for byte
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(*argv, "--out", str(first)) == 0
+        (manifest,) = first.glob("*_manifest.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(manifest.read_text())["config"]), encoding="utf-8")
+        assert run_cli(argv[0], "--config", str(config), "--out", str(again)) == 0
+        files = sorted(first.iterdir())
+        assert [f.name for f in files] == sorted(f.name for f in again.iterdir())
+        for f in files:
+            assert f.read_bytes() == (again / f.name).read_bytes(), f.name
 
     def test_parser_reuse_leaks_nothing(self, tmp_path):
         # one parser serves every call in a process: a run after a run with other

@@ -31,7 +31,7 @@ from memoryflow.harmonic import (
     strong_limit_closed_forms,
     strong_limit_map,
 )
-from memoryflow.qubit import bloch_transfer_matrix
+from memoryflow.qubit import bloch_transfer_matrix, transfer_map_stack
 from memoryflow.spectra import DephasingConfig, SpectrumParams
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -514,6 +514,18 @@ class TestApproximationError:
     def test_unknown_engine(self):
         with pytest.raises(DomainError):
             approximation_error_stack((0.5,), 3, spectrum(), (dephasing(0.35),), "strong-limit")
+
+    @pytest.mark.parametrize("engine", ["series", "quadrature", "strong-limit"])
+    def test_empty_inputs_refused(self, engine):
+        sp, cfg = spectrum(1.0), dephasing(0.35)
+        with pytest.raises(DomainError, match="at least one eta"):
+            transfer_map_stack(sp, cfg, (), 3, engine)
+        with pytest.raises(DomainError, match="at least one dephasing step"):
+            approximation_error_stack((0.5,), 3, sp, (), engine)
+        # the error stack has no strong-limit engine, and refuses it as unknown
+        with pytest.raises(DomainError, match="unknown engine" if engine == "strong-limit"
+                           else "at least one eta"):
+            approximation_error_stack((), 3, sp, (cfg,), engine)
 
     def test_zero_steps(self):
         assert approximation_error(0.5, 0, spectrum(0.0), dephasing(0.02)) == pytest.approx(0.0, abs=1e-13)
