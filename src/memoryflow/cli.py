@@ -218,9 +218,10 @@ def validate_config(command: str, cfg: dict) -> None:
     tables = {name.split(".")[0] for name in known if "." in name}
     given = {}
     for key, value in cfg.items():
-        if key in tables:
-            if not isinstance(value, dict):
-                raise ConfigError(f"field '{key}' must be an object")
+        if key in tables and not isinstance(value, dict):
+            raise ConfigError(f"field '{key}' must be an object")
+        if key in tables or (isinstance(value, dict) and value and key not in known):
+            # a table the command lacks is refused by its dotted fields
             given.update({f"{key}.{k}": v for k, v in value.items()})
         else:
             given[key] = value

@@ -1,20 +1,24 @@
 """Spectrum-averaged powers of the single-step Bloch transfer matrix.
 
-Three routes to the m-step dynamical map are provided and cross-checked:
+Three routes to the m-step dynamical map are provided and cross-checked.  All
+three are weighted sums of M(theta)^m over nodes, walked by one kernel,
+``kernels.transfer_power_average``; they differ only in their nodes and weights:
 
-- series engine: M(theta)^m is represented exactly as a matrix-valued
-  trigonometric polynomial (coefficients by convolution); averaging against
-  the spectrum then reduces to evaluating the closed-form decoherence
-  function at integer multiples of the step duration.
-  ``series_map_stacks`` evaluates it once per (spectrum, step) pair and
-  advances the powers 0..steps of every eta together against those tables.
+- series engine: M(theta)^m is a trigonometric polynomial of degree m, so its
+  spectral average sum_l c_l kappa(l delta_t), with kappa the closed-form
+  decoherence function, is exact on the 2 steps + 1 equispaced period nodes
+  with weights built from one kappa table per (spectrum, step) pair.
+  ``series_map_stacks`` averages every eta, power and table in one walk.
+  ``TrigMatrixSeries`` and ``series_multiply`` keep the coefficients
+  themselves, as an independent reference.
 - quadrature engine: direct per-period composite Gauss-Legendre integration
   of the highly oscillatory integrand; ``quadrature_maps`` walks
   P <- P M(theta) once over the nodes of the largest order a run needs and
   averages every power on the way.
 - strong-dephasing limit: the zeroth Fourier coefficient, i.e. the average of
-  M(theta)^m over a single period.  For the balanced control (eta = 1/2) this
-  has a closed form built from Catalan-number partial sums.
+  M(theta)^m over a single period: the period nodes with equal weights.  For
+  the balanced control (eta = 1/2) this has a closed form built from
+  Catalan-number partial sums.
 """
 
 from __future__ import annotations
@@ -38,12 +42,8 @@ QUADRATURE_NODE_CAP = 2_000_000
 #: required agreement between the series and quadrature engines
 ENGINE_AGREEMENT_TOL = 1e-8
 
-#: most powers of the transfer series held at once, in a ring of full-width
-#: bands, so that their spectral averages are contracted in one call; a ring
-#: holds as many as fit in ``kernels.CACHE_BYTES``, and at least two
-RING_POWERS = 8
-
-#: residual imaginary part allowed when a series average is cast to real
+#: residual imaginary part allowed when a series value or node weight is cast
+#: to real
 REALITY_TOL = 1e-10
 
 SQRT2 = math.sqrt(2.0)
@@ -147,45 +147,22 @@ def _check_powers(steps: int, degree: int) -> None:
         raise ResourceLimitError(f"series degree {steps * degree} exceeds cap {SERIES_DEGREE_CAP}")
 
 
-def _power_rings(factors: np.ndarray, steps: int, size: int = 2):
-    """Yield (m0, ring) for the powers factors^0 (the identity), ...,
-    factors^steps of a stack of coefficient blocks (stack, 2 d + 1, 3, 3),
-    one batched convolution per power.  ``ring[i]`` holds the powers m0 + i as
-    full-width (stack, 2 steps d + 1, 3, 3) bands centred on l = 0 and zero
-    outside their degree; each ring holds ``size`` consecutive powers (the
-    last one the rest) and is overwritten once iteration resumes, so memory
-    stays linear in ``steps``.  The arguments are checked before any power is
-    formed."""
-    d = (factors.shape[-3] - 1) // 2
-    _check_powers(steps, d)
-    degree = steps * d
-    width = 2 * degree + 1
-    ring = np.zeros((size, len(factors), width, 3, 3), dtype=complex)
-    band = ring[0, :, degree:degree + 1]
-    band[...] = np.eye(3)
-    for m in range(1, steps + 1):
-        slot = m % size
-        if slot == 0:
-            yield m - size, ring
-        lo = degree - m * d
-        band = kernels.series_convolve(band, factors, out=ring[slot, :, lo:width - lo])
-    yield steps - steps % size, ring[:steps % size + 1]
-
-
 def series_powers(series: TrigMatrixSeries, steps: int):
     """Yield the powers series^0 (the identity), series^1, ..., series^steps,
-    one product per power."""
-    d = series.degree
-    for m0, ring in _power_rings(series.coeffs[None], steps):
-        for m, band in enumerate(ring[:, 0], start=m0):
-            yield TrigMatrixSeries(m * d, band[(steps - m) * d:(steps + m) * d + 1].copy())
+    one ``series_multiply`` per power."""
+    _check_powers(steps, series.degree)
+    power = identity_series()
+    yield power
+    for _ in range(steps):
+        power = series_multiply(power, series)
+        yield power
 
 
 def series_power(series: TrigMatrixSeries, m: int) -> TrigMatrixSeries:
     """m-fold product of the series with itself (m = 0 gives the identity)."""
-    for _, ring in _power_rings(series.coeffs[None], m):
+    for power in series_powers(series, m):
         pass
-    return TrigMatrixSeries(m * series.degree, ring[-1, 0].copy())
+    return power
 
 
 def _kappa_table(spectrum: SpectrumParams, config: DephasingConfig, degree: int) -> np.ndarray:
@@ -209,6 +186,34 @@ def integrate_series_against_spectrum(
     return _real(np.einsum("l,lij->ij", kappas, series.coeffs), "spectral average")
 
 
+def _period_nodes(steps: int, tables) -> tuple[np.ndarray, np.ndarray]:
+    """The N = 2 steps + 1 phases theta_j = 2 pi j / N, and (tables + 1, N)
+    weights that average any trigonometric polynomial of degree <= steps
+    exactly: w_j = (1/N) sum_{|l|<=steps} kappa(l delta_t) e^(-i l theta_j) per
+    (spectrum, step) pair, and last the single-period weights 1/N.  Each sum
+    is a Horner evaluation restarted every isqrt(N) terms from an exactly
+    rounded root e^(-i k theta_1), so its rounding grows as sqrt(N), not N;
+    its imaginary residue must vanish."""
+    n = 2 * steps + 1
+    j = np.arange(n)
+    thetas = 2.0 * math.pi / n * j
+    weights = np.empty((len(tables) + 1, n))
+    weights[-1] = 1.0 / n
+    if tables:
+        # row l + steps holds kappa(l delta_t) of every table
+        kappas = np.array([_kappa_table(spectrum, config, steps) for spectrum, config in tables]).T
+        roots = np.exp(-1j * thetas)
+        block = math.isqrt(n)
+        sums = 0.0
+        for lo in range(0, n, block):
+            part = 0.0
+            for row in kappas[lo:lo + block][::-1]:
+                part = part * roots + row[:, None]
+            sums = sums + part * roots[(lo - steps) * j % n]
+        weights[:-1] = _real(sums, "spectral weights") / n
+    return thetas, weights
+
+
 def series_map_stacks(etas, steps: int, tables=()):
     """Exact spectrum-averaged maps and single-period averages for every
     control in ``etas`` and m = 0..steps: the maps of every (spectrum, step)
@@ -216,46 +221,26 @@ def series_map_stacks(etas, steps: int, tables=()):
     without tables (the strong limit is spectrum-free), and the period
     averages as one (etas, steps + 1, 3, 3) stack.
 
-    The decoherence function is evaluated once per table, on l delta_t for
-    l = -steps..steps.  The powers of every eta's transfer series advance
-    together, one batched convolution per power, and each ring of up to
-    ``RING_POWERS`` powers is contracted with every table in one call, over
-    the central entries the ring's highest power needs.  The lower powers
-    add only exact zeros beyond their degree, and a sum that starts from +0
-    is unchanged by them, so every map has the bits of its own per-power
-    contraction.  The eta axis is split in chunks so that a ring of two
-    powers stays within ``kernels.CACHE_BYTES`` where one eta allows it:
-    batching saves call overhead on short bands, and a long band is worked
-    on alone, as the per-eta route did.  Both stacks are the real parts of
-    complex stacks, strided views: ``maps @ r0`` then takes numpy's non-BLAS
-    loop, the loop that a single map's own ``.real`` view takes, so a
-    trajectory has the same bits whether its maps are stacked or applied one
-    by one.
+    M(theta)^m is a trigonometric polynomial of degree m <= steps, so both its
+    spectral average sum_l c_l kappa(l delta_t) and its period average c_0 are
+    exact weighted sums over the nodes of ``_period_nodes``, and one
+    ``kernels.transfer_power_average`` walk averages every control, power and
+    table.  The m = 0 maps, which the weights give up to rounding, are set to
+    the identity.  Every eta keeps the bits of its own one-eta call, and both
+    stacks are contiguous, so ``maps @ r0`` takes one loop stacked or alone.
     """
-    factors = np.array([_transfer_coeffs(eta) for eta in etas]).reshape(-1, 3, 3, 3)
-    if len(factors) == 0:
+    controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
+    if len(controls) == 0:
         raise DomainError("series_map_stacks needs at least one eta")
     _check_powers(steps, 1)
     tables = list(tables)
-    kappas = np.array([_kappa_table(spectrum, config, steps) for spectrum, config in tables])
-    exact = np.empty((len(kappas), len(factors), steps + 1, 3, 3), dtype=complex)
-    averages = np.empty((len(factors), steps + 1, 3, 3), dtype=complex)
-    band_bytes = (2 * steps + 1) * 9 * 16
-    chunk = max(1, kernels.CACHE_BYTES // (2 * band_bytes))
-    for lo in range(0, len(factors), chunk):
-        part = factors[lo:lo + chunk]
-        size = min(RING_POWERS, max(2, kernels.CACHE_BYTES // (len(part) * band_bytes)))
-        for m0, ring in _power_rings(part, steps, size):
-            top = m0 + len(ring)
-            averages[lo:lo + chunk, m0:top] = ring[:, :, steps].swapaxes(0, 1)
-            if tables:
-                central = slice(steps + 1 - top, steps + top)
-                np.einsum("cl,kelij->cekij", kappas[:, central], ring[:, :, central],
-                          out=exact[:, lo:lo + chunk, m0:top])
-    averages = _real(averages, "period average")
+    thetas, weights = _period_nodes(steps, tables)
+    stacks = kernels.transfer_power_average(thetas, weights, controls[:, 0], controls[:, 1], steps)
+    stacks = np.ascontiguousarray(stacks.transpose(1, 2, 0, 3, 4))
+    stacks[:, :, 0] = np.eye(3)
     if not tables:
-        return None, averages
-    return _real(exact, "spectral average"), averages
+        return None, stacks[0]
+    return stacks[:-1], stacks[-1]
 
 
 def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int):

@@ -8,11 +8,12 @@ Kernels:
                                rule on each of equal panels over [lo, hi]; the
                                reference rule is built once per order
 - ``transfer_power_average``   sum_i w_i * M(theta_i)^k for k = 0..m and the
-                               3x3 single-step Bloch transfer matrix M, from
-                               one walk P <- P M with the nodes last
-- ``series_convolve``          product of matrix-valued trigonometric
-                               polynomials (coefficient convolution), over
-                               any leading batch axes
+                               3x3 single-step Bloch transfer matrix M, for
+                               stacks of controls and weight rows: the one
+                               walk P <- P M behind every qubit engine
+- ``series_convolve``          product of two matrix-valued trigonometric
+                               polynomials (coefficient convolution), the
+                               reference route to the series coefficients
 - ``coin_shift``               one coin-and-shift step of the Hadamard walk,
                                over sites with any trailing axes; the one walk
                                step that every walk route takes
@@ -34,9 +35,9 @@ BACKEND = "numpy"
 HAVE_NUMBA = False
 
 #: bytes of working data that stay in cache between numpy calls: the matrix
-#: products ``series_convolve`` forms in one call, a ring of series-power bands.
-#: Several coefficients or powers per call save call overhead on short bands,
-#: and a cache-sized block keeps long ones from streaming through memory
+#: products ``series_convolve`` forms in one call.  Several coefficients per
+#: call save call overhead on short series, and a cache-sized block bounds the
+#: memory of one long product
 CACHE_BYTES = 1 << 20
 
 
@@ -76,56 +77,58 @@ def composite_gauss_legendre(lo, hi, panels, order):
 
 
 def transfer_power_average(thetas, weights, alpha, beta, m):
-    """Weighted averages sum_i w_i M(theta_i)^k for every power k = 0..m, as an
-    (m + 1, 3, 3) stack.  One walk P <- P M over the nodes serves every power,
-    so the k-th average does not depend on m.  M and P are stored node-last,
-    (3, 3, nodes), so each product is 27 vector operations over the nodes and
-    each average one matrix-vector product with the weights."""
+    """Weighted averages sum_i w_i M(theta_i)^k for every power k = 0..m of the
+    3x3 single-step Bloch transfer matrix M, from one walk P <- P M over the
+    nodes, so the k-th average does not depend on m; M and P are node-last.
+    Scalar controls and a weight vector give an (m + 1, 3, 3) stack.  Control
+    arrays, shape (controls,), and weight rows, shape (rows, nodes), give
+    (m + 1, rows, controls, 3, 3).  Each control is walked on its own slab
+    and each row applied as its own vector, so every entry keeps the bits of
+    its own one-control, one-vector call."""
     thetas = np.asarray(thetas, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)[..., None]
+    beta = np.asarray(beta, dtype=np.float64)[..., None]
     c = np.cos(thetas)
     s = np.sin(thetas)
-    M = np.empty((3, 3, thetas.shape[0]))
-    M[0, 0] = -beta * c
-    M[0, 1] = -s
-    M[0, 2] = alpha * c
-    M[1, 0] = beta * s
-    M[1, 1] = -c
-    M[1, 2] = -alpha * s
-    M[2, 0] = alpha
-    M[2, 1] = 0.0
-    M[2, 2] = beta
+    M = np.empty(alpha.shape[:-1] + (3, 3, thetas.shape[0]))
+    M[..., 0, 0, :] = -beta * c
+    M[..., 0, 1, :] = -s
+    M[..., 0, 2, :] = alpha * c
+    M[..., 1, 0, :] = beta * s
+    M[..., 1, 1, :] = -c
+    M[..., 1, 2, :] = -alpha * s
+    M[..., 2, 0, :] = alpha
+    M[..., 2, 1, :] = 0.0
+    M[..., 2, 2, :] = beta
     P = np.zeros_like(M)
-    P[0, 0] = P[1, 1] = P[2, 2] = 1.0
-    out = np.empty((int(m) + 1, 3, 3))
-    out[0] = P @ weights
-    for k in range(1, len(out)):
-        P = np.einsum("iln,ljn->ijn", P, M)
-        out[k] = P @ weights
+    P[..., 0, 0, :] = P[..., 1, 1, :] = P[..., 2, 2, :] = 1.0
+    rows = [(row, weights[row]) for row in np.ndindex(weights.shape[:-1])]
+    out = np.empty((int(m) + 1,) + weights.shape[:-1] + P.shape[:-1])
+    for k, averages in enumerate(out):
+        if k:
+            P = np.einsum("...iln,...ljn->...ijn", P, M)
+        for row, w in rows:
+            averages[row] = P @ w
     return out
 
 
-def series_convolve(a, b, out=None):
-    """Coefficients of the product of two coefficient stacks (..., na, 3, 3)
-    and (..., nb, 3, 3) whose leading batch axes broadcast: a (3 na, 3) x (3, 3)
-    matrix product per coefficient of ``b``, formed for as many coefficients
-    at once as fit in ``CACHE_BYTES`` and added in coefficient order.  The
-    result, (..., na + nb - 1, 3, 3), is written into ``out`` when it is given."""
+def series_convolve(a, b):
+    """Coefficients of the product of two coefficient stacks (na, 3, 3) and
+    (nb, 3, 3): a (3 na, 3) x (3, 3) matrix product per coefficient of ``b``,
+    formed for as many coefficients at once as fit in ``CACHE_BYTES`` and added
+    in coefficient order, so one long product streams through a bounded block.
+    Returns (na + nb - 1, 3, 3)."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    na, nb = a.shape[-3], b.shape[-3]
-    if out is None:
-        batch = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-        out = np.zeros(batch + (na + nb - 1, 3, 3), dtype=np.complex128)
-    else:
-        out.fill(0.0)
-    rows = a.reshape(a.shape[:-3] + (1, 3 * na, 3))
-    chunk = max(1, CACHE_BYTES // (out.nbytes // out.shape[-3] * na))
+    na, nb = len(a), len(b)
+    out = np.zeros((na + nb - 1, 3, 3), dtype=np.complex128)
+    rows = a.reshape(3 * na, 3)
+    chunk = max(1, CACHE_BYTES // (out.itemsize * 9 * na))
     for lo in range(0, nb, chunk):
-        products = rows @ (b if chunk >= nb else b[..., lo:lo + chunk, :, :])
-        products = products.reshape(products.shape[:-2] + (na, 3, 3))
-        for j in range(products.shape[-4]):
-            out[..., lo + j:lo + j + na, :, :] += products[..., j, :, :, :]
+        products = (rows @ b[lo:lo + chunk]).reshape(-1, na, 3, 3)
+        for j, product in enumerate(products):
+            out[lo + j:lo + j + na] += product
     return out
 
 

@@ -124,7 +124,7 @@ def transfer_map_stack(
     engine: "series" (exact Fourier-coefficient evaluation, default),
     "quadrature" (per-period oscillatory quadrature cross-check), or
     "strong-limit" (single-period average, no spectrum dependence).  The
-    series and strong-limit engines advance every eta in one
+    series and strong-limit engines average every eta in one
     ``harmonic.series_map_stacks`` call; the quadrature engine walks the
     nodes once per eta.
     """

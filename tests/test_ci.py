@@ -35,6 +35,17 @@ def test_workflow_checks_every_benchmark_workload():
     assert '["correct"] is not True' in workflow
 
 
+def test_workflow_smoke_runs_every_workload_traced():
+    # the tracer hooks read positional arguments, so only a traced run checks them
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    loops = re.findall(r"^ +for workload in ([\w ]+); do$", workflow, flags=re.MULTILINE)
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert [loop.split() for loop in loops] == [workloads, workloads]
+    traced = workflow[workflow.rindex("for workload in"):]
+    assert 'perfbench/run.py --workload "$workload" --seconds 2 --trace 1' in traced
+    assert '["correct"] is not True' in traced
+
+
 FAILING_THEN_PASSING = """
 import warnings
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memoryflow import kernels
 from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
@@ -138,7 +137,8 @@ class TestSeriesMaps:
     @pytest.mark.parametrize("a", [0.0, 1.0])
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 1.0])
     def test_bit_identical_to_per_power_route(self, eta, a):
-        # one product and one kappa table per power, as before the streamed maps
+        # one product and one kappa table per power, within PER_POWER_TOL: the
+        # period-node sums and the coefficient route round differently
         tables = [(spectrum(a), dephasing(0.35))]
         exact, averages = series_map_stacks((eta,), 40, tables)
         assert_per_power_route((eta,), 40, tables, exact, averages)
@@ -149,7 +149,7 @@ class TestSeriesMaps:
         with_table = series_map_stacks((0.3,), 12, [(spectrum(1.0), dephasing(0.5))])[1]
         assert np.array_equal(averages, with_table)
         for m, power in enumerate(series_powers(series_from_transfer(0.3), 12)):
-            assert np.array_equal(averages[0, m], power.period_average())
+            assert np.max(np.abs(averages[0, m] - power.period_average())) <= PER_POWER_TOL * max(1, m)
 
     def test_arguments_checked_before_any_power(self):
         tables = [(spectrum(), dephasing(0.35))]
@@ -174,9 +174,15 @@ class TestSeriesMaps:
         assert np.max(np.abs(averages[0, steps] - strong_limit_closed_form(steps))) < 1e-12
 
 
+#: agreement per power of the period-node stacks with the per-power route: the
+#: two sum the same exact average in different orders, so rounding grows with m
+PER_POWER_TOL = 1e-14
+
+
 def assert_per_power_route(etas, steps, tables, exact, averages):
-    """Every [t, e] slice of the stacks has the bits of one product, one kappa
-    table and one contraction per power."""
+    """Every [t, e] slice of the stacks is, within PER_POWER_TOL * max(1, m),
+    one product, one kappa table and one contraction per power; the m = 0
+    maps are exactly the identity."""
     assert averages.shape == (len(etas), steps + 1, 3, 3)
     if tables:
         assert exact.shape == (len(tables), len(etas), steps + 1, 3, 3)
@@ -186,10 +192,14 @@ def assert_per_power_route(etas, steps, tables, exact, averages):
         step = series_from_transfer(eta)
         power = identity_series()
         for m in range(steps + 1):
-            assert np.array_equal(averages[e, m], power.period_average())
+            tol = PER_POWER_TOL * max(1, m)
+            assert np.max(np.abs(averages[e, m] - power.period_average())) <= tol
             for t, (sp, cfg) in enumerate(tables):
-                assert np.array_equal(exact[t, e, m], integrate_series_against_spectrum(power, sp, cfg))
+                want = integrate_series_against_spectrum(power, sp, cfg)
+                assert np.max(np.abs(exact[t, e, m] - want)) <= tol
             power = series_multiply(power, step)
+        assert np.array_equal(averages[e, 0], np.eye(3))
+        assert all(np.array_equal(exact[t, e, 0], np.eye(3)) for t in range(len(tables)))
 
 
 class TestSeriesMapStacks:
@@ -212,25 +222,6 @@ class TestSeriesMapStacks:
         single = series_map_stacks((0.3,), 17, tables)
         assert np.array_equal(exact[0, 0], single[0][0, 0])
         assert np.array_equal(averages[0], single[1][0])
-
-    def test_eta_chunks_match_one_chunk(self, monkeypatch):
-        # a budget of two etas per two-power ring splits three etas into two chunks
-        etas, steps = [0.0, 0.4, 1.0], 20
-        tables = [(spectrum(0.0), dephasing(0.35)), (spectrum(1.0), dephasing(2.0))]
-        whole = series_map_stacks(etas, steps, tables)
-        calls = []
-        original = kernels.series_convolve
-
-        def counted(a, b, out=None):
-            calls.append(np.shape(b)[0])
-            return original(a, b, out)
-
-        monkeypatch.setattr(kernels, "series_convolve", counted)
-        monkeypatch.setattr(kernels, "CACHE_BYTES", 2 * 2 * (2 * steps + 1) * 9 * 16)
-        exact, averages = series_map_stacks(etas, steps, tables)
-        assert calls == [2] * steps + [1] * steps
-        assert exact.tobytes() == whole[0].tobytes() and averages.tobytes() == whole[1].tobytes()
-        assert_per_power_route(etas, steps, tables, exact, averages)
 
     def test_arguments_checked_before_any_table(self, monkeypatch):
         def refused(*args):
@@ -257,6 +248,30 @@ class TestSeriesMapStacks:
                 for e, eta in enumerate(etas):
                     alone = approximation_error_stack((eta,), 9, sp, (config,), engine)[0, 0]
                     assert np.allclose(errors[c, e], alone, rtol=0, atol=1e-14)
+
+
+class TestEnginesFuzzed:
+    """The qubit engines against one another over drawn environments: fig3's
+    mu1, delta_omega and delta_n, with sigma over four decades around fig3's,
+    any A, step duration (in revival times), control and step count.  A wider
+    scan (sigma in [1e-6, 1e6], factors up to 1e3) agreed wherever the
+    quadrature budget let that engine run."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(sigma=st.floats(1e-2, 1e2), a=st.floats(0.0, 1.0),
+           dt_factor=st.floats(0.0, 10.0, exclude_min=True), eta=st.floats(0.0, 1.0),
+           steps=st.integers(0, 12))
+    def test_series_matches_quadrature_and_reference(self, sigma, a, dt_factor, eta, steps):
+        sp = SpectrumParams(a, sigma, 15.0, 9.0)
+        cfg = dephasing(dt_factor)
+        series = transfer_map_stack(sp, cfg, (eta,), steps, "series")[0]
+        quadrature = transfer_map_stack(sp, cfg, (eta,), steps, "quadrature")[0]
+        limit = transfer_map_stack(sp, cfg, (eta,), steps, "strong-limit")[0]
+        assert np.max(np.abs(series - quadrature)) < ENGINE_AGREEMENT_TOL
+        for m, power in enumerate(series_powers(series_from_transfer(eta), steps)):
+            tol = PER_POWER_TOL * max(1, m)
+            assert np.max(np.abs(series[m] - integrate_series_against_spectrum(power, sp, cfg))) <= tol
+            assert np.max(np.abs(limit[m] - power.period_average())) <= tol
 
 
 class TestQuadratureMap:

@@ -83,6 +83,22 @@ class TestTransferPowerAverage:
                                   full[:m + 1])
 
 
+    def test_stacked_entries_are_single_calls(self):
+        # every (row, control) entry of a stacked call has the bits of the
+        # scalar call with that control and that weight vector
+        rng = np.random.default_rng(23)
+        thetas = rng.uniform(-3.0, 3.0, 61)
+        weights = rng.uniform(-1.0, 1.0, (3, 61))
+        alpha = rng.uniform(0.0, 1.0, 4)
+        beta = np.sqrt(1.0 - alpha ** 2)
+        stacked = kernels.transfer_power_average(thetas, weights, alpha, beta, 12)
+        assert stacked.shape == (13, 3, 4, 3, 3)
+        for r, w in enumerate(weights):
+            for e, (a, b) in enumerate(zip(alpha, beta)):
+                single = kernels.transfer_power_average(thetas, w, a, b, 12)
+                assert stacked[:, r, e].tobytes() == single.tobytes()
+
+
 class TestSeriesConvolve:
     def test_backends_match_polynomial_product(self):
         rng = np.random.default_rng(16)
@@ -96,23 +112,16 @@ class TestSeriesConvolve:
 
         assert np.allclose(kernels.series_convolve(a, b), want, atol=1e-13)
 
-    def test_batch_axes_and_chunks_keep_bits(self, monkeypatch):
-        # each batch entry, and a product formed a few coefficients at a
-        # time, has the bits of one unbatched product
+    def test_chunks_keep_bits(self, monkeypatch):
+        # a product formed a few coefficients at a time has the bits of one
+        # formed in a single block
         rng = np.random.default_rng(17)
-        a = rng.normal(size=(2, 3, 6, 3, 3)) + 1j * rng.normal(size=(2, 3, 6, 3, 3))
-        b = rng.normal(size=(3, 5, 3, 3)) + 1j * rng.normal(size=(3, 5, 3, 3))
-        batched = kernels.series_convolve(a, b)
-        assert batched.shape == (2, 3, 10, 3, 3)
-        out = np.full((2, 3, 10, 3, 3), np.nan, dtype=complex)
-        assert kernels.series_convolve(a, b, out=out) is out
+        a = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        b = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        whole = kernels.series_convolve(a, b)
+        assert whole.shape == (10, 3, 3)
         monkeypatch.setattr(kernels, "CACHE_BYTES", 2 * 6 * 144)
-        chunked = kernels.series_convolve(a[1, 2], b[2])
-        for i in range(2):
-            for k in range(3):
-                one = kernels.series_convolve(a[i, k], b[k])
-                assert one.tobytes() == batched[i, k].tobytes() == out[i, k].tobytes()
-        assert chunked.tobytes() == batched[1, 2].tobytes()
+        assert kernels.series_convolve(a, b).tobytes() == whole.tobytes()
 
 
 class TestWalkRun:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from memoryflow import kernels, nonmarkov
 from memoryflow.errors import DomainError, ResourceLimitError
@@ -10,6 +10,7 @@ from memoryflow.nonmarkov import (
     TraceDistanceSeries,
     bloch_trace_distances,
     coin_from_direction,
+    filter_table_gauge,
     increments,
     nm_measure,
     nm_qubit,
@@ -22,12 +23,13 @@ from memoryflow.nonmarkov import (
 from memoryflow.openwalk import (
     DephasingFilter,
     filtered_density,
+    state_vector,
     strong_limit_filter,
     trace_distance_walk,
 )
 from memoryflow.qubit import evolve_qubit, trace_distance_bloch, transfer_map_stack
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
-from memoryflow.walk import walk_evolve
+from memoryflow.walk import walk_evolve, walk_states
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
 
@@ -344,6 +346,89 @@ class TestWalkRoutesAgree:
                             coin1=coins[0], coin2=coins[1])
         want = dense_distances(coins, strong_limit_filter, n_steps)
         assert np.max(np.abs(series.values - want)) < 1e-12
+
+
+def toeplitz_filter(values):
+    """A walk filter from a Hermitian Toeplitz table: f(2 j) = values[j] and
+    f(-2 j) = conj values[j] for j >= 0, with values[0] real."""
+    values = np.asarray(values)
+
+    def flt(separations):
+        j = np.asarray(separations) // 2
+        return np.where(j >= 0, values[np.abs(j)], np.conj(values[np.abs(j)]))
+    return flt
+
+
+_tables = st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(_parts, min_size=n + 1, max_size=n + 1)
+    | st.lists(st.complex_numbers(max_magnitude=1.0), min_size=n + 1, max_size=n + 1)))
+
+
+class TestMirrorIdentity:
+    """Each filtered difference F o (v1 v1^H - v2 v2^H) that the walk measure
+    solves has trace f(0)(|v1|^2 - |v2|^2) = 0, and for the mirror pair |L,0>,
+    |R,0> a spectrum symmetric about 0: site reversal times XZ maps v1 to v2,
+    and a Hermitian Toeplitz F keeps that relation up to transpose.  Random
+    tables on both routes; the eigenvalues are those the route computes.  A
+    real symmetric F keeps it exactly, which gives a second formula for the
+    trace distance from half the matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables, coins=st.none() | st.tuples(_coins, _coins)
+           | st.tuples(_real_coins, _real_coins))
+    @example(table=(4, [1.0, -0.4, 0.3, 0.2, -0.1]), coins=None)
+    @example(table=(4, [1.0, 0.4j, 0.3 - 0.2j, 0.2, 0.1j]), coins=None)
+    def test_trace_and_mirror_pairing(self, table, coins):
+        n_steps, values = table
+        values = np.array(values, dtype=complex)
+        values[0] = values[0].real
+        mirror = coins is None
+        coins = nonmarkov.DEFAULT_WALK_COINS if mirror else coins
+        solved = []
+        solve = kernels.hermitian_eigvals
+
+        def recorded(stack):
+            vals = solve(stack)
+            solved.append((stack.dtype, vals))
+            return vals
+
+        flt = toeplitz_filter(values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nonmarkov.kernels, "hermitian_eigvals", recorded)
+            walk_trace_distances([flt], n_steps, coins)
+        real, _ = filter_table_gauge(flt(2 * np.arange(-n_steps, n_steps + 1))[None])
+        route = np.float64 if real[0] and not np.any(np.imag(coins)) else np.complex128
+        assert len(solved) == n_steps + 1
+        for dtype, vals in solved:
+            assert dtype == route
+            assert abs(np.sum(vals)) < 1e-12
+            if mirror:
+                assert np.max(np.abs(vals + vals[..., ::-1])) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.integers(0, 12).flatmap(
+        lambda n: st.lists(_parts, min_size=n + 1, max_size=n + 1)))
+    def test_half_block_formula(self, values):
+        # with a real symmetric table, P (F o D) P^T = -(F o D) for the mirror
+        # pair, so in the eigenbases of iP (eigenvalues +-1) the filtered
+        # difference is [[0, B], [B^H, 0]], and the trace distance is the sum
+        # of the singular values of the (n + 1) x (n + 1) block B
+        n_steps = len(values) - 1
+        got = walk_trace_distances([toeplitz_filter(values)], n_steps)[0]
+        coins = nonmarkov.DEFAULT_WALK_COINS
+        for n, states in enumerate(zip(*(walk_states(*coin, n_steps) for coin in coins))):
+            # position-major amplitudes on the occupied sites -n, -n + 2, ..., n
+            v1, v2 = (state_vector(state).reshape(-1, 2)[0::2].ravel() for state in states)
+            mirror = np.kron(np.eye(n + 1)[::-1], [[0.0, -1.0], [1.0, 0.0]])
+            assert abs(np.vdot(v2, mirror @ v1)) == pytest.approx(1.0, abs=1e-12)
+            sites = np.arange(n + 1)
+            table = np.kron(np.asarray(values)[np.abs(sites[None, :] - sites[:, None])], np.ones((2, 2)))
+            filtered = table * (np.outer(v1, v1.conj()) - np.outer(v2, v2.conj()))
+            signs, basis = np.linalg.eigh(1j * mirror)
+            block = basis[:, signs > 0].conj().T @ filtered @ basis[:, signs < 0]
+            assert block.shape == (n + 1, n + 1)
+            assert abs(np.linalg.svd(block, compute_uv=False).sum() - got[n]) < 1e-12
 
 
 class TestPairScan:
