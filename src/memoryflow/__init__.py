@@ -51,6 +51,7 @@ from .openwalk import (
     dilation_densities,
     dilation_oracle,
     discretize_spectrum,
+    filter_table,
     hermitian_eigenvalues,
     open_walk_evolve,
     oracle_checks,
@@ -107,7 +108,7 @@ __all__ = [
     "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "walk_amplitude_rows",
     "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle", "dilation_densities",
-    "discretize_spectrum", "strong_limit_filter", "hermitian_eigenvalues",
+    "discretize_spectrum", "strong_limit_filter", "filter_table", "hermitian_eigenvalues",
     "trace_distance_walk", "oracle_checks",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",
     "nm_qubit", "nm_walk", "orthogonal_pair_scan", "qubit_pair_runner",

@@ -439,19 +439,18 @@ def cmd_controlled_qubit(cfg: dict, out_dir: Path) -> int:
     r1 = np.asarray(cfg["initial_bloch_1"], dtype=float)
     r2 = np.asarray(cfg["initial_bloch_2"], dtype=float)
     stack = transfer_map_stack(spectrum, dephasing, cfg["eta_values"], cfg["steps"], cfg["engine"])
-    blocks = []
-    for maps in stack:
-        traj1 = maps @ r1
-        traj2 = maps @ r2
-        ds = bloch_trace_distances(traj1, traj2)
-        report = nm_measure(ds, cfg["threshold"])
-        blocks.append(np.column_stack([traj1, traj2, ds, report.increments, report.cumulative]))
+    traj1 = stack @ r1
+    traj2 = stack @ r2
+    ds = bloch_trace_distances(traj1, traj2)
+    report = nm_measure(ds, cfg["threshold"])
+    values = np.concatenate([traj1, traj2, np.stack([ds, report.increments, report.cumulative],
+                                                    axis=-1)], axis=-1)
     name = "controlled_qubit.csv"
     write_csv(
         out_dir / name,
         ["eta", "step", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "D", "increment", "N_cum"],
         _keyed_columns([np.asarray(cfg["eta_values"], dtype=float), np.arange(cfg["steps"] + 1)],
-                       np.concatenate(blocks)),
+                       values.reshape(-1, values.shape[-1])),
     )
     derived = {
         "delta_t": dephasing.step_duration,
@@ -533,13 +532,13 @@ def _walk_nm_over_sweep(cfg: dict):
     filters = [DephasingFilter(build_spectrum(cfg, a), DephasingConfig(dn, dt))
                for a in cfg["a_values"] for dt in durations]
     # the strong limit is one more filter of the same call, its row the last
-    measures = [nm_measure(dvals, cfg["threshold"]).measure
-                for dvals in walk_trace_distances(filters + [strong_limit_filter], steps)]
-    strong_value = measures.pop()
+    measures = nm_measure(walk_trace_distances(filters + [strong_limit_filter], steps),
+                          cfg["threshold"]).measure
+    strong_value = float(measures[-1])
     mode, a, value, measure = _keyed_columns(
         [np.array(["filter", "strong_limit"]), np.asarray(cfg["a_values"], dtype=float),
          np.asarray(values, dtype=float)],
-        np.array(measures + [strong_value] * len(measures))[:, None])
+        np.concatenate([measures[:-1], np.full(len(filters), strong_value)])[:, None])
     derived = {
         "strong_limit_measure": strong_value,
         "sweep_values": [float(v) for v in values],

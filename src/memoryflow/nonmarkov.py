@@ -3,7 +3,12 @@ positive-increment measure of memory effects, for both models.
 
 Each trajectory has one route: the qubit's from one ``transfer_map_stack``
 call, the walk's from ``walk_trace_distances``, one row per coherence filter,
-the strong-dephasing limit (``openwalk.strong_limit_filter``) included.
+the strong-dephasing limit (``openwalk.strong_limit_filter``) included.  That
+call builds its filter table with ``openwalk.filter_table`` (one
+``decoherence_function`` call per spectrum) and steps the coin pair as one
+array.  ``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, so a
+command measures all its rows in one call, each row with the bits of its
+own one-trajectory call.
 
 The measure is evaluated for a fixed initial pair (the default pairs match
 the reference parameter sets); ``orthogonal_pair_scan`` optionally searches a
@@ -20,10 +25,11 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, ResourceLimitError
-from .openwalk import HERMITICITY_TOL, DephasingFilter, state_vector, strong_limit_filter
+from .openwalk import (HERMITICITY_TOL, DephasingFilter, filter_table, position_major,
+                       strong_limit_filter)
 from .qubit import as_bloch_vector, transfer_map_stack
 from .spectra import DephasingConfig, SpectrumParams
-from .walk import walk_states
+from .walk import initial_state
 
 #: increments below this threshold are treated as rounding noise
 POSITIVE_INCREMENT_THRESHOLD = 1e-12
@@ -61,42 +67,52 @@ class TraceDistanceSeries:
 
 @dataclass
 class NMReport:
-    """Increments, the steps with positive increments, their running sum
-    through each step, and their total."""
+    """Increments, the running sum of those above ``threshold`` through each
+    step, and its total.  A report on a (rows, steps + 1) stack of
+    trajectories holds (rows, steps + 1) increments and running sums and a
+    (rows,) array of totals."""
 
     increments: np.ndarray
-    positive_steps: np.ndarray
     cumulative: np.ndarray
-    measure: float
+    measure: float | np.ndarray
     threshold: float
+
+    @property
+    def positive_steps(self) -> np.ndarray | list[np.ndarray]:
+        """The steps whose increment counts, or one such array per row."""
+        positive = self.increments > self.threshold
+        return np.flatnonzero(positive) if positive.ndim == 1 else list(map(np.flatnonzero, positive))
 
 
 def increments(series) -> np.ndarray:
-    """First differences with a leading zero (no increment at step 0)."""
+    """First differences with a leading zero (no increment at step 0), along
+    the last axis of a (steps + 1,) series or a (rows, steps + 1) stack."""
     values = series.values if isinstance(series, TraceDistanceSeries) else np.asarray(series, float)
-    if values.ndim != 1 or values.size < 1:
+    if values.ndim not in (1, 2) or values.shape[-1] < 1:
         raise DomainError("series must hold at least one value")
-    out = np.zeros(values.size)
-    out[1:] = values[1:] - values[:-1]
+    out = np.zeros(values.shape)
+    out[..., 1:] = values[..., 1:] - values[..., :-1]
     return out
 
 
 def nm_measure(series, threshold: float = POSITIVE_INCREMENT_THRESHOLD) -> NMReport:
-    """Sum of the strictly positive trace-distance increments above threshold."""
+    """Sum of the strictly positive trace-distance increments above threshold,
+    of one series or of each row of a (rows, steps + 1) stack; every row has
+    the bits of its own one-series call."""
     inc = increments(series)
-    positive = inc > threshold
     # a left-to-right running sum keeps reruns bit-identical
-    cumulative = np.cumsum(np.where(positive, inc, 0.0))
-    return NMReport(inc, np.nonzero(positive)[0], cumulative, float(cumulative[-1]), threshold)
+    cumulative = np.cumsum(np.where(inc > threshold, inc, 0.0), axis=-1)
+    measure = float(cumulative[-1]) if inc.ndim == 1 else cumulative[:, -1].copy()
+    return NMReport(inc, cumulative, measure, threshold)
 
 
 def bloch_trace_distances(traj1, traj2) -> np.ndarray:
-    """Step-by-step trace distances of two (steps, 3) Bloch trajectories, half
-    the Euclidean norm of each row's difference.  The squared norms are one
+    """Step-by-step trace distances of two (..., steps, 3) Bloch trajectories,
+    half the Euclidean norm of each difference.  The squared norms are one
     batched (1, 3) x (3, 1) product, which has the bits of the per-row
     ``trace_distance_bloch``."""
     d = np.asarray(traj1, dtype=float) - np.asarray(traj2, dtype=float)
-    return 0.5 * np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return 0.5 * np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 def nm_qubit(
@@ -142,20 +158,22 @@ def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
 
 def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
     """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
-    ``DephasingFilter``.
+    coherence filter; ``coins`` holds exactly two coin pairs (c_left, c_right).
 
-    Both coins are stepped once.  After n steps only the n + 1 sites with the
+    The two coins are stepped together, as one (sites, 2) array through
+    ``kernels.coin_shift``.  After n steps only the n + 1 sites with the
     parity of n are occupied, so the difference of the two pure densities is
     kept on those sites alone: d = 2(n + 1).  A filter multiplies the (x, y)
     block by f(y - x), and every separation is one of the 2 n_steps + 1 even
-    ones, so each filter is evaluated once into a table, from which each
-    step's filtered matrices are gathered.
+    ones, so ``openwalk.filter_table`` evaluates every filter once into a
+    table, from which each step's filtered matrices are gathered.
 
     The inputs are checked, not the gathered matrices: each table must be
     finite and Hermitian Toeplitz, f(-d) = conj f(d) within ``HERMITICITY_TOL``
-    of its largest value, and each step's coin amplitudes finite.  Every
-    filtered matrix, a Hermitian Toeplitz table times the Hermitian v1 v1† -
-    v2 v2† entry by entry, is then Hermitian by construction.
+    of its largest value, and each origin a finite and normalized
+    (``walk.initial_state``) coin pair, which every unitary step keeps finite.
+    Every filtered matrix, a Hermitian Toeplitz table times the Hermitian
+    v1 v1† - v2 v2† entry by entry, is then Hermitian by construction.
 
     With real coins the walk amplitudes, and so the differences, are real, and
     a table that ``filter_table_gauge`` finds real, f(2 j) = e^(icj) r(j),
@@ -166,6 +184,10 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     complex matrix over ``STACK_BYTES`` is refused before any work."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
+    if len(coins) != 2 or any(np.shape(coin) != (2,) for coin in coins):
+        raise DomainError("the walk measure needs exactly two coin pairs (c_left, c_right)")
+    if not np.all(np.isfinite(coins)):
+        raise DomainError("walk coin amplitudes must be finite")
     dim = 2 * (n_steps + 1)
     if dim * dim * np.dtype(complex).itemsize > STACK_BYTES:
         raise ResourceLimitError(
@@ -175,13 +197,17 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     if not filters:
         return out
     # column n_steps + j holds f(2 j), j = -n_steps..n_steps
-    table = np.array([flt(2 * np.arange(-n_steps, n_steps + 1)) for flt in filters])
+    table = filter_table(filters, 2 * np.arange(-n_steps, n_steps + 1))
     if not np.all(np.isfinite(table)):
         raise DomainError("filter values must be finite")
     scale = np.max(np.abs(table), axis=1)
     defect = np.max(np.abs(table[:, ::-1] - table.conj()), axis=1)
     if np.any(defect > HERMITICITY_TOL * np.maximum(scale, 1.0)):
         raise DomainError("filter must be Hermitian Toeplitz: f(-d) = conj f(d)")
+    # the amplitudes of both coins over the sites, one column per coin
+    origins = [initial_state(*coin) for coin in coins]
+    left = np.stack([origin.amp_left for origin in origins], axis=-1)
+    right = np.stack([origin.amp_right for origin in origins], axis=-1)
     real_coins = not np.any(np.imag(coins))
     real, gauged = filter_table_gauge(table)
     real &= real_coins
@@ -191,14 +217,15 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     # leading 2(n + 1) rows and columns
     site = np.arange(dim) // 2
     columns = n_steps + site[None, :] - site[:, None]
-    for n, states in enumerate(zip(*(walk_states(*coin, n_steps) for coin in coins))):
+    for n in range(n_steps + 1):
+        if n:
+            left, right = kernels.coin_shift(left, right)
         # position-major amplitudes on the occupied sites -n, -n + 2, ..., n
-        v1, v2 = (state_vector(state).reshape(-1, 2)[0::2].ravel() for state in states)
-        if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
-            raise DomainError("walk coin amplitudes must be finite")
+        v = position_major(left[0::2], right[0::2])
         if real_coins:
-            v1, v2 = v1.real, v2.real
-        diff = np.outer(v1, v1.conj()) - np.outer(v2, v2.conj())
+            v = v.real
+        pure = v[:, None] * v[None].conj()  # both pure densities, (d, d, 2)
+        diff = pure[..., 0] - pure[..., 1]
         step_columns = columns[:len(diff), :len(diff)]
         for rows, tab in routes:
             chunk = STACK_BYTES // (diff.size * tab.itemsize)

@@ -25,9 +25,12 @@ x and y therefore picks up exp(i omega delta_t delta_n (y - x)/2), and the
 spectral average multiplies the (x, y) block by kappa((y - x) delta_t / 2).
 ``dilation_oracle`` pins this normalization exactly; walk support separations
 are always even, so the filter only ever samples kappa at whole multiples of
-the step duration.  In the strong-dephasing limit every coherence between
-distinct sites is lost: the filter is ``strong_limit_filter``, f(d) = 1 at
-d = 0 and 0 elsewhere, and it takes every route a spectral filter takes.
+the step duration.  ``filter_table`` is the one place a ``DephasingFilter`` is
+evaluated: it forms tau = d delta_t / 2 for all the filters of one spectrum
+and index contrast and makes one ``decoherence_function`` call for them.  In
+the strong-dephasing limit every coherence between distinct sites is lost:
+the filter is ``strong_limit_filter``, f(d) = 1 at d = 0 and 0 elsewhere, and
+it takes every route a spectral filter takes.
 
 Trace distances.  ``trace_distance_walk`` is the dense reference: it takes two
 densities after equal step counts and solves their full 2(2n + 1)-dimensional
@@ -35,16 +38,17 @@ difference in one eigensolve, through ``hermitian_eigenvalues``, which checks
 each matrix for finiteness and Hermiticity and caps d at ``MAX_EIG_DIM``.  The
 memory measure takes a faster route (``nonmarkov.walk_trace_distances``): only
 the n + 1 sites of the parity of n are occupied after n steps, so it keeps the
-difference on those sites (d = 2(n + 1)).  It checks its inputs instead of
-each matrix: every filter table must be finite and Hermitian Toeplitz, and
-each step's coin amplitudes finite, so every filtered matrix is Hermitian by
-construction.  A filter whose table is real up to a phase ramp,
-f(2 j) = e^(icj) r(j), as a spectrum symmetric about a centre gives, turns each
-filtered difference of real coins into a real symmetric matrix with the same
-eigenvalues; those are solved in float64, the rest in complex128, one stack
-per route and step, each in chunks of at most ``nonmarkov.STACK_BYTES``.  A
-run whose last step needs one complex matrix over ``STACK_BYTES`` (512 steps
-or more) is refused before any work.
+difference on those sites (d = 2(n + 1)).  It steps both coins as one
+(sites, 2) array, builds every filter's table in one ``filter_table`` call,
+and checks its inputs instead of each matrix: every filter table must be
+finite and Hermitian Toeplitz, and each origin coin pair finite, so every
+filtered matrix is Hermitian by construction.  A filter whose table is real
+up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum symmetric about a
+centre gives, turns each filtered difference of real coins into a real
+symmetric matrix with the same eigenvalues; those are solved in float64, the
+rest in complex128, one stack per route and step, each in chunks of at most
+``nonmarkov.STACK_BYTES``.  A run whose last step needs one complex matrix
+over ``STACK_BYTES`` (512 steps or more) is refused before any work.
 """
 
 from __future__ import annotations
@@ -105,10 +109,10 @@ class WalkDensity:
 
 def state_vector(state: WalkState) -> np.ndarray:
     """Position-major pure-state vector of a walk state."""
-    return _position_major(state.amp_left, state.amp_right)
+    return position_major(state.amp_left, state.amp_right)
 
 
-def _position_major(left, right) -> np.ndarray:
+def position_major(left, right) -> np.ndarray:
     """Coin amplitudes over sites (axis 0, with any trailing axes) interleaved
     into the position-major rows 2 (x + n) + sigma."""
     v = np.empty((2 * left.shape[0],) + left.shape[1:], dtype=complex)
@@ -130,10 +134,8 @@ class DephasingFilter:
     config: DephasingConfig
 
     def __call__(self, d):
-        delta = np.asarray(d, dtype=float)
-        return decoherence_function(
-            self.spectrum, self.config.index_contrast, delta * self.config.step_duration / 2.0
-        )
+        values = filter_table([self], d)[0]
+        return values if np.ndim(d) else complex(values)
 
     def gram(self, steps: int) -> np.ndarray:
         """Matrix [f(y - x)] over the support of an n-step state; positive
@@ -151,6 +153,38 @@ def strong_limit_filter(d):
     """The coherence filter of the strong-dephasing limit: f(d) = 1 at d = 0
     and 0 elsewhere, so only the diagonal site blocks survive."""
     return np.where(np.asarray(d, dtype=float) == 0.0, 1.0, 0.0)
+
+
+def _tau(step_durations, separations) -> np.ndarray:
+    """tau = d delta_t / 2 for every step duration (leading axes) and site
+    separation d: the filter normalization of the module docstring."""
+    return np.multiply.outer(step_durations, separations) / 2.0
+
+
+def filter_table(filters, separations) -> np.ndarray:
+    """The values of each coherence filter at ``separations`` (any shape),
+    one row per filter in the given order: shape (len(filters),) +
+    separations.shape, complex.
+
+    The ``DephasingFilter``s that share a spectrum and an index contrast are
+    evaluated together, in one ``decoherence_function`` call over their
+    (step durations x separations) grid of tau; any other callable is called
+    once with ``separations``.  Every row has the bits of its filter's own
+    call: a ``DephasingFilter`` is evaluated through this function too."""
+    separations = np.asarray(separations)
+    out = np.empty((len(filters),) + separations.shape, dtype=complex)
+    groups: dict[tuple, list[int]] = {}
+    for row, flt in enumerate(filters):
+        if isinstance(flt, DephasingFilter):
+            groups.setdefault((flt.spectrum, flt.config.index_contrast), []).append(row)
+        else:
+            out[row] = flt(separations)
+    for rows in groups.values():
+        first = filters[rows[0]]
+        durations = np.array([filters[row].config.step_duration for row in rows])
+        out[rows] = decoherence_function(first.spectrum, first.config.index_contrast,
+                                         _tau(durations, separations))
+    return out
 
 
 def filtered_density(state: WalkState, kappa) -> WalkDensity:
@@ -234,7 +268,7 @@ def discrete_filter(omegas, weights, config: DephasingConfig):
     """The coherence filter f(d) of the discrete spectrum with the given
     frequency nodes, in the normalization of ``DephasingFilter``."""
     return lambda d: discrete_decoherence(
-        omegas, weights, config.index_contrast, d * config.step_duration / 2.0)
+        omegas, weights, config.index_contrast, _tau(config.step_duration, d))
 
 
 def open_walk_evolve_discrete(
@@ -293,7 +327,7 @@ def dilation_densities(
         if n:
             left, right = kernels.coin_shift(left, right)
             left *= phase_left
-        v = _position_major(left, right)
+        v = position_major(left, right)
         yield WalkDensity(n, v @ v.conj().T), omegas, weights
 
 
@@ -323,8 +357,10 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     for each environment size K in ``n_freqs``, the position distribution under
     dephasing, the series engine against quadrature at A = 0 and 1, the
     Catalan closed forms, the quasi-momentum amplitudes against the recursion,
-    and the eigensolver identities.  A dilation check cut short by a cap did
-    not run as asked: it is marked ``skipped`` and cannot pass."""
+    and the eigensolver identities.  Each dilation entry records its K and
+    the step counts it compared, and the position entry the step counts it
+    sampled.  A dilation check cut short by a cap did not run as asked: it is
+    marked ``skipped`` and cannot pass."""
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 
@@ -346,16 +382,18 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
         except ResourceLimitError as exc:
             skipped = {"pass": False, "skipped": str(exc)}
         checks.append(check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
-                      | skipped)
+                      | {"K": k, "steps": list(range(len(deviations)))} | skipped)
 
     # dephasing must not touch the position distribution
     position_filter = DephasingFilter(spectrum, dephasing)
     deviations = []
-    for n in range(0, position_check_steps + 1, 3):
+    sampled = list(range(0, position_check_steps + 1, 3))
+    for n in sampled:
         p1 = filtered_density(states[n], position_filter).position_distribution()
         p2 = pure_walk_density(states[n]).position_distribution()
         deviations += [(abs(p1[x] - p2[x]), f"n={n}, x={x}") for x in p1]
-    checks.append(check("position_distribution_invariance", largest_deviation(deviations), 1e-12))
+    checks.append(check("position_distribution_invariance", largest_deviation(deviations), 1e-12)
+                  | {"steps": sampled})
 
     # series engine vs oscillatory quadrature
     spectra_a = {a: replace(spectrum, amplitude_ratio=a) for a in (0.0, 1.0)}

@@ -408,7 +408,8 @@ SECOND_VALUE = {
     "sweep.min": (0.5, {}),
     "sweep.max": (2.0, {}),
     "sweep.count": (1, {}),
-    "oracle.max_steps": (6, {}),  # up to 4 steps, the worst deviation stays at n = 1
+    "oracle.max_steps": (3, {}),
+    "oracle.position_check_steps": (3, {}),
     "oracle.n_freqs": ([8, 16], {}),
     "oracle.walk_steps": (3, {}),
     "oracle.engine_max_power": (3, {}),
@@ -417,7 +418,6 @@ SECOND_VALUE = {
 UNSHOWN = {
     "jobs": "validated and recorded, but sweeps run serially; kept so that --jobs 4 runs",
     "out_dir": "names the directory the files go to, not what they hold",
-    "oracle.position_check_steps": "its check passes with deviation exactly 0.0 at any step count",
 }
 
 
@@ -596,11 +596,14 @@ class TestControlledQubitCommand:
         # one kappa table per command, shared by every eta; the powers stream
         # through no per-power product
         calls = record_calls(monkeypatch, spectra.decoherence_function, harmonic.series_multiply,
-                             harmonic.integrate_series_against_spectrum)
+                             harmonic.integrate_series_against_spectrum, nonmarkov.nm_measure)
         assert run_cli("controlled-qubit", "--preset", "fig2", "--out", str(tmp_path)) == 0
         fig2 = PRESETS["fig2"]
         assert [np.size(args[2]) for args in calls["decoherence_function"]] \
             == [2 * fig2["steps"] + 1]
+        # one measure call for the (eta, step) stack of trace distances
+        assert [np.shape(args[0]) for args in calls["nm_measure"]] \
+            == [(len(fig2["eta_values"]), fig2["steps"] + 1)]
         assert len(calls["series_multiply"]) == 0
         assert len(calls["integrate_series_against_spectrum"]) == 0
 
@@ -852,10 +855,12 @@ class TestOpenWalkNMCommand:
 
     def test_fig4_work_pattern(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, kernels.hermitian_eigvals, walk.walk_evolve,
-                             kernels.walk_run, spectra.decoherence_function)
+                             kernels.walk_run, spectra.decoherence_function, kernels.coin_shift,
+                             nonmarkov.nm_measure)
         assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path)) == 0
         fig4 = PRESETS["fig4"]
-        filters = len(fig4["a_values"]) * fig4["sweep"]["count"]
+        count, steps = fig4["sweep"]["count"], fig4["steps"]
+        filters = len(fig4["a_values"]) * count
         # per step at most one stack per route, real and complex, each in one
         # chunk, and every filter and the strong limit solved once
         for n in range(fig4["steps"] + 1):
@@ -863,7 +868,13 @@ class TestOpenWalkNMCommand:
             assert len({stack.dtype for stack in step}) == len(step) <= 2
             assert sum(len(stack) for stack in step) == filters + 1
         assert len(calls["walk_evolve"]) == 0 and len(calls["walk_run"]) == 0
-        assert 0 < len(calls["decoherence_function"]) <= filters
+        # one kappa table per A over every interaction time, the coin pair
+        # stepped as one array, and one measure call for every row
+        assert [np.shape(args[2]) for args in calls["decoherence_function"]] \
+            == [(count, 2 * steps + 1)] * len(fig4["a_values"])
+        assert [np.shape(args[0]) for args in calls["coin_shift"]] \
+            == [(2 * n + 1, 2) for n in range(steps)]
+        assert [np.shape(args[0]) for args in calls["nm_measure"]] == [(filters + 1, steps + 1)]
 
 
 class TestOracleCommand:
@@ -946,8 +957,11 @@ class TestOracleCommand:
             for check in report["checks"]:
                 assert set(check) >= {"name", "max_dev", "tol", "pass", "location"}
 
-    @pytest.mark.parametrize("setting", ["oracle.n_freqs=[100]", "oracle.max_steps=8"])
-    def test_check_cut_short_is_not_a_pass(self, tmp_path, capsys, setting):
+    @pytest.mark.parametrize("setting,compared", [
+        pytest.param("oracle.n_freqs=[100]", [], id="oracle.n_freqs=[100]"),
+        pytest.param("oracle.max_steps=8", list(range(7)), id="oracle.max_steps=8"),
+    ])
+    def test_check_cut_short_is_not_a_pass(self, tmp_path, capsys, setting, compared):
         assert run_cli(
             "oracle", "--out", str(tmp_path), "--set", "oracle.n_freqs=[8]",
             "--set", "oracle.walk_steps=2", "--set", "oracle.engine_max_power=2",
@@ -958,7 +972,25 @@ class TestOracleCommand:
         assert report["all_pass"] is False
         cut = [c for c in report["checks"] if "skipped" in c]
         assert cut and all(c["pass"] is False for c in cut)
+        assert [c["steps"] for c in cut] == [compared]  # the steps it reached
         assert all(c["pass"] for c in report["checks"] if "skipped" not in c)
+
+    def test_entries_record_what_they_covered(self, tmp_path):
+        # each dilation entry names its K and the steps it compared, and the
+        # position entry the steps it sampled, so every step count shows
+        reports = []
+        for max_steps in (2, 3, 4):
+            out = tmp_path / str(max_steps)
+            assert run_cli("oracle", "--out", str(out), "--set", "oracle.n_freqs=[8,16]",
+                           "--set", "oracle.walk_steps=2", "--set", f"oracle.max_steps={max_steps}",
+                           "--set", "oracle.position_check_steps=7") == 0
+            reports.append((out / "oracle_report.json").read_bytes())
+            checks = {c["name"]: c for c in json.loads(reports[-1])["checks"]}
+            for k in (8, 16):
+                assert checks[f"dilation_vs_filter_K{k}"]["K"] == k
+                assert checks[f"dilation_vs_filter_K{k}"]["steps"] == list(range(max_steps + 1))
+            assert checks["position_distribution_invariance"]["steps"] == [0, 3, 6]
+        assert len(set(reports)) == 3
 
     def test_perturbed_filter_reports_failure(self, tmp_path, monkeypatch):
         original = openwalk.filtered_density
@@ -1129,6 +1161,26 @@ def test_cli_import_loads_no_undeclared_dependency():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_figure_routes_leave_random_and_polynomial_unimported(tmp_path):
+    # numpy loads both lazily; numpy.random alone adds about 5.5 MB to a fresh
+    # process, and no figure route on the series engine needs either
+    runs = [["dephasing", "--preset", "fig1"], ["controlled-qubit", "--preset", "fig2"],
+            ["controlled-qubit", "--preset", "fig3"], ["strong-limit-error", "--preset", "fig5"],
+            ["open-walk-nm", "--preset", "fig4"]]
+    code = ("import json, sys\n"
+            "from memoryflow import cli\n"
+            "loaded = {}\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert cli.main(argv + ['--out', f'{sys.argv[2]}/{i}']) == 0\n"
+            "    loaded[' '.join(argv)] = sorted(\n"
+            "        m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {" ".join(argv): [] for argv in runs}
 
 
 class TestDeterminism:

@@ -101,6 +101,27 @@ class TestMeasure:
         series = TraceDistanceSeries(np.array([1.0, 0.2, 0.6]))
         assert nm_measure(series).measure == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1e-12, 0.05])
+    def test_stack_rows_have_the_bits_of_single_calls(self, threshold):
+        rng = np.random.default_rng(7)
+        stack = rng.uniform(0.0, 1.0, (5, 13))
+        stack[2] = stack[2, 0]  # a constant row: no increment counts
+        report = nm_measure(stack, threshold)
+        assert report.increments.shape == report.cumulative.shape == stack.shape
+        assert report.measure.shape == (5,) and report.threshold == threshold
+        for row, values in enumerate(stack):
+            single = nm_measure(values, threshold)
+            assert report.increments[row].tobytes() == single.increments.tobytes()
+            assert report.cumulative[row].tobytes() == single.cumulative.tobytes()
+            assert report.measure[row] == single.measure
+            assert list(report.positive_steps[row]) == list(single.positive_steps)
+        assert report.measure[2] == 0.0 and report.positive_steps[2].size == 0
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 0)), np.zeros((2, 2, 2))])
+    def test_stack_shape_checked(self, values):
+        with pytest.raises(DomainError):
+            nm_measure(values)
+
 
 class TestBlochTraceDistances:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -113,6 +134,16 @@ class TestBlochTraceDistances:
         traj2 = maps @ rng.uniform(-1.0, 1.0, 3)
         want = np.array([trace_distance_bloch(a, b) for a, b in zip(traj1, traj2)])
         assert np.array_equal(bloch_trace_distances(traj1, traj2), want)
+
+    def test_stack_has_the_bits_of_each_slice(self):
+        stack = transfer_map_stack(spectrum(0.5), dephasing(), (0.0, 0.3, 1.0), 12)
+        traj1, traj2 = stack @ np.array([0.6, 0.0, 0.8]), stack @ np.array([-0.6, 0.0, -0.8])
+        got = bloch_trace_distances(traj1, traj2)
+        assert got.shape == (3, 13)
+        for row, maps in zip(got, stack):
+            want = bloch_trace_distances(maps @ np.array([0.6, 0.0, 0.8]),
+                                         maps @ np.array([-0.6, 0.0, -0.8]))
+            assert row.tobytes() == want.tobytes()
 
     def test_engine_trajectories(self):
         maps = transfer_map_stack(spectrum(0.5), dephasing(), (0.3,), 30)[0]
@@ -218,6 +249,44 @@ class TestWalkTraceDistances:
 
     def test_no_filters(self):
         assert walk_trace_distances([], 4).shape == (0, 5)
+
+    @pytest.mark.parametrize("coins", [
+        pytest.param(nonmarkov.DEFAULT_WALK_COINS, id="real"),
+        pytest.param(((0.6, 0.8j), (0.8, -0.6j)), id="complex"),
+    ])
+    def test_coin_pair_walk_has_the_bits_of_walk_states(self, monkeypatch, coins):
+        # the pair is stepped as one (sites, 2) array, one coin_shift per step
+        states = [list(walk_states(*coin, 6)) for coin in coins]
+        steps = []
+        original = kernels.coin_shift
+
+        def recorded(left, right):
+            steps.append(original(left, right))
+            return steps[-1]
+
+        monkeypatch.setattr(kernels, "coin_shift", recorded)
+        walk_trace_distances([strong_limit_filter], 6, coins)
+        assert len(steps) == 6
+        for n, (left, right) in enumerate(steps, start=1):
+            assert left.shape == right.shape == (2 * n + 1, 2)
+            for k, walk in enumerate(states):
+                assert left[:, k].tobytes() == walk[n].amp_left.tobytes()
+                assert right[:, k].tobytes() == walk[n].amp_right.tobytes()
+
+    @pytest.mark.parametrize("coins", [
+        pytest.param(((1.0, 0.0),), id="one-coin"),
+        pytest.param(((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)), id="three-coins"),
+        pytest.param(((1.0, 0.0), (0.0, 1.0, 0.0)), id="coin-of-three"),
+        pytest.param(((1.0, 0.0), 1.0), id="scalar-coin"),
+    ])
+    def test_needs_exactly_two_coin_pairs(self, coins):
+        with pytest.raises(DomainError, match="two coin pairs"):
+            walk_trace_distances([DephasingFilter(spectrum(), dephasing())], 3, coins)
+
+    @pytest.mark.parametrize("coin1", [(1.0,), (1.0, 0.0, 0.0)], ids=["one-amplitude", "three"])
+    def test_nm_walk_refuses_a_malformed_coin(self, coin1):
+        with pytest.raises(DomainError, match="two coin pairs"):
+            nm_walk(None, None, n_steps=3, mode="strong_limit", coin1=coin1)
 
     @staticmethod
     def solved_stacks(monkeypatch) -> list:

@@ -107,6 +107,55 @@ class TestDephasingFilter:
         assert vals[0] >= -1e-10
 
 
+def bits(values) -> bytes:
+    """The bytes of values as complex128: tells -0.0 from 0.0, as == does not."""
+    return np.ascontiguousarray(values, dtype=complex).tobytes()
+
+
+class TestFilterTable:
+    @staticmethod
+    def mixed_filters():
+        """Two spectra at several durations, interleaved with the strong limit,
+        a discrete filter and a plain callable."""
+        omegas, weights = discretize_spectrum(spectrum(0.7), 8)
+        by_spectrum = [[DephasingFilter(spectrum(a), dephasing(t)) for t in (0.2, 0.35, 1.3)]
+                       for a in (0.0, 0.7)]
+        return [by_spectrum[0][0], by_spectrum[1][0], strong_limit_filter, by_spectrum[0][1],
+                discrete_filter(omegas, weights, dephasing(0.5)), by_spectrum[1][1],
+                lambda d: np.exp(-0.1 * np.abs(d)), by_spectrum[1][2], by_spectrum[0][2]]
+
+    @pytest.mark.parametrize("separations", [
+        pytest.param(2 * np.arange(-5, 6), id="even-integers"),
+        pytest.param(openwalk._separations(3), id="2d-floats"),
+        pytest.param(np.array(4.0), id="scalar"),
+    ])
+    def test_rows_are_each_filters_own_call(self, monkeypatch, separations):
+        filters = self.mixed_filters()
+        want = [bits(flt(separations)) for flt in filters]
+        calls = []
+        original = openwalk.decoherence_function
+
+        def recorded(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(openwalk, "decoherence_function", recorded)
+        table = openwalk.filter_table(filters, separations)
+        assert table.dtype == complex and table.shape == (len(filters),) + np.shape(separations)
+        assert [bits(row) for row in table] == want
+        # one call per spectrum, over that spectrum's durations x separations
+        assert [args[0].amplitude_ratio for args in calls] == [0.0, 0.7]
+        assert [np.shape(args[2]) for args in calls] == [(3,) + np.shape(separations)] * 2
+
+    def test_no_filters(self):
+        assert openwalk.filter_table([], np.arange(3)).shape == (0, 3)
+
+    def test_scalar_call_is_complex(self):
+        value = DephasingFilter(spectrum(), dephasing())(2)
+        assert type(value) is complex
+        assert value == openwalk.filter_table([DephasingFilter(spectrum(), dephasing())], 2)[0]
+
+
 class TestDilationOracle:
     def test_single_frequency_cannot_decohere(self):
         rho, omegas, weights = dilation_oracle(*COIN, 3, spectrum(0.0), dephasing(), 1)
