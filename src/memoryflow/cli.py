@@ -37,7 +37,8 @@ from .spectra import (
     dimensionless_interaction_time,
     spectral_density,
 )
-from .walk import INTEGRAL_RECURSION_TOL, integral_check_bytes, integral_recursion_deviation, walk_states
+from .walk import (INTEGRAL_RECURSION_TOL, integral_check_bytes, integral_recursion_deviation,
+                   position_distribution, walk_states)
 
 COMMANDS = (
     "dephasing",
@@ -55,7 +56,8 @@ BASE_CONFIGS = {"dephasing": PRESETS["fig1"], "controlled-qubit": PRESETS["fig2"
                 "oracle": ENVIRONMENT}
 
 #: bytes one grid may ask for (time or frequency samples, the sweep's
-#: trace-distance table, or the integral check's largest quasi-momentum table);
+#: trace-distance table, the walk's output table, or the integral check's
+#: largest quasi-momentum table);
 #: a larger grid is refused before anything is allocated
 MAX_GRID_BYTES = 1 << 28
 
@@ -284,9 +286,13 @@ def validate_config(command: str, cfg: dict) -> None:
     if command == "open-walk-nm":
         grids = {"'sweep.count' x 'a_values' x 'steps'":
                  8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1)}
-    if command == "walk" and cfg["check_integrals"]:
-        grids = {"'integral_check_cap' (at most 'steps')":
-                 integral_check_bytes(min(cfg["steps"], int(cfg["integral_check_cap"])))}
+    if command == "walk":
+        if cfg["check_integrals"]:
+            grids["'integral_check_cap' (at most 'steps')"] = \
+                integral_check_bytes(min(cfg["steps"], int(cfg["integral_check_cap"])))
+        # walk_distribution.csv: one row per occupied site of every step
+        rows = (cfg["steps"] + 1) * (cfg["steps"] + 2) // 2
+        grids["'steps'"] = 8 * (7 if cfg["amplitudes"] else 3) * rows
     if command == "oracle":
         grids = {"'oracle.walk_steps'": integral_check_bytes(cfg["oracle"]["walk_steps"])}
     for fields, size in grids.items():
@@ -489,13 +495,9 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
     norms, keys, p, amplitudes = [], [], [], []
     for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
         norms.append(state.norm())
-        # the occupied sites x = -m, -m + 2, ..., m sit at every other index;
-        # p is summed per site in Python: numpy's vectorised abs and square
-        # of an array can differ from the scalar ones in the last bit
-        left, right = state.amp_left[::2], state.amp_right[::2]
-        p += [abs(cl) ** 2 + abs(cr) ** 2 for cl, cr in zip(left.tolist(), right.tolist())]
-        keys.append(np.column_stack([np.full(m + 1, m), np.arange(-m, m + 1, 2)]))
-        amplitudes.append(np.stack([left, right]))
+        p += position_distribution(state).values()
+        keys.append(np.column_stack([np.full(m + 1, m), state.positions()]))
+        amplitudes.append(np.stack([state.amp_left, state.amp_right]))
     header = ["step", "x", "p"]
     columns = [*np.concatenate(keys).T, p]
     if cfg["amplitudes"]:

@@ -15,8 +15,8 @@ Kernels:
                                polynomials (coefficient convolution), the
                                reference route to the series coefficients
 - ``coin_shift``               one coin-and-shift step of the Hadamard walk,
-                               over sites with any trailing axes; the one walk
-                               step that every walk route takes
+                               over the occupied sites with any trailing axes;
+                               the one walk step that every walk route takes
 - ``walk_run``                 m ``coin_shift`` steps from the origin
 """
 
@@ -133,22 +133,23 @@ def series_convolve(a, b):
 
 
 def coin_shift(left, right):
-    """One coin-and-shift step of the amplitudes (left, right) over sites
-    -n..n, axis 0, with any trailing axes: the balanced coin mixes each site's
-    pair, and the coined pair at site x sends its L part to x - 1 and its R
-    part to x + 1.  Returns the new pair over sites -n - 1..n + 1."""
+    """One coin-and-shift step of the amplitudes (left, right) over the n + 1
+    occupied sites -n, -n + 2, ..., n, axis 0, with any trailing axes: the
+    balanced coin mixes each site's pair, and the coined pair at site x sends
+    its L part to x - 1 and its R part to x + 1.  Returns the new pair over the
+    n + 2 sites -n - 1, -n + 1, ..., n + 1."""
     h = 1.0 / math.sqrt(2.0)
-    shape = (left.shape[0] + 2,) + left.shape[1:]
+    shape = (left.shape[0] + 1,) + left.shape[1:]
     new_l = np.zeros(shape, dtype=np.complex128)
     new_r = np.zeros(shape, dtype=np.complex128)
-    new_l[:-2] = h * (left + right)
-    new_r[2:] = h * (left - right)
+    new_l[:-1] = h * (left + right)
+    new_r[1:] = h * (left - right)
     return new_l, new_r
 
 
 def walk_run(c_l0, c_r0, m):
-    """Amplitudes (left, right) over sites -m..m after m ``coin_shift`` steps
-    from the coin pair (c_l0, c_r0) at the origin."""
+    """Amplitudes (left, right) over the m + 1 sites -m, -m + 2, ..., m after m
+    ``coin_shift`` steps from the coin pair (c_l0, c_r0) at the origin."""
     cl = np.array([c_l0], dtype=np.complex128)
     cr = np.array([c_r0], dtype=np.complex128)
     for _ in range(int(m)):

@@ -6,7 +6,8 @@ call, the walk's from ``walk_trace_distances``, one row per coherence filter,
 the strong-dephasing limit (``openwalk.strong_limit_filter``) included.  That
 call builds its filter table with ``openwalk.filter_table`` (one
 ``decoherence_function`` call per spectrum) and steps the coin pair as one
-array.  ``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, so a
+array over the n + 1 occupied sites of step n, the layout every walk route
+stores.  ``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, so a
 command measures all its rows in one call, each row with the bits of its
 own one-trajectory call.
 
@@ -161,12 +162,11 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     coherence filter; ``coins`` holds exactly two coin pairs (c_left, c_right).
 
     The two coins are stepped together, as one (sites, 2) array through
-    ``kernels.coin_shift``.  After n steps only the n + 1 sites with the
-    parity of n are occupied, so the difference of the two pure densities is
-    kept on those sites alone: d = 2(n + 1).  A filter multiplies the (x, y)
-    block by f(y - x), and every separation is one of the 2 n_steps + 1 even
-    ones, so ``openwalk.filter_table`` evaluates every filter once into a
-    table, from which each step's filtered matrices are gathered.
+    ``kernels.coin_shift``, so the difference of the two pure densities after
+    n steps has d = 2(n + 1).  A filter multiplies the (x, y) block by
+    f(y - x), and every separation is one of the 2 n_steps + 1 even ones, so
+    ``openwalk.filter_table`` evaluates every filter once into a table, from
+    which each step's filtered matrices are gathered.
 
     The inputs are checked, not the gathered matrices: each table must be
     finite and Hermitian Toeplitz, f(-d) = conj f(d) within ``HERMITICITY_TOL``
@@ -180,8 +180,9 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     makes the filtered matrix unitarily similar to the real symmetric
     r((y - x)/2) times the difference, by the site phases e^(icx/2).  Those
     filters are solved in float64, the others in complex128: per step, one
-    stack per route, in chunks of at most ``STACK_BYTES``.  A run whose last step needs one
-    complex matrix over ``STACK_BYTES`` is refused before any work."""
+    stack per route, in chunks of at most ``STACK_BYTES``.  A run whose last
+    step needs one complex matrix over ``STACK_BYTES`` is refused before any
+    work."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
     if len(coins) != 2 or any(np.shape(coin) != (2,) for coin in coins):
@@ -220,8 +221,7 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     for n in range(n_steps + 1):
         if n:
             left, right = kernels.coin_shift(left, right)
-        # position-major amplitudes on the occupied sites -n, -n + 2, ..., n
-        v = position_major(left[0::2], right[0::2])
+        v = position_major(left, right)
         if real_coins:
             v = v.real
         pure = v[:, None] * v[None].conj()  # both pure densities, (d, d, 2)

@@ -3,14 +3,17 @@ strong-dephasing limit as one such filter, the explicit system-environment
 dilation oracle, and the Hermitian eigenvalue machinery used for trace
 distances.
 
-Density matrices are stored dense in a position-major layout: the row index
-of (site x, coin sigma) is 2 (x + n) + sigma, so the 2x2 coin block for the
-site pair (x, y) is the contiguous submatrix at (2(x+n), 2(y+n)).
+After n steps only the n + 1 sites x = -n, -n + 2, ..., n are occupied, and
+every state and density is stored over those sites alone.  Density matrices
+are dense in a position-major layout: the row index of (site x, coin sigma)
+is (x + n) + sigma, so the 2x2 coin block for the site pair (x, y) is the
+contiguous submatrix at (x + n, y + n), and a density after n steps has
+dimension d = 2(n + 1).
 
 One step.  Every walk route takes the same coin-and-shift step,
 ``kernels.coin_shift``: the unitary walk (``walk.walk_states``, and
-``walk_evolve`` as its last state) steps one (2n + 1)-site pair, and the
-dilation oracle steps a (2n + 1, K) pair, one column per environment branch,
+``walk_evolve`` as its last state) steps one (n + 1)-site pair, and the
+dilation oracle steps an (n + 1, K) pair, one column per environment branch,
 and then multiplies each branch's L amplitudes by its dephasing phase.
 ``oracle_checks`` builds every check of the oracle on these routes; each
 reports its largest deviation and its location by one rule,
@@ -23,24 +26,24 @@ ending at x has (n - x)/2 left moves and (n + x)/2 right moves, and each move
 contributes the refraction phase of its coin side.  A coherence between sites
 x and y therefore picks up exp(i omega delta_t delta_n (y - x)/2), and the
 spectral average multiplies the (x, y) block by kappa((y - x) delta_t / 2).
-``dilation_oracle`` pins this normalization exactly; walk support separations
-are always even, so the filter only ever samples kappa at whole multiples of
-the step duration.  ``filter_table`` is the one place a ``DephasingFilter`` is
-evaluated: it forms tau = d delta_t / 2 for all the filters of one spectrum
-and index contrast and makes one ``decoherence_function`` call for them.  In
+``dilation_oracle`` pins this normalization exactly; occupied sites are
+always an even distance apart, so the filter only ever samples kappa at whole
+multiples of the step duration.  ``filter_table`` is the one place a
+``DephasingFilter`` is evaluated: it forms tau = d delta_t / 2 for all the
+filters of one spectrum and index contrast and makes one
+``decoherence_function`` call for them.  In
 the strong-dephasing limit every coherence between distinct sites is lost:
 the filter is ``strong_limit_filter``, f(d) = 1 at d = 0 and 0 elsewhere, and
 it takes every route a spectral filter takes.
 
 Trace distances.  ``trace_distance_walk`` is the dense reference: it takes two
-densities after equal step counts and solves their full 2(2n + 1)-dimensional
+densities after equal step counts and solves their 2(n + 1)-dimensional
 difference in one eigensolve, through ``hermitian_eigenvalues``, which checks
-each matrix for finiteness and Hermiticity and caps d at ``MAX_EIG_DIM``.  The
-memory measure takes a faster route (``nonmarkov.walk_trace_distances``): only
-the n + 1 sites of the parity of n are occupied after n steps, so it keeps the
-difference on those sites (d = 2(n + 1)).  It steps both coins as one
-(sites, 2) array, builds every filter's table in one ``filter_table`` call,
-and checks its inputs instead of each matrix: every filter table must be
+each matrix for finiteness and Hermiticity and caps d at ``MAX_EIG_DIM``, so
+the dense route reaches 127 steps.  The memory measure takes a faster route
+(``nonmarkov.walk_trace_distances``): it steps both coins as one (sites, 2)
+array, builds every filter's table in one ``filter_table`` call, and checks
+its inputs instead of each matrix: every filter table must be
 finite and Hermitian Toeplitz, and each origin coin pair finite, so every
 filtered matrix is Hermitian by construction.  A filter whose table is real
 up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum symmetric about a
@@ -78,18 +81,20 @@ class WalkDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dim = 2 * (2 * self.steps + 1)
+        dim = 2 * (self.steps + 1)
         if self.matrix.shape != (dim, dim):
             raise DomainError("density matrix shape must match the step count")
 
     def positions(self) -> np.ndarray:
-        return np.arange(-self.steps, self.steps + 1)
+        return np.arange(-self.steps, self.steps + 1, 2)
 
     def block(self, x: int, y: int) -> np.ndarray:
+        """The 2x2 coin block of the site pair (x, y); zero where a site is empty."""
         if abs(x) > self.steps or abs(y) > self.steps:
             raise DomainError("site index outside the state's support")
-        i = 2 * (x + self.steps)
-        j = 2 * (y + self.steps)
+        i, j = x + self.steps, y + self.steps
+        if i % 2 or j % 2:
+            return np.zeros((2, 2), dtype=self.matrix.dtype)
         return self.matrix[i:i + 2, j:j + 2]
 
     def trace(self) -> float:
@@ -113,8 +118,8 @@ def state_vector(state: WalkState) -> np.ndarray:
 
 
 def position_major(left, right) -> np.ndarray:
-    """Coin amplitudes over sites (axis 0, with any trailing axes) interleaved
-    into the position-major rows 2 (x + n) + sigma."""
+    """Coin amplitudes over the occupied sites (axis 0, with any trailing axes)
+    interleaved into the position-major rows (x + n) + sigma."""
     v = np.empty((2 * left.shape[0],) + left.shape[1:], dtype=complex)
     v[0::2] = left
     v[1::2] = right
@@ -138,14 +143,15 @@ class DephasingFilter:
         return values if np.ndim(d) else complex(values)
 
     def gram(self, steps: int) -> np.ndarray:
-        """Matrix [f(y - x)] over the support of an n-step state; positive
-        semidefinite because f is a characteristic function."""
+        """Matrix [f(y - x)] over the occupied sites of an n-step state;
+        positive semidefinite because f is a characteristic function."""
         return np.atleast_2d(self(_separations(steps)))
 
 
 def _separations(steps: int) -> np.ndarray:
-    """Matrix [y - x] of site separations over the support of an n-step state."""
-    xs = np.arange(-steps, steps + 1, dtype=float)
+    """Matrix [y - x] of site separations over the occupied sites of an n-step
+    state."""
+    xs = np.arange(-steps, steps + 1, 2, dtype=float)
     return xs[None, :] - xs[:, None]
 
 
@@ -271,19 +277,6 @@ def discrete_filter(omegas, weights, config: DephasingConfig):
         omegas, weights, config.index_contrast, _tau(config.step_duration, d))
 
 
-def open_walk_evolve_discrete(
-    c_left: complex,
-    c_right: complex,
-    n: int,
-    omegas,
-    weights,
-    config: DephasingConfig,
-) -> WalkDensity:
-    """Filter-route evolution with the discrete decoherence function of the
-    given frequency nodes (the quantity the dilation oracle must reproduce)."""
-    return filtered_density(walk_evolve(c_left, c_right, n), discrete_filter(omegas, weights, config))
-
-
 def dilation_densities(
     c_left: complex,
     c_right: complex,
@@ -301,8 +294,8 @@ def dilation_densities(
     discrete spectrum, entrywise.
 
     The spectrum is discretized once and the coin (x) position amplitudes of
-    every environment branch, a (2n + 1, K) pair, take one
-    ``kernels.coin_shift`` per step: yields (WalkDensity, omegas, weights)
+    every environment branch on the occupied sites, an (n + 1, K) pair, take
+    one ``kernels.coin_shift`` per step: yields (WalkDensity, omegas, weights)
     after n = 0, 1, ..., steps steps.  The caps are checked where a run
     reaches them: K before the first density, and n before each density, so
     a run past ``DILATION_MAX_STEPS`` yields every density up to the cap
@@ -467,17 +460,6 @@ def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
             ])), f"trial={trial}, dim={dim}"
 
     return largest_deviation(deviations())
-
-
-def eigvals_2x2_hermitian(a, b, c):
-    """Closed-form eigenvalues of [[a, b], [conj(b), c]]:
-    (a + c)/2 -/+ sqrt((a - c)^2 + 4 |b|^2)/2, vectorized."""
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    b = np.asarray(b, dtype=complex)
-    half_sum = 0.5 * (a + c)
-    half_disc = 0.5 * np.sqrt((a - c) ** 2 + 4.0 * np.abs(b) ** 2)
-    return half_sum - half_disc, half_sum + half_disc
 
 
 def trace_distance_walk(rho1: WalkDensity, rho2: WalkDensity) -> float:

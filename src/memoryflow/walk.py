@@ -1,9 +1,11 @@
 """Unitary discrete-time Hadamard walk on the line.
 
 A step applies the balanced coin to each site's (L, R) amplitude pair and
-then shifts L-amplitudes one site left and R-amplitudes one site right.
-Position-space evolution is the ground truth; the quasi-momentum integral
-representation is assembled to match it (see ``walk_amplitudes_row``).
+then shifts L-amplitudes one site left and R-amplitudes one site right, so
+after n steps only the n + 1 sites -n, -n + 2, ..., n are occupied; states
+store those sites alone.  Position-space evolution is the ground truth; the
+quasi-momentum integral representation is assembled to match it (see
+``walk_amplitudes_row``).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ INTEGRAL_RECURSION_TOL = 1e-6
 class WalkState:
     """Pure walker state after ``steps`` steps from the origin.
 
-    Amplitudes are dense over positions -steps..steps (index x + steps); sites
-    with steps + x odd are exactly zero by construction.
+    Amplitudes are stored over the steps + 1 occupied sites x = -steps,
+    -steps + 2, ..., steps (index (x + steps) / 2); every site of the other
+    parity is empty.
     """
 
     steps: int
@@ -34,20 +37,20 @@ class WalkState:
     amp_right: np.ndarray
 
     def __post_init__(self):
-        n = 2 * self.steps + 1
+        n = self.steps + 1
         if self.steps < 0 or self.amp_left.shape != (n,) or self.amp_right.shape != (n,):
-            raise DomainError("amplitude arrays must cover positions -steps..steps")
+            raise DomainError("amplitude arrays must cover the occupied sites")
 
     def positions(self) -> np.ndarray:
-        return np.arange(-self.steps, self.steps + 1)
+        return np.arange(-self.steps, self.steps + 1, 2)
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amp_left) ** 2 + np.abs(self.amp_right) ** 2))
 
     def coin_pair_at(self, x: int) -> tuple[complex, complex]:
-        if abs(x) > self.steps:
+        if abs(x) > self.steps or (x + self.steps) % 2:
             return 0.0 + 0.0j, 0.0 + 0.0j
-        i = x + self.steps
+        i = (x + self.steps) // 2
         return complex(self.amp_left[i]), complex(self.amp_right[i])
 
 
@@ -63,8 +66,8 @@ def initial_state(c_left: complex, c_right: complex) -> WalkState:
 
 
 def walk_step(state: WalkState) -> WalkState:
-    """One coin-and-shift step (``kernels.coin_shift``); support grows by one
-    site on each side."""
+    """One coin-and-shift step (``kernels.coin_shift``); the occupied sites
+    move to the other parity and grow by one site on each side."""
     return WalkState(state.steps + 1, *kernels.coin_shift(state.amp_left, state.amp_right))
 
 
@@ -89,9 +92,11 @@ def walk_evolve(c_left: complex, c_right: complex, m: int) -> WalkState:
 
 
 def position_distribution(state: WalkState) -> dict[int, float]:
-    """p(x) = |c_L(x)|^2 + |c_R(x)|^2 over the state's support."""
-    probs = np.abs(state.amp_left) ** 2 + np.abs(state.amp_right) ** 2
-    return {int(x): float(p) for x, p in zip(state.positions(), probs)}
+    """p(x) = |c_L(x)|^2 + |c_R(x)|^2 over the occupied sites.  Each p is
+    summed per site in Python: numpy's vectorised abs and square of an array
+    can differ from the scalar ones in the last bit."""
+    return {x: abs(cl) ** 2 + abs(cr) ** 2 for x, cl, cr in zip(
+        state.positions().tolist(), state.amp_left.tolist(), state.amp_right.tolist())}
 
 
 def dispersion_nu(k) -> np.ndarray | float:
@@ -263,9 +268,8 @@ def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
         for m, (states, row) in enumerate(zip(zip(*walks), walk_amplitude_rows(steps))):
             a_left, a_right, b_left, b_right = row
             for (c_left, c_right), state in zip(coins, states):
-                # the occupied sites x = -m, -m + 2, ..., m sit at every other index
-                dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left[::2]),
-                                 abs(c_left * b_left + c_right * b_right - state.amp_right[::2]))
+                dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left),
+                                 abs(c_left * b_left + c_right * b_right - state.amp_right))
                 j = int(np.argmax(dev))
                 yield float(dev[j]), f"m={m}, x={2 * j - m}"
 

@@ -32,11 +32,7 @@ from memoryflow.harmonic import (
     series_from_transfer,
     series_multiply,
 )
-from memoryflow.openwalk import (
-    eigvals_2x2_hermitian,
-    open_walk_evolve_discrete,
-    pure_walk_density,
-)
+from memoryflow.openwalk import discrete_filter, filtered_density, pure_walk_density
 from memoryflow.walk import walk_evolve
 
 SIGMA = 1.0
@@ -53,6 +49,14 @@ def spectrum(a):
 
 def dephasing(dt_factor):
     return mf.DephasingConfig(DELTA_N, dt_factor * T_REVIVAL)
+
+
+def eigvals_2x2_hermitian(a, b, c):
+    """Closed-form eigenvalues of [[a, b], [conj(b), c]]:
+    (a + c)/2 -/+ sqrt((a - c)^2 + 4 |b|^2)/2, criterion 9's reference."""
+    half_sum = 0.5 * (a + c)
+    half_disc = 0.5 * math.sqrt((a - c) ** 2 + 4.0 * abs(b) ** 2)
+    return half_sum - half_disc, half_sum + half_disc
 
 
 def report(num, name, passed, detail=""):
@@ -256,7 +260,8 @@ def test_criterion_6_filter_dilation_equivalence():
     for n_freqs in (8, 16, 32):
         for n in range(5):
             dil, omegas, weights = mf.dilation_oracle(coin[0], coin[1], n, sp, cfg, n_freqs)
-            flt = open_walk_evolve_discrete(coin[0], coin[1], n, omegas, weights, cfg)
+            flt = filtered_density(walk_evolve(coin[0], coin[1], n),
+                                   discrete_filter(omegas, weights, cfg))
             worst = max(worst, float(np.max(np.abs(dil.matrix - flt.matrix))))
     pos_dev = 0.0
     for dt_factor in (0.1, 1.0, 8.0):

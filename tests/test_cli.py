@@ -229,7 +229,7 @@ class TestConfigResolution:
                                                  ("integral_check_cap", cap)])
         assert resolve_config("oracle", overrides=[("oracle.walk_steps", cap)])
         # without the check, the cap sizes nothing
-        assert resolve_config("walk", overrides=[("steps", 10 ** 6), ("integral_check_cap", 10 ** 6)])
+        assert resolve_config("walk", overrides=[("steps", 1000), ("integral_check_cap", 10 ** 6)])
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["oracle", "--set", "sigma=1e308"], id="oracle-huge-sigma"),
@@ -692,6 +692,30 @@ class TestWalkCommand:
         for step, total in totals.items():
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_rows_are_the_library_distribution(self, tmp_path):
+        # one route for p(x): every row is walk.position_distribution's entry
+        assert run_cli("walk", "--out", str(tmp_path), "--set", "steps=9") == 0
+        _, rows = read_csv(tmp_path / "walk_distribution.csv")
+        want = [(str(m), str(x), repr(p)) for m, state in enumerate(walk.walk_states(1.0, 0.0, 9))
+                for x, p in walk.position_distribution(state).items()]
+        assert [tuple(r) for r in rows] == want
+
+    @pytest.mark.parametrize("amplitudes,fits", [(False, 4728), (True, 3094)])
+    def test_output_table_refused_before_walking(self, capsys, tmp_path, monkeypatch,
+                                                 amplitudes, fits):
+        # walk_distribution.csv holds (steps + 1)(steps + 2)/2 rows of 3 float64
+        # columns, or 7 with the amplitudes: the largest table within
+        # MAX_GRID_BYTES is accepted, and one step more is refused by name
+        # before --out exists or any step is taken
+        flag = ["--amplitudes"] if amplitudes else []
+        assert resolve_config("walk", overrides=[("steps", fits), ("amplitudes", amplitudes)])
+        calls = record_calls(monkeypatch, walk.walk_step)
+        out = tmp_path / "out"
+        assert run_cli("walk", *flag, "--set", f"steps={fits + 1}", "--out", str(out)) == 2
+        assert "'steps'" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == {"walk_step": []}
+
     def test_each_step_evolved_once(self, tmp_path, monkeypatch):
         calls = []
         # the CLI holds no alias of walk_evolve that could evade the count
@@ -804,7 +828,8 @@ class TestOpenWalkNMCommand:
         return float(row[2])
 
     def test_parity_compression_lifts_step_cap(self, tmp_path):
-        # 64 steps need dimension 2 (2 * 64 + 1) = 258 > MAX_EIG_DIM uncompressed
+        # 64 steps: the dense reference below solves 2 (64 + 1) = 130-dimensional
+        # densities on the occupied sites
         steps = 64
         got = self.fig4_filter_measure(tmp_path, steps)
         cfg = resolve_config("open-walk-nm")
@@ -873,15 +898,15 @@ class TestOpenWalkNMCommand:
         assert [np.shape(args[2]) for args in calls["decoherence_function"]] \
             == [(count, 2 * steps + 1)] * len(fig4["a_values"])
         assert [np.shape(args[0]) for args in calls["coin_shift"]] \
-            == [(2 * n + 1, 2) for n in range(steps)]
+            == [(n + 1, 2) for n in range(steps)]
         assert [np.shape(args[0]) for args in calls["nm_measure"]] == [(filters + 1, steps + 1)]
 
 
 class TestOracleCommand:
     def test_oracle_work_pattern(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, openwalk.discretize_spectrum, openwalk.dilation_oracle,
-                             openwalk.open_walk_evolve, openwalk.open_walk_evolve_discrete,
-                             walk.walk_evolve, kernels.walk_run, walk.walk_step)
+                             openwalk.open_walk_evolve, walk.walk_evolve, kernels.walk_run,
+                             walk.walk_step)
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         opts = resolve_config("oracle")["oracle"]
         # each environment is discretized and stepped once, and the walk once
@@ -889,8 +914,7 @@ class TestOracleCommand:
         assert [args[1] for args in calls["discretize_spectrum"]] == opts["n_freqs"]
         assert len(calls["walk_step"]) == max(opts["max_steps"], opts["position_check_steps"]) \
             + 2 * opts["walk_steps"]
-        for name in ("dilation_oracle", "open_walk_evolve", "open_walk_evolve_discrete",
-                     "walk_evolve", "walk_run"):
+        for name in ("dilation_oracle", "open_walk_evolve", "walk_evolve", "walk_run"):
             assert calls[name] == [], name
 
     def test_series_vs_quadrature_makes_one_series_stack_call(self, tmp_path, monkeypatch):

@@ -268,7 +268,7 @@ class TestWalkTraceDistances:
         walk_trace_distances([strong_limit_filter], 6, coins)
         assert len(steps) == 6
         for n, (left, right) in enumerate(steps, start=1):
-            assert left.shape == right.shape == (2 * n + 1, 2)
+            assert left.shape == right.shape == (n + 1, 2)
             for k, walk in enumerate(states):
                 assert left[:, k].tobytes() == walk[n].amp_left.tobytes()
                 assert right[:, k].tobytes() == walk[n].amp_right.tobytes()
@@ -379,9 +379,9 @@ _real_coins = st.tuples(_parts, _parts).filter(lambda p: p[0] ** 2 + p[1] ** 2 >
 
 
 class TestWalkRoutesAgree:
-    """The stepped, parity-compressed, stacked routes of ``nonmarkov`` against
-    the full-matrix densities of ``openwalk``, which evolve each step from the
-    origin and solve the 2(2n + 1)-dimensional difference with LAPACK.  The
+    """The stepped, stacked routes of ``nonmarkov`` against the dense densities
+    of ``openwalk``, which evolve each step from the origin and solve the
+    2(n + 1)-dimensional difference with LAPACK.  The
     strong limit is one more filter, ``strong_limit_filter``, on both sides."""
 
     @settings(max_examples=60, deadline=None)
@@ -487,8 +487,7 @@ class TestMirrorIdentity:
         got = walk_trace_distances([toeplitz_filter(values)], n_steps)[0]
         coins = nonmarkov.DEFAULT_WALK_COINS
         for n, states in enumerate(zip(*(walk_states(*coin, n_steps) for coin in coins))):
-            # position-major amplitudes on the occupied sites -n, -n + 2, ..., n
-            v1, v2 = (state_vector(state).reshape(-1, 2)[0::2].ravel() for state in states)
+            v1, v2 = (state_vector(state) for state in states)
             mirror = np.kron(np.eye(n + 1)[::-1], [[0.0, -1.0], [1.0, 0.0]])
             assert abs(np.vdot(v2, mirror @ v1)) == pytest.approx(1.0, abs=1e-12)
             sites = np.arange(n + 1)

@@ -16,11 +16,9 @@ from memoryflow.openwalk import (
     discrete_filter,
     discretize_spectrum,
     eigensolver_identity_deviation,
-    eigvals_2x2_hermitian,
     filtered_density,
     hermitian_eigenvalues,
     open_walk_evolve,
-    open_walk_evolve_discrete,
     oracle_checks,
     pure_walk_density,
     strong_limit_filter,
@@ -66,6 +64,15 @@ class TestOpenWalkEvolve:
         p1 = rho.position_distribution()
         p2 = pure.position_distribution()
         assert max(abs(p1[x] - p2[x]) for x in p1) < 1e-15
+
+    def test_density_on_occupied_sites(self):
+        # d = 2(n + 1), and the block of a pair with an empty site is zero
+        rho = open_walk_evolve(*COIN, 5, spectrum(), dephasing())
+        assert rho.matrix.shape == (12, 12)
+        assert rho.positions().tolist() == [-5, -3, -1, 1, 3, 5]
+        assert np.array_equal(rho.block(-1, 3), rho.matrix[4:6, 8:10])
+        assert np.array_equal(rho.block(0, 3), np.zeros((2, 2)))
+        assert np.array_equal(rho.block(-1, 4), np.zeros((2, 2)))
 
     def test_trace_hermiticity_preserved(self):
         rho = open_walk_evolve(*COIN, 6, spectrum(), dephasing())
@@ -172,13 +179,13 @@ class TestDilationOracle:
         sp, cfg = spectrum(0.7), dephasing(0.4)
         for n in (1, 2, 3):
             dil, omegas, weights = dilation_oracle(*COIN, n, sp, cfg, n_freqs)
-            flt = open_walk_evolve_discrete(*COIN, n, omegas, weights, cfg)
+            flt = filtered_density(walk_evolve(*COIN, n), discrete_filter(omegas, weights, cfg))
             assert np.max(np.abs(dil.matrix - flt.matrix)) < 1e-10
 
     def test_matches_filter_at_resource_bounds(self):
         sp, cfg = spectrum(0.6), dephasing(0.3)
         dil, omegas, weights = dilation_oracle(*COIN, 6, sp, cfg, 64)
-        flt = open_walk_evolve_discrete(*COIN, 6, omegas, weights, cfg)
+        flt = filtered_density(walk_evolve(*COIN, 6), discrete_filter(omegas, weights, cfg))
         assert np.max(np.abs(dil.matrix - flt.matrix)) < 1e-10
 
     def test_resource_caps(self):
@@ -206,8 +213,9 @@ class TestDilationOracle:
 
 
 def dilation_from_origin(c_left, c_right, n, omegas, weights, config):
-    """The traced dilation after n steps on a buffer of exactly 2n + 1 sites,
-    stepped from the origin: an independent per-n reference."""
+    """The dilation's L and R amplitudes after n steps on the full lattice of
+    2n + 1 sites, every site stored, stepped from the origin: an independent
+    per-n reference, shape (2, 2n + 1, K)."""
     psi = np.zeros((2, 2 * n + 1, len(omegas)), dtype=complex)
     psi[0, n] = c_left * np.sqrt(weights)
     psi[1, n] = c_right * np.sqrt(weights)
@@ -221,10 +229,7 @@ def dilation_from_origin(c_left, c_right, n, omegas, weights, config):
         psi[1] = np.roll(tr, 1, axis=0)
         psi[1][0, :] = 0.0
         psi[0] *= phase_left[None, :]
-    v = np.empty((2 * (2 * n + 1), len(omegas)), dtype=complex)
-    v[0::2] = psi[0]
-    v[1::2] = psi[1]
-    return v @ v.conj().T
+    return psi
 
 
 class TestStreamedRoutes:
@@ -241,8 +246,13 @@ class TestStreamedRoutes:
             want, want_omegas, want_weights = dilation_oracle(*COIN, n, sp, cfg, n_freqs)
             assert np.array_equal(omegas, want_omegas) and np.array_equal(weights, want_weights)
             assert np.array_equal(rho.matrix, want.matrix)
-            assert np.array_equal(
-                rho.matrix, dilation_from_origin(*COIN, n, omegas, weights, cfg))
+            # on the full lattice the sites of the other parity stay exactly
+            # empty, and the occupied ones give the streamed density bit for bit
+            psi = dilation_from_origin(*COIN, n, omegas, weights, cfg)
+            assert np.all(psi[:, 1::2] == 0.0)
+            v = np.empty((2 * (n + 1), n_freqs), dtype=complex)
+            v[0::2], v[1::2] = psi[:, 0::2]
+            assert np.array_equal(rho.matrix, v @ v.conj().T)
 
     @pytest.mark.parametrize("a", [0.0, 0.7, 1.0])
     @pytest.mark.parametrize("n_freqs", [2, 8, 16, 32, 64])
@@ -253,7 +263,7 @@ class TestStreamedRoutes:
         for n, state in enumerate(walk_states(*COIN, DILATION_MAX_STEPS)):
             assert np.array_equal(
                 filtered_density(state, discrete).matrix,
-                open_walk_evolve_discrete(*COIN, n, omegas, weights, cfg).matrix)
+                filtered_density(walk_evolve(*COIN, n), discrete).matrix)
             assert np.array_equal(filtered_density(state, exact).matrix,
                                   open_walk_evolve(*COIN, n, sp, cfg).matrix)
 
@@ -341,8 +351,10 @@ class TestHermitianEigenvalues:
             a, c = rng.normal(size=2)
             b = complex(rng.normal(), rng.normal())
             h = np.array([[a, b], [np.conj(b), c]])
-            lo, hi = eigvals_2x2_hermitian(a, b, c)
-            assert np.allclose(hermitian_eigenvalues(h), [lo, hi], atol=1e-12)
+            # closed form: (a + c)/2 -/+ sqrt((a - c)^2 + 4 |b|^2)/2
+            half_disc = 0.5 * math.sqrt((a - c) ** 2 + 4.0 * abs(b) ** 2)
+            want = [0.5 * (a + c) - half_disc, 0.5 * (a + c) + half_disc]
+            assert np.allclose(hermitian_eigenvalues(h), want, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
@@ -424,6 +436,18 @@ class TestTraceDistanceWalk:
         a = pure_walk_density(walk_evolve(1.0, 0.0, 0))
         b = pure_walk_density(walk_evolve(0.0, 1.0, 0))
         assert trace_distance_walk(a, b) == pytest.approx(1.0, abs=1e-14)
+
+    def test_dense_route_reaches_127_steps(self):
+        # on the occupied sites d = 2(n + 1), so MAX_EIG_DIM = 256 allows 127 steps
+        def pair(n):
+            return [open_walk_evolve(*coin, n, spectrum(), dephasing())
+                    for coin in ((1.0, 0.0), (0.0, 1.0))]
+
+        far = pair(127)
+        assert far[0].matrix.shape == (256, 256)
+        assert 0.0 < trace_distance_walk(*far) <= 1.0
+        with pytest.raises(ResourceLimitError):
+            trace_distance_walk(*pair(128))
 
     def test_rejects_mismatched_steps(self):
         a = pure_walk_density(walk_evolve(1.0, 0.0, 2))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from memoryflow import kernels, walk
+from memoryflow import kernels, openwalk, walk
 from memoryflow.errors import DomainError, NumericError
+from memoryflow.spectra import DephasingConfig, SpectrumParams
 from memoryflow.walk import (
     WalkAmplitudes,
     dispersion_nu,
@@ -20,6 +21,21 @@ from memoryflow.walk import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def full_lattice_walk(c_left, c_right, n):
+    """The L and R amplitudes after n steps from the origin on all 2n + 1
+    sites -n..n, every site stored: an independent reference for the
+    occupied-site layout."""
+    psi = np.zeros((2, 2 * n + 1), dtype=complex)
+    psi[:, n] = c_left, c_right
+    for _ in range(n):
+        coined = INV_SQRT2 * (psi[0] + psi[1]), INV_SQRT2 * (psi[0] - psi[1])
+        psi[0] = np.roll(coined[0], -1)
+        psi[0][-1] = 0.0
+        psi[1] = np.roll(coined[1], 1)
+        psi[1][0] = 0.0
+    return psi
 
 
 class TestWalkStep:
@@ -78,12 +94,14 @@ class TestWalkEvolve:
         assert abs(state.norm() - 1.0) < 1e-10
 
     def test_modularity_exact_zeros(self):
-        state = walk_evolve(1.0, 0.0, 9)
-        for x in state.positions():
-            if (9 + x) % 2 != 0:
-                i = x + 9
-                assert state.amp_left[i] == 0.0
-                assert state.amp_right[i] == 0.0
+        # on the full lattice the sites of the other parity stay exactly
+        # empty, and the occupied ones are the stored amplitudes bit for bit
+        for coin in ((1.0, 0.0), (0.6, 0.8j)):
+            for n, state in enumerate(walk_states(*coin, 9)):
+                left, right = full_lattice_walk(*coin, n)
+                assert np.all(left[1::2] == 0.0) and np.all(right[1::2] == 0.0)
+                assert left[0::2].tobytes() == state.amp_left.tobytes()
+                assert right[0::2].tobytes() == state.amp_right.tobytes()
 
     def test_ballistic_spread(self):
         def sigma_pos(m):
@@ -120,7 +138,7 @@ class TestWalkStates:
         left = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
         right = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
         new_left, new_right = kernels.coin_shift(left, right)
-        assert new_left.shape == new_right.shape == (11, 4)
+        assert new_left.shape == new_right.shape == (10, 4)
         for k in range(4):
             one_left, one_right = kernels.coin_shift(left[:, k], right[:, k])
             assert one_left.tobytes() == np.ascontiguousarray(new_left[:, k]).tobytes()
@@ -300,7 +318,7 @@ class TestAmplitudeRows:
         def poisoned(c_left, c_right, steps):
             for state in original(c_left, c_right, steps):
                 if state.steps == 2 and c_left == 1.0:
-                    state.amp_left[2] = np.nan  # site x = 0
+                    state.amp_left[1] = np.nan  # site x = 0
                 yield state
 
         monkeypatch.setattr(walk, "walk_states", poisoned)
@@ -309,7 +327,52 @@ class TestAmplitudeRows:
         assert where == "m=2, x=0"
 
 
+class TestOccupiedSites:
+    """Every walk route stores the n + 1 occupied sites -n, -n + 2, ..., n of
+    step n, and nothing else; the amplitude rows are pinned in
+    ``TestAmplitudeRows`` and the measure's coin pair in ``test_nonmarkov.py``."""
+
+    def test_states(self):
+        for n, state in enumerate(walk_states(0.6, 0.8j, 12)):
+            assert state.amp_left.shape == state.amp_right.shape == (n + 1,)
+            assert state.positions().tolist() == list(range(-n, n + 1, 2))
+
+    def test_dilation_branches(self, monkeypatch):
+        shapes = []
+        original = kernels.coin_shift
+
+        def recorded(left, right):
+            shapes.append(left.shape)
+            return original(left, right)
+
+        monkeypatch.setattr(kernels, "coin_shift", recorded)
+        spectrum, config = SpectrumParams(0.7, 1.0, 15.0, 9.0), DephasingConfig(0.009, 3.0)
+        run = list(openwalk.dilation_densities(0.6, 0.8j, 5, spectrum, config, 8))
+        assert shapes == [(n + 1, 8) for n in range(5)]
+        assert [rho.matrix.shape for rho, _, _ in run] == [(2 * (n + 1),) * 2 for n in range(6)]
+
+    def test_coin_pair_at_empty_and_outside_sites(self):
+        state = walk_evolve(0.6, 0.8j, 5)
+        for x in range(-7, 8):
+            i = (x + 5) // 2
+            want = ((complex(state.amp_left[i]), complex(state.amp_right[i]))
+                    if abs(x) <= 5 and (x + 5) % 2 == 0 else (0j, 0j))
+            assert state.coin_pair_at(x) == want
+
+
 class TestPositionDistribution:
+    def test_occupied_sites_only(self):
+        probs = position_distribution(walk_evolve(0.6, 0.8j, 6))
+        assert list(probs) == [-6, -4, -2, 0, 2, 4, 6]
+
+    def test_scalar_sum_per_site(self):
+        # walk_distribution.csv keeps its bits only with Python's scalar abs and
+        # square: numpy's array versions differ in the last bit at some sites
+        for state in walk_states(1.0, 0.0, 300):
+            sites = zip(state.positions().tolist(), state.amp_left, state.amp_right)
+            want = {x: abs(complex(cl)) ** 2 + abs(complex(cr)) ** 2 for x, cl, cr in sites}
+            assert position_distribution(state) == want
+
     def test_origin(self):
         assert position_distribution(initial_state(1.0, 0.0)) == {0: 1.0}
 
