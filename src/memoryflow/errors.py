@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the rules by which a check
-keeps its largest deviation and where it occurred, and becomes a report entry."""
+"""Exception types shared across the package, the one memory budget and its
+refusal, and the rules by which a check keeps its largest deviation and where
+it occurred, and becomes a report entry."""
 
 import math
 
@@ -14,6 +15,21 @@ class UnsupportedCaseError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured size/budget cap would be exceeded."""
+
+
+#: bytes one run may hold in its largest tables; every memory cap counts the
+#: bytes its run would hold and is refused by ``require_bytes`` before any
+#: allocation
+MAX_GRID_BYTES = 1 << 28
+
+
+def require_bytes(nbytes, fields: str) -> None:
+    """Refuse, with a ``ResourceLimitError`` naming ``fields``, a run whose
+    count of bytes is not at most ``MAX_GRID_BYTES``: an infinite or NaN count
+    is refused too, so a count may stay a float until it has passed."""
+    if not nbytes <= MAX_GRID_BYTES:
+        raise ResourceLimitError(
+            f"the grid set by {fields} would exceed MAX_GRID_BYTES = {MAX_GRID_BYTES} bytes")
 
 
 class NumericError(RuntimeError):

@@ -29,15 +29,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericError, ResourceLimitError
+from .errors import DomainError, NumericError, ResourceLimitError, require_bytes
 from .qubit import PAULI, control_alpha_beta, transfer_map_stack
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function, spectral_density
 
-#: maximum trigonometric degree a series power may reach
+#: maximum trigonometric degree a series power may reach: a work cap, not a
+#: memory one.  ``series_map_stacks`` at 4096 steps and three eta values takes
+#: about 3.0 s and 6.5 MB (3.7 s and 7.4 MB with one spectrum table); its
+#: memory grows linearly with the degree, its time quadratically
 SERIES_DEGREE_CAP = 4096
 
-#: maximum total node count (intervals x order) the quadrature engine may use
-QUADRATURE_NODE_CAP = 2_000_000
+#: bytes the quadrature engine holds per node: the nodes, their phases and
+#: weights, cos and sin, and three node-last 3x3 float64 matrices in
+#: ``kernels.transfer_power_average`` (M, the running power and its next
+#: value), 32 float64 in all.  tracemalloc measures 256 B per node over a whole
+#: ``quadrature_maps`` call at 4 000-250 000 nodes; counted with 4 float64 to spare
+QUADRATURE_NODE_BYTES = 288
 
 #: required agreement between the series and quadrature engines
 ENGINE_AGREEMENT_TOL = 1e-8
@@ -249,11 +256,12 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
     The support [mu1 - 8 sigma, mu2 + 8 sigma] is cut into one interval per
     period of the transfer matrix (the integrand oscillates with up to m full
     cycles per period), and any interval longer than two sigma is subdivided
-    so the Gaussian factor is always well resolved.  The panel counts stay
-    floats until the node cap has passed them: an extreme spectrum makes
-    them infinite or too large for an int.  A support within the budget whose
-    panel midpoints (the sum of two edges) or phases delta_n delta_t omega
-    overflow is refused by name.
+    so the Gaussian factor is always well resolved.  The nodes are counted at
+    ``QUADRATURE_NODE_BYTES`` each against ``errors.MAX_GRID_BYTES``, with the
+    panel counts kept as floats until ``errors.require_bytes`` has passed them:
+    an extreme spectrum makes them infinite or too large for an int.  A
+    support within the budget whose panel midpoints (the sum of two edges) or
+    phases delta_n delta_t omega overflow is refused by name.
     """
     lo = spectrum.mu1 - 8.0 * spectrum.sigma
     hi = spectrum.mu2 + 8.0 * spectrum.sigma
@@ -263,10 +271,9 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
     per_len = width / n_periods
     sub = max(1.0, float(np.ceil(per_len / (2.0 * spectrum.sigma))))
     panels = n_periods * sub
-    if not panels * order <= QUADRATURE_NODE_CAP:
-        raise ResourceLimitError(
-            f"quadrature budget exceeded: {panels:.6g} panels x order {order}"
-        )
+    require_bytes(QUADRATURE_NODE_BYTES * panels * order,
+                  f"the quadrature support of the spectrum and step ({panels:.6g} panels x "
+                  f"order {order})")
     scale = config.index_contrast * config.step_duration
     if not all(math.isfinite(v) for v in (lo + lo, hi + hi, scale * lo, scale * hi)):
         raise DomainError(

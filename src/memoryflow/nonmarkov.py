@@ -41,9 +41,10 @@ DEFAULT_QUBIT_DIRECTION = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
 #: fixed walk pair: |L, 0> vs |R, 0>
 DEFAULT_WALK_COINS = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
 
-#: bytes one stacked array of filtered walk matrices may take; the filters of a
-#: step are solved in as many chunks as this needs, and a step whose one
-#: complex matrix would exceed it is refused
+#: the walk measure's chunk size, not a run budget: bytes one stacked array of
+#: filtered walk matrices may take.  The filters of a step are solved in as
+#: many chunks as this needs, and a step whose one complex matrix would exceed
+#: it cannot be chunked and is refused, so its refusal counts bytes too
 STACK_BYTES = 1 << 24
 
 #: imaginary residue, relative to a filter's largest value, below which a

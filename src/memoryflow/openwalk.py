@@ -17,7 +17,15 @@ dilation oracle steps an (n + 1, K) pair, one column per environment branch,
 and then multiplies each branch's L amplitudes by its dephasing phase.
 ``oracle_checks`` builds every check of the oracle on these routes; each
 reports its largest deviation and its location by one rule,
-``errors.largest_deviation``, in one entry, ``errors.check``.
+``errors.largest_deviation``, in one entry, ``errors.check``.  The position
+check reads p(x) from the traced dilation, so it compares the paper's
+construction against the unitary walk, and can fail.
+
+Memory.  The dilation and the dense eigensolver count the bytes a run would
+hold, ``dilation_bytes`` and a fixed multiple of the matrix stack, and are
+refused by ``errors.require_bytes`` against ``errors.MAX_GRID_BYTES`` before
+anything is allocated; there is no cap on steps, environment size or
+dimension as such.
 
 Filter normalization.  After any number of steps, the environment phase
 attached at frequency omega to a branch sitting at site x is
@@ -39,8 +47,9 @@ it takes every route a spectral filter takes.
 Trace distances.  ``trace_distance_walk`` is the dense reference: it takes two
 densities after equal step counts and solves their 2(n + 1)-dimensional
 difference in one eigensolve, through ``hermitian_eigenvalues``, which checks
-each matrix for finiteness and Hermiticity and caps d at ``MAX_EIG_DIM``, so
-the dense route reaches 127 steps.  The memory measure takes a faster route
+each matrix for finiteness and Hermiticity (the bytes of those checks are its
+memory count, so one matrix reaches d = 2048, 1023 steps).  The memory
+measure takes a faster route
 (``nonmarkov.walk_trace_distances``): it steps both coins as one (sites, 2)
 array, builds every filter's table in one ``filter_table`` call, and checks
 its inputs instead of each matrix: every filter table must be
@@ -62,15 +71,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import harmonic, kernels
-from .errors import DomainError, ResourceLimitError, check, largest_deviation
+from .errors import DomainError, ResourceLimitError, check, largest_deviation, require_bytes
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function
 from .walk import (INTEGRAL_RECURSION_TOL, WalkState, initial_state, integral_recursion_deviation,
-                   walk_evolve, walk_states)
+                   position_distribution, walk_evolve, walk_states)
 
 HERMITICITY_TOL = 1e-10
-MAX_EIG_DIM = 256
-DILATION_MAX_STEPS = 6
-DILATION_MAX_FREQS = 64
 
 
 @dataclass
@@ -277,6 +283,18 @@ def discrete_filter(omegas, weights, config: DephasingConfig):
         omegas, weights, config.index_contrast, _tau(config.step_duration, d))
 
 
+def dilation_bytes(steps: int, n_freqs: int) -> int:
+    """Bytes one dilation-vs-filter check over ``steps`` steps with ``n_freqs``
+    environment nodes K holds at its last step: the discrete filter's complex
+    (K, (steps + 1)^2) phase table over the site pairs, at most twice at once,
+    the (steps + 1, K) branch amplitudes, and a few dense 2(steps + 1)
+    densities.  tracemalloc measures 2.2-2.7 x 16 K (steps + 1)^2 at K = 32 to
+    256 (2.4 MB at 40 steps and K = 32, 15.6 MB at (80, 64), 38.4 MB at
+    (127, 64)), and 0.77 MB at (40, 2), where the densities lead; it is counted
+    as three complex (K + 16, (steps + 1)^2) tables."""
+    return 48 * (n_freqs + 16) * (steps + 1) ** 2
+
+
 def dilation_densities(
     c_left: complex,
     c_right: complex,
@@ -296,17 +314,13 @@ def dilation_densities(
     The spectrum is discretized once and the coin (x) position amplitudes of
     every environment branch on the occupied sites, an (n + 1, K) pair, take
     one ``kernels.coin_shift`` per step: yields (WalkDensity, omegas, weights)
-    after n = 0, 1, ..., steps steps.  The caps are checked where a run
-    reaches them: K before the first density, and n before each density, so
-    a run past ``DILATION_MAX_STEPS`` yields every density up to the cap
-    before it raises ``ResourceLimitError``.
+    after n = 0, 1, ..., steps steps.  A run whose ``dilation_bytes`` exceed
+    ``errors.MAX_GRID_BYTES`` is refused on entry, before the spectrum is
+    discretized; a run within it yields every density it was asked for.
     """
     if steps < 0:
         raise DomainError("step count must be non-negative")
-    cap = ResourceLimitError(
-        f"dilation oracle capped at n <= {DILATION_MAX_STEPS}, K <= {DILATION_MAX_FREQS}")
-    if n_freqs > DILATION_MAX_FREQS:
-        raise cap
+    require_bytes(dilation_bytes(steps, n_freqs), f"steps = {steps} x n_freqs = {n_freqs}")
     origin = initial_state(c_left, c_right)
     omegas, weights = discretize_spectrum(spectrum, n_freqs)
     amp = np.sqrt(weights)
@@ -315,8 +329,6 @@ def dilation_densities(
     # refraction indices (delta_n, 0): only the contrast matters after tracing
     phase_left = np.exp(1j * config.index_contrast * omegas * config.step_duration)
     for n in range(steps + 1):
-        if n > DILATION_MAX_STEPS:
-            raise cap
         if n:
             left, right = kernels.coin_shift(left, right)
             left *= phase_left
@@ -347,44 +359,43 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
                   engine_max_power: int, seed: int) -> list[dict]:
     """Every check of the oracle at one probe point, as ``errors.check``
     entries in report order: the traced dilation against the coherence filter
-    for each environment size K in ``n_freqs``, the position distribution under
-    dephasing, the series engine against quadrature at A = 0 and 1, the
-    Catalan closed forms, the quasi-momentum amplitudes against the recursion,
-    and the eigensolver identities.  Each dilation entry records its K and
-    the step counts it compared, and the position entry the step counts it
-    sampled.  A dilation check cut short by a cap did not run as asked: it is
-    marked ``skipped`` and cannot pass."""
+    for each environment size K in ``n_freqs``, the position distribution of
+    the traced dilation at the first K against the unitary walk's, the series
+    engine against quadrature at A = 0 and 1, the Catalan closed forms, the
+    quasi-momentum amplitudes against the recursion, and the eigensolver
+    identities.  Each dilation entry records its K and the step counts it
+    compared, and the position entry the step counts it sampled.  Every check
+    runs as asked: a dilation over ``errors.MAX_GRID_BYTES`` is refused before
+    any of them runs."""
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 
-    # the walk is stepped once; each check filters the states it needs
-    states = list(walk_states(coin[0], coin[1], max(
-        min(max_steps, DILATION_MAX_STEPS), position_check_steps)))
+    # the walk is stepped once; each check reads the states it needs
+    states = list(walk_states(coin[0], coin[1], max(max_steps, position_check_steps)))
 
     # traced dilation vs coherence filter, per environment size: each
     # environment is discretized and stepped once
     for k in n_freqs:
-        deviations, skipped = [], {}
-        try:
-            for n, (dil, omegas, weights) in enumerate(
-                    dilation_densities(coin[0], coin[1], max_steps, spectrum, dephasing, k)):
-                flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
-                dev = np.abs(dil.matrix - flt.matrix)
-                i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-                deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
-        except ResourceLimitError as exc:
-            skipped = {"pass": False, "skipped": str(exc)}
+        deviations = []
+        for n, (dil, omegas, weights) in enumerate(
+                dilation_densities(coin[0], coin[1], max_steps, spectrum, dephasing, k)):
+            flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
+            dev = np.abs(dil.matrix - flt.matrix)
+            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+            deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
         checks.append(check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
-                      | {"K": k, "steps": list(range(len(deviations)))} | skipped)
+                      | {"K": k, "steps": list(range(max_steps + 1))})
 
-    # dephasing must not touch the position distribution
-    position_filter = DephasingFilter(spectrum, dephasing)
+    # dephasing must not touch the position distribution: p(x) of the traced
+    # dilation at the first K against the unitary walk's, every third step
     deviations = []
     sampled = list(range(0, position_check_steps + 1, 3))
-    for n in sampled:
-        p1 = filtered_density(states[n], position_filter).position_distribution()
-        p2 = pure_walk_density(states[n]).position_distribution()
-        deviations += [(abs(p1[x] - p2[x]), f"n={n}, x={x}") for x in p1]
+    for n, (dil, _, _) in enumerate(dilation_densities(
+            coin[0], coin[1], position_check_steps, spectrum, dephasing, n_freqs[0])):
+        if n % 3 == 0:
+            p_dil = dil.position_distribution()
+            deviations += [(abs(p_dil[x] - p), f"n={n}, x={x}")
+                           for x, p in position_distribution(states[n]).items()]
     checks.append(check("position_distribution_invariance", largest_deviation(deviations), 1e-12)
                   | {"steps": sampled})
 
@@ -424,13 +435,19 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Sorted eigenvalues of a finite complex Hermitian matrix, or of each
-    matrix of a (..., d, d) stack, by LAPACK (d capped at ``MAX_EIG_DIM``).
-    Each matrix is checked for Hermiticity against its own largest entry."""
-    H = np.asarray(matrix, dtype=complex)
-    if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
+    matrix of a (..., d, d) stack, by LAPACK.  Each matrix is checked for
+    Hermiticity against its own largest entry.
+
+    The complex copy, its conjugate transpose, their difference and LAPACK's
+    own copy are counted as 64 bytes per entry against
+    ``errors.MAX_GRID_BYTES`` before any of them is made (tracemalloc measures
+    2.0-2.2 x the complex stack's bytes, and 3.1 x for a real input), so one
+    matrix may reach d = 2048."""
+    shape = np.shape(matrix)
+    if len(shape) < 2 or shape[-2] != shape[-1]:
         raise DomainError("matrix must be square")
-    if H.shape[-1] > MAX_EIG_DIM:
-        raise ResourceLimitError(f"eigensolver capped at dimension {MAX_EIG_DIM}")
+    require_bytes(64 * math.prod(shape), f"a matrix stack of shape {shape}")
+    H = np.asarray(matrix, dtype=complex)
     if not np.all(np.isfinite(H)):
         raise DomainError("matrix has non-finite entries")
     if H.size == 0:

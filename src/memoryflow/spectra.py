@@ -167,7 +167,10 @@ def decoherence_by_quadrature(params: SpectrumParams, delta_n: float, tau: float
     panels sized so that each panel spans at most one sigma and at most half
     an oscillation of the phase factor.  The panel count stays a float until
     the 200 000 cap has passed it: an extreme delta_n tau makes it infinite
-    or too large for an int.
+    or too large for an int.  The cap bounds |delta_n tau| to about
+    200 000 pi / (mu2 - mu1 + 20 sigma) and one call to 4.8 million nodes: at
+    the cap it takes about 0.7 s and 270 MB (tracemalloc), about 56 B per node.
+    No command calls it; it is an independent reference for tests.
     """
     if not (math.isfinite(delta_n) and math.isfinite(tau)):
         raise DomainError("delta_n and tau must be finite")
@@ -191,7 +194,10 @@ def theta3(u: float, q: float) -> float:
     The series is truncated at the first term whose magnitude bound
     2 q^(n^2) falls below ``THETA3_TERM_TOL``.  Requires 0 <= q < 1; values
     of q so close to 1 that the series needs more than ~10^7 terms are
-    rejected rather than silently truncated.
+    rejected rather than silently truncated.  That cap bounds one call to
+    about 0.5 s and 320 MB (tracemalloc, 32 B per term at 10^7 terms, reached
+    at 1 - q of about 3.6e-13).  No command calls it; ``flatness_factor`` is
+    library-only.
     """
     if not (math.isfinite(u) and math.isfinite(q)):
         raise DomainError("theta3 arguments must be finite")

@@ -46,6 +46,17 @@ def test_workflow_smoke_runs_every_workload_traced():
     assert '["correct"] is not True' in traced
 
 
+def test_workflow_runs_the_oracle_at_fig4_steps():
+    # a nonzero exit of a run: step fails the job, so a failing or refused
+    # oracle check fails CI
+    lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()]
+    oracle = [line for line in lines if line.startswith("run: ") and "-m memoryflow oracle" in line]
+    assert len(oracle) == 1
+    assert "--set oracle.max_steps=10" in oracle[0]
+    assert "--set 'oracle.n_freqs=[8,16,32,64]'" in oracle[0]
+    assert "||" not in oracle[0] and "continue-on-error" not in WORKFLOW.read_text(encoding="utf-8")
+
+
 FAILING_THEN_PASSING = """
 import warnings
 

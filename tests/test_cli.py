@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memoryflow import cli, harmonic, kernels, nonmarkov, openwalk, spectra, walk
+from memoryflow import cli, errors, harmonic, kernels, nonmarkov, openwalk, spectra, walk
 from memoryflow.cli import main, resolve_config
 from memoryflow.errors import ConfigError, ResourceLimitError
 from memoryflow.presets import PRESETS
@@ -223,25 +223,32 @@ class TestConfigResolution:
         assert peak < 1 << 20
 
     def test_integral_check_within_budget_runs(self, tmp_path):
-        cap = max(m for m in range(400) if walk.integral_check_bytes(m) <= cli.MAX_GRID_BYTES)
-        assert walk.integral_check_bytes(cap + 1) > cli.MAX_GRID_BYTES
+        cap = max(m for m in range(400) if walk.integral_check_bytes(m) <= errors.MAX_GRID_BYTES)
+        assert walk.integral_check_bytes(cap + 1) > errors.MAX_GRID_BYTES
         assert resolve_config("walk", overrides=[("check_integrals", True), ("steps", cap),
                                                  ("integral_check_cap", cap)])
         assert resolve_config("oracle", overrides=[("oracle.walk_steps", cap)])
         # without the check, the cap sizes nothing
         assert resolve_config("walk", overrides=[("steps", 1000), ("integral_check_cap", 10 ** 6)])
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["oracle", "--set", "sigma=1e308"], id="oracle-huge-sigma"),
-        pytest.param(["oracle", "--set", "sigma=1e-320"], id="oracle-subnormal-sigma"),
+    @pytest.mark.parametrize("argv,message", [
+        # the oracle's first check, the dilation, meets the overflowing
+        # environment frequencies before the quadrature check runs
+        pytest.param(["oracle", "--set", "sigma=1e308"],
+                     "environment frequencies overflow float64", id="oracle-huge-sigma"),
+        pytest.param(["oracle", "--set", "sigma=1e-320"],
+                     "quadrature support", id="oracle-subnormal-sigma"),
         pytest.param(["controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
-                      "--set", "sigma=1e308"], id="quadrature-huge-sigma"),
+                      "--set", "sigma=1e308"], "quadrature support", id="quadrature-huge-sigma"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_extreme_sigma_exceeds_quadrature_budget(self, capsys, tmp_path, argv):
+    def test_extreme_sigma_exceeds_quadrature_budget(self, capsys, tmp_path, argv, message):
         # the quadrature panel count overflows to infinity: a resource limit, not a traceback
         assert run_cli(*argv, "--out", str(tmp_path)) == 2
-        assert "quadrature budget exceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        if message == "quadrature support":
+            assert "inf panels" in err and "MAX_GRID_BYTES" in err
 
     @pytest.mark.parametrize("command,reference", [
         ("dephasing", "fig1"),
@@ -700,11 +707,11 @@ class TestWalkCommand:
                 for x, p in walk.position_distribution(state).items()]
         assert [tuple(r) for r in rows] == want
 
-    @pytest.mark.parametrize("amplitudes,fits", [(False, 4728), (True, 3094)])
+    @pytest.mark.parametrize("amplitudes,fits", [(False, 1336), (True, 1014)])
     def test_output_table_refused_before_walking(self, capsys, tmp_path, monkeypatch,
                                                  amplitudes, fits):
-        # walk_distribution.csv holds (steps + 1)(steps + 2)/2 rows of 3 float64
-        # columns, or 7 with the amplitudes: the largest table within
+        # walk_distribution.csv holds (steps + 1)(steps + 2)/2 rows, counted at
+        # the bytes a run holds per row: the largest table within
         # MAX_GRID_BYTES is accepted, and one step more is refused by name
         # before --out exists or any step is taken
         flag = ["--amplitudes"] if amplitudes else []
@@ -715,6 +722,17 @@ class TestWalkCommand:
         assert "'steps'" in capsys.readouterr().err
         assert not out.exists()
         assert calls == {"walk_step": []}
+
+    @pytest.mark.parametrize("amplitudes", [False, True])
+    def test_table_count_covers_the_measured_peak(self, tmp_path, amplitudes):
+        cfg = resolve_config("walk", overrides=[("steps", 300), ("amplitudes", amplitudes)])
+        tracemalloc.start()
+        try:
+            assert cli.cmd_walk(cfg, tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.walk_table_bytes(300, amplitudes)
 
     def test_each_step_evolved_once(self, tmp_path, monkeypatch):
         calls = []
@@ -909,9 +927,11 @@ class TestOracleCommand:
                              walk.walk_step)
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         opts = resolve_config("oracle")["oracle"]
-        # each environment is discretized and stepped once, and the walk once
-        # (plus one walk per coin of the integral check)
-        assert [args[1] for args in calls["discretize_spectrum"]] == opts["n_freqs"]
+        # each environment is discretized and stepped once, the first once
+        # more for the position check, and the walk once (plus one walk per
+        # coin of the integral check)
+        assert [args[1] for args in calls["discretize_spectrum"]] \
+            == opts["n_freqs"] + opts["n_freqs"][:1]
         assert len(calls["walk_step"]) == max(opts["max_steps"], opts["position_check_steps"]) \
             + 2 * opts["walk_steps"]
         for name in ("dilation_oracle", "open_walk_evolve", "walk_evolve", "walk_run"):
@@ -981,23 +1001,57 @@ class TestOracleCommand:
             for check in report["checks"]:
                 assert set(check) >= {"name", "max_dev", "tol", "pass", "location"}
 
-    @pytest.mark.parametrize("setting,compared", [
-        pytest.param("oracle.n_freqs=[100]", [], id="oracle.n_freqs=[100]"),
-        pytest.param("oracle.max_steps=8", list(range(7)), id="oracle.max_steps=8"),
+    def test_dilation_runs_at_fig4_steps(self, tmp_path):
+        # the paper's construction checked at fig4's 10 steps, K up to 64
+        assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.max_steps=10",
+                       "--set", "oracle.n_freqs=[8,16,32,64]") == 0
+        report = read_strict_json(tmp_path / "oracle_report.json")
+        assert report["all_pass"] is True
+        dilation = [c for c in report["checks"] if c["name"].startswith("dilation_vs_filter")]
+        assert [c["K"] for c in dilation] == [8, 16, 32, 64]
+        assert all(c["steps"] == list(range(11)) for c in dilation)
+
+    @pytest.mark.parametrize("field,n_freqs", [
+        # the dilation check runs at the largest K, the position stream at the first
+        pytest.param("oracle.max_steps", "[8,64]", id="max_steps"),
+        pytest.param("oracle.position_check_steps", "[64,8]", id="position_check_steps"),
     ])
-    def test_check_cut_short_is_not_a_pass(self, tmp_path, capsys, setting, compared):
-        assert run_cli(
-            "oracle", "--out", str(tmp_path), "--set", "oracle.n_freqs=[8]",
-            "--set", "oracle.walk_steps=2", "--set", "oracle.engine_max_power=2",
-            "--set", "oracle.position_check_steps=3", "--set", setting,
-        ) == 2
-        assert "did not run" in capsys.readouterr().err
-        report = json.loads((tmp_path / "oracle_report.json").read_text())
-        assert report["all_pass"] is False
-        cut = [c for c in report["checks"] if "skipped" in c]
-        assert cut and all(c["pass"] is False for c in cut)
-        assert [c["steps"] for c in cut] == [compared]  # the steps it reached
-        assert all(c["pass"] for c in report["checks"] if "skipped" not in c)
+    def test_dilation_refused_before_stepping(self, capsys, tmp_path, monkeypatch, field, n_freqs):
+        # the largest run within MAX_GRID_BYTES at K = 64 validates; one step
+        # more exits 2 naming both fields before --out exists or any step
+        fits = max(n for n in range(1000) if openwalk.dilation_bytes(n, 64) <= errors.MAX_GRID_BYTES)
+        assert resolve_config("oracle", overrides=[("oracle.n_freqs", json.loads(n_freqs)),
+                                                   (field, fits)])
+        calls = record_calls(monkeypatch, kernels.coin_shift)
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--out", str(out), "--set", f"{field}={fits + 1}",
+                       "--set", f"oracle.n_freqs={n_freqs}") == 2
+        err = capsys.readouterr().err
+        assert f"'{field}' x 'oracle.n_freqs'" in err and "MAX_GRID_BYTES" in err
+        assert not out.exists()
+        assert calls == {"coin_shift": []}
+
+    def test_position_check_reads_the_dilation(self, tmp_path, monkeypatch):
+        # p(x) comes from the traced dilation at the first K: weight moved
+        # between two sites of the position stream fails that check alone
+        original = openwalk.dilation_densities
+
+        def moved(c_left, c_right, steps, *args):
+            for rho, omegas, weights in original(c_left, c_right, steps, *args):
+                if steps == 7 and rho.steps == 3:
+                    rho.matrix[0, 0] += 2e-6
+                    rho.matrix[2, 2] -= 1e-6
+                    rho.matrix[4, 4] -= 1e-6
+                yield rho, omegas, weights
+
+        monkeypatch.setattr(openwalk, "dilation_densities", moved)
+        assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.max_steps=3",
+                       "--set", "oracle.position_check_steps=7") == 2
+        report = read_strict_json(tmp_path / "oracle_report.json")
+        (failed,) = [c for c in report["checks"] if not c["pass"]]
+        assert failed["name"] == "position_distribution_invariance"
+        assert failed["location"] == "n=3, x=-3"
+        assert failed["max_dev"] == pytest.approx(2e-6, rel=1e-6)
 
     def test_entries_record_what_they_covered(self, tmp_path):
         # each dilation entry names its K and the steps it compared, and the

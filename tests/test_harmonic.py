@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memoryflow import errors, harmonic
 from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
     CATALAN_LIMIT_B,
     ENGINE_AGREEMENT_TOL,
+    QUADRATURE_NODE_BYTES,
     SERIES_DEGREE_CAP,
     approximation_error,
     approximation_error_stack,
@@ -347,6 +349,35 @@ class TestQuadratureMap:
         cfg = DephasingConfig(0.009, 1.0e6)
         with pytest.raises(ResourceLimitError):
             quadrature_map(0.5, 40, sp, cfg)
+
+    @staticmethod
+    def node_count(steps, sp, cfg):
+        return len(harmonic._quadrature_nodes(sp, cfg, max(16, 2 * steps + 8))[0])
+
+    def test_node_bytes_cover_the_measured_peak(self):
+        # about 230 000 nodes: the run holds at most QUADRATURE_NODE_BYTES each
+        sp, cfg = spectrum(0.0), dephasing(3000.0)
+        nodes = self.node_count(10, sp, cfg)
+        assert nodes > 200_000
+        tracemalloc.start()
+        try:
+            quadrature_maps(0.5, 10, sp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= QUADRATURE_NODE_BYTES * nodes
+
+    def test_nodes_counted_in_bytes(self, monkeypatch):
+        # a budget of exactly the run's node bytes passes it; one byte less is
+        # refused by name before any node is built
+        sp, cfg = spectrum(0.7), dephasing(30.0)
+        nodes = self.node_count(6, sp, cfg)
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", QUADRATURE_NODE_BYTES * nodes)
+        assert quadrature_maps(0.5, 6, sp, cfg).shape == (7, 3, 3)
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", QUADRATURE_NODE_BYTES * nodes - 1)
+        monkeypatch.setattr(harmonic.kernels, "composite_gauss_legendre", None)
+        with pytest.raises(ResourceLimitError, match="quadrature support .* MAX_GRID_BYTES"):
+            quadrature_maps(0.5, 6, sp, cfg)
 
 
 class TestStrongLimit:

@@ -1,15 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memoryflow.cli import _finite_or_null, main, resolve_config
 from memoryflow.errors import DomainError, ResourceLimitError
-from memoryflow import openwalk
+from memoryflow import errors, openwalk
 from memoryflow.openwalk import (
-    DILATION_MAX_STEPS,
     DephasingFilter,
+    dilation_bytes,
     dilation_densities,
     dilation_oracle,
     discrete_decoherence,
@@ -189,10 +190,13 @@ class TestDilationOracle:
         assert np.max(np.abs(dil.matrix - flt.matrix)) < 1e-10
 
     def test_resource_caps(self):
+        # the largest step count within MAX_GRID_BYTES at K = 64 and one more
+        cap = max(n for n in range(1000) if dilation_bytes(n, 64) <= errors.MAX_GRID_BYTES)
+        assert dilation_bytes(cap + 1, 64) > errors.MAX_GRID_BYTES
         with pytest.raises(ResourceLimitError):
-            dilation_oracle(*COIN, 7, spectrum(), dephasing(), 8)
+            dilation_oracle(*COIN, cap + 1, spectrum(), dephasing(), 64)
         with pytest.raises(ResourceLimitError):
-            dilation_oracle(*COIN, 2, spectrum(), dephasing(), 128)
+            dilation_oracle(*COIN, 2, spectrum(), dephasing(), 10 ** 8)
 
     def test_discretization_weights(self):
         omegas, weights = discretize_spectrum(spectrum(1.0), 16)
@@ -240,8 +244,8 @@ class TestStreamedRoutes:
     @pytest.mark.parametrize("n_freqs", [2, 8, 16, 32, 64])
     def test_dilation_densities_are_the_per_n_ones(self, a, n_freqs):
         sp, cfg = spectrum(a), dephasing(0.4)
-        run = list(dilation_densities(*COIN, DILATION_MAX_STEPS, sp, cfg, n_freqs))
-        assert [rho.steps for rho, _, _ in run] == list(range(DILATION_MAX_STEPS + 1))
+        run = list(dilation_densities(*COIN, 6, sp, cfg, n_freqs))
+        assert [rho.steps for rho, _, _ in run] == list(range(7))
         for n, (rho, omegas, weights) in enumerate(run):
             want, want_omegas, want_weights = dilation_oracle(*COIN, n, sp, cfg, n_freqs)
             assert np.array_equal(omegas, want_omegas) and np.array_equal(weights, want_weights)
@@ -260,25 +264,37 @@ class TestStreamedRoutes:
         sp, cfg = spectrum(a), dephasing(0.4)
         omegas, weights = discretize_spectrum(sp, n_freqs)
         discrete, exact = discrete_filter(omegas, weights, cfg), DephasingFilter(sp, cfg)
-        for n, state in enumerate(walk_states(*COIN, DILATION_MAX_STEPS)):
+        for n, state in enumerate(walk_states(*COIN, 6)):
             assert np.array_equal(
                 filtered_density(state, discrete).matrix,
                 filtered_density(walk_evolve(*COIN, n), discrete).matrix)
             assert np.array_equal(filtered_density(state, exact).matrix,
                                   open_walk_evolve(*COIN, n, sp, cfg).matrix)
 
-    def test_run_past_the_step_cap_yields_up_to_the_cap(self):
-        run = dilation_densities(*COIN, DILATION_MAX_STEPS + 2, spectrum(), dephasing(), 8)
-        seen = []
-        with pytest.raises(ResourceLimitError, match="capped at n <= 6, K <= 64"):
-            for rho, _, _ in run:
-                seen.append(rho.steps)
-        assert seen == list(range(DILATION_MAX_STEPS + 1))
-
     def test_environment_cap_refused_before_discretizing(self, monkeypatch):
+        # the byte count of the run is refused on entry, for steps or K alone
         monkeypatch.setattr(openwalk, "discretize_spectrum", None)
-        with pytest.raises(ResourceLimitError, match="capped at n <= 6, K <= 64"):
-            next(dilation_densities(*COIN, 0, spectrum(), dephasing(), 65))
+        for steps, n_freqs in ((0, 10 ** 7), (3000, 8)):
+            with pytest.raises(ResourceLimitError, match=f"steps = {steps} x n_freqs = {n_freqs}"
+                               ".* MAX_GRID_BYTES"):
+                next(dilation_densities(*COIN, steps, spectrum(), dephasing(), n_freqs))
+
+    @pytest.mark.parametrize("n_freqs", [2, 32])
+    def test_count_covers_the_measured_peak(self, n_freqs):
+        # one dilation-vs-filter check over 40 steps, and the position stream
+        # and the oracle's other checks at their least, hold no more than
+        # dilation_bytes counts: at K = 2 the densities lead, at K = 32 the
+        # filter's phase table
+        tracemalloc.start()
+        try:
+            checks = oracle_checks(spectrum(), dephasing(), max_steps=40, n_freqs=[n_freqs],
+                                   walk_steps=0, position_check_steps=0, engine_max_power=0,
+                                   seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c["pass"] for c in checks)
+        assert peak <= dilation_bytes(40, n_freqs)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -364,9 +380,38 @@ class TestHermitianEigenvalues:
         vals = hermitian_eigenvalues(np.zeros((0, 0)))
         assert vals.shape == (0,) and vals.dtype == float
 
-    def test_dimension_cap(self):
-        with pytest.raises(ResourceLimitError):
-            hermitian_eigenvalues(np.eye(300))
+    def test_dimension_cap(self, monkeypatch):
+        # 64 bytes per entry count against MAX_GRID_BYTES: at 64 x 256^2 a
+        # 256 x 256 matrix is solved and a 257 x 257 one refused
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", 64 * 256 * 256)
+        assert np.array_equal(hermitian_eigenvalues(np.eye(256)), np.ones(256))
+        with pytest.raises(ResourceLimitError, match=r"shape \(257, 257\).*MAX_GRID_BYTES"):
+            hermitian_eigenvalues(np.eye(257))
+
+    def test_refused_before_any_copy(self):
+        # a 5000 x 5000 view of one number is refused at the default budget
+        # before the complex copy or the checks allocate anything
+        view = np.broadcast_to(np.float64(1.0), (5000, 5000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="MAX_GRID_BYTES"):
+                hermitian_eigenvalues(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_count_covers_the_measured_peak(self):
+        # the 64 bytes per entry cover what the checks and LAPACK hold, for a
+        # real input (copied to complex) and a complex stack
+        for stack in (self.random_stack(3, count=4, dim=120).real, self.random_stack(4, dim=160)):
+            tracemalloc.start()
+            try:
+                hermitian_eigenvalues(stack)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * stack.size
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -417,8 +462,11 @@ class TestHermitianEigenvalues:
         assert math.isnan(worst)
         assert where == f"trial=3, dim={dims[3]}"
 
-    def test_stack_dimension_cap(self):
-        with pytest.raises(ResourceLimitError):
+    def test_stack_dimension_cap(self, monkeypatch):
+        # the whole stack counts: two matrices need twice the bytes of one
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", 64 * 258 * 258)
+        assert hermitian_eigenvalues(np.zeros((258, 258))).shape == (258,)
+        with pytest.raises(ResourceLimitError, match=r"shape \(2, 258, 258\)"):
             hermitian_eigenvalues(np.zeros((2, 258, 258)))
 
     def test_block_accessor_bounds(self):
@@ -437,8 +485,12 @@ class TestTraceDistanceWalk:
         b = pure_walk_density(walk_evolve(0.0, 1.0, 0))
         assert trace_distance_walk(a, b) == pytest.approx(1.0, abs=1e-14)
 
-    def test_dense_route_reaches_127_steps(self):
-        # on the occupied sites d = 2(n + 1), so MAX_EIG_DIM = 256 allows 127 steps
+    def test_dense_route_reaches_127_steps(self, monkeypatch):
+        # on the occupied sites d = 2(n + 1), and the eigensolver counts 64
+        # bytes per entry: a budget of 64 x 256^2 bytes allows 127 steps (the
+        # default one allows 1023)
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", 64 * 256 * 256)
+
         def pair(n):
             return [open_walk_evolve(*coin, n, spectrum(), dephasing())
                     for coin in ((1.0, 0.0), (0.0, 1.0))]
