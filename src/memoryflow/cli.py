@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, harmonic, kernels
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, require_bytes
-from .nonmarkov import bloch_trace_distances, nm_measure, walk_trace_distances
+from .nonmarkov import bloch_trace_distances, nm_measure, require_stack, walk_trace_distances
 from .openwalk import DephasingFilter, dilation_bytes, oracle_checks, strong_limit_filter
 from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL, transfer_map_stack
@@ -294,6 +294,9 @@ def validate_config(command: str, cfg: dict) -> None:
                  dilation_bytes(opts["position_check_steps"], opts["n_freqs"][0])}
     for fields, size in grids.items():
         require_bytes(size, fields)
+    if command == "oracle":
+        # measure_vs_dilation runs the walk measure over 'oracle.max_steps'
+        require_stack(cfg["oracle"]["max_steps"], "'oracle.max_steps'")
 
 
 def walk_table_bytes(steps: int, amplitudes: bool) -> int:

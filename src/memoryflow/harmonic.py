@@ -416,8 +416,10 @@ def strong_limit_closed_form(m: int, infinite: bool = False) -> np.ndarray:
     return strong_limit_closed_forms(m)[m]
 
 
-#: sigma_i (x) sigma_k^T for i, k over x, y, z
-_CHOI_BASIS = np.array([[np.kron(p, q.T) for q in PAULI] for p in PAULI])
+#: sigma_i (x) sigma_k^T for i, k over x, y, z: entry (2a + c, 2b + d) of
+#: block (i, k) is sigma_i[a, b] sigma_k[d, c]
+_CHOI_BASIS = (np.asarray(PAULI)[:, None, :, None, :, None]
+               * np.swapaxes(PAULI, 1, 2)[None, :, None, :, None, :]).reshape(3, 3, 4, 4)
 
 
 def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:

@@ -5,11 +5,12 @@ Each trajectory has one route: the qubit's from one ``transfer_map_stack``
 call, the walk's from ``walk_trace_distances``, one row per coherence filter,
 the strong-dephasing limit (``openwalk.strong_limit_filter``) included.  That
 call builds its filter table with ``openwalk.filter_table`` (one
-``decoherence_function`` call per spectrum) and steps the coin pair as one
-array over the n + 1 occupied sites of step n, the layout every walk route
-stores.  ``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, so a
-command measures all its rows in one call, each row with the bits of its
-own one-trajectory call.
+``decoherence_function`` call per spectrum), gathers each step's filtered
+matrices from it by ``openwalk.filter_index``, the one statement of that
+layout, and steps the coin pair as one array over the n + 1 occupied sites of
+step n, the layout every walk route stores.  ``nm_measure`` takes one
+trajectory or a (rows, steps + 1) stack, so a command measures all its rows in
+one call, each row with the bits of its own one-trajectory call.
 
 The measure is evaluated for a fixed initial pair (the default pairs match
 the reference parameter sets); ``orthogonal_pair_scan`` optionally searches a
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, ResourceLimitError
-from .openwalk import (HERMITICITY_TOL, DephasingFilter, filter_table, position_major,
-                       strong_limit_filter)
+from .openwalk import (HERMITICITY_TOL, DephasingFilter, filter_index, filter_table,
+                       position_major, strong_limit_filter)
 from .qubit import as_bloch_vector, transfer_map_stack
 from .spectra import DephasingConfig, SpectrumParams
 from .walk import initial_state
@@ -140,7 +141,8 @@ def nm_qubit(
 
 def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
     """Which rows of a walk filter table are real up to a phase ramp, and
-    those rows made real.  Column n + j of a row holds f(2 j), j = -n..n.
+    those rows made real.  The table is laid out as ``openwalk.filter_index``
+    reads it: column n + j holds f(2 j).
 
     A spectrum symmetric about a centre gives f(2 j) = e^(icj) r(j) with r
     real.  The phase c is read from the first f(2 k), k >= 1, above
@@ -158,6 +160,17 @@ def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
     return np.all(np.abs(gauged.imag) <= GAUGE_TOL * scale[:, None], axis=1), gauged.real
 
 
+def require_stack(n_steps: int, field: str = "'steps'") -> None:
+    """Refuse, naming ``field``, a walk measure over ``n_steps`` steps whose
+    last step needs one complex matrix over ``STACK_BYTES``: a filter's
+    matrix is never split across chunks."""
+    dim = 2 * (n_steps + 1)
+    if dim * dim * np.dtype(complex).itemsize > STACK_BYTES:
+        raise ResourceLimitError(
+            f"{field} = {n_steps} needs a {dim} x {dim} complex matrix per filter at the last "
+            f"step, over STACK_BYTES = {STACK_BYTES} bytes")
+
+
 def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
     """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
     coherence filter; ``coins`` holds exactly two coin pairs (c_left, c_right).
@@ -167,7 +180,8 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     n steps has d = 2(n + 1).  A filter multiplies the (x, y) block by
     f(y - x), and every separation is one of the 2 n_steps + 1 even ones, so
     ``openwalk.filter_table`` evaluates every filter once into a table, from
-    which each step's filtered matrices are gathered.
+    which each step's filtered matrices are gathered by
+    ``openwalk.filter_index``.
 
     The inputs are checked, not the gathered matrices: each table must be
     finite and Hermitian Toeplitz, f(-d) = conj f(d) within ``HERMITICITY_TOL``
@@ -190,15 +204,10 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
         raise DomainError("the walk measure needs exactly two coin pairs (c_left, c_right)")
     if not np.all(np.isfinite(coins)):
         raise DomainError("walk coin amplitudes must be finite")
-    dim = 2 * (n_steps + 1)
-    if dim * dim * np.dtype(complex).itemsize > STACK_BYTES:
-        raise ResourceLimitError(
-            f"'steps' = {n_steps} needs a {dim} x {dim} complex matrix per filter at the last "
-            f"step, over STACK_BYTES = {STACK_BYTES} bytes")
+    require_stack(n_steps)
     out = np.empty((len(filters), n_steps + 1))
     if not filters:
         return out
-    # column n_steps + j holds f(2 j), j = -n_steps..n_steps
     table = filter_table(filters, 2 * np.arange(-n_steps, n_steps + 1))
     if not np.all(np.isfinite(table)):
         raise DomainError("filter values must be finite")
@@ -215,10 +224,8 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     real &= real_coins
     routes = [(np.flatnonzero(rows), tab[rows]) for rows, tab in
               ((real, gauged), (~real, table)) if np.any(rows)]
-    # table column of each entry of the last step's matrix; step n takes its
-    # leading 2(n + 1) rows and columns
-    site = np.arange(dim) // 2
-    columns = n_steps + site[None, :] - site[:, None]
+    # step n gathers from the leading 2(n + 1) rows and columns
+    columns = filter_index(n_steps)
     for n in range(n_steps + 1):
         if n:
             left, right = kernels.coin_shift(left, right)

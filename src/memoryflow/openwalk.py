@@ -19,7 +19,9 @@ and then multiplies each branch's L amplitudes by its dephasing phase.
 reports its largest deviation and its location by one rule,
 ``errors.largest_deviation``, in one entry, ``errors.check``.  The position
 check reads p(x) from the traced dilation, so it compares the paper's
-construction against the unitary walk, and can fail.
+construction against the unitary walk, and the measure check reads the trace
+distances of two traced dilations against the memory measure's route; both
+can fail.
 
 Memory.  The dilation and the dense eigensolver count the bytes a run would
 hold, ``dilation_bytes`` and a fixed multiple of the matrix stack, and are
@@ -39,7 +41,8 @@ always an even distance apart, so the filter only ever samples kappa at whole
 multiples of the step duration.  ``filter_table`` is the one place a
 ``DephasingFilter`` is evaluated: it forms tau = d delta_t / 2 for all the
 filters of one spectrum and index contrast and makes one
-``decoherence_function`` call for them.  In
+``decoherence_function`` call for them; every filtered walk density, dense
+or in the measure, is gathered from one such table by ``filter_index``.  In
 the strong-dephasing limit every coherence between distinct sites is lost:
 the filter is ``strong_limit_filter``, f(d) = 1 at d = 0 and 0 elsewhere, and
 it takes every route a spectral filter takes.
@@ -51,7 +54,8 @@ each matrix for finiteness and Hermiticity (the bytes of those checks are its
 memory count, so one matrix reaches d = 2048, 1023 steps).  The memory
 measure takes a faster route
 (``nonmarkov.walk_trace_distances``): it steps both coins as one (sites, 2)
-array, builds every filter's table in one ``filter_table`` call, and checks
+array, builds every filter's table in one ``filter_table`` call, gathers each
+step's matrices by ``filter_index``, and checks
 its inputs instead of each matrix: every filter table must be
 finite and Hermitian Toeplitz, and each origin coin pair finite, so every
 filtered matrix is Hermitian by construction.  A filter whose table is real
@@ -118,11 +122,6 @@ class WalkDensity:
         return {int(x): float(p) for x, p in zip(self.positions(), probs)}
 
 
-def state_vector(state: WalkState) -> np.ndarray:
-    """Position-major pure-state vector of a walk state."""
-    return position_major(state.amp_left, state.amp_right)
-
-
 def position_major(left, right) -> np.ndarray:
     """Coin amplitudes over the occupied sites (axis 0, with any trailing axes)
     interleaved into the position-major rows (x + n) + sigma."""
@@ -133,7 +132,7 @@ def position_major(left, right) -> np.ndarray:
 
 
 def pure_walk_density(state: WalkState) -> WalkDensity:
-    v = state_vector(state)
+    v = position_major(state.amp_left, state.amp_right)
     return WalkDensity(state.steps, np.outer(v, v.conj()))
 
 
@@ -147,18 +146,6 @@ class DephasingFilter:
     def __call__(self, d):
         values = filter_table([self], d)[0]
         return values if np.ndim(d) else complex(values)
-
-    def gram(self, steps: int) -> np.ndarray:
-        """Matrix [f(y - x)] over the occupied sites of an n-step state;
-        positive semidefinite because f is a characteristic function."""
-        return np.atleast_2d(self(_separations(steps)))
-
-
-def _separations(steps: int) -> np.ndarray:
-    """Matrix [y - x] of site separations over the occupied sites of an n-step
-    state."""
-    xs = np.arange(-steps, steps + 1, 2, dtype=float)
-    return xs[None, :] - xs[:, None]
 
 
 def strong_limit_filter(d):
@@ -199,13 +186,22 @@ def filter_table(filters, separations) -> np.ndarray:
     return out
 
 
+def filter_index(steps: int) -> np.ndarray:
+    """The walk filter layout: a table over the 2n + 1 even separations holds
+    f(2 j) in column n + j, and entry (i, k) of an n-step position-major
+    density, sites x = 2 (i // 2) - n and y = 2 (k // 2) - n, reads column
+    n + k // 2 - i // 2.  The leading 2(m + 1) rows and columns of the index
+    gather the m-step matrix from the same table, for every m <= n."""
+    site = np.arange(2 * (steps + 1)) // 2
+    return steps + site[None, :] - site[:, None]
+
+
 def filtered_density(state: WalkState, kappa) -> WalkDensity:
     """The pure density of a walk state with its (x, y) coin block multiplied
-    by kappa(y - x)."""
+    by kappa(y - x), gathered from kappa's table by ``filter_index``."""
     n = state.steps
-    pure = pure_walk_density(state).matrix
-    gram = np.atleast_2d(kappa(_separations(n)))
-    return WalkDensity(n, pure * np.kron(gram, np.ones((2, 2))))
+    table = filter_table([kappa], 2 * np.arange(-n, n + 1))[0]
+    return WalkDensity(n, pure_walk_density(state).matrix * table[filter_index(n)])
 
 
 def open_walk_evolve(
@@ -284,15 +280,17 @@ def discrete_filter(omegas, weights, config: DephasingConfig):
 
 
 def dilation_bytes(steps: int, n_freqs: int) -> int:
-    """Bytes one dilation-vs-filter check over ``steps`` steps with ``n_freqs``
-    environment nodes K holds at its last step: the discrete filter's complex
-    (K, (steps + 1)^2) phase table over the site pairs, at most twice at once,
-    the (steps + 1, K) branch amplitudes, and a few dense 2(steps + 1)
-    densities.  tracemalloc measures 2.2-2.7 x 16 K (steps + 1)^2 at K = 32 to
-    256 (2.4 MB at 40 steps and K = 32, 15.6 MB at (80, 64), 38.4 MB at
-    (127, 64)), and 0.77 MB at (40, 2), where the densities lead; it is counted
-    as three complex (K + 16, (steps + 1)^2) tables."""
-    return 48 * (n_freqs + 16) * (steps + 1) ** 2
+    """Bytes the heaviest dilation check of ``oracle_checks`` over ``steps``
+    steps with ``n_freqs`` environment nodes K holds at its last step: the
+    dense 2(steps + 1) densities of two dilation streams, their difference and
+    its eigensolve (``measure_vs_dilation``), and each stream's (steps + 1, K)
+    branch amplitudes with the discrete filter's (K, 2 steps + 1) table.
+    tracemalloc measures 510-580 B per (steps + 1)^2 at K <= 64 (0.98 MB at
+    40 steps and K = 2, 8.4 MB at (127, 64)), and 168-176 B per K (steps + 1)
+    at K >= 1024 (31.8 MB at 10 steps and K = 16384); it is counted as ten
+    complex 2(steps + 1)-square matrices and twelve complex (steps + 1, K)
+    arrays."""
+    return 16 * (steps + 1) * (40 * (steps + 1) + 12 * n_freqs)
 
 
 def dilation_densities(
@@ -360,13 +358,16 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     """Every check of the oracle at one probe point, as ``errors.check``
     entries in report order: the traced dilation against the coherence filter
     for each environment size K in ``n_freqs``, the position distribution of
-    the traced dilation at the first K against the unitary walk's, the series
-    engine against quadrature at A = 0 and 1, the Catalan closed forms, the
-    quasi-momentum amplitudes against the recursion, and the eigensolver
-    identities.  Each dilation entry records its K and the step counts it
-    compared, and the position entry the step counts it sampled.  Every check
-    runs as asked: a dilation over ``errors.MAX_GRID_BYTES`` is refused before
-    any of them runs."""
+    the traced dilation at the first K against the unitary walk's, the trace
+    distances of ``nonmarkov.DEFAULT_WALK_COINS`` from two traced dilations at
+    the first K against ``nonmarkov.walk_trace_distances`` with the same
+    discrete filter, the series engine against quadrature at A = 0 and 1, the
+    Catalan closed forms, the quasi-momentum amplitudes against the
+    recursion, and the eigensolver identities.  Each dilation entry and the
+    measure entry record their K and the step counts they compared, and the
+    position entry the step counts it sampled.  Every check runs as asked:
+    the ``oracle`` command refuses, before any of them runs, a dilation over
+    ``errors.MAX_GRID_BYTES`` and a measure over ``nonmarkov.STACK_BYTES``."""
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 
@@ -398,6 +399,23 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
                            for x, p in position_distribution(states[n]).items()]
     checks.append(check("position_distribution_invariance", largest_deviation(deviations), 1e-12)
                   | {"steps": sampled})
+
+    # the memory measure's route against the paper's construction: trace
+    # distances of the default walk pair from two traced dilation streams at
+    # the first K, against walk_trace_distances with the same discrete filter
+    # (imported here: nonmarkov imports this module)
+    from .nonmarkov import DEFAULT_WALK_COINS, walk_trace_distances
+
+    dilated = []
+    for (rho1, omegas, weights), (rho2, _, _) in zip(*(
+            dilation_densities(*pair, max_steps, spectrum, dephasing, n_freqs[0])
+            for pair in DEFAULT_WALK_COINS)):
+        finite = np.all(np.isfinite(rho1.matrix)) and np.all(np.isfinite(rho2.matrix))
+        dilated.append(trace_distance_walk(rho1, rho2) if finite else math.nan)
+    measured = walk_trace_distances([discrete_filter(omegas, weights, dephasing)], max_steps)[0]
+    checks.append(check("measure_vs_dilation", largest_deviation(
+        (abs(d - m), f"n={n}") for n, (d, m) in enumerate(zip(dilated, measured.tolist()))),
+        1e-10) | {"K": n_freqs[0], "steps": list(range(max_steps + 1))})
 
     # series engine vs oscillatory quadrature
     spectra_a = {a: replace(spectrum, amplitude_ratio=a) for a in (0.0, 1.0)}

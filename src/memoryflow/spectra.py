@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericError, UnsupportedCaseError
+from .errors import DomainError, UnsupportedCaseError, require_bytes
 
 #: relative agreement demanded between the closed-form decoherence function
 #: and direct quadrature of its defining integral
@@ -165,12 +165,14 @@ def decoherence_by_quadrature(params: SpectrumParams, delta_n: float, tau: float
 
     Independent oracle for ``decoherence_function``: composite Gauss-Legendre
     panels sized so that each panel spans at most one sigma and at most half
-    an oscillation of the phase factor.  The panel count stays a float until
-    the 200 000 cap has passed it: an extreme delta_n tau makes it infinite
-    or too large for an int.  The cap bounds |delta_n tau| to about
-    200 000 pi / (mu2 - mu1 + 20 sigma) and one call to 4.8 million nodes: at
-    the cap it takes about 0.7 s and 270 MB (tracemalloc), about 56 B per node.
-    No command calls it; it is an independent reference for tests.
+    an oscillation of the phase factor.  Its 24 nodes per panel are counted
+    at 64 bytes each against ``errors.MAX_GRID_BYTES`` (tracemalloc measures
+    56 B per node at 10 000 to 200 000 panels), so one call takes at most
+    174 762 panels, which bounds |delta_n tau| to about
+    174 762 pi / (mu2 - mu1 + 20 sigma).  The panel count stays a float until
+    ``errors.require_bytes`` has passed it: an extreme delta_n tau makes it
+    infinite or too large for an int.  No command calls it; it is an
+    independent reference for tests.
     """
     if not (math.isfinite(delta_n) and math.isfinite(tau)):
         raise DomainError("delta_n and tau must be finite")
@@ -179,10 +181,7 @@ def decoherence_by_quadrature(params: SpectrumParams, delta_n: float, tau: float
     width = hi - lo
     rate = abs(delta_n * tau)
     n_panels = max(float(np.ceil(width / params.sigma)), float(np.ceil(width * rate / math.pi)), 1.0)
-    if not n_panels <= 200_000:
-        raise NumericError(
-            f"decoherence quadrature needs {n_panels:.6g} panels; tau out of supported range"
-        )
+    require_bytes(64 * 24 * n_panels, f"{n_panels:.6g} panels of decoherence quadrature")
     nodes, weights = kernels.composite_gauss_legendre(lo, hi, int(n_panels), 24)
     vals = spectral_density(params, nodes) * np.exp(1j * delta_n * nodes * tau)
     return complex(np.sum(weights * vals))
@@ -192,12 +191,12 @@ def theta3(u: float, q: float) -> float:
     """Jacobi theta function theta_3(u, q) = 1 + 2 sum_{n>=1} q^(n^2) cos(2 n u).
 
     The series is truncated at the first term whose magnitude bound
-    2 q^(n^2) falls below ``THETA3_TERM_TOL``.  Requires 0 <= q < 1; values
-    of q so close to 1 that the series needs more than ~10^7 terms are
-    rejected rather than silently truncated.  That cap bounds one call to
-    about 0.5 s and 320 MB (tracemalloc, 32 B per term at 10^7 terms, reached
-    at 1 - q of about 3.6e-13).  No command calls it; ``flatness_factor`` is
-    library-only.
+    2 q^(n^2) falls below ``THETA3_TERM_TOL``.  Requires 0 <= q < 1.  The
+    terms are counted at 40 bytes each against ``errors.MAX_GRID_BYTES``
+    (tracemalloc measures 32 B per term at 10^5 and 10^6 terms), so q so close
+    to 1 that the series needs more than 6 710 886 terms (1 - q below about
+    8e-13) is refused rather than silently truncated.  No command calls it;
+    ``flatness_factor`` is library-only.
     """
     if not (math.isfinite(u) and math.isfinite(q)):
         raise DomainError("theta3 arguments must be finite")
@@ -207,8 +206,7 @@ def theta3(u: float, q: float) -> float:
         return 1.0
     # smallest n with 2 q^(n^2) < tol, straight from the term formula
     n_stop = math.sqrt(math.log(THETA3_TERM_TOL / 2.0) / math.log(q))
-    if n_stop > 1e7:
-        raise NumericError("theta3 series needs too many terms (q too close to 1)")
+    require_bytes(40 * n_stop, f"theta3 at q = {q!r} ({n_stop:.6g} terms)")
     n = np.arange(1, int(math.floor(n_stop)) + 1)
     if n.size == 0:
         return 1.0

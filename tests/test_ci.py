@@ -52,7 +52,7 @@ def test_workflow_runs_the_oracle_at_fig4_steps():
     lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()]
     oracle = [line for line in lines if line.startswith("run: ") and "-m memoryflow oracle" in line]
     assert len(oracle) == 1
-    assert "--set oracle.max_steps=10" in oracle[0]
+    assert "--set oracle.max_steps=40" in oracle[0]
     assert "--set 'oracle.n_freqs=[8,16,32,64]'" in oracle[0]
     assert "||" not in oracle[0] and "continue-on-error" not in WORKFLOW.read_text(encoding="utf-8")
 

@@ -858,7 +858,9 @@ class TestOpenWalkNMCommand:
         for n in range(steps + 1):
             diff = (openwalk.pure_walk_density(walk.walk_evolve(1.0, 0.0, n)).matrix
                     - openwalk.pure_walk_density(walk.walk_evolve(0.0, 1.0, n)).matrix)
-            full = diff * np.kron(flt.gram(n), np.ones((2, 2)))
+            # [f(y - x)] over every site pair, spread over the 2x2 coin blocks
+            xs = np.arange(-n, n + 1, 2, dtype=float)
+            full = diff * np.kron(flt(xs[None, :] - xs[:, None]), np.ones((2, 2)))
             distances.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(full))))
         want = nonmarkov.nm_measure(np.array(distances), cfg["threshold"]).measure
         assert got == pytest.approx(want, abs=1e-12)
@@ -928,10 +930,10 @@ class TestOracleCommand:
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         opts = resolve_config("oracle")["oracle"]
         # each environment is discretized and stepped once, the first once
-        # more for the position check, and the walk once (plus one walk per
-        # coin of the integral check)
+        # more for the position check and once per coin of the measure check,
+        # and the walk once (plus one walk per coin of the integral check)
         assert [args[1] for args in calls["discretize_spectrum"]] \
-            == opts["n_freqs"] + opts["n_freqs"][:1]
+            == opts["n_freqs"] + opts["n_freqs"][:1] * 3
         assert len(calls["walk_step"]) == max(opts["max_steps"], opts["position_check_steps"]) \
             + 2 * opts["walk_steps"]
         for name in ("dilation_oracle", "open_walk_evolve", "walk_evolve", "walk_run"):
@@ -979,10 +981,12 @@ class TestOracleCommand:
                        "--set", "oracle.n_freqs=[8]", "--set", "oracle.walk_steps=2",
                        "--set", "oracle.engine_max_power=2") == 2
         report = read_strict_json(tmp_path / "oracle_report.json")
-        (check,) = [c for c in report["checks"] if c["name"] == "dilation_vs_filter_K8"]
-        assert check["pass"] is False and check["max_dev"] is None
-        assert check["location"] == "n=1, entry=(0,0)"
-        assert all(c["pass"] for c in report["checks"] if c is not check)
+        # the two checks that read the dilation at n = 1 keep the NaN and fail
+        failed = {c["name"]: c for c in report["checks"] if not c["pass"]}
+        assert sorted(failed) == ["dilation_vs_filter_K8", "measure_vs_dilation"]
+        assert all(c["max_dev"] is None for c in failed.values())
+        assert failed["dilation_vs_filter_K8"]["location"] == "n=1, entry=(0,0)"
+        assert failed["measure_vs_dilation"]["location"] == "n=1"
 
     def test_default_checks_pass(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, openwalk.oracle_checks)
@@ -1018,7 +1022,10 @@ class TestOracleCommand:
     ])
     def test_dilation_refused_before_stepping(self, capsys, tmp_path, monkeypatch, field, n_freqs):
         # the largest run within MAX_GRID_BYTES at K = 64 validates; one step
-        # more exits 2 naming both fields before --out exists or any step
+        # more exits 2 naming both fields before --out exists or any step.
+        # With the walk measure's chunk unbounded, the dilation's count alone
+        # bounds 'oracle.max_steps' (see test_measure_refused_before_stepping)
+        monkeypatch.setattr(nonmarkov, "STACK_BYTES", 1 << 40)
         fits = max(n for n in range(1000) if openwalk.dilation_bytes(n, 64) <= errors.MAX_GRID_BYTES)
         assert resolve_config("oracle", overrides=[("oracle.n_freqs", json.loads(n_freqs)),
                                                    (field, fits)])
@@ -1030,6 +1037,38 @@ class TestOracleCommand:
         assert f"'{field}' x 'oracle.n_freqs'" in err and "MAX_GRID_BYTES" in err
         assert not out.exists()
         assert calls == {"coin_shift": []}
+
+    def test_measure_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
+        # measure_vs_dilation runs the walk measure over 'oracle.max_steps', so
+        # the measure's one-matrix refusal bounds it: 511 steps validate at
+        # K = 64, and 512 exit 2 by name before --out exists or any step
+        assert resolve_config("oracle", overrides=[("oracle.n_freqs", [8, 64]),
+                                                   ("oracle.max_steps", 511)])
+        calls = record_calls(monkeypatch, kernels.coin_shift)
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--out", str(out), "--set", "oracle.max_steps=512",
+                       "--set", "oracle.n_freqs=[8,64]") == 2
+        err = capsys.readouterr().err
+        assert "'oracle.max_steps' = 512" in err and "STACK_BYTES" in err
+        assert not out.exists()
+        assert calls == {"coin_shift": []}
+
+    def test_measure_check_reads_the_measure_route(self, tmp_path, monkeypatch):
+        # a planted defect in the walk measure's real gauge (every filter
+        # taken as real, so the two-peak filter loses its imaginary part)
+        # fails measure_vs_dilation alone
+        original = nonmarkov.filter_table_gauge
+
+        def all_real(table):
+            return np.ones(len(table), dtype=bool), original(table)[1]
+
+        monkeypatch.setattr(nonmarkov, "filter_table_gauge", all_real)
+        assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.max_steps=6") == 2
+        report = read_strict_json(tmp_path / "oracle_report.json")
+        (failed,) = [c for c in report["checks"] if not c["pass"]]
+        assert failed["name"] == "measure_vs_dilation"
+        assert failed["K"] == 8 and failed["steps"] == list(range(7))
+        assert failed["max_dev"] > 1e-6
 
     def test_position_check_reads_the_dilation(self, tmp_path, monkeypatch):
         # p(x) comes from the traced dilation at the first K: weight moved

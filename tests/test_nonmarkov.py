@@ -23,7 +23,7 @@ from memoryflow.nonmarkov import (
 from memoryflow.openwalk import (
     DephasingFilter,
     filtered_density,
-    state_vector,
+    position_major,
     strong_limit_filter,
     trace_distance_walk,
 )
@@ -487,7 +487,7 @@ class TestMirrorIdentity:
         got = walk_trace_distances([toeplitz_filter(values)], n_steps)[0]
         coins = nonmarkov.DEFAULT_WALK_COINS
         for n, states in enumerate(zip(*(walk_states(*coin, n_steps) for coin in coins))):
-            v1, v2 = (state_vector(state) for state in states)
+            v1, v2 = (position_major(state.amp_left, state.amp_right) for state in states)
             mirror = np.kron(np.eye(n + 1)[::-1], [[0.0, -1.0], [1.0, 0.0]])
             assert abs(np.vdot(v2, mirror @ v1)) == pytest.approx(1.0, abs=1e-12)
             sites = np.arange(n + 1)

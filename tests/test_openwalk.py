@@ -7,7 +7,7 @@ import pytest
 
 from memoryflow.cli import _finite_or_null, main, resolve_config
 from memoryflow.errors import DomainError, ResourceLimitError
-from memoryflow import errors, openwalk
+from memoryflow import errors, nonmarkov, openwalk
 from memoryflow.openwalk import (
     DephasingFilter,
     dilation_bytes,
@@ -17,6 +17,8 @@ from memoryflow.openwalk import (
     discrete_filter,
     discretize_spectrum,
     eigensolver_identity_deviation,
+    filter_index,
+    filter_table,
     filtered_density,
     hermitian_eigenvalues,
     open_walk_evolve,
@@ -30,6 +32,21 @@ from memoryflow.walk import walk_evolve, walk_states
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
 COIN = (0.6, 0.8j)
+
+
+def separations(steps: int) -> np.ndarray:
+    """Matrix [y - x] of site separations over the occupied sites of an n-step
+    state."""
+    xs = np.arange(-steps, steps + 1, 2, dtype=float)
+    return xs[None, :] - xs[:, None]
+
+
+def kron_filtered(state, kappa) -> np.ndarray:
+    """The filtered density by the full-separation route, independent of the
+    table layout: kappa over every site pair, each value spread over its 2x2
+    coin block."""
+    gram = np.atleast_2d(kappa(separations(state.steps)))
+    return pure_walk_density(state).matrix * np.kron(gram, np.ones((2, 2)))
 
 
 def strong_blocks(c_left, c_right, m):
@@ -110,7 +127,7 @@ class TestDephasingFilter:
 
     def test_gram_matrix_positive_semidefinite(self):
         f = DephasingFilter(spectrum(0.9), dephasing(1.3))
-        gram = f.gram(6)
+        gram = f(separations(6))
         vals = hermitian_eigenvalues(gram)
         assert vals[0] >= -1e-10
 
@@ -134,7 +151,7 @@ class TestFilterTable:
 
     @pytest.mark.parametrize("separations", [
         pytest.param(2 * np.arange(-5, 6), id="even-integers"),
-        pytest.param(openwalk._separations(3), id="2d-floats"),
+        pytest.param(separations(3), id="2d-floats"),
         pytest.param(np.array(4.0), id="scalar"),
     ])
     def test_rows_are_each_filters_own_call(self, monkeypatch, separations):
@@ -162,6 +179,36 @@ class TestFilterTable:
         value = DephasingFilter(spectrum(), dephasing())(2)
         assert type(value) is complex
         assert value == openwalk.filter_table([DephasingFilter(spectrum(), dephasing())], 2)[0]
+
+
+class TestFilterIndex:
+    def test_layout(self):
+        for n in range(6):
+            i, k = np.indices((2 * (n + 1),) * 2)
+            assert np.array_equal(filter_index(n), n + k // 2 - i // 2)
+
+    def test_leading_block_is_the_shorter_walk(self):
+        # the m-step matrix is gathered from the n-step table by the leading
+        # 2(m + 1) rows and columns of the n-step index
+        flt = DephasingFilter(spectrum(0.7), dephasing(0.4))
+        n = 7
+        big = filter_table([flt], 2 * np.arange(-n, n + 1))[0][filter_index(n)]
+        for m in range(n + 1):
+            small = filter_table([flt], 2 * np.arange(-m, m + 1))[0][filter_index(m)]
+            assert bits(big[:2 * (m + 1), :2 * (m + 1)]) == bits(small)
+
+    @pytest.mark.parametrize("kind", ["dephasing", "discrete", "strong", "lambda"])
+    def test_filtered_density_is_the_full_separation_route(self, kind):
+        sp, cfg = spectrum(0.7), dephasing(0.4)
+        omegas, weights = discretize_spectrum(sp, 16)
+        kappa = {"dephasing": DephasingFilter(sp, cfg),
+                 "discrete": discrete_filter(omegas, weights, cfg),
+                 "strong": strong_limit_filter,
+                 "lambda": lambda d: np.exp(-0.1 * np.abs(d) + 0.3j * d)}[kind]
+        for coin in (COIN, (1.0, 0.0)):
+            for state in walk_states(*coin, 12):
+                assert bits(filtered_density(state, kappa).matrix) \
+                    == bits(kron_filtered(state, kappa))
 
 
 class TestDilationOracle:
@@ -279,12 +326,12 @@ class TestStreamedRoutes:
                                ".* MAX_GRID_BYTES"):
                 next(dilation_densities(*COIN, steps, spectrum(), dephasing(), n_freqs))
 
-    @pytest.mark.parametrize("n_freqs", [2, 32])
+    @pytest.mark.parametrize("n_freqs", [2, 32, 1024])
     def test_count_covers_the_measured_peak(self, n_freqs):
-        # one dilation-vs-filter check over 40 steps, and the position stream
-        # and the oracle's other checks at their least, hold no more than
-        # dilation_bytes counts: at K = 2 the densities lead, at K = 32 the
-        # filter's phase table
+        # the dilation checks over 40 steps, and the position stream and the
+        # oracle's other checks at their least, hold no more than
+        # dilation_bytes counts: at K = 2 and 32 the dense densities lead, at
+        # K = 1024 the branch amplitudes and the discrete filter's table
         tracemalloc.start()
         try:
             checks = oracle_checks(spectrum(), dephasing(), max_steps=40, n_freqs=[n_freqs],
@@ -314,6 +361,21 @@ class TestOracleChecks:
         assert [c["name"] for c in checks][-4:] == [
             "series_vs_quadrature", "catalan_closed_form", "walk_integral_vs_recursion",
             "eigensolver_identities"]
+
+    @pytest.mark.parametrize("a", [0.0, 0.7, 1.0])
+    def test_measure_check_reaches_both_routes(self, monkeypatch, a):
+        # the discrete filter is real up to a phase ramp at A = 0 and 1 and
+        # complex at A = 0.7, so the check reaches both routes of the measure
+        original = nonmarkov.filter_table_gauge
+        gauged = []
+        monkeypatch.setattr(nonmarkov, "filter_table_gauge",
+                            lambda table: gauged.append(original(table)) or gauged[-1])
+        checks = oracle_checks(spectrum(a), dephasing(), max_steps=12, n_freqs=[16, 8],
+                               walk_steps=0, position_check_steps=0, engine_max_power=0, seed=0)
+        (entry,) = [c for c in checks if c["name"] == "measure_vs_dilation"]
+        assert entry["pass"] and entry["max_dev"] < 1e-13
+        assert entry["K"] == 16 and entry["steps"] == list(range(13))
+        assert [bool(real[0]) for real, _ in gauged] == [a != 0.7]
 
 
 class TestStrongDephasingBlocks:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from memoryflow.errors import DomainError, NumericError, UnsupportedCaseError
+from memoryflow import errors
+from memoryflow.errors import DomainError, ResourceLimitError, UnsupportedCaseError
 from memoryflow.spectra import (
+    THETA3_TERM_TOL,
     DephasingConfig,
     SpectrumParams,
     decoherence_by_quadrature,
@@ -126,8 +128,20 @@ class TestDecoherenceFunction:
 
     @pytest.mark.parametrize("delta_n,tau", [(1.0, 1e307), (1e200, 1e200)])
     def test_quadrature_refuses_an_overflowing_panel_count(self, delta_n, tau):
-        with pytest.raises(NumericError, match="inf panels"):
+        with pytest.raises(ResourceLimitError, match="inf panels"):
             decoherence_by_quadrature(SpectrumParams(0.5, 1.0, 15.0, 9.0), delta_n, tau)
+
+    def test_panels_counted_in_bytes(self, monkeypatch):
+        # 24 nodes of 64 bytes per panel against MAX_GRID_BYTES: at a budget
+        # of 100 panels, 100 are integrated and 101 refused by name.  The
+        # support is 29 sigma wide, so tau = p pi / 29 needs ceil(p) panels
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", 64 * 24 * 100)
+        sp = SpectrumParams(0.5, 1.0, 15.0, 9.0)
+        want = decoherence_function(sp, 1.0, 99.5 * math.pi / 29.0)
+        assert decoherence_by_quadrature(sp, 1.0, 99.5 * math.pi / 29.0) \
+            == pytest.approx(want, abs=1e-9)
+        with pytest.raises(ResourceLimitError, match="101 panels .*MAX_GRID_BYTES"):
+            decoherence_by_quadrature(sp, 1.0, 100.5 * math.pi / 29.0)
 
 
 class TestTheta3:
@@ -143,6 +157,22 @@ class TestTheta3:
     def test_half_pi_value(self):
         # alternating series 1 - 2q + 2q^4 - 2q^9 + ...
         assert theta3(math.pi / 2.0, 0.1) == pytest.approx(0.800199998, abs=1e-9)
+
+    def test_terms_counted_in_bytes(self, monkeypatch):
+        # 40 bytes per term against MAX_GRID_BYTES: at a budget of 1000 terms,
+        # q whose series stops after 999.5 terms is summed, and q needing
+        # 1000.5 is refused by name rather than truncated
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", 40 * 1000)
+
+        def q_stopping_at(n_stop):
+            return math.exp(math.log(THETA3_TERM_TOL / 2.0) / n_stop ** 2)
+
+        q = q_stopping_at(999.5)
+        n = np.arange(1, 1000)
+        assert theta3(0.3, q) == pytest.approx(
+            1.0 + 2.0 * float(np.sum(q ** (n * n) * np.cos(0.6 * n))), rel=1e-15)
+        with pytest.raises(ResourceLimitError, match="theta3 .*1000.5 terms.*MAX_GRID_BYTES"):
+            theta3(0.3, q_stopping_at(1000.5))
 
     def test_domain(self):
         with pytest.raises(DomainError):
