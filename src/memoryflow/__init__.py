@@ -40,9 +40,6 @@ from .nonmarkov import (
     nm_measure,
     nm_qubit,
     nm_walk,
-    orthogonal_pair_scan,
-    qubit_pair_runner,
-    walk_pair_runner,
     walk_trace_distances,
 )
 from .openwalk import (
@@ -111,6 +108,5 @@ __all__ = [
     "discretize_spectrum", "strong_limit_filter", "filter_table", "hermitian_eigenvalues",
     "trace_distance_walk", "oracle_checks",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",
-    "nm_qubit", "nm_walk", "orthogonal_pair_scan", "qubit_pair_runner",
-    "walk_pair_runner", "walk_trace_distances",
+    "nm_qubit", "nm_walk", "walk_trace_distances",
 ]

@@ -426,10 +426,12 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of the Choi-matrix difference: a metric on unital
     qubit channels, zero iff the transfer matrices coincide.  Stacks of
     transfer matrices, shape (..., 3, 3), are solved in one eigensolve and
-    give an array of distances; one pair gives a float."""
+    give an array of distances; one pair gives a float.  The kernel refuses a
+    non-finite entry: an inf times the basis's zeros leaves a NaN."""
     d = np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float)
-    vals = kernels.hermitian_eigvals(np.tensordot(0.25 * d, _CHOI_BASIS, 2))
-    distances = 0.5 * np.sum(np.abs(vals), axis=-1)
+    with np.errstate(invalid="ignore"):
+        choi = np.tensordot(0.25 * d, _CHOI_BASIS, 2)
+    distances = kernels.trace_distances(choi)
     return float(distances) if distances.ndim == 0 else distances
 
 

@@ -2,8 +2,11 @@
 
 Kernels:
 
-- ``hermitian_eigvals``        ascending eigenvalues of a complex Hermitian
-                               matrix (LAPACK through ``np.linalg.eigvalsh``)
+- ``hermitian_eigvals``        ascending eigenvalues of complex Hermitian
+                               matrices, the one ``np.linalg.eigvalsh`` call;
+                               a non-finite stack is refused before LAPACK
+- ``trace_distances``          1/2 sum |lambda| of each matrix of a stack: the
+                               one trace distance behind both models
 - ``composite_gauss_legendre`` nodes and weights of an order-n Gauss-Legendre
                                rule on each of equal panels over [lo, hi]; the
                                reference rule is built once per order
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 
 # Kept because run manifests and the oracle report record it as "backend".
 BACKEND = "numpy"
@@ -42,12 +45,22 @@ CACHE_BYTES = 1 << 20
 
 
 def hermitian_eigvals(H) -> np.ndarray:
-    """Ascending eigenvalues of a complex Hermitian matrix; only the lower
-    triangle is read.  A LAPACK convergence failure raises ``NumericError``."""
+    """Ascending eigenvalues of a complex Hermitian matrix, or of each matrix
+    of a (..., d, d) stack; only the lower triangle is read.  A stack with a
+    non-finite entry raises ``DomainError``, since LAPACK can return finite
+    eigenvalues for it; a LAPACK convergence failure raises ``NumericError``."""
+    if not np.all(np.isfinite(H)):
+        raise DomainError("matrix has non-finite entries")
     try:
         return np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
+
+
+def trace_distances(H) -> np.ndarray:
+    """Half the trace norm, 1/2 sum |lambda|, of each Hermitian matrix of a
+    (..., d, d) stack, from one ``hermitian_eigvals`` call; shape (...)."""
+    return 0.5 * np.abs(hermitian_eigvals(H)).sum(axis=-1)
 
 
 # Kept because benchmark tracing looks the eigensolver layer up by this name.

@@ -13,15 +13,13 @@ trajectory or a (rows, steps + 1) stack, so a command measures all its rows in
 one call, each row with the bits of its own one-trajectory call.
 
 The measure is evaluated for a fixed initial pair (the default pairs match
-the reference parameter sets); ``orthogonal_pair_scan`` optionally searches a
-family of antipodal pairs and reports a lower bound on the full supremum.
+the reference parameter sets).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -188,7 +186,9 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     of its largest value, and each origin a finite and normalized
     (``walk.initial_state``) coin pair, which every unitary step keeps finite.
     Every filtered matrix, a Hermitian Toeplitz table times the Hermitian
-    v1 v1† - v2 v2† entry by entry, is then Hermitian by construction.
+    v1 v1† - v2 v2† entry by entry, is then Hermitian by construction; a
+    non-finite one would still be refused by the one trace-norm kernel,
+    ``kernels.trace_distances``, with a ``DomainError``.
 
     With real coins the walk amplitudes, and so the differences, are real, and
     a table that ``filter_table_gauge`` finds real, f(2 j) = e^(icj) r(j),
@@ -238,8 +238,8 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
         for rows, tab in routes:
             chunk = STACK_BYTES // (diff.size * tab.itemsize)
             for start in range(0, len(rows), chunk):
-                vals = kernels.hermitian_eigvals(tab[start:start + chunk, step_columns] * diff)
-                out[rows[start:start + chunk], n] = 0.5 * np.abs(vals).sum(axis=-1)
+                out[rows[start:start + chunk], n] = kernels.trace_distances(
+                    tab[start:start + chunk, step_columns] * diff)
     return out
 
 
@@ -272,96 +272,3 @@ def nm_walk(
     series = TraceDistanceSeries(walk_trace_distances([flt], n_steps, (coin1, coin2))[0])
     return series, nm_measure(series, threshold)
 
-
-# ---------------------------------------------------------------------------
-# antipodal-pair scan
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ScanResult:
-    """Best direction found, its report, and how many pairs were evaluated.
-
-    The scanned family is a fixed anchor set plus a seeded random stream; a
-    larger scan with the same seed extends a smaller one, so the reported
-    maximum never decreases under refinement.  The result is a lower bound on
-    the supremum over all pairs.
-    """
-
-    direction: np.ndarray
-    report: NMReport
-    evaluated: int
-
-
-_ANCHOR_DIRECTIONS = (
-    np.array([0.0, 0.0, 1.0]),
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    DEFAULT_QUBIT_DIRECTION,
-)
-
-
-def scan_directions(n_pairs: int, seed: int = 0) -> list[np.ndarray]:
-    """Anchor directions followed by a seeded isotropic stream."""
-    dirs = [d.copy() for d in _ANCHOR_DIRECTIONS[:max(0, min(n_pairs, len(_ANCHOR_DIRECTIONS)))]]
-    rng = np.random.default_rng(seed)
-    while len(dirs) < n_pairs:
-        v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        dirs.append(v / norm)
-    return dirs
-
-
-def coin_from_direction(direction) -> tuple[complex, complex]:
-    """Coin amplitudes whose Bloch vector is the given unit direction."""
-    x, y, z = np.asarray(direction, dtype=float)
-    theta = math.acos(max(-1.0, min(1.0, z)))
-    phi = math.atan2(y, x)
-    return (
-        complex(math.cos(theta / 2.0)),
-        complex(math.sin(theta / 2.0)) * complex(math.cos(phi), math.sin(phi)),
-    )
-
-
-def orthogonal_pair_scan(
-    runner: Callable[[np.ndarray], NMReport],
-    n_pairs: int = 16,
-    seed: int = 0,
-) -> ScanResult:
-    """Maximize the measure over antipodal pairs drawn from ``scan_directions``.
-
-    ``runner`` maps a unit direction to the NMReport of the corresponding
-    antipodal pair (see ``qubit_pair_runner`` / ``walk_pair_runner``).
-    """
-    if n_pairs < 1:
-        raise DomainError("scan needs at least one pair")
-    best_dir = None
-    best_report = None
-    for direction in scan_directions(n_pairs, seed):
-        report = runner(direction)
-        if best_report is None or report.measure > best_report.measure:
-            best_dir = direction
-            best_report = report
-    return ScanResult(best_dir, best_report, n_pairs)
-
-
-def qubit_pair_runner(eta, spectrum, config, n_steps=30, engine="series"):
-    def run(direction: np.ndarray) -> NMReport:
-        _, report = nm_qubit(
-            eta, spectrum, config,
-            r1=direction, r2=-direction, n_steps=n_steps, engine=engine,
-        )
-        return report
-    return run
-
-
-def walk_pair_runner(spectrum, config, n_steps=10, mode="filter"):
-    def run(direction: np.ndarray) -> NMReport:
-        c1 = coin_from_direction(direction)
-        c2 = (-np.conj(c1[1]), np.conj(c1[0]))
-        _, report = nm_walk(
-            spectrum, config, n_steps=n_steps, mode=mode, coin1=c1, coin2=c2,
-        )
-        return report
-    return run

@@ -1,6 +1,6 @@
 """Open quantum walk: coin dephasing as a positional coherence filter, the
 strong-dephasing limit as one such filter, the explicit system-environment
-dilation oracle, and the Hermitian eigenvalue machinery used for trace
+dilation oracle, and the checked Hermitian eigenvalues of its dense trace
 distances.
 
 After n steps only the n + 1 sites x = -n, -n + 2, ..., n are occupied, and
@@ -47,18 +47,19 @@ the strong-dephasing limit every coherence between distinct sites is lost:
 the filter is ``strong_limit_filter``, f(d) = 1 at d = 0 and 0 elsewhere, and
 it takes every route a spectral filter takes.
 
-Trace distances.  ``trace_distance_walk`` is the dense reference: it takes two
-densities after equal step counts and solves their 2(n + 1)-dimensional
-difference in one eigensolve, through ``hermitian_eigenvalues``, which checks
-each matrix for finiteness and Hermiticity (the bytes of those checks are its
-memory count, so one matrix reaches d = 2048, 1023 steps).  The memory
-measure takes a faster route
+Trace distances.  Every trace distance is ``kernels.trace_distances``, which
+refuses a non-finite matrix before LAPACK.  ``trace_distance_walk`` is the
+dense reference: it solves the 2(n + 1)-dimensional difference of two
+densities after equal step counts in one eigensolve, once
+``_checked_hermitian``, as for ``hermitian_eigenvalues``, has counted its
+bytes and checked its finiteness and Hermiticity (so one matrix reaches
+d = 2048, 1023 steps).  The memory measure takes a faster route
 (``nonmarkov.walk_trace_distances``): it steps both coins as one (sites, 2)
 array, builds every filter's table in one ``filter_table`` call, gathers each
-step's matrices by ``filter_index``, and checks
-its inputs instead of each matrix: every filter table must be
-finite and Hermitian Toeplitz, and each origin coin pair finite, so every
-filtered matrix is Hermitian by construction.  A filter whose table is real
+step's matrices by ``filter_index``, and checks its inputs instead of each
+matrix: every filter table must be finite and Hermitian Toeplitz, and each
+origin coin pair finite, so every filtered matrix is Hermitian by
+construction.  A filter whose table is real
 up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum symmetric about a
 centre gives, turns each filtered difference of real coins into a real
 symmetric matrix with the same eigenvalues; those are solved in float64, the
@@ -364,10 +365,11 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     discrete filter, the series engine against quadrature at A = 0 and 1, the
     Catalan closed forms, the quasi-momentum amplitudes against the
     recursion, and the eigensolver identities.  Each dilation entry and the
-    measure entry record their K and the step counts they compared, and the
-    position entry the step counts it sampled.  Every check runs as asked:
-    the ``oracle`` command refuses, before any of them runs, a dilation over
-    ``errors.MAX_GRID_BYTES`` and a measure over ``nonmarkov.STACK_BYTES``."""
+    measure entry record their K and the step counts they compared, the
+    position entry the step counts it sampled, and the engine entry its etas,
+    A and largest power m.  Every check runs as asked: the ``oracle`` command
+    refuses, before any of them runs, a dilation over ``errors.MAX_GRID_BYTES``
+    and a measure over ``nonmarkov.STACK_BYTES``."""
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 
@@ -430,7 +432,8 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
         deviations += [(devs[a][m], f"eta={eta}, m={m}, A={a}")
                        for m in range(engine_max_power + 1) for a in spectra_a]
     checks.append(check("series_vs_quadrature", largest_deviation(deviations),
-                        harmonic.ENGINE_AGREEMENT_TOL))
+                        harmonic.ENGINE_AGREEMENT_TOL)
+                  | {"etas": list(etas), "A": list(spectra_a), "m": engine_max_power})
 
     # closed-form period-average maps vs the series oracle
     averages = harmonic.series_map_stacks((0.5,), 40)[1][0]
@@ -451,16 +454,17 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
 # Hermitian eigenvalue machinery
 # ---------------------------------------------------------------------------
 
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Sorted eigenvalues of a finite complex Hermitian matrix, or of each
-    matrix of a (..., d, d) stack, by LAPACK.  Each matrix is checked for
-    Hermiticity against its own largest entry.
+def _checked_hermitian(matrix) -> np.ndarray:
+    """A square matrix, or (..., d, d) stack, as complex, once its bytes, its
+    finiteness and each matrix's Hermiticity against its own largest entry
+    have been checked.
 
     The complex copy, its conjugate transpose, their difference and LAPACK's
     own copy are counted as 64 bytes per entry against
     ``errors.MAX_GRID_BYTES`` before any of them is made (tracemalloc measures
     2.0-2.2 x the complex stack's bytes, and 3.1 x for a real input), so one
-    matrix may reach d = 2048."""
+    matrix may reach d = 2048.  Finiteness is checked first, so that the
+    Hermiticity arithmetic never meets inf - inf."""
     shape = np.shape(matrix)
     if len(shape) < 2 or shape[-2] != shape[-1]:
         raise DomainError("matrix must be square")
@@ -468,13 +472,17 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     H = np.asarray(matrix, dtype=complex)
     if not np.all(np.isfinite(H)):
         raise DomainError("matrix has non-finite entries")
-    if H.size == 0:
-        return np.empty(H.shape[:-1])
-    scale = np.max(np.abs(H), axis=(-2, -1))
-    defect = np.max(np.abs(H - np.swapaxes(H, -2, -1).conj()), axis=(-2, -1))
+    scale = np.max(np.abs(H), axis=(-2, -1), initial=0.0)
+    defect = np.max(np.abs(H - np.swapaxes(H, -2, -1).conj()), axis=(-2, -1), initial=0.0)
     if np.any(defect > HERMITICITY_TOL * np.maximum(scale, 1.0)):
         raise DomainError("matrix is not Hermitian")
-    return kernels.hermitian_eigvals(H)
+    return H
+
+
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """Sorted eigenvalues of a finite complex Hermitian matrix, or of each
+    matrix of a (..., d, d) stack, by LAPACK, after ``_checked_hermitian``."""
+    return kernels.hermitian_eigvals(_checked_hermitian(matrix))
 
 
 def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
@@ -499,9 +507,8 @@ def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
 
 def trace_distance_walk(rho1: WalkDensity, rho2: WalkDensity) -> float:
     """Half the trace norm of the difference of two densities after the same
-    number of steps, from one full LAPACK eigensolve."""
+    number of steps, from one full LAPACK eigensolve after ``_checked_hermitian``."""
     if rho1.steps != rho2.steps:
         raise DomainError("trace distance needs densities after equal step counts")
-    vals = hermitian_eigenvalues(rho1.matrix - rho2.matrix)
-    return 0.5 * float(np.sum(np.abs(vals)))
+    return float(kernels.trace_distances(_checked_hermitian(rho1.matrix - rho2.matrix)))
 

@@ -1,6 +1,7 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, under a
-time limit, read as plain text (CI installs no YAML parser); and under the
-project's warning filters a failing test leaves the later tests running."""
+time limit and on pinned package versions, read as plain text (CI installs no
+YAML parser); and under the project's warning filters a failing test leaves
+the later tests running."""
 
 import json
 import re
@@ -55,6 +56,16 @@ def test_workflow_runs_the_oracle_at_fig4_steps():
     assert "--set oracle.max_steps=40" in oracle[0]
     assert "--set 'oracle.n_freqs=[8,16,32,64]'" in oracle[0]
     assert "||" not in oracle[0] and "continue-on-error" not in WORKFLOW.read_text(encoding="utf-8")
+
+
+def test_workflow_install_pins_every_package():
+    # outputs and timings are recorded against these versions; LAPACK's handling
+    # of bad input and the bits of eigvalsh come with numpy's wheel
+    lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()]
+    (install,) = [line for line in lines if line.startswith("run: ") and "pip install" in line]
+    packages = install.split("pip install", 1)[1].split()
+    assert {p.split("==")[0] for p in packages} >= {"numpy", "pytest", "hypothesis"}
+    assert all(re.fullmatch(r"[A-Za-z0-9_.-]+==[0-9][0-9A-Za-z.]*", p) for p in packages), packages
 
 
 FAILING_THEN_PASSING = """

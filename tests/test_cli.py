@@ -1109,6 +1109,22 @@ class TestOracleCommand:
             assert checks["position_distribution_invariance"]["steps"] == [0, 3, 6]
         assert len(set(reports)) == 3
 
+    @pytest.mark.parametrize("power", [3, 6])
+    def test_engine_entry_records_what_it_compared(self, tmp_path, power):
+        # the engine entry names its controls, amplitude ratios and largest
+        # power, and it alone of the non-dilation entries gains keys
+        assert run_cli("oracle", "--out", str(tmp_path), "--set", "oracle.n_freqs=[8]",
+                       "--set", "oracle.max_steps=2", "--set", "oracle.walk_steps=2",
+                       "--set", f"oracle.engine_max_power={power}") == 0
+        checks = {c["name"]: c for c in
+                  json.loads((tmp_path / "oracle_report.json").read_text())["checks"]}
+        engine = checks["series_vs_quadrature"]
+        assert (engine["etas"], engine["A"], engine["m"]) == ([0.0, 0.5, 1.0], [0.0, 1.0], power)
+        plain = {"name", "max_dev", "tol", "pass", "location"}
+        assert set(engine) == plain | {"etas", "A", "m"}
+        for name in ("catalan_closed_form", "walk_integral_vs_recursion", "eigensolver_identities"):
+            assert set(checks[name]) == plain
+
     def test_perturbed_filter_reports_failure(self, tmp_path, monkeypatch):
         original = openwalk.filtered_density
 

@@ -599,6 +599,31 @@ class TestApproximationError:
         grid = channel_distance(t1.reshape(3, 4, 3, 3), t2.reshape(3, 4, 3, 3))
         assert np.array_equal(grid, stacked.reshape(3, 4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_map_refused_by_name(self, bad, monkeypatch):
+        # LAPACK fails to converge on some such Choi matrices and returns
+        # finite eigenvalues for others; either way the fault is the map
+        rng = np.random.default_rng(26)
+        t1 = np.array([bloch_transfer_matrix(eta, th) for eta, th in rng.uniform(0, 1, (4, 2))])
+        t2 = rng.normal(size=(4, 3, 3))
+        for i, j in np.ndindex(3, 3):
+            planted = t1.copy()
+            planted[2, i, j] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                channel_distance(planted, t2)
+
+        original = harmonic.series_map_stacks
+
+        def with_planted_map(*args):
+            exact, averages = original(*args)
+            if exact is not None:
+                exact[0, 0, 2, 1, 1] = bad
+            return exact, averages
+
+        monkeypatch.setattr(harmonic, "series_map_stacks", with_planted_map)
+        with pytest.raises(DomainError, match="non-finite"):
+            approximation_error_stack((0.5,), 3, spectrum(1.0), (dephasing(0.35),))
+
     def test_metric_symmetry_and_identity(self):
         t1 = bloch_transfer_matrix(0.3, 0.4)
         t2 = bloch_transfer_matrix(0.8, -1.1)

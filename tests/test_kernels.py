@@ -1,14 +1,19 @@
-"""Checks of the numeric kernels, and of how an eigensolver failure reaches
-its callers."""
+"""Checks of the numeric kernels, and of how an eigensolver failure or a
+non-finite matrix reaches their callers."""
+
+import math
 
 import numpy as np
 import pytest
 
 from memoryflow import kernels
-from memoryflow.errors import NumericError
+from memoryflow.errors import DomainError, NumericError
 from memoryflow.harmonic import channel_distance
-from memoryflow.openwalk import hermitian_eigenvalues
+from memoryflow.nonmarkov import DEFAULT_WALK_COINS, walk_trace_distances
+from memoryflow.openwalk import (hermitian_eigenvalues, pure_walk_density, strong_limit_filter,
+                                 trace_distance_walk)
 from memoryflow.qubit import bloch_transfer_matrix
+from memoryflow.walk import walk_evolve
 
 
 class TestHermitianEigvals:
@@ -16,11 +21,52 @@ class TestHermitianEigvals:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        densities = [pure_walk_density(walk_evolve(*coin, 2)) for coin in DEFAULT_WALK_COINS]
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NumericError, match="did not converge"):
             hermitian_eigenvalues(np.eye(3, dtype=complex))
         with pytest.raises(NumericError, match="did not converge"):
             channel_distance(bloch_transfer_matrix(0.3, 0.4), bloch_transfer_matrix(0.8, -1.1))
+        with pytest.raises(NumericError, match="did not converge"):
+            trace_distance_walk(*densities)
+        with pytest.raises(NumericError, match="did not converge"):
+            walk_trace_distances([strong_limit_filter], 2)
+
+    @pytest.mark.parametrize("solve", [kernels.hermitian_eigvals, kernels.trace_distances])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_refused_before_lapack(self, solve, bad, monkeypatch):
+        # LAPACK returns finite eigenvalues, [0, -0, 1, 1], for the identity
+        # with a NaN at (0, 0)
+        def fail(*args, **kwargs):
+            raise AssertionError("a non-finite matrix reached LAPACK")
+
+        one = np.eye(4)
+        one[0, 0] = bad
+        stack = np.stack([np.eye(4), np.eye(4)]).astype(complex)
+        stack[1, 2, 3] = stack[1, 3, 2] = bad
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for h in (one, stack):
+            with pytest.raises(DomainError, match="non-finite"):
+                solve(h)
+
+
+class TestTraceDistances:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dim", [4, 22])
+    def test_bits_of_per_matrix_calls_and_inline_sum(self, dtype, dim):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(9, dim, dim)).astype(dtype)
+        if dtype is np.complex128:
+            x += 1j * rng.normal(size=(9, dim, dim))
+        h = x + np.swapaxes(x, -2, -1).conj()
+        got = kernels.trace_distances(h)
+        assert got.shape == (9,) and got.dtype == np.float64
+        assert np.array_equal(got, [kernels.trace_distances(m) for m in h])
+        assert np.array_equal(got, 0.5 * np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1))
+
+    def test_stack_shape_is_kept(self):
+        h = np.broadcast_to(np.diag([1.0, -2.0, 0.5]), (2, 3, 3, 3))
+        assert np.array_equal(kernels.trace_distances(h), np.full((2, 3), 1.75))
 
 
 class TestTransferPowerAverage:

@@ -9,15 +9,11 @@ from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow.nonmarkov import (
     TraceDistanceSeries,
     bloch_trace_distances,
-    coin_from_direction,
     filter_table_gauge,
     increments,
     nm_measure,
     nm_qubit,
     nm_walk,
-    orthogonal_pair_scan,
-    qubit_pair_runner,
-    walk_pair_runner,
     walk_trace_distances,
 )
 from memoryflow.openwalk import (
@@ -498,36 +494,3 @@ class TestMirrorIdentity:
             assert block.shape == (n + 1, n + 1)
             assert abs(np.linalg.svd(block, compute_uv=False).sum() - got[n]) < 1e-12
 
-
-class TestPairScan:
-    def test_markovian_model_scans_to_zero(self):
-        runner = qubit_pair_runner(1.0, spectrum(0.0), dephasing(), n_steps=12)
-        result = orthogonal_pair_scan(runner, n_pairs=6, seed=1)
-        assert result.report.measure == 0.0
-
-    def test_sigma_x_control_recovers_for_every_pair(self):
-        runner = qubit_pair_runner(0.0, spectrum(0.5), dephasing(), n_steps=8)
-        result = orthogonal_pair_scan(runner, n_pairs=5, seed=1)
-        assert result.report.measure > 0.0
-
-    def test_refinement_never_decreases(self):
-        runner = qubit_pair_runner(0.5, spectrum(0.0), dephasing(1.0), n_steps=8)
-        small = orthogonal_pair_scan(runner, n_pairs=4, seed=7)
-        big = orthogonal_pair_scan(runner, n_pairs=10, seed=7)
-        assert big.report.measure >= small.report.measure
-
-    def test_walk_runner(self):
-        runner = walk_pair_runner(spectrum(0.0), dephasing(0.5), n_steps=4)
-        result = orthogonal_pair_scan(runner, n_pairs=3, seed=0)
-        assert result.report.measure >= 0.0
-
-    def test_coin_from_direction_round_trip(self):
-        direction = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-        c_l, c_r = coin_from_direction(direction)
-        # Bloch vector of the coin state
-        r = [
-            2.0 * (np.conj(c_l) * c_r).real,
-            2.0 * (np.conj(c_l) * c_r).imag,
-            abs(c_l) ** 2 - abs(c_r) ** 2,
-        ]
-        assert np.allclose(r, direction, atol=1e-12)
