@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, harmonic, kernels
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, require_bytes
-from .nonmarkov import bloch_trace_distances, nm_measure, require_stack, walk_trace_distances
+from .nonmarkov import bloch_trace_distances, nm_measure, walk_trace_distances
 from .openwalk import DephasingFilter, dilation_bytes, oracle_checks, strong_limit_filter
 from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL, transfer_map_stack
@@ -279,33 +279,28 @@ def validate_config(command: str, cfg: dict) -> None:
                  "'omega_grid.count'": 8 * cfg["omega_grid"]["count"]}
     if command == "open-walk-nm":
         grids = {"'sweep.count' x 'a_values' x 'steps'":
-                 8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1)}
+                 8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1),
+                 "'steps'": kernels.eigensolve_bytes((2 * (cfg["steps"] + 1),) * 2)}
     if command == "walk":
         if cfg["check_integrals"]:
             grids["'integral_check_cap' (at most 'steps')"] = \
                 integral_check_bytes(min(cfg["steps"], int(cfg["integral_check_cap"])))
-        grids["'steps'"] = walk_table_bytes(cfg["steps"], cfg["amplitudes"])
+        # walk_distribution.csv: step, x, p and four amplitude columns, one
+        # row per occupied site of every step
+        grids["'steps'"] = (8 * (7 if cfg["amplitudes"] else 3)
+                            * (cfg["steps"] + 1) * (cfg["steps"] + 2) // 2)
     if command == "oracle":
         opts = cfg["oracle"]
         grids = {"'oracle.walk_steps'": integral_check_bytes(opts["walk_steps"]),
                  "'oracle.max_steps' x 'oracle.n_freqs'":
                  dilation_bytes(opts["max_steps"], max(opts["n_freqs"])),
                  "'oracle.position_check_steps' x 'oracle.n_freqs'":
-                 dilation_bytes(opts["position_check_steps"], opts["n_freqs"][0])}
+                 dilation_bytes(opts["position_check_steps"], opts["n_freqs"][0]),
+                 # measure_vs_dilation runs the walk measure over 'oracle.max_steps'
+                 "'oracle.max_steps'":
+                 kernels.eigensolve_bytes((2 * (opts["max_steps"] + 1),) * 2)}
     for fields, size in grids.items():
         require_bytes(size, fields)
-    if command == "oracle":
-        # measure_vs_dilation runs the walk measure over 'oracle.max_steps'
-        require_stack(cfg["oracle"]["max_steps"], "'oracle.max_steps'")
-
-
-def walk_table_bytes(steps: int, amplitudes: bool) -> int:
-    """Bytes ``walk`` holds for walk_distribution.csv, one row per occupied
-    site of every step: the states, the columns and their CSV text.
-    tracemalloc measures 249-290 B per row at 100-1300 steps, or 458-498 B with
-    the amplitudes at 100-1000 steps (a row's text grows with its digits);
-    each row is counted at 300 B, or 520 B."""
-    return (520 if amplitudes else 300) * (steps + 1) * (steps + 2) // 2
 
 
 def build_spectrum(cfg: dict, a_value=None) -> SpectrumParams:
@@ -359,13 +354,16 @@ def _column_text(column):
     return map(str, values.tolist() if kind in "iu" else column)
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """One header line, then one row per index of the equal-length ``columns``;
-    each value becomes text only as its row is joined."""
-    rows = map(",".join, zip(*map(_column_text, columns), strict=True))
-    text = "\n".join([",".join(header), *rows]) + "\n"
+def write_csv(path: Path, header: list[str], blocks) -> None:
+    """One header line, then, block by block, one row per index of each
+    block's equal-length columns; a block becomes text only as it is written,
+    so a table given as a stream of blocks is held one block at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            rows = list(map(",".join, zip(*map(_column_text, columns), strict=True)))
+            if rows:
+                fh.write("\n".join(rows) + "\n")
 
 
 def _keyed_columns(keys, table) -> list:
@@ -437,10 +435,10 @@ def cmd_dephasing(cfg: dict, out_dir: Path) -> int:
         omegas = np.linspace(lo, hi, int(og["count"]))
         dens = spectral_density(spectrum, omegas)
         name = f"dephasing_kappa_{_a_label(a)}.csv"
-        write_csv(out_dir / name, ["t", "abs_kappa"], [ts, kap])
+        write_csv(out_dir / name, ["t", "abs_kappa"], [[ts, kap]])
         outputs.append(name)
         name = f"dephasing_spectrum_{_a_label(a)}.csv"
-        write_csv(out_dir / name, ["omega", "density"], [omegas, dens])
+        write_csv(out_dir / name, ["omega", "density"], [[omegas, dens]])
         outputs.append(name)
     write_manifest(out_dir / "dephasing_manifest.json", "dephasing", cfg, derived, outputs)
     return 0
@@ -462,8 +460,8 @@ def cmd_controlled_qubit(cfg: dict, out_dir: Path) -> int:
     write_csv(
         out_dir / name,
         ["eta", "step", "r1x", "r1y", "r1z", "r2x", "r2y", "r2z", "D", "increment", "N_cum"],
-        _keyed_columns([np.asarray(cfg["eta_values"], dtype=float), np.arange(cfg["steps"] + 1)],
-                       values.reshape(-1, values.shape[-1])),
+        [_keyed_columns([np.asarray(cfg["eta_values"], dtype=float), np.arange(cfg["steps"] + 1)],
+                        values.reshape(-1, values.shape[-1]))],
     )
     derived = {
         "delta_t": dephasing.step_duration,
@@ -488,7 +486,7 @@ def cmd_strong_limit_error(cfg: dict, out_dir: Path) -> int:
             np.arange(cfg["steps"] + 1)]
     name = "strong_limit_error.csv"
     write_csv(out_dir / name, ["dt_factor", "eta", "step", "error"],
-              _keyed_columns(keys, errors.reshape(-1, 1)))
+              [_keyed_columns(keys, errors.reshape(-1, 1))])
     derived = {"period_over_sigma": period_over_sigma}
     write_manifest(out_dir / "strong_limit_error_manifest.json", "strong-limit-error", cfg, derived, [name])
     return 0
@@ -499,20 +497,24 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
     norm = math.hypot(re_l, im_l, re_r, im_r)
     c_left = complex(re_l, im_l) / norm
     c_right = complex(re_r, im_r) / norm
-    norms, keys, p, amplitudes = [], [], [], []
-    for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
-        norms.append(state.norm())
-        p += position_distribution(state).values()
-        keys.append(np.column_stack([np.full(m + 1, m), state.positions()]))
-        amplitudes.append(np.stack([state.amp_left, state.amp_right]))
+    norms = []
+
+    def blocks():
+        # one block of rows per step, written as the walk steps
+        for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
+            norms.append(state.norm())
+            p = list(position_distribution(state).values())
+            block = [np.full(m + 1, m), state.positions(), p]
+            if cfg["amplitudes"]:
+                left, right = state.amp_left, state.amp_right
+                block += [left.real, left.imag, right.real, right.imag]
+            yield block
+
     header = ["step", "x", "p"]
-    columns = [*np.concatenate(keys).T, p]
     if cfg["amplitudes"]:
         header += ["cl_re", "cl_im", "cr_re", "cr_im"]
-        left, right = np.concatenate(amplitudes, axis=1)
-        columns += [left.real, left.imag, right.real, right.imag]
     name = "walk_distribution.csv"
-    write_csv(out_dir / name, header, columns)
+    write_csv(out_dir / name, header, blocks())
     derived: dict = {"norm_by_step": norms}
     worst = 0.0
     if cfg["check_integrals"]:
@@ -559,7 +561,7 @@ def _walk_nm_over_sweep(cfg: dict):
 def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
     columns, derived = _walk_nm_over_sweep(cfg)
     name = "open_walk_nm.csv"
-    write_csv(out_dir / name, ["A", "dt_omega_dn", "N10", "mode"], columns)
+    write_csv(out_dir / name, ["A", "dt_omega_dn", "N10", "mode"], [columns])
     write_manifest(out_dir / "open_walk_nm_manifest.json", "open-walk-nm", cfg, derived, [name])
     return 0
 

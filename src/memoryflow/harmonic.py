@@ -138,10 +138,7 @@ def _transfer_coeffs(eta: float) -> np.ndarray:
 
 def series_multiply(a: TrigMatrixSeries, b: TrigMatrixSeries) -> TrigMatrixSeries:
     degree = a.degree + b.degree
-    if degree > SERIES_DEGREE_CAP:
-        raise ResourceLimitError(
-            f"series degree {degree} exceeds cap {SERIES_DEGREE_CAP}"
-        )
+    _check_powers(1, degree)
     return TrigMatrixSeries(degree, kernels.series_convolve(a.coeffs, b.coeffs))
 
 

@@ -7,6 +7,8 @@ Kernels:
                                a non-finite stack is refused before LAPACK
 - ``trace_distances``          1/2 sum |lambda| of each matrix of a stack: the
                                one trace distance behind both models
+- ``eigensolve_bytes``         the bytes one eigensolve of a stack holds, the
+                               one count behind every eigensolver cap
 - ``composite_gauss_legendre`` nodes and weights of an order-n Gauss-Legendre
                                rule on each of equal panels over [lo, hi]; the
                                reference rule is built once per order
@@ -15,7 +17,8 @@ Kernels:
                                stacks of controls and weight rows: the one
                                walk P <- P M behind every qubit engine
 - ``series_convolve``          product of two matrix-valued trigonometric
-                               polynomials (coefficient convolution), the
+                               polynomials (coefficient convolution), one
+                               (3 na, 3) x (3, 3) product per coefficient, the
                                reference route to the series coefficients
 - ``coin_shift``               one coin-and-shift step of the Hadamard walk,
                                over the occupied sites with any trailing axes;
@@ -37,13 +40,6 @@ BACKEND = "numpy"
 # Kept because benchmark machine records read it; there is no numba backend.
 HAVE_NUMBA = False
 
-#: bytes of working data that stay in cache between numpy calls: the matrix
-#: products ``series_convolve`` forms in one call.  Several coefficients per
-#: call save call overhead on short series, and a cache-sized block bounds the
-#: memory of one long product
-CACHE_BYTES = 1 << 20
-
-
 def hermitian_eigvals(H) -> np.ndarray:
     """Ascending eigenvalues of a complex Hermitian matrix, or of each matrix
     of a (..., d, d) stack; only the lower triangle is read.  A stack with a
@@ -61,6 +57,15 @@ def trace_distances(H) -> np.ndarray:
     """Half the trace norm, 1/2 sum |lambda|, of each Hermitian matrix of a
     (..., d, d) stack, from one ``hermitian_eigvals`` call; shape (...)."""
     return 0.5 * np.abs(hermitian_eigvals(H)).sum(axis=-1)
+
+
+def eigensolve_bytes(shape) -> int:
+    """Bytes an eigensolve of a (..., d, d) stack holds, counted at 64 per
+    entry: the stack, its complex copy and LAPACK's copy with the checks made
+    on them (tracemalloc measures 2.0-2.2 x the complex stack's bytes, and
+    3.1 x for a real input).  One matrix within ``errors.MAX_GRID_BYTES`` has
+    d <= 2048."""
+    return 64 * math.prod(shape)
 
 
 # Kept because benchmark tracing looks the eigensolver layer up by this name.
@@ -128,20 +133,16 @@ def transfer_power_average(thetas, weights, alpha, beta, m):
 
 def series_convolve(a, b):
     """Coefficients of the product of two coefficient stacks (na, 3, 3) and
-    (nb, 3, 3): a (3 na, 3) x (3, 3) matrix product per coefficient of ``b``,
-    formed for as many coefficients at once as fit in ``CACHE_BYTES`` and added
-    in coefficient order, so one long product streams through a bounded block.
-    Returns (na + nb - 1, 3, 3)."""
+    (nb, 3, 3): one (3 na, 3) x (3, 3) matrix product per coefficient of
+    ``b``, added in coefficient order, so a long product holds one (na, 3, 3)
+    block at a time.  Returns (na + nb - 1, 3, 3)."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    na, nb = len(a), len(b)
-    out = np.zeros((na + nb - 1, 3, 3), dtype=np.complex128)
+    na = len(a)
+    out = np.zeros((na + len(b) - 1, 3, 3), dtype=np.complex128)
     rows = a.reshape(3 * na, 3)
-    chunk = max(1, CACHE_BYTES // (out.itemsize * 9 * na))
-    for lo in range(0, nb, chunk):
-        products = (rows @ b[lo:lo + chunk]).reshape(-1, na, 3, 3)
-        for j, product in enumerate(products):
-            out[lo + j:lo + j + na] += product
+    for j, coeff in enumerate(b):
+        out[j:j + na] += (rows @ coeff).reshape(na, 3, 3)
     return out
 
 

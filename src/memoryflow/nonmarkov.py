@@ -8,7 +8,10 @@ call builds its filter table with ``openwalk.filter_table`` (one
 ``decoherence_function`` call per spectrum), gathers each step's filtered
 matrices from it by ``openwalk.filter_index``, the one statement of that
 layout, and steps the coin pair as one array over the n + 1 occupied sites of
-step n, the layout every walk route stores.  ``nm_measure`` takes one
+step n, the layout every walk route stores.  Its memory is one count against
+the one budget: each step's stacks are solved in chunks of as many matrices as
+``errors.MAX_GRID_BYTES`` holds ``kernels.eigensolve_bytes``, and a run whose
+last step's one matrix does not fit is refused.  ``nm_measure`` takes one
 trajectory or a (rows, steps + 1) stack, so a command measures all its rows in
 one call, each row with the bits of its own one-trajectory call.
 
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import DomainError, ResourceLimitError
+from . import errors, kernels
+from .errors import DomainError, require_bytes
 from .openwalk import (HERMITICITY_TOL, DephasingFilter, filter_index, filter_table,
                        position_major, strong_limit_filter)
 from .qubit import as_bloch_vector, transfer_map_stack
@@ -39,12 +42,6 @@ DEFAULT_QUBIT_DIRECTION = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
 
 #: fixed walk pair: |L, 0> vs |R, 0>
 DEFAULT_WALK_COINS = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
-
-#: the walk measure's chunk size, not a run budget: bytes one stacked array of
-#: filtered walk matrices may take.  The filters of a step are solved in as
-#: many chunks as this needs, and a step whose one complex matrix would exceed
-#: it cannot be chunked and is refused, so its refusal counts bytes too
-STACK_BYTES = 1 << 24
 
 #: imaginary residue, relative to a filter's largest value, below which a
 #: gauged filter table counts as real; rounding leaves about 2e-15 on the fig4
@@ -158,17 +155,6 @@ def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
     return np.all(np.abs(gauged.imag) <= GAUGE_TOL * scale[:, None], axis=1), gauged.real
 
 
-def require_stack(n_steps: int, field: str = "'steps'") -> None:
-    """Refuse, naming ``field``, a walk measure over ``n_steps`` steps whose
-    last step needs one complex matrix over ``STACK_BYTES``: a filter's
-    matrix is never split across chunks."""
-    dim = 2 * (n_steps + 1)
-    if dim * dim * np.dtype(complex).itemsize > STACK_BYTES:
-        raise ResourceLimitError(
-            f"{field} = {n_steps} needs a {dim} x {dim} complex matrix per filter at the last "
-            f"step, over STACK_BYTES = {STACK_BYTES} bytes")
-
-
 def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
     """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
     coherence filter; ``coins`` holds exactly two coin pairs (c_left, c_right).
@@ -195,16 +181,17 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     makes the filtered matrix unitarily similar to the real symmetric
     r((y - x)/2) times the difference, by the site phases e^(icx/2).  Those
     filters are solved in float64, the others in complex128: per step, one
-    stack per route, in chunks of at most ``STACK_BYTES``.  A run whose last
-    step needs one complex matrix over ``STACK_BYTES`` is refused before any
-    work."""
+    stack per route, in chunks of as many matrices as
+    ``errors.MAX_GRID_BYTES`` holds ``kernels.eigensolve_bytes``, read at call
+    time.  A run whose last step's one eigensolve exceeds the budget is
+    refused before any work."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
     if len(coins) != 2 or any(np.shape(coin) != (2,) for coin in coins):
         raise DomainError("the walk measure needs exactly two coin pairs (c_left, c_right)")
     if not np.all(np.isfinite(coins)):
         raise DomainError("walk coin amplitudes must be finite")
-    require_stack(n_steps)
+    require_bytes(kernels.eigensolve_bytes((2 * (n_steps + 1),) * 2), f"'steps' = {n_steps}")
     out = np.empty((len(filters), n_steps + 1))
     if not filters:
         return out
@@ -235,8 +222,8 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
         pure = v[:, None] * v[None].conj()  # both pure densities, (d, d, 2)
         diff = pure[..., 0] - pure[..., 1]
         step_columns = columns[:len(diff), :len(diff)]
+        chunk = errors.MAX_GRID_BYTES // kernels.eigensolve_bytes(diff.shape)
         for rows, tab in routes:
-            chunk = STACK_BYTES // (diff.size * tab.itemsize)
             for start in range(0, len(rows), chunk):
                 out[rows[start:start + chunk], n] = kernels.trace_distances(
                     tab[start:start + chunk, step_columns] * diff)

@@ -23,11 +23,10 @@ construction against the unitary walk, and the measure check reads the trace
 distances of two traced dilations against the memory measure's route; both
 can fail.
 
-Memory.  The dilation and the dense eigensolver count the bytes a run would
-hold, ``dilation_bytes`` and a fixed multiple of the matrix stack, and are
-refused by ``errors.require_bytes`` against ``errors.MAX_GRID_BYTES`` before
-anything is allocated; there is no cap on steps, environment size or
-dimension as such.
+Memory.  The dilation and every eigensolve count the bytes a run would hold,
+``dilation_bytes`` and ``kernels.eigensolve_bytes``, and are refused by
+``errors.require_bytes`` against ``errors.MAX_GRID_BYTES`` before anything is
+allocated; there is no cap on steps, environment size or dimension as such.
 
 Filter normalization.  After any number of steps, the environment phase
 attached at frequency omega to a branch sitting at site x is
@@ -63,9 +62,10 @@ construction.  A filter whose table is real
 up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum symmetric about a
 centre gives, turns each filtered difference of real coins into a real
 symmetric matrix with the same eigenvalues; those are solved in float64, the
-rest in complex128, one stack per route and step, each in chunks of at most
-``nonmarkov.STACK_BYTES``.  A run whose last step needs one complex matrix
-over ``STACK_BYTES`` (512 steps or more) is refused before any work.
+rest in complex128, one stack per route and step, each in chunks of as many
+matrices as ``errors.MAX_GRID_BYTES`` holds eigensolves.  A run whose last
+step's one eigensolve exceeds the budget (1024 steps or more) is refused
+before any work.
 """
 
 from __future__ import annotations
@@ -359,17 +359,18 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     """Every check of the oracle at one probe point, as ``errors.check``
     entries in report order: the traced dilation against the coherence filter
     for each environment size K in ``n_freqs``, the position distribution of
-    the traced dilation at the first K against the unitary walk's, the trace
-    distances of ``nonmarkov.DEFAULT_WALK_COINS`` from two traced dilations at
-    the first K against ``nonmarkov.walk_trace_distances`` with the same
-    discrete filter, the series engine against quadrature at A = 0 and 1, the
-    Catalan closed forms, the quasi-momentum amplitudes against the
-    recursion, and the eigensolver identities.  Each dilation entry and the
+    the first K's stream, stepped on to ``position_check_steps``, against the
+    unitary walk's, the trace distances of ``nonmarkov.DEFAULT_WALK_COINS``
+    from two traced dilations at the first K against
+    ``nonmarkov.walk_trace_distances`` with the same discrete filter, the
+    series engine against quadrature at A = 0 and 1, the Catalan closed
+    forms, the quasi-momentum amplitudes against the recursion, and the
+    eigensolver identities.  Each dilation entry and the
     measure entry record their K and the step counts they compared, the
     position entry the step counts it sampled, and the engine entry its etas,
     A and largest power m.  Every check runs as asked: the ``oracle`` command
-    refuses, before any of them runs, a dilation over ``errors.MAX_GRID_BYTES``
-    and a measure over ``nonmarkov.STACK_BYTES``."""
+    refuses, before any of them runs, a dilation or a measure eigensolve over
+    ``errors.MAX_GRID_BYTES``."""
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 
@@ -377,30 +378,28 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     states = list(walk_states(coin[0], coin[1], max(max_steps, position_check_steps)))
 
     # traced dilation vs coherence filter, per environment size: each
-    # environment is discretized and stepped once
-    for k in n_freqs:
+    # environment is discretized and stepped once.  Dephasing must not touch
+    # the position distribution: p(x) of the first K's stream, stepped on to
+    # position_check_steps, against the unitary walk's, every third step
+    positions = []
+    for index, k in enumerate(n_freqs):
         deviations = []
+        steps = max(max_steps, position_check_steps) if index == 0 else max_steps
         for n, (dil, omegas, weights) in enumerate(
-                dilation_densities(coin[0], coin[1], max_steps, spectrum, dephasing, k)):
-            flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
-            dev = np.abs(dil.matrix - flt.matrix)
-            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-            deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
+                dilation_densities(coin[0], coin[1], steps, spectrum, dephasing, k)):
+            if n <= max_steps:
+                flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
+                dev = np.abs(dil.matrix - flt.matrix)
+                i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+                deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
+            if index == 0 and n % 3 == 0 and n <= position_check_steps:
+                p_dil = dil.position_distribution()
+                positions += [(abs(p_dil[x] - p), f"n={n}, x={x}")
+                              for x, p in position_distribution(states[n]).items()]
         checks.append(check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
                       | {"K": k, "steps": list(range(max_steps + 1))})
-
-    # dephasing must not touch the position distribution: p(x) of the traced
-    # dilation at the first K against the unitary walk's, every third step
-    deviations = []
-    sampled = list(range(0, position_check_steps + 1, 3))
-    for n, (dil, _, _) in enumerate(dilation_densities(
-            coin[0], coin[1], position_check_steps, spectrum, dephasing, n_freqs[0])):
-        if n % 3 == 0:
-            p_dil = dil.position_distribution()
-            deviations += [(abs(p_dil[x] - p), f"n={n}, x={x}")
-                           for x, p in position_distribution(states[n]).items()]
-    checks.append(check("position_distribution_invariance", largest_deviation(deviations), 1e-12)
-                  | {"steps": sampled})
+    checks.append(check("position_distribution_invariance", largest_deviation(positions), 1e-12)
+                  | {"steps": list(range(0, position_check_steps + 1, 3))})
 
     # the memory measure's route against the paper's construction: trace
     # distances of the default walk pair from two traced dilation streams at
@@ -460,15 +459,14 @@ def _checked_hermitian(matrix) -> np.ndarray:
     have been checked.
 
     The complex copy, its conjugate transpose, their difference and LAPACK's
-    own copy are counted as 64 bytes per entry against
-    ``errors.MAX_GRID_BYTES`` before any of them is made (tracemalloc measures
-    2.0-2.2 x the complex stack's bytes, and 3.1 x for a real input), so one
-    matrix may reach d = 2048.  Finiteness is checked first, so that the
-    Hermiticity arithmetic never meets inf - inf."""
+    own copy are counted by ``kernels.eigensolve_bytes`` against
+    ``errors.MAX_GRID_BYTES`` before any of them is made, so one matrix may
+    reach d = 2048.  Finiteness is checked first, so that the Hermiticity
+    arithmetic never meets inf - inf."""
     shape = np.shape(matrix)
     if len(shape) < 2 or shape[-2] != shape[-1]:
         raise DomainError("matrix must be square")
-    require_bytes(64 * math.prod(shape), f"a matrix stack of shape {shape}")
+    require_bytes(kernels.eigensolve_bytes(shape), f"a matrix stack of shape {shape}")
     H = np.asarray(matrix, dtype=complex)
     if not np.all(np.isfinite(H)):
         raise DomainError("matrix has non-finite entries")

@@ -1,8 +1,9 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, under a
 time limit and on pinned package versions, read as plain text (CI installs no
-YAML parser); and under the project's warning filters a failing test leaves
-the later tests running."""
+YAML parser); under the project's warning filters a failing test leaves the
+later tests running; and the sources, read as text, keep one byte budget."""
 
+import ast
 import json
 import re
 import subprocess
@@ -100,3 +101,29 @@ def test_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "2 failed, 1 passed" in done.stdout
     assert done.returncode == 1
+
+
+def test_sources_keep_one_byte_budget():
+    # every memory cap is errors.require_bytes against MAX_GRID_BYTES: no
+    # module keeps a second *_BYTES constant besides the quadrature engine's
+    # per-node unit, and a ResourceLimitError is raised only by that helper,
+    # the series engine's work cap and the environment's float64 overflow
+    constants, raises = set(), set()
+    for path in sorted((ROOT / "src" / "memoryflow").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                constants |= {f"{path.stem}.{name}" for name in names
+                              if re.fullmatch(r"[A-Z0-9_]*_BYTES", name)}
+            if isinstance(node, ast.Raise) and getattr(
+                    getattr(node.exc, "func", node.exc), "id", None) == "ResourceLimitError":
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                raises.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert constants == {"errors.MAX_GRID_BYTES", "harmonic.QUADRATURE_NODE_BYTES"}
+    assert raises == {"errors.require_bytes", "harmonic._check_powers",
+                      "openwalk.discretize_spectrum"}

@@ -707,13 +707,13 @@ class TestWalkCommand:
                 for x, p in walk.position_distribution(state).items()]
         assert [tuple(r) for r in rows] == want
 
-    @pytest.mark.parametrize("amplitudes,fits", [(False, 1336), (True, 1014)])
+    @pytest.mark.parametrize("amplitudes,fits", [(False, 4728), (True, 3094)])
     def test_output_table_refused_before_walking(self, capsys, tmp_path, monkeypatch,
                                                  amplitudes, fits):
-        # walk_distribution.csv holds (steps + 1)(steps + 2)/2 rows, counted at
-        # the bytes a run holds per row: the largest table within
-        # MAX_GRID_BYTES is accepted, and one step more is refused by name
-        # before --out exists or any step is taken
+        # walk_distribution.csv holds (steps + 1)(steps + 2)/2 rows of 3 values,
+        # or 7 with the amplitudes, counted at 8 bytes a value: the largest
+        # table within MAX_GRID_BYTES is accepted, and one step more is
+        # refused by name before --out exists or any step is taken
         flag = ["--amplitudes"] if amplitudes else []
         assert resolve_config("walk", overrides=[("steps", fits), ("amplitudes", amplitudes)])
         calls = record_calls(monkeypatch, walk.walk_step)
@@ -724,15 +724,22 @@ class TestWalkCommand:
         assert calls == {"walk_step": []}
 
     @pytest.mark.parametrize("amplitudes", [False, True])
-    def test_table_count_covers_the_measured_peak(self, tmp_path, amplitudes):
-        cfg = resolve_config("walk", overrides=[("steps", 300), ("amplitudes", amplitudes)])
+    def test_table_count_covers_the_measured_peak(self, tmp_path, monkeypatch, amplitudes):
+        # the table's count, 8 bytes a value, is the budget that validates it
+        count = 8 * (7 if amplitudes else 3) * 301 * 302 // 2
+        overrides = [("steps", 300), ("amplitudes", amplitudes)]
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
+        with pytest.raises(ResourceLimitError, match="'steps'"):
+            resolve_config("walk", overrides=overrides)
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
+        cfg = resolve_config("walk", overrides=overrides)
         tracemalloc.start()
         try:
             assert cli.cmd_walk(cfg, tmp_path) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli.walk_table_bytes(300, amplitudes)
+        assert peak <= count
 
     def test_each_step_evolved_once(self, tmp_path, monkeypatch):
         calls = []
@@ -869,14 +876,19 @@ class TestOpenWalkNMCommand:
         assert math.isfinite(self.fig4_filter_measure(tmp_path, 127))
 
     def test_step_cap_named(self, tmp_path, capsys, monkeypatch):
-        # 512 steps need one 1026 x 1026 complex matrix per filter at the last
-        # step, over STACK_BYTES: refused by name before any walk or eigensolve
+        # 1024 steps need one 2050 x 2050 eigensolve at the last step, over
+        # MAX_GRID_BYTES: refused by name before --out exists and before any
+        # walk or eigensolve
         calls = record_calls(monkeypatch, walk.walk_step, kernels.hermitian_eigvals)
-        assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(tmp_path),
-                       "--set", "steps=512", "--set", "sweep.count=1",
+        assert resolve_config("open-walk-nm", preset_name="fig4",
+                              overrides=[("steps", 1023), ("sweep.count", 1)])
+        out = tmp_path / "out"
+        assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(out),
+                       "--set", "steps=1024", "--set", "sweep.count=1",
                        "--set", "a_values=[0.0]") == 2
         err = capsys.readouterr().err
-        assert "'steps' = 512" in err and "STACK_BYTES" in err
+        assert "'steps'" in err and "MAX_GRID_BYTES" in err
+        assert not out.exists()
         assert calls == {"walk_step": [], "hermitian_eigvals": []}
 
     @pytest.mark.parametrize("matrices", [0, 1, 3])
@@ -885,16 +897,15 @@ class TestOpenWalkNMCommand:
         stacks = record_calls(monkeypatch, kernels.hermitian_eigvals)["hermitian_eigvals"]
         assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
         unchunked = len(stacks)
-        # room for one complex matrix of the last step, d = 14 (the least the
-        # step cap allows: one complex or two real matrices per chunk), plus
-        # this many real ones
-        budget = 14 * 14 * 16 + matrices * 14 * 14 * 8
-        monkeypatch.setattr(nonmarkov, "STACK_BYTES", budget)
+        # a budget with room for one eigensolve of the last step, d = 14 (the
+        # least the step count allows), plus this many more
+        budget = (1 + matrices) * kernels.eigensolve_bytes((14, 14))
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
         stacks.clear()
         assert run_cli(*argv, "--out", str(tmp_path / "chunked")) == 0
         assert len(stacks) > unchunked  # several chunks per step
         assert {stack.dtype for stack, in stacks} == {np.dtype(float), np.dtype(complex)}
-        assert all(stack.nbytes <= budget for stack, in stacks)
+        assert all(kernels.eigensolve_bytes(stack.shape) <= budget for stack, in stacks)
         assert ((tmp_path / "chunked" / "open_walk_nm.csv").read_bytes()
                 == (tmp_path / "one" / "open_walk_nm.csv").read_bytes())
 
@@ -929,11 +940,11 @@ class TestOracleCommand:
                              walk.walk_step)
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         opts = resolve_config("oracle")["oracle"]
-        # each environment is discretized and stepped once, the first once
-        # more for the position check and once per coin of the measure check,
-        # and the walk once (plus one walk per coin of the integral check)
+        # each environment is discretized and stepped once, the first, which
+        # the position check reads too, once more per coin of the measure
+        # check, and the walk once (plus one walk per coin of the integral check)
         assert [args[1] for args in calls["discretize_spectrum"]] \
-            == opts["n_freqs"] + opts["n_freqs"][:1] * 3
+            == opts["n_freqs"] + opts["n_freqs"][:1] * 2
         assert len(calls["walk_step"]) == max(opts["max_steps"], opts["position_check_steps"]) \
             + 2 * opts["walk_steps"]
         for name in ("dilation_oracle", "open_walk_evolve", "walk_evolve", "walk_run"):
@@ -1022,10 +1033,7 @@ class TestOracleCommand:
     ])
     def test_dilation_refused_before_stepping(self, capsys, tmp_path, monkeypatch, field, n_freqs):
         # the largest run within MAX_GRID_BYTES at K = 64 validates; one step
-        # more exits 2 naming both fields before --out exists or any step.
-        # With the walk measure's chunk unbounded, the dilation's count alone
-        # bounds 'oracle.max_steps' (see test_measure_refused_before_stepping)
-        monkeypatch.setattr(nonmarkov, "STACK_BYTES", 1 << 40)
+        # more exits 2 naming both fields before --out exists or any step
         fits = max(n for n in range(1000) if openwalk.dilation_bytes(n, 64) <= errors.MAX_GRID_BYTES)
         assert resolve_config("oracle", overrides=[("oracle.n_freqs", json.loads(n_freqs)),
                                                    (field, fits)])
@@ -1039,18 +1047,21 @@ class TestOracleCommand:
         assert calls == {"coin_shift": []}
 
     def test_measure_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
-        # measure_vs_dilation runs the walk measure over 'oracle.max_steps', so
-        # the measure's one-matrix refusal bounds it: 511 steps validate at
-        # K = 64, and 512 exit 2 by name before --out exists or any step
-        assert resolve_config("oracle", overrides=[("oracle.n_freqs", [8, 64]),
-                                                   ("oracle.max_steps", 511)])
+        # measure_vs_dilation runs the walk measure over 'oracle.max_steps',
+        # whose eigensolve count reaches 1023 steps, so the dilation's count
+        # alone bounds the field: the edge at each K validates, and one step
+        # more exits 2 by name before --out exists or any step
         calls = record_calls(monkeypatch, kernels.coin_shift)
-        out = tmp_path / "out"
-        assert run_cli("oracle", "--out", str(out), "--set", "oracle.max_steps=512",
-                       "--set", "oracle.n_freqs=[8,64]") == 2
-        err = capsys.readouterr().err
-        assert "'oracle.max_steps' = 512" in err and "STACK_BYTES" in err
-        assert not out.exists()
+        for k, fits in ((8, 645), (32, 641), (64, 637)):
+            assert resolve_config("oracle", overrides=[("oracle.n_freqs", [k]),
+                                                       ("oracle.max_steps", fits)])
+            assert kernels.eigensolve_bytes((2 * (fits + 2),) * 2) <= errors.MAX_GRID_BYTES
+            out = tmp_path / f"K{k}"
+            assert run_cli("oracle", "--out", str(out), "--set", f"oracle.max_steps={fits + 1}",
+                           "--set", f"oracle.n_freqs=[{k}]") == 2
+            err = capsys.readouterr().err
+            assert "'oracle.max_steps' x 'oracle.n_freqs'" in err and "MAX_GRID_BYTES" in err
+            assert not out.exists()
         assert calls == {"coin_shift": []}
 
     def test_measure_check_reads_the_measure_route(self, tmp_path, monkeypatch):
@@ -1071,13 +1082,14 @@ class TestOracleCommand:
         assert failed["max_dev"] > 1e-6
 
     def test_position_check_reads_the_dilation(self, tmp_path, monkeypatch):
-        # p(x) comes from the traced dilation at the first K: weight moved
-        # between two sites of the position stream fails that check alone
+        # p(x) comes from the first K's dilation stream, stepped on past
+        # max_steps: weight moved between two sites at a step only the
+        # position check reads fails that check alone
         original = openwalk.dilation_densities
 
         def moved(c_left, c_right, steps, *args):
             for rho, omegas, weights in original(c_left, c_right, steps, *args):
-                if steps == 7 and rho.steps == 3:
+                if steps == 7 and rho.steps == 6:
                     rho.matrix[0, 0] += 2e-6
                     rho.matrix[2, 2] -= 1e-6
                     rho.matrix[4, 4] -= 1e-6
@@ -1089,7 +1101,7 @@ class TestOracleCommand:
         report = read_strict_json(tmp_path / "oracle_report.json")
         (failed,) = [c for c in report["checks"] if not c["pass"]]
         assert failed["name"] == "position_distribution_invariance"
-        assert failed["location"] == "n=3, x=-3"
+        assert failed["location"] == "n=6, x=-6"
         assert failed["max_dev"] == pytest.approx(2e-6, rel=1e-6)
 
     def test_entries_record_what_they_covered(self, tmp_path):
@@ -1222,7 +1234,7 @@ class TestCsvFormat:
             np.array([False, True, True]),
             ["filter", "strong_limit", ""],
         ]
-        cli.write_csv(tmp_path / "mix.csv", list("abcdefghi"), columns)
+        cli.write_csv(tmp_path / "mix.csv", list("abcdefghi"), [columns])
         assert (tmp_path / "mix.csv").read_bytes() == (
             b"a,b,c,d,e,f,g,h,i\n"
             b"0,-3,0.1,0.1,0.0,0.0,true,false,filter\n"
@@ -1235,12 +1247,22 @@ class TestCsvFormat:
     def test_columns_match_row_by_row_reference(self, tmp_path_factory, columns):
         path = tmp_path_factory.getbasetemp() / "any.csv"  # rewritten by each example
         header = [f"c{i}" for i in range(len(columns))]
-        cli.write_csv(path, header, columns)
+        cli.write_csv(path, header, [columns])
+        assert path.read_bytes() == reference_csv(header, columns)
+
+    @given(columns=csv_columns(), cut=st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_write_the_rows_of_one_block(self, tmp_path_factory, columns, cut):
+        # a table streamed as two blocks, either of them possibly empty, is
+        # the table written as one
+        path = tmp_path_factory.getbasetemp() / "blocks.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        cli.write_csv(path, header, [[c[:cut] for c in columns], [c[cut:] for c in columns]])
         assert path.read_bytes() == reference_csv(header, columns)
 
     def test_unequal_columns_refused(self, tmp_path):
         with pytest.raises(ValueError):
-            cli.write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [1.0]])
+            cli.write_csv(tmp_path / "bad.csv", ["a", "b"], [[[1, 2], [1.0]]])
 
 
 def csv_table(path: Path):

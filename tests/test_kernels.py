@@ -158,16 +158,17 @@ class TestSeriesConvolve:
 
         assert np.allclose(kernels.series_convolve(a, b), want, atol=1e-13)
 
-    def test_chunks_keep_bits(self, monkeypatch):
-        # a product formed a few coefficients at a time has the bits of one
-        # formed in a single block
+    def test_bits_of_one_block_product(self):
+        # one (3 na, 3) x (3, 3) product per coefficient of b has the bits of
+        # one (3 na, 3) x (nb, 3, 3) block product, added in coefficient order
         rng = np.random.default_rng(17)
-        a = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
-        b = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
-        whole = kernels.series_convolve(a, b)
-        assert whole.shape == (10, 3, 3)
-        monkeypatch.setattr(kernels, "CACHE_BYTES", 2 * 6 * 144)
-        assert kernels.series_convolve(a, b).tobytes() == whole.tobytes()
+        for na, nb in ((5, 3), (201, 3), (2049, 3), (40, 40), (300, 257)):
+            a = rng.normal(size=(na, 3, 3)) + 1j * rng.normal(size=(na, 3, 3))
+            b = rng.normal(size=(nb, 3, 3)) + 1j * rng.normal(size=(nb, 3, 3))
+            want = np.zeros((na + nb - 1, 3, 3), dtype=complex)
+            for j, product in enumerate((a.reshape(3 * na, 3) @ b).reshape(nb, na, 3, 3)):
+                want[j:j + na] += product
+            assert kernels.series_convolve(a, b).tobytes() == want.tobytes(), (na, nb)
 
 
 class TestWalkRun:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from memoryflow import kernels, nonmarkov
+from memoryflow import errors, kernels, nonmarkov
 from memoryflow.errors import DomainError, ResourceLimitError
 from memoryflow.nonmarkov import (
     TraceDistanceSeries,
@@ -348,19 +349,43 @@ class TestWalkTraceDistances:
                                  ((math.nan, 0.0), (0.0, 1.0)))
         assert stacks == []
 
-    def test_step_cap_is_one_complex_matrix_in_stack_bytes(self, monkeypatch):
-        # room for one 14 x 14 complex matrix: 6 steps run, 7 are refused
-        monkeypatch.setattr(nonmarkov, "STACK_BYTES", 14 * 14 * 16)
+    def test_step_cap_is_one_eigensolve_in_the_budget(self, monkeypatch):
+        # a budget with room for one 14 x 14 eigensolve: 6 steps run, the
+        # last one matrix per chunk, and 7 are refused before any eigensolve
+        budget = kernels.eigensolve_bytes((14, 14))
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
         filters = [DephasingFilter(spectrum(0.5), dephasing()),
                    DephasingFilter(spectrum(0.0), dephasing())]
         stacks = self.solved_stacks(monkeypatch)
         assert walk_trace_distances(filters, 6).shape == (2, 7)
-        assert all(np.dtype(dtype).itemsize * np.prod(shape) <= 14 * 14 * 16
-                   for dtype, shape in stacks)
+        assert all(kernels.eigensolve_bytes(shape) <= budget for _, shape in stacks)
+        assert stacks[-1][1] == (1, 14, 14)
         stacks.clear()
-        with pytest.raises(ResourceLimitError, match="'steps' = 7"):
+        with pytest.raises(ResourceLimitError, match="'steps' = 7.*MAX_GRID_BYTES"):
             walk_trace_distances(filters, 7)
         assert stacks == []
+
+    def test_chunked_peak_stays_within_the_budget(self, monkeypatch):
+        # twelve fig4-style filters over 20 steps hold more than a budget of
+        # three last-step eigensolves in one chunk; chunked to that budget
+        # the run's peak stays within it, with the same bits
+        filters = [DephasingFilter(spectrum(a), dephasing(t))
+                   for a in (0.0, 0.5, 1.0) for t in (0.3, 0.5, 1.0, 1.7)]
+        budget = 3 * kernels.eigensolve_bytes((42, 42))
+
+        def traced():
+            tracemalloc.start()
+            try:
+                return walk_trace_distances(filters, 20), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, peak = traced()
+        assert peak > budget
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
+        chunked, peak = traced()
+        assert peak <= budget
+        assert chunked.tobytes() == whole.tobytes()
 
 
 _parts = st.floats(-1.0, 1.0, allow_nan=False)
@@ -411,6 +436,33 @@ class TestWalkRoutesAgree:
                             coin1=coins[0], coin2=coins[1])
         want = dense_distances(coins, strong_limit_filter, n_steps)
         assert np.max(np.abs(series.values - want)) < 1e-12
+
+
+class TestStrongLimitBound:
+    """The strong-dephasing limit as a bound, step by step.  A filter's
+    difference F o Delta and the strong limit's S o Delta differ by G o Delta,
+    where G holds f(y - x) off the diagonal site blocks and 0 on them.  G is
+    an (n + 1)-square site matrix spread over the 2x2 coin blocks, so it has
+    rank at most n + 1, and its entries are at most eps_n, the largest |f(d)|
+    over 0 < |d| <= 2n.  For a unit vector v, ||G o v v^H||_F <= eps_n, so
+    ||G o v v^H||_1 <= sqrt(n + 1) eps_n, and with Delta = v1 v1^H - v2 v2^H,
+    |D_f(n) - D_S(n)| <= ||G o Delta||_1 / 2 <= sqrt(n + 1) eps_n, up to the
+    rounding of two eigensolves of dimension 2(n + 1)."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(a=st.floats(0.0, 1.0), sigma=st.floats(0.3, 3.0), mu1=st.floats(5.0, 20.0),
+           delta_omega=st.floats(2.0, 12.0), time=st.floats(0.05, 8.3),
+           n_steps=st.integers(1, 39))
+    def test_filter_within_its_coherence_of_the_strong_limit(self, a, sigma, mu1, delta_omega,
+                                                            time, n_steps):
+        # a fig4-style filter: interaction time v gives the step v 2 pi / (delta_omega delta_n)
+        config = DephasingConfig(0.009, time * 2.0 * math.pi / (delta_omega * 0.009))
+        flt = DephasingFilter(SpectrumParams(a, sigma, mu1, delta_omega), config)
+        d_f, d_s = walk_trace_distances([flt, strong_limit_filter], n_steps)
+        eps = np.maximum.accumulate(np.abs(flt(2 * np.arange(n_steps + 1))[1:]))
+        n = np.arange(n_steps + 1)
+        bound = np.sqrt(n + 1) * np.concatenate([[0.0], eps]) + 8 * (n + 1) * 2.0 ** -52
+        assert np.all(np.abs(d_f - d_s) <= bound)
 
 
 def toeplitz_filter(values):
