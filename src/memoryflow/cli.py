@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, harmonic, kernels
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, require_bytes
-from .nonmarkov import bloch_trace_distances, nm_measure, walk_trace_distances
+from .nonmarkov import bloch_trace_distances, nm_measure, walk_measure_bytes, walk_trace_distances
 from .openwalk import DephasingFilter, dilation_bytes, oracle_checks, strong_limit_filter
 from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL, transfer_map_stack
@@ -277,10 +277,16 @@ def validate_config(command: str, cfg: dict) -> None:
         grids = {"'t_grid.max_revivals' x 't_grid.points_per_revival'":
                  8 * (t_grid["max_revivals"] * t_grid["points_per_revival"] + 1),
                  "'omega_grid.count'": 8 * cfg["omega_grid"]["count"]}
+    if command in ("controlled-qubit", "strong-limit-error"):
+        # the largest series_map_stacks call, with its one table on the series
+        # engine; the quadrature engine's nodes, 8 panels of 2 steps + 8 or
+        # more per eta, exceed it and are counted where they are built
+        grids = {"'steps' x 'eta_values'": harmonic.series_map_bytes(
+            len(cfg["eta_values"]), cfg["steps"], int(cfg["engine"] == "series"))}
     if command == "open-walk-nm":
         grids = {"'sweep.count' x 'a_values' x 'steps'":
                  8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1),
-                 "'steps'": kernels.eigensolve_bytes((2 * (cfg["steps"] + 1),) * 2)}
+                 "'steps'": walk_measure_bytes(cfg["steps"])}
     if command == "walk":
         if cfg["check_integrals"]:
             grids["'integral_check_cap' (at most 'steps')"] = \
@@ -297,8 +303,7 @@ def validate_config(command: str, cfg: dict) -> None:
                  "'oracle.position_check_steps' x 'oracle.n_freqs'":
                  dilation_bytes(opts["position_check_steps"], opts["n_freqs"][0]),
                  # measure_vs_dilation runs the walk measure over 'oracle.max_steps'
-                 "'oracle.max_steps'":
-                 kernels.eigensolve_bytes((2 * (opts["max_steps"] + 1),) * 2)}
+                 "'oracle.max_steps'": walk_measure_bytes(opts["max_steps"])}
     for fields, size in grids.items():
         require_bytes(size, fields)
 

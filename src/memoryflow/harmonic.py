@@ -13,8 +13,8 @@ three are weighted sums of M(theta)^m over nodes, walked by one kernel,
   themselves, as an independent reference.
 - quadrature engine: direct per-period composite Gauss-Legendre integration
   of the highly oscillatory integrand; ``quadrature_maps`` walks
-  P <- P M(theta) once over the nodes of the largest order a run needs and
-  averages every power on the way.
+  P <- P M(theta) for every eta once over the nodes of the largest order a
+  run needs and averages every power on the way.
 - strong-dephasing limit: the zeroth Fourier coefficient, i.e. the average of
   M(theta)^m over a single period: the period nodes with equal weights.  For
   the balanced control (eta = 1/2) this has a closed form built from
@@ -39,12 +39,13 @@ from .spectra import DephasingConfig, SpectrumParams, decoherence_function, spec
 #: memory grows linearly with the degree, its time quadratically
 SERIES_DEGREE_CAP = 4096
 
-#: bytes the quadrature engine holds per node: the nodes, their phases and
-#: weights, cos and sin, and three node-last 3x3 float64 matrices in
+#: bytes a qubit engine holds per node and eta: the nodes, their phases and
+#: weights, cos and sin, and three node-last 3x3 float64 matrices per eta in
 #: ``kernels.transfer_power_average`` (M, the running power and its next
 #: value), 32 float64 in all.  tracemalloc measures 256 B per node over a whole
-#: ``quadrature_maps`` call at 4 000-250 000 nodes; counted with 4 float64 to spare
-QUADRATURE_NODE_BYTES = 288
+#: one-eta ``quadrature_maps`` call at 4 000-250 000 nodes; counted with 4
+#: float64 to spare.  ``series_map_bytes`` counts the series engine in it too
+NODE_BYTES = 288
 
 #: required agreement between the series and quadrature engines
 ENGINE_AGREEMENT_TOL = 1e-8
@@ -218,6 +219,16 @@ def _period_nodes(steps: int, tables) -> tuple[np.ndarray, np.ndarray]:
     return thetas, weights
 
 
+def series_map_bytes(etas: int, steps: int, tables: int) -> int:
+    """Bytes ``series_map_stacks`` holds for ``etas`` controls, m = 0..steps and
+    ``tables`` (spectrum, step) pairs, at ``NODE_BYTES`` per node and eta: the
+    walk over the 2 steps + 1 period nodes, and the (tables + 1) averaged maps
+    of every power counted as one node each.  tracemalloc measures 0.45-0.59
+    of it at 50-200 etas and 512-4096 steps (14.9 MB at 50 x 512 with one
+    table, 103.4 MB at 200 x 1024 without)."""
+    return NODE_BYTES * etas * (2 * steps + 1 + (steps + 1) * (tables + 1))
+
+
 def series_map_stacks(etas, steps: int, tables=()):
     """Exact spectrum-averaged maps and single-period averages for every
     control in ``etas`` and m = 0..steps: the maps of every (spectrum, step)
@@ -232,12 +243,16 @@ def series_map_stacks(etas, steps: int, tables=()):
     table.  The m = 0 maps, which the weights give up to rounding, are set to
     the identity.  Every eta keeps the bits of its own one-eta call, and both
     stacks are contiguous, so ``maps @ r0`` takes one loop stacked or alone.
+    A run whose ``series_map_bytes`` exceed ``errors.MAX_GRID_BYTES`` is
+    refused before any table is built.
     """
     controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
     if len(controls) == 0:
         raise DomainError("series_map_stacks needs at least one eta")
     _check_powers(steps, 1)
     tables = list(tables)
+    require_bytes(series_map_bytes(len(controls), steps, len(tables)),
+                  f"{steps} steps x {len(controls)} etas x {len(tables)} tables")
     thetas, weights = _period_nodes(steps, tables)
     stacks = kernels.transfer_power_average(thetas, weights, controls[:, 0], controls[:, 1], steps)
     stacks = np.ascontiguousarray(stacks.transpose(1, 2, 0, 3, 4))
@@ -247,18 +262,19 @@ def series_map_stacks(etas, steps: int, tables=()):
     return stacks[:-1], stacks[-1]
 
 
-def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int):
+def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int, etas: int):
     """Composite Gauss-Legendre grid over the spectral support.
 
     The support [mu1 - 8 sigma, mu2 + 8 sigma] is cut into one interval per
     period of the transfer matrix (the integrand oscillates with up to m full
     cycles per period), and any interval longer than two sigma is subdivided
     so the Gaussian factor is always well resolved.  The nodes are counted at
-    ``QUADRATURE_NODE_BYTES`` each against ``errors.MAX_GRID_BYTES``, with the
-    panel counts kept as floats until ``errors.require_bytes`` has passed them:
-    an extreme spectrum makes them infinite or too large for an int.  A
-    support within the budget whose panel midpoints (the sum of two edges) or
-    phases delta_n delta_t omega overflow is refused by name.
+    ``NODE_BYTES`` per node and eta walked on them against
+    ``errors.MAX_GRID_BYTES``, with the panel counts kept as floats until
+    ``errors.require_bytes`` has passed them: an extreme spectrum makes them
+    infinite or too large for an int.  A support within the budget whose panel
+    midpoints (the sum of two edges) or phases delta_n delta_t omega overflow
+    is refused by name.
     """
     lo = spectrum.mu1 - 8.0 * spectrum.sigma
     hi = spectrum.mu2 + 8.0 * spectrum.sigma
@@ -268,9 +284,9 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
     per_len = width / n_periods
     sub = max(1.0, float(np.ceil(per_len / (2.0 * spectrum.sigma))))
     panels = n_periods * sub
-    require_bytes(QUADRATURE_NODE_BYTES * panels * order,
+    require_bytes(NODE_BYTES * panels * order * etas,
                   f"the quadrature support of the spectrum and step ({panels:.6g} panels x "
-                  f"order {order})")
+                  f"order {order} x {etas} etas)")
     scale = config.index_contrast * config.step_duration
     if not all(math.isfinite(v) for v in (lo + lo, hi + hi, scale * lo, scale * hi)):
         raise DomainError(
@@ -282,38 +298,41 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
 
 
 def quadrature_maps(
-    eta: float, steps: int, spectrum: SpectrumParams, config: DephasingConfig
+    etas, steps: int, spectrum: SpectrumParams, config: DephasingConfig
 ) -> np.ndarray:
-    """Maps for m = 0..steps by direct oscillatory quadrature of the spectral
-    average, shape (steps + 1, 3, 3): the quadrature counterpart of
-    ``series_powers``.
+    """Maps for every control in ``etas`` and m = 0..steps by direct
+    oscillatory quadrature of the spectral average, (etas, steps + 1, 3, 3):
+    the quadrature counterpart of ``series_map_stacks``.
 
     Gauss-Legendre order max(16, 2 steps + 8) per panel: the integrand of the
     m-th map carries harmonics up to degree m per period, and an n-point rule
     resolves them superexponentially once n exceeds about pi m / 2.  The
-    order the largest power needs serves every power, and one walk
-    P <- P M over its nodes yields them all.  The m = 0 entry is the
-    quadrature of the spectral density alone, 1 up to the rule's error.
-    A spectrum whose decoherence phase overflows over the run is refused
-    before any node is built, by the same error as on the series engine.
+    order the largest power needs serves every power, and one walk P <- P M
+    over its nodes yields them all, each eta with the bits of its own call.
+    The m = 0 entry is the quadrature of the spectral density alone, 1 up to
+    the rule's error.  A spectrum whose decoherence phase overflows over the
+    run is refused before any node is built, as on the series engine.
     """
     if steps < 0:
         raise DomainError("steps must be non-negative")
-    alpha, beta = control_alpha_beta(eta)
+    controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
+    if len(controls) == 0:
+        raise DomainError("quadrature_maps needs at least one eta")
     decoherence_function(spectrum, config.index_contrast, steps * config.step_duration)
     order = max(16, 2 * steps + 8)
-    nodes, weights = _quadrature_nodes(spectrum, config, order)
+    nodes, weights = _quadrature_nodes(spectrum, config, order, len(controls))
     thetas = config.index_contrast * config.step_duration * nodes
     weights = weights * spectral_density(spectrum, nodes)
-    return kernels.transfer_power_average(thetas, weights, alpha, beta, steps)
+    maps = kernels.transfer_power_average(thetas, weights, controls[:, 0], controls[:, 1], steps)
+    return np.ascontiguousarray(maps.swapaxes(0, 1))
 
 
 def quadrature_map(
     eta: float, m: int, spectrum: SpectrumParams, config: DephasingConfig
 ) -> np.ndarray:
     """m-step map by direct oscillatory quadrature: the last of
-    ``quadrature_maps(eta, m, ...)``, at order max(16, 2m + 8)."""
-    return quadrature_maps(eta, m, spectrum, config)[m]
+    ``quadrature_maps((eta,), m, ...)``, at order max(16, 2m + 8)."""
+    return quadrature_maps((eta,), m, spectrum, config)[0, m]
 
 
 def strong_limit_map(eta: float, m: int) -> np.ndarray:
@@ -435,22 +454,18 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
 def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, configs,
                               engine: str = "series") -> np.ndarray:
     """``approximation_error`` for every dephasing step in ``configs``, control
-    in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1), from one
-    ``series_map_stacks`` call and one stacked channel distance.  The
-    quadrature engine takes its exact maps from one ``transfer_map_stack``
-    call per step, so its m = 0 maps are the identity, as on the series
-    engine."""
+    in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1): the exact
+    maps of one ``transfer_map_stack`` call per step, whose m = 0 maps are the
+    identity on either engine, against one ``series_map_stacks`` call's
+    single-period averages, in one stacked channel distance.  The averages are
+    the strong limit itself, so that engine is refused as unknown."""
     if len(configs) == 0:
         raise DomainError("approximation_error_stack needs at least one dephasing step")
-    if engine == "series":
-        exact, averages = series_map_stacks(etas, steps, [(spectrum, config) for config in configs])
-    elif engine == "quadrature":
-        exact = np.array([transfer_map_stack(spectrum, config, etas, steps, engine)
-                          for config in configs])
-        averages = series_map_stacks(etas, steps)[1]
-    else:
+    if engine == "strong-limit":
         raise DomainError(f"unknown engine {engine!r}")
-    return channel_distance(exact, averages)
+    exact = np.array([transfer_map_stack(spectrum, config, etas, steps, engine)
+                      for config in configs])
+    return channel_distance(exact, series_map_stacks(etas, steps)[1])
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,

@@ -9,11 +9,13 @@ call builds its filter table with ``openwalk.filter_table`` (one
 matrices from it by ``openwalk.filter_index``, the one statement of that
 layout, and steps the coin pair as one array over the n + 1 occupied sites of
 step n, the layout every walk route stores.  Its memory is one count against
-the one budget: each step's stacks are solved in chunks of as many matrices as
-``errors.MAX_GRID_BYTES`` holds ``kernels.eigensolve_bytes``, and a run whose
-last step's one matrix does not fit is refused.  ``nm_measure`` takes one
-trajectory or a (rows, steps + 1) stack, so a command measures all its rows in
-one call, each row with the bits of its own one-trajectory call.
+the one budget, ``walk_measure_bytes``: each step's stacks are solved in
+chunks of as many matrices as ``errors.MAX_GRID_BYTES`` holds
+``kernels.eigensolve_bytes``, less one for the step's own arrays, and a run
+whose last step does not fit two matrices (724 steps or more) is refused.
+``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, so a command
+measures all its rows in one call, each row with the bits of its own
+one-trajectory call.
 
 The measure is evaluated for a fixed initial pair (the default pairs match
 the reference parameter sets).
@@ -155,6 +157,15 @@ def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
     return np.all(np.abs(gauged.imag) <= GAUGE_TOL * scale[:, None], axis=1), gauged.real
 
 
+def walk_measure_bytes(n_steps: int) -> int:
+    """Bytes ``walk_trace_distances`` over ``n_steps`` steps holds at its last
+    step in the fewest chunks: ``kernels.eigensolve_bytes`` of one
+    2(n_steps + 1)-square matrix, and of one more for the step's own arrays
+    (both pure densities, their difference and the gather index, at most 56 B
+    an entry).  One step's chunks fill the budget less that one more matrix."""
+    return kernels.eigensolve_bytes((2, 2 * (n_steps + 1), 2 * (n_steps + 1)))
+
+
 def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
     """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
     coherence filter; ``coins`` holds exactly two coin pairs (c_left, c_right).
@@ -183,15 +194,15 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     filters are solved in float64, the others in complex128: per step, one
     stack per route, in chunks of as many matrices as
     ``errors.MAX_GRID_BYTES`` holds ``kernels.eigensolve_bytes``, read at call
-    time.  A run whose last step's one eigensolve exceeds the budget is
-    refused before any work."""
+    time, less one for the step's own arrays.  A run whose
+    ``walk_measure_bytes`` exceed the budget is refused before any work."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
     if len(coins) != 2 or any(np.shape(coin) != (2,) for coin in coins):
         raise DomainError("the walk measure needs exactly two coin pairs (c_left, c_right)")
     if not np.all(np.isfinite(coins)):
         raise DomainError("walk coin amplitudes must be finite")
-    require_bytes(kernels.eigensolve_bytes((2 * (n_steps + 1),) * 2), f"'steps' = {n_steps}")
+    require_bytes(walk_measure_bytes(n_steps), f"'steps' = {n_steps}")
     out = np.empty((len(filters), n_steps + 1))
     if not filters:
         return out
@@ -222,7 +233,7 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
         pure = v[:, None] * v[None].conj()  # both pure densities, (d, d, 2)
         diff = pure[..., 0] - pure[..., 1]
         step_columns = columns[:len(diff), :len(diff)]
-        chunk = errors.MAX_GRID_BYTES // kernels.eigensolve_bytes(diff.shape)
+        chunk = errors.MAX_GRID_BYTES // kernels.eigensolve_bytes(diff.shape) - 1
         for rows, tab in routes:
             for start in range(0, len(rows), chunk):
                 out[rows[start:start + chunk], n] = kernels.trace_distances(

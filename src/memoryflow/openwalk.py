@@ -63,9 +63,9 @@ up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum symmetric about a
 centre gives, turns each filtered difference of real coins into a real
 symmetric matrix with the same eigenvalues; those are solved in float64, the
 rest in complex128, one stack per route and step, each in chunks of as many
-matrices as ``errors.MAX_GRID_BYTES`` holds eigensolves.  A run whose last
-step's one eigensolve exceeds the budget (1024 steps or more) is refused
-before any work.
+matrices as ``errors.MAX_GRID_BYTES`` holds eigensolves, less one for the
+step's own arrays.  A run whose last step does not fit two eigensolves (724
+steps or more) is refused before any work.
 """
 
 from __future__ import annotations
@@ -423,13 +423,11 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     etas = (0.0, 0.5, 1.0)
     series = harmonic.series_map_stacks(
         etas, engine_max_power, [(spec_a, dephasing) for spec_a in spectra_a.values()])[0]
-    deviations = []
-    for e, eta in enumerate(etas):
-        devs = {a: np.max(np.abs(series[t, e] - harmonic.quadrature_maps(
-            eta, engine_max_power, spec_a, dephasing)), axis=(1, 2)).tolist()
-            for t, (a, spec_a) in enumerate(spectra_a.items())}
-        deviations += [(devs[a][m], f"eta={eta}, m={m}, A={a}")
-                       for m in range(engine_max_power + 1) for a in spectra_a]
+    quadrature = np.array([harmonic.quadrature_maps(etas, engine_max_power, spec_a, dephasing)
+                           for spec_a in spectra_a.values()])
+    devs = np.max(np.abs(series - quadrature), axis=(-2, -1)).tolist()
+    deviations = [(devs[t][e][m], f"eta={eta}, m={m}, A={a}") for e, eta in enumerate(etas)
+                  for m in range(engine_max_power + 1) for t, a in enumerate(spectra_a)]
     checks.append(check("series_vs_quadrature", largest_deviation(deviations),
                         harmonic.ENGINE_AGREEMENT_TOL)
                   | {"etas": list(etas), "A": list(spectra_a), "m": engine_max_power})

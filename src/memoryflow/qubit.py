@@ -123,17 +123,17 @@ def transfer_map_stack(
 
     engine: "series" (exact Fourier-coefficient evaluation, default),
     "quadrature" (per-period oscillatory quadrature cross-check), or
-    "strong-limit" (single-period average, no spectrum dependence).  The
-    series and strong-limit engines average every eta in one
-    ``harmonic.series_map_stacks`` call; the quadrature engine walks the
-    nodes once per eta.
+    "strong-limit" (single-period average, no spectrum dependence).  This is
+    the one place an engine is chosen.  Each engine averages every eta in one
+    call: ``harmonic.series_map_stacks`` for the series and strong-limit
+    engines, ``harmonic.quadrature_maps`` for the quadrature engine.
     """
     from . import harmonic  # deferred to avoid an import cycle
 
     if steps < 0 or len(etas) == 0:
         raise DomainError("transfer_map_stack needs non-negative steps and at least one eta")
     if engine == "quadrature":
-        maps = np.array([harmonic.quadrature_maps(eta, steps, spectrum, config) for eta in etas])
+        maps = harmonic.quadrature_maps(etas, steps, spectrum, config)
         maps[:, 0] = np.eye(3)  # exact, not the quadrature of the density
         return maps
     if engine == "series":

@@ -124,6 +124,27 @@ def test_sources_keep_one_byte_budget():
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
                 raises.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
-    assert constants == {"errors.MAX_GRID_BYTES", "harmonic.QUADRATURE_NODE_BYTES"}
+    assert constants == {"errors.MAX_GRID_BYTES", "harmonic.NODE_BYTES"}
     assert raises == {"errors.require_bytes", "harmonic._check_powers",
                       "openwalk.discretize_spectrum"}
+
+
+def test_sources_keep_one_engine_switch():
+    # qubit.transfer_map_stack alone picks a qubit engine: outside cli.py,
+    # which validates the field, no other function compares with "series" or
+    # "quadrature" (approximation_error_stack may refuse "strong-limit")
+    switches = set()
+    for path in sorted((ROOT / "src" / "memoryflow").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(leaf, ast.Constant) and leaf.value in ("series", "quadrature")
+                    for side in [node.left, *node.comparators] for leaf in ast.walk(side)):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                switches.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert switches == {"qubit.transfer_map_stack"}

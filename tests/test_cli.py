@@ -231,6 +231,39 @@ class TestConfigResolution:
         # without the check, the cap sizes nothing
         assert resolve_config("walk", overrides=[("steps", 1000), ("integral_check_cap", 10 ** 6)])
 
+    @pytest.mark.parametrize("argv,tables", [
+        (["controlled-qubit", "--preset", "fig2"], 1),
+        (["controlled-qubit", "--preset", "fig2", "--engine", "strong-limit"], 0),
+        (["controlled-qubit", "--preset", "fig3", "--engine", "quadrature"], 0),
+        (["strong-limit-error", "--preset", "fig5"], 1),
+        (["strong-limit-error", "--preset", "fig5", "--engine", "quadrature"], 0),
+    ])
+    def test_series_walk_refused_before_out(self, capsys, tmp_path, monkeypatch, argv, tables):
+        # the largest series_map_stacks call, its walk and its maps, is
+        # counted while the config is resolved: one byte short of it exits 2
+        # by name before --out exists or any map is made
+        preset = PRESETS[argv[2]]
+        count = harmonic.series_map_bytes(len(preset["eta_values"]), preset["steps"], tables)
+        calls = record_calls(monkeypatch, harmonic.series_map_stacks, harmonic.quadrature_maps)
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "'steps' x 'eta_values'" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == {"series_map_stacks": [], "quadrature_maps": []}
+        if "quadrature" not in argv:  # the quadrature nodes need more
+            monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
+            assert run_cli(*argv, "--out", str(out)) == 0
+
+    def test_many_etas_refused_at_the_budget(self, capsys, tmp_path):
+        # 1000 controls over 1024 steps would hold about 1.2 GB of series walk
+        etas = json.dumps([i / 999 for i in range(1000)])
+        out = tmp_path / "out"
+        assert run_cli("controlled-qubit", "--preset", "fig2", "--set", "steps=1024",
+                       "--set", f"eta_values={etas}", "--out", str(out)) == 2
+        assert "'steps' x 'eta_values'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,message", [
         # the oracle's first check, the dilation, meets the overflowing
         # environment frequencies before the quadrature check runs
@@ -585,19 +618,17 @@ class TestControlledQubitCommand:
                 assert float(a) == pytest.approx(float(b), abs=1e-8)
 
     def test_quadrature_maps_shared_by_both_states(self, tmp_path, monkeypatch):
-        # one quadrature walk per eta serves every step and both initial states
-        calls = {"quadrature_maps": 0, "quadrature_map": 0}
-        for name in calls:
-            original = getattr(harmonic, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(harmonic, name, counted)
+        # one quadrature walk over one grid serves every eta, every step and
+        # both initial states
+        calls = record_calls(monkeypatch, harmonic.quadrature_maps, harmonic.quadrature_map,
+                             harmonic._quadrature_nodes, harmonic.spectral_density)
         assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
                        "--out", str(tmp_path)) == 0
-        assert calls == {"quadrature_maps": len(PRESETS["fig3"]["eta_values"]), "quadrature_map": 0}
+        assert [list(args[0]) for args in calls["quadrature_maps"]] \
+            == [PRESETS["fig3"]["eta_values"]]
+        assert {name: len(made) for name, made in calls.items()} \
+            == {"quadrature_maps": 1, "quadrature_map": 0, "_quadrature_nodes": 1,
+                "spectral_density": 1}
 
     def test_fig2_work_pattern(self, tmp_path, monkeypatch):
         # one kappa table per command, shared by every eta; the powers stream
@@ -876,15 +907,15 @@ class TestOpenWalkNMCommand:
         assert math.isfinite(self.fig4_filter_measure(tmp_path, 127))
 
     def test_step_cap_named(self, tmp_path, capsys, monkeypatch):
-        # 1024 steps need one 2050 x 2050 eigensolve at the last step, over
-        # MAX_GRID_BYTES: refused by name before --out exists and before any
-        # walk or eigensolve
+        # 724 steps need two 1450 x 1450 matrices at the last step, its
+        # eigensolve and its own arrays, over MAX_GRID_BYTES: refused by name
+        # before --out exists and before any walk or eigensolve
         calls = record_calls(monkeypatch, walk.walk_step, kernels.hermitian_eigvals)
         assert resolve_config("open-walk-nm", preset_name="fig4",
-                              overrides=[("steps", 1023), ("sweep.count", 1)])
+                              overrides=[("steps", 723), ("sweep.count", 1)])
         out = tmp_path / "out"
         assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(out),
-                       "--set", "steps=1024", "--set", "sweep.count=1",
+                       "--set", "steps=724", "--set", "sweep.count=1",
                        "--set", "a_values=[0.0]") == 2
         err = capsys.readouterr().err
         assert "'steps'" in err and "MAX_GRID_BYTES" in err
@@ -897,15 +928,20 @@ class TestOpenWalkNMCommand:
         stacks = record_calls(monkeypatch, kernels.hermitian_eigvals)["hermitian_eigvals"]
         assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
         unchunked = len(stacks)
-        # a budget with room for one eigensolve of the last step, d = 14 (the
-        # least the step count allows), plus this many more
-        budget = (1 + matrices) * kernels.eigensolve_bytes((14, 14))
+        # a budget with room for the last step, d = 14, one eigensolve and the
+        # step's own arrays (the least the step count allows), plus this many
+        # more eigensolves
+        matrix = kernels.eigensolve_bytes((14, 14))
+        budget = nonmarkov.walk_measure_bytes(6) + matrices * matrix
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
         stacks.clear()
         assert run_cli(*argv, "--out", str(tmp_path / "chunked")) == 0
         assert len(stacks) > unchunked  # several chunks per step
         assert {stack.dtype for stack, in stacks} == {np.dtype(float), np.dtype(complex)}
-        assert all(kernels.eigensolve_bytes(stack.shape) <= budget for stack, in stacks)
+        # each chunk leaves one matrix of its step for the step's own arrays
+        assert all(kernels.eigensolve_bytes(stack.shape) + kernels.eigensolve_bytes(stack.shape[1:])
+                   <= budget for stack, in stacks)
+        assert max(len(stack) for stack, in stacks if stack.shape[-1] == 14) == 1 + matrices
         assert ((tmp_path / "chunked" / "open_walk_nm.csv").read_bytes()
                 == (tmp_path / "one" / "open_walk_nm.csv").read_bytes())
 
@@ -959,8 +995,8 @@ class TestOracleCommand:
         etas, steps, tables = with_tables[0]
         assert list(etas) == [0.0, 0.5, 1.0] and steps == power
         assert [spectrum.amplitude_ratio for spectrum, _ in tables] == [0.0, 1.0]
-        # the quadrature engine keeps one walk per (eta, A)
-        assert len(calls["quadrature_maps"]) == 6
+        # the quadrature engine walks every eta at once, one walk per A
+        assert [list(args[0]) for args in calls["quadrature_maps"]] == [[0.0, 0.5, 1.0]] * 2
 
     def test_walk_check_builds_one_grid_pair(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, kernels.composite_gauss_legendre)
@@ -1048,14 +1084,14 @@ class TestOracleCommand:
 
     def test_measure_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
         # measure_vs_dilation runs the walk measure over 'oracle.max_steps',
-        # whose eigensolve count reaches 1023 steps, so the dilation's count
-        # alone bounds the field: the edge at each K validates, and one step
-        # more exits 2 by name before --out exists or any step
+        # whose count reaches 723 steps, so the dilation's count alone bounds
+        # the field: the edge at each K validates, and one step more exits 2
+        # by name before --out exists or any step
         calls = record_calls(monkeypatch, kernels.coin_shift)
         for k, fits in ((8, 645), (32, 641), (64, 637)):
             assert resolve_config("oracle", overrides=[("oracle.n_freqs", [k]),
                                                        ("oracle.max_steps", fits)])
-            assert kernels.eigensolve_bytes((2 * (fits + 2),) * 2) <= errors.MAX_GRID_BYTES
+            assert nonmarkov.walk_measure_bytes(fits + 1) <= errors.MAX_GRID_BYTES
             out = tmp_path / f"K{k}"
             assert run_cli("oracle", "--out", str(out), "--set", f"oracle.max_steps={fits + 1}",
                            "--set", f"oracle.n_freqs=[{k}]") == 2

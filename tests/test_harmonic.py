@@ -11,7 +11,7 @@ from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
     CATALAN_LIMIT_B,
     ENGINE_AGREEMENT_TOL,
-    QUADRATURE_NODE_BYTES,
+    NODE_BYTES,
     SERIES_DEGREE_CAP,
     approximation_error,
     approximation_error_stack,
@@ -240,6 +240,25 @@ class TestSeriesMapStacks:
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             series_map_stacks([0.5], 10 ** 12, tables)
 
+    @pytest.mark.parametrize("etas,steps,tables", [(3, 30, 1), (5, 15, 0), (40, 128, 2)])
+    def test_walk_counted_in_bytes(self, monkeypatch, etas, steps, tables):
+        # a budget of exactly the run's count passes it; one byte less is
+        # refused by name before any table is built
+        etas, tables = np.linspace(0.0, 1.0, etas), [(spectrum(1.0), dephasing(0.35))] * tables
+        count = harmonic.series_map_bytes(len(etas), steps, len(tables))
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
+        tracemalloc.start()
+        try:
+            exact, averages = series_map_stacks(etas, steps, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert averages.shape == (len(etas), steps + 1, 3, 3) and peak <= count
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
+        monkeypatch.setattr(harmonic, "decoherence_function", None)
+        with pytest.raises(ResourceLimitError, match=f"{steps} steps x {len(etas)} etas.* MAX_GRID"):
+            series_map_stacks(etas, steps, tables)
+
     def test_error_stack_entries_match_per_pair_calls(self):
         sp, etas = spectrum(0.5), [0.0, 0.5, 0.8]
         configs = [dephasing(0.02), dephasing(1.03)]
@@ -326,14 +345,28 @@ class TestQuadratureMap:
     def test_last_of_stack_is_single_map(self, eta):
         sp, cfg = spectrum(1.0), dephasing(0.35)
         for m in (0, 1, 7, 30):
-            assert np.array_equal(quadrature_map(eta, m, sp, cfg), quadrature_maps(eta, m, sp, cfg)[m])
+            assert np.array_equal(quadrature_map(eta, m, sp, cfg),
+                                  quadrature_maps((eta,), m, sp, cfg)[0, m])
+
+    @pytest.mark.parametrize("etas,steps,factor", [
+        ([0.0, 0.5, 1.0], 30, 2.0),               # fig3
+        ([0.0, 0.25, 0.5, 0.75, 1.0], 15, 1.03),  # fig5
+        ([0.3, 0.3, 0.7, 0.3], 17, 0.35),         # repeated eta
+    ])
+    def test_eta_stack_matches_one_eta_calls(self, etas, steps, factor):
+        # one walk over the nodes for every eta keeps each eta's bits
+        sp, cfg = spectrum(0.0), dephasing(factor)
+        maps = quadrature_maps(etas, steps, sp, cfg)
+        assert maps.shape == (len(etas), steps + 1, 3, 3) and maps.flags.c_contiguous
+        for e, eta in enumerate(etas):
+            assert maps[e].tobytes() == quadrature_maps((eta,), steps, sp, cfg)[0].tobytes()
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     @pytest.mark.parametrize("steps", [0, 1, 30])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
     def test_stack_agrees_with_series_engine(self, eta, steps, a):
         sp, cfg = spectrum(a), dephasing(0.35)
-        maps = quadrature_maps(eta, steps, sp, cfg)
+        maps = quadrature_maps((eta,), steps, sp, cfg)[0]
         assert maps.shape == (steps + 1, 3, 3)
         for m, power in enumerate(series_powers(series_from_transfer(eta), steps)):
             exact = integrate_series_against_spectrum(power, sp, cfg)
@@ -341,7 +374,9 @@ class TestQuadratureMap:
 
     def test_negative_steps(self):
         with pytest.raises(DomainError):
-            quadrature_maps(0.5, -1, spectrum(), dephasing(0.35))
+            quadrature_maps((0.5,), -1, spectrum(), dephasing(0.35))
+        with pytest.raises(DomainError, match="at least one eta"):
+            quadrature_maps((), 3, spectrum(), dephasing(0.35))
 
     def test_node_budget(self):
         # duration so long that the support spans tens of thousands of periods
@@ -352,32 +387,39 @@ class TestQuadratureMap:
 
     @staticmethod
     def node_count(steps, sp, cfg):
-        return len(harmonic._quadrature_nodes(sp, cfg, max(16, 2 * steps + 8))[0])
+        return len(harmonic._quadrature_nodes(sp, cfg, max(16, 2 * steps + 8), 1)[0])
 
     def test_node_bytes_cover_the_measured_peak(self):
-        # about 230 000 nodes: the run holds at most QUADRATURE_NODE_BYTES each
+        # about 230 000 nodes: the run holds at most NODE_BYTES per node and
+        # eta, walked for one eta or three
         sp, cfg = spectrum(0.0), dephasing(3000.0)
         nodes = self.node_count(10, sp, cfg)
         assert nodes > 200_000
-        tracemalloc.start()
-        try:
-            quadrature_maps(0.5, 10, sp, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= QUADRATURE_NODE_BYTES * nodes
+        for etas in ([0.5], [0.0, 0.5, 1.0]):
+            tracemalloc.start()
+            try:
+                quadrature_maps(etas, 10, sp, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= NODE_BYTES * nodes * len(etas)
 
     def test_nodes_counted_in_bytes(self, monkeypatch):
-        # a budget of exactly the run's node bytes passes it; one byte less is
-        # refused by name before any node is built
+        # a budget of exactly the run's bytes per node and eta passes it; one
+        # byte less is refused by name before any node is built
         sp, cfg = spectrum(0.7), dephasing(30.0)
         nodes = self.node_count(6, sp, cfg)
-        monkeypatch.setattr(errors, "MAX_GRID_BYTES", QUADRATURE_NODE_BYTES * nodes)
-        assert quadrature_maps(0.5, 6, sp, cfg).shape == (7, 3, 3)
-        monkeypatch.setattr(errors, "MAX_GRID_BYTES", QUADRATURE_NODE_BYTES * nodes - 1)
-        monkeypatch.setattr(harmonic.kernels, "composite_gauss_legendre", None)
-        with pytest.raises(ResourceLimitError, match="quadrature support .* MAX_GRID_BYTES"):
-            quadrature_maps(0.5, 6, sp, cfg)
+        grid = harmonic.kernels.composite_gauss_legendre
+        for etas in ([0.5], [0.0, 0.5, 1.0]):
+            need = NODE_BYTES * nodes * len(etas)
+            monkeypatch.setattr(errors, "MAX_GRID_BYTES", need)
+            monkeypatch.setattr(harmonic.kernels, "composite_gauss_legendre", grid)
+            assert quadrature_maps(etas, 6, sp, cfg).shape == (len(etas), 7, 3, 3)
+            monkeypatch.setattr(errors, "MAX_GRID_BYTES", need - 1)
+            monkeypatch.setattr(harmonic.kernels, "composite_gauss_legendre", None)
+            with pytest.raises(ResourceLimitError,
+                               match=f"quadrature support .* x {len(etas)} etas.* MAX_GRID_BYTES"):
+                quadrature_maps(etas, 6, sp, cfg)
 
 
 class TestStrongLimit:

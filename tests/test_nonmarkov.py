@@ -15,6 +15,7 @@ from memoryflow.nonmarkov import (
     nm_measure,
     nm_qubit,
     nm_walk,
+    walk_measure_bytes,
     walk_trace_distances,
 )
 from memoryflow.openwalk import (
@@ -350,15 +351,18 @@ class TestWalkTraceDistances:
         assert stacks == []
 
     def test_step_cap_is_one_eigensolve_in_the_budget(self, monkeypatch):
-        # a budget with room for one 14 x 14 eigensolve: 6 steps run, the
-        # last one matrix per chunk, and 7 are refused before any eigensolve
-        budget = kernels.eigensolve_bytes((14, 14))
+        # a budget with room for one 14 x 14 eigensolve and the step's own
+        # arrays, counted as one more such matrix: 6 steps run, the last one
+        # matrix per chunk, and 7 are refused before any eigensolve
+        budget = 2 * kernels.eigensolve_bytes((14, 14))
+        assert walk_measure_bytes(6) == budget
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
         filters = [DephasingFilter(spectrum(0.5), dephasing()),
                    DephasingFilter(spectrum(0.0), dephasing())]
         stacks = self.solved_stacks(monkeypatch)
         assert walk_trace_distances(filters, 6).shape == (2, 7)
-        assert all(kernels.eigensolve_bytes(shape) <= budget for _, shape in stacks)
+        assert all(kernels.eigensolve_bytes((shape[0] + 1,) + shape[1:]) <= budget
+                   for _, shape in stacks)
         assert stacks[-1][1] == (1, 14, 14)
         stacks.clear()
         with pytest.raises(ResourceLimitError, match="'steps' = 7.*MAX_GRID_BYTES"):
@@ -366,12 +370,13 @@ class TestWalkTraceDistances:
         assert stacks == []
 
     def test_chunked_peak_stays_within_the_budget(self, monkeypatch):
-        # twelve fig4-style filters over 20 steps hold more than a budget of
-        # three last-step eigensolves in one chunk; chunked to that budget
-        # the run's peak stays within it, with the same bits
+        # twelve fig4-style filters over 20 steps hold more than the least
+        # budget the run allows, two last-step matrices, in one chunk; chunked
+        # to that budget, one matrix a chunk at the last step, the run's peak
+        # stays within it, with the same bits
         filters = [DephasingFilter(spectrum(a), dephasing(t))
                    for a in (0.0, 0.5, 1.0) for t in (0.3, 0.5, 1.0, 1.7)]
-        budget = 3 * kernels.eigensolve_bytes((42, 42))
+        budget = walk_measure_bytes(20)
 
         def traced():
             tracemalloc.start()
