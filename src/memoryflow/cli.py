@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__, harmonic, kernels
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, require_bytes
-from .nonmarkov import bloch_trace_distances, nm_measure, walk_measure_bytes, walk_trace_distances
-from .openwalk import DephasingFilter, dilation_bytes, oracle_checks, strong_limit_filter
+from .nonmarkov import bloch_trace_distances, nm_measure, walk_trace_distances
+from .openwalk import DephasingFilter, oracle_checks, strong_limit_filter
 from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL, transfer_map_stack
 from .spectra import (
@@ -37,8 +37,8 @@ from .spectra import (
     dimensionless_interaction_time,
     spectral_density,
 )
-from .walk import (INTEGRAL_RECURSION_TOL, integral_check_bytes, integral_recursion_deviation,
-                   position_distribution, walk_states)
+from .walk import (INTEGRAL_RECURSION_TOL, integral_recursion_deviation, position_distribution,
+                   walk_states)
 
 COMMANDS = (
     "dephasing",
@@ -268,7 +268,9 @@ def validate_config(command: str, cfg: dict) -> None:
             > len({f"{f:g}" for f in cfg["delta_t_factors"]}):
         raise ConfigError("field 'delta_t_factors' must give distinct factors distinct labels, "
                           f"got {cfg['delta_t_factors']}")
-    grids = {}  # bytes per grid, keyed by the fields that size it (errors.require_bytes)
+    # bytes of each table the command itself builds or writes, keyed by the
+    # fields that size it; every library route counts its own work on entry
+    grids = {}
     if command == "dephasing":
         labels = [_a_label(a) for a in cfg["a_values"]]
         if len(set(labels)) < len(labels):
@@ -277,33 +279,17 @@ def validate_config(command: str, cfg: dict) -> None:
         grids = {"'t_grid.max_revivals' x 't_grid.points_per_revival'":
                  8 * (t_grid["max_revivals"] * t_grid["points_per_revival"] + 1),
                  "'omega_grid.count'": 8 * cfg["omega_grid"]["count"]}
-    if command in ("controlled-qubit", "strong-limit-error"):
-        # the largest series_map_stacks call, with its one table on the series
-        # engine; the quadrature engine's nodes, 8 panels of 2 steps + 8 or
-        # more per eta, exceed it and are counted where they are built
-        grids = {"'steps' x 'eta_values'": harmonic.series_map_bytes(
-            len(cfg["eta_values"]), cfg["steps"], int(cfg["engine"] == "series"))}
+    if command == "strong-limit-error":
+        grids = {"'delta_t_factors' x 'eta_values' x 'steps'": 8 * len(cfg["delta_t_factors"])
+                 * len(cfg["eta_values"]) * (cfg["steps"] + 1)}
     if command == "open-walk-nm":
         grids = {"'sweep.count' x 'a_values' x 'steps'":
-                 8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1),
-                 "'steps'": walk_measure_bytes(cfg["steps"])}
+                 8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1)}
     if command == "walk":
-        if cfg["check_integrals"]:
-            grids["'integral_check_cap' (at most 'steps')"] = \
-                integral_check_bytes(min(cfg["steps"], int(cfg["integral_check_cap"])))
         # walk_distribution.csv: step, x, p and four amplitude columns, one
         # row per occupied site of every step
-        grids["'steps'"] = (8 * (7 if cfg["amplitudes"] else 3)
-                            * (cfg["steps"] + 1) * (cfg["steps"] + 2) // 2)
-    if command == "oracle":
-        opts = cfg["oracle"]
-        grids = {"'oracle.walk_steps'": integral_check_bytes(opts["walk_steps"]),
-                 "'oracle.max_steps' x 'oracle.n_freqs'":
-                 dilation_bytes(opts["max_steps"], max(opts["n_freqs"])),
-                 "'oracle.position_check_steps' x 'oracle.n_freqs'":
-                 dilation_bytes(opts["position_check_steps"], opts["n_freqs"][0]),
-                 # measure_vs_dilation runs the walk measure over 'oracle.max_steps'
-                 "'oracle.max_steps'": walk_measure_bytes(opts["max_steps"])}
+        grids = {"'steps'": (8 * (7 if cfg["amplitudes"] else 3)
+                             * (cfg["steps"] + 1) * (cfg["steps"] + 2) // 2)}
     for fields, size in grids.items():
         require_bytes(size, fields)
 
@@ -362,7 +348,9 @@ def _column_text(column):
 def write_csv(path: Path, header: list[str], blocks) -> None:
     """One header line, then, block by block, one row per index of each
     block's equal-length columns; a block becomes text only as it is written,
-    so a table given as a stream of blocks is held one block at a time."""
+    so a table given as a stream of blocks is held one block at a time.  The
+    file's directory is made as the file is opened."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for columns in blocks:
@@ -394,8 +382,10 @@ def _finite_or_null(value):
 
 
 def write_json(path: Path, doc: dict) -> None:
-    """Strict JSON, keys sorted: a NaN or infinite value is written as null."""
+    """Strict JSON, keys sorted: a NaN or infinite value is written as null.
+    The file's directory is made as the file is opened."""
     text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -502,6 +492,12 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
     norm = math.hypot(re_l, im_l, re_r, im_r)
     c_left = complex(re_l, im_l) / norm
     c_right = complex(re_r, im_r) / norm
+    derived: dict = {}
+    if cfg["check_integrals"]:
+        # before the table, so that a check over the budget writes nothing
+        cap = min(cfg["steps"], int(cfg["integral_check_cap"]))
+        derived["integral_max_deviation"] = integral_recursion_deviation(cap, [(c_left, c_right)])[0]
+        derived["integral_check_steps"] = cap
     norms = []
 
     def blocks():
@@ -520,16 +516,11 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
         header += ["cl_re", "cl_im", "cr_re", "cr_im"]
     name = "walk_distribution.csv"
     write_csv(out_dir / name, header, blocks())
-    derived: dict = {"norm_by_step": norms}
-    worst = 0.0
-    if cfg["check_integrals"]:
-        cap = min(cfg["steps"], int(cfg["integral_check_cap"]))
-        worst = integral_recursion_deviation(cap, [(c_left, c_right)])[0]
-        derived["integral_max_deviation"] = worst
-        derived["integral_check_steps"] = cap
+    derived["norm_by_step"] = norms
     write_manifest(out_dir / "walk_manifest.json", "walk", cfg, derived, [name])
     # a NaN deviation fails the check too
-    if cfg["check_integrals"] and not worst <= INTEGRAL_RECURSION_TOL:
+    worst = derived.get("integral_max_deviation", 0.0)
+    if not worst <= INTEGRAL_RECURSION_TOL:
         raise NumericError(f"integral amplitudes deviate from recursion by {worst:.3e}")
     return 0
 
@@ -658,9 +649,8 @@ def run(argv=None) -> int:
         overrides=_parse_overrides(args.set),
         flat_overrides={key: value for key, value in vars(args).items() if key in FIELDS},
     )
-    out_dir = Path(args.out if args.out is not None else cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[args.command](cfg, out_dir)
+    # --out is made by the first file written into it, so a refused run leaves none
+    return _DISPATCH[args.command](cfg, Path(args.out if args.out is not None else cfg["out_dir"]))
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,7 @@ from .spectra import DephasingConfig, SpectrumParams, decoherence_function, spec
 
 #: maximum trigonometric degree a series power may reach: a work cap, not a
 #: memory one.  ``series_map_stacks`` at 4096 steps and three eta values takes
-#: about 3.0 s and 6.5 MB (3.7 s and 7.4 MB with one spectrum table); its
+#: about 2.5 s and 6.5 MB (3.2 s and 7.6 MB with one spectrum table); its
 #: memory grows linearly with the degree, its time quadratically
 SERIES_DEGREE_CAP = 4096
 
@@ -195,26 +195,17 @@ def _period_nodes(steps: int, tables) -> tuple[np.ndarray, np.ndarray]:
     """The N = 2 steps + 1 phases theta_j = 2 pi j / N, and (tables + 1, N)
     weights that average any trigonometric polynomial of degree <= steps
     exactly: w_j = (1/N) sum_{|l|<=steps} kappa(l delta_t) e^(-i l theta_j) per
-    (spectrum, step) pair, and last the single-period weights 1/N.  Each sum
-    is a Horner evaluation restarted every isqrt(N) terms from an exactly
-    rounded root e^(-i k theta_1), so its rounding grows as sqrt(N), not N;
-    its imaginary residue must vanish."""
+    (spectrum, step) pair, and last the single-period weights 1/N.  The sums
+    of a table are its discrete Fourier transform, one FFT of the table with
+    l = 0 moved first; its imaginary residue must vanish."""
     n = 2 * steps + 1
-    j = np.arange(n)
-    thetas = 2.0 * math.pi / n * j
+    thetas = 2.0 * math.pi / n * np.arange(n)
     weights = np.empty((len(tables) + 1, n))
     weights[-1] = 1.0 / n
     if tables:
-        # row l + steps holds kappa(l delta_t) of every table
-        kappas = np.array([_kappa_table(spectrum, config, steps) for spectrum, config in tables]).T
-        roots = np.exp(-1j * thetas)
-        block = math.isqrt(n)
-        sums = 0.0
-        for lo in range(0, n, block):
-            part = 0.0
-            for row in kappas[lo:lo + block][::-1]:
-                part = part * roots + row[:, None]
-            sums = sums + part * roots[(lo - steps) * j % n]
+        # column l + steps holds kappa(l delta_t); numpy.fft loads on first use
+        kappas = np.array([_kappa_table(spectrum, config, steps) for spectrum, config in tables])
+        sums = np.fft.fft(np.fft.ifftshift(kappas, axes=-1))
         weights[:-1] = _real(sums, "spectral weights") / n
     return thetas, weights
 
@@ -457,15 +448,22 @@ def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, config
     in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1): the exact
     maps of one ``transfer_map_stack`` call per step, whose m = 0 maps are the
     identity on either engine, against one ``series_map_stacks`` call's
-    single-period averages, in one stacked channel distance.  The averages are
-    the strong limit itself, so that engine is refused as unknown."""
+    single-period averages, one step at a time, so a run holds one step's maps
+    and Choi stack besides the averages and the distances.  The first step's
+    maps, whose count on entry is at least the averages', are made first, so
+    an oversized run is refused before any work.  The averages are the strong
+    limit itself, so that engine is refused as unknown."""
     if len(configs) == 0:
         raise DomainError("approximation_error_stack needs at least one dephasing step")
     if engine == "strong-limit":
         raise DomainError(f"unknown engine {engine!r}")
-    exact = np.array([transfer_map_stack(spectrum, config, etas, steps, engine)
-                      for config in configs])
-    return channel_distance(exact, series_map_stacks(etas, steps)[1])
+    averages, out = None, []
+    for config in configs:
+        exact = transfer_map_stack(spectrum, config, etas, steps, engine)
+        if averages is None:
+            averages = series_map_stacks(etas, steps)[1]
+        out.append(channel_distance(exact, averages))
+    return np.array(out)
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,

@@ -26,7 +26,8 @@ can fail.
 Memory.  The dilation and every eigensolve count the bytes a run would hold,
 ``dilation_bytes`` and ``kernels.eigensolve_bytes``, and are refused by
 ``errors.require_bytes`` against ``errors.MAX_GRID_BYTES`` before anything is
-allocated; there is no cap on steps, environment size or dimension as such.
+allocated, and ``oracle_checks`` makes the counts of all its checks on entry;
+there is no cap on steps, environment size or dimension as such.
 
 Filter normalization.  After any number of steps, the environment phase
 attached at frequency omega to a branch sitting at site x is
@@ -78,8 +79,8 @@ import numpy as np
 from . import harmonic, kernels
 from .errors import DomainError, ResourceLimitError, check, largest_deviation, require_bytes
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function
-from .walk import (INTEGRAL_RECURSION_TOL, WalkState, initial_state, integral_recursion_deviation,
-                   position_distribution, walk_evolve, walk_states)
+from .walk import (INTEGRAL_RECURSION_TOL, WalkState, initial_state, integral_check_bytes,
+                   integral_recursion_deviation, position_distribution, walk_evolve, walk_states)
 
 HERMITICITY_TOL = 1e-10
 
@@ -353,6 +354,11 @@ def dilation_oracle(
     return entry
 
 
+def _step_range(last: int, stride: int = 1) -> dict:
+    """The step counts 0, stride, ... up to ``last`` as one report entry."""
+    return {"first": 0, "last": last - last % stride, "stride": stride}
+
+
 def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_steps: int,
                   n_freqs: list[int], walk_steps: int, position_check_steps: int,
                   engine_max_power: int, seed: int) -> list[dict]:
@@ -367,10 +373,22 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     forms, the quasi-momentum amplitudes against the recursion, and the
     eigensolver identities.  Each dilation entry and the
     measure entry record their K and the step counts they compared, the
-    position entry the step counts it sampled, and the engine entry its etas,
-    A and largest power m.  Every check runs as asked: the ``oracle`` command
-    refuses, before any of them runs, a dilation or a measure eigensolve over
-    ``errors.MAX_GRID_BYTES``."""
+    position entry the step counts it sampled, each as a ``_step_range``, and
+    the engine entry its etas, A and largest power m.  Every check runs as
+    asked: a run whose integral check, dilation streams or walk measure would
+    pass ``errors.MAX_GRID_BYTES`` is refused on entry, before any check runs,
+    by the counts those routes make, naming the arguments that set them."""
+    # imported here: nonmarkov imports this module
+    from .nonmarkov import DEFAULT_WALK_COINS, walk_measure_bytes, walk_trace_distances
+
+    if not n_freqs:
+        raise DomainError("the oracle needs at least one environment size in n_freqs")
+    require_bytes(integral_check_bytes(walk_steps), f"walk_steps = {walk_steps}")
+    require_bytes(dilation_bytes(max_steps, max(n_freqs)),
+                  f"max_steps = {max_steps} x n_freqs = {max(n_freqs)}")
+    require_bytes(dilation_bytes(position_check_steps, n_freqs[0]),
+                  f"position_check_steps = {position_check_steps} x n_freqs = {n_freqs[0]}")
+    require_bytes(walk_measure_bytes(max_steps), f"max_steps = {max_steps}")
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 
@@ -397,16 +415,13 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
                 positions += [(abs(p_dil[x] - p), f"n={n}, x={x}")
                               for x, p in position_distribution(states[n]).items()]
         checks.append(check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
-                      | {"K": k, "steps": list(range(max_steps + 1))})
+                      | {"K": k, "steps": _step_range(max_steps)})
     checks.append(check("position_distribution_invariance", largest_deviation(positions), 1e-12)
-                  | {"steps": list(range(0, position_check_steps + 1, 3))})
+                  | {"steps": _step_range(position_check_steps, 3)})
 
     # the memory measure's route against the paper's construction: trace
     # distances of the default walk pair from two traced dilation streams at
     # the first K, against walk_trace_distances with the same discrete filter
-    # (imported here: nonmarkov imports this module)
-    from .nonmarkov import DEFAULT_WALK_COINS, walk_trace_distances
-
     dilated = []
     for (rho1, omegas, weights), (rho2, _, _) in zip(*(
             dilation_densities(*pair, max_steps, spectrum, dephasing, n_freqs[0])
@@ -416,7 +431,7 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     measured = walk_trace_distances([discrete_filter(omegas, weights, dephasing)], max_steps)[0]
     checks.append(check("measure_vs_dilation", largest_deviation(
         (abs(d - m), f"n={n}") for n, (d, m) in enumerate(zip(dilated, measured.tolist()))),
-        1e-10) | {"K": n_freqs[0], "steps": list(range(max_steps + 1))})
+        1e-10) | {"K": n_freqs[0], "steps": _step_range(max_steps)})
 
     # series engine vs oscillatory quadrature
     spectra_a = {a: replace(spectrum, amplitude_ratio=a) for a in (0.0, 1.0)}

@@ -5,7 +5,7 @@ then shifts L-amplitudes one site left and R-amplitudes one site right, so
 after n steps only the n + 1 sites -n, -n + 2, ..., n are occupied; states
 store those sites alone.  Position-space evolution is the ground truth; the
 quasi-momentum integral representation is assembled to match it (see
-``walk_amplitudes_row``).
+``walk_amplitude_rows``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, NumericError, largest_deviation
+from .errors import DomainError, NumericError, largest_deviation, require_bytes
 
 NORM_TOL = 1e-12
 INTEGRAL_RECURSION_TOL = 1e-6
@@ -127,17 +127,17 @@ def _running_powers(z: np.ndarray, parity: int, out: np.ndarray) -> np.ndarray:
 
 
 def _parity_block(base: np.ndarray, e_k: np.ndarray, e_nu: np.ndarray,
-                  parity: int, lo: int, top: int) -> np.ndarray:
-    """Amplitudes of the step counts m = lo, lo + 2, ..., top of one parity at
-    the sites x = -top, -top + 2, ..., top, as a (counts, 4, sites) array,
-    from the node weights ``base`` and the phases e^(ik), e^(-i nu(k))."""
+                  parity: int, top: int) -> np.ndarray:
+    """Amplitudes of the step counts m = parity, parity + 2, ..., top at the
+    sites x = -top, -top + 2, ..., top, as a (counts, 4, sites) array, from
+    the node weights ``base`` and the phases e^(ik), e^(-i nu(k))."""
     nodes = base.shape[1]
     n_pos = (top - parity) // 2 + 1
     n_neg = n_pos - 1 + parity
     # e^(-i m nu) times each weight: the running powers are dropped before
     # the site phases are built, so that the two tables never coexist
     step_phase = _running_powers(e_nu, parity, np.empty((n_pos, nodes), dtype=complex))
-    lhs = (step_phase[(lo - parity) // 2:, None, :] * base).reshape(-1, nodes)
+    lhs = (step_phase[:, None, :] * base).reshape(-1, nodes)
     del step_phase
     # e^(ikx) for the n_neg sites x < 0, then the n_pos sites x >= 0
     phase = np.empty((n_neg + n_pos, nodes), dtype=complex)
@@ -153,10 +153,10 @@ def _parity_block(base: np.ndarray, e_k: np.ndarray, e_nu: np.ndarray,
     ], axis=1)
 
 
-def _amplitude_rows(panels: int, order: int, first: int, last: int) -> dict[int, np.ndarray]:
+def _amplitude_rows(panels: int, order: int, last: int) -> dict[int, np.ndarray]:
     """Amplitudes a_left, a_right, b_left, b_right of every site
     x = -m, -m + 2, ..., m on one composite grid, as a (4, m + 1) array for
-    each step count m = first..last.
+    each step count m = 0..last.
 
     The alpha, beta, gamma quasi-momentum integrals have weights
     {1, cos k, sin k}/sqrt(1 + cos^2 k) against e^(ikx) e^(-i m nu(k)).  Both
@@ -171,13 +171,10 @@ def _amplitude_rows(panels: int, order: int, first: int, last: int) -> dict[int,
     e_k = np.exp(1j * k)
     e_nu = np.exp(-1j * dispersion_nu(k))
     rows = {}
-    for parity in (0, 1):
-        lo = first + (first - parity) % 2
+    for parity in range(min(last, 1) + 1):
         top = last - (last - parity) % 2
-        if lo > top:
-            continue
-        block = _parity_block(base, e_k, e_nu, parity, lo, top)
-        for m, amplitudes in zip(range(lo, top + 1, 2), block):
+        block = _parity_block(base, e_k, e_nu, parity, top)
+        for m, amplitudes in zip(range(parity, top + 1, 2), block):
             j = (top - m) // 2
             rows[m] = amplitudes[:, j:j + m + 1]
     return rows
@@ -197,30 +194,6 @@ def _refined(m: int, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return fine
 
 
-def walk_amplitudes_row(m: int) -> np.ndarray:
-    """Transition amplitudes a_left, a_right, b_left, b_right of every site
-    x = -m, -m + 2, ..., m after m steps, by quasi-momentum quadrature, as a
-    (4, m + 1) array (column j is site x = 2j - m).
-
-    The two eigenvalue branches e^{i nu} and -e^{-i nu} of the step operator
-    fold into a single set of three base integrals: the branch split by
-    projector weights (1 +/- cos k / sqrt(1+cos^2 k))/2 combines, after the
-    half-Brillouin-zone shift k -> k + pi, into the parity prefactor
-    (1 + (-1)^(m+x))/2 and the bracket assembly of ``_parity_block``, which
-    is validated against the position-space recursion.
-
-    One pair of composite Gauss-Legendre grids serves every site: the coarse
-    one (m + 1 panels of order 64) is the convergence guard of the fine one
-    (m + 2 panels of order 80), site by site.  Only row m is formed; for every
-    row up to some m, ``walk_amplitude_rows`` shares one grid pair.
-    """
-    if m < 0:
-        raise DomainError("m must be non-negative")
-    coarse = _amplitude_rows(m + 1, 64, m, m)[m]
-    fine = _amplitude_rows(m + 2, 80, m, m)[m]
-    return _refined(m, coarse, fine)
-
-
 def integral_check_bytes(steps: int) -> int:
     """Bytes of the largest table ``walk_amplitude_rows(steps)`` builds: on the
     fine grid of (steps + 2) * 80 nodes, the parity block of ``steps`` holds
@@ -231,17 +204,38 @@ def integral_check_bytes(steps: int) -> int:
 
 
 def walk_amplitude_rows(steps: int):
-    """Yield the amplitude rows of m = 0, 1, ..., steps, each laid out as
-    ``walk_amplitudes_row(m)`` lays it out, all from the one grid pair that
-    row ``steps`` uses: steps + 1 panels of order 64 guarding steps + 2 panels
-    of order 80.  Each row is guarded site by site before it is yielded, so a
-    row that fails the guard raises ``NumericError`` after every earlier row."""
+    """The transition amplitudes a_left, a_right, b_left, b_right of every
+    site x = -m, -m + 2, ..., m after m = 0, 1, ..., steps steps, by
+    quasi-momentum quadrature: an iterator of (4, m + 1) arrays, column j of
+    row m being site x = 2j - m.
+
+    The two eigenvalue branches e^{i nu} and -e^{-i nu} of the step operator
+    fold into a single set of three base integrals: the branch split by
+    projector weights (1 +/- cos k / sqrt(1+cos^2 k))/2 combines, after the
+    half-Brillouin-zone shift k -> k + pi, into the parity prefactor
+    (1 + (-1)^(m+x))/2 and the bracket assembly of ``_parity_block``, which
+    is validated against the position-space recursion.
+
+    One pair of composite Gauss-Legendre grids serves every row and site:
+    the coarse one (steps + 1 panels of order 64) is the convergence guard of
+    the fine one (steps + 2 panels of order 80).  A run whose
+    ``integral_check_bytes`` exceed ``errors.MAX_GRID_BYTES`` is refused on
+    the call, before either grid is built.  Each row is guarded site by site
+    as it is taken, so a row that fails the guard raises ``NumericError``
+    after every earlier row."""
     if steps < 0:
         raise DomainError("step count must be non-negative")
-    coarse = _amplitude_rows(steps + 1, 64, 0, steps)
-    fine = _amplitude_rows(steps + 2, 80, 0, steps)
-    for m in range(steps + 1):
-        yield _refined(m, coarse[m], fine[m])
+    require_bytes(integral_check_bytes(steps), f"the integral check over steps = {steps}")
+    coarse = _amplitude_rows(steps + 1, 64, steps)
+    fine = _amplitude_rows(steps + 2, 80, steps)
+    return (_refined(m, coarse[m], fine[m]) for m in range(steps + 1))
+
+
+def walk_amplitudes_row(m: int) -> np.ndarray:
+    """The amplitudes of every site after m steps, (4, m + 1): the last row of
+    ``walk_amplitude_rows(m)``, on its grid pair."""
+    *_, row = walk_amplitude_rows(m)
+    return row
 
 
 def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:
@@ -261,11 +255,13 @@ def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
     recursion over m <= steps, every site and every initial coin pair in
     ``coins``, with the (m, x) where it occurred, by
     ``errors.largest_deviation``.  The rows come from ``walk_amplitude_rows``,
-    one grid pair for the whole check."""
+    one grid pair for the whole check, which is refused on the call when its
+    grids would pass ``errors.MAX_GRID_BYTES``."""
+    rows = walk_amplitude_rows(steps)
     walks = [walk_states(c_left, c_right, steps) for c_left, c_right in coins]
 
     def deviations():
-        for m, (states, row) in enumerate(zip(zip(*walks), walk_amplitude_rows(steps))):
+        for m, (states, row) in enumerate(zip(zip(*walks), rows)):
             a_left, a_right, b_left, b_right = row
             for (c_left, c_right), state in zip(coins, states):
                 dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left),

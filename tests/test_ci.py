@@ -129,6 +129,16 @@ def test_sources_keep_one_byte_budget():
                       "openwalk.discretize_spectrum"}
 
 
+def test_cli_counts_only_its_own_tables():
+    # every library route counts its own memory on entry: cli.py passes the
+    # bytes of the tables it builds or writes to require_bytes and calls no
+    # library *_bytes helper, so a route's internals never reach the CLI
+    tree = ast.parse((ROOT / "src" / "memoryflow" / "cli.py").read_text(encoding="utf-8"))
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert {name for name in called if name and name.endswith("_bytes")} == {"require_bytes"}
+
+
 def test_sources_keep_one_engine_switch():
     # qubit.transfer_map_stack alone picks a qubit engine: outside cli.py,
     # which validates the field, no other function compares with "series" or

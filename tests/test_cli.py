@@ -197,18 +197,22 @@ class TestConfigResolution:
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()  # refused while resolving, before the command ran
 
-    @pytest.mark.parametrize("argv,field", [
-        pytest.param(["walk", "--check-integrals", "--set", "steps=1000000",
-                      "--set", "integral_check_cap=1e300"], "integral_check_cap", id="walk"),
+    @pytest.mark.parametrize("argv,named", [
+        # integral_check_cap is cut to steps; a table of 4000 steps fits
+        pytest.param(["walk", "--check-integrals", "--set", "steps=4000",
+                      "--set", "integral_check_cap=1e300"], "integral check over steps = 4000",
+                     id="walk"),
         pytest.param(["walk", "--check-integrals", "--set", "steps=300",
-                      "--set", "integral_check_cap=300"], "integral_check_cap", id="walk-300"),
-        pytest.param(["oracle", "--set", "oracle.walk_steps=1000000000000"], "oracle.walk_steps",
-                     id="oracle"),
+                      "--set", "integral_check_cap=300"], "integral check over steps = 300",
+                     id="walk-300"),
+        pytest.param(["oracle", "--set", "oracle.walk_steps=1000000000000"],
+                     "walk_steps = 1000000000000", id="oracle"),
     ])
     def test_integral_check_refused_before_allocation(self, capsys, tmp_path, monkeypatch,
-                                                      argv, field):
+                                                      argv, named):
         # the largest quasi-momentum table grows as steps^2: a check over
-        # MAX_GRID_BYTES is refused by name before any grid or state exists
+        # MAX_GRID_BYTES is refused by its route, naming its step count,
+        # before --out exists or any grid or state
         calls = record_calls(monkeypatch, kernels.composite_gauss_legendre, walk.walk_step)
         out = tmp_path / "out"
         tracemalloc.start()
@@ -217,17 +221,36 @@ class TestConfigResolution:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f"'{field}'" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
         assert calls == {"composite_gauss_legendre": [], "walk_step": []}
         assert peak < 1 << 20
 
-    def test_integral_check_within_budget_runs(self, tmp_path):
+    def test_integral_check_within_budget_runs(self, capsys, tmp_path, monkeypatch):
+        # the largest check within MAX_GRID_BYTES reaches its grids on both
+        # commands, and one step more is refused by the route on entry
         cap = max(m for m in range(400) if walk.integral_check_bytes(m) <= errors.MAX_GRID_BYTES)
-        assert walk.integral_check_bytes(cap + 1) > errors.MAX_GRID_BYTES
-        assert resolve_config("walk", overrides=[("check_integrals", True), ("steps", cap),
-                                                 ("integral_check_cap", cap)])
-        assert resolve_config("oracle", overrides=[("oracle.walk_steps", cap)])
+        assert cap == 287
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(walk, "_amplitude_rows", reached)
+        for argv, named in (
+                (["walk", "--check-integrals", "--set", "integral_check_cap=1000"],
+                 "integral check over steps = {}"),
+                (["oracle", "--set", "oracle.max_steps=0", "--set", "oracle.position_check_steps=0"],
+                 "walk_steps = {}")):
+            steps = "oracle.walk_steps" if argv[0] == "oracle" else "steps"
+            with pytest.raises(Reached):
+                run_cli(*argv, "--set", f"{steps}={cap}", "--out", str(tmp_path / "edge"))
+            out = tmp_path / "out"
+            assert run_cli(*argv, "--set", f"{steps}={cap + 1}", "--out", str(out)) == 2
+            assert named.format(cap + 1) in capsys.readouterr().err
+            assert not out.exists()
         # without the check, the cap sizes nothing
         assert resolve_config("walk", overrides=[("steps", 1000), ("integral_check_cap", 10 ** 6)])
 
@@ -240,18 +263,22 @@ class TestConfigResolution:
     ])
     def test_series_walk_refused_before_out(self, capsys, tmp_path, monkeypatch, argv, tables):
         # the largest series_map_stacks call, its walk and its maps, is
-        # counted while the config is resolved: one byte short of it exits 2
-        # by name before --out exists or any map is made
+        # counted by the route on entry: one byte short of it exits 2 by name
+        # before --out exists or any map is made; the quadrature nodes, which
+        # need more, are refused at the same budget by their own count
         preset = PRESETS[argv[2]]
-        count = harmonic.series_map_bytes(len(preset["eta_values"]), preset["steps"], tables)
-        calls = record_calls(monkeypatch, harmonic.series_map_stacks, harmonic.quadrature_maps)
+        etas, steps = len(preset["eta_values"]), preset["steps"]
+        count = harmonic.series_map_bytes(etas, steps, tables)
+        calls = record_calls(monkeypatch, kernels.transfer_power_average,
+                             kernels.composite_gauss_legendre)
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 2
-        assert "'steps' x 'eta_values'" in capsys.readouterr().err
+        assert ("quadrature support" if "quadrature" in argv
+                else f"{steps} steps x {etas} etas x {tables} tables") in capsys.readouterr().err
         assert not out.exists()
-        assert calls == {"series_map_stacks": [], "quadrature_maps": []}
-        if "quadrature" not in argv:  # the quadrature nodes need more
+        assert calls == {"transfer_power_average": [], "composite_gauss_legendre": []}
+        if "quadrature" not in argv:
             monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
             assert run_cli(*argv, "--out", str(out)) == 0
 
@@ -261,7 +288,7 @@ class TestConfigResolution:
         out = tmp_path / "out"
         assert run_cli("controlled-qubit", "--preset", "fig2", "--set", "steps=1024",
                        "--set", f"eta_values={etas}", "--out", str(out)) == 2
-        assert "'steps' x 'eta_values'" in capsys.readouterr().err
+        assert "1024 steps x 1000 etas x 1 tables" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
@@ -282,6 +309,32 @@ class TestConfigResolution:
         assert message in err
         if message == "quadrature support":
             assert "inf panels" in err and "MAX_GRID_BYTES" in err
+
+    def test_strong_limit_error_table_counted(self, capsys, tmp_path, monkeypatch):
+        # the error table the command keys and writes, 8 bytes a value, is
+        # counted while the config is resolved: one byte short exits 2 by name
+        fig5 = PRESETS["fig5"]
+        count = 8 * len(fig5["delta_t_factors"]) * len(fig5["eta_values"]) * (fig5["steps"] + 1)
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
+        out = tmp_path / "out"
+        assert run_cli("strong-limit-error", "--out", str(out)) == 2
+        assert "'delta_t_factors' x 'eta_values' x 'steps'" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
+        assert resolve_config("strong-limit-error")
+
+    @pytest.mark.parametrize("setting", ["delta_t_factor=1e5", "sigma=1e308"])
+    def test_quadrature_nodes_refused_before_out(self, capsys, tmp_path, monkeypatch, setting):
+        # the quadrature engine counts its nodes as it is called, after the
+        # config is resolved; --out is made only by the first file written
+        calls = record_calls(monkeypatch, kernels.transfer_power_average,
+                             kernels.composite_gauss_legendre)
+        out = tmp_path / "out"
+        assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
+                       "--set", setting, "--out", str(out)) == 2
+        assert "quadrature support" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == {"transfer_power_average": [], "composite_gauss_legendre": []}
 
     @pytest.mark.parametrize("command,reference", [
         ("dephasing", "fig1"),
@@ -698,8 +751,8 @@ class TestStrongLimitErrorCommand:
         assert errors == ["0.0"] * len(fig5["delta_t_factors"]) * len(fig5["eta_values"])
 
     def test_fig5_work_pattern(self, tmp_path, monkeypatch):
-        # one kappa table per delta_t factor and one stacked Choi eigensolve
-        # for every (delta_t factor, eta, step)
+        # one kappa table per delta_t factor and, one factor at a time, one
+        # stacked Choi eigensolve for every (eta, step)
         calls = record_calls(monkeypatch, kernels.hermitian_eigvals, spectra.decoherence_function)
         assert run_cli("strong-limit-error", "--preset", "fig5", "--out", str(tmp_path)) == 0
         fig5 = PRESETS["fig5"]
@@ -707,7 +760,7 @@ class TestStrongLimitErrorCommand:
         assert [np.size(args[2]) for args in calls["decoherence_function"]] \
             == [2 * fig5["steps"] + 1] * factors
         assert [np.shape(args[0]) for args in calls["hermitian_eigvals"]] \
-            == [(factors, etas, fig5["steps"] + 1, 4, 4)]
+            == [(etas, fig5["steps"] + 1, 4, 4)] * factors
 
 
 class TestWalkCommand:
@@ -1060,7 +1113,7 @@ class TestOracleCommand:
         assert report["all_pass"] is True
         dilation = [c for c in report["checks"] if c["name"].startswith("dilation_vs_filter")]
         assert [c["K"] for c in dilation] == [8, 16, 32, 64]
-        assert all(c["steps"] == list(range(11)) for c in dilation)
+        assert all(c["steps"] == {"first": 0, "last": 10, "stride": 1} for c in dilation)
 
     @pytest.mark.parametrize("field,n_freqs", [
         # the dilation check runs at the largest K, the position stream at the first
@@ -1069,7 +1122,8 @@ class TestOracleCommand:
     ])
     def test_dilation_refused_before_stepping(self, capsys, tmp_path, monkeypatch, field, n_freqs):
         # the largest run within MAX_GRID_BYTES at K = 64 validates; one step
-        # more exits 2 naming both fields before --out exists or any step
+        # more exits 2, naming both of oracle_checks' arguments, before --out
+        # exists or any step
         fits = max(n for n in range(1000) if openwalk.dilation_bytes(n, 64) <= errors.MAX_GRID_BYTES)
         assert resolve_config("oracle", overrides=[("oracle.n_freqs", json.loads(n_freqs)),
                                                    (field, fits)])
@@ -1078,7 +1132,8 @@ class TestOracleCommand:
         assert run_cli("oracle", "--out", str(out), "--set", f"{field}={fits + 1}",
                        "--set", f"oracle.n_freqs={n_freqs}") == 2
         err = capsys.readouterr().err
-        assert f"'{field}' x 'oracle.n_freqs'" in err and "MAX_GRID_BYTES" in err
+        assert f"{field.split('.')[1]} = {fits + 1} x n_freqs = 64" in err
+        assert "MAX_GRID_BYTES" in err
         assert not out.exists()
         assert calls == {"coin_shift": []}
 
@@ -1096,7 +1151,7 @@ class TestOracleCommand:
             assert run_cli("oracle", "--out", str(out), "--set", f"oracle.max_steps={fits + 1}",
                            "--set", f"oracle.n_freqs=[{k}]") == 2
             err = capsys.readouterr().err
-            assert "'oracle.max_steps' x 'oracle.n_freqs'" in err and "MAX_GRID_BYTES" in err
+            assert f"max_steps = {fits + 1} x n_freqs = {k}" in err and "MAX_GRID_BYTES" in err
             assert not out.exists()
         assert calls == {"coin_shift": []}
 
@@ -1114,7 +1169,7 @@ class TestOracleCommand:
         report = read_strict_json(tmp_path / "oracle_report.json")
         (failed,) = [c for c in report["checks"] if not c["pass"]]
         assert failed["name"] == "measure_vs_dilation"
-        assert failed["K"] == 8 and failed["steps"] == list(range(7))
+        assert failed["K"] == 8 and failed["steps"] == {"first": 0, "last": 6, "stride": 1}
         assert failed["max_dev"] > 1e-6
 
     def test_position_check_reads_the_dilation(self, tmp_path, monkeypatch):
@@ -1153,8 +1208,10 @@ class TestOracleCommand:
             checks = {c["name"]: c for c in json.loads(reports[-1])["checks"]}
             for k in (8, 16):
                 assert checks[f"dilation_vs_filter_K{k}"]["K"] == k
-                assert checks[f"dilation_vs_filter_K{k}"]["steps"] == list(range(max_steps + 1))
-            assert checks["position_distribution_invariance"]["steps"] == [0, 3, 6]
+                assert checks[f"dilation_vs_filter_K{k}"]["steps"] \
+                    == {"first": 0, "last": max_steps, "stride": 1}
+            assert checks["position_distribution_invariance"]["steps"] \
+                == {"first": 0, "last": 6, "stride": 3}
         assert len(set(reports)) == 3
 
     @pytest.mark.parametrize("power", [3, 6])

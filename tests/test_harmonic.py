@@ -603,6 +603,20 @@ class TestApproximationError:
         with pytest.raises(DomainError):
             approximation_error_stack((0.5,), 3, spectrum(), (dephasing(0.35),), "strong-limit")
 
+    def test_one_step_duration_at_a_time(self):
+        # each step duration's maps and Choi stack are dropped before the
+        # next are made, so the route's own count on entry covers the run
+        etas = np.linspace(0.0, 1.0, 40).tolist()
+        configs = [dephasing(factor) for factor in np.linspace(0.02, 1.5, 10)]
+        tracemalloc.start()
+        try:
+            errors = approximation_error_stack(etas, 256, spectrum(0.0), configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert errors.shape == (10, 40, 257)
+        assert peak <= harmonic.series_map_bytes(40, 256, 1)
+
     @pytest.mark.parametrize("engine", ["series", "quadrature", "strong-limit"])
     def test_empty_inputs_refused(self, engine):
         sp, cfg = spectrum(1.0), dephasing(0.35)

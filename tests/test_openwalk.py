@@ -362,6 +362,32 @@ class TestOracleChecks:
             "series_vs_quadrature", "catalan_closed_form", "walk_integral_vs_recursion",
             "eigensolver_identities"]
 
+    @pytest.mark.parametrize("counts,named", [
+        ({"walk_steps": 288}, "walk_steps = 288"),
+        ({"max_steps": 638, "n_freqs": [8, 64]}, "max_steps = 638 x n_freqs = 64"),
+        ({"position_check_steps": 638, "n_freqs": [64, 8]},
+         "position_check_steps = 638 x n_freqs = 64"),
+        # with the dilation's larger count taken away, the measure's is made too
+        ({"max_steps": 724, "dilation_bytes": lambda steps, n_freqs: 0}, "max_steps = 724"),
+    ])
+    def test_every_count_made_on_entry(self, monkeypatch, counts, named):
+        # each check's count is made before any check runs, naming the
+        # arguments that set it: nothing is walked or discretized
+        args = dict(max_steps=0, n_freqs=[8], walk_steps=0, position_check_steps=0,
+                    engine_max_power=0, seed=0)
+        args.update(counts)
+        if "dilation_bytes" in args:
+            monkeypatch.setattr(openwalk, "dilation_bytes", args.pop("dilation_bytes"))
+        for name in ("walk_states", "dilation_densities", "integral_recursion_deviation"):
+            monkeypatch.setattr(openwalk, name, None)
+        with pytest.raises(ResourceLimitError, match=f"{named} would exceed MAX_GRID_BYTES"):
+            oracle_checks(spectrum(), dephasing(), **args)
+
+    def test_no_environment_size_refused(self):
+        with pytest.raises(DomainError, match="at least one environment size"):
+            oracle_checks(spectrum(), dephasing(), max_steps=2, n_freqs=[], walk_steps=2,
+                          position_check_steps=2, engine_max_power=2, seed=0)
+
     @pytest.mark.parametrize("a", [0.0, 0.7, 1.0])
     def test_measure_check_reaches_both_routes(self, monkeypatch, a):
         # the discrete filter is real up to a phase ramp at A = 0 and 1 and
@@ -374,7 +400,7 @@ class TestOracleChecks:
                                walk_steps=0, position_check_steps=0, engine_max_power=0, seed=0)
         (entry,) = [c for c in checks if c["name"] == "measure_vs_dilation"]
         assert entry["pass"] and entry["max_dev"] < 1e-13
-        assert entry["K"] == 16 and entry["steps"] == list(range(13))
+        assert entry["K"] == 16 and entry["steps"] == {"first": 0, "last": 12, "stride": 1}
         assert [bool(real[0]) for real, _ in gauged] == [a != 0.7]
 
 

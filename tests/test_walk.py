@@ -239,8 +239,8 @@ class TestAmplitudeRows:
         # spoil the coarse grid at one site only: the guard is checked per site
         exact = walk._amplitude_rows
 
-        def spoiled(panels, order, first, last):
-            rows = exact(panels, order, first, last)
+        def spoiled(panels, order, last):
+            rows = exact(panels, order, last)
             if order == 64 and 5 in rows:
                 rows[5][1, 3] += 1e-7
             return rows
@@ -254,8 +254,10 @@ class TestAmplitudeRows:
     def test_coarse_order_too_low_is_refused(self, monkeypatch):
         exact = walk._amplitude_rows
         monkeypatch.setattr(walk, "_amplitude_rows",
-                            lambda panels, order, *ms: exact(panels, 4 if order == 64 else order, *ms))
-        with pytest.raises(NumericError, match=r"did not converge at m=12, x=-12:"):
+                            lambda panels, order, last: exact(panels, 4 if order == 64 else order, last))
+        # row 12 is the last of the rows up to 12, each guarded in turn, and
+        # the order-4 guard fails first at m = 1
+        with pytest.raises(NumericError, match=r"did not converge at m=1, x=-1:"):
             walk_amplitudes_row(12)
 
     @pytest.mark.parametrize("steps", [0, 1, 12, 40])
@@ -274,8 +276,8 @@ class TestAmplitudeRows:
         # a NaN on either grid, or on both, is a refinement deviation that fails
         exact = walk._amplitude_rows
 
-        def poisoned(panels, grid_order, first, last):
-            rows = exact(panels, grid_order, first, last)
+        def poisoned(panels, grid_order, last):
+            rows = exact(panels, grid_order, last)
             if grid_order in order and 3 in rows:
                 rows[3][2, 1] = np.nan
             return rows
