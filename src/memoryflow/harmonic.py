@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, NumericError, ResourceLimitError, require_bytes
-from .qubit import PAULI, control_alpha_beta, transfer_map_stack
+from .qubit import PAULI, control_alpha_beta, transfer_map_stacks
 from .spectra import DephasingConfig, SpectrumParams, decoherence_function, spectral_density
 
 #: maximum trigonometric degree a series power may reach: a work cap, not a
@@ -253,8 +253,10 @@ def series_map_stacks(etas, steps: int, tables=()):
     return stacks[:-1], stacks[-1]
 
 
-def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int, etas: int):
-    """Composite Gauss-Legendre grid over the spectral support.
+def _quadrature_support(spectrum: SpectrumParams, config: DephasingConfig, order: int,
+                        etas: int) -> tuple[float, float, int]:
+    """The spectral support (lo, hi) of ``_quadrature_nodes`` and its panel
+    count, once the nodes have been counted.
 
     The support [mu1 - 8 sigma, mu2 + 8 sigma] is cut into one interval per
     period of the transfer matrix (the integrand oscillates with up to m full
@@ -285,7 +287,14 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: 
             f"delta_n * delta_t * omega overflows (mu1 = {spectrum.mu1!r}, "
             f"mu2 = {spectrum.mu2!r}, sigma = {spectrum.sigma!r}, "
             f"delta_n = {config.index_contrast!r}, delta_t = {config.step_duration!r})")
-    return kernels.composite_gauss_legendre(lo, hi, int(panels), order)
+    return lo, hi, int(panels)
+
+
+def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int, etas: int):
+    """Composite Gauss-Legendre grid over the spectral support, at ``order``
+    nodes per panel of ``_quadrature_support``."""
+    lo, hi, panels = _quadrature_support(spectrum, config, order, etas)
+    return kernels.composite_gauss_legendre(lo, hi, panels, order)
 
 
 def quadrature_maps(
@@ -293,7 +302,8 @@ def quadrature_maps(
 ) -> np.ndarray:
     """Maps for every control in ``etas`` and m = 0..steps by direct
     oscillatory quadrature of the spectral average, (etas, steps + 1, 3, 3):
-    the quadrature counterpart of ``series_map_stacks``.
+    the quadrature counterpart of ``series_map_stacks``, and the one stack of
+    ``quadrature_map_stacks`` for ``config`` alone.
 
     Gauss-Legendre order max(16, 2 steps + 8) per panel: the integrand of the
     m-th map carries harmonics up to degree m per period, and an n-point rule
@@ -304,13 +314,32 @@ def quadrature_maps(
     the rule's error.  A spectrum whose decoherence phase overflows over the
     run is refused before any node is built, as on the series engine.
     """
+    return next(quadrature_map_stacks(etas, steps, spectrum, (config,)))
+
+
+def quadrature_map_stacks(etas, steps: int, spectrum: SpectrumParams, configs):
+    """``quadrature_maps`` for each dephasing step in ``configs``, one at a
+    time.  Every step is checked on entry, before any node is built: its
+    decoherence phase over the run, then its node count by
+    ``_quadrature_support``, so a run whose later step exceeds
+    ``errors.MAX_GRID_BYTES`` is refused before any map is made."""
     if steps < 0:
         raise DomainError("steps must be non-negative")
     controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
     if len(controls) == 0:
         raise DomainError("quadrature_maps needs at least one eta")
-    decoherence_function(spectrum, config.index_contrast, steps * config.step_duration)
     order = max(16, 2 * steps + 8)
+    configs = list(configs)
+    for config in configs:
+        decoherence_function(spectrum, config.index_contrast, steps * config.step_duration)
+        _quadrature_support(spectrum, config, order, len(controls))
+    for config in configs:
+        yield _quadrature_walk(controls, steps, spectrum, config, order)
+
+
+def _quadrature_walk(controls, steps: int, spectrum: SpectrumParams, config: DephasingConfig,
+                     order: int) -> np.ndarray:
+    """One step's maps of ``quadrature_map_stacks``; its nodes go when it returns."""
     nodes, weights = _quadrature_nodes(spectrum, config, order, len(controls))
     thetas = config.index_contrast * config.step_duration * nodes
     weights = weights * spectral_density(spectrum, nodes)
@@ -446,20 +475,21 @@ def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, config
                               engine: str = "series") -> np.ndarray:
     """``approximation_error`` for every dephasing step in ``configs``, control
     in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1): the exact
-    maps of one ``transfer_map_stack`` call per step, whose m = 0 maps are the
-    identity on either engine, against one ``series_map_stacks`` call's
-    single-period averages, one step at a time, so a run holds one step's maps
-    and Choi stack besides the averages and the distances.  The first step's
-    maps, whose count on entry is at least the averages', are made first, so
-    an oversized run is refused before any work.  The averages are the strong
-    limit itself, so that engine is refused as unknown."""
+    maps of each step from one ``transfer_map_stacks`` pass, whose m = 0 maps
+    are the identity on either engine, against one ``series_map_stacks``
+    call's single-period averages, one step at a time, so a run holds one
+    step's maps and Choi stack besides the averages and the distances.  The
+    pass counts every step's maps on entry (the series count is the same for
+    each step) and makes the first step's, whose count is at least the
+    averages', first, so an oversized run is refused before any work.  The
+    averages are the strong limit itself, so that engine is refused as
+    unknown."""
     if len(configs) == 0:
         raise DomainError("approximation_error_stack needs at least one dephasing step")
     if engine == "strong-limit":
         raise DomainError(f"unknown engine {engine!r}")
     averages, out = None, []
-    for config in configs:
-        exact = transfer_map_stack(spectrum, config, etas, steps, engine)
+    for exact in transfer_map_stacks(spectrum, configs, etas, steps, engine):
         if averages is None:
             averages = series_map_stacks(etas, steps)[1]
         out.append(channel_distance(exact, averages))

@@ -123,24 +123,39 @@ def transfer_map_stack(
 
     engine: "series" (exact Fourier-coefficient evaluation, default),
     "quadrature" (per-period oscillatory quadrature cross-check), or
-    "strong-limit" (single-period average, no spectrum dependence).  This is
-    the one place an engine is chosen.  Each engine averages every eta in one
-    call: ``harmonic.series_map_stacks`` for the series and strong-limit
-    engines, ``harmonic.quadrature_maps`` for the quadrature engine.
+    "strong-limit" (single-period average, no spectrum dependence): the one
+    stack of ``transfer_map_stacks`` for ``config`` alone.
+    """
+    return next(transfer_map_stacks(spectrum, (config,), etas, steps, engine))
+
+
+def transfer_map_stacks(spectrum: SpectrumParams, configs, etas, steps: int,
+                        engine: str = "series"):
+    """``transfer_map_stack`` for each dephasing step in ``configs``, one at a
+    time, counted on entry: a run whose later step exceeds the budget is
+    refused before any map is made.  This is the one place an engine is
+    chosen.  Each engine averages every eta in one call per step:
+    ``harmonic.series_map_stacks`` for the series and strong-limit engines,
+    whose count is the same for every step, and
+    ``harmonic.quadrature_map_stacks`` for the quadrature engine, which counts
+    every step's nodes first.
     """
     from . import harmonic  # deferred to avoid an import cycle
 
     if steps < 0 or len(etas) == 0:
         raise DomainError("transfer_map_stack needs non-negative steps and at least one eta")
     if engine == "quadrature":
-        maps = harmonic.quadrature_maps(etas, steps, spectrum, config)
-        maps[:, 0] = np.eye(3)  # exact, not the quadrature of the density
-        return maps
-    if engine == "series":
-        return harmonic.series_map_stacks(etas, steps, ((spectrum, config),))[0][0]
-    if engine == "strong-limit":
-        return harmonic.series_map_stacks(etas, steps)[1]
-    raise DomainError(f"unknown engine {engine!r}")
+        for maps in harmonic.quadrature_map_stacks(etas, steps, spectrum, configs):
+            maps[:, 0] = np.eye(3)  # exact, not the quadrature of the density
+            yield maps
+    elif engine == "series":
+        for config in configs:
+            yield harmonic.series_map_stacks(etas, steps, ((spectrum, config),))[0][0]
+    elif engine == "strong-limit":
+        for _ in configs:
+            yield harmonic.series_map_stacks(etas, steps)[1]
+    else:
+        raise DomainError(f"unknown engine {engine!r}")
 
 
 def evolve_qubit(

@@ -129,6 +129,25 @@ def test_sources_keep_one_byte_budget():
                       "openwalk.discretize_spectrum"}
 
 
+def test_sources_leave_numpy_random_alone():
+    # numpy.random adds about 6 MB to a process; the oracle draws its test
+    # matrices from the standard library's random, which numpy already loads
+    named = set()
+    for path in sorted((ROOT / "src" / "memoryflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "random" and getattr(
+                    node.value, "id", None) in ("np", "numpy"):
+                named.add(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Import) and any(
+                    alias.name.startswith("numpy.random") for alias in node.names):
+                named.add(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("numpy.random") or node.module == "numpy"
+                    and any(alias.name == "random" for alias in node.names)):
+                named.add(f"{path.name}:{node.lineno}")
+    assert named == set()
+
+
 def test_cli_counts_only_its_own_tables():
     # every library route counts its own memory on entry: cli.py passes the
     # bytes of the tables it builds or writes to require_bytes and calls no
@@ -140,7 +159,8 @@ def test_cli_counts_only_its_own_tables():
 
 
 def test_sources_keep_one_engine_switch():
-    # qubit.transfer_map_stack alone picks a qubit engine: outside cli.py,
+    # qubit.transfer_map_stacks alone picks a qubit engine (transfer_map_stack
+    # takes its one stack for one step duration): outside cli.py,
     # which validates the field, no other function compares with "series" or
     # "quadrature" (approximation_error_stack may refuse "strong-limit")
     switches = set()
@@ -157,4 +177,4 @@ def test_sources_keep_one_engine_switch():
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
                 switches.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
-    assert switches == {"qubit.transfer_map_stack"}
+    assert switches == {"qubit.transfer_map_stacks"}

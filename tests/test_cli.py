@@ -336,6 +336,23 @@ class TestConfigResolution:
         assert not out.exists()
         assert calls == {"transfer_power_average": [], "composite_gauss_legendre": []}
 
+    @pytest.mark.parametrize("factors", ["[1.03,1e5]", "[1e5,1.03]"])
+    def test_every_quadrature_step_refused_before_any_map(self, capsys, tmp_path, monkeypatch,
+                                                          factors):
+        # every step duration's nodes are counted on entry, so a later
+        # oversized factor is refused before the earlier factors' maps
+        calls = record_calls(monkeypatch, kernels.transfer_power_average)
+        out = tmp_path / "out"
+        assert run_cli("strong-limit-error", "--preset", "fig5", "--engine", "quadrature",
+                       "--set", f"delta_t_factors={factors}", "--set", "steps=200",
+                       "--out", str(out)) == 2
+        assert "quadrature support" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == {"transfer_power_average": []}
+        # the series engine's count does not depend on the step duration
+        assert run_cli("strong-limit-error", "--preset", "fig5", "--set",
+                       f"delta_t_factors={factors}", "--set", "steps=200", "--out", str(out)) == 0
+
     @pytest.mark.parametrize("command,reference", [
         ("dephasing", "fig1"),
         ("controlled-qubit", "fig2"),
@@ -673,14 +690,15 @@ class TestControlledQubitCommand:
     def test_quadrature_maps_shared_by_both_states(self, tmp_path, monkeypatch):
         # one quadrature walk over one grid serves every eta, every step and
         # both initial states
-        calls = record_calls(monkeypatch, harmonic.quadrature_maps, harmonic.quadrature_map,
-                             harmonic._quadrature_nodes, harmonic.spectral_density)
+        calls = record_calls(monkeypatch, harmonic.quadrature_map_stacks,
+                             harmonic.quadrature_map, harmonic._quadrature_nodes,
+                             harmonic.spectral_density)
         assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
                        "--out", str(tmp_path)) == 0
-        assert [list(args[0]) for args in calls["quadrature_maps"]] \
-            == [PRESETS["fig3"]["eta_values"]]
+        assert [(list(args[0]), len(args[3])) for args in calls["quadrature_map_stacks"]] \
+            == [(PRESETS["fig3"]["eta_values"], 1)]
         assert {name: len(made) for name, made in calls.items()} \
-            == {"quadrature_maps": 1, "quadrature_map": 0, "_quadrature_nodes": 1,
+            == {"quadrature_map_stacks": 1, "quadrature_map": 0, "_quadrature_nodes": 1,
                 "spectral_density": 1}
 
     def test_fig2_work_pattern(self, tmp_path, monkeypatch):
@@ -1429,6 +1447,25 @@ def test_figure_routes_leave_random_and_polynomial_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == {" ".join(argv): [] for argv in runs}
+
+
+def test_verification_routes_leave_random_unimported(tmp_path):
+    # the oracle draws its eigensolver matrices from the standard library's
+    # random; these routes need numpy.polynomial's Gauss rules, not numpy.random
+    runs = [["oracle"], ["walk", "--check-integrals"],
+            ["controlled-qubit", "--preset", "fig3", "--engine", "quadrature"]]
+    code = ("import json, sys\n"
+            "from memoryflow import cli\n"
+            "loaded = {}\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert cli.main(argv + ['--out', f'{sys.argv[2]}/{i}']) == 0\n"
+            "    loaded[' '.join(argv)] = sorted(\n"
+            "        m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {" ".join(argv): ["numpy.polynomial"] for argv in runs}
 
 
 class TestDeterminism:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,12 +335,15 @@ class TestStreamedRoutes:
         # the dilation checks over 40 steps, and the position stream and the
         # oracle's other checks at their least, hold no more than
         # dilation_bytes counts: at K = 2 and 32 the dense densities lead, at
-        # K = 1024 the branch amplitudes and the discrete filter's table
+        # K = 1024 the branch amplitudes and the discrete filter's table.  One
+        # untraced call first loads the lazy numpy modules and fills the
+        # Gauss rule cache, which a run holds for good, not per call
+        args = dict(max_steps=40, n_freqs=[n_freqs], walk_steps=0, position_check_steps=0,
+                    engine_max_power=0, seed=0)
+        oracle_checks(spectrum(), dephasing(), **args)
         tracemalloc.start()
         try:
-            checks = oracle_checks(spectrum(), dephasing(), max_steps=40, n_freqs=[n_freqs],
-                                   walk_steps=0, position_check_steps=0, engine_max_power=0,
-                                   seed=0)
+            checks = oracle_checks(spectrum(), dephasing(), **args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -561,6 +568,69 @@ class TestHermitianEigenvalues:
         rho = strong_blocks(1.0, 0.0, 2)
         with pytest.raises(DomainError):
             rho.block(3, 0)
+
+
+class TestEigensolverIdentities:
+    """The oracle's last check draws 20 Hermitian matrices of dimension 2 to 32
+    from ``random.Random(seed)``, entries uniform in [-1, 1)."""
+
+    @staticmethod
+    def drawn(monkeypatch, seed, shifted=None):
+        # the run's matrices, by wrapping the eigensolver as the NaN test does;
+        # trial ``shifted`` has 1e-9 added to its largest eigenvalue
+        matrices = []
+
+        def recorded(h):
+            matrices.append(h.copy())
+            vals = hermitian_eigenvalues(h)
+            if len(matrices) - 1 == shifted:
+                vals[-1] += 1e-9
+            return vals
+
+        monkeypatch.setattr(openwalk, "hermitian_eigenvalues", recorded)
+        return eigensolver_identity_deviation(seed), matrices
+
+    def test_same_seed_same_result_in_and_across_processes(self):
+        first = eigensolver_identity_deviation(0)
+        assert eigensolver_identity_deviation(0) == first
+        assert 0.0 < first[0] <= 1e-10
+        code = ("import json\n"
+                "from memoryflow.openwalk import eigensolver_identity_deviation\n"
+                "print(json.dumps(eigensolver_identity_deviation(0)))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True).stdout for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert tuple(json.loads(runs[0])) == first
+
+    def test_seeds_draw_different_matrices(self, monkeypatch):
+        _, zero = self.drawn(monkeypatch, 0)
+        _, one = self.drawn(monkeypatch, 1)
+        assert len(zero) == len(one) == 20
+        assert not any(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(zero, one))
+
+    def test_drawn_dimensions_and_entries(self, monkeypatch):
+        dims, entries = set(), []
+        for seed in range(10):
+            (_, where), matrices = self.drawn(monkeypatch, seed)
+            assert len(matrices) == 20
+            for h in matrices:
+                assert h.shape == (len(h), len(h)) and np.array_equal(h, h.conj().T)
+                dims.add(len(h))
+                entries.append(h.ravel())
+            trial = int(where.split(",")[0].removeprefix("trial="))
+            assert where == f"trial={trial}, dim={len(matrices[trial])}"
+        assert dims <= set(range(2, 33)) and len(dims) > 20
+        values = np.concatenate(entries)
+        parts = np.concatenate([values.real, values.imag])
+        assert -1.0 <= parts.min() < -0.99 and 0.99 < parts.max() < 1.0
+
+    @pytest.mark.parametrize("trial", [0, 7, 19])
+    def test_shifted_eigenvalue_fails_at_its_trial(self, monkeypatch, trial):
+        (worst, where), matrices = self.drawn(monkeypatch, 0, shifted=trial)
+        assert not errors.check("eigensolver_identities", (worst, where), 1e-10)["pass"]
+        assert worst >= 0.99e-9
+        assert where == f"trial={trial}, dim={len(matrices[trial])}"
 
 
 class TestTraceDistanceWalk:
