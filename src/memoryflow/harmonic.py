@@ -11,10 +11,11 @@ three are weighted sums of M(theta)^m over nodes, walked by one kernel,
   ``series_map_stacks`` averages every eta, power and table in one walk.
   ``TrigMatrixSeries`` and ``series_multiply`` keep the coefficients
   themselves, as an independent reference.
-- quadrature engine: direct per-period composite Gauss-Legendre integration
-  of the highly oscillatory integrand; ``quadrature_maps`` walks
-  P <- P M(theta) for every eta once over the nodes of the largest order a
-  run needs and averages every power on the way.
+- quadrature engine: direct composite Gauss-Legendre integration of the
+  highly oscillatory integrand over the peaks that carry weight, each panel
+  at most one period long and at the order the phase it spans needs for the
+  largest power; ``quadrature_maps`` walks P <- P M(theta) for every eta
+  once over those nodes and averages every power on the way.
 - strong-dephasing limit: the zeroth Fourier coefficient, i.e. the average of
   M(theta)^m over a single period: the period nodes with equal weights.  For
   the balanced control (eta = 1/2) this has a closed form built from
@@ -253,47 +254,57 @@ def series_map_stacks(etas, steps: int, tables=()):
     return stacks[:-1], stacks[-1]
 
 
-def _quadrature_support(spectrum: SpectrumParams, config: DephasingConfig, order: int,
-                        etas: int) -> tuple[float, float, int]:
-    """The spectral support (lo, hi) of ``_quadrature_nodes`` and its panel
-    count, once the nodes have been counted.
+def _quadrature_support(spectrum: SpectrumParams, config: DephasingConfig, steps: int,
+                        etas: int) -> tuple[float, float, int, int]:
+    """The spectral support (lo, hi) of ``_quadrature_nodes``, its panel count
+    and its Gauss-Legendre order per panel for powers m <= ``steps``, once the
+    nodes have been counted.
 
-    The support [mu1 - 8 sigma, mu2 + 8 sigma] is cut into one interval per
-    period of the transfer matrix (the integrand oscillates with up to m full
-    cycles per period), and any interval longer than two sigma is subdivided
-    so the Gaussian factor is always well resolved.  The nodes are counted at
-    ``NODE_BYTES`` per node and eta walked on them against
-    ``errors.MAX_GRID_BYTES``, with the panel counts kept as floats until
-    ``errors.require_bytes`` has passed them: an extreme spectrum makes them
-    infinite or too large for an int.  A support within the budget whose panel
-    midpoints (the sum of two edges) or phases delta_n delta_t omega overflow
-    is refused by name.
+    The support runs from mu1 - 8 sigma to mu2 + 8 sigma, or to mu1 + 8 sigma
+    when the second peak has no weight (A = 0).  It is cut into one interval
+    per period of the transfer matrix, and any interval longer than two sigma
+    is subdivided so the Gaussian factor is always well resolved.  The
+    integrand of the m-th power carries harmonics up to degree m per period,
+    so a panel spanning the fraction s of a period, in [0, 1] and 0 without
+    index contrast, holds at most m s of their cycles: the order
+    ceil(2 steps s) + 20 resolves them and the Gaussian factor.  The nodes
+    are counted at ``NODE_BYTES`` per node and eta walked on them against
+    ``errors.MAX_GRID_BYTES``, with the panel count and the order kept as
+    floats until ``errors.require_bytes`` has passed them: an extreme
+    spectrum makes them infinite, NaN or too large for an int.  A support
+    within the budget whose panel midpoints (the sum of two edges) or phases
+    delta_n delta_t omega overflow is refused by name.
     """
     lo = spectrum.mu1 - 8.0 * spectrum.sigma
-    hi = spectrum.mu2 + 8.0 * spectrum.sigma
+    hi = (spectrum.mu2 if spectrum.amplitude_ratio else spectrum.mu1) + 8.0 * spectrum.sigma
     period = config.period_omega
     width = hi - lo
     n_periods = max(1.0, float(np.ceil(width / period))) if math.isfinite(period) else 1.0
     per_len = width / n_periods
     sub = max(1.0, float(np.ceil(per_len / (2.0 * spectrum.sigma))))
     panels = n_periods * sub
+    # the fraction of a period one panel spans: 1 where an infinite support
+    # makes it inf / inf
+    span = per_len / sub / period if math.isfinite(period) else 0.0
+    span = min(span, 1.0) if math.isfinite(span) else 1.0
+    order = float(np.ceil(2.0 * steps * span)) + 20.0
     require_bytes(NODE_BYTES * panels * order * etas,
                   f"the quadrature support of the spectrum and step ({panels:.6g} panels x "
-                  f"order {order} x {etas} etas)")
+                  f"order {order:.6g} x {etas} etas)")
     scale = config.index_contrast * config.step_duration
     if not all(math.isfinite(v) for v in (lo + lo, hi + hi, scale * lo, scale * hi)):
         raise DomainError(
-            "the quadrature support [mu1 - 8 sigma, mu2 + 8 sigma] or its phase "
+            f"the quadrature support [{lo!r}, {hi!r}] or its phase "
             f"delta_n * delta_t * omega overflows (mu1 = {spectrum.mu1!r}, "
             f"mu2 = {spectrum.mu2!r}, sigma = {spectrum.sigma!r}, "
             f"delta_n = {config.index_contrast!r}, delta_t = {config.step_duration!r})")
-    return lo, hi, int(panels)
+    return lo, hi, int(panels), int(order)
 
 
-def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, order: int, etas: int):
-    """Composite Gauss-Legendre grid over the spectral support, at ``order``
-    nodes per panel of ``_quadrature_support``."""
-    lo, hi, panels = _quadrature_support(spectrum, config, order, etas)
+def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, steps: int, etas: int):
+    """Composite Gauss-Legendre grid over the spectral support, at the order
+    per panel of ``_quadrature_support`` for powers m <= ``steps``."""
+    lo, hi, panels, order = _quadrature_support(spectrum, config, steps, etas)
     return kernels.composite_gauss_legendre(lo, hi, panels, order)
 
 
@@ -303,44 +314,44 @@ def quadrature_maps(
     """Maps for every control in ``etas`` and m = 0..steps by direct
     oscillatory quadrature of the spectral average, (etas, steps + 1, 3, 3):
     the quadrature counterpart of ``series_map_stacks``, and the one stack of
-    ``quadrature_map_stacks`` for ``config`` alone.
+    ``quadrature_map_stacks`` for (``spectrum``, ``config``) alone.
 
-    Gauss-Legendre order max(16, 2 steps + 8) per panel: the integrand of the
-    m-th map carries harmonics up to degree m per period, and an n-point rule
-    resolves them superexponentially once n exceeds about pi m / 2.  The
-    order the largest power needs serves every power, and one walk P <- P M
-    over its nodes yields them all, each eta with the bits of its own call.
-    The m = 0 entry is the quadrature of the spectral density alone, 1 up to
-    the rule's error.  A spectrum whose decoherence phase overflows over the
-    run is refused before any node is built, as on the series engine.
+    Gauss-Legendre order ceil(2 steps s) + 20 per panel, where s is the
+    fraction of a period of the transfer matrix that one panel spans: the
+    integrand of the m-th map carries harmonics up to degree m per period,
+    so a panel meets at most m s of their cycles.  The order the largest
+    power needs serves every power, and one walk P <- P M over its nodes
+    yields them all, each eta with the bits of its own call.  The m = 0 entry
+    is the quadrature of the spectral density alone, 1 up to the rule's
+    error.  A spectrum whose decoherence phase overflows over the run is
+    refused before any node is built, as on the series engine.
     """
-    return next(quadrature_map_stacks(etas, steps, spectrum, (config,)))
+    return next(quadrature_map_stacks(etas, steps, ((spectrum, config),)))
 
 
-def quadrature_map_stacks(etas, steps: int, spectrum: SpectrumParams, configs):
-    """``quadrature_maps`` for each dephasing step in ``configs``, one at a
-    time.  Every step is checked on entry, before any node is built: its
+def quadrature_map_stacks(etas, steps: int, tables):
+    """``quadrature_maps`` for each (spectrum, step) pair in ``tables``, one at
+    a time.  Every pair is checked on entry, before any node is built: its
     decoherence phase over the run, then its node count by
-    ``_quadrature_support``, so a run whose later step exceeds
+    ``_quadrature_support``, so a run whose later pair exceeds
     ``errors.MAX_GRID_BYTES`` is refused before any map is made."""
     if steps < 0:
         raise DomainError("steps must be non-negative")
     controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
     if len(controls) == 0:
         raise DomainError("quadrature_maps needs at least one eta")
-    order = max(16, 2 * steps + 8)
-    configs = list(configs)
-    for config in configs:
+    tables = list(tables)
+    for spectrum, config in tables:
         decoherence_function(spectrum, config.index_contrast, steps * config.step_duration)
-        _quadrature_support(spectrum, config, order, len(controls))
-    for config in configs:
-        yield _quadrature_walk(controls, steps, spectrum, config, order)
+        _quadrature_support(spectrum, config, steps, len(controls))
+    for spectrum, config in tables:
+        yield _quadrature_walk(controls, steps, spectrum, config)
 
 
-def _quadrature_walk(controls, steps: int, spectrum: SpectrumParams, config: DephasingConfig,
-                     order: int) -> np.ndarray:
-    """One step's maps of ``quadrature_map_stacks``; its nodes go when it returns."""
-    nodes, weights = _quadrature_nodes(spectrum, config, order, len(controls))
+def _quadrature_walk(controls, steps: int, spectrum: SpectrumParams,
+                     config: DephasingConfig) -> np.ndarray:
+    """One pair's maps of ``quadrature_map_stacks``; its nodes go when it returns."""
+    nodes, weights = _quadrature_nodes(spectrum, config, steps, len(controls))
     thetas = config.index_contrast * config.step_duration * nodes
     weights = weights * spectral_density(spectrum, nodes)
     maps = kernels.transfer_power_average(thetas, weights, controls[:, 0], controls[:, 1], steps)
@@ -351,7 +362,8 @@ def quadrature_map(
     eta: float, m: int, spectrum: SpectrumParams, config: DephasingConfig
 ) -> np.ndarray:
     """m-step map by direct oscillatory quadrature: the last of
-    ``quadrature_maps((eta,), m, ...)``, at order max(16, 2m + 8)."""
+    ``quadrature_maps((eta,), m, ...)``, at the order its panels need for
+    powers up to m."""
     return quadrature_maps((eta,), m, spectrum, config)[0, m]
 
 

@@ -45,6 +45,13 @@ DEFAULT_QUBIT_DIRECTION = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
 #: fixed walk pair: |L, 0> vs |R, 0>
 DEFAULT_WALK_COINS = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
 
+#: filter values below FILTER_CUT / sqrt(n_steps + 1) are set to 0 before the
+#: walk measure solves: a Hermitian Toeplitz change of at most eps moves each
+#: D(n) by at most sqrt(n + 1) eps, here 2^-64, below one rounding of a value
+#: near 1, while LAPACK's eigenvalue-only route can return wrong eigenvalues
+#: for matrices that mix coherences near 1e-80 or 1e-160 with their squares
+FILTER_CUT = 2.0 ** -64
+
 #: imaginary residue, relative to a filter's largest value, below which a
 #: gauged filter table counts as real; rounding leaves about 2e-15 on the fig4
 #: filters that are real, and the others keep 1e-7 or more
@@ -182,6 +189,7 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     finite and Hermitian Toeplitz, f(-d) = conj f(d) within ``HERMITICITY_TOL``
     of its largest value, and each origin a finite and normalized
     (``walk.initial_state``) coin pair, which every unitary step keeps finite.
+    Table entries below ``FILTER_CUT`` / sqrt(n_steps + 1) are then set to 0.
     Every filtered matrix, a Hermitian Toeplitz table times the Hermitian
     v1 v1† - v2 v2† entry by entry, is then Hermitian by construction; a
     non-finite one would still be refused by the one trace-norm kernel,
@@ -213,6 +221,7 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     defect = np.max(np.abs(table[:, ::-1] - table.conj()), axis=1)
     if np.any(defect > HERMITICITY_TOL * np.maximum(scale, 1.0)):
         raise DomainError("filter must be Hermitian Toeplitz: f(-d) = conj f(d)")
+    table = np.where(np.abs(table) < FILTER_CUT / math.sqrt(n_steps + 1), 0.0, table)
     # the amplitudes of both coins over the sites, one column per coin
     origins = [initial_state(*coin) for coin in coins]
     left = np.stack([origin.amp_left for origin in origins], axis=-1)

@@ -288,12 +288,13 @@ def dilation_bytes(steps: int, n_freqs: int) -> int:
     dense 2(steps + 1) densities of two dilation streams, their difference and
     its eigensolve (``measure_vs_dilation``), and each stream's (steps + 1, K)
     branch amplitudes with the discrete filter's (K, 2 steps + 1) table.
-    tracemalloc measures 510-580 B per (steps + 1)^2 at K <= 64 (0.98 MB at
-    40 steps and K = 2, 8.4 MB at (127, 64)), and 168-176 B per K (steps + 1)
-    at K >= 1024 (31.8 MB at 10 steps and K = 16384); it is counted as ten
-    complex 2(steps + 1)-square matrices and twelve complex (steps + 1, K)
-    arrays."""
-    return 16 * (steps + 1) * (40 * (steps + 1) + 12 * n_freqs)
+    tracemalloc measures, warm, 574-675 B per (steps + 1)^2 at K = 2 and
+    20-127 steps (1.09 MB at 40 steps, 9.40 MB at 127), and 168-176 B per
+    K (steps + 1) at K >= 1024 (31.8 MB at 10 steps and K = 16384); it is
+    counted as ten complex 2(steps + 1)-square matrices, twelve complex
+    (steps + 1, K) arrays and 128 complex values per step for what each step
+    keeps besides, which covers those K = 2 peaks by 8-15%."""
+    return 16 * (steps + 1) * (40 * (steps + 1) + 12 * n_freqs + 128)
 
 
 def dilation_densities(
@@ -434,13 +435,13 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
         (abs(d - m), f"n={n}") for n, (d, m) in enumerate(zip(dilated, measured.tolist()))),
         1e-10) | {"K": n_freqs[0], "steps": _step_range(max_steps)})
 
-    # series engine vs oscillatory quadrature
+    # series engine vs oscillatory quadrature: one call per engine over both
+    # A, so each engine counts both spectra before it makes any map
     spectra_a = {a: replace(spectrum, amplitude_ratio=a) for a in (0.0, 1.0)}
+    tables = [(spec_a, dephasing) for spec_a in spectra_a.values()]
     etas = (0.0, 0.5, 1.0)
-    series = harmonic.series_map_stacks(
-        etas, engine_max_power, [(spec_a, dephasing) for spec_a in spectra_a.values()])[0]
-    quadrature = np.array([harmonic.quadrature_maps(etas, engine_max_power, spec_a, dephasing)
-                           for spec_a in spectra_a.values()])
+    series = harmonic.series_map_stacks(etas, engine_max_power, tables)[0]
+    quadrature = np.array(list(harmonic.quadrature_map_stacks(etas, engine_max_power, tables)))
     devs = np.max(np.abs(series - quadrature), axis=(-2, -1)).tolist()
     deviations = [(devs[t][e][m], f"eta={eta}, m={m}, A={a}") for e, eta in enumerate(etas)
                   for m in range(engine_max_power + 1) for t, a in enumerate(spectra_a)]

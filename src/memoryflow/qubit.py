@@ -138,14 +138,15 @@ def transfer_map_stacks(spectrum: SpectrumParams, configs, etas, steps: int,
     ``harmonic.series_map_stacks`` for the series and strong-limit engines,
     whose count is the same for every step, and
     ``harmonic.quadrature_map_stacks`` for the quadrature engine, which counts
-    every step's nodes first.
+    every (spectrum, step) pair's nodes first.
     """
     from . import harmonic  # deferred to avoid an import cycle
 
     if steps < 0 or len(etas) == 0:
         raise DomainError("transfer_map_stack needs non-negative steps and at least one eta")
     if engine == "quadrature":
-        for maps in harmonic.quadrature_map_stacks(etas, steps, spectrum, configs):
+        for maps in harmonic.quadrature_map_stacks(etas, steps,
+                                                   [(spectrum, config) for config in configs]):
             maps[:, 0] = np.eye(3)  # exact, not the quadrature of the density
             yield maps
     elif engine == "series":

@@ -116,10 +116,10 @@ class WalkAmplitudes(NamedTuple):
     b_right: complex   # R -> R
 
 
-def _running_powers(z: np.ndarray, parity: int, out: np.ndarray) -> np.ndarray:
-    """Fill row i of ``out`` with z^(parity + 2i), each row the previous one
+def _running_powers(z: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill row i of ``out`` with z^(first + 2i), each row the previous one
     times z^2."""
-    out[0] = z if parity else 1.0
+    out[0] = z ** first  # exact for first = 0 and 1
     step = z * z
     for i in range(1, len(out)):
         np.multiply(out[i - 1], step, out=out[i])
@@ -127,16 +127,18 @@ def _running_powers(z: np.ndarray, parity: int, out: np.ndarray) -> np.ndarray:
 
 
 def _parity_block(base: np.ndarray, e_k: np.ndarray, e_nu: np.ndarray,
-                  parity: int, top: int) -> np.ndarray:
-    """Amplitudes of the step counts m = parity, parity + 2, ..., top at the
-    sites x = -top, -top + 2, ..., top, as a (counts, 4, sites) array, from
-    the node weights ``base`` and the phases e^(ik), e^(-i nu(k))."""
+                  low: int, top: int) -> np.ndarray:
+    """Amplitudes of the step counts m = low, low + 2, ..., top at the sites
+    x = -top, -top + 2, ..., top, as a (counts, 4, sites) array, from the
+    node weights ``base`` and the phases e^(ik), e^(-i nu(k))."""
     nodes = base.shape[1]
+    parity = low % 2
     n_pos = (top - parity) // 2 + 1
     n_neg = n_pos - 1 + parity
     # e^(-i m nu) times each weight: the running powers are dropped before
     # the site phases are built, so that the two tables never coexist
-    step_phase = _running_powers(e_nu, parity, np.empty((n_pos, nodes), dtype=complex))
+    counts = (top - low) // 2 + 1
+    step_phase = _running_powers(e_nu, low, np.empty((counts, nodes), dtype=complex))
     lhs = (step_phase[:, None, :] * base).reshape(-1, nodes)
     del step_phase
     # e^(ikx) for the n_neg sites x < 0, then the n_pos sites x >= 0
@@ -153,10 +155,10 @@ def _parity_block(base: np.ndarray, e_k: np.ndarray, e_nu: np.ndarray,
     ], axis=1)
 
 
-def _amplitude_rows(panels: int, order: int, last: int) -> dict[int, np.ndarray]:
+def _amplitude_rows(panels: int, order: int, last: int, first: int = 0) -> dict[int, np.ndarray]:
     """Amplitudes a_left, a_right, b_left, b_right of every site
     x = -m, -m + 2, ..., m on one composite grid, as a (4, m + 1) array for
-    each step count m = 0..last.
+    each step count m = first..last.
 
     The alpha, beta, gamma quasi-momentum integrals have weights
     {1, cos k, sin k}/sqrt(1 + cos^2 k) against e^(ikx) e^(-i m nu(k)).  Both
@@ -171,10 +173,10 @@ def _amplitude_rows(panels: int, order: int, last: int) -> dict[int, np.ndarray]
     e_k = np.exp(1j * k)
     e_nu = np.exp(-1j * dispersion_nu(k))
     rows = {}
-    for parity in range(min(last, 1) + 1):
-        top = last - (last - parity) % 2
-        block = _parity_block(base, e_k, e_nu, parity, top)
-        for m, amplitudes in zip(range(parity, top + 1, 2), block):
+    for low in range(first, min(first + 1, last) + 1):
+        top = last - (last - low) % 2
+        block = _parity_block(base, e_k, e_nu, low, top)
+        for m, amplitudes in zip(range(low, top + 1, 2), block):
             j = (top - m) // 2
             rows[m] = amplitudes[:, j:j + m + 1]
     return rows
@@ -223,19 +225,26 @@ def walk_amplitude_rows(steps: int):
     the call, before either grid is built.  Each row is guarded site by site
     as it is taken, so a row that fails the guard raises ``NumericError``
     after every earlier row."""
+    return _guarded_rows(0, steps)
+
+
+def _guarded_rows(first: int, steps: int):
+    """The rows m = first..steps of ``walk_amplitude_rows(steps)``, on its
+    grid pair and each with its guard, counted and refused on the call."""
     if steps < 0:
         raise DomainError("step count must be non-negative")
     require_bytes(integral_check_bytes(steps), f"the integral check over steps = {steps}")
-    coarse = _amplitude_rows(steps + 1, 64, steps)
-    fine = _amplitude_rows(steps + 2, 80, steps)
-    return (_refined(m, coarse[m], fine[m]) for m in range(steps + 1))
+    coarse = _amplitude_rows(steps + 1, 64, steps, first)
+    fine = _amplitude_rows(steps + 2, 80, steps, first)
+    return (_refined(m, coarse[m], fine[m]) for m in range(first, steps + 1))
 
 
 def walk_amplitudes_row(m: int) -> np.ndarray:
     """The amplitudes of every site after m steps, (4, m + 1): the last row of
-    ``walk_amplitude_rows(m)``, on its grid pair."""
-    *_, row = walk_amplitude_rows(m)
-    return row
+    ``walk_amplitude_rows(m)``, on its grid pair and with its guard, formed
+    from the one step count m alone, whose phase e^(-i m nu) is one power of
+    e^(-i nu)."""
+    return next(_guarded_rows(m, m))
 
 
 def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:

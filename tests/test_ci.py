@@ -56,6 +56,7 @@ def test_workflow_runs_the_oracle_at_fig4_steps():
     assert len(oracle) == 1
     assert "--set oracle.max_steps=40" in oracle[0]
     assert "--set 'oracle.n_freqs=[8,16,32,64]'" in oracle[0]
+    assert "--set oracle.engine_max_power=240" in oracle[0]
     assert "||" not in oracle[0] and "continue-on-error" not in WORKFLOW.read_text(encoding="utf-8")
 
 

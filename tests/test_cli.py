@@ -695,7 +695,7 @@ class TestControlledQubitCommand:
                              harmonic.spectral_density)
         assert run_cli("controlled-qubit", "--preset", "fig3", "--engine", "quadrature",
                        "--out", str(tmp_path)) == 0
-        assert [(list(args[0]), len(args[3])) for args in calls["quadrature_map_stacks"]] \
+        assert [(list(args[0]), len(args[2])) for args in calls["quadrature_map_stacks"]] \
             == [(PRESETS["fig3"]["eta_values"], 1)]
         assert {name: len(made) for name, made in calls.items()} \
             == {"quadrature_map_stacks": 1, "quadrature_map": 0, "_quadrature_nodes": 1,
@@ -1058,7 +1058,8 @@ class TestOracleCommand:
             assert calls[name] == [], name
 
     def test_series_vs_quadrature_makes_one_series_stack_call(self, tmp_path, monkeypatch):
-        calls = record_calls(monkeypatch, harmonic.series_map_stacks, harmonic.quadrature_maps)
+        calls = record_calls(monkeypatch, harmonic.series_map_stacks,
+                             harmonic.quadrature_map_stacks)
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         power = resolve_config("oracle")["oracle"]["engine_max_power"]
         with_tables = [args for args in calls["series_map_stacks"] if len(args) > 2 and args[2]]
@@ -1066,8 +1067,11 @@ class TestOracleCommand:
         etas, steps, tables = with_tables[0]
         assert list(etas) == [0.0, 0.5, 1.0] and steps == power
         assert [spectrum.amplitude_ratio for spectrum, _ in tables] == [0.0, 1.0]
-        # the quadrature engine walks every eta at once, one walk per A
-        assert [list(args[0]) for args in calls["quadrature_maps"]] == [[0.0, 0.5, 1.0]] * 2
+        # the quadrature engine counts both A in one call, then walks every
+        # eta at once, one walk per A
+        [(etas, steps, tables)] = calls["quadrature_map_stacks"]
+        assert list(etas) == [0.0, 0.5, 1.0] and steps == power
+        assert [spectrum.amplitude_ratio for spectrum, _ in tables] == [0.0, 1.0]
 
     def test_walk_check_builds_one_grid_pair(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, kernels.composite_gauss_legendre)
@@ -1161,7 +1165,7 @@ class TestOracleCommand:
         # the field: the edge at each K validates, and one step more exits 2
         # by name before --out exists or any step
         calls = record_calls(monkeypatch, kernels.coin_shift)
-        for k, fits in ((8, 645), (32, 641), (64, 637)):
+        for k, fits in ((8, 643), (32, 640), (64, 635)):
             assert resolve_config("oracle", overrides=[("oracle.n_freqs", [k]),
                                                        ("oracle.max_steps", fits)])
             assert nonmarkov.walk_measure_bytes(fits + 1) <= errors.MAX_GRID_BYTES

@@ -372,6 +372,38 @@ class TestQuadratureMap:
             exact = integrate_series_against_spectrum(power, sp, cfg)
             assert np.max(np.abs(maps[m] - exact)) < ENGINE_AGREEMENT_TOL
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("factor,steps", [
+        (0.005, 40), (0.35, 30), (2.0, 30),
+        (5.0, 5),    # a panel spans a whole period: an order of 2m + 8 misses by 1.8e-10
+        (5.0, 40), (14.0, 60),
+    ])
+    def test_maps_agree_with_series_stacks(self, factor, steps, a):
+        # the order ceil(2 m s) + 20 resolves every power on every panel
+        sp, cfg = spectrum(a), dephasing(factor)
+        etas = (0.0, 0.2, 0.5, 0.8, 1.0)
+        exact = series_map_stacks(etas, steps, [(sp, cfg)])[0][0]
+        assert np.max(np.abs(quadrature_maps(etas, steps, sp, cfg) - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("a,peak", [(0.0, "mu1"), (0.3, "mu2"), (1.0, "mu2")])
+    def test_support_ends_past_the_last_weighted_peak(self, a, peak):
+        sp = spectrum(a)
+        lo, hi, _, _ = harmonic._quadrature_support(sp, dephasing(0.35), 10, 1)
+        assert lo == sp.mu1 - 8.0 * sp.sigma
+        assert hi == getattr(sp, peak) + 8.0 * sp.sigma
+
+    @pytest.mark.parametrize("cfg,steps,panels,order", [
+        # fig3: 16 sigma in four periods of 4.5 sigma, each cut in two panels
+        # of 4/9 of a period: ceil(60 * 4 / 9) + 20
+        (dephasing(2.0), 30, 8, 47),
+        # a panel spans 0.99 of a period at factor 5
+        (dephasing(5.0), 5, 9, 30),
+        # no index contrast: no phase, the Gaussian factor's order alone
+        (DephasingConfig(0.0, 1.0), 30, 8, 20),
+    ])
+    def test_order_follows_the_phase_a_panel_spans(self, cfg, steps, panels, order):
+        assert harmonic._quadrature_support(spectrum(0.0), cfg, steps, 1)[2:] == (panels, order)
+
     def test_negative_steps(self):
         with pytest.raises(DomainError):
             quadrature_maps((0.5,), -1, spectrum(), dephasing(0.35))
@@ -387,7 +419,7 @@ class TestQuadratureMap:
 
     @staticmethod
     def node_count(steps, sp, cfg):
-        return len(harmonic._quadrature_nodes(sp, cfg, max(16, 2 * steps + 8), 1)[0])
+        return len(harmonic._quadrature_nodes(sp, cfg, steps, 1)[0])
 
     def test_node_bytes_cover_the_measured_peak(self):
         # about 230 000 nodes: the run holds at most NODE_BYTES per node and

@@ -469,6 +469,21 @@ class TestStrongLimitBound:
         bound = np.sqrt(n + 1) * np.concatenate([[0.0], eps]) + 8 * (n + 1) * 2.0 ** -52
         assert np.all(np.abs(d_f - d_s) <= bound)
 
+    @pytest.mark.parametrize("a,sigma,delta_omega,time", [
+        (0.0, 3.0, 6.875, 7.0),      # |f(2)| = 1.0e-80, |f(4)| about 1e-320
+        (0.876, 2.5625, 6.125, 7.25),
+    ])
+    def test_coherences_far_below_rounding_are_cut(self, a, sigma, delta_omega, time):
+        # LAPACK's eigenvalue-only route once gave D_f(3) = 0.7096751797 for
+        # the first filter, off the strong limit's 0.7071067812 by 2.6e-3;
+        # FILTER_CUT sets such coherences to 0 before any eigensolve
+        config = DephasingConfig(0.009, time * 2.0 * math.pi / (delta_omega * 0.009))
+        flt = DephasingFilter(SpectrumParams(a, sigma, 5.0, delta_omega), config)
+        assert 0.0 < np.max(np.abs(flt(2 * np.arange(1, 4)))) < nonmarkov.FILTER_CUT / 2.0
+        d_f, d_s = walk_trace_distances([flt, strong_limit_filter], 3)
+        assert d_s[3] == pytest.approx(0.7071067812, abs=1e-10)
+        assert np.max(np.abs(d_f - d_s)) <= 8 * 4 * 2.0 ** -52
+
 
 def toeplitz_filter(values):
     """A walk filter from a Hermitian Toeplitz table: f(2 j) = values[j] and
@@ -501,6 +516,8 @@ class TestMirrorIdentity:
            | st.tuples(_real_coins, _real_coins))
     @example(table=(4, [1.0, -0.4, 0.3, 0.2, -0.1]), coins=None)
     @example(table=(4, [1.0, 0.4j, 0.3 - 0.2j, 0.2, 0.1j]), coins=None)
+    # a complex table wholly below the cut: solved as the real zero table
+    @example(table=(2, [0j, 1.557337753483998e-129 + 0j, 1.557337753483998e-129j]), coins=None)
     def test_trace_and_mirror_pairing(self, table, coins):
         n_steps, values = table
         values = np.array(values, dtype=complex)
@@ -519,7 +536,10 @@ class TestMirrorIdentity:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nonmarkov.kernels, "hermitian_eigvals", recorded)
             walk_trace_distances([flt], n_steps, coins)
-        real, _ = filter_table_gauge(flt(2 * np.arange(-n_steps, n_steps + 1))[None])
+        # the route is that of the table the measure solves, after FILTER_CUT
+        table = flt(2 * np.arange(-n_steps, n_steps + 1))[None]
+        cut = np.abs(table) < nonmarkov.FILTER_CUT / math.sqrt(n_steps + 1)
+        real, _ = filter_table_gauge(np.where(cut, 0.0, table))
         route = np.float64 if real[0] and not np.any(np.imag(coins)) else np.complex128
         assert len(solved) == n_steps + 1
         for dtype, vals in solved:
@@ -531,6 +551,10 @@ class TestMirrorIdentity:
     @settings(max_examples=40, deadline=None)
     @given(values=st.integers(0, 12).flatmap(
         lambda n: st.lists(_parts, min_size=n + 1, max_size=n + 1)))
+    # draws that LAPACK's eigenvalue-only route got wrong at step 2, by 5.3e-5
+    # and 4.6e-8, until FILTER_CUT zeroed their tiny coherences
+    @example(values=[0.75, 8.376539888361661e-297, 6.5944232172849575e-161])
+    @example(values=[0.9375, 5.25e-144, 0.0])
     def test_half_block_formula(self, values):
         # with a real symmetric table, P (F o D) P^T = -(F o D) for the mirror
         # pair, so in the eigenbases of iP (eigenvalues +-1) the filtered

@@ -334,10 +334,11 @@ class TestStreamedRoutes:
     def test_count_covers_the_measured_peak(self, n_freqs):
         # the dilation checks over 40 steps, and the position stream and the
         # oracle's other checks at their least, hold no more than
-        # dilation_bytes counts: at K = 2 and 32 the dense densities lead, at
-        # K = 1024 the branch amplitudes and the discrete filter's table.  One
-        # untraced call first loads the lazy numpy modules and fills the
-        # Gauss rule cache, which a run holds for good, not per call
+        # dilation_bytes counts, with 5% to spare: at K = 2 and 32 the dense
+        # densities lead, at K = 1024 the branch amplitudes and the discrete
+        # filter's table.  One untraced call first loads the lazy numpy
+        # modules and fills the Gauss rule cache, which a run holds for good,
+        # not per call
         args = dict(max_steps=40, n_freqs=[n_freqs], walk_steps=0, position_check_steps=0,
                     engine_max_power=0, seed=0)
         oracle_checks(spectrum(), dephasing(), **args)
@@ -348,7 +349,7 @@ class TestStreamedRoutes:
         finally:
             tracemalloc.stop()
         assert all(c["pass"] for c in checks)
-        assert peak <= dilation_bytes(40, n_freqs)
+        assert 1.05 * peak <= dilation_bytes(40, n_freqs)
 
     def test_domain(self):
         with pytest.raises(DomainError):

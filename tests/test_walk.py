@@ -239,8 +239,8 @@ class TestAmplitudeRows:
         # spoil the coarse grid at one site only: the guard is checked per site
         exact = walk._amplitude_rows
 
-        def spoiled(panels, order, last):
-            rows = exact(panels, order, last)
+        def spoiled(panels, order, *counts):
+            rows = exact(panels, order, *counts)
             if order == 64 and 5 in rows:
                 rows[5][1, 3] += 1e-7
             return rows
@@ -254,11 +254,20 @@ class TestAmplitudeRows:
     def test_coarse_order_too_low_is_refused(self, monkeypatch):
         exact = walk._amplitude_rows
         monkeypatch.setattr(walk, "_amplitude_rows",
-                            lambda panels, order, last: exact(panels, 4 if order == 64 else order, last))
-        # row 12 is the last of the rows up to 12, each guarded in turn, and
-        # the order-4 guard fails first at m = 1
-        with pytest.raises(NumericError, match=r"did not converge at m=1, x=-1:"):
+                            lambda panels, order, *counts:
+                            exact(panels, 4 if order == 64 else order, *counts))
+        # one row is formed and guarded alone; the rows up to 12 are each
+        # guarded in turn, and the order-4 guard fails first at m = 1
+        with pytest.raises(NumericError, match=r"did not converge at m=12, x="):
             walk_amplitudes_row(12)
+        with pytest.raises(NumericError, match=r"did not converge at m=1, x=-1:"):
+            list(walk_amplitude_rows(12))
+
+    @pytest.mark.parametrize("m", range(41))
+    def test_row_is_the_last_of_the_rows(self, m):
+        # the row of m alone, from one power of e^(-i nu), on the same grid pair
+        *_, last = walk_amplitude_rows(m)
+        assert np.max(np.abs(walk_amplitudes_row(m) - last)) <= 1e-14
 
     @pytest.mark.parametrize("steps", [0, 1, 12, 40])
     def test_shared_grid_rows_match_single_rows(self, steps):
@@ -276,8 +285,8 @@ class TestAmplitudeRows:
         # a NaN on either grid, or on both, is a refinement deviation that fails
         exact = walk._amplitude_rows
 
-        def poisoned(panels, grid_order, last):
-            rows = exact(panels, grid_order, last)
+        def poisoned(panels, grid_order, *counts):
+            rows = exact(panels, grid_order, *counts)
             if grid_order in order and 3 in rows:
                 rows[3][2, 1] = np.nan
             return rows
