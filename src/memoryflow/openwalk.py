@@ -288,12 +288,12 @@ def dilation_bytes(steps: int, n_freqs: int) -> int:
     dense 2(steps + 1) densities of two dilation streams, their difference and
     its eigensolve (``measure_vs_dilation``), and each stream's (steps + 1, K)
     branch amplitudes with the discrete filter's (K, 2 steps + 1) table.
-    tracemalloc measures, warm, 574-675 B per (steps + 1)^2 at K = 2 and
-    20-127 steps (1.09 MB at 40 steps, 9.40 MB at 127), and 168-176 B per
+    tracemalloc measures, warm, 349-457 B per (steps + 1)^2 at K = 2 and
+    20-127 steps (0.71 MB at 40 steps, 5.72 MB at 127), and 168-176 B per
     K (steps + 1) at K >= 1024 (31.8 MB at 10 steps and K = 16384); it is
     counted as ten complex 2(steps + 1)-square matrices, twelve complex
     (steps + 1, K) arrays and 128 complex values per step for what each step
-    keeps besides, which covers those K = 2 peaks by 8-15%."""
+    keeps besides, which covers those K = 2 peaks by 65-89%."""
     return 16 * (steps + 1) * (40 * (steps + 1) + 12 * n_freqs + 128)
 
 
@@ -361,6 +361,33 @@ def _step_range(last: int, stride: int = 1) -> dict:
     return {"first": 0, "last": last - last % stride, "stride": stride}
 
 
+def _dilation_check(coin, states: list[WalkState], spectrum: SpectrumParams,
+                    dephasing: DephasingConfig, k: int, max_steps: int,
+                    position_steps: int | None) -> tuple[dict, list]:
+    """The ``dilation_vs_filter_K{k}`` entry of ``oracle_checks``: the traced
+    dilation of ``coin`` over an environment of K frequencies against the
+    coherence filter of the unitary ``states`` at every n <= max_steps.  With
+    ``position_steps``, the stream runs on to it, and the (deviation,
+    location) pairs of its position distribution against the unitary walk's,
+    every third step, come back with the entry.  The stream's densities end
+    with the call."""
+    deviations, positions = [], []
+    steps = max_steps if position_steps is None else max(max_steps, position_steps)
+    for n, (dil, omegas, weights) in enumerate(
+            dilation_densities(coin[0], coin[1], steps, spectrum, dephasing, k)):
+        if n <= max_steps:
+            flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
+            dev = np.abs(dil.matrix - flt.matrix)
+            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+            deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
+        if position_steps is not None and n % 3 == 0 and n <= position_steps:
+            p_dil = dil.position_distribution()
+            positions += [(abs(p_dil[x] - p), f"n={n}, x={x}")
+                          for x, p in position_distribution(states[n]).items()]
+    entry = check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
+    return entry | {"K": k, "steps": _step_range(max_steps)}, positions
+
+
 def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_steps: int,
                   n_freqs: list[int], walk_steps: int, position_check_steps: int,
                   engine_max_power: int, seed: int) -> list[dict]:
@@ -403,21 +430,10 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     # position_check_steps, against the unitary walk's, every third step
     positions = []
     for index, k in enumerate(n_freqs):
-        deviations = []
-        steps = max(max_steps, position_check_steps) if index == 0 else max_steps
-        for n, (dil, omegas, weights) in enumerate(
-                dilation_densities(coin[0], coin[1], steps, spectrum, dephasing, k)):
-            if n <= max_steps:
-                flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
-                dev = np.abs(dil.matrix - flt.matrix)
-                i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-                deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
-            if index == 0 and n % 3 == 0 and n <= position_check_steps:
-                p_dil = dil.position_distribution()
-                positions += [(abs(p_dil[x] - p), f"n={n}, x={x}")
-                              for x, p in position_distribution(states[n]).items()]
-        checks.append(check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
-                      | {"K": k, "steps": _step_range(max_steps)})
+        entry, sampled = _dilation_check(coin, states, spectrum, dephasing, k, max_steps,
+                                         position_check_steps if index == 0 else None)
+        checks.append(entry)
+        positions += sampled
     checks.append(check("position_distribution_invariance", largest_deviation(positions), 1e-12)
                   | {"steps": _step_range(position_check_steps, 3)})
 
@@ -430,6 +446,7 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
             for pair in DEFAULT_WALK_COINS)):
         finite = np.all(np.isfinite(rho1.matrix)) and np.all(np.isfinite(rho2.matrix))
         dilated.append(trace_distance_walk(rho1, rho2) if finite else math.nan)
+    del rho1, rho2  # the last densities end before the measure's eigensolves
     measured = walk_trace_distances([discrete_filter(omegas, weights, dephasing)], max_steps)[0]
     checks.append(check("measure_vs_dilation", largest_deviation(
         (abs(d - m), f"n={n}") for n, (d, m) in enumerate(zip(dilated, measured.tolist()))),

@@ -21,6 +21,11 @@ from .errors import DomainError, NumericError, largest_deviation, require_bytes
 
 NORM_TOL = 1e-12
 INTEGRAL_RECURSION_TOL = 1e-6
+#: (least panel count, Gauss-Legendre order) of the coarse and the fine
+#: quasi-momentum grid; a check over ``steps`` spans [-pi, pi] with at least
+#: steps + 1 and steps + 2 panels (see ``walk_amplitude_rows``)
+COARSE_GRID = (6, 12)
+FINE_GRID = (8, 16)
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,9 @@ def _parity_block(base: np.ndarray, e_k: np.ndarray, e_nu: np.ndarray,
     phase = np.empty((n_neg + n_pos, nodes), dtype=complex)
     _running_powers(e_k, parity, phase[n_neg:])
     np.conjugate(phase[n_neg + 1 - parity:][::-1], out=phase[:n_neg])
-    alpha, beta, gamma = (lhs @ phase.T).reshape(-1, 3, n_neg + n_pos).transpose(1, 0, 2)
+    products = lhs @ phase.T
+    del lhs, phase  # the node tables end before the rows are assembled
+    alpha, beta, gamma = products.reshape(-1, 3, n_neg + n_pos).transpose(1, 0, 2)
     sign = -1.0 if parity else 1.0
     return np.stack([
         sign * (alpha - beta),
@@ -196,13 +203,45 @@ def _refined(m: int, coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return fine
 
 
+def grid_pair(steps: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(panels, order) of the coarse and the fine grid of a check over
+    ``steps``: steps + 1 and steps + 2 panels, each at least its grid's
+    floor, of ``COARSE_GRID``'s and ``FINE_GRID``'s order."""
+    (coarse_floor, coarse_order), (fine_floor, fine_order) = COARSE_GRID, FINE_GRID
+    return (max(coarse_floor, steps + 1), coarse_order), (max(fine_floor, steps + 2), fine_order)
+
+
+def _rows_bytes(steps: int, counts: int) -> int:
+    """Bytes held at the peak of forming, on the grid pair of ``steps``, the
+    rows of ``counts`` step counts of the parity of ``steps`` and of at most
+    as many of the other.  The peak comes while the fine grid forms a parity
+    block, which holds its (3 counts, nodes) weight table and its
+    (steps + 1, nodes) site-phase table while the grid holds its node
+    vectors, 5 complex values a node.  Per site and step count, the rows hold
+    4 amplitudes in each of the coarse grid's two parity blocks and the fine
+    grid's first, and the product being formed 3 integrals.  numpy's ufunc
+    loops add up to ``numpy.getbufsize()`` values for each of three operands.
+    The count is a twentieth over the tables, its stated headroom: measured
+    warm under tracemalloc, ``integral_recursion_deviation`` over two coins
+    peaks at 0.51 / 0.78 / 0.91 of ``integral_check_bytes`` at 12 / 40 / 120
+    steps, and ``walk_amplitudes_row`` at 0.21 / 0.69 / 0.90 of
+    ``amplitude_row_bytes``."""
+    nodes = math.prod(grid_pair(steps)[1])
+    complex_values = nodes * (3 * counts + steps + 6) + 15 * counts * (steps + 1)
+    return 16 * (complex_values * 21 // 20 + 3 * np.getbufsize())
+
+
 def integral_check_bytes(steps: int) -> int:
-    """Bytes of the largest table ``walk_amplitude_rows(steps)`` builds: on the
-    fine grid of (steps + 2) * 80 nodes, the parity block of ``steps`` holds
-    its (3 counts, nodes) weight table and its (steps + 1, nodes) site-phase
-    table at once, both complex."""
-    counts = steps // 2 + 1  # step counts m <= steps with the parity of steps
-    return 16 * (steps + 2) * 80 * (3 * counts + steps + 1)
+    """Bytes held at the peak of ``walk_amplitude_rows(steps)`` (see
+    ``_rows_bytes``): the fine grid's parity block of ``steps`` forms the
+    steps // 2 + 1 step counts of its parity."""
+    return _rows_bytes(steps, steps // 2 + 1)
+
+
+def amplitude_row_bytes(m: int) -> int:
+    """Bytes held at the peak of ``walk_amplitudes_row(m)`` (see
+    ``_rows_bytes``): its one parity block forms the step count m alone."""
+    return _rows_bytes(m, 1)
 
 
 def walk_amplitude_rows(steps: int):
@@ -218,9 +257,19 @@ def walk_amplitude_rows(steps: int):
     (1 + (-1)^(m+x))/2 and the bracket assembly of ``_parity_block``, which
     is validated against the position-space recursion.
 
-    One pair of composite Gauss-Legendre grids serves every row and site:
-    the coarse one (steps + 1 panels of order 64) is the convergence guard of
-    the fine one (steps + 2 panels of order 80).  A run whose
+    One pair of composite Gauss-Legendre grids serves every row and site;
+    the coarse one is the convergence guard of the fine one, and
+    ``grid_pair`` sizes both to the integrand.  Its phase kx - m nu(k)
+    changes by at most (1 + 1/sqrt(2)) m per unit k, since |x| <= m and
+    |nu'(k)| <= 1/sqrt(2), so on at least steps + 1 equal panels of
+    [-pi, pi] no panel spans more than 2 pi (1 + 1/sqrt(2)) = 10.7 rad,
+    whatever the step count.  Over that span the Gauss-Legendre rule of
+    order 12 integrates e^(i theta) to 4e-14 of the panel's width, well
+    inside the 1e-8 guard, and that of order 16 to rounding.  The weight
+    1/sqrt(1 + cos^2 k) and nu(k) are singular 0.88 off the real axis; at a
+    few steps, panels that wide would bound the rule by that distance, so
+    ``COARSE_GRID`` and ``FINE_GRID`` keep at least 6 and 8 panels, where
+    those orders reach 3e-14 and 3e-22.  A run whose
     ``integral_check_bytes`` exceed ``errors.MAX_GRID_BYTES`` is refused on
     the call, before either grid is built.  Each row is guarded site by site
     as it is taken, so a row that fails the guard raises ``NumericError``
@@ -233,9 +282,11 @@ def _guarded_rows(first: int, steps: int):
     grid pair and each with its guard, counted and refused on the call."""
     if steps < 0:
         raise DomainError("step count must be non-negative")
-    require_bytes(integral_check_bytes(steps), f"the integral check over steps = {steps}")
-    coarse = _amplitude_rows(steps + 1, 64, steps, first)
-    fine = _amplitude_rows(steps + 2, 80, steps, first)
+    if first == steps:
+        require_bytes(amplitude_row_bytes(steps), f"the amplitude row of m = {steps}")
+    else:
+        require_bytes(integral_check_bytes(steps), f"the integral check over steps = {steps}")
+    coarse, fine = (_amplitude_rows(*grid, steps, first) for grid in grid_pair(steps))
     return (_refined(m, coarse[m], fine[m]) for m in range(first, steps + 1))
 
 
@@ -243,7 +294,8 @@ def walk_amplitudes_row(m: int) -> np.ndarray:
     """The amplitudes of every site after m steps, (4, m + 1): the last row of
     ``walk_amplitude_rows(m)``, on its grid pair and with its guard, formed
     from the one step count m alone, whose phase e^(-i m nu) is one power of
-    e^(-i nu)."""
+    e^(-i nu).  A row whose ``amplitude_row_bytes`` exceed
+    ``errors.MAX_GRID_BYTES`` is refused before either grid is built."""
     return next(_guarded_rows(m, m))
 
 

@@ -202,9 +202,9 @@ class TestConfigResolution:
         pytest.param(["walk", "--check-integrals", "--set", "steps=4000",
                       "--set", "integral_check_cap=1e300"], "integral check over steps = 4000",
                      id="walk"),
-        pytest.param(["walk", "--check-integrals", "--set", "steps=300",
-                      "--set", "integral_check_cap=300"], "integral check over steps = 300",
-                     id="walk-300"),
+        pytest.param(["walk", "--check-integrals", "--set", "steps=578",
+                      "--set", "integral_check_cap=578"], "integral check over steps = 578",
+                     id="walk-578"),
         pytest.param(["oracle", "--set", "oracle.walk_steps=1000000000000"],
                      "walk_steps = 1000000000000", id="oracle"),
     ])
@@ -229,8 +229,8 @@ class TestConfigResolution:
     def test_integral_check_within_budget_runs(self, capsys, tmp_path, monkeypatch):
         # the largest check within MAX_GRID_BYTES reaches its grids on both
         # commands, and one step more is refused by the route on entry
-        cap = max(m for m in range(400) if walk.integral_check_bytes(m) <= errors.MAX_GRID_BYTES)
-        assert cap == 287
+        cap = max(m for m in range(1000) if walk.integral_check_bytes(m) <= errors.MAX_GRID_BYTES)
+        assert cap == 577
 
         class Reached(Exception):
             pass

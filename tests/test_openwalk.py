@@ -371,7 +371,7 @@ class TestOracleChecks:
             "eigensolver_identities"]
 
     @pytest.mark.parametrize("counts,named", [
-        ({"walk_steps": 288}, "walk_steps = 288"),
+        ({"walk_steps": 578}, "walk_steps = 578"),
         ({"max_steps": 638, "n_freqs": [8, 64]}, "max_steps = 638 x n_freqs = 64"),
         ({"position_check_steps": 638, "n_freqs": [64, 8]},
          "position_check_steps = 638 x n_freqs = 64"),

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from memoryflow import kernels, openwalk, walk
-from memoryflow.errors import DomainError, NumericError
+from memoryflow import errors, kernels, openwalk, walk
+from memoryflow.errors import DomainError, NumericError, ResourceLimitError
 from memoryflow.spectra import DephasingConfig, SpectrumParams
 from memoryflow.walk import (
     WalkAmplitudes,
@@ -21,6 +22,7 @@ from memoryflow.walk import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+COARSE_ORDER, FINE_ORDER = walk.COARSE_GRID[1], walk.FINE_GRID[1]
 
 
 def full_lattice_walk(c_left, c_right, n):
@@ -231,7 +233,7 @@ class TestAmplitudeRows:
         row = walk_amplitudes_row(m)
         assert row.shape == (4, m + 1)
         for j, x in enumerate(range(-m, m + 1, 2)):
-            want = _assemble(m, x, panels=m + 2, order=80)
+            want = _assemble(m, x, *walk.grid_pair(m)[1])
             assert np.max(np.abs(row[:, j] - np.array(want))) <= 1e-14
             assert walk_amplitudes_integral(m, x) == tuple(complex(v) for v in row[:, j])
 
@@ -241,7 +243,7 @@ class TestAmplitudeRows:
 
         def spoiled(panels, order, *counts):
             rows = exact(panels, order, *counts)
-            if order == 64 and 5 in rows:
+            if order == COARSE_ORDER and 5 in rows:
                 rows[5][1, 3] += 1e-7
             return rows
 
@@ -255,7 +257,7 @@ class TestAmplitudeRows:
         exact = walk._amplitude_rows
         monkeypatch.setattr(walk, "_amplitude_rows",
                             lambda panels, order, *counts:
-                            exact(panels, 4 if order == 64 else order, *counts))
+                            exact(panels, 4 if order == COARSE_ORDER else order, *counts))
         # one row is formed and guarded alone; the rows up to 12 are each
         # guarded in turn, and the order-4 guard fails first at m = 1
         with pytest.raises(NumericError, match=r"did not converge at m=12, x="):
@@ -277,10 +279,11 @@ class TestAmplitudeRows:
             assert row.shape == (4, m + 1)
             assert np.max(np.abs(row - walk_amplitudes_row(m))) <= 1e-14
             for j, x in enumerate(range(-m, m + 1, 2)):
-                want = _assemble(m, x, panels=steps + 2, order=80)
+                want = _assemble(m, x, *walk.grid_pair(steps)[1])
                 assert np.max(np.abs(row[:, j] - np.array(want))) <= 1e-14
 
-    @pytest.mark.parametrize("order", [(64,), (80,), (64, 80)], ids=["coarse", "fine", "both"])
+    @pytest.mark.parametrize("order", [(COARSE_ORDER,), (FINE_ORDER,), (COARSE_ORDER, FINE_ORDER)],
+                             ids=["coarse", "fine", "both"])
     def test_nan_in_one_shared_row_fails_the_check(self, monkeypatch, order):
         # a NaN on either grid, or on both, is a refinement deviation that fails
         exact = walk._amplitude_rows
@@ -307,8 +310,59 @@ class TestAmplitudeRows:
         for steps in (0, 5, 12):
             grids.clear()
             integral_recursion_deviation(steps, [(1.0, 0.0), (0.0, 1.0)])
-            # (panels, order): the grids of row m = steps
-            assert grids == [(steps + 1, 64), (steps + 2, 80)]
+            # (panels, order): steps + 1 and steps + 2 panels, at least each
+            # grid's floor, which 0 and 5 steps fall below
+            (coarse_floor, _), (fine_floor, _) = walk.COARSE_GRID, walk.FINE_GRID
+            assert grids == [(max(coarse_floor, steps + 1), COARSE_ORDER),
+                             (max(fine_floor, steps + 2), FINE_ORDER)]
+
+    @pytest.mark.parametrize("steps", [*range(41), 150])
+    def test_both_grids_match_the_recursion(self, steps):
+        # the fine rows agree with the position recursion to rounding, and the
+        # coarse rows, on their own grid, within the 1e-8 refinement guard
+        assert integral_recursion_deviation(steps, [(1.0, 0.0), (0.0, 1.0)])[0] <= 1e-14
+        coarse = walk._amplitude_rows(*walk.grid_pair(steps)[0], steps)
+        for m, left, right in zip(range(steps + 1), walk_states(1.0, 0.0, steps),
+                                  walk_states(0.0, 1.0, steps)):
+            want = np.array([left.amp_left, right.amp_left, left.amp_right, right.amp_right])
+            assert np.max(np.abs(coarse[m] - want)) <= 1e-8
+
+    @pytest.mark.parametrize("steps", [12, 40, 120])
+    def test_counts_cover_the_measured_peak(self, steps):
+        # the integral check over two coins and the row of one step count hold
+        # no more than their counts, with 5% to spare; one untraced call first
+        # fills the Gauss rule cache, which a run holds for good, not per call
+        for route, count in (
+                (lambda: integral_recursion_deviation(steps, [(1.0, 0.0), (0.0, 1.0)]),
+                 walk.integral_check_bytes(steps)),
+                (lambda: walk_amplitudes_row(steps), walk.amplitude_row_bytes(steps))):
+            route()
+            tracemalloc.start()
+            try:
+                route()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 1.05 * peak <= count
+
+    def test_largest_row_within_budget_reaches_its_grids(self, monkeypatch):
+        # the row has its own count, not that of the integral check over m:
+        # the largest m within MAX_GRID_BYTES reaches its grids, and m + 1 is
+        # refused before any grid is built
+        edge = max(m for m in range(2000) if walk.amplitude_row_bytes(m) <= errors.MAX_GRID_BYTES)
+        assert edge == 992
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(walk, "_amplitude_rows", reached)
+        with pytest.raises(Reached):
+            walk_amplitudes_row(edge)
+        with pytest.raises(ResourceLimitError, match="amplitude row of m = 993 would exceed"):
+            walk_amplitudes_row(edge + 1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
