@@ -7,8 +7,8 @@ three are weighted sums of M(theta)^m over nodes, walked by one kernel,
 - series engine: M(theta)^m is a trigonometric polynomial of degree m, so its
   spectral average sum_l c_l kappa(l delta_t), with kappa the closed-form
   decoherence function, is exact on the 2 steps + 1 equispaced period nodes
-  with weights built from one kappa table per (spectrum, step) pair.
-  ``series_map_stacks`` averages every eta, power and table in one walk.
+  with one weight row per table, from the kappa table of a (spectrum, step)
+  pair.  ``series_map_stacks`` walks every eta, power and table at once.
   ``TrigMatrixSeries`` and ``series_multiply`` keep the coefficients
   themselves, as an independent reference.
 - quadrature engine: direct composite Gauss-Legendre integration of the
@@ -17,9 +17,9 @@ three are weighted sums of M(theta)^m over nodes, walked by one kernel,
   largest power; ``quadrature_maps`` walks P <- P M(theta) for every eta
   once over those nodes and averages every power on the way.
 - strong-dephasing limit: the zeroth Fourier coefficient, i.e. the average of
-  M(theta)^m over a single period: the period nodes with equal weights.  For
-  the balanced control (eta = 1/2) this has a closed form built from
-  Catalan-number partial sums.
+  M(theta)^m over a single period: the period nodes with equal weights, the
+  None table of either engine.  For the balanced control (eta = 1/2) this
+  has a closed form built from Catalan-number partial sums.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .spectra import DephasingConfig, SpectrumParams, decoherence_function, spec
 
 #: maximum trigonometric degree a series power may reach: a work cap, not a
 #: memory one.  ``series_map_stacks`` at 4096 steps and three eta values takes
-#: about 2.5 s and 6.5 MB (3.2 s and 7.6 MB with one spectrum table); its
+#: about 2.2 s and 6.5 MB with one entry (2.7 s and 7.4 MB with two); its
 #: memory grows linearly with the degree, its time quadratically
 SERIES_DEGREE_CAP = 4096
 
@@ -45,7 +45,7 @@ SERIES_DEGREE_CAP = 4096
 #: ``kernels.transfer_power_average`` (M, the running power and its next
 #: value), 32 float64 in all.  tracemalloc measures 256 B per node over a whole
 #: one-eta ``quadrature_maps`` call at 4 000-250 000 nodes; counted with 4
-#: float64 to spare.  ``series_map_bytes`` counts the series engine in it too
+#: float64 to spare.  ``series_map_bytes`` counts each series walk in it too
 NODE_BYTES = 288
 
 #: required agreement between the series and quadrature engines
@@ -193,65 +193,67 @@ def integrate_series_against_spectrum(
 
 
 def _period_nodes(steps: int, tables) -> tuple[np.ndarray, np.ndarray]:
-    """The N = 2 steps + 1 phases theta_j = 2 pi j / N, and (tables + 1, N)
-    weights that average any trigonometric polynomial of degree <= steps
-    exactly: w_j = (1/N) sum_{|l|<=steps} kappa(l delta_t) e^(-i l theta_j) per
-    (spectrum, step) pair, and last the single-period weights 1/N.  The sums
-    of a table are its discrete Fourier transform, one FFT of the table with
-    l = 0 moved first; its imaginary residue must vanish."""
+    """The N = 2 steps + 1 phases theta_j = 2 pi j / N, and one row of weights
+    per entry of ``tables`` that averages any trigonometric polynomial of
+    degree <= steps exactly: w_j = (1/N) sum_{|l|<=steps} kappa(l delta_t)
+    e^(-i l theta_j) for a (spectrum, step) pair, 1/N for None.  The sums are
+    one FFT of the pairs' tables with l = 0 moved first; its imaginary
+    residue must vanish."""
     n = 2 * steps + 1
     thetas = 2.0 * math.pi / n * np.arange(n)
-    weights = np.empty((len(tables) + 1, n))
-    weights[-1] = 1.0 / n
-    if tables:
+    weights = np.full((len(tables), n), 1.0 / n)
+    pairs = [t for t, table in enumerate(tables) if table is not None]
+    if pairs:
         # column l + steps holds kappa(l delta_t); numpy.fft loads on first use
-        kappas = np.array([_kappa_table(spectrum, config, steps) for spectrum, config in tables])
+        kappas = np.array([_kappa_table(*tables[t], steps) for t in pairs])
         sums = np.fft.fft(np.fft.ifftshift(kappas, axes=-1))
-        weights[:-1] = _real(sums, "spectral weights") / n
+        weights[pairs] = _real(sums, "spectral weights") / n
     return thetas, weights
 
 
 def series_map_bytes(etas: int, steps: int, tables: int) -> int:
     """Bytes ``series_map_stacks`` holds for ``etas`` controls, m = 0..steps and
-    ``tables`` (spectrum, step) pairs, at ``NODE_BYTES`` per node and eta: the
-    walk over the 2 steps + 1 period nodes, and the (tables + 1) averaged maps
-    of every power counted as one node each.  tracemalloc measures 0.45-0.59
-    of it at 50-200 etas and 512-4096 steps (14.9 MB at 50 x 512 with one
-    table, 103.4 MB at 200 x 1024 without)."""
-    return NODE_BYTES * etas * (2 * steps + 1 + (steps + 1) * (tables + 1))
+    ``tables`` entries, at ``NODE_BYTES`` per node and eta: the walk over the
+    2 steps + 1 period nodes, and the averaged maps of every power and entry
+    counted as one node each.  tracemalloc measures, warm, 0.58-0.70 of it
+    with one entry at 3-200 etas and 30-1024 steps (5.23 MB at 40 x 256,
+    103.4 MB at 200 x 1024), and 0.51 with two entries at 40 x 256."""
+    return NODE_BYTES * etas * (2 * steps + 1 + (steps + 1) * tables)
 
 
-def series_map_stacks(etas, steps: int, tables=()):
-    """Exact spectrum-averaged maps and single-period averages for every
-    control in ``etas`` and m = 0..steps: the maps of every (spectrum, step)
-    pair in ``tables`` as one (tables, etas, steps + 1, 3, 3) stack, or None
-    without tables (the strong limit is spectrum-free), and the period
-    averages as one (etas, steps + 1, 3, 3) stack.
+def _require_period_walk(etas: int, steps: int, tables: int) -> None:
+    """Refuse a period walk past ``SERIES_DEGREE_CAP`` or the byte budget."""
+    _check_powers(steps, 1)
+    require_bytes(series_map_bytes(etas, steps, tables),
+                  f"{steps} steps x {etas} etas x {tables} tables")
+
+
+def series_map_stacks(etas, steps: int, tables) -> np.ndarray:
+    """Exact maps for every control in ``etas`` and m = 0..steps, one
+    (etas, steps + 1, 3, 3) stack per entry of ``tables``, in order: the
+    spectrum-averaged maps of a (spectrum, step) pair, or for None, the
+    strong limit, the single-period averages.
 
     M(theta)^m is a trigonometric polynomial of degree m <= steps, so both its
     spectral average sum_l c_l kappa(l delta_t) and its period average c_0 are
     exact weighted sums over the nodes of ``_period_nodes``, and one
     ``kernels.transfer_power_average`` walk averages every control, power and
-    table.  The m = 0 maps, which the weights give up to rounding, are set to
-    the identity.  Every eta keeps the bits of its own one-eta call, and both
-    stacks are contiguous, so ``maps @ r0`` takes one loop stacked or alone.
-    A run whose ``series_map_bytes`` exceed ``errors.MAX_GRID_BYTES`` is
-    refused before any table is built.
+    entry.  The m = 0 maps, which the weights give up to rounding, are set to
+    the identity.  Every eta and entry keeps the bits of its own call, and
+    each stack is contiguous, so ``maps @ r0`` takes one loop stacked or
+    alone.  A run whose ``series_map_bytes`` exceed ``errors.MAX_GRID_BYTES``
+    is refused before any table is built.
     """
     controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
     if len(controls) == 0:
         raise DomainError("series_map_stacks needs at least one eta")
-    _check_powers(steps, 1)
     tables = list(tables)
-    require_bytes(series_map_bytes(len(controls), steps, len(tables)),
-                  f"{steps} steps x {len(controls)} etas x {len(tables)} tables")
+    _require_period_walk(len(controls), steps, len(tables))
     thetas, weights = _period_nodes(steps, tables)
     stacks = kernels.transfer_power_average(thetas, weights, controls[:, 0], controls[:, 1], steps)
     stacks = np.ascontiguousarray(stacks.transpose(1, 2, 0, 3, 4))
     stacks[:, :, 0] = np.eye(3)
-    if not tables:
-        return None, stacks[0]
-    return stacks[:-1], stacks[-1]
+    return stacks
 
 
 def _quadrature_support(spectrum: SpectrumParams, config: DephasingConfig, steps: int,
@@ -330,22 +332,26 @@ def quadrature_maps(
 
 
 def quadrature_map_stacks(etas, steps: int, tables):
-    """``quadrature_maps`` for each (spectrum, step) pair in ``tables``, one at
-    a time.  Every pair is checked on entry, before any node is built: its
-    decoherence phase over the run, then its node count by
-    ``_quadrature_support``, so a run whose later pair exceeds
-    ``errors.MAX_GRID_BYTES`` is refused before any map is made."""
+    """One stack per entry of ``tables``, as ``series_map_stacks`` takes them,
+    one at a time: a (spectrum, step) pair's ``quadrature_maps``, and for
+    None the series engine's own stack.  Every entry is counted before any
+    walk: each pair's decoherence phase over the run and its
+    ``_quadrature_support``, then the None walk, so a run whose later entry
+    exceeds ``errors.MAX_GRID_BYTES`` is refused before any map is made."""
     if steps < 0:
         raise DomainError("steps must be non-negative")
     controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
     if len(controls) == 0:
         raise DomainError("quadrature_maps needs at least one eta")
     tables = list(tables)
-    for spectrum, config in tables:
+    for spectrum, config in filter(None, tables):
         decoherence_function(spectrum, config.index_contrast, steps * config.step_duration)
         _quadrature_support(spectrum, config, steps, len(controls))
-    for spectrum, config in tables:
-        yield _quadrature_walk(controls, steps, spectrum, config)
+    if None in tables:
+        _require_period_walk(len(controls), steps, 1)
+    for table in tables:
+        yield (series_map_stacks(etas, steps, [None])[0] if table is None
+               else _quadrature_walk(controls, steps, *table))
 
 
 def _quadrature_walk(controls, steps: int, spectrum: SpectrumParams,
@@ -369,8 +375,8 @@ def quadrature_map(
 
 def strong_limit_map(eta: float, m: int) -> np.ndarray:
     """Average of M(theta)^m over one full period: the zeroth Fourier
-    coefficient of the series power.  Exact, spectrum-free."""
-    return series_map_stacks((eta,), m)[1][0, m]
+    coefficient of the series power: the None stack.  Exact, spectrum-free."""
+    return series_map_stacks((eta,), m, [None])[0, 0, m]
 
 
 def catalan(k: int) -> int:
@@ -486,26 +492,19 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
 def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, configs,
                               engine: str = "series") -> np.ndarray:
     """``approximation_error`` for every dephasing step in ``configs``, control
-    in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1): the exact
-    maps of each step from one ``transfer_map_stacks`` pass, whose m = 0 maps
-    are the identity on either engine, against one ``series_map_stacks``
-    call's single-period averages, one step at a time, so a run holds one
-    step's maps and Choi stack besides the averages and the distances.  The
-    pass counts every step's maps on entry (the series count is the same for
-    each step) and makes the first step's, whose count is at least the
-    averages', first, so an oversized run is refused before any work.  The
-    averages are the strong limit itself, so that engine is refused as
+    in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1): one
+    ``transfer_map_stacks`` pass over ``[None, *configs]``, counted on entry,
+    whose later stacks are measured one at a time against its first, the
+    strong limit, so a run holds one step's maps and Choi stack besides the
+    averages and the distances.  The strong-limit engine is refused as
     unknown."""
     if len(configs) == 0:
         raise DomainError("approximation_error_stack needs at least one dephasing step")
     if engine == "strong-limit":
         raise DomainError(f"unknown engine {engine!r}")
-    averages, out = None, []
-    for exact in transfer_map_stacks(spectrum, configs, etas, steps, engine):
-        if averages is None:
-            averages = series_map_stacks(etas, steps)[1]
-        out.append(channel_distance(exact, averages))
-    return np.array(out)
+    stacks = transfer_map_stacks(spectrum, [None, *configs], etas, steps, engine)
+    averages = next(stacks)
+    return np.array([channel_distance(exact, averages) for exact in stacks])
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,

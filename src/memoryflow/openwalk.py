@@ -288,13 +288,14 @@ def dilation_bytes(steps: int, n_freqs: int) -> int:
     dense 2(steps + 1) densities of two dilation streams, their difference and
     its eigensolve (``measure_vs_dilation``), and each stream's (steps + 1, K)
     branch amplitudes with the discrete filter's (K, 2 steps + 1) table.
-    tracemalloc measures, warm, 349-457 B per (steps + 1)^2 at K = 2 and
-    20-127 steps (0.71 MB at 40 steps, 5.72 MB at 127), and 168-176 B per
+    tracemalloc measures, warm, 349-447 B per (steps + 1)^2 at K = 2 and
+    20-127 steps (0.70 MB at 40 steps, 5.73 MB at 127), and 168-176 B per
     K (steps + 1) at K >= 1024 (31.8 MB at 10 steps and K = 16384); it is
-    counted as ten complex 2(steps + 1)-square matrices, twelve complex
-    (steps + 1, K) arrays and 128 complex values per step for what each step
-    keeps besides, which covers those K = 2 peaks by 65-89%."""
-    return 16 * (steps + 1) * (40 * (steps + 1) + 12 * n_freqs + 128)
+    counted as 25 (steps + 1)^2 complex values, twelve complex (steps + 1, K)
+    arrays and 128 complex values per step for what each step keeps besides,
+    which covers those K = 2 peaks by 9-19%; at 10 steps the oracle's
+    fixed-size checks hold more, 141 kB at K = 2 against 75 kB."""
+    return 16 * (steps + 1) * (25 * (steps + 1) + 12 * n_freqs + 128)
 
 
 def dilation_densities(
@@ -457,7 +458,7 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     spectra_a = {a: replace(spectrum, amplitude_ratio=a) for a in (0.0, 1.0)}
     tables = [(spec_a, dephasing) for spec_a in spectra_a.values()]
     etas = (0.0, 0.5, 1.0)
-    series = harmonic.series_map_stacks(etas, engine_max_power, tables)[0]
+    series = harmonic.series_map_stacks(etas, engine_max_power, tables)
     quadrature = np.array(list(harmonic.quadrature_map_stacks(etas, engine_max_power, tables)))
     devs = np.max(np.abs(series - quadrature), axis=(-2, -1)).tolist()
     deviations = [(devs[t][e][m], f"eta={eta}, m={m}, A={a}") for e, eta in enumerate(etas)
@@ -467,7 +468,7 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
                   | {"etas": list(etas), "A": list(spectra_a), "m": engine_max_power})
 
     # closed-form period-average maps vs the series oracle
-    averages = harmonic.series_map_stacks((0.5,), 40)[1][0]
+    averages = harmonic.series_map_stacks((0.5,), 40, [None])[0, 0]
     closed_forms = harmonic.strong_limit_closed_forms(40)
     checks.append(check("catalan_closed_form", largest_deviation(
         (dev, f"m={m}") for m, dev in enumerate(

@@ -133,30 +133,29 @@ def transfer_map_stacks(spectrum: SpectrumParams, configs, etas, steps: int,
                         engine: str = "series"):
     """``transfer_map_stack`` for each dephasing step in ``configs``, one at a
     time, counted on entry: a run whose later step exceeds the budget is
-    refused before any map is made.  This is the one place an engine is
-    chosen.  Each engine averages every eta in one call per step:
-    ``harmonic.series_map_stacks`` for the series and strong-limit engines,
-    whose count is the same for every step, and
+    refused before any map is made.  A None step is the strong limit on every
+    engine, and the strong-limit engine takes every step as None.  This is
+    the one place an engine is chosen.  Each engine averages every eta in one
+    walk per step: ``harmonic.series_map_stacks`` for the series and
+    strong-limit engines, whose count is the same for every step, and
     ``harmonic.quadrature_map_stacks`` for the quadrature engine, which counts
-    every (spectrum, step) pair's nodes first.
+    every step first.
     """
     from . import harmonic  # deferred to avoid an import cycle
 
     if steps < 0 or len(etas) == 0:
         raise DomainError("transfer_map_stack needs non-negative steps and at least one eta")
+    if engine not in ("series", "quadrature", "strong-limit"):
+        raise DomainError(f"unknown engine {engine!r}")
+    tables = [None if config is None or engine == "strong-limit" else (spectrum, config)
+              for config in configs]
     if engine == "quadrature":
-        for maps in harmonic.quadrature_map_stacks(etas, steps,
-                                                   [(spectrum, config) for config in configs]):
+        for maps in harmonic.quadrature_map_stacks(etas, steps, tables):
             maps[:, 0] = np.eye(3)  # exact, not the quadrature of the density
             yield maps
-    elif engine == "series":
-        for config in configs:
-            yield harmonic.series_map_stacks(etas, steps, ((spectrum, config),))[0][0]
-    elif engine == "strong-limit":
-        for _ in configs:
-            yield harmonic.series_map_stacks(etas, steps)[1]
     else:
-        raise DomainError(f"unknown engine {engine!r}")
+        for table in tables:
+            yield harmonic.series_map_stacks(etas, steps, [table])[0]
 
 
 def evolve_qubit(

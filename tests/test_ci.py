@@ -5,9 +5,11 @@ later tests running; and the sources, read as text, keep one byte budget."""
 
 import ast
 import json
+import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -58,6 +60,27 @@ def test_workflow_runs_the_oracle_at_fig4_steps():
     assert "--set 'oracle.n_freqs=[8,16,32,64]'" in oracle[0]
     assert "--set oracle.engine_max_power=240" in oracle[0]
     assert "||" not in oracle[0] and "continue-on-error" not in WORKFLOW.read_text(encoding="utf-8")
+
+
+def test_workflow_compares_the_strong_limit_error_engines(tmp_path):
+    # the strong limit's period row runs on the quadrature engine past fig5's
+    # 15 steps, and the step's script fails unless every error agrees with
+    # the series engine's within harmonic.ENGINE_AGREEMENT_TOL
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    runs = [line.strip() for line in workflow.splitlines() if "-m memoryflow strong-limit-error" in line]
+    assert [re.search(r"--engine (\w+)", run)[1] for run in runs] == ["series", "quadrature"]
+    assert all("--preset fig5 --set steps=200" in run for run in runs)
+    script = textwrap.dedent(re.search(r"<<'EOF'\n(.*?\n) +EOF\n", workflow, flags=re.DOTALL)[1])
+    series = tmp_path / "series.csv"
+    series.write_text("dt_factor,eta,step,error\n0.02,0.5,0,0.0\n0.02,0.5,1,0.25\n", encoding="utf-8")
+    for last, code in (("0.25", 0), ("0.2500001", 1), ("nan", 1), ("", 1)):
+        quadrature = tmp_path / "quadrature.csv"
+        quadrature.write_text(f"dt_factor,eta,step,error\n0.02,0.5,0,0.0\n0.02,0.5,1,{last}\n"
+                              if last else "dt_factor,eta,step,error\n", encoding="utf-8")
+        done = subprocess.run([sys.executable, "-c", script, str(series), str(quadrature)],
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, (last, done.stderr)
 
 
 def test_workflow_install_pins_every_package():

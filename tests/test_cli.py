@@ -256,7 +256,7 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("argv,tables", [
         (["controlled-qubit", "--preset", "fig2"], 1),
-        (["controlled-qubit", "--preset", "fig2", "--engine", "strong-limit"], 0),
+        (["controlled-qubit", "--preset", "fig2", "--engine", "strong-limit"], 1),
         (["controlled-qubit", "--preset", "fig3", "--engine", "quadrature"], 0),
         (["strong-limit-error", "--preset", "fig5"], 1),
         (["strong-limit-error", "--preset", "fig5", "--engine", "quadrature"], 0),
@@ -265,7 +265,8 @@ class TestConfigResolution:
         # the largest series_map_stacks call, its walk and its maps, is
         # counted by the route on entry: one byte short of it exits 2 by name
         # before --out exists or any map is made; the quadrature nodes, which
-        # need more, are refused at the same budget by their own count
+        # need more, are refused at the same budget by their own count, made
+        # before the strong limit's period row
         preset = PRESETS[argv[2]]
         etas, steps = len(preset["eta_values"]), preset["steps"]
         count = harmonic.series_map_bytes(etas, steps, tables)
@@ -780,6 +781,23 @@ class TestStrongLimitErrorCommand:
         assert [np.shape(args[0]) for args in calls["hermitian_eigvals"]] \
             == [(etas, fig5["steps"] + 1, 4, 4)] * factors
 
+    @pytest.mark.parametrize("argv,walks", [
+        pytest.param(["controlled-qubit", "--preset", "fig2"], [(1, 61)], id="fig2-series"),
+        pytest.param(["strong-limit-error", "--preset", "fig5"], [(1, 31)] * 3, id="fig5-series"),
+        pytest.param(["strong-limit-error", "--preset", "fig5", "--engine", "quadrature"],
+                     [(1, 31), "nodes", "nodes"], id="fig5-quadrature"),
+        pytest.param(["oracle"], [(2, 21), "nodes", "nodes", (1, 81)], id="oracle"),
+    ])
+    def test_walks_take_one_weight_row_per_stack(self, tmp_path, monkeypatch, argv, walks):
+        # a series walk takes one period-node weight row per stack its caller
+        # keeps: fig5's strong limit is walked once, before the factors, and
+        # the oracle's engine check walks the two A tables alone; a
+        # quadrature walk takes one node vector
+        calls = record_calls(monkeypatch, kernels.transfer_power_average)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert [np.shape(args[1]) if np.ndim(args[1]) == 2 else "nodes"
+                for args in calls["transfer_power_average"]] == walks
+
 
 class TestWalkCommand:
     def test_two_step_distribution(self, tmp_path):
@@ -1062,7 +1080,8 @@ class TestOracleCommand:
                              harmonic.quadrature_map_stacks)
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         power = resolve_config("oracle")["oracle"]["engine_max_power"]
-        with_tables = [args for args in calls["series_map_stacks"] if len(args) > 2 and args[2]]
+        with_tables = [args for args in calls["series_map_stacks"]
+                       if any(table is not None for table in args[2])]
         assert len(with_tables) == 1
         etas, steps, tables = with_tables[0]
         assert list(etas) == [0.0, 0.5, 1.0] and steps == power
@@ -1161,19 +1180,20 @@ class TestOracleCommand:
 
     def test_measure_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
         # measure_vs_dilation runs the walk measure over 'oracle.max_steps',
-        # whose count reaches 723 steps, so the dilation's count alone bounds
-        # the field: the edge at each K validates, and one step more exits 2
-        # by name before --out exists or any step
+        # whose count reaches 723 steps; the dilation's count reaches further
+        # up to K = 407 (813 steps at K = 8), so the measure's count alone
+        # bounds the field there: the edge at each K validates, and one step
+        # more exits 2 by name before --out exists or any step
         calls = record_calls(monkeypatch, kernels.coin_shift)
-        for k, fits in ((8, 643), (32, 640), (64, 635)):
+        for k, fits in ((8, 723), (32, 723), (64, 723)):
             assert resolve_config("oracle", overrides=[("oracle.n_freqs", [k]),
                                                        ("oracle.max_steps", fits)])
-            assert nonmarkov.walk_measure_bytes(fits + 1) <= errors.MAX_GRID_BYTES
+            assert openwalk.dilation_bytes(fits + 1, k) <= errors.MAX_GRID_BYTES
             out = tmp_path / f"K{k}"
             assert run_cli("oracle", "--out", str(out), "--set", f"oracle.max_steps={fits + 1}",
                            "--set", f"oracle.n_freqs=[{k}]") == 2
             err = capsys.readouterr().err
-            assert f"max_steps = {fits + 1} x n_freqs = {k}" in err and "MAX_GRID_BYTES" in err
+            assert f"max_steps = {fits + 1} would exceed" in err and "MAX_GRID_BYTES" in err
             assert not out.exists()
         assert calls == {"coin_shift": []}
 

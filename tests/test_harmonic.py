@@ -32,7 +32,7 @@ from memoryflow.harmonic import (
     strong_limit_closed_forms,
     strong_limit_map,
 )
-from memoryflow.qubit import bloch_transfer_matrix, transfer_map_stack
+from memoryflow.qubit import bloch_transfer_matrix, transfer_map_stack, transfer_map_stacks
 from memoryflow.spectra import DephasingConfig, SpectrumParams
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -141,14 +141,15 @@ class TestSeriesMaps:
     def test_bit_identical_to_per_power_route(self, eta, a):
         # one product and one kappa table per power, within PER_POWER_TOL: the
         # period-node sums and the coefficient route round differently
-        tables = [(spectrum(a), dephasing(0.35))]
-        exact, averages = series_map_stacks((eta,), 40, tables)
-        assert_per_power_route((eta,), 40, tables, exact, averages)
+        tables = [(spectrum(a), dephasing(0.35)), None]
+        assert_per_power_route((eta,), 40, tables, series_map_stacks((eta,), 40, tables))
 
     def test_spectrum_free_averages(self):
-        exact, averages = series_map_stacks((0.3,), 12)
-        assert exact is None
-        with_table = series_map_stacks((0.3,), 12, [(spectrum(1.0), dephasing(0.5))])[1]
+        # the strong limit's stack keeps its bits beside a spectrum's
+        stacks = series_map_stacks((0.3,), 12, [None])
+        assert stacks.shape == (1, 1, 13, 3, 3)
+        averages = stacks[0]
+        with_table = series_map_stacks((0.3,), 12, [(spectrum(1.0), dephasing(0.5)), None])[1]
         assert np.array_equal(averages, with_table)
         for m, power in enumerate(series_powers(series_from_transfer(0.3), 12)):
             assert np.max(np.abs(averages[0, m] - power.period_average())) <= PER_POWER_TOL * max(1, m)
@@ -167,7 +168,8 @@ class TestSeriesMaps:
         band_bytes = (2 * steps + 1) * 9 * 16
         tracemalloc.start()
         try:
-            exact, averages = series_map_stacks((0.5,), steps, [(spectrum(1.0), dephasing(0.35))])
+            exact, averages = series_map_stacks((0.5,), steps,
+                                                [(spectrum(1.0), dephasing(0.35)), None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,27 +183,23 @@ class TestSeriesMaps:
 PER_POWER_TOL = 1e-14
 
 
-def assert_per_power_route(etas, steps, tables, exact, averages):
+def assert_per_power_route(etas, steps, tables, stacks):
     """Every [t, e] slice of the stacks is, within PER_POWER_TOL * max(1, m),
-    one product, one kappa table and one contraction per power; the m = 0
-    maps are exactly the identity."""
-    assert averages.shape == (len(etas), steps + 1, 3, 3)
-    if tables:
-        assert exact.shape == (len(tables), len(etas), steps + 1, 3, 3)
-    else:
-        assert exact is None
+    one product and one contraction per power: with one kappa table for a
+    (spectrum, step) pair, the zeroth coefficient for None; the m = 0 maps
+    are exactly the identity."""
+    assert stacks.shape == (len(tables), len(etas), steps + 1, 3, 3)
     for e, eta in enumerate(etas):
         step = series_from_transfer(eta)
         power = identity_series()
         for m in range(steps + 1):
             tol = PER_POWER_TOL * max(1, m)
-            assert np.max(np.abs(averages[e, m] - power.period_average())) <= tol
-            for t, (sp, cfg) in enumerate(tables):
-                want = integrate_series_against_spectrum(power, sp, cfg)
-                assert np.max(np.abs(exact[t, e, m] - want)) <= tol
+            for t, table in enumerate(tables):
+                want = (power.period_average() if table is None
+                        else integrate_series_against_spectrum(power, *table))
+                assert np.max(np.abs(stacks[t, e, m] - want)) <= tol
             power = series_multiply(power, step)
-        assert np.array_equal(averages[e, 0], np.eye(3))
-        assert all(np.array_equal(exact[t, e, 0], np.eye(3)) for t in range(len(tables)))
+        assert all(np.array_equal(stacks[t, e, 0], np.eye(3)) for t in range(len(tables)))
 
 
 class TestSeriesMapStacks:
@@ -209,21 +207,19 @@ class TestSeriesMapStacks:
     @given(etas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
                          min_size=1, max_size=7),
            steps=st.integers(0, 40),
-           tables=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 3.0)),
-                           max_size=3))
+           tables=st.lists(st.none() | st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+                                                  st.floats(0.01, 3.0)), max_size=3))
     def test_every_slice_matches_per_power_route(self, etas, steps, tables):
-        # an empty table list is the spectrum-free case
-        tables = [(spectrum(a), dephasing(f)) for a, f in tables]
-        exact, averages = series_map_stacks(etas, steps, tables)
-        assert_per_power_route(etas, steps, tables, exact, averages)
+        # None, the strong limit, may stand anywhere among the pairs
+        tables = [t and (spectrum(t[0]), dephasing(t[1])) for t in tables]
+        assert_per_power_route(etas, steps, tables, series_map_stacks(etas, steps, tables))
 
     def test_duplicate_and_single_eta(self):
-        tables = [(spectrum(1.0), dephasing(0.35))]
-        exact, averages = series_map_stacks([0.3, 0.3, 0.7, 0.3], 17, tables)
-        assert np.array_equal(exact[0, 0], exact[0, 1]) and np.array_equal(exact[0, 0], exact[0, 3])
+        tables = [(spectrum(1.0), dephasing(0.35)), None]
+        stacks = series_map_stacks([0.3, 0.3, 0.7, 0.3], 17, tables)
+        assert np.array_equal(stacks[:, 0], stacks[:, 1]) and np.array_equal(stacks[:, 0], stacks[:, 3])
         single = series_map_stacks((0.3,), 17, tables)
-        assert np.array_equal(exact[0, 0], single[0][0, 0])
-        assert np.array_equal(averages[0], single[1][0])
+        assert np.array_equal(stacks[:, 0], single[:, 0])
 
     def test_arguments_checked_before_any_table(self, monkeypatch):
         def refused(*args):
@@ -240,24 +236,45 @@ class TestSeriesMapStacks:
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             series_map_stacks([0.5], 10 ** 12, tables)
 
-    @pytest.mark.parametrize("etas,steps,tables", [(3, 30, 1), (5, 15, 0), (40, 128, 2)])
-    def test_walk_counted_in_bytes(self, monkeypatch, etas, steps, tables):
+    @pytest.mark.parametrize("etas,steps,pairs", [(3, 30, 1), (5, 15, 0), (40, 128, 2)])
+    def test_walk_counted_in_bytes(self, monkeypatch, etas, steps, pairs):
         # a budget of exactly the run's count passes it; one byte less is
         # refused by name before any table is built
-        etas, tables = np.linspace(0.0, 1.0, etas), [(spectrum(1.0), dephasing(0.35))] * tables
+        etas = np.linspace(0.0, 1.0, etas)
+        tables = [(spectrum(1.0), dephasing(0.35))] * pairs + [None]
         count = harmonic.series_map_bytes(len(etas), steps, len(tables))
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
         tracemalloc.start()
         try:
-            exact, averages = series_map_stacks(etas, steps, tables)
+            stacks = series_map_stacks(etas, steps, tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert averages.shape == (len(etas), steps + 1, 3, 3) and peak <= count
+        assert stacks.shape == (len(tables), len(etas), steps + 1, 3, 3) and peak <= count
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
         monkeypatch.setattr(harmonic, "decoherence_function", None)
         with pytest.raises(ResourceLimitError, match=f"{steps} steps x {len(etas)} etas.* MAX_GRID"):
             series_map_stacks(etas, steps, tables)
+
+    @pytest.mark.parametrize("etas,steps,entry", [
+        pytest.param(3, 30, "pair", id="3x30-pair"),
+        pytest.param(40, 256, None, id="40x256-None"),
+        pytest.param(40, 256, "pair", id="40x256-pair"),
+    ])
+    def test_count_covers_the_measured_peak(self, etas, steps, entry):
+        # one walked row per entry; tracemalloc reads 0.70 of the count at
+        # 3 x 30 and 0.59 at 40 x 256.  One untraced call first loads the
+        # lazy numpy modules, which a run holds for good
+        etas = np.linspace(0.0, 1.0, etas)
+        tables = [entry and (spectrum(1.0), dephasing(0.35))]
+        series_map_stacks(etas, steps, tables)
+        tracemalloc.start()
+        try:
+            series_map_stacks(etas, steps, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1.05 * peak <= harmonic.series_map_bytes(len(etas), steps, len(tables))
 
     def test_error_stack_entries_match_per_pair_calls(self):
         sp, etas = spectrum(0.5), [0.0, 0.5, 0.8]
@@ -382,7 +399,7 @@ class TestQuadratureMap:
         # the order ceil(2 m s) + 20 resolves every power on every panel
         sp, cfg = spectrum(a), dephasing(factor)
         etas = (0.0, 0.2, 0.5, 0.8, 1.0)
-        exact = series_map_stacks(etas, steps, [(sp, cfg)])[0][0]
+        exact = series_map_stacks(etas, steps, [(sp, cfg)])[0]
         assert np.max(np.abs(quadrature_maps(etas, steps, sp, cfg) - exact)) <= 1e-12
 
     @pytest.mark.parametrize("a,peak", [(0.0, "mu1"), (0.3, "mu2"), (1.0, "mu2")])
@@ -631,6 +648,18 @@ class TestApproximationError:
             assert abs(errors[m] - want) <= 1e-14
         assert approximation_error(eta, 8, sp, cfg, engine) == errors[-1]
 
+    def test_strong_limit_entry_on_every_engine(self):
+        # a None step is the single-period average on each engine, bit for
+        # bit: at m = steps the same nodes as strong_limit_map's, and within
+        # rounding of its closed forms at every m
+        sp, cfg, etas, steps = spectrum(1.0), dephasing(0.35), (0.0, 0.25, 0.5, 1.0), 12
+        limits = [next(transfer_map_stacks(sp, [None, cfg], etas, steps, engine))
+                  for engine in ("series", "quadrature", "strong-limit")]
+        assert all(limit.tobytes() == limits[0].tobytes() for limit in limits)
+        for e, eta in enumerate(etas):
+            assert np.array_equal(limits[0][e, steps], strong_limit_map(eta, steps))
+        assert np.max(np.abs(limits[0][2] - strong_limit_closed_forms(steps))) <= 1e-12
+
     def test_unknown_engine(self):
         with pytest.raises(DomainError):
             approximation_error_stack((0.5,), 3, spectrum(), (dephasing(0.35),), "strong-limit")
@@ -702,11 +731,11 @@ class TestApproximationError:
 
         original = harmonic.series_map_stacks
 
-        def with_planted_map(*args):
-            exact, averages = original(*args)
-            if exact is not None:
-                exact[0, 0, 2, 1, 1] = bad
-            return exact, averages
+        def with_planted_map(etas, steps, tables):
+            stacks = original(etas, steps, tables)
+            if tables[0] is not None:
+                stacks[0, 0, 2, 1, 1] = bad
+            return stacks
 
         monkeypatch.setattr(harmonic, "series_map_stacks", with_planted_map)
         with pytest.raises(DomainError, match="non-finite"):

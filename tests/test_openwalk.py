@@ -372,9 +372,9 @@ class TestOracleChecks:
 
     @pytest.mark.parametrize("counts,named", [
         ({"walk_steps": 578}, "walk_steps = 578"),
-        ({"max_steps": 638, "n_freqs": [8, 64]}, "max_steps = 638 x n_freqs = 64"),
-        ({"position_check_steps": 638, "n_freqs": [64, 8]},
-         "position_check_steps = 638 x n_freqs = 64"),
+        ({"max_steps": 801, "n_freqs": [8, 64]}, "max_steps = 801 x n_freqs = 64"),
+        ({"position_check_steps": 801, "n_freqs": [64, 8]},
+         "position_check_steps = 801 x n_freqs = 64"),
         # with the dilation's larger count taken away, the measure's is made too
         ({"max_steps": 724, "dilation_bytes": lambda steps, n_freqs: 0}, "max_steps = 724"),
     ])
