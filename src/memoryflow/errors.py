@@ -1,8 +1,8 @@
 """Exception types shared across the package, the one memory budget and its
-refusal, and the rules by which a check keeps its largest deviation and where
-it occurred, and becomes a report entry."""
+refusal, and the array rule by which a check keeps its largest deviation and
+where it occurred, and becomes a report entry."""
 
-import math
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -40,16 +40,14 @@ class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
-def largest_deviation(pairs) -> tuple[float, str]:
-    """The largest deviation of an iterable of (deviation, location) pairs,
-    with its location; (0.0, "") when there are none or none is positive.
-    The first NaN replaces any number and is kept, so that its check fails;
-    of equal deviations the first is kept."""
-    worst, where = 0.0, ""
-    for dev, location in pairs:
-        if dev > worst or (math.isnan(dev) and not math.isnan(worst)):
-            worst, where = dev, location
-    return worst, where
+def largest_deviation(devs, locate) -> tuple[float, str]:
+    """The largest of an array of deviations in report order, and its location
+    ``locate(flat_index)``, formatted for that entry alone; (0.0, "") when none
+    is positive.  One ``np.argmax`` keeps the first NaN, so that its check
+    fails, and the first of equal deviations."""
+    devs = np.concatenate(([0.0], np.ravel(devs)))  # index 0: none positive
+    index = int(np.argmax(devs))
+    return (float(devs[index]), locate(index - 1)) if index else (0.0, "")
 
 
 def check(name: str, deviation: tuple[float, str], tol: float) -> dict:

@@ -249,6 +249,8 @@ def series_map_stacks(etas, steps: int, tables) -> np.ndarray:
         raise DomainError("series_map_stacks needs at least one eta")
     tables = list(tables)
     _require_period_walk(len(controls), steps, len(tables))
+    if not tables:
+        return np.empty((0, len(controls), steps + 1, 3, 3))
     thetas, weights = _period_nodes(steps, tables)
     stacks = kernels.transfer_power_average(thetas, weights, controls[:, 0], controls[:, 1], steps)
     stacks = np.ascontiguousarray(stacks.transpose(1, 2, 0, 3, 4))

@@ -16,12 +16,11 @@ One step.  Every walk route takes the same coin-and-shift step,
 dilation oracle steps an (n + 1, K) pair, one column per environment branch,
 and then multiplies each branch's L amplitudes by its dephasing phase.
 ``oracle_checks`` builds every check of the oracle on these routes; each
-reports its largest deviation and its location by one rule,
-``errors.largest_deviation``, in one entry, ``errors.check``.  The position
-check reads p(x) from the traced dilation, so it compares the paper's
-construction against the unitary walk, and the measure check reads the trace
-distances of two traced dilations against the memory measure's route; both
-can fail.
+reduces one array of its deviations by one rule, ``errors.largest_deviation``,
+to one entry, ``errors.check``.  The position check reads p(x) from the
+traced dilation, so it compares the paper's construction against the unitary
+walk, and the measure check reads the trace distances of two traced
+dilations against the memory measure's route; both can fail.
 
 Memory.  The dilation and every eigensolve count the bytes a run would hold,
 ``dilation_bytes`` and ``kernels.eigensolve_bytes``, and are refused by
@@ -364,29 +363,38 @@ def _step_range(last: int, stride: int = 1) -> dict:
 
 def _dilation_check(coin, states: list[WalkState], spectrum: SpectrumParams,
                     dephasing: DephasingConfig, k: int, max_steps: int,
-                    position_steps: int | None) -> tuple[dict, list]:
+                    position_steps: int | None) -> tuple[dict, dict | None]:
     """The ``dilation_vs_filter_K{k}`` entry of ``oracle_checks``: the traced
-    dilation of ``coin`` over an environment of K frequencies against the
-    coherence filter of the unitary ``states`` at every n <= max_steps.  With
-    ``position_steps``, the stream runs on to it, and the (deviation,
-    location) pairs of its position distribution against the unitary walk's,
-    every third step, come back with the entry.  The stream's densities end
-    with the call."""
-    deviations, positions = [], []
+    dilation of ``coin`` over K environment frequencies against the coherence
+    filter, gathered by ``filter_index`` from one table, of the unitary
+    ``states`` at every n <= max_steps.  With ``position_steps``, the stream
+    runs on to it, and the ``position_distribution_invariance`` entry of its
+    p(x) against the unitary walk's, every third step, comes back too."""
     steps = max_steps if position_steps is None else max(max_steps, position_steps)
+    devs, entries = np.empty(max_steps + 1), np.empty(max_steps + 1, dtype=int)
+    last = position_steps or 0  # positions[n // 3, x + last], 0 at empty sites
+    positions = np.zeros((last // 3 + 1, 2 * last + 1))
+    columns = filter_index(max_steps)
     for n, (dil, omegas, weights) in enumerate(
             dilation_densities(coin[0], coin[1], steps, spectrum, dephasing, k)):
+        if n == 0:
+            table = discrete_filter(omegas, weights, dephasing)(2 * np.arange(-max_steps, max_steps + 1))
         if n <= max_steps:
-            flt = filtered_density(states[n], discrete_filter(omegas, weights, dephasing))
-            dev = np.abs(dil.matrix - flt.matrix)
-            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-            deviations.append((float(dev[i, j]), f"n={n}, entry=({int(i)},{int(j)})"))
-        if position_steps is not None and n % 3 == 0 and n <= position_steps:
-            p_dil = dil.position_distribution()
-            positions += [(abs(p_dil[x] - p), f"n={n}, x={x}")
-                          for x, p in position_distribution(states[n]).items()]
-    entry = check(f"dilation_vs_filter_K{k}", largest_deviation(deviations), 1e-10)
-    return entry | {"K": k, "steps": _step_range(max_steps)}, positions
+            flt = pure_walk_density(states[n]).matrix * table[columns[:2 * n + 2, :2 * n + 2]]
+            dev = np.abs(dil.matrix - flt).ravel()
+            devs[n], entries[n] = dev.max(), dev.argmax()  # the first NaN or largest
+        if position_steps is not None and n % 3 == 0 and n <= last:
+            p_dil = list(dil.position_distribution().values())
+            p = list(position_distribution(states[n]).values())
+            positions[n // 3, last - n:last + n + 1:2] = np.abs(np.subtract(p_dil, p))
+    entry = check(f"dilation_vs_filter_K{k}", largest_deviation(
+        devs, lambda n: "n={}, entry=({},{})".format(n, *divmod(entries[n], 2 * n + 2))),
+        1e-10) | {"K": k, "steps": _step_range(max_steps)}
+    if position_steps is None:
+        return entry, None
+    return entry, check("position_distribution_invariance", largest_deviation(
+        positions, lambda i: f"n={i // (2 * last + 1) * 3}, x={i % (2 * last + 1) - last}"),
+        1e-12) | {"steps": _step_range(position_steps, 3)}
 
 
 def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_steps: int,
@@ -401,13 +409,13 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     ``nonmarkov.walk_trace_distances`` with the same discrete filter, the
     series engine against quadrature at A = 0 and 1, the Catalan closed
     forms, the quasi-momentum amplitudes against the recursion, and the
-    eigensolver identities.  Each dilation entry and the
-    measure entry record their K and the step counts they compared, the
-    position entry the step counts it sampled, each as a ``_step_range``, and
-    the engine entry its etas, A and largest power m.  Every check runs as
-    asked: a run whose integral check, dilation streams or walk measure would
-    pass ``errors.MAX_GRID_BYTES`` is refused on entry, before any check runs,
-    by the counts those routes make, naming the arguments that set them."""
+    eigensolver identities.  Each dilation entry and the measure entry record
+    their K and the step counts they compared, the position entry the step
+    counts it sampled, each as a ``_step_range``, and the engine entry its
+    etas, A and largest power m.  Every check runs as asked: a run whose
+    integral check, dilation streams or walk measure would pass
+    ``errors.MAX_GRID_BYTES`` is refused on entry, before any check runs, by
+    the counts those routes make, naming the arguments that set them."""
     # imported here: nonmarkov imports this module
     from .nonmarkov import DEFAULT_WALK_COINS, walk_measure_bytes, walk_trace_distances
 
@@ -429,14 +437,10 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     # environment is discretized and stepped once.  Dephasing must not touch
     # the position distribution: p(x) of the first K's stream, stepped on to
     # position_check_steps, against the unitary walk's, every third step
-    positions = []
-    for index, k in enumerate(n_freqs):
-        entry, sampled = _dilation_check(coin, states, spectrum, dephasing, k, max_steps,
-                                         position_check_steps if index == 0 else None)
-        checks.append(entry)
-        positions += sampled
-    checks.append(check("position_distribution_invariance", largest_deviation(positions), 1e-12)
-                  | {"steps": _step_range(position_check_steps, 3)})
+    dilations = [_dilation_check(coin, states, spectrum, dephasing, k, max_steps,
+                                 position_check_steps if index == 0 else None)
+                 for index, k in enumerate(n_freqs)]
+    checks += [entry for entry, _ in dilations] + [dilations[0][1]]
 
     # the memory measure's route against the paper's construction: trace
     # distances of the default walk pair from two traced dilation streams at
@@ -450,8 +454,8 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     del rho1, rho2  # the last densities end before the measure's eigensolves
     measured = walk_trace_distances([discrete_filter(omegas, weights, dephasing)], max_steps)[0]
     checks.append(check("measure_vs_dilation", largest_deviation(
-        (abs(d - m), f"n={n}") for n, (d, m) in enumerate(zip(dilated, measured.tolist()))),
-        1e-10) | {"K": n_freqs[0], "steps": _step_range(max_steps)})
+        np.abs(np.subtract(dilated, measured)), lambda n: f"n={n}"), 1e-10)
+                  | {"K": n_freqs[0], "steps": _step_range(max_steps)})
 
     # series engine vs oscillatory quadrature: one call per engine over both
     # A, so each engine counts both spectra before it makes any map
@@ -460,10 +464,13 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     etas = (0.0, 0.5, 1.0)
     series = harmonic.series_map_stacks(etas, engine_max_power, tables)
     quadrature = np.array(list(harmonic.quadrature_map_stacks(etas, engine_max_power, tables)))
-    devs = np.max(np.abs(series - quadrature), axis=(-2, -1)).tolist()
-    deviations = [(devs[t][e][m], f"eta={eta}, m={m}, A={a}") for e, eta in enumerate(etas)
-                  for m in range(engine_max_power + 1) for t, a in enumerate(spectra_a)]
-    checks.append(check("series_vs_quadrature", largest_deviation(deviations),
+    devs = np.max(np.abs(series - quadrature), axis=(-2, -1)).transpose(1, 2, 0)
+
+    def engine_entry(i):
+        e, m, t = np.unravel_index(i, devs.shape)
+        return f"eta={etas[e]}, m={m}, A={list(spectra_a)[t]}"
+
+    checks.append(check("series_vs_quadrature", largest_deviation(devs, engine_entry),
                         harmonic.ENGINE_AGREEMENT_TOL)
                   | {"etas": list(etas), "A": list(spectra_a), "m": engine_max_power})
 
@@ -471,8 +478,7 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
     averages = harmonic.series_map_stacks((0.5,), 40, [None])[0, 0]
     closed_forms = harmonic.strong_limit_closed_forms(40)
     checks.append(check("catalan_closed_form", largest_deviation(
-        (dev, f"m={m}") for m, dev in enumerate(
-            np.max(np.abs(averages - closed_forms), axis=(1, 2)).tolist())), 1e-12))
+        np.max(np.abs(averages - closed_forms), axis=(1, 2)), lambda m: f"m={m}"), 1e-12))
 
     # quasi-momentum amplitudes vs the position recursion
     checks.append(check("walk_integral_vs_recursion", integral_recursion_deviation(
@@ -518,8 +524,8 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 
 def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
     """Largest deviation from sum(lambda) = tr H and sum(lambda^2) = ||H||_F^2 over
-    20 seeded random Hermitian matrices of dimension 2 to 32, and where it
-    occurred, by ``errors.largest_deviation``.
+    20 seeded random matrices of dimension 2 to 32, each Hermitian to the bit
+    and solved by ``kernels.hermitian_eigvals``, and its trial and dimension.
 
     The draws come from the standard library's ``random.Random(seed)``, which
     ``import numpy`` has already loaded, not from ``numpy.random``, which
@@ -528,20 +534,16 @@ def eigensolver_identity_deviation(seed: int) -> tuple[float, str]:
     from one ``randbytes`` call, each 64 bits read little-endian and mapped
     by their top 53 to a uniform value in [-1, 1)."""
     rng = random.Random(seed)
-
-    def deviations():
-        for trial in range(20):
-            dim = rng.randrange(2, 33)
-            bits = np.frombuffer(rng.randbytes(16 * dim * dim), dtype="<u8")
-            x = ((bits >> 11) * 2.0 ** -52 - 1.0).view(complex).reshape(dim, dim)
-            h = (x + x.conj().T) / 2.0
-            vals = hermitian_eigenvalues(h)
-            yield float(np.max([
-                abs(float(np.sum(vals)) - float(np.trace(h).real)),
-                abs(float(np.sum(vals ** 2)) - float(np.sum(np.abs(h) ** 2))),
-            ])), f"trial={trial}, dim={dim}"
-
-    return largest_deviation(deviations())
+    devs, dims = np.empty(20), np.empty(20, dtype=int)
+    for trial in range(20):
+        dim = dims[trial] = rng.randrange(2, 33)
+        bits = np.frombuffer(rng.randbytes(16 * dim * dim), dtype="<u8")
+        x = ((bits >> 11) * 2.0 ** -52 - 1.0).view(complex).reshape(dim, dim)
+        h = (x + x.conj().T) / 2.0
+        vals = kernels.hermitian_eigvals(h)
+        devs[trial] = np.maximum(abs(vals.sum() - h.trace().real),
+                                 abs((vals ** 2).sum() - (abs(h) ** 2).sum()))
+    return largest_deviation(devs, lambda trial: f"trial={trial}, dim={dims[trial]}")
 
 
 def trace_distance_walk(rho1: WalkDensity, rho2: WalkDensity) -> float:

@@ -314,20 +314,18 @@ def walk_amplitudes_integral(m: int, x: int) -> WalkAmplitudes:
 def integral_recursion_deviation(steps: int, coins) -> tuple[float, str]:
     """Largest deviation of the quasi-momentum amplitudes from the position
     recursion over m <= steps, every site and every initial coin pair in
-    ``coins``, with the (m, x) where it occurred, by
-    ``errors.largest_deviation``.  The rows come from ``walk_amplitude_rows``,
-    one grid pair for the whole check, which is refused on the call when its
-    grids would pass ``errors.MAX_GRID_BYTES``."""
+    ``coins``, stepped as one (sites, coins) array, with the (m, x) where it
+    occurred, by ``errors.largest_deviation`` over each row's first largest
+    entry.  The rows come from ``walk_amplitude_rows``, one grid pair for the
+    check, refused on the call when its grids would pass the byte budget."""
     rows = walk_amplitude_rows(steps)
-    walks = [walk_states(c_left, c_right, steps) for c_left, c_right in coins]
-
-    def deviations():
-        for m, (states, row) in enumerate(zip(zip(*walks), rows)):
-            a_left, a_right, b_left, b_right = row
-            for (c_left, c_right), state in zip(coins, states):
-                dev = np.maximum(abs(c_left * a_left + c_right * a_right - state.amp_left),
-                                 abs(c_left * b_left + c_right * b_right - state.amp_right))
-                j = int(np.argmax(dev))
-                yield float(dev[j]), f"m={m}, x={2 * j - m}"
-
-    return largest_deviation(deviations())
+    left, right = np.array([initial_state(*coin).coin_pair_at(0) for coin in coins]).T[:, None]
+    c_left, c_right = left.T, right.T  # (coins, 1) columns of the (1, coins) origin rows
+    devs, sites = np.empty(steps + 1), np.empty(steps + 1, dtype=int)
+    for m, (a_left, a_right, b_left, b_right) in enumerate(rows):
+        if m:
+            left, right = kernels.coin_shift(left, right)
+        dev = np.maximum(abs(c_left * a_left + c_right * a_right - left.T),
+                         abs(c_left * b_left + c_right * b_right - right.T))
+        devs[m], sites[m] = dev.max(), dev.argmax() % (m + 1)  # the first NaN or largest
+    return largest_deviation(devs, lambda m: f"m={m}, x={2 * sites[m] - m}")

@@ -62,6 +62,31 @@ def test_workflow_runs_the_oracle_at_fig4_steps():
     assert "||" not in oracle[0] and "continue-on-error" not in WORKFLOW.read_text(encoding="utf-8")
 
 
+def test_workflow_reruns_the_40_step_oracle_byte_identically(tmp_path):
+    # one step runs the 40-step oracle twice and fails unless cmp finds the two
+    # reports equal: the step passes as written, and fails once the second run
+    # is given another seed
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    step = re.search(r"- name: Dilation oracle reruns[^\n]*\n.*?run: \|\n(.*?)\n      - name:",
+                     workflow, flags=re.DOTALL)
+    assert step, "the workflow reruns no oracle"
+    script = textwrap.dedent(step[1])
+    runs = [line for line in script.splitlines() if "-m memoryflow oracle" in line]
+    assert len(runs) == 2 and runs[0].replace("oracle-a", "oracle-b") == runs[1]
+    for setting in ("--set oracle.max_steps=40", "--set 'oracle.n_freqs=[8,16,32,64]'",
+                    "--set oracle.engine_max_power=240"):
+        assert setting in runs[0]
+    assert script.splitlines()[-1] == ('cmp "$RUNNER_TEMP/oracle-a/oracle_report.json" '
+                                       '"$RUNNER_TEMP/oracle-b/oracle_report.json"')
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path)}
+    for edit, code in (("", 0), (" --set seed=1", 1)):
+        edited = script.replace(runs[1], runs[1] + edit)
+        done = subprocess.run(["bash", "-e", "-c", edited], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (edit, done.stderr)
+        assert ("differ" in done.stdout) == bool(code), done.stdout
+
+
 def test_workflow_compares_the_strong_limit_error_engines(tmp_path):
     # the strong limit's period row runs on the quadrature engine past fig5's
     # 15 steps, and the step's script fails unless every error agrees with

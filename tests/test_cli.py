@@ -1062,16 +1062,18 @@ class TestOracleCommand:
     def test_oracle_work_pattern(self, tmp_path, monkeypatch):
         calls = record_calls(monkeypatch, openwalk.discretize_spectrum, openwalk.dilation_oracle,
                              openwalk.open_walk_evolve, walk.walk_evolve, kernels.walk_run,
-                             walk.walk_step)
+                             walk.walk_step, kernels.coin_shift)
         assert run_cli("oracle", "--out", str(tmp_path)) == 0
         opts = resolve_config("oracle")["oracle"]
         # each environment is discretized and stepped once, the first, which
         # the position check reads too, once more per coin of the measure
-        # check, and the walk once (plus one walk per coin of the integral check)
+        # check, and the walk once; the measure's pair and the integral
+        # check's two coins each step as one (sites, 2) array
         assert [args[1] for args in calls["discretize_spectrum"]] \
             == opts["n_freqs"] + opts["n_freqs"][:1] * 2
-        assert len(calls["walk_step"]) == max(opts["max_steps"], opts["position_check_steps"]) \
-            + 2 * opts["walk_steps"]
+        assert len(calls["walk_step"]) == max(opts["max_steps"], opts["position_check_steps"])
+        assert [np.shape(args[0]) for args in calls["coin_shift"] if np.shape(args[0])[1:] == (2,)] \
+            == [(n + 1, 2) for steps in (opts["max_steps"], opts["walk_steps"]) for n in range(steps)]
         for name in ("dilation_oracle", "open_walk_evolve", "walk_evolve", "walk_run"):
             assert calls[name] == [], name
 
@@ -1273,16 +1275,14 @@ class TestOracleCommand:
             assert set(checks[name]) == plain
 
     def test_perturbed_filter_reports_failure(self, tmp_path, monkeypatch):
-        original = openwalk.filtered_density
+        original = openwalk.discrete_filter
 
         def perturbed(*args):
-            rho = original(*args)
-            target = min(4, rho.matrix.shape[0] - 1)
-            rho.matrix[0, target] += 1e-4
-            rho.matrix[target, 0] += 1e-4
-            return rho
+            # f(+-4) moves by 1e-4, and the filter stays Hermitian Toeplitz
+            exact = original(*args)
+            return lambda d: exact(d) + np.where(np.abs(d) == 4, 1e-4, 0.0)
 
-        monkeypatch.setattr(openwalk, "filtered_density", perturbed)
+        monkeypatch.setattr(openwalk, "discrete_filter", perturbed)
         assert run_cli(
             "oracle", "--out", str(tmp_path),
             "--set", "oracle.max_steps=2", "--set", "oracle.n_freqs=[8]",

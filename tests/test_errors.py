@@ -3,30 +3,49 @@ and the report entry of a check."""
 
 import math
 
+import numpy as np
+
 from memoryflow.errors import check, largest_deviation
 
 NAN = float("nan")
 
 
 class TestLargestDeviation:
+    """The array rule: one ``np.argmax`` over the deviations in report order,
+    and ``locate`` called for the kept entry alone."""
+
+    @staticmethod
+    def located(devs):
+        calls = []
+
+        def locate(index):
+            calls.append(index)
+            return f"i={index}"
+
+        return largest_deviation(np.array(devs, dtype=float), locate), calls
+
     def test_empty_input(self):
-        assert largest_deviation([]) == (0.0, "")
+        assert self.located([]) == ((0.0, ""), [])
 
     def test_zero_deviations_keep_no_location(self):
-        assert largest_deviation([(0.0, "a"), (0.0, "b")]) == (0.0, "")
+        assert self.located([0.0, 0.0]) == ((0.0, ""), [])
 
     def test_largest_wins(self):
-        assert largest_deviation([(1e-16, "a"), (3e-15, "b"), (2e-15, "c")]) == (3e-15, "b")
+        assert self.located([1e-16, 3e-15, 2e-15]) == ((3e-15, "i=1"), [1])
 
     def test_ties_keep_the_first_pair(self):
-        assert largest_deviation([(1e-16, "a"), (2e-15, "b"), (2e-15, "c")]) == (2e-15, "b")
+        assert self.located([1e-16, 2e-15, 2e-15]) == ((2e-15, "i=1"), [1])
 
     def test_first_nan_is_kept(self):
-        worst, where = largest_deviation([(1.0, "a"), (NAN, "b"), (5.0, "c"), (NAN, "d")])
-        assert math.isnan(worst) and where == "b"
+        (worst, where), calls = self.located([1.0, NAN, 5.0, NAN])
+        assert math.isnan(worst) and where == "i=1" and calls == [1]
 
-    def test_accepts_a_generator(self):
-        assert largest_deviation((float(m), f"m={m}") for m in range(4)) == (3.0, "m=3")
+    def test_infinity_wins_over_numbers(self):
+        assert self.located([1.0, math.inf, 5.0, math.inf]) == ((math.inf, "i=1"), [1])
+
+    def test_table_is_read_in_flat_report_order(self):
+        # a (2, 3) table: entry (1, 0) is flat index 3
+        assert self.located([[1e-16, 0.0, 2e-16], [3e-15, 3e-15, 0.0]]) == ((3e-15, "i=3"), [3])
 
 
 class TestCheck:

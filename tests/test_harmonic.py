@@ -236,6 +236,20 @@ class TestSeriesMapStacks:
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
             series_map_stacks([0.5], 10 ** 12, tables)
 
+    def test_no_entries_return_the_empty_stack_unwalked(self, monkeypatch):
+        # the count is made as for any entries, and nothing is walked
+        def refused(*args):
+            raise AssertionError("the period nodes were walked")
+
+        monkeypatch.setattr(harmonic.kernels, "transfer_power_average", refused)
+        stacks = series_map_stacks((0.0, 0.5, 1.0), 1024, [])
+        assert stacks.shape == (0, 3, 1025, 3, 3) and stacks.dtype == np.float64
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            series_map_stacks([0.5], 10 ** 12, [])
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", harmonic.series_map_bytes(3, 1024, 0) - 1)
+        with pytest.raises(ResourceLimitError, match="1024 steps"):
+            series_map_stacks((0.0, 0.5, 1.0), 1024, [])
+
     @pytest.mark.parametrize("etas,steps,pairs", [(3, 30, 1), (5, 15, 0), (40, 128, 2)])
     def test_walk_counted_in_bytes(self, monkeypatch, etas, steps, pairs):
         # a budget of exactly the run's count passes it; one byte less is

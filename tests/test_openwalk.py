@@ -11,7 +11,8 @@ import pytest
 
 from memoryflow.cli import _finite_or_null, main, resolve_config
 from memoryflow.errors import DomainError, ResourceLimitError
-from memoryflow import errors, nonmarkov, openwalk
+from memoryflow.kernels import hermitian_eigvals
+from memoryflow import errors, harmonic, kernels, nonmarkov, openwalk, walk
 from memoryflow.openwalk import (
     DephasingFilter,
     dilation_bytes,
@@ -412,6 +413,81 @@ class TestOracleChecks:
         assert [bool(real[0]) for real, _ in gauged] == [a != 0.7]
 
 
+class TestPlantedDeviationLocations:
+    """Each check reduces one table of deviations by ``errors.largest_deviation``
+    and decodes the kept flat index into its location: one deviation planted
+    at a known spot must be reported at that spot, which a transposed decode
+    of any of these tables misses."""
+
+    SIZES = dict(max_steps=4, n_freqs=[8], walk_steps=6, position_check_steps=12,
+                 engine_max_power=6, seed=0)
+
+    def entry(self, name):
+        (entry,) = [c for c in oracle_checks(spectrum(), dephasing(), **self.SIZES)
+                    if c["name"] == name]
+        assert not entry["pass"]
+        return entry
+
+    def plant_in_dilation(self, monkeypatch, steps, i, j):
+        # the dilation check's own stream, not the measure check's coins
+        original = openwalk.dilation_densities
+
+        def planted(c_left, c_right, *args):
+            for rho, omegas, weights in original(c_left, c_right, *args):
+                if c_right == 1j / math.sqrt(2.0) and rho.steps == steps:
+                    rho.matrix[i, j] += 1e-6
+                yield rho, omegas, weights
+
+        monkeypatch.setattr(openwalk, "dilation_densities", planted)
+
+    def test_dilation_entry(self, monkeypatch):
+        self.plant_in_dilation(monkeypatch, 3, 2, 7)
+        assert self.entry("dilation_vs_filter_K8")["location"] == "n=3, entry=(2,7)"
+
+    def test_position_site(self, monkeypatch):
+        # row 8 of the 6-step density is coin L at site x = 8 // 2 * 2 - 6 = 2
+        self.plant_in_dilation(monkeypatch, 6, 8, 8)
+        assert self.entry("position_distribution_invariance")["location"] == "n=6, x=2"
+
+    def test_engine_entry(self, monkeypatch):
+        original = harmonic.quadrature_map_stacks
+
+        def planted(*args):
+            stacks = [stack.copy() for stack in original(*args)]
+            stacks[1][1, 3, 0, 2] += 1e-3  # A = 1.0, eta = 0.5, m = 3
+            return stacks
+
+        monkeypatch.setattr(harmonic, "quadrature_map_stacks", planted)
+        assert self.entry("series_vs_quadrature")["location"] == "eta=0.5, m=3, A=1.0"
+
+    def test_integral_row_with_two_coins(self, monkeypatch):
+        # b_right of site x = 2 after 4 steps reaches the second coin alone
+        original = walk.walk_amplitude_rows
+
+        def planted(steps):
+            for m, row in enumerate(original(steps)):
+                if m == 4:
+                    row = row.copy()
+                    row[3, 3] += 1e-3
+                yield row
+
+        monkeypatch.setattr(walk, "walk_amplitude_rows", planted)
+        assert self.entry("walk_integral_vs_recursion")["location"] == "m=4, x=2"
+
+    def test_identity_trial(self, monkeypatch):
+        dims = []
+
+        def planted(h):
+            vals = hermitian_eigvals(h)
+            dims.append(len(h))
+            if len(dims) == 13:
+                vals[0] += 1e-6
+            return vals
+
+        monkeypatch.setattr(kernels, "hermitian_eigvals", planted)
+        assert eigensolver_identity_deviation(0)[1] == f"trial=12, dim={dims[12]}"
+
+
 class TestStrongDephasingBlocks:
     def test_filter_keeps_only_zero_separation(self):
         d = np.array([[-4.0, -2.0, 0.0], [2.0, 4.0, -0.0]])
@@ -547,13 +623,13 @@ class TestHermitianEigenvalues:
         dims = []
 
         def poisoned(h):
-            vals = hermitian_eigenvalues(h)
+            vals = hermitian_eigvals(h)
             dims.append(len(vals))
             if len(dims) == 4:
                 vals[0] = np.nan
             return vals
 
-        monkeypatch.setattr(openwalk, "hermitian_eigenvalues", poisoned)
+        monkeypatch.setattr(kernels, "hermitian_eigvals", poisoned)
         worst, where = eigensolver_identity_deviation(0)
         assert math.isnan(worst)
         assert where == f"trial=3, dim={dims[3]}"
@@ -583,12 +659,12 @@ class TestEigensolverIdentities:
 
         def recorded(h):
             matrices.append(h.copy())
-            vals = hermitian_eigenvalues(h)
+            vals = hermitian_eigvals(h)
             if len(matrices) - 1 == shifted:
                 vals[-1] += 1e-9
             return vals
 
-        monkeypatch.setattr(openwalk, "hermitian_eigenvalues", recorded)
+        monkeypatch.setattr(kernels, "hermitian_eigvals", recorded)
         return eigensolver_identity_deviation(seed), matrices
 
     def test_same_seed_same_result_in_and_across_processes(self):

@@ -378,15 +378,15 @@ class TestAmplitudeRows:
 
     def test_nan_recursion_state_is_the_worst_deviation(self, monkeypatch):
         # the first NaN deviation is kept as the worst, with its site
-        original = walk.walk_states
+        original = kernels.coin_shift
 
-        def poisoned(c_left, c_right, steps):
-            for state in original(c_left, c_right, steps):
-                if state.steps == 2 and c_left == 1.0:
-                    state.amp_left[1] = np.nan  # site x = 0
-                yield state
+        def poisoned(left, right):
+            left, right = original(left, right)
+            if len(left) == 3:
+                left[1, 0] = np.nan  # step 2, site x = 0, the first coin
+            return left, right
 
-        monkeypatch.setattr(walk, "walk_states", poisoned)
+        monkeypatch.setattr(kernels, "coin_shift", poisoned)
         worst, where = integral_recursion_deviation(4, [(1.0, 0.0), (0.0, 1.0)])
         assert math.isnan(worst)
         assert where == "m=2, x=0"
