@@ -24,7 +24,7 @@ from .harmonic import (
     channel_distance,
     integrate_series_against_spectrum,
     quadrature_map,
-    quadrature_maps,
+    quadrature_map_stacks,
     series_from_transfer,
     series_map_stacks,
     series_power,
@@ -39,7 +39,9 @@ from .nonmarkov import (
     increments,
     nm_measure,
     nm_qubit,
+    nm_qubit_stack,
     nm_walk,
+    nm_walk_sweep,
     walk_trace_distances,
 )
 from .openwalk import (
@@ -98,7 +100,8 @@ __all__ = [
     "evolve_qubit", "transfer_map_stack", "special_map_eta0", "special_map_eta1",
     "trace_distance_qubit",
     "TrigMatrixSeries", "series_from_transfer", "series_power", "series_powers",
-    "integrate_series_against_spectrum", "series_map_stacks", "quadrature_map", "quadrature_maps",
+    "integrate_series_against_spectrum", "series_map_stacks", "quadrature_map",
+    "quadrature_map_stacks",
     "strong_limit_map", "strong_limit_closed_form", "strong_limit_closed_forms", "catalan",
     "catalan_coeffs", "channel_distance", "approximation_error", "approximation_error_stack",
     "WalkState", "WalkAmplitudes", "walk_step", "walk_evolve", "walk_states",
@@ -108,5 +111,5 @@ __all__ = [
     "discretize_spectrum", "strong_limit_filter", "filter_table", "hermitian_eigenvalues",
     "trace_distance_walk", "oracle_checks",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",
-    "nm_qubit", "nm_walk", "walk_trace_distances",
+    "nm_qubit", "nm_qubit_stack", "nm_walk", "nm_walk_sweep", "walk_trace_distances",
 ]

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import __version__, harmonic, kernels
 from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, require_bytes
-from .nonmarkov import bloch_trace_distances, nm_measure, walk_trace_distances
-from .openwalk import DephasingFilter, oracle_checks, strong_limit_filter
+from .nonmarkov import nm_qubit_stack, nm_walk_sweep
+from .openwalk import oracle_checks
 from .presets import ENVIRONMENT, PRESETS, preset
-from .qubit import STATE_TOL, transfer_map_stack
+from .qubit import STATE_TOL
 from .spectra import (
     DephasingConfig,
     SpectrumParams,
@@ -74,14 +74,14 @@ FIELDS = {
                ("controlled-qubit", "strong-limit-error"), "series"),
     "jobs": ("integer", "[1, inf)", COMMANDS, 1),
     "seed": ("integer", "[0, inf)", ("oracle",), 0),
-    "threshold": ("number", None, ("controlled-qubit", "open-walk-nm"), 1e-12),
+    "threshold": ("number", "[0, inf)", ("controlled-qubit", "open-walk-nm"), 1e-12),
     "out_dir": ("string", None, COMMANDS, "."),
     "steps": ("integer", "[0, inf)",  # the default is walk's; the presets set the others'
               ("controlled-qubit", "strong-limit-error", "walk", "open-walk-nm"), 10),
     "a_values": ("numbers", "[0, 1]", ("dephasing", "open-walk-nm")),
     "eta_values": ("numbers", "[0, 1]", ("controlled-qubit", "strong-limit-error")),
     "t_grid.max_revivals": ("number", "[0, inf)", ("dephasing",)),
-    "t_grid.points_per_revival": ("count", "(0, inf)", ("dephasing",)),
+    "t_grid.points_per_revival": ("number", "(0, inf)", ("dephasing",)),
     "omega_grid.pad_sigmas": ("number", None, ("dephasing",)),
     "omega_grid.count": ("count", "[1, inf)", ("dephasing",)),
     "initial_bloch_1": ("bloch", None, ("controlled-qubit",)),
@@ -173,11 +173,11 @@ def _real(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-#: kind -> (test of a value, what the value must be); a count is a number that
-#: the command casts to a size, so integral floats such as 2.0 are accepted
+#: kind -> (test of a value, what the value must be); a count is a whole number
+#: that the command casts to a size, so integral floats such as 2.0 are accepted
 _KINDS = {
     "number": (_real, "a finite number"),
-    "count": (_real, "a finite number"),
+    "count": (lambda v: _real(v) and float(v).is_integer(), "a whole number"),
     "integer": (lambda v: type(v) is int, "an integer"),
     "number or null": (lambda v: v is None or _real(v), "null or a finite number"),
     "numbers": (lambda v: isinstance(v, list) and v != [] and all(map(_real, v)),
@@ -260,6 +260,9 @@ def validate_config(command: str, cfg: dict) -> None:
     for name, factor in scaled.items():
         if not _real(float(factor) * revival_time(cfg)):
             raise ConfigError(f"field '{name}' times the revival time must be finite")
+    if command == "dephasing" and not _real(revival_time(cfg) / cfg["t_grid"]["points_per_revival"]):
+        raise ConfigError("field 't_grid.points_per_revival' must divide the revival time into a "
+                          "finite grid step")
     # without a step, the oracle probes at 0.35 revival times
     if command == "oracle" and cfg["delta_t"] is None and cfg["delta_t_factor"] is None:
         revival_time(cfg)
@@ -442,13 +445,9 @@ def cmd_dephasing(cfg: dict, out_dir: Path) -> int:
 def cmd_controlled_qubit(cfg: dict, out_dir: Path) -> int:
     spectrum = build_spectrum(cfg)
     dephasing = build_dephasing(cfg)
-    r1 = np.asarray(cfg["initial_bloch_1"], dtype=float)
-    r2 = np.asarray(cfg["initial_bloch_2"], dtype=float)
-    stack = transfer_map_stack(spectrum, dephasing, cfg["eta_values"], cfg["steps"], cfg["engine"])
-    traj1 = stack @ r1
-    traj2 = stack @ r2
-    ds = bloch_trace_distances(traj1, traj2)
-    report = nm_measure(ds, cfg["threshold"])
+    traj1, traj2, ds, report = nm_qubit_stack(
+        cfg["eta_values"], spectrum, dephasing, cfg["initial_bloch_1"], cfg["initial_bloch_2"],
+        cfg["steps"], cfg["engine"], cfg["threshold"])
     values = np.concatenate([traj1, traj2, np.stack([ds, report.increments, report.cumulative],
                                                     axis=-1)], axis=-1)
     name = "controlled_qubit.csv"
@@ -525,9 +524,7 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _walk_nm_over_sweep(cfg: dict):
-    """(columns, derived) for the interaction-time sweep of the walk measure."""
-    steps = cfg["steps"]
+def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
     dn = cfg["delta_n"]
     if dn == 0.0:
         values = [0.0]
@@ -536,28 +533,20 @@ def _walk_nm_over_sweep(cfg: dict):
         sweep = cfg["sweep"]
         values = np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["count"])).tolist()
         durations = [value * 2.0 * math.pi / (cfg["delta_omega"] * dn) for value in values]
-    filters = [DephasingFilter(build_spectrum(cfg, a), DephasingConfig(dn, dt))
-               for a in cfg["a_values"] for dt in durations]
-    # the strong limit is one more filter of the same call, its row the last
-    measures = nm_measure(walk_trace_distances(filters + [strong_limit_filter], steps),
-                          cfg["threshold"]).measure
-    strong_value = float(measures[-1])
+    measures, strong_value = nm_walk_sweep([build_spectrum(cfg, a) for a in cfg["a_values"]],
+                                           [DephasingConfig(dn, dt) for dt in durations],
+                                           cfg["steps"], cfg["threshold"])
     mode, a, value, measure = _keyed_columns(
         [np.array(["filter", "strong_limit"]), np.asarray(cfg["a_values"], dtype=float),
          np.asarray(values, dtype=float)],
-        np.concatenate([measures[:-1], np.full(len(filters), strong_value)])[:, None])
+        np.concatenate([measures.ravel(), np.full(measures.size, strong_value)])[:, None])
+    name = "open_walk_nm.csv"
+    write_csv(out_dir / name, ["A", "dt_omega_dn", "N10", "mode"], [[a, value, measure, mode]])
     derived = {
         "strong_limit_measure": strong_value,
         "sweep_values": [float(v) for v in values],
-        "steps": steps,
+        "steps": cfg["steps"],
     }
-    return [a, value, measure, mode], derived
-
-
-def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
-    columns, derived = _walk_nm_over_sweep(cfg)
-    name = "open_walk_nm.csv"
-    write_csv(out_dir / name, ["A", "dt_omega_dn", "N10", "mode"], [columns])
     write_manifest(out_dir / "open_walk_nm_manifest.json", "open-walk-nm", cfg, derived, [name])
     return 0
 

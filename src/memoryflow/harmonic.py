@@ -14,8 +14,8 @@ three are weighted sums of M(theta)^m over nodes, walked by one kernel,
 - quadrature engine: direct composite Gauss-Legendre integration of the
   highly oscillatory integrand over the peaks that carry weight, each panel
   at most one period long and at the order the phase it spans needs for the
-  largest power; ``quadrature_maps`` walks P <- P M(theta) for every eta
-  once over those nodes and averages every power on the way.
+  largest power; ``quadrature_map_stacks`` walks P <- P M(theta) for every
+  eta once over those nodes and averages every power on the way.
 - strong-dephasing limit: the zeroth Fourier coefficient, i.e. the average of
   M(theta)^m over a single period: the period nodes with equal weights, the
   None table of either engine.  For the balanced control (eta = 1/2) this
@@ -44,7 +44,7 @@ SERIES_DEGREE_CAP = 4096
 #: weights, cos and sin, and three node-last 3x3 float64 matrices per eta in
 #: ``kernels.transfer_power_average`` (M, the running power and its next
 #: value), 32 float64 in all.  tracemalloc measures 256 B per node over a whole
-#: one-eta ``quadrature_maps`` call at 4 000-250 000 nodes; counted with 4
+#: one-eta ``quadrature_map_stacks`` walk at 4 000-250 000 nodes; counted with 4
 #: float64 to spare.  ``series_map_bytes`` counts each series walk in it too
 NODE_BYTES = 288
 
@@ -312,39 +312,24 @@ def _quadrature_nodes(spectrum: SpectrumParams, config: DephasingConfig, steps: 
     return kernels.composite_gauss_legendre(lo, hi, panels, order)
 
 
-def quadrature_maps(
-    etas, steps: int, spectrum: SpectrumParams, config: DephasingConfig
-) -> np.ndarray:
-    """Maps for every control in ``etas`` and m = 0..steps by direct
-    oscillatory quadrature of the spectral average, (etas, steps + 1, 3, 3):
-    the quadrature counterpart of ``series_map_stacks``, and the one stack of
-    ``quadrature_map_stacks`` for (``spectrum``, ``config``) alone.
-
-    Gauss-Legendre order ceil(2 steps s) + 20 per panel, where s is the
-    fraction of a period of the transfer matrix that one panel spans: the
-    integrand of the m-th map carries harmonics up to degree m per period,
-    so a panel meets at most m s of their cycles.  The order the largest
-    power needs serves every power, and one walk P <- P M over its nodes
-    yields them all, each eta with the bits of its own call.  The m = 0 entry
-    is the quadrature of the spectral density alone, 1 up to the rule's
-    error.  A spectrum whose decoherence phase overflows over the run is
-    refused before any node is built, as on the series engine.
-    """
-    return next(quadrature_map_stacks(etas, steps, ((spectrum, config),)))
-
-
 def quadrature_map_stacks(etas, steps: int, tables):
-    """One stack per entry of ``tables``, as ``series_map_stacks`` takes them,
-    one at a time: a (spectrum, step) pair's ``quadrature_maps``, and for
-    None the series engine's own stack.  Every entry is counted before any
-    walk: each pair's decoherence phase over the run and its
-    ``_quadrature_support``, then the None walk, so a run whose later entry
-    exceeds ``errors.MAX_GRID_BYTES`` is refused before any map is made."""
+    """One (etas, steps + 1, 3, 3) stack per entry of ``tables``, as
+    ``series_map_stacks`` takes them, one at a time: for a (spectrum, step)
+    pair the maps of every control in ``etas`` and m = 0..steps by direct
+    oscillatory quadrature of the spectral average, one walk P <- P M over
+    the nodes of ``_quadrature_support``, whose order the largest power needs
+    and every power shares, each eta with the bits of its own call (the m = 0
+    entry is the quadrature of the spectral density alone); for None the
+    series engine's own stack.  Every entry is counted before any walk: each
+    pair's decoherence phase over the run, whose overflow is refused as on
+    the series engine, and its ``_quadrature_support``, then the None walk,
+    so a run whose later entry exceeds ``errors.MAX_GRID_BYTES`` is refused
+    before any map is made."""
     if steps < 0:
         raise DomainError("steps must be non-negative")
     controls = np.array([control_alpha_beta(eta) for eta in etas]).reshape(-1, 2)
     if len(controls) == 0:
-        raise DomainError("quadrature_maps needs at least one eta")
+        raise DomainError("quadrature_map_stacks needs at least one eta")
     tables = list(tables)
     for spectrum, config in filter(None, tables):
         decoherence_function(spectrum, config.index_contrast, steps * config.step_duration)
@@ -369,10 +354,10 @@ def _quadrature_walk(controls, steps: int, spectrum: SpectrumParams,
 def quadrature_map(
     eta: float, m: int, spectrum: SpectrumParams, config: DephasingConfig
 ) -> np.ndarray:
-    """m-step map by direct oscillatory quadrature: the last of
-    ``quadrature_maps((eta,), m, ...)``, at the order its panels need for
-    powers up to m."""
-    return quadrature_maps((eta,), m, spectrum, config)[0, m]
+    """m-step map by direct oscillatory quadrature: the last of the one-eta
+    ``quadrature_map_stacks`` stack for (spectrum, config), at the order its
+    panels need for powers up to m."""
+    return next(quadrature_map_stacks((eta,), m, [(spectrum, config)]))[0, m]
 
 
 def strong_limit_map(eta: float, m: int) -> np.ndarray:

@@ -13,9 +13,11 @@ the one budget, ``walk_measure_bytes``: each step's stacks are solved in
 chunks of as many matrices as ``errors.MAX_GRID_BYTES`` holds
 ``kernels.eigensolve_bytes``, less one for the step's own arrays, and a run
 whose last step does not fit two matrices (724 steps or more) is refused.
-``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, so a command
-measures all its rows in one call, each row with the bits of its own
-one-trajectory call.
+``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, each row
+with the bits of its own one-trajectory call, so each command's measure is
+one stacked route: ``nm_qubit_stack`` for every control of the qubit, of which
+``nm_qubit`` is the one-eta call, and ``nm_walk_sweep`` for every (spectrum,
+step) filter of the walk and its strong limit.
 
 The measure is evaluated for a fixed initial pair (the default pairs match
 the reference parameter sets).
@@ -122,24 +124,33 @@ def bloch_trace_distances(traj1, traj2) -> np.ndarray:
     return 0.5 * np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
-def nm_qubit(
-    eta: float,
-    spectrum: SpectrumParams,
-    config: DephasingConfig,
-    r1=None,
-    r2=None,
-    n_steps: int = 30,
-    engine: str = "series",
-    threshold: float = POSITIVE_INCREMENT_THRESHOLD,
-) -> tuple[TraceDistanceSeries, NMReport]:
-    """Trace-distance trajectory and measure for a fixed qubit pair."""
+def nm_qubit_stack(etas, spectrum: SpectrumParams, config: DephasingConfig, r1=None, r2=None,
+                   n_steps: int = 30, engine: str = "series",
+                   threshold: float = POSITIVE_INCREMENT_THRESHOLD):
+    """Bloch trajectories of a fixed qubit pair for every control in ``etas``,
+    their trace distances and measure: one ``transfer_map_stack`` call applied
+    to both initial states, then ``bloch_trace_distances`` and ``nm_measure``.
+    Returns (traj1, traj2, distances, report): (etas, n_steps + 1, 3)
+    trajectories, (etas, n_steps + 1) distances and their stacked report;
+    each eta's rows have the bits of its own ``nm_qubit`` call."""
     if r1 is None:
         r1 = DEFAULT_QUBIT_DIRECTION.copy()
     if r2 is None:
         r2 = -np.asarray(r1, dtype=float)
-    maps = transfer_map_stack(spectrum, config, (eta,), n_steps, engine)[0]
-    series = TraceDistanceSeries(bloch_trace_distances(maps @ as_bloch_vector(r1),
-                                                       maps @ as_bloch_vector(r2)))
+    maps = transfer_map_stack(spectrum, config, etas, n_steps, engine)
+    traj1 = maps @ as_bloch_vector(r1)
+    traj2 = maps @ as_bloch_vector(r2)
+    distances = bloch_trace_distances(traj1, traj2)
+    return traj1, traj2, distances, nm_measure(distances, threshold)
+
+
+def nm_qubit(eta: float, spectrum: SpectrumParams, config: DephasingConfig, r1=None, r2=None,
+             n_steps: int = 30, engine: str = "series", threshold: float = POSITIVE_INCREMENT_THRESHOLD
+             ) -> tuple[TraceDistanceSeries, NMReport]:
+    """Trace-distance trajectory and measure for a fixed qubit pair: the
+    one-eta ``nm_qubit_stack`` call."""
+    distances = nm_qubit_stack((eta,), spectrum, config, r1, r2, n_steps, engine)[2]
+    series = TraceDistanceSeries(distances[0])
     return series, nm_measure(series, threshold)
 
 
@@ -279,3 +290,16 @@ def nm_walk(
     series = TraceDistanceSeries(walk_trace_distances([flt], n_steps, (coin1, coin2))[0])
     return series, nm_measure(series, threshold)
 
+
+def nm_walk_sweep(spectra, configs, n_steps: int = 10,
+                  threshold: float = POSITIVE_INCREMENT_THRESHOLD) -> tuple[np.ndarray, float]:
+    """The walk measure of the fixed pair for every (spectrum, step) of
+    ``spectra`` x ``configs``, and in the strong limit, from one
+    ``walk_trace_distances`` and one ``nm_measure`` call: the strong limit is
+    one more filter, its row the last.  Returns the (spectra, configs) table
+    of measures and the strong-limit measure; each value has the bits of its
+    own ``nm_walk`` call."""
+    filters = [DephasingFilter(spectrum, config) for spectrum in spectra for config in configs]
+    measures = nm_measure(walk_trace_distances(filters + [strong_limit_filter], n_steps),
+                          threshold).measure
+    return measures[:-1].reshape(len(spectra), len(configs)), float(measures[-1])

@@ -32,10 +32,6 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, UnsupportedCaseError, require_bytes
 
-#: relative agreement demanded between the closed-form decoherence function
-#: and direct quadrature of its defining integral
-QUADRATURE_TOL = 1e-9
-
 #: a theta_3 series is truncated once the next term drops below this
 THETA3_TERM_TOL = 1e-15
 

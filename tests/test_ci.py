@@ -108,6 +108,44 @@ def test_workflow_compares_the_strong_limit_error_engines(tmp_path):
         assert done.returncode == code, (last, done.stderr)
 
 
+#: a stand-in package: each command writes one CSV, whose value the tree sets,
+#: and one JSON file; the oracle exits 2
+STAND_IN_MAIN = """import pathlib, sys
+out = pathlib.Path(sys.argv[sys.argv.index("--out") + 1])
+out.mkdir(parents=True)
+(out / "a.csv").write_text("x,y\\n1,{value}\\n")
+(out / "b.json").write_text("{{}}")
+sys.exit(2 if sys.argv[1] == "oracle" else 0)
+"""
+
+
+def test_workflow_reports_outputs_against_the_base_commit(tmp_path):
+    # on a pull request, one step runs the commands on the base and the head
+    # commit and prints per file whether the bytes match, else the largest
+    # numeric deviation; a failed run or a changed output never fails it
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    step = workflow[workflow.index("- name: Outputs against the base commit"):]
+    assert "if: github.event_name == 'pull_request'" in step
+    assert "ref: ${{ github.event.pull_request.base.sha }}" in workflow
+    script = textwrap.dedent(re.search(r"<<'PY'\n(.*?\n) +PY\n", step, flags=re.DOTALL)[1])
+    for side, value in (("base", "0.5"), ("head", "0.500000001")):
+        package = tmp_path / side / "src" / "memoryflow"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("", encoding="utf-8")
+        (package / "__main__.py").write_text(STAND_IN_MAIN.format(value=value), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", script, *(str(tmp_path / name) for name in
+                                                           ("base", "head", "out"))],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for label in ("fig1", "fig2-series", "fig3-quadrature", "fig4", "fig5-quadrature",
+                  "walk-amplitudes", "oracle-40"):
+        assert f"{label}/b.json: same bytes" in lines
+        assert f"{label}/a.csv: bytes differ, largest numeric deviation 1.000e-09" in lines
+    assert "head oracle: exit 2: " in lines
+    assert lines[-1] == "largest numeric deviation over every output: 1.000e-09"
+
+
 def test_workflow_install_pins_every_package():
     # outputs and timings are recorded against these versions; LAPACK's handling
     # of bad input and the bits of eigvalsh come with numpy's wheel

@@ -15,7 +15,7 @@ from memoryflow import cli, errors, harmonic, kernels, nonmarkov, openwalk, spec
 from memoryflow.cli import main, resolve_config
 from memoryflow.errors import ConfigError, ResourceLimitError
 from memoryflow.presets import PRESETS
-from memoryflow.qubit import transfer_map_stack
+from memoryflow.qubit import evolve_qubit, transfer_map_stack
 from memoryflow.spectra import DephasingConfig
 
 T_REVIVAL = 2.0 * math.pi / (9.0 * 0.009)
@@ -158,12 +158,22 @@ class TestConfigResolution:
                       "--set", "delta_n=1e-10"], "delta_omega", id="revival-time-overflow-fig1"),
         pytest.param(["dephasing", "--preset", "fig1", "--set", "delta_omega=1e-300",
                       "--set", "delta_n=1e-7"], "t_grid.max_revivals", id="t_grid-overflow-fig1"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "t_grid.points_per_revival=1e-320"],
+                     "t_grid.points_per_revival", id="t_grid-step-overflow-fig1"),
         pytest.param(["open-walk-nm", "--set", "delta_omega=1e-300", "--set", "delta_n=1e-7",
                       "--set", "sweep.max=10"], "sweep.max", id="sweep-duration-overflow"),
         pytest.param(["open-walk-nm", "--set", "delta_n=-0.009"], "sweep.min",
                      id="sweep-duration-negative"),
         pytest.param(["open-walk-nm", "--set", "sweep.min=0"], "sweep.min",
                      id="sweep-duration-zero"),
+        pytest.param(["open-walk-nm", "--preset", "fig4", "--set", "sweep.count=4.5"],
+                     "sweep.count", id="sweep.count-fraction"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "omega_grid.count=10.7"],
+                     "omega_grid.count", id="omega_grid.count-fraction"),
+        pytest.param(["walk", "--check-integrals", "--set", "integral_check_cap=3.9"],
+                     "integral_check_cap", id="integral_check_cap-fraction"),
+        pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "threshold=-1"],
+                     "threshold", id="threshold-negative"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         out = tmp_path / "out"
@@ -414,7 +424,7 @@ JSON_VALUES = st.recursive(
 #: field also meets values it accepts
 OF_KIND = {
     "number": st.floats(-2.0, 2.0) | st.integers(-2, 40),
-    "count": st.floats(-1.0, 50.0) | st.integers(-1, 50),
+    "count": st.floats(-1.0, 50.0) | st.integers(-1, 50) | st.integers(-1, 50).map(float),
     "integer": st.integers(-1, 40),
     "number or null": st.none() | st.floats(-1.0, 2.0),
     "numbers": st.lists(st.floats(-0.5, 1.5), max_size=3),
@@ -439,7 +449,7 @@ def _field(cfg: dict, dotted: str):
 #: what the commands do with an accepted value of each kind; raises or is false if they cannot
 USABLE = {
     "number": _finite,
-    "count": lambda v: _finite(v) and int(v) >= 0,
+    "count": lambda v: _finite(v) and float(v).is_integer() and v >= 0,
     "integer": lambda v: type(v) is int,
     "number or null": lambda v: v is None or _finite(v),
     "numbers": lambda v: len(v) > 0 and all(map(_finite, v)),
@@ -724,6 +734,28 @@ class TestControlledQubitCommand:
                        "--set", "steps=130", "--out", str(tmp_path)) == 0
         assert kernels.gauss_legendre_rule.cache_info().misses == 1
 
+    @pytest.mark.parametrize("engine", ["series", "quadrature", "strong-limit"])
+    @pytest.mark.parametrize("fig", ["fig2", "fig3"])
+    def test_rows_are_the_library_route(self, tmp_path, fig, engine):
+        # every row, bit for bit, is evolve_qubit's trajectories and nm_qubit's
+        # D, increment and N_cum for its eta: the CLI computes nothing itself
+        assert run_cli("controlled-qubit", "--preset", fig, "--engine", engine,
+                       "--out", str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "controlled_qubit.csv")
+        cfg = resolve_config("controlled-qubit", preset_name=fig)
+        sp, dephasing, steps = cli.build_spectrum(cfg), cli.build_dephasing(cfg), cfg["steps"]
+        r1, r2 = cfg["initial_bloch_1"], cfg["initial_bloch_2"]
+        want = []
+        for eta in sorted(cfg["eta_values"]):
+            series, report = nonmarkov.nm_qubit(eta, sp, dephasing, r1, r2, steps, engine)
+            columns = np.column_stack([
+                evolve_qubit(sp, dephasing, eta, r1, steps, engine),
+                evolve_qubit(sp, dephasing, eta, r2, steps, engine),
+                series.values, report.increments, report.cumulative])
+            want += [[repr(eta), str(m), *map(repr, (row + 0.0).tolist())]
+                     for m, row in enumerate(columns)]
+        assert rows == want
+
     def test_sigma_x_rows_recover_at_even_steps(self, tmp_path):
         assert run_cli(
             "controlled-qubit", "--preset", "fig2", "--out", str(tmp_path),
@@ -950,6 +982,25 @@ class TestOpenWalkNMCommand:
         assert strong == [repr(want)] * len(fig4["a_values"]) * fig4["sweep"]["count"]
         manifest = json.loads((tmp_path / "open_walk_nm_manifest.json").read_text())
         assert manifest["derived"]["strong_limit_measure"] == want
+
+    def test_rows_are_the_library_route(self, tmp_path):
+        # every N10, bit for bit, is nm_walk's measure at its (A, interaction
+        # time), and every strong-limit row nm_walk's in the strong limit
+        assert run_cli("open-walk-nm", "--preset", "fig4", "--set", "sweep.count=4",
+                       "--out", str(tmp_path)) == 0
+        _, rows = read_csv(tmp_path / "open_walk_nm.csv")
+        fig4 = PRESETS["fig4"]
+        assert len(rows) == 2 * 4 * len(fig4["a_values"])
+        strong = nonmarkov.nm_walk(None, None, n_steps=fig4["steps"], mode="strong_limit")
+        for a, value, measure, mode in rows:
+            if mode == "strong_limit":
+                assert measure == repr(strong[1].measure)
+                continue
+            duration = float(value) * 2.0 * math.pi / (fig4["delta_omega"] * fig4["delta_n"])
+            sp = spectra.SpectrumParams(float(a), fig4["sigma"], fig4["mu1"], fig4["delta_omega"])
+            got = nonmarkov.nm_walk(sp, DephasingConfig(fig4["delta_n"], duration),
+                                    n_steps=fig4["steps"])
+            assert measure == repr(got[1].measure)
 
     def test_zero_contrast_yields_zero_measure(self, tmp_path):
         assert run_cli(

@@ -21,7 +21,7 @@ from memoryflow.harmonic import (
     identity_series,
     integrate_series_against_spectrum,
     quadrature_map,
-    quadrature_maps,
+    quadrature_map_stacks,
     series_from_transfer,
     series_map_stacks,
     series_multiply,
@@ -377,7 +377,7 @@ class TestQuadratureMap:
         sp, cfg = spectrum(1.0), dephasing(0.35)
         for m in (0, 1, 7, 30):
             assert np.array_equal(quadrature_map(eta, m, sp, cfg),
-                                  quadrature_maps((eta,), m, sp, cfg)[0, m])
+                                  next(quadrature_map_stacks((eta,), m, [(sp, cfg)]))[0, m])
 
     @pytest.mark.parametrize("etas,steps,factor", [
         ([0.0, 0.5, 1.0], 30, 2.0),               # fig3
@@ -387,17 +387,18 @@ class TestQuadratureMap:
     def test_eta_stack_matches_one_eta_calls(self, etas, steps, factor):
         # one walk over the nodes for every eta keeps each eta's bits
         sp, cfg = spectrum(0.0), dephasing(factor)
-        maps = quadrature_maps(etas, steps, sp, cfg)
+        maps = next(quadrature_map_stacks(etas, steps, [(sp, cfg)]))
         assert maps.shape == (len(etas), steps + 1, 3, 3) and maps.flags.c_contiguous
         for e, eta in enumerate(etas):
-            assert maps[e].tobytes() == quadrature_maps((eta,), steps, sp, cfg)[0].tobytes()
+            alone = next(quadrature_map_stacks((eta,), steps, [(sp, cfg)]))[0]
+            assert maps[e].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     @pytest.mark.parametrize("steps", [0, 1, 30])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
     def test_stack_agrees_with_series_engine(self, eta, steps, a):
         sp, cfg = spectrum(a), dephasing(0.35)
-        maps = quadrature_maps((eta,), steps, sp, cfg)[0]
+        maps = next(quadrature_map_stacks((eta,), steps, [(sp, cfg)]))[0]
         assert maps.shape == (steps + 1, 3, 3)
         for m, power in enumerate(series_powers(series_from_transfer(eta), steps)):
             exact = integrate_series_against_spectrum(power, sp, cfg)
@@ -414,7 +415,8 @@ class TestQuadratureMap:
         sp, cfg = spectrum(a), dephasing(factor)
         etas = (0.0, 0.2, 0.5, 0.8, 1.0)
         exact = series_map_stacks(etas, steps, [(sp, cfg)])[0]
-        assert np.max(np.abs(quadrature_maps(etas, steps, sp, cfg) - exact)) <= 1e-12
+        maps = next(quadrature_map_stacks(etas, steps, [(sp, cfg)]))
+        assert np.max(np.abs(maps - exact)) <= 1e-12
 
     @pytest.mark.parametrize("a,peak", [(0.0, "mu1"), (0.3, "mu2"), (1.0, "mu2")])
     def test_support_ends_past_the_last_weighted_peak(self, a, peak):
@@ -437,9 +439,9 @@ class TestQuadratureMap:
 
     def test_negative_steps(self):
         with pytest.raises(DomainError):
-            quadrature_maps((0.5,), -1, spectrum(), dephasing(0.35))
+            next(quadrature_map_stacks((0.5,), -1, [(spectrum(), dephasing(0.35))]))
         with pytest.raises(DomainError, match="at least one eta"):
-            quadrature_maps((), 3, spectrum(), dephasing(0.35))
+            next(quadrature_map_stacks((), 3, [(spectrum(), dephasing(0.35))]))
 
     def test_node_budget(self):
         # duration so long that the support spans tens of thousands of periods
@@ -461,7 +463,7 @@ class TestQuadratureMap:
         for etas in ([0.5], [0.0, 0.5, 1.0]):
             tracemalloc.start()
             try:
-                quadrature_maps(etas, 10, sp, cfg)
+                next(quadrature_map_stacks(etas, 10, [(sp, cfg)]))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -477,12 +479,12 @@ class TestQuadratureMap:
             need = NODE_BYTES * nodes * len(etas)
             monkeypatch.setattr(errors, "MAX_GRID_BYTES", need)
             monkeypatch.setattr(harmonic.kernels, "composite_gauss_legendre", grid)
-            assert quadrature_maps(etas, 6, sp, cfg).shape == (len(etas), 7, 3, 3)
+            assert next(quadrature_map_stacks(etas, 6, [(sp, cfg)])).shape == (len(etas), 7, 3, 3)
             monkeypatch.setattr(errors, "MAX_GRID_BYTES", need - 1)
             monkeypatch.setattr(harmonic.kernels, "composite_gauss_legendre", None)
             with pytest.raises(ResourceLimitError,
                                match=f"quadrature support .* x {len(etas)} etas.* MAX_GRID_BYTES"):
-                quadrature_maps(etas, 6, sp, cfg)
+                next(quadrature_map_stacks(etas, 6, [(sp, cfg)]))
 
 
 class TestStrongLimit:
