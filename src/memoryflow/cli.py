@@ -25,20 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harmonic, kernels
-from .errors import ConfigError, DomainError, NumericError, ResourceLimitError, require_bytes
+from .errors import ConfigError, DomainError, NumericError, ResourceLimitError
 from .nonmarkov import nm_qubit_stack, nm_walk_sweep
 from .openwalk import oracle_checks
 from .presets import ENVIRONMENT, PRESETS, preset
 from .qubit import STATE_TOL
-from .spectra import (
-    DephasingConfig,
-    SpectrumParams,
-    decoherence_function,
-    dimensionless_interaction_time,
-    spectral_density,
-)
-from .walk import (INTEGRAL_RECURSION_TOL, integral_recursion_deviation, position_distribution,
-                   walk_states)
+from .spectra import DephasingConfig, SpectrumParams, dephasing_curves, dimensionless_interaction_time
+from .walk import INTEGRAL_RECURSION_TOL, integral_recursion_deviation, walk_table
 
 COMMANDS = (
     "dephasing",
@@ -271,30 +264,9 @@ def validate_config(command: str, cfg: dict) -> None:
             > len({f"{f:g}" for f in cfg["delta_t_factors"]}):
         raise ConfigError("field 'delta_t_factors' must give distinct factors distinct labels, "
                           f"got {cfg['delta_t_factors']}")
-    # bytes of each table the command itself builds or writes, keyed by the
-    # fields that size it; every library route counts its own work on entry
-    grids = {}
-    if command == "dephasing":
-        labels = [_a_label(a) for a in cfg["a_values"]]
-        if len(set(labels)) < len(labels):
-            raise ConfigError(f"field 'a_values' must give each file a distinct label, got {labels}")
-        t_grid = cfg["t_grid"]
-        grids = {"'t_grid.max_revivals' x 't_grid.points_per_revival'":
-                 8 * (t_grid["max_revivals"] * t_grid["points_per_revival"] + 1),
-                 "'omega_grid.count'": 8 * cfg["omega_grid"]["count"]}
-    if command == "strong-limit-error":
-        grids = {"'delta_t_factors' x 'eta_values' x 'steps'": 8 * len(cfg["delta_t_factors"])
-                 * len(cfg["eta_values"]) * (cfg["steps"] + 1)}
-    if command == "open-walk-nm":
-        grids = {"'sweep.count' x 'a_values' x 'steps'":
-                 8 * int(cfg["sweep"]["count"]) * len(cfg["a_values"]) * (cfg["steps"] + 1)}
-    if command == "walk":
-        # walk_distribution.csv: step, x, p and four amplitude columns, one
-        # row per occupied site of every step
-        grids = {"'steps'": (8 * (7 if cfg["amplitudes"] else 3)
-                             * (cfg["steps"] + 1) * (cfg["steps"] + 2) // 2)}
-    for fields, size in grids.items():
-        require_bytes(size, fields)
+    if command == "dephasing" and len({_a_label(a) for a in cfg["a_values"]}) < len(cfg["a_values"]):
+        raise ConfigError("field 'a_values' must give each file a distinct label, got "
+                          f"{[_a_label(a) for a in cfg['a_values']]}")
 
 
 def build_spectrum(cfg: dict, a_value=None) -> SpectrumParams:
@@ -414,24 +386,15 @@ def _a_label(a: float) -> str:
 
 def cmd_dephasing(cfg: dict, out_dir: Path) -> int:
     t_rev = revival_time(cfg)
-    grid = cfg["t_grid"]
+    grid, og = cfg["t_grid"], cfg["omega_grid"]
     step = t_rev / float(grid["points_per_revival"])
-    count = int(math.floor(float(grid["max_revivals"]) * float(grid["points_per_revival"]))) + 1
-    ts = step * np.arange(count)
-    og = cfg["omega_grid"]
+    ts, curves = dephasing_curves(
+        [build_spectrum(cfg, a) for a in cfg["a_values"]], cfg["delta_n"], step,
+        float(grid["max_revivals"]) * float(grid["points_per_revival"]), og["pad_sigmas"], og["count"])
     outputs = []
-    derived = {
-        "revival_time": t_rev,
-        "separation_frequency": cfg["delta_omega"] / (2.0 * math.pi),
-        "t_grid_step": step,
-    }
-    for a in cfg["a_values"]:
-        spectrum = build_spectrum(cfg, a)
-        kap = np.abs(decoherence_function(spectrum, cfg["delta_n"], ts))
-        lo = spectrum.mu1 - float(og["pad_sigmas"]) * spectrum.sigma
-        hi = spectrum.mu2 + float(og["pad_sigmas"]) * spectrum.sigma
-        omegas = np.linspace(lo, hi, int(og["count"]))
-        dens = spectral_density(spectrum, omegas)
+    derived = {"revival_time": t_rev, "t_grid_step": step,
+               "separation_frequency": cfg["delta_omega"] / (2.0 * math.pi)}
+    for a, (kap, omegas, dens) in zip(cfg["a_values"], curves):
         name = f"dephasing_kappa_{_a_label(a)}.csv"
         write_csv(out_dir / name, ["t", "abs_kappa"], [[ts, kap]])
         outputs.append(name)
@@ -491,30 +454,17 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
     norm = math.hypot(re_l, im_l, re_r, im_r)
     c_left = complex(re_l, im_l) / norm
     c_right = complex(re_r, im_r) / norm
+    # the table is counted before the check, and the check runs before the
+    # table is written, so that a run over the budget writes nothing
+    blocks, norms = walk_table(c_left, c_right, cfg["steps"], cfg["amplitudes"])
     derived: dict = {}
     if cfg["check_integrals"]:
-        # before the table, so that a check over the budget writes nothing
         cap = min(cfg["steps"], int(cfg["integral_check_cap"]))
         derived["integral_max_deviation"] = integral_recursion_deviation(cap, [(c_left, c_right)])[0]
         derived["integral_check_steps"] = cap
-    norms = []
-
-    def blocks():
-        # one block of rows per step, written as the walk steps
-        for m, state in enumerate(walk_states(c_left, c_right, cfg["steps"])):
-            norms.append(state.norm())
-            p = list(position_distribution(state).values())
-            block = [np.full(m + 1, m), state.positions(), p]
-            if cfg["amplitudes"]:
-                left, right = state.amp_left, state.amp_right
-                block += [left.real, left.imag, right.real, right.imag]
-            yield block
-
-    header = ["step", "x", "p"]
-    if cfg["amplitudes"]:
-        header += ["cl_re", "cl_im", "cr_re", "cr_im"]
+    header = ["step", "x", "p", *(("cl_re", "cl_im", "cr_re", "cr_im") if cfg["amplitudes"] else ())]
     name = "walk_distribution.csv"
-    write_csv(out_dir / name, header, blocks())
+    write_csv(out_dir / name, header, blocks)
     derived["norm_by_step"] = norms
     write_manifest(out_dir / "walk_manifest.json", "walk", cfg, derived, [name])
     # a NaN deviation fails the check too
@@ -525,28 +475,17 @@ def cmd_walk(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_open_walk_nm(cfg: dict, out_dir: Path) -> int:
-    dn = cfg["delta_n"]
-    if dn == 0.0:
-        values = [0.0]
-        durations = [1.0]  # every filter is identically 1 without an index contrast
-    else:
-        sweep = cfg["sweep"]
-        values = np.linspace(float(sweep["min"]), float(sweep["max"]), int(sweep["count"])).tolist()
-        durations = [value * 2.0 * math.pi / (cfg["delta_omega"] * dn) for value in values]
-    measures, strong_value = nm_walk_sweep([build_spectrum(cfg, a) for a in cfg["a_values"]],
-                                           [DephasingConfig(dn, dt) for dt in durations],
-                                           cfg["steps"], cfg["threshold"])
+    sweep = cfg["sweep"]
+    values, measures, strong_value = nm_walk_sweep(
+        [build_spectrum(cfg, a) for a in cfg["a_values"]], cfg["delta_n"],
+        (sweep["min"], sweep["max"], sweep["count"]), cfg["steps"], cfg["threshold"])
     mode, a, value, measure = _keyed_columns(
         [np.array(["filter", "strong_limit"]), np.asarray(cfg["a_values"], dtype=float),
          np.asarray(values, dtype=float)],
         np.concatenate([measures.ravel(), np.full(measures.size, strong_value)])[:, None])
     name = "open_walk_nm.csv"
     write_csv(out_dir / name, ["A", "dt_omega_dn", "N10", "mode"], [[a, value, measure, mode]])
-    derived = {
-        "strong_limit_measure": strong_value,
-        "sweep_values": [float(v) for v in values],
-        "steps": cfg["steps"],
-    }
+    derived = {"strong_limit_measure": strong_value, "sweep_values": values, "steps": cfg["steps"]}
     write_manifest(out_dir / "open_walk_nm_manifest.json", "open-walk-nm", cfg, derived, [name])
     return 0
 

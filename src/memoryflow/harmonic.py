@@ -476,22 +476,36 @@ def channel_distance(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     return float(distances) if distances.ndim == 0 else distances
 
 
+def error_stack_bytes(etas: int, steps: int, configs: int) -> int:
+    """Bytes ``approximation_error_stack`` holds for ``etas`` controls, m =
+    0..steps and ``configs`` step durations: 8 B an error, 1168 B per (eta, m)
+    for two maps and ``kernels.eigensolve_bytes`` of their Choi difference,
+    and 256 B a step duration (tracemalloc measures, warm, the series walk
+    included, 690-770 B per (eta, m) and about 250 B a step duration)."""
+    return etas * (steps + 1) * (8 * configs + 1168) + 256 * configs
+
+
 def approximation_error_stack(etas, steps: int, spectrum: SpectrumParams, configs,
                               engine: str = "series") -> np.ndarray:
     """``approximation_error`` for every dephasing step in ``configs``, control
     in ``etas`` and m = 0..steps, shape (configs, etas, steps + 1): one
-    ``transfer_map_stacks`` pass over ``[None, *configs]``, counted on entry,
-    whose later stacks are measured one at a time against its first, the
-    strong limit, so a run holds one step's maps and Choi stack besides the
-    averages and the distances.  The strong-limit engine is refused as
-    unknown."""
+    ``transfer_map_stacks`` pass over ``[None, *configs]``, counted on entry
+    by ``error_stack_bytes`` before its own counts, whose later stacks are
+    measured one at a time against its first, the strong limit, so a run
+    holds one step's maps and Choi stack besides the averages and the error
+    table.  The strong-limit engine is refused as unknown."""
     if len(configs) == 0:
         raise DomainError("approximation_error_stack needs at least one dephasing step")
     if engine == "strong-limit":
         raise DomainError(f"unknown engine {engine!r}")
+    require_bytes(error_stack_bytes(len(etas), steps, len(configs)),
+                  f"{len(configs)} step durations x {len(etas)} etas x {steps} steps")
     stacks = transfer_map_stacks(spectrum, [None, *configs], etas, steps, engine)
     averages = next(stacks)
-    return np.array([channel_distance(exact, averages) for exact in stacks])
+    out = np.empty((len(configs), len(etas), steps + 1))
+    for errors, exact in zip(out, stacks):
+        errors[...] = channel_distance(exact, averages)
+    return out
 
 
 def approximation_error(eta: float, m: int, spectrum: SpectrumParams,

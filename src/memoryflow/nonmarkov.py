@@ -9,10 +9,10 @@ call builds its filter table with ``openwalk.filter_table`` (one
 matrices from it by ``openwalk.filter_index``, the one statement of that
 layout, and steps the coin pair as one array over the n + 1 occupied sites of
 step n, the layout every walk route stores.  Its memory is one count against
-the one budget, ``walk_measure_bytes``: each step's stacks are solved in
-chunks of as many matrices as ``errors.MAX_GRID_BYTES`` holds
-``kernels.eigensolve_bytes``, less one for the step's own arrays, and a run
-whose last step does not fit two matrices (724 steps or more) is refused.
+the one budget, ``walk_measure_bytes``: the filters, their table and two
+last-step matrices, one solved and one for the step's own arrays.  Each
+step's stacks are solved in chunks of one matrix more than what the budget
+leaves after that count holds; a run of up to four filters stops at 722 steps.
 ``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, each row
 with the bits of its own one-trajectory call, so each command's measure is
 one stacked route: ``nm_qubit_stack`` for every control of the qubit, of which
@@ -175,13 +175,17 @@ def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
     return np.all(np.abs(gauged.imag) <= GAUGE_TOL * scale[:, None], axis=1), gauged.real
 
 
-def walk_measure_bytes(n_steps: int) -> int:
-    """Bytes ``walk_trace_distances`` over ``n_steps`` steps holds at its last
-    step in the fewest chunks: ``kernels.eigensolve_bytes`` of one
-    2(n_steps + 1)-square matrix, and of one more for the step's own arrays
-    (both pure densities, their difference and the gather index, at most 56 B
-    an entry).  One step's chunks fill the budget less that one more matrix."""
-    return kernels.eigensolve_bytes((2, 2 * (n_steps + 1), 2 * (n_steps + 1)))
+def walk_measure_bytes(n_steps: int, filters: int) -> int:
+    """Bytes ``walk_trace_distances`` over ``n_steps`` steps holds for
+    ``filters`` filters at its last step in the fewest chunks: the filters, as
+    ``nm_walk_sweep`` builds them, and their table of 2 n_steps + 1
+    separations with its copies, 320 B a filter and 64 B a separation
+    (tracemalloc measures about 270 and 52 B, warm, at 6001 filters), and
+    ``kernels.eigensolve_bytes`` of one 2(n_steps + 1)-square matrix, and of
+    one more for the step's own arrays (both pure densities, their difference
+    and the gather index, at most 56 B an entry)."""
+    return (filters * (320 + 64 * (2 * n_steps + 1))
+            + kernels.eigensolve_bytes((2, 2 * (n_steps + 1), 2 * (n_steps + 1))))
 
 
 def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.ndarray:
@@ -211,17 +215,18 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     makes the filtered matrix unitarily similar to the real symmetric
     r((y - x)/2) times the difference, by the site phases e^(icx/2).  Those
     filters are solved in float64, the others in complex128: per step, one
-    stack per route, in chunks of as many matrices as
-    ``errors.MAX_GRID_BYTES`` holds ``kernels.eigensolve_bytes``, read at call
-    time, less one for the step's own arrays.  A run whose
-    ``walk_measure_bytes`` exceed the budget is refused before any work."""
+    stack per route, in chunks of one matrix more than what
+    ``errors.MAX_GRID_BYTES``, read at call time, leaves after
+    ``walk_measure_bytes`` holds.  A run whose count exceeds the budget is
+    refused before any work."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
     if len(coins) != 2 or any(np.shape(coin) != (2,) for coin in coins):
         raise DomainError("the walk measure needs exactly two coin pairs (c_left, c_right)")
     if not np.all(np.isfinite(coins)):
         raise DomainError("walk coin amplitudes must be finite")
-    require_bytes(walk_measure_bytes(n_steps), f"'steps' = {n_steps}")
+    require_bytes(walk_measure_bytes(n_steps, len(filters)),
+                  f"'steps' = {n_steps} x {len(filters)} filters")
     out = np.empty((len(filters), n_steps + 1))
     if not filters:
         return out
@@ -244,6 +249,7 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
               ((real, gauged), (~real, table)) if np.any(rows)]
     # step n gathers from the leading 2(n + 1) rows and columns
     columns = filter_index(n_steps)
+    spare = errors.MAX_GRID_BYTES - walk_measure_bytes(n_steps, len(filters))
     for n in range(n_steps + 1):
         if n:
             left, right = kernels.coin_shift(left, right)
@@ -253,7 +259,7 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
         pure = v[:, None] * v[None].conj()  # both pure densities, (d, d, 2)
         diff = pure[..., 0] - pure[..., 1]
         step_columns = columns[:len(diff), :len(diff)]
-        chunk = errors.MAX_GRID_BYTES // kernels.eigensolve_bytes(diff.shape) - 1
+        chunk = spare // kernels.eigensolve_bytes(diff.shape) + 1
         for rows, tab in routes:
             for start in range(0, len(rows), chunk):
                 out[rows[start:start + chunk], n] = kernels.trace_distances(
@@ -291,15 +297,21 @@ def nm_walk(
     return series, nm_measure(series, threshold)
 
 
-def nm_walk_sweep(spectra, configs, n_steps: int = 10,
-                  threshold: float = POSITIVE_INCREMENT_THRESHOLD) -> tuple[np.ndarray, float]:
-    """The walk measure of the fixed pair for every (spectrum, step) of
-    ``spectra`` x ``configs``, and in the strong limit, from one
-    ``walk_trace_distances`` and one ``nm_measure`` call: the strong limit is
-    one more filter, its row the last.  Returns the (spectra, configs) table
-    of measures and the strong-limit measure; each value has the bits of its
-    own ``nm_walk`` call."""
-    filters = [DephasingFilter(spectrum, config) for spectrum in spectra for config in configs]
+def nm_walk_sweep(spectra, delta_n: float, sweep, n_steps: int = 10,
+                  threshold: float = POSITIVE_INCREMENT_THRESHOLD):
+    """The walk measure of the fixed pair in the strong limit and, for each
+    of ``spectra``, at ``count`` interaction times v spaced evenly from
+    ``first`` to ``last``, ``sweep`` = (first, last, count), each at step
+    duration v 2 pi / (delta_omega delta_n), or at v = 0 alone and step 1
+    without index contrast: one ``walk_trace_distances`` and one ``nm_measure``
+    call, counted before the sweep is built.  Returns the values v, the
+    (spectra, values) measures and the strong-limit one, with ``nm_walk``'s bits."""
+    first, last, count = sweep if delta_n else (0.0, 0.0, 1)
+    require_bytes(walk_measure_bytes(n_steps, len(spectra) * count + 1),
+                  f"'steps' = {n_steps} x {count:.6g} sweep values x {len(spectra)} spectra")
+    values = np.linspace(float(first), float(last), int(count)).tolist()
+    filters = [DephasingFilter(s, DephasingConfig(delta_n, v * 2.0 * math.pi / (s.delta_omega * delta_n)
+                                                  if delta_n else 1.0)) for s in spectra for v in values]
     measures = nm_measure(walk_trace_distances(filters + [strong_limit_filter], n_steps),
                           threshold).measure
-    return measures[:-1].reshape(len(spectra), len(configs)), float(measures[-1])
+    return values, measures[:-1].reshape(len(spectra), len(values)), float(measures[-1])

@@ -62,10 +62,10 @@ construction.  A filter whose table is real
 up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum symmetric about a
 centre gives, turns each filtered difference of real coins into a real
 symmetric matrix with the same eigenvalues; those are solved in float64, the
-rest in complex128, one stack per route and step, each in chunks of as many
-matrices as ``errors.MAX_GRID_BYTES`` holds eigensolves, less one for the
-step's own arrays.  A run whose last step does not fit two eigensolves (724
-steps or more) is refused before any work.
+rest in complex128, one stack per route and step, each in chunks of one
+matrix more than what ``errors.MAX_GRID_BYTES`` leaves after the measure's
+count holds; a run over that count (one filter from 723 steps) is refused
+before any work.
 """
 
 from __future__ import annotations
@@ -292,9 +292,11 @@ def dilation_bytes(steps: int, n_freqs: int) -> int:
     K (steps + 1) at K >= 1024 (31.8 MB at 10 steps and K = 16384); it is
     counted as 25 (steps + 1)^2 complex values, twelve complex (steps + 1, K)
     arrays and 128 complex values per step for what each step keeps besides,
-    which covers those K = 2 peaks by 9-19%; at 10 steps the oracle's
-    fixed-size checks hold more, 141 kB at K = 2 against 75 kB."""
-    return 16 * (steps + 1) * (25 * (steps + 1) + 12 * n_freqs + 128)
+    which covers those K = 2 peaks by 9-19%, and 10 000 complex values for
+    the checks of fixed size, which hold the oracle's peak at a few steps:
+    138 kB at 0-10 steps and K = 2 (the engine check at its least power 127
+    kB, the eigensolver identities 92 kB)."""
+    return 16 * ((steps + 1) * (25 * (steps + 1) + 12 * n_freqs + 128) + 10_000)
 
 
 def dilation_densities(
@@ -426,7 +428,7 @@ def oracle_checks(spectrum: SpectrumParams, dephasing: DephasingConfig, *, max_s
                   f"max_steps = {max_steps} x n_freqs = {max(n_freqs)}")
     require_bytes(dilation_bytes(position_check_steps, n_freqs[0]),
                   f"position_check_steps = {position_check_steps} x n_freqs = {n_freqs[0]}")
-    require_bytes(walk_measure_bytes(max_steps), f"max_steps = {max_steps}")
+    require_bytes(walk_measure_bytes(max_steps, 1), f"max_steps = {max_steps}")
     coin = (1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0))
     checks = []
 

@@ -38,8 +38,7 @@ def coin_operator(eta: float) -> np.ndarray:
 
     eta = 1 gives sigma_z, eta = 0 gives sigma_x, eta = 1/2 the Hadamard.
     """
-    if not math.isfinite(eta) or not 0.0 <= eta <= 1.0:
-        raise DomainError("eta must lie in [0, 1]")
+    control_alpha_beta(eta)  # refuses an eta outside [0, 1]
     d = math.sqrt(eta)
     o = math.sqrt(1.0 - eta)
     return np.array([[d, o], [o, -d]], dtype=complex)
@@ -206,12 +205,9 @@ def special_map_eta0(m: int, spectrum: SpectrumParams, config: DephasingConfig, 
 def trace_distance_qubit(rho1, rho2) -> float:
     """Half the trace norm of the difference; for qubits this is exactly half
     the Euclidean distance of the Bloch vectors."""
-    r1 = density_to_bloch(validate_density(rho1))
-    r2 = density_to_bloch(validate_density(rho2))
-    return 0.5 * float(np.linalg.norm(r1 - r2))
+    return trace_distance_bloch(density_to_bloch(validate_density(rho1)),
+                                density_to_bloch(validate_density(rho2)))
 
 
 def trace_distance_bloch(r1, r2) -> float:
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    return 0.5 * float(np.linalg.norm(r1 - r2))
+    return 0.5 * float(np.linalg.norm(np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)))

@@ -96,6 +96,26 @@ def walk_evolve(c_left: complex, c_right: complex, m: int) -> WalkState:
     return state
 
 
+def walk_table(c_left: complex, c_right: complex, steps: int, amplitudes: bool = False):
+    """One block of columns (step, x, p(x)) per state of ``walk_states``, the
+    real and imaginary parts of c_L(x) and c_R(x) after them with
+    ``amplitudes``, as an iterator, and the list of the states' norms, which
+    grows as the blocks are drawn.  The (steps + 1)(steps + 2)/2 rows of 3
+    values, or 7, are counted on the call, 8 B a value, before any step."""
+    require_bytes(8 * (7 if amplitudes else 3) * (steps + 1) * (steps + 2) // 2,
+                  f"the walk table over steps = {steps}")
+    norms = []
+
+    def blocks():
+        for m, state in enumerate(walk_states(c_left, c_right, steps)):
+            norms.append(state.norm())
+            left, right = state.amp_left, state.amp_right
+            yield [np.full(m + 1, m), state.positions(), list(position_distribution(state).values()),
+                   *((left.real, left.imag, right.real, right.imag) if amplitudes else ())]
+
+    return blocks(), norms
+
+
 def position_distribution(state: WalkState) -> dict[int, float]:
     """p(x) = |c_L(x)|^2 + |c_R(x)|^2 over the occupied sites.  Each p is
     summed per site in Python: numpy's vectorised abs and square of an array

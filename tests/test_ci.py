@@ -108,6 +108,26 @@ def test_workflow_compares_the_strong_limit_error_engines(tmp_path):
         assert done.returncode == code, (last, done.stderr)
 
 
+def test_workflow_refuses_tables_over_the_budget(tmp_path):
+    # one step runs a fig4 sweep and a fig1 frequency grid that the CLI's old
+    # 8 bytes a value accepted; it passes as written, since each route refuses
+    # its table on entry, and fails once a run is small enough to be accepted
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    step = re.search(r"- name: Tables over the budget[^\n]*\n.*?run: \|\n(.*?)\n      - name:",
+                     workflow, flags=re.DOTALL)
+    assert step, "the workflow runs no oversized table"
+    script = textwrap.dedent(step[1])
+    assert "--preset fig4 --set sweep.count=500000" in script
+    assert "--preset fig1 --set omega_grid.count=20000000" in script
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path)}
+    for edit, code in (("", 0), ("sweep.count=4", 1)):
+        edited = script.replace("sweep.count=500000", edit) if edit else script
+        done = subprocess.run(["bash", "-e", "-c", edited], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (edit, done.stdout, done.stderr)
+        assert "open-walk-nm --preset fig4" in done.stdout
+
+
 #: a stand-in package: each command writes one CSV, whose value the tree sets,
 #: and one JSON file; the oracle exits 2
 STAND_IN_MAIN = """import pathlib, sys
@@ -235,14 +255,17 @@ def test_sources_leave_numpy_random_alone():
     assert named == set()
 
 
-def test_cli_counts_only_its_own_tables():
-    # every library route counts its own memory on entry: cli.py passes the
-    # bytes of the tables it builds or writes to require_bytes and calls no
-    # library *_bytes helper, so a route's internals never reach the CLI
+def test_cli_counts_no_bytes():
+    # every library route counts its own memory on entry, the tables the
+    # commands write included: cli.py neither imports require_bytes nor
+    # calls a *_bytes helper, so a route's internals never reach the CLI
     tree = ast.parse((ROOT / "src" / "memoryflow" / "cli.py").read_text(encoding="utf-8"))
     called = {getattr(node.func, "id", getattr(node.func, "attr", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    assert {name for name in called if name and name.endswith("_bytes")} == {"require_bytes"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not {name for name in called | imported if name and name.endswith("_bytes")}
+    assert "MAX_GRID_BYTES" not in imported
 
 
 def test_sources_keep_one_engine_switch():

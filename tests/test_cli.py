@@ -191,21 +191,32 @@ class TestConfigResolution:
     def test_numeric_fields_accept_floats(self, tmp_path, argv):
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
-    @pytest.mark.parametrize("argv,field", [
-        pytest.param(["dephasing", "--set", "t_grid.max_revivals=1e300"], "t_grid.max_revivals",
+    @pytest.mark.parametrize("argv,named", [
+        pytest.param(["dephasing", "--set", "t_grid.max_revivals=1e300"], "8e+300 time samples",
                      id="t_grid.max_revivals"),
         pytest.param(["dephasing", "--set", "t_grid.points_per_revival=1e12"],
-                     "t_grid.points_per_revival", id="t_grid.points_per_revival"),
-        pytest.param(["dephasing", "--set", "omega_grid.count=1e12"], "omega_grid.count",
+                     "3.2e+12 time samples", id="t_grid.points_per_revival"),
+        pytest.param(["dephasing", "--set", "omega_grid.count=1e12"], "1e+12 frequency samples",
                      id="omega_grid.count"),
-        pytest.param(["open-walk-nm", "--set", "sweep.count=1e12"], "sweep.count", id="sweep.count"),
-        pytest.param(["open-walk-nm", "--set", "steps=1000000000000"], "steps", id="sweep-steps"),
+        pytest.param(["open-walk-nm", "--set", "sweep.count=1e12"], "1e+12 sweep values",
+                     id="sweep.count"),
+        pytest.param(["open-walk-nm", "--set", "steps=1000000000000"], "'steps' = 1000000000000",
+                     id="sweep-steps"),
     ])
-    def test_grid_refused_before_allocation(self, capsys, tmp_path, argv, field):
+    def test_grid_refused_before_allocation(self, capsys, tmp_path, argv, named):
+        # each grid is counted by the route that builds it, on entry: a grid
+        # over MAX_GRID_BYTES exits 2 naming the route's argument before
+        # --out exists or the grid is built
         out = tmp_path / "out"
-        assert run_cli(*argv, "--out", str(out)) == 2
-        assert f"'{field}'" in capsys.readouterr().err
-        assert not out.exists()  # refused while resolving, before the command ran
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "--out", str(out)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv,named", [
         # integral_check_cap is cut to steps; a table of 4000 steps fits
@@ -276,17 +287,26 @@ class TestConfigResolution:
         # counted by the route on entry: one byte short of it exits 2 by name
         # before --out exists or any map is made; the quadrature nodes, which
         # need more, are refused at the same budget by their own count, made
-        # before the strong limit's period row
+        # before the strong limit's period row.  strong-limit-error's error
+        # table and per-step maps count more than any of its walks, and are
+        # counted first
         preset = PRESETS[argv[2]]
         etas, steps = len(preset["eta_values"]), preset["steps"]
         count = harmonic.series_map_bytes(etas, steps, tables)
+        named = f"{steps} steps x {etas} etas x {tables} tables"
+        if argv[0] == "strong-limit-error":
+            factors = len(preset["delta_t_factors"])
+            assert harmonic.error_stack_bytes(etas, steps, factors) > count
+            count = harmonic.error_stack_bytes(etas, steps, factors)
+            named = f"{factors} step durations x {etas} etas x {steps} steps"
+        elif "quadrature" in argv:
+            named = "quadrature support"
         calls = record_calls(monkeypatch, kernels.transfer_power_average,
                              kernels.composite_gauss_legendre)
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 2
-        assert ("quadrature support" if "quadrature" in argv
-                else f"{steps} steps x {etas} etas x {tables} tables") in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
         assert calls == {"transfer_power_average": [], "composite_gauss_legendre": []}
         if "quadrature" not in argv:
@@ -322,17 +342,19 @@ class TestConfigResolution:
             assert "inf panels" in err and "MAX_GRID_BYTES" in err
 
     def test_strong_limit_error_table_counted(self, capsys, tmp_path, monkeypatch):
-        # the error table the command keys and writes, 8 bytes a value, is
-        # counted while the config is resolved: one byte short exits 2 by name
+        # the error table, with the maps and Choi stack of one step duration,
+        # is counted by approximation_error_stack on entry: one byte short
+        # exits 2 by name before --out exists, and the count itself runs
         fig5 = PRESETS["fig5"]
-        count = 8 * len(fig5["delta_t_factors"]) * len(fig5["eta_values"]) * (fig5["steps"] + 1)
+        count = harmonic.error_stack_bytes(len(fig5["eta_values"]), fig5["steps"],
+                                           len(fig5["delta_t_factors"]))
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
         out = tmp_path / "out"
         assert run_cli("strong-limit-error", "--out", str(out)) == 2
-        assert "'delta_t_factors' x 'eta_values' x 'steps'" in capsys.readouterr().err
+        assert "2 step durations x 5 etas x 15 steps" in capsys.readouterr().err
         assert not out.exists()
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
-        assert resolve_config("strong-limit-error")
+        assert run_cli("strong-limit-error", "--out", str(out)) == 0
 
     @pytest.mark.parametrize("setting", ["delta_t_factor=1e5", "sigma=1e308"])
     def test_quadrature_nodes_refused_before_out(self, capsys, tmp_path, monkeypatch, setting):
@@ -863,28 +885,29 @@ class TestWalkCommand:
     def test_output_table_refused_before_walking(self, capsys, tmp_path, monkeypatch,
                                                  amplitudes, fits):
         # walk_distribution.csv holds (steps + 1)(steps + 2)/2 rows of 3 values,
-        # or 7 with the amplitudes, counted at 8 bytes a value: the largest
-        # table within MAX_GRID_BYTES is accepted, and one step more is
-        # refused by name before --out exists or any step is taken
+        # or 7 with the amplitudes, counted by walk.walk_table at 8 bytes a
+        # value: the largest table within MAX_GRID_BYTES is accepted, and one
+        # step more is refused by name before --out exists, any step is taken
+        # or the integral check builds its grids
         flag = ["--amplitudes"] if amplitudes else []
-        assert resolve_config("walk", overrides=[("steps", fits), ("amplitudes", amplitudes)])
-        calls = record_calls(monkeypatch, walk.walk_step)
+        calls = record_calls(monkeypatch, walk.walk_step, kernels.composite_gauss_legendre)
+        walk.walk_table(1.0, 0.0, fits, amplitudes)  # counted, and not yet walked
         out = tmp_path / "out"
-        assert run_cli("walk", *flag, "--set", f"steps={fits + 1}", "--out", str(out)) == 2
-        assert "'steps'" in capsys.readouterr().err
+        assert run_cli("walk", *flag, "--set", f"steps={fits + 1}", "--check-integrals",
+                       "--out", str(out)) == 2
+        assert f"walk table over steps = {fits + 1}" in capsys.readouterr().err
         assert not out.exists()
-        assert calls == {"walk_step": []}
+        assert calls == {"walk_step": [], "composite_gauss_legendre": []}
 
     @pytest.mark.parametrize("amplitudes", [False, True])
     def test_table_count_covers_the_measured_peak(self, tmp_path, monkeypatch, amplitudes):
-        # the table's count, 8 bytes a value, is the budget that validates it
+        # the table's count, 8 bytes a value, is the budget that runs it
         count = 8 * (7 if amplitudes else 3) * 301 * 302 // 2
-        overrides = [("steps", 300), ("amplitudes", amplitudes)]
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count - 1)
-        with pytest.raises(ResourceLimitError, match="'steps'"):
-            resolve_config("walk", overrides=overrides)
+        with pytest.raises(ResourceLimitError, match="steps = 300"):
+            walk.walk_table(1.0, 0.0, 300, amplitudes)
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", count)
-        cfg = resolve_config("walk", overrides=overrides)
+        cfg = resolve_config("walk", overrides=[("steps", 300), ("amplitudes", amplitudes)])
         tracemalloc.start()
         try:
             assert cli.cmd_walk(cfg, tmp_path) == 0
@@ -1047,18 +1070,22 @@ class TestOpenWalkNMCommand:
         assert math.isfinite(self.fig4_filter_measure(tmp_path, 127))
 
     def test_step_cap_named(self, tmp_path, capsys, monkeypatch):
-        # 724 steps need two 1450 x 1450 matrices at the last step, its
-        # eigensolve and its own arrays, over MAX_GRID_BYTES: refused by name
-        # before --out exists and before any walk or eigensolve
+        # the walk measure's count, two 2(n + 1)-square matrices at the last
+        # step, its eigensolve and its own arrays, and the filters' table,
+        # reaches 722 steps for one A and one sweep value (two filters with
+        # the strong limit); 723 are refused by name before --out exists and
+        # before any walk or eigensolve
+        fits = max(n for n in range(1000)
+                   if nonmarkov.walk_measure_bytes(n, 2) <= errors.MAX_GRID_BYTES)
+        assert fits == 722
         calls = record_calls(monkeypatch, walk.walk_step, kernels.hermitian_eigvals)
-        assert resolve_config("open-walk-nm", preset_name="fig4",
-                              overrides=[("steps", 723), ("sweep.count", 1)])
         out = tmp_path / "out"
         assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(out),
-                       "--set", "steps=724", "--set", "sweep.count=1",
+                       "--set", f"steps={fits + 1}", "--set", "sweep.count=1",
                        "--set", "a_values=[0.0]") == 2
         err = capsys.readouterr().err
-        assert "'steps'" in err and "MAX_GRID_BYTES" in err
+        assert f"'steps' = {fits + 1} x 1 sweep values x 1 spectra" in err
+        assert "MAX_GRID_BYTES" in err
         assert not out.exists()
         assert calls == {"walk_step": [], "hermitian_eigvals": []}
 
@@ -1068,19 +1095,21 @@ class TestOpenWalkNMCommand:
         stacks = record_calls(monkeypatch, kernels.hermitian_eigvals)["hermitian_eigvals"]
         assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
         unchunked = len(stacks)
-        # a budget with room for the last step, d = 14, one eigensolve and the
-        # step's own arrays (the least the step count allows), plus this many
-        # more eigensolves
+        # a budget with room for the 16 filters' table and, at the last step,
+        # d = 14, one eigensolve and the step's own arrays (the least the
+        # run allows), plus this many more eigensolves
         matrix = kernels.eigensolve_bytes((14, 14))
-        budget = nonmarkov.walk_measure_bytes(6) + matrices * matrix
+        budget = nonmarkov.walk_measure_bytes(6, 16) + matrices * matrix
+        table = nonmarkov.walk_measure_bytes(6, 16) - nonmarkov.walk_measure_bytes(6, 0)
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
         stacks.clear()
         assert run_cli(*argv, "--out", str(tmp_path / "chunked")) == 0
         assert len(stacks) > unchunked  # several chunks per step
         assert {stack.dtype for stack, in stacks} == {np.dtype(float), np.dtype(complex)}
-        # each chunk leaves one matrix of its step for the step's own arrays
+        # each chunk leaves the table and one matrix of its step for the
+        # step's own arrays
         assert all(kernels.eigensolve_bytes(stack.shape) + kernels.eigensolve_bytes(stack.shape[1:])
-                   <= budget for stack, in stacks)
+                   <= budget - table for stack, in stacks)
         assert max(len(stack) for stack, in stacks if stack.shape[-1] == 14) == 1 + matrices
         assert ((tmp_path / "chunked" / "open_walk_nm.csv").read_bytes()
                 == (tmp_path / "one" / "open_walk_nm.csv").read_bytes())
@@ -1232,15 +1261,17 @@ class TestOracleCommand:
         assert calls == {"coin_shift": []}
 
     def test_measure_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
-        # measure_vs_dilation runs the walk measure over 'oracle.max_steps',
-        # whose count reaches 723 steps; the dilation's count reaches further
-        # up to K = 407 (813 steps at K = 8), so the measure's count alone
-        # bounds the field there: the edge at each K validates, and one step
-        # more exits 2 by name before --out exists or any step
+        # measure_vs_dilation runs the walk measure of one filter over
+        # 'oracle.max_steps', whose count reaches 722 steps; the dilation's
+        # count reaches further up to K = 415 (813 steps at K = 8), so the
+        # measure's count alone bounds the field there: the edge at each K is
+        # within both counts, and one step more exits 2 by name before --out
+        # exists or any step
+        fits = max(n for n in range(1000)
+                   if nonmarkov.walk_measure_bytes(n, 1) <= errors.MAX_GRID_BYTES)
+        assert fits == 722
         calls = record_calls(monkeypatch, kernels.coin_shift)
-        for k, fits in ((8, 723), (32, 723), (64, 723)):
-            assert resolve_config("oracle", overrides=[("oracle.n_freqs", [k]),
-                                                       ("oracle.max_steps", fits)])
+        for k in (8, 32, 64):
             assert openwalk.dilation_bytes(fits + 1, k) <= errors.MAX_GRID_BYTES
             out = tmp_path / f"K{k}"
             assert run_cli("oracle", "--out", str(out), "--set", f"oracle.max_steps={fits + 1}",

@@ -15,6 +15,7 @@ from memoryflow.nonmarkov import (
     nm_measure,
     nm_qubit,
     nm_walk,
+    nm_walk_sweep,
     walk_measure_bytes,
     walk_trace_distances,
 )
@@ -25,6 +26,7 @@ from memoryflow.openwalk import (
     strong_limit_filter,
     trace_distance_walk,
 )
+from memoryflow.presets import PRESETS
 from memoryflow.qubit import evolve_qubit, trace_distance_bloch, transfer_map_stack
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 from memoryflow.walk import walk_evolve, walk_states
@@ -351,32 +353,34 @@ class TestWalkTraceDistances:
         assert stacks == []
 
     def test_step_cap_is_one_eigensolve_in_the_budget(self, monkeypatch):
-        # a budget with room for one 14 x 14 eigensolve and the step's own
-        # arrays, counted as one more such matrix: 6 steps run, the last one
-        # matrix per chunk, and 7 are refused before any eigensolve
-        budget = 2 * kernels.eigensolve_bytes((14, 14))
-        assert walk_measure_bytes(6) == budget
+        # a budget with room for the two filters and their table, and for one
+        # 14 x 14 eigensolve and the step's own arrays, counted as one more
+        # such matrix: 6 steps run, the last one matrix per chunk, and 7 are
+        # refused before any eigensolve
+        table = 2 * (320 + 64 * 13)
+        budget = table + 2 * kernels.eigensolve_bytes((14, 14))
+        assert walk_measure_bytes(6, 2) == budget
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
         filters = [DephasingFilter(spectrum(0.5), dephasing()),
                    DephasingFilter(spectrum(0.0), dephasing())]
         stacks = self.solved_stacks(monkeypatch)
         assert walk_trace_distances(filters, 6).shape == (2, 7)
-        assert all(kernels.eigensolve_bytes((shape[0] + 1,) + shape[1:]) <= budget
+        assert all(kernels.eigensolve_bytes((shape[0] + 1,) + shape[1:]) <= budget - table
                    for _, shape in stacks)
         assert stacks[-1][1] == (1, 14, 14)
         stacks.clear()
-        with pytest.raises(ResourceLimitError, match="'steps' = 7.*MAX_GRID_BYTES"):
+        with pytest.raises(ResourceLimitError, match="'steps' = 7 x 2 filters.*MAX_GRID_BYTES"):
             walk_trace_distances(filters, 7)
         assert stacks == []
 
     def test_chunked_peak_stays_within_the_budget(self, monkeypatch):
         # twelve fig4-style filters over 20 steps hold more than the least
-        # budget the run allows, two last-step matrices, in one chunk; chunked
-        # to that budget, one matrix a chunk at the last step, the run's peak
-        # stays within it, with the same bits
+        # budget the run allows, their table and two last-step matrices, in
+        # one chunk; chunked to that budget, one matrix a chunk at the last
+        # step, the run's peak stays within it, with the same bits
         filters = [DephasingFilter(spectrum(a), dephasing(t))
                    for a in (0.0, 0.5, 1.0) for t in (0.3, 0.5, 1.0, 1.7)]
-        budget = walk_measure_bytes(20)
+        budget = walk_measure_bytes(20, len(filters))
 
         def traced():
             tracemalloc.start()
@@ -391,6 +395,42 @@ class TestWalkTraceDistances:
         chunked, peak = traced()
         assert peak <= budget
         assert chunked.tobytes() == whole.tobytes()
+
+    def test_sweep_over_the_budget_refused_before_any_work(self, monkeypatch):
+        # fig4's three A over 20 000 sweep values, 60 001 filters with the
+        # strong limit over 10 steps, hold about 74 MB, whose filters and
+        # table no count once covered: at a 4 MB budget the sweep is refused
+        # on entry, before its values, filters or any eigensolve are made
+        monkeypatch.setattr(errors, "MAX_GRID_BYTES", 4 << 20)
+        stacks = self.solved_stacks(monkeypatch)
+        fig4 = PRESETS["fig4"]
+        spectra = [SpectrumParams(a, fig4["sigma"], fig4["mu1"], fig4["delta_omega"])
+                   for a in fig4["a_values"]]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="20000 sweep values x 3 spectra"):
+                nm_walk_sweep(spectra, fig4["delta_n"], (0.025, 4.0, 20_000), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stacks == [] and peak < 1 << 16
+        assert walk_measure_bytes(10, 60_001) > 74 << 20
+
+    def test_sweep_values_are_nm_walk_calls(self):
+        # each (spectrum, interaction time) of the sweep is the filter of the
+        # step duration v 2 pi / (delta_omega delta_n), with the bits of its
+        # own nm_walk call, and the strong limit is nm_walk's too
+        spectra = [spectrum(0.0), spectrum(1.0)]
+        values, measures, strong = nm_walk_sweep(spectra, 0.009, (0.5, 2.0, 3), 6, 0.0)
+        assert values == [0.5, 1.25, 2.0] and measures.shape == (2, 3)
+        for sp, row in zip(spectra, measures):
+            for value, measure in zip(values, row):
+                config = DephasingConfig(0.009, value * 2.0 * math.pi / (sp.delta_omega * 0.009))
+                assert measure == nm_walk(sp, config, 6, threshold=0.0)[1].measure
+        assert strong == nm_walk(None, None, 6, "strong_limit", threshold=0.0)[1].measure
+        # without index contrast every filter is 1: the sweep is the one value 0
+        values, measures, _ = nm_walk_sweep(spectra, 0.0, (0.5, 2.0, 3), 6)
+        assert values == [0.0] and measures.shape == (2, 1)
 
 
 _parts = st.floats(-1.0, 1.0, allow_nan=False)

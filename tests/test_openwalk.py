@@ -333,24 +333,26 @@ class TestStreamedRoutes:
 
     @pytest.mark.parametrize("n_freqs", [2, 32, 1024])
     def test_count_covers_the_measured_peak(self, n_freqs):
-        # the dilation checks over 40 steps, and the position stream and the
-        # oracle's other checks at their least, hold no more than
-        # dilation_bytes counts, with 5% to spare: at K = 2 and 32 the dense
-        # densities lead, at K = 1024 the branch amplitudes and the discrete
-        # filter's table.  One untraced call first loads the lazy numpy
-        # modules and fills the Gauss rule cache, which a run holds for good,
-        # not per call
-        args = dict(max_steps=40, n_freqs=[n_freqs], walk_steps=0, position_check_steps=0,
-                    engine_max_power=0, seed=0)
-        oracle_checks(spectrum(), dephasing(), **args)
-        tracemalloc.start()
-        try:
-            checks = oracle_checks(spectrum(), dephasing(), **args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(c["pass"] for c in checks)
-        assert 1.05 * peak <= dilation_bytes(40, n_freqs)
+        # the dilation checks over 10 and 40 steps, and the position stream
+        # and the oracle's other checks at their least, hold no more than
+        # dilation_bytes counts, with 5% to spare: at 40 steps and K = 2 and
+        # 32 the dense densities lead, at K = 1024 the branch amplitudes and
+        # the discrete filter's table, and at 10 steps and K = 2 the checks of
+        # fixed size.  One untraced call first loads the lazy numpy modules
+        # and fills the Gauss rule cache, which a run holds for good, not per
+        # call
+        for steps in (10, 40):
+            args = dict(max_steps=steps, n_freqs=[n_freqs], walk_steps=0, position_check_steps=0,
+                        engine_max_power=0, seed=0)
+            oracle_checks(spectrum(), dephasing(), **args)
+            tracemalloc.start()
+            try:
+                checks = oracle_checks(spectrum(), dephasing(), **args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(c["pass"] for c in checks)
+            assert 1.05 * peak <= dilation_bytes(steps, n_freqs)
 
     def test_domain(self):
         with pytest.raises(DomainError):
