@@ -320,17 +320,25 @@ def _column_text(column):
     return map(str, values.tolist() if kind in "iu" else column)
 
 
+#: rows of a block made into text at a time: the text held while a file is
+#: written is that of at most this many rows, however long the block
+CSV_ROWS = 4096
+
+
 def write_csv(path: Path, header: list[str], blocks) -> None:
     """One header line, then, block by block, one row per index of each
     block's equal-length columns; a block becomes text only as it is written,
-    so a table given as a stream of blocks is held one block at a time.  The
-    file's directory is made as the file is opened."""
+    CSV_ROWS rows at a time, so a table given as a stream of blocks is held
+    one block at a time.  The file's directory is made as the file is
+    opened."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for columns in blocks:
-            rows = list(map(",".join, zip(*map(_column_text, columns), strict=True)))
-            if rows:
+            # slices of unequal columns come apart in zip's strict check
+            for start in range(0, max(map(len, columns), default=0), CSV_ROWS):
+                rows = map(",".join, zip(*(_column_text(column[start:start + CSV_ROWS])
+                                           for column in columns), strict=True))
                 fh.write("\n".join(rows) + "\n")
 
 

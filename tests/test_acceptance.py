@@ -14,6 +14,7 @@ rate separately: each raw k = 60 gap lies in its Leibniz bracket
 of their asymptotic values 1/(2 sqrt(pi)) and 1/(4 sqrt(pi)).
 """
 
+import json
 import math
 import time
 
@@ -25,6 +26,7 @@ from memoryflow.cli import main as cli_main
 from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
     CATALAN_LIMIT_B,
+    ENGINE_AGREEMENT_TOL,
     catalan,
     catalan_coeffs,
     identity_series,
@@ -33,7 +35,7 @@ from memoryflow.harmonic import (
     series_multiply,
 )
 from memoryflow.openwalk import discrete_filter, filtered_density
-from memoryflow.walk import walk_evolve
+from memoryflow.walk import INTEGRAL_RECURSION_TOL, walk_evolve
 
 SIGMA = 1.0
 MU1 = 15.0
@@ -41,6 +43,12 @@ DELTA_OMEGA = 9.0 * SIGMA
 DELTA_N = 0.009
 T_REVIVAL = 2.0 * math.pi / (DELTA_OMEGA * DELTA_N)
 PAIR_DIRECTION = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+
+#: the oracle's 40-step scale point: the dilation past fig4's 10 steps with K
+#: up to 64, and the quadrature engine's panel orders against the series
+#: engine up to power 240
+ORACLE_40 = ["oracle", "--set", "oracle.max_steps=40", "--set", "oracle.n_freqs=[8,16,32,64]",
+             "--set", "oracle.engine_max_power=240"]
 
 
 def spectrum(a):
@@ -207,6 +215,26 @@ def test_criterion_3_engine_equivalence():
     assert elapsed < 30.0
 
 
+def test_criterion_3_strong_limit_error_engines_at_200_steps(tmp_path):
+    # the strong limit's period row on the quadrature engine, past fig5's 15
+    # steps: both engines write the same keys, and every error agrees
+    tables = []
+    for engine in ("series", "quadrature"):
+        out = tmp_path / engine
+        assert cli_main(["strong-limit-error", "--preset", "fig5", "--set", "steps=200",
+                         "--engine", engine, "--out", str(out)]) == 0
+        lines = (out / "strong_limit_error.csv").read_text().splitlines()
+        tables.append([line.split(",") for line in lines])
+    series, quadrature = tables
+    assert max(int(row[2]) for row in series[1:]) == 200
+    assert [row[:-1] for row in series] == [row[:-1] for row in quadrature]
+    devs = [abs(float(s[-1]) - float(q[-1])) for s, q in zip(series[1:], quadrature[1:])]
+    ok = all(dev <= ENGINE_AGREEMENT_TOL for dev in devs)
+    report(3, "strong-limit error engines at 200 steps", ok,
+           f"({len(devs)} errors, max dev {max(devs):.1e})")
+    assert ok, max(devs)
+
+
 def test_criterion_4_special_case_recovery():
     start = time.perf_counter()
     sp = spectrum(0.0)
@@ -283,6 +311,21 @@ def test_criterion_6_filter_dilation_equivalence():
     assert elapsed < 60.0
 
 
+def test_criterion_6_oracle_at_40_steps(tmp_path):
+    # a failed or refused oracle check exits 2
+    assert cli_main([*ORACLE_40, "--out", str(tmp_path)]) == 0
+    oracle = json.loads((tmp_path / "oracle_report.json").read_text())
+    checks = {c["name"]: c for c in oracle["checks"]}
+    dilation = {checks[f"dilation_vs_filter_K{k}"]["steps"]["last"] for k in (8, 16, 32, 64)}
+    ok = oracle["all_pass"] is True and dilation == {40} \
+        and checks["series_vs_quadrature"]["m"] == 240
+    report(6, "dilation oracle at 40 steps", ok,
+           f"(worst dev {max(c['max_dev'] for c in oracle['checks']):.1e})")
+    assert oracle["all_pass"] is True
+    assert dilation == {40}
+    assert checks["series_vs_quadrature"]["m"] == 240
+
+
 def test_criterion_7_walk_amplitude_integrals():
     start = time.perf_counter()
     worst = 0.0
@@ -307,6 +350,20 @@ def test_criterion_7_walk_amplitude_integrals():
            f"(max dev {worst:.1e} at {where}, {elapsed:.1f}s)")
     assert worst < 1e-6, where
     assert elapsed < 30.0
+
+
+def test_criterion_7_integral_check_at_400_steps(tmp_path):
+    # the quasi-momentum rows against the recursion over 400 steps, with the
+    # refinement guard at every site, past fig4's 10 and the oracle's 8
+    assert cli_main(["walk", "--check-integrals", "--set", "steps=400",
+                     "--set", "integral_check_cap=400", "--out", str(tmp_path)]) == 0
+    derived = json.loads((tmp_path / "walk_manifest.json").read_text())["derived"]
+    worst = derived["integral_max_deviation"]
+    ok = derived["integral_check_steps"] == 400 and worst <= INTEGRAL_RECURSION_TOL
+    report(7, "quasi-momentum amplitudes vs recursion at 400 steps", ok,
+           f"(max dev {worst:.1e})")
+    assert derived["integral_check_steps"] == 400
+    assert worst <= INTEGRAL_RECURSION_TOL
 
 
 def test_criterion_8_walk_measure_structure(tmp_path):
@@ -421,6 +478,7 @@ def test_criterion_10_determinism_presets(tmp_path, preset_name, command):
 @pytest.mark.parametrize("label,argv", [
     ("oracle", ["oracle"]),
     ("walk integral check", ["walk", "--check-integrals"]),
+    ("oracle at 40 steps", ORACLE_40),
 ])
 def test_criterion_10_determinism_checks(tmp_path, label, argv):
     out1 = tmp_path / "run1"

@@ -1,15 +1,14 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, under a
-time limit and on pinned package versions, read as plain text (CI installs no
-YAML parser); under the project's warning filters a failing test leaves the
-later tests running; and the sources, read as text, keep one byte budget."""
+time limit and on pinned package versions, and besides it only the benchmark
+loops, read as plain text (CI installs no YAML parser); under the project's
+warning filters a failing test leaves the later tests running; and the
+sources, read as text, keep one byte budget."""
 
 import ast
 import json
-import os
 import re
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -50,120 +49,41 @@ def test_workflow_smoke_runs_every_workload_traced():
     assert '["correct"] is not True' in traced
 
 
-def test_workflow_runs_the_oracle_at_fig4_steps():
-    # a nonzero exit of a run: step fails the job, so a failing or refused
-    # oracle check fails CI
-    lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines()]
-    oracle = [line for line in lines if line.startswith("run: ") and "-m memoryflow oracle" in line]
-    assert len(oracle) == 1
-    assert "--set oracle.max_steps=40" in oracle[0]
-    assert "--set 'oracle.n_freqs=[8,16,32,64]'" in oracle[0]
-    assert "--set oracle.engine_max_power=240" in oracle[0]
-    assert "||" not in oracle[0] and "continue-on-error" not in WORKFLOW.read_text(encoding="utf-8")
+def run_scripts(workflow: str) -> list[str]:
+    """The script of each run: key in order; a block script (run: |) as its
+    lines, stripped."""
+    lines, scripts = workflow.splitlines(), []
+    for i, line in enumerate(lines):
+        key = re.fullmatch(r"( *)(?:- )?run: (.*)", line)
+        if key and key[2] != "|":
+            scripts.append(key[2])
+        elif key:
+            block = []
+            for below in lines[i + 1:]:
+                if below.strip() and len(below) - len(below.lstrip()) <= len(key[1]):
+                    break
+                block.append(below.strip())
+            scripts.append("\n".join(block).strip())
+    return scripts
 
 
-def test_workflow_reruns_the_40_step_oracle_byte_identically(tmp_path):
-    # one step runs the 40-step oracle twice and fails unless cmp finds the two
-    # reports equal: the step passes as written, and fails once the second run
-    # is given another seed
+def test_workflow_runs_only_the_install_tier1_and_the_benchmark():
+    # every check runs in tier-1: besides the pinned install and the tier-1
+    # command, the workflow runs the two benchmark loops and nothing else, so
+    # no -m memoryflow run, heredoc script or second checkout can hold a check
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, flags=re.MULTILINE)[1]
     workflow = WORKFLOW.read_text(encoding="utf-8")
-    step = re.search(r"- name: Dilation oracle reruns[^\n]*\n.*?run: \|\n(.*?)\n      - name:",
-                     workflow, flags=re.DOTALL)
-    assert step, "the workflow reruns no oracle"
-    script = textwrap.dedent(step[1])
-    runs = [line for line in script.splitlines() if "-m memoryflow oracle" in line]
-    assert len(runs) == 2 and runs[0].replace("oracle-a", "oracle-b") == runs[1]
-    for setting in ("--set oracle.max_steps=40", "--set 'oracle.n_freqs=[8,16,32,64]'",
-                    "--set oracle.engine_max_power=240"):
-        assert setting in runs[0]
-    assert script.splitlines()[-1] == ('cmp "$RUNNER_TEMP/oracle-a/oracle_report.json" '
-                                       '"$RUNNER_TEMP/oracle-b/oracle_report.json"')
-    env = {**os.environ, "RUNNER_TEMP": str(tmp_path)}
-    for edit, code in (("", 0), (" --set seed=1", 1)):
-        edited = script.replace(runs[1], runs[1] + edit)
-        done = subprocess.run(["bash", "-e", "-c", edited], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == code, (edit, done.stderr)
-        assert ("differ" in done.stdout) == bool(code), done.stdout
-
-
-def test_workflow_compares_the_strong_limit_error_engines(tmp_path):
-    # the strong limit's period row runs on the quadrature engine past fig5's
-    # 15 steps, and the step's script fails unless every error agrees with
-    # the series engine's within harmonic.ENGINE_AGREEMENT_TOL
-    workflow = WORKFLOW.read_text(encoding="utf-8")
-    runs = [line.strip() for line in workflow.splitlines() if "-m memoryflow strong-limit-error" in line]
-    assert [re.search(r"--engine (\w+)", run)[1] for run in runs] == ["series", "quadrature"]
-    assert all("--preset fig5 --set steps=200" in run for run in runs)
-    script = textwrap.dedent(re.search(r"<<'EOF'\n(.*?\n) +EOF\n", workflow, flags=re.DOTALL)[1])
-    series = tmp_path / "series.csv"
-    series.write_text("dt_factor,eta,step,error\n0.02,0.5,0,0.0\n0.02,0.5,1,0.25\n", encoding="utf-8")
-    for last, code in (("0.25", 0), ("0.2500001", 1), ("nan", 1), ("", 1)):
-        quadrature = tmp_path / "quadrature.csv"
-        quadrature.write_text(f"dt_factor,eta,step,error\n0.02,0.5,0,0.0\n0.02,0.5,1,{last}\n"
-                              if last else "dt_factor,eta,step,error\n", encoding="utf-8")
-        done = subprocess.run([sys.executable, "-c", script, str(series), str(quadrature)],
-                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == code, (last, done.stderr)
-
-
-def test_workflow_refuses_tables_over_the_budget(tmp_path):
-    # one step runs a fig4 sweep and a fig1 frequency grid that the CLI's old
-    # 8 bytes a value accepted; it passes as written, since each route refuses
-    # its table on entry, and fails once a run is small enough to be accepted
-    workflow = WORKFLOW.read_text(encoding="utf-8")
-    step = re.search(r"- name: Tables over the budget[^\n]*\n.*?run: \|\n(.*?)\n      - name:",
-                     workflow, flags=re.DOTALL)
-    assert step, "the workflow runs no oversized table"
-    script = textwrap.dedent(step[1])
-    assert "--preset fig4 --set sweep.count=500000" in script
-    assert "--preset fig1 --set omega_grid.count=20000000" in script
-    env = {**os.environ, "RUNNER_TEMP": str(tmp_path)}
-    for edit, code in (("", 0), ("sweep.count=4", 1)):
-        edited = script.replace("sweep.count=500000", edit) if edit else script
-        done = subprocess.run(["bash", "-e", "-c", edited], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == code, (edit, done.stdout, done.stderr)
-        assert "open-walk-nm --preset fig4" in done.stdout
-
-
-#: a stand-in package: each command writes one CSV, whose value the tree sets,
-#: and one JSON file; the oracle exits 2
-STAND_IN_MAIN = """import pathlib, sys
-out = pathlib.Path(sys.argv[sys.argv.index("--out") + 1])
-out.mkdir(parents=True)
-(out / "a.csv").write_text("x,y\\n1,{value}\\n")
-(out / "b.json").write_text("{{}}")
-sys.exit(2 if sys.argv[1] == "oracle" else 0)
-"""
-
-
-def test_workflow_reports_outputs_against_the_base_commit(tmp_path):
-    # on a pull request, one step runs the commands on the base and the head
-    # commit and prints per file whether the bytes match, else the largest
-    # numeric deviation; a failed run or a changed output never fails it
-    workflow = WORKFLOW.read_text(encoding="utf-8")
-    step = workflow[workflow.index("- name: Outputs against the base commit"):]
-    assert "if: github.event_name == 'pull_request'" in step
-    assert "ref: ${{ github.event.pull_request.base.sha }}" in workflow
-    script = textwrap.dedent(re.search(r"<<'PY'\n(.*?\n) +PY\n", step, flags=re.DOTALL)[1])
-    for side, value in (("base", "0.5"), ("head", "0.500000001")):
-        package = tmp_path / side / "src" / "memoryflow"
-        package.mkdir(parents=True)
-        (package / "__init__.py").write_text("", encoding="utf-8")
-        (package / "__main__.py").write_text(STAND_IN_MAIN.format(value=value), encoding="utf-8")
-    done = subprocess.run([sys.executable, "-c", script, *(str(tmp_path / name) for name in
-                                                           ("base", "head", "out"))],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    for label in ("fig1", "fig2-series", "fig3-quadrature", "fig4", "fig5-quadrature",
-                  "walk-amplitudes", "oracle-40"):
-        assert f"{label}/b.json: same bytes" in lines
-        assert f"{label}/a.csv: bytes differ, largest numeric deviation 1.000e-09" in lines
-    assert "head oracle: exit 2: " in lines
-    assert lines[-1] == "largest numeric deviation over every output: 1.000e-09"
+    install, tier1, *loops = run_scripts(workflow)
+    assert install.startswith("python -m pip install ") and "\n" not in install
+    assert tier1 == command
+    assert len(loops) == 2
+    for loop in loops:
+        lines = loop.splitlines()
+        assert lines[0].startswith("for workload in ") and lines[-1] == "done", loop
+        assert lines[1].startswith("python3 perfbench/run.py "), loop
+        assert all(line.startswith(("cat ", "tail -n 1 ")) for line in lines[2:-1]), loop
+    assert re.findall(r"uses: (\S+)", workflow) == ["actions/checkout@v4", "actions/setup-python@v5"]
 
 
 def test_workflow_install_pins_every_package():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -78,6 +79,11 @@ class TestConfigResolution:
 
     def test_wrong_preset_command(self):
         assert run_cli("walk", "--preset", "fig1") == 1
+
+    def test_unknown_preset_named(self):
+        # the CLI's --preset choices refuse it first; the library names it
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            resolve_config("dephasing", preset_name="nope")
 
     @pytest.mark.parametrize("argv,field", [
         pytest.param(["controlled-qubit", "--set", "sigma=-1"], "sigma", id="sigma"),
@@ -174,6 +180,10 @@ class TestConfigResolution:
                      "integral_check_cap", id="integral_check_cap-fraction"),
         pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "threshold=-1"],
                      "threshold", id="threshold-negative"),
+        pytest.param(["controlled-qubit", "--set", "steps"], "steps", id="set-without-value"),
+        # a value that is not JSON is kept as the string it is
+        pytest.param(["controlled-qubit", "--set", "steps=ten"], "steps", id="steps-not-json"),
+        pytest.param(["dephasing", "--set", "t_grid=3"], "t_grid", id="t_grid-not-an-object"),
     ])
     def test_invalid_field_named_in_error(self, capsys, tmp_path, argv, field):
         out = tmp_path / "out"
@@ -202,21 +212,42 @@ class TestConfigResolution:
                      id="sweep.count"),
         pytest.param(["open-walk-nm", "--set", "steps=1000000000000"], "'steps' = 1000000000000",
                      id="sweep-steps"),
+        # tables that the CLI's old count of 8 bytes a value passed (132 MB
+        # and 160 MB), but not the count of the route that holds them
+        pytest.param(["open-walk-nm", "--preset", "fig4", "--set", "sweep.count=500000"],
+                     "'steps' = 10 x 500000 sweep values x 3 spectra", id="fig4-sweep.count"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "omega_grid.count=20000000"],
+                     "2e+07 frequency samples", id="fig1-omega_grid.count"),
     ])
     def test_grid_refused_before_allocation(self, capsys, tmp_path, argv, named):
         # each grid is counted by the route that builds it, on entry: a grid
         # over MAX_GRID_BYTES exits 2 naming the route's argument before
         # --out exists or the grid is built
         out = tmp_path / "out"
+        start = time.perf_counter()
         tracemalloc.start()
         try:
             assert run_cli(*argv, "--out", str(out)) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
         assert named in capsys.readouterr().err
         assert not out.exists()
         assert peak < 1 << 20
+
+    def test_main_module_refuses_a_table_over_the_budget(self, tmp_path):
+        # the package runs as python -m memoryflow, through __main__.py
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "memoryflow", "dephasing", "--preset", "fig1",
+                               "--set", "omega_grid.count=20000000", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 5.0
+        assert done.returncode == 2, done.stderr
+        assert "2e+07 frequency samples" in done.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,named", [
         # integral_check_cap is cut to steps; a table of 4000 steps fits
@@ -428,6 +459,13 @@ class TestConfigResolution:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert run_cli("dephasing", "--config", str(bad)) == 1
+
+    def test_config_file_must_hold_an_object(self, capsys, tmp_path):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1]", encoding="utf-8")
+        assert run_cli("dephasing", "--config", str(listed), "--out", str(tmp_path / "out")) == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "not_a_dir"

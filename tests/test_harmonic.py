@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memoryflow import errors, harmonic
-from memoryflow.errors import DomainError, ResourceLimitError
+from memoryflow.errors import DomainError, NumericError, ResourceLimitError
 from memoryflow.harmonic import (
     CATALAN_LIMIT_A,
     CATALAN_LIMIT_B,
@@ -763,3 +763,22 @@ class TestApproximationError:
         assert channel_distance(t1, t1) == pytest.approx(0.0, abs=1e-14)
         assert channel_distance(t1, t2) == pytest.approx(channel_distance(t2, t1), abs=1e-14)
         assert channel_distance(t1, t2) > 0.0
+
+
+@pytest.mark.parametrize("call,error,named", [
+    pytest.param(lambda: harmonic.TrigMatrixSeries(1, np.zeros((2, 3, 3), dtype=complex)),
+                 DomainError, "inconsistent series degree", id="short-block"),
+    pytest.param(lambda: harmonic.TrigMatrixSeries(-1, np.zeros((0, 3, 3), dtype=complex)),
+                 DomainError, "inconsistent series degree", id="negative-degree"),
+    pytest.param(lambda: harmonic.TrigMatrixSeries(0, 1j * np.eye(3)[None]).period_average(),
+                 NumericError, "period average has imaginary residue", id="imaginary-average"),
+])
+def test_refused_arguments(call, error, named):
+    with pytest.raises(error, match=named):
+        call()
+
+
+def test_coefficient_beyond_the_degree_is_zero():
+    series = series_from_transfer(0.5)
+    for l in (series.degree + 1, -series.degree - 1, 7):
+        assert np.array_equal(series.coefficient(l), np.zeros((3, 3), dtype=complex))

@@ -1,15 +1,17 @@
 """Every memory count covers the warm peak of the route it sizes, with 5% to
 spare, at a small and a large size: one row per (count, size).  The walk
 measure fills its budget in chunks, so it runs with the budget set to its
-count, in the fewest chunks the count allows."""
+count, in the fewest chunks the count allows.  The dephasing command is
+held to its route's count, its CSV text included."""
 
 import math
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from memoryflow import errors, harmonic, kernels, nonmarkov, openwalk, spectra, walk
+from memoryflow import cli, errors, harmonic, kernels, nonmarkov, openwalk, spectra, walk
 from memoryflow.presets import PRESETS
 from memoryflow.spectra import DephasingConfig, SpectrumParams
 
@@ -37,6 +39,17 @@ def dephasing_curves(t_steps, omega_count):
         for _ in curves:
             pass
     return route, count
+
+
+def cmd_dephasing(omega_count):
+    grid = FIG["fig1"]["t_grid"]
+
+    def route():
+        with tempfile.TemporaryDirectory() as out:
+            assert cli.main(["dephasing", "--preset", "fig1", "--set",
+                             f"omega_grid.count={omega_count}", "--out", out]) == 0
+    return route, dephasing_curves(grid["max_revivals"] * grid["points_per_revival"],
+                                   omega_count)[1]
 
 
 def walk_table(steps, amplitudes):
@@ -104,6 +117,8 @@ def oracle(steps, n_freqs):
 COUNTS = {
     "dephasing_curves": (lambda: dephasing_curves(3.2 * 8, 241),
                          lambda: dephasing_curves(200_000, 200_000)),
+    # below about 20 000 frequencies the text of one CSV slice outweighs the count
+    "cmd_dephasing": (lambda: cmd_dephasing(50_000), lambda: cmd_dephasing(200_000)),
     "walk_table": (lambda: walk_table(40, False), lambda: walk_table(400, True)),
     "walk_measure_bytes": (lambda: walk_sweep(1, 10), lambda: walk_sweep(2000, 10)),
     "error_stack_bytes": (lambda: error_stack(2, 5, 15), lambda: error_stack(300, 5, 30)),

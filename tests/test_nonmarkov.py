@@ -615,3 +615,17 @@ class TestMirrorIdentity:
             assert block.shape == (n + 1, n + 1)
             assert abs(np.linalg.svd(block, compute_uv=False).sum() - got[n]) < 1e-12
 
+
+
+@pytest.mark.parametrize("call,named", [
+    pytest.param(lambda: TraceDistanceSeries([]), "at least one value", id="series-empty"),
+    pytest.param(lambda: TraceDistanceSeries([[0.5]]), "at least one value", id="series-2d"),
+    pytest.param(lambda: TraceDistanceSeries([0.5, 1.5]), r"in \[0, 1\]", id="series-above-one"),
+    pytest.param(lambda: TraceDistanceSeries([-0.1]), r"in \[0, 1\]", id="series-negative"),
+    pytest.param(lambda: nm_walk(None, None, 2), "filter mode requires", id="walk-no-spectrum"),
+    pytest.param(lambda: nm_walk(SpectrumParams(0.0, 1.0, 15.0, 9.0), None, 2),
+                 "filter mode requires", id="walk-no-dephasing"),
+])
+def test_refused_arguments(call, named):
+    with pytest.raises(DomainError, match=named):
+        call()

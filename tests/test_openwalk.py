@@ -743,3 +743,18 @@ class TestTraceDistanceWalk:
         b = pure_walk_density(walk_evolve(1.0, 0.0, 4))
         with pytest.raises(DomainError, match="equal step counts"):
             trace_distance_walk(a, b)
+
+
+@pytest.mark.parametrize("call,named", [
+    pytest.param(lambda: openwalk.WalkDensity(2, np.eye(4, dtype=complex)), "shape must match",
+                 id="density-shape"),
+    pytest.param(lambda: discretize_spectrum(SpectrumParams(0.0, 1.0, 15.0, 9.0), 0),
+                 "at least one environment frequency", id="no-frequencies"),
+    pytest.param(lambda: discretize_spectrum(SpectrumParams(0.5, 1.0, 15.0, 9.0), 1),
+                 "two-peak spectrum needs at least two", id="two-peaks-one-frequency"),
+    pytest.param(lambda: hermitian_eigenvalues(np.zeros((2, 3))), "square", id="not-square"),
+    pytest.param(lambda: hermitian_eigenvalues(np.zeros(4)), "square", id="one-dimensional"),
+])
+def test_refused_arguments(call, named):
+    with pytest.raises(DomainError, match=named):
+        call()

@@ -17,6 +17,7 @@ from memoryflow.qubit import (
     special_map_eta1,
     trace_distance_qubit,
     transfer_map_stack,
+    validate_density,
 )
 from memoryflow.spectra import DephasingConfig, SpectrumParams, decoherence_function
 
@@ -300,3 +301,24 @@ class TestTraceDistance:
         bad = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
         with pytest.raises(DomainError):
             trace_distance_qubit(bad, bloch_to_density([0, 0, 0]))
+
+
+SPECTRUM = SpectrumParams(0.0, 1.0, 15.0, 9.0)
+DEPHASING = DephasingConfig(0.009, 1.0)
+
+
+@pytest.mark.parametrize("call,named", [
+    pytest.param(lambda: validate_density(np.eye(3) / 3.0), "2x2", id="density-3x3"),
+    pytest.param(lambda: validate_density([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian",
+                 id="density-not-hermitian"),
+    pytest.param(lambda: validate_density(np.eye(2)), "unit trace", id="density-trace-two"),
+    pytest.param(lambda: evolve_qubit(SPECTRUM, DEPHASING, 0.5, [0.0, 0.0, 1.0], -1),
+                 "steps must be non-negative", id="evolve-negative-steps"),
+    pytest.param(lambda: special_map_eta1(-1, SPECTRUM, DEPHASING, np.eye(2) / 2.0),
+                 "m must be non-negative", id="eta1-negative-m"),
+    pytest.param(lambda: special_map_eta0(-1, SPECTRUM, DEPHASING, np.eye(2) / 2.0),
+                 "m must be non-negative", id="eta0-negative-m"),
+])
+def test_refused_arguments(call, named):
+    with pytest.raises(DomainError, match=named):
+        call()

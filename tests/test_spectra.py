@@ -213,3 +213,36 @@ class TestDephasingConfig:
     def test_rejects_bad_duration(self):
         with pytest.raises(DomainError):
             DephasingConfig(DN, 0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call,named", [
+    pytest.param(lambda: SpectrumParams(NAN, 1.0, 15.0, 9.0), "spectrum parameters must be finite",
+                 id="spectrum-nan"),
+    pytest.param(lambda: SpectrumParams(0.0, 1.0, math.inf, 9.0),
+                 "spectrum parameters must be finite", id="spectrum-inf"),
+    pytest.param(lambda: DephasingConfig(NAN, 1.0), "dephasing parameters must be finite",
+                 id="dephasing-nan"),
+    pytest.param(lambda: DephasingConfig(DN, math.inf), "dephasing parameters must be finite",
+                 id="dephasing-inf"),
+    pytest.param(lambda: decoherence_function(two_peak(), NAN, 1.0), "must be finite",
+                 id="decoherence-delta_n"),
+    pytest.param(lambda: decoherence_function(two_peak(), DN, [0.0, math.inf]), "must be finite",
+                 id="decoherence-tau"),
+    pytest.param(lambda: decoherence_by_quadrature(two_peak(), DN, NAN), "must be finite",
+                 id="quadrature-tau"),
+    pytest.param(lambda: theta3(math.inf, 0.5), "theta3 arguments must be finite", id="theta3-u"),
+    pytest.param(lambda: theta3(0.0, NAN), "theta3 arguments must be finite", id="theta3-q"),
+    pytest.param(lambda: flatness_factor(two_peak(a=0.0), DephasingConfig(0.0, 1.0)),
+                 "non-zero index contrast", id="flatness-no-contrast"),
+])
+def test_refused_arguments(call, named):
+    with pytest.raises(DomainError, match=named):
+        call()
+
+
+def test_theta3_below_its_first_term_is_one():
+    # at q below about 1e-16, 2 q is under THETA3_TERM_TOL: no term is summed
+    assert theta3(0.7, 1e-17) == 1.0

@@ -451,3 +451,13 @@ class TestPositionDistribution:
         values = np.array(list(probs.values()))
         assert np.all(values >= 0.0)
         assert float(values.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("steps,left,right", [
+    pytest.param(2, 3, 2, id="right-short"),
+    pytest.param(2, 2, 3, id="left-short"),
+    pytest.param(-1, 0, 0, id="negative-steps"),
+])
+def test_state_shape_refused(steps, left, right):
+    with pytest.raises(DomainError, match="occupied sites"):
+        walk.WalkState(steps, np.zeros(left, dtype=complex), np.zeros(right, dtype=complex))
