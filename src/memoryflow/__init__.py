@@ -50,7 +50,6 @@ from .openwalk import (
     dilation_densities,
     dilation_oracle,
     discretize_spectrum,
-    filter_table,
     hermitian_eigenvalues,
     open_walk_evolve,
     oracle_checks,
@@ -108,7 +107,7 @@ __all__ = [
     "dispersion_nu", "walk_amplitudes_integral", "walk_amplitudes_row", "walk_amplitude_rows",
     "position_distribution",
     "WalkDensity", "DephasingFilter", "open_walk_evolve", "dilation_oracle", "dilation_densities",
-    "discretize_spectrum", "strong_limit_filter", "filter_table", "hermitian_eigenvalues",
+    "discretize_spectrum", "strong_limit_filter", "hermitian_eigenvalues",
     "trace_distance_walk", "oracle_checks",
     "TraceDistanceSeries", "NMReport", "increments", "nm_measure",
     "nm_qubit", "nm_qubit_stack", "nm_walk", "nm_walk_sweep", "walk_trace_distances",

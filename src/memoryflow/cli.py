@@ -235,6 +235,11 @@ def validate_config(command: str, cfg: dict) -> None:
         raise ConfigError("fields 'mu1' + 'delta_omega' must sum to a finite number")
     if command == "open-walk-nm" and cfg["sweep"]["min"] > cfg["sweep"]["max"]:
         raise ConfigError("field 'sweep.min' must not exceed 'sweep.max'")
+    if command == "dephasing":
+        pad = float(cfg["omega_grid"]["pad_sigmas"]) * cfg["sigma"]
+        if not _real((cfg["mu1"] + cfg["delta_omega"] + pad) - (cfg["mu1"] - pad)):
+            raise ConfigError("field 'omega_grid.pad_sigmas' must keep the frequency span from "
+                              "mu1 - pad_sigmas sigma to mu2 + pad_sigmas sigma finite")
     # every time scaled by the revival time must be finite, refused by the field that scales it
     scaled = {}
     if command in ("controlled-qubit", "oracle") and cfg["delta_t_factor"] is not None:
@@ -322,7 +327,7 @@ def _column_text(column):
 
 #: rows of a block made into text at a time: the text held while a file is
 #: written is that of at most this many rows, however long the block
-CSV_ROWS = 4096
+CSV_ROWS = 256
 
 
 def write_csv(path: Path, header: list[str], blocks) -> None:

@@ -2,8 +2,9 @@
 
 Kernels:
 
-- ``hermitian_eigvals``        ascending eigenvalues of complex Hermitian
-                               matrices, the one ``np.linalg.eigvalsh`` call;
+- ``hermitian_eigvals``        ascending eigenvalues of real symmetric or
+                               complex Hermitian matrices, the one
+                               ``np.linalg.eigvalsh`` call;
                                a non-finite stack is refused before LAPACK
 - ``trace_distances``          1/2 sum |lambda| of each matrix of a stack: the
                                one trace distance behind both models
@@ -41,8 +42,9 @@ BACKEND = "numpy"
 HAVE_NUMBA = False
 
 def hermitian_eigvals(H) -> np.ndarray:
-    """Ascending eigenvalues of a complex Hermitian matrix, or of each matrix
-    of a (..., d, d) stack; only the lower triangle is read.  A stack with a
+    """Ascending eigenvalues of a real symmetric (float64) or complex Hermitian
+    (complex128) matrix, or of each matrix of a (..., d, d) stack; only the
+    lower triangle is read.  A stack with a
     non-finite entry raises ``DomainError``, since LAPACK can return finite
     eigenvalues for it; a LAPACK convergence failure raises ``NumericError``."""
     if not np.all(np.isfinite(H)):

@@ -2,17 +2,15 @@
 positive-increment measure of memory effects, for both models.
 
 Each trajectory has one route: the qubit's from one ``transfer_map_stack``
-call, the walk's from ``walk_trace_distances``, one row per coherence filter,
-the strong-dephasing limit (``openwalk.strong_limit_filter``) included.  That
-call builds its filter table with ``openwalk.filter_table`` (one
-``decoherence_function`` call per spectrum), gathers each step's filtered
-matrices from it by ``openwalk.filter_index``, the one statement of that
-layout, and steps the coin pair as one array over the n + 1 occupied sites of
-step n, the layout every walk route stores.  Its memory is one count against
-the one budget, ``walk_measure_bytes``: the filters, their table and two
-last-step matrices, one solved and one for the step's own arrays.  Each
-step's stacks are solved in chunks of one matrix more than what the budget
-leaves after that count holds; a run of up to four filters stops at 722 steps.
+call, the walk's from ``_table_trace_distances``, one row per row of a filter
+table, which ``walk_trace_distances`` fills with one call of each filter and
+``nm_walk_sweep`` with one ``decoherence_function`` call per spectrum.  The
+route gathers each step's filtered matrices from the table by
+``openwalk.filter_index`` and steps the coin pair as one array over the n + 1
+occupied sites of step n.  Its memory is one count against the one budget,
+``walk_measure_bytes``: the table with its copies, the trajectories, and two
+last-step matrices, one solved and one for the step's own arrays; each step's
+stacks are solved in chunks of one matrix more than what the budget leaves.
 ``nm_measure`` takes one trajectory or a (rows, steps + 1) stack, each row
 with the bits of its own one-trajectory call, so each command's measure is
 one stacked route: ``nm_qubit_stack`` for every control of the qubit, of which
@@ -32,10 +30,10 @@ import numpy as np
 
 from . import errors, kernels
 from .errors import DomainError, require_bytes
-from .openwalk import (HERMITICITY_TOL, DephasingFilter, filter_index, filter_table,
-                       position_major, strong_limit_filter)
+from .openwalk import (HERMITICITY_TOL, DephasingFilter, _tau, filter_index, position_major,
+                       strong_limit_filter)
 from .qubit import as_bloch_vector, transfer_map_stack
-from .spectra import DephasingConfig, SpectrumParams
+from .spectra import DephasingConfig, SpectrumParams, decoherence_function
 from .walk import initial_state
 
 #: increments below this threshold are treated as rounding noise
@@ -176,15 +174,15 @@ def filter_table_gauge(table) -> tuple[np.ndarray, np.ndarray]:
 
 
 def walk_measure_bytes(n_steps: int, filters: int) -> int:
-    """Bytes ``walk_trace_distances`` over ``n_steps`` steps holds for
-    ``filters`` filters at its last step in the fewest chunks: the filters, as
-    ``nm_walk_sweep`` builds them, and their table of 2 n_steps + 1
-    separations with its copies, 320 B a filter and 64 B a separation
-    (tracemalloc measures about 270 and 52 B, warm, at 6001 filters), and
-    ``kernels.eigensolve_bytes`` of one 2(n_steps + 1)-square matrix, and of
-    one more for the step's own arrays (both pure densities, their difference
-    and the gather index, at most 56 B an entry)."""
-    return (filters * (320 + 64 * (2 * n_steps + 1))
+    """Bytes ``walk_trace_distances`` or ``nm_walk_sweep`` over ``n_steps``
+    steps holds for ``filters`` filters at its last step in the fewest chunks:
+    128 B a filter and step, for the table of 2 n_steps + 1 separations with
+    its copies and the trajectories with their measure (tracemalloc measures
+    102 + 104 n_steps B a filter, warm, for fig4's sweep at 6001 filters and
+    0-20 steps), and ``kernels.eigensolve_bytes`` of one 2(n_steps + 1)-square
+    matrix, and of one more for the step's own arrays (both pure densities,
+    their difference and the gather index, at most 56 B an entry)."""
+    return (128 * filters * (n_steps + 1)
             + kernels.eigensolve_bytes((2, 2 * (n_steps + 1), 2 * (n_steps + 1))))
 
 
@@ -192,33 +190,10 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
     """Trace distances D(0..n_steps) of a coin-dephased walk pair, one row per
     coherence filter; ``coins`` holds exactly two coin pairs (c_left, c_right).
 
-    The two coins are stepped together, as one (sites, 2) array through
-    ``kernels.coin_shift``, so the difference of the two pure densities after
-    n steps has d = 2(n + 1).  A filter multiplies the (x, y) block by
-    f(y - x), and every separation is one of the 2 n_steps + 1 even ones, so
-    ``openwalk.filter_table`` evaluates every filter once into a table, from
-    which each step's filtered matrices are gathered by
-    ``openwalk.filter_index``.
-
-    The inputs are checked, not the gathered matrices: each table must be
-    finite and Hermitian Toeplitz, f(-d) = conj f(d) within ``HERMITICITY_TOL``
-    of its largest value, and each origin a finite and normalized
-    (``walk.initial_state``) coin pair, which every unitary step keeps finite.
-    Table entries below ``FILTER_CUT`` / sqrt(n_steps + 1) are then set to 0.
-    Every filtered matrix, a Hermitian Toeplitz table times the Hermitian
-    v1 v1† - v2 v2† entry by entry, is then Hermitian by construction; a
-    non-finite one would still be refused by the one trace-norm kernel,
-    ``kernels.trace_distances``, with a ``DomainError``.
-
-    With real coins the walk amplitudes, and so the differences, are real, and
-    a table that ``filter_table_gauge`` finds real, f(2 j) = e^(icj) r(j),
-    makes the filtered matrix unitarily similar to the real symmetric
-    r((y - x)/2) times the difference, by the site phases e^(icx/2).  Those
-    filters are solved in float64, the others in complex128: per step, one
-    stack per route, in chunks of one matrix more than what
-    ``errors.MAX_GRID_BYTES``, read at call time, leaves after
-    ``walk_measure_bytes`` holds.  A run whose count exceeds the budget is
-    refused before any work."""
+    Each filter is called once over the 2 n_steps + 1 even separations, into
+    its row of the table that ``_table_trace_distances`` solves; the inputs
+    are checked, and the run counted by ``walk_measure_bytes``, before it is
+    made."""
     if n_steps < 0:
         raise DomainError("step count must be non-negative")
     if len(coins) != 2 or any(np.shape(coin) != (2,) for coin in coins):
@@ -227,17 +202,51 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
         raise DomainError("walk coin amplitudes must be finite")
     require_bytes(walk_measure_bytes(n_steps, len(filters)),
                   f"'steps' = {n_steps} x {len(filters)} filters")
-    out = np.empty((len(filters), n_steps + 1))
     if not filters:
-        return out
-    table = filter_table(filters, 2 * np.arange(-n_steps, n_steps + 1))
+        return np.empty((0, n_steps + 1))
+    separations = 2 * np.arange(-n_steps, n_steps + 1)
+    table = np.empty((len(filters), len(separations)), dtype=complex)
+    for row, flt in zip(table, filters):
+        row[:] = flt(separations)
+    return _table_trace_distances(table, coins)
+
+
+def _table_trace_distances(table, coins) -> np.ndarray:
+    """Trace distances D(0..n) of the walk pair ``coins``, one row per row of a
+    filter ``table`` over the 2n + 1 even separations (column n + j holds
+    f(2 j)), whose entries below the cut are zeroed in place, not in a copy.
+
+    The two coins are stepped together, as one (sites, 2) array through
+    ``kernels.coin_shift``, so the difference of the two pure densities after
+    n steps has d = 2(n + 1), and each step's filtered matrices are gathered
+    from the table by ``openwalk.filter_index``.
+
+    The inputs are checked, not the gathered matrices: each table row must be
+    finite and Hermitian Toeplitz, f(-d) = conj f(d) within
+    ``HERMITICITY_TOL`` of its largest value, and each origin a finite and
+    normalized (``walk.initial_state``) coin pair, which every unitary step
+    keeps finite.  Table entries below ``FILTER_CUT`` / sqrt(n + 1) are then
+    set to 0.  Every filtered matrix, a Hermitian Toeplitz table times the
+    Hermitian v1 v1† - v2 v2† entry by entry, is then Hermitian by
+    construction; a non-finite one would still be refused by the one
+    trace-norm kernel, ``kernels.trace_distances``, with a ``DomainError``.
+
+    With real coins the walk amplitudes, and so the differences, are real, and
+    a row that ``filter_table_gauge`` finds real, f(2 j) = e^(icj) r(j),
+    makes the filtered matrix unitarily similar to the real symmetric
+    r((y - x)/2) times the difference, by the site phases e^(icx/2).  Those
+    rows are solved in float64, the others in complex128: per step, one
+    stack per route, in chunks of one matrix more than what
+    ``errors.MAX_GRID_BYTES`` leaves after ``walk_measure_bytes`` holds."""
+    n_steps = table.shape[1] // 2
+    out = np.empty((len(table), n_steps + 1))
     if not np.all(np.isfinite(table)):
         raise DomainError("filter values must be finite")
     scale = np.max(np.abs(table), axis=1)
     defect = np.max(np.abs(table[:, ::-1] - table.conj()), axis=1)
     if np.any(defect > HERMITICITY_TOL * np.maximum(scale, 1.0)):
         raise DomainError("filter must be Hermitian Toeplitz: f(-d) = conj f(d)")
-    table = np.where(np.abs(table) < FILTER_CUT / math.sqrt(n_steps + 1), 0.0, table)
+    table[np.abs(table) < FILTER_CUT / math.sqrt(n_steps + 1)] = 0.0
     # the amplitudes of both coins over the sites, one column per coin
     origins = [initial_state(*coin) for coin in coins]
     left = np.stack([origin.amp_left for origin in origins], axis=-1)
@@ -249,7 +258,7 @@ def walk_trace_distances(filters, n_steps: int, coins=DEFAULT_WALK_COINS) -> np.
               ((real, gauged), (~real, table)) if np.any(rows)]
     # step n gathers from the leading 2(n + 1) rows and columns
     columns = filter_index(n_steps)
-    spare = errors.MAX_GRID_BYTES - walk_measure_bytes(n_steps, len(filters))
+    spare = errors.MAX_GRID_BYTES - walk_measure_bytes(n_steps, len(table))
     for n in range(n_steps + 1):
         if n:
             left, right = kernels.coin_shift(left, right)
@@ -303,15 +312,24 @@ def nm_walk_sweep(spectra, delta_n: float, sweep, n_steps: int = 10,
     of ``spectra``, at ``count`` interaction times v spaced evenly from
     ``first`` to ``last``, ``sweep`` = (first, last, count), each at step
     duration v 2 pi / (delta_omega delta_n), or at v = 0 alone and step 1
-    without index contrast: one ``walk_trace_distances`` and one ``nm_measure``
-    call, counted before the sweep is built.  Returns the values v, the
+    without index contrast.  Counted on entry, its table, a row per (spectrum,
+    value) and the strong limit's last, takes one ``decoherence_function``
+    call per spectrum and goes to ``walk_trace_distances``' route, and the
+    trajectories to one ``nm_measure`` call.  Returns the values v, the
     (spectra, values) measures and the strong-limit one, with ``nm_walk``'s bits."""
     first, last, count = sweep if delta_n else (0.0, 0.0, 1)
+    if n_steps < 0:
+        raise DomainError("step count must be non-negative")
     require_bytes(walk_measure_bytes(n_steps, len(spectra) * count + 1),
                   f"'steps' = {n_steps} x {count:.6g} sweep values x {len(spectra)} spectra")
-    values = np.linspace(float(first), float(last), int(count)).tolist()
-    filters = [DephasingFilter(s, DephasingConfig(delta_n, v * 2.0 * math.pi / (s.delta_omega * delta_n)
-                                                  if delta_n else 1.0)) for s in spectra for v in values]
-    measures = nm_measure(walk_trace_distances(filters + [strong_limit_filter], n_steps),
-                          threshold).measure
-    return values, measures[:-1].reshape(len(spectra), len(values)), float(measures[-1])
+    values = np.linspace(float(first), float(last), int(count))
+    separations = 2 * np.arange(-n_steps, n_steps + 1)
+    table = np.empty((len(spectra) * len(values) + 1, len(separations)), dtype=complex)
+    for rows, s in zip(table[:-1].reshape(len(spectra), len(values), -1), spectra):
+        durations = values * 2.0 * math.pi / (s.delta_omega * delta_n) if delta_n else np.ones(1)
+        if not np.all(durations > 0.0):
+            raise DomainError("step_duration must be positive")
+        rows[:] = decoherence_function(s, delta_n, _tau(durations, separations))
+    table[-1] = strong_limit_filter(separations)
+    measures = nm_measure(_table_trace_distances(table, DEFAULT_WALK_COINS), threshold).measure
+    return values.tolist(), measures[:-1].reshape(len(spectra), len(values)), float(measures[-1])

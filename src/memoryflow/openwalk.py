@@ -37,14 +37,13 @@ x and y therefore picks up exp(i omega delta_t delta_n (y - x)/2), and the
 spectral average multiplies the (x, y) block by kappa((y - x) delta_t / 2).
 ``dilation_oracle`` pins this normalization exactly; occupied sites are
 always an even distance apart, so the filter only ever samples kappa at whole
-multiples of the step duration.  ``filter_table`` is the one place a
-``DephasingFilter`` is evaluated: it forms tau = d delta_t / 2 for all the
-filters of one spectrum and index contrast and makes one
-``decoherence_function`` call for them; every filtered walk density, dense
-or in the measure, is gathered from one such table by ``filter_index``.  In
-the strong-dephasing limit every coherence between distinct sites is lost:
-the filter is ``strong_limit_filter``, f(d) = 1 at d = 0 and 0 elsewhere, and
-it takes every route a spectral filter takes.
+multiples of the step duration.  A ``DephasingFilter`` is one
+``decoherence_function`` call over its own tau = d delta_t / 2 (``_tau``);
+every filtered walk density, dense or in the measure, is gathered by
+``filter_index`` from a table of its filter over the 2n + 1 even
+separations.  In the strong-dephasing limit every coherence between distinct
+sites is lost: the filter is ``strong_limit_filter``, f(d) = 1 at d = 0 and 0
+elsewhere, and it takes every route a spectral filter takes.
 
 Trace distances.  Every trace distance is ``kernels.trace_distances``, which
 refuses a non-finite matrix before LAPACK.  ``trace_distance_walk`` is the
@@ -54,18 +53,16 @@ densities after equal step counts in one eigensolve, once
 bytes and checked its finiteness and Hermiticity (so one matrix reaches
 d = 2048, 1023 steps).  The memory measure takes a faster route
 (``nonmarkov.walk_trace_distances``): it steps both coins as one (sites, 2)
-array, builds every filter's table in one ``filter_table`` call, gathers each
-step's matrices by ``filter_index``, and checks its inputs instead of each
-matrix: every filter table must be finite and Hermitian Toeplitz, and each
-origin coin pair finite, so every filtered matrix is Hermitian by
-construction.  A filter whose table is real
-up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum symmetric about a
-centre gives, turns each filtered difference of real coins into a real
-symmetric matrix with the same eigenvalues; those are solved in float64, the
-rest in complex128, one stack per route and step, each in chunks of one
-matrix more than what ``errors.MAX_GRID_BYTES`` leaves after the measure's
-count holds; a run over that count (one filter from 723 steps) is refused
-before any work.
+array, fills one table with a row per filter, gathers each step's matrices
+from it by ``filter_index``, and checks its inputs instead of each matrix:
+every filter table must be finite and Hermitian Toeplitz, and each origin coin
+pair finite, so every filtered matrix is Hermitian by construction.  A filter
+whose table is real up to a phase ramp, f(2 j) = e^(icj) r(j), as a spectrum
+symmetric about a centre gives, turns each filtered difference of real coins
+into a real symmetric matrix with the same eigenvalues; those are solved in
+float64, the rest in complex128, one stack per route and step, each in chunks
+of one matrix more than what ``errors.MAX_GRID_BYTES`` leaves after the
+measure's count holds; a run over that count is refused before any work.
 """
 
 from __future__ import annotations
@@ -146,8 +143,8 @@ class DephasingFilter:
     config: DephasingConfig
 
     def __call__(self, d):
-        values = filter_table([self], d)[0]
-        return values if np.ndim(d) else complex(values)
+        return decoherence_function(self.spectrum, self.config.index_contrast,
+                                    _tau(self.config.step_duration, d))
 
 
 def strong_limit_filter(d):
@@ -160,32 +157,6 @@ def _tau(step_durations, separations) -> np.ndarray:
     """tau = d delta_t / 2 for every step duration (leading axes) and site
     separation d: the filter normalization of the module docstring."""
     return np.multiply.outer(step_durations, separations) / 2.0
-
-
-def filter_table(filters, separations) -> np.ndarray:
-    """The values of each coherence filter at ``separations`` (any shape),
-    one row per filter in the given order: shape (len(filters),) +
-    separations.shape, complex.
-
-    The ``DephasingFilter``s that share a spectrum and an index contrast are
-    evaluated together, in one ``decoherence_function`` call over their
-    (step durations x separations) grid of tau; any other callable is called
-    once with ``separations``.  Every row has the bits of its filter's own
-    call: a ``DephasingFilter`` is evaluated through this function too."""
-    separations = np.asarray(separations)
-    out = np.empty((len(filters),) + separations.shape, dtype=complex)
-    groups: dict[tuple, list[int]] = {}
-    for row, flt in enumerate(filters):
-        if isinstance(flt, DephasingFilter):
-            groups.setdefault((flt.spectrum, flt.config.index_contrast), []).append(row)
-        else:
-            out[row] = flt(separations)
-    for rows in groups.values():
-        first = filters[rows[0]]
-        durations = np.array([filters[row].config.step_duration for row in rows])
-        out[rows] = decoherence_function(first.spectrum, first.config.index_contrast,
-                                         _tau(durations, separations))
-    return out
 
 
 def filter_index(steps: int) -> np.ndarray:
@@ -202,7 +173,7 @@ def filtered_density(state: WalkState, kappa) -> WalkDensity:
     """The pure density of a walk state with its (x, y) coin block multiplied
     by kappa(y - x), gathered from kappa's table by ``filter_index``."""
     n = state.steps
-    table = filter_table([kappa], 2 * np.arange(-n, n + 1))[0]
+    table = np.asarray(kappa(2 * np.arange(-n, n + 1)), dtype=complex)
     return WalkDensity(n, pure_walk_density(state).matrix * table[filter_index(n)])
 
 

@@ -43,6 +43,53 @@ def read_strict_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
+def reach(count) -> int:
+    """The largest n >= 0 whose ``count(n)``, growing with n, is within
+    ``errors.MAX_GRID_BYTES``, by bisection."""
+    low, high = 0, 1
+    while count(high) <= errors.MAX_GRID_BYTES:
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if count(middle) <= errors.MAX_GRID_BYTES else (low, middle)
+    return low
+
+
+def walk_measure_reaches() -> dict:
+    """What ``nonmarkov.walk_measure_bytes`` lets each route reach: the steps
+    of one A and one sweep value (two filters with the strong limit) and the
+    most filters with that reach; fig4's sweep values at its steps; and the
+    oracle's max_steps (one filter) with the most environment nodes K at
+    which the dilation's count allows as many steps."""
+    fig4 = PRESETS["fig4"]
+    steps = reach(lambda n: nonmarkov.walk_measure_bytes(n, 2))
+    oracle_steps = reach(lambda n: nonmarkov.walk_measure_bytes(n, 1))
+    return {
+        "steps": steps,
+        "filters": reach(lambda f: nonmarkov.walk_measure_bytes(steps, f)),
+        "sweep_values": reach(lambda c: nonmarkov.walk_measure_bytes(
+            fig4["steps"], len(fig4["a_values"]) * c + 1)),
+        "oracle_steps": oracle_steps,
+        "oracle_k": reach(lambda k: openwalk.dilation_bytes(oracle_steps, k)),
+    }
+
+
+def test_readme_states_the_walk_measure_reaches():
+    r = walk_measure_reaches()
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
+    values = f"{r['sweep_values']:,}".replace(",", " ")
+    for claim in (
+            f"up to K = {r['oracle_k']} the measure's count sets the field's reach, "
+            f"{r['oracle_steps']} steps, and from K = {r['oracle_k'] + 1} the dilation's",
+            f"allows up to {r['steps']} steps for one `A` and one sweep value; "
+            f"`steps = {r['steps'] + 1}` exits 2",
+            f"{r['steps']} steps for 1 to {r['filters']} filters; {values} sweep values at "
+            "fig4's three A and 10 steps",
+            f"`oracle.max_steps` stops at the walk measure's {r['oracle_steps']} up to "
+            f"K = {r['oracle_k']}"):
+        assert claim in text
+
+
 def record_calls(monkeypatch, *functions) -> dict:
     """Wrap each function under every name a memoryflow module holds it by;
     returns the argument tuples of its calls, keyed by function name."""
@@ -176,6 +223,8 @@ class TestConfigResolution:
                      "sweep.count", id="sweep.count-fraction"),
         pytest.param(["dephasing", "--preset", "fig1", "--set", "omega_grid.count=10.7"],
                      "omega_grid.count", id="omega_grid.count-fraction"),
+        pytest.param(["dephasing", "--preset", "fig1", "--set", "omega_grid.pad_sigmas=1e308"],
+                     "omega_grid.pad_sigmas", id="omega_grid.pad_sigmas-overflow"),
         pytest.param(["walk", "--check-integrals", "--set", "integral_check_cap=3.9"],
                      "integral_check_cap", id="integral_check_cap-fraction"),
         pytest.param(["controlled-qubit", "--preset", "fig2", "--set", "threshold=-1"],
@@ -1108,14 +1157,10 @@ class TestOpenWalkNMCommand:
         assert math.isfinite(self.fig4_filter_measure(tmp_path, 127))
 
     def test_step_cap_named(self, tmp_path, capsys, monkeypatch):
-        # the walk measure's count, two 2(n + 1)-square matrices at the last
-        # step, its eigensolve and its own arrays, and the filters' table,
-        # reaches 722 steps for one A and one sweep value (two filters with
-        # the strong limit); 723 are refused by name before --out exists and
-        # before any walk or eigensolve
-        fits = max(n for n in range(1000)
-                   if nonmarkov.walk_measure_bytes(n, 2) <= errors.MAX_GRID_BYTES)
-        assert fits == 722
+        # one step past the walk measure's reach for one A and one sweep
+        # value (two filters with the strong limit) is refused by name before
+        # --out exists and before any walk or eigensolve
+        fits = walk_measure_reaches()["steps"]
         calls = record_calls(monkeypatch, walk.walk_step, kernels.hermitian_eigvals)
         out = tmp_path / "out"
         assert run_cli("open-walk-nm", "--preset", "fig4", "--out", str(out),
@@ -1300,14 +1345,11 @@ class TestOracleCommand:
 
     def test_measure_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
         # measure_vs_dilation runs the walk measure of one filter over
-        # 'oracle.max_steps', whose count reaches 722 steps; the dilation's
-        # count reaches further up to K = 415 (813 steps at K = 8), so the
-        # measure's count alone bounds the field there: the edge at each K is
-        # within both counts, and one step more exits 2 by name before --out
-        # exists or any step
-        fits = max(n for n in range(1000)
-                   if nonmarkov.walk_measure_bytes(n, 1) <= errors.MAX_GRID_BYTES)
-        assert fits == 722
+        # 'oracle.max_steps'; the dilation's count reaches further at these K
+        # (813 steps at K = 8), so the measure's count alone bounds the field
+        # there: the edge at each K is within both counts, and one step more
+        # exits 2 by name before --out exists or any step
+        fits = walk_measure_reaches()["oracle_steps"]
         calls = record_calls(monkeypatch, kernels.coin_shift)
         for k in (8, 32, 64):
             assert openwalk.dilation_bytes(fits + 1, k) <= errors.MAX_GRID_BYTES

@@ -117,8 +117,8 @@ def oracle(steps, n_freqs):
 COUNTS = {
     "dephasing_curves": (lambda: dephasing_curves(3.2 * 8, 241),
                          lambda: dephasing_curves(200_000, 200_000)),
-    # below about 20 000 frequencies the text of one CSV slice outweighs the count
-    "cmd_dephasing": (lambda: cmd_dephasing(50_000), lambda: cmd_dephasing(200_000)),
+    # at fig1's own 241 frequencies the command's fixed cost outweighs the count
+    "cmd_dephasing": (lambda: cmd_dephasing(2_000), lambda: cmd_dephasing(200_000)),
     "walk_table": (lambda: walk_table(40, False), lambda: walk_table(400, True)),
     "walk_measure_bytes": (lambda: walk_sweep(1, 10), lambda: walk_sweep(2000, 10)),
     "error_stack_bytes": (lambda: error_stack(2, 5, 15), lambda: error_stack(300, 5, 30)),

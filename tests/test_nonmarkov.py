@@ -353,11 +353,11 @@ class TestWalkTraceDistances:
         assert stacks == []
 
     def test_step_cap_is_one_eigensolve_in_the_budget(self, monkeypatch):
-        # a budget with room for the two filters and their table, and for one
-        # 14 x 14 eigensolve and the step's own arrays, counted as one more
-        # such matrix: 6 steps run, the last one matrix per chunk, and 7 are
-        # refused before any eigensolve
-        table = 2 * (320 + 64 * 13)
+        # a budget with room for the two filters' table and trajectories, 128
+        # B a filter and step, and for one 14 x 14 eigensolve and the step's
+        # own arrays, counted as one more such matrix: 6 steps run, the last
+        # one matrix per chunk, and 7 are refused before any eigensolve
+        table = 2 * 128 * 7
         budget = table + 2 * kernels.eigensolve_bytes((14, 14))
         assert walk_measure_bytes(6, 2) == budget
         monkeypatch.setattr(errors, "MAX_GRID_BYTES", budget)
@@ -431,6 +431,47 @@ class TestWalkTraceDistances:
         # without index contrast every filter is 1: the sweep is the one value 0
         values, measures, _ = nm_walk_sweep(spectra, 0.0, (0.5, 2.0, 3), 6)
         assert values == [0.0] and measures.shape == (2, 1)
+
+    def test_sweep_table_is_one_call_per_spectrum(self, monkeypatch):
+        # the sweep fills its table with one decoherence_function call per
+        # spectrum, over its (step durations x separations) grid of tau
+        calls = []
+        original = nonmarkov.decoherence_function
+
+        def recorded(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(nonmarkov, "decoherence_function", recorded)
+        nm_walk_sweep([spectrum(0.0), spectrum(0.7)], 0.009, (0.5, 2.0, 3), 6)
+        assert [args[0].amplitude_ratio for args in calls] == [0.0, 0.7]
+        assert [np.shape(args[2]) for args in calls] == [(3, 13)] * 2
+
+    def test_sweep_holds_no_object_per_value(self):
+        # at 0 steps the sweep holds its table, its trajectories and their
+        # measure, a few arrays a value: fig4's three A over 2000 values peak
+        # at about 143 B a filter, warm, where a filter object per value made
+        # it 365 B
+        fig4 = PRESETS["fig4"]
+        spectra = [SpectrumParams(a, fig4["sigma"], fig4["mu1"], fig4["delta_omega"])
+                   for a in fig4["a_values"]]
+
+        def route():
+            return nm_walk_sweep(spectra, fig4["delta_n"], (0.025, 4.0, 2000), 0)
+
+        route()
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * (3 * 2000 + 1)
+
+    def test_sweep_refuses_a_step_duration_that_is_not_positive(self):
+        for sweep in ((-1.0, 1.0, 3), (0.0, 1.0, 2)):
+            with pytest.raises(DomainError, match="step_duration must be positive"):
+                nm_walk_sweep([spectrum()], 0.009, sweep, 2)
 
 
 _parts = st.floats(-1.0, 1.0, allow_nan=False)

@@ -23,7 +23,6 @@ from memoryflow.openwalk import (
     discretize_spectrum,
     eigensolver_identity_deviation,
     filter_index,
-    filter_table,
     filtered_density,
     hermitian_eigenvalues,
     open_walk_evolve,
@@ -136,32 +135,15 @@ class TestDephasingFilter:
         vals = hermitian_eigenvalues(gram)
         assert vals[0] >= -1e-10
 
-
-def bits(values) -> bytes:
-    """The bytes of values as complex128: tells -0.0 from 0.0, as == does not."""
-    return np.ascontiguousarray(values, dtype=complex).tobytes()
-
-
-class TestFilterTable:
-    @staticmethod
-    def mixed_filters():
-        """Two spectra at several durations, interleaved with the strong limit,
-        a discrete filter and a plain callable."""
-        omegas, weights = discretize_spectrum(spectrum(0.7), 8)
-        by_spectrum = [[DephasingFilter(spectrum(a), dephasing(t)) for t in (0.2, 0.35, 1.3)]
-                       for a in (0.0, 0.7)]
-        return [by_spectrum[0][0], by_spectrum[1][0], strong_limit_filter, by_spectrum[0][1],
-                discrete_filter(omegas, weights, dephasing(0.5)), by_spectrum[1][1],
-                lambda d: np.exp(-0.1 * np.abs(d)), by_spectrum[1][2], by_spectrum[0][2]]
-
     @pytest.mark.parametrize("separations", [
         pytest.param(2 * np.arange(-5, 6), id="even-integers"),
         pytest.param(separations(3), id="2d-floats"),
         pytest.param(np.array(4.0), id="scalar"),
     ])
-    def test_rows_are_each_filters_own_call(self, monkeypatch, separations):
-        filters = self.mixed_filters()
-        want = [bits(flt(separations)) for flt in filters]
+    def test_one_decoherence_function_call(self, monkeypatch, separations):
+        # a filter is one call over its own tau = d delta_t / 2, of the
+        # separations' shape, and has that call's bits
+        sp, cfg = spectrum(0.7), dephasing(0.35)
         calls = []
         original = openwalk.decoherence_function
 
@@ -170,20 +152,20 @@ class TestFilterTable:
             return original(*args)
 
         monkeypatch.setattr(openwalk, "decoherence_function", recorded)
-        table = openwalk.filter_table(filters, separations)
-        assert table.dtype == complex and table.shape == (len(filters),) + np.shape(separations)
-        assert [bits(row) for row in table] == want
-        # one call per spectrum, over that spectrum's durations x separations
-        assert [args[0].amplitude_ratio for args in calls] == [0.0, 0.7]
-        assert [np.shape(args[2]) for args in calls] == [(3,) + np.shape(separations)] * 2
-
-    def test_no_filters(self):
-        assert openwalk.filter_table([], np.arange(3)).shape == (0, 3)
+        values = DephasingFilter(sp, cfg)(separations)
+        want = original(sp, cfg.index_contrast, separations * cfg.step_duration / 2.0)
+        assert bits(values) == bits(want) and np.shape(values) == np.shape(separations)
+        assert [np.shape(args[2]) for args in calls] == [np.shape(separations)]
 
     def test_scalar_call_is_complex(self):
         value = DephasingFilter(spectrum(), dephasing())(2)
         assert type(value) is complex
-        assert value == openwalk.filter_table([DephasingFilter(spectrum(), dephasing())], 2)[0]
+        assert value == decoherence_function(spectrum(), 0.009, dephasing().step_duration)
+
+
+def bits(values) -> bytes:
+    """The bytes of values as complex128: tells -0.0 from 0.0, as == does not."""
+    return np.ascontiguousarray(values, dtype=complex).tobytes()
 
 
 class TestFilterIndex:
@@ -197,9 +179,9 @@ class TestFilterIndex:
         # 2(m + 1) rows and columns of the n-step index
         flt = DephasingFilter(spectrum(0.7), dephasing(0.4))
         n = 7
-        big = filter_table([flt], 2 * np.arange(-n, n + 1))[0][filter_index(n)]
+        big = flt(2 * np.arange(-n, n + 1))[filter_index(n)]
         for m in range(n + 1):
-            small = filter_table([flt], 2 * np.arange(-m, m + 1))[0][filter_index(m)]
+            small = flt(2 * np.arange(-m, m + 1))[filter_index(m)]
             assert bits(big[:2 * (m + 1), :2 * (m + 1)]) == bits(small)
 
     @pytest.mark.parametrize("kind", ["dephasing", "discrete", "strong", "lambda"])
